@@ -27,7 +27,7 @@ from .hardness import (
 )
 from .ilp import solve_ilp
 from .kernel import kernelize, truncation_kernel
-from .oracle import available_backends, brute_topk, brute_rankings
+from .oracle import brute_topk, brute_rankings
 from .reductions import gen_random, pw_to_sb, sb_to_pw
 from .swaps import verify_bribery
 
@@ -66,9 +66,9 @@ def _color_caps(args) -> ColorCaps:
 def _run_solver(instance, algorithm: str, args) -> tuple[bool, Fraction | None, object]:
     if algorithm == "brute":
         if instance.rule.kind == "k-approval":
-            res = brute_topk(instance, backend=args.backend)
+            res = brute_topk(instance)
         else:
-            res = brute_rankings(instance, backend=args.backend)
+            res = brute_rankings(instance)
         return res.decision, res.optimal_cost, res.witness
     if algorithm == "flow":
         res = solve_unit(instance)
@@ -248,30 +248,20 @@ def _cmd_export_network(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    solvers = args.solvers.split(",")
-    backends = args.backends.split(",")
     rows = ["instance,solver,decision,cost,wall_ms,seed"]
     for path in args.instances:
         instance = formats.parse_election(_read(path))
-        for solver in solvers:
-            for backend in backends:
-                label = solver if backend == "auto" else f"{solver}[{backend}]"
-                bench_args = argparse.Namespace(
-                    backend=backend,
-                    color_mode=args.color_mode,
-                    trials=args.trials,
-                    seed=args.seed,
-                )
-                started = time.perf_counter()
-                decision, cost, witness = _run_solver(instance, solver, bench_args)
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-                if witness is not None and decision:
-                    cost = verify_bribery(instance, witness).total_cost
-                rows.append(
-                    f"{path},{label},{'yes' if decision else 'no'},"
-                    f"{formats.format_fraction(cost) if cost is not None else '-'},"
-                    f"{elapsed_ms:.3f},{args.seed}"
-                )
+        for solver in args.solvers.split(","):
+            started = time.perf_counter()
+            decision, cost, witness = _run_solver(instance, solver, args)
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            if witness is not None and decision:
+                cost = verify_bribery(instance, witness).total_cost
+            rows.append(
+                f"{path},{solver},{'yes' if decision else 'no'},"
+                f"{formats.format_fraction(cost) if cost is not None else '-'},"
+                f"{elapsed_ms:.3f},{args.seed}"
+            )
     _write(args.out, "\n".join(rows) + "\n")
     return YES
 
@@ -295,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--pattern-cap", type=int, default=None)
     solve.add_argument("--coloring-cap", type=int, default=None)
-    solve.add_argument("--backend", choices=("auto",) + available_backends(), default="auto")
     solve.add_argument("--solution", help="write a solution file here")
     solve.add_argument("--dump-ilp", help="write the transformation programs here")
     solve.set_defaults(func=_cmd_solve)
@@ -335,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="time solvers over instance files, CSV output")
     bench.add_argument("instances", nargs="+")
     bench.add_argument("--solvers", default="brute,flow")
-    bench.add_argument("--backends", default="auto", help="comma list: auto,pure,compiled")
     bench.add_argument("--color-mode", choices=("auto", "exhaustive", "random"), default="auto")
     bench.add_argument("--trials", type=int, default=None)
     bench.add_argument("--seed", type=int, default=0)

@@ -224,11 +224,3 @@ def winners_of_rankings(rankings, m: int, rule: VotingRule) -> frozenset[int]:
             raise DomainError("no Bucklin winning round; election malformed")
     best = max(totals)
     return frozenset(c for c, s in enumerate(totals) if s == best)
-
-
-def is_winner(candidate: int, election: Election, rule: VotingRule, mode: str = CO_WINNER) -> bool:
-    """Winner test under co-winner or unique-winner semantics."""
-    winning = winners(election, rule)
-    if mode == UNIQUE_WINNER:
-        return winning == frozenset({candidate})
-    return candidate in winning

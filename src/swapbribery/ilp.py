@@ -445,6 +445,7 @@ def solve_ilp(
             continue
         witness = assignment_to_bribery(instance, ilp, assignment)
         report = verify_bribery(instance, witness)
-        assert report.is_solution, "feasible assignment must convert to a solution"
+        if not report.is_solution:
+            raise AssertionError("feasible assignment must convert to a solution")
         return IlpResult(True, witness, set_index)
     return IlpResult(False, None, None)

@@ -148,12 +148,20 @@ def parse_election(text: str) -> BriberyInstance:
                 raise ParseError(no, "usage: mode co-winner|unique-winner")
             mode = parts[1]
         elif key == "vote":
-            if len(parts) < 6 or parts[2] != "multiplicity" or parts[4] != "order":
+            if (
+                len(parts) < 6
+                or parts[2] != "multiplicity"
+                or parts[4] != "order"
+                or not parts[1].isdigit()
+                or not parts[3].isdigit()
+            ):
                 raise ParseError(no, "usage: vote <i> multiplicity <w> order <names...>")
             idx = int(parts[1])
             if idx in vote_rows:
                 raise ParseError(no, f"duplicate vote index {idx}")
             mult = int(parts[3])
+            if mult < 1:
+                raise ParseError(no, "vote multiplicity must be >= 1")
             order = tuple(candidate_id(t, no) for t in parts[5:])
             if m is None or len(order) != m or len(set(order)) != m:
                 raise ParseError(no, "vote order must list every candidate once")

@@ -99,7 +99,8 @@ def truncation_kernel(instance: BriberyInstance) -> BriberyInstance:
         for v in election.votes
     )
     kernel_election = Election(tuple(election.candidates[c] for c in kept), votes)
-    assert len(kept) <= (k + beta) * election.n_expanded + 1
+    if len(kept) > (k + beta) * election.n_expanded + 1:
+        raise AssertionError("truncation kernel exceeds its candidate bound")
 
     return BriberyInstance(
         election=kernel_election,
@@ -176,7 +177,8 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
 
     for c in kept:
         deficit = original_scores[c] - window_scores[c]
-        assert deficit >= 0, "window truncation may never create points"
+        if deficit < 0:
+            raise AssertionError("window truncation may never create points")
         for _ in range(deficit):
             heads.append([mapping[c]] + [new_dummy() for _ in range(2 * beta)])
             head_costs.append({})
@@ -191,9 +193,7 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
     kernel_election = Election(tuple(names), tuple(votes))
     kernel_costs = SwapCostFunction([Fraction(1)] * len(votes), head_costs)
 
-    n_votes = len(votes)
-    assert n_votes <= (2 * n * beta + 3) * n
-    assert m_kernel <= n + (2 * n * beta + 2) * (2 * n * beta + 1)
+    _check_kernel_bounds(len(votes), m_kernel, n, beta)
 
     kernel = BriberyInstance(
         election=kernel_election,
@@ -213,15 +213,19 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
     )
 
 
+def _check_kernel_bounds(n_votes: int, m_kernel: int, n: int, beta: int) -> None:
+    """The kernel's size bounds: (2nb+3)n votes, n+(2nb+2)(2nb+1) candidates."""
+    if n_votes > (2 * n * beta + 3) * n or m_kernel > n + (2 * n * beta + 2) * (2 * n * beta + 1):
+        raise AssertionError(f"kernel of {n_votes} votes and {m_kernel} candidates exceeds its bounds")
+
+
 def _kernelize_by_truncation(instance: BriberyInstance, beta: int) -> KernelOutput:
     """Fallback when k <= floor(budget): the truncation kernel, repackaged."""
     kernel = truncation_kernel(instance)
     kept_names = kernel.election.candidates
     orig = {name: idx for idx, name in enumerate(instance.election.candidates)}
     provenance = tuple(orig[name] for name in kept_names)
-    n = instance.election.n_expanded
-    assert kernel.election.n_expanded <= (2 * n * beta + 3) * n
-    assert kernel.election.m <= n + (2 * n * beta + 2) * (2 * n * beta + 1)
+    _check_kernel_bounds(kernel.election.n_expanded, kernel.election.m, instance.election.n_expanded, beta)
     return KernelOutput(
         instance=kernel,
         relevant=relevant_candidates(instance),

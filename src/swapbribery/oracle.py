@@ -1,15 +1,17 @@
 """Brute-force exact solvers; ground truth for every other solver.
 
-Both oracles enumerate plainly and exist to be obviously correct: the only
-cleverness allowed is cutting branches that already exceed the budget or
-the best total found so far, which never changes the returned optimum.
-The inner combination search runs on the compiled kernel when available
-(``swapbribery._kernels``), else on its pure-Python twin.
+Both oracles enumerate plainly and exist to be obviously correct. The
+k-approval and scoring searches run on ``swapbribery._search``, whose only
+cleverness is cutting branches that cannot hold a better winning leaf: by
+cost (the budget or the best total so far), by score (the leading rival
+already beats what the preferred candidate can still collect) and by
+symmetry (identical votes choose non-decreasing options). It returns the
+lexicographically first optimal choice vector with or without the cuts,
+so the optimum and the witness do not depend on them.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -25,36 +27,17 @@ from .swaps import (
     transform_cost,
 )
 
-try:
-    from . import _kernels
-except ImportError:  # pragma: no cover - depends on build environment
-    _kernels = None
 
-# Totals passed to the compiled kernel must stay well inside int64.
-_COMPILED_LIMIT = 2**60
-
-
+# perfbench records this in its provenance.
 def available_backends() -> tuple[str, ...]:
-    return ("pure",) if _kernels is None else ("pure", "compiled")
+    return ("pure",)
 
 
+# perfbench reads the name of the module this returns and traces its search.
 def get_backend(name: str = "auto"):
-    """Resolve a search-backend name to its module.
-
-    ``auto`` prefers the compiled kernel when present; the environment
-    variable SWAPBRIBERY_BACKEND overrides it (useful for comparing the
-    two implementations on the same workload).
-    """
-    if name == "auto":
-        name = os.environ.get("SWAPBRIBERY_BACKEND", "auto")
-    if name == "auto":
-        return _kernels if _kernels is not None else _search
-    if name == "pure":
+    """The search module, ``swapbribery._search``, for ``auto`` or ``pure``."""
+    if name in ("auto", "pure"):
         return _search
-    if name == "compiled":
-        if _kernels is None:
-            raise DomainError("compiled kernel not available; rebuild the extension")
-        return _kernels
     raise DomainError(f"unknown backend {name!r}")
 
 
@@ -161,9 +144,8 @@ def _run_search(
     preferred: int,
     unique: bool,
     budget: Fraction | None,
-    backend,
 ):
-    """Scale costs to integers, flatten, dispatch to a search kernel."""
+    """Scale costs to integers, flatten, run the search."""
     flat_costs: list[Fraction] = []
     for options in per_vote_options:
         options.sort(key=lambda oc: oc[1])
@@ -178,14 +160,8 @@ def _run_search(
         for cands, _ in options:
             gains.extend(cands)
 
-    if backend is _kernels:
-        worst = sum(
-            max(scaled[offsets[v] : offsets[v + 1]], default=0)
-            for v in range(len(per_vote_options))
-        )
-        if worst >= _COMPILED_LIMIT or budget_int >= _COMPILED_LIMIT:
-            backend = _search
-    hit = backend.best_assignment(
+    # looked up on the module per call, so a wrapper installed there sees it
+    hit = _search.best_assignment(
         offsets, gains, width, scaled, m, preferred, unique, budget_int
     )
     if hit is None:
@@ -199,7 +175,6 @@ def brute_topk(
     instance: BriberyInstance,
     caps: OracleCaps = DEFAULT_CAPS,
     prune_to_budget: bool = False,
-    backend: str = "auto",
 ) -> BruteResult:
     """Exhaustive k-approval solver over per-vote one-position sets.
 
@@ -253,7 +228,6 @@ def brute_topk(
         instance.preferred,
         instance.unique_mode,
         budget_cap,
-        get_backend(backend),
     )
     if hit is None:
         return BruteResult(False, None, None)
@@ -268,7 +242,6 @@ def brute_topk(
 def brute_rankings(
     instance: BriberyInstance,
     caps: OracleCaps = DEFAULT_CAPS,
-    backend: str = "auto",
 ) -> BruteResult:
     """Exhaustive solver over all per-vote target rankings, any supported rule."""
     election = instance.election
@@ -320,7 +293,6 @@ def brute_rankings(
         instance.preferred,
         instance.unique_mode,
         None,
-        get_backend(backend),
     )
     if hit is None:
         return BruteResult(False, None, None)

@@ -78,6 +78,9 @@ def test_fraction_formatting():
         lambda t: t + "unknown-key 1\n",
         lambda t: t + "costs 0 pair a p -2\n",
         lambda t: t.replace("vote 0", "vote 1"),
+        lambda t: t.replace("vote 0", "vote x"),
+        lambda t: t.replace("multiplicity 1", "multiplicity y"),
+        lambda t: t.replace("multiplicity 1", "multiplicity 0"),
     ],
 )
 def test_bad_files_rejected(mangle):
