@@ -21,7 +21,6 @@ from .core import (
     Vote,
     VotingRule,
     rank_of,
-    score,
     scores,
     winners,
 )
@@ -37,6 +36,7 @@ from .errors import (
 from .swaps import (
     Bribery,
     BriberyInstance,
+    SolveResult,
     Swap,
     SwapCostFunction,
     apply_swaps,
@@ -62,6 +62,7 @@ __all__ = [
     "Ranking",
     "ResourceCapError",
     "SCORING",
+    "SolveResult",
     "Swap",
     "SwapBriberyError",
     "SwapCostFunction",
@@ -73,7 +74,6 @@ __all__ = [
     "move_to_top_cost",
     "move_to_top_target",
     "rank_of",
-    "score",
     "scores",
     "transform_cost",
     "verify_bribery",

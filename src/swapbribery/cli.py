@@ -2,7 +2,10 @@
 
 Exit codes for ``solve`` and ``verify``: 0 the preferred candidate can win
 (or the solution checks out), 1 they cannot (or it does not), 2 an error.
-Every solver's witness is re-verified before anything is printed.
+``solve`` and ``bench`` re-verify every yes witness before anything is
+printed; an invalid one is an error. Their cost is the verified witness
+cost on a yes. On a no it is the proven optimum, which only ``brute`` and
+``flow`` report, and it exceeds the budget.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .ilp import solve_ilp
 from .kernel import kernelize, truncation_kernel
 from .oracle import brute_topk, brute_rankings
 from .reductions import gen_random, pw_to_sb, sb_to_pw
-from .swaps import verify_bribery
+from .swaps import SolveResult, verify_bribery
 
 YES, NO, ERROR = 0, 1, 2
 
@@ -63,37 +66,41 @@ def _color_caps(args) -> ColorCaps:
     )
 
 
-def _run_solver(instance, algorithm: str, args) -> tuple[bool, Fraction | None, object]:
+def _run_solver(instance, algorithm: str, args) -> SolveResult:
+    # Solvers are looked up on this module per call, so wrappers installed here see them.
     if algorithm == "brute":
         if instance.rule.kind == "k-approval":
-            res = brute_topk(instance)
-        else:
-            res = brute_rankings(instance)
-        return res.decision, res.optimal_cost, res.witness
+            return brute_topk(instance)
+        return brute_rankings(instance)
     if algorithm == "flow":
-        res = solve_unit(instance)
-        return res.decision, res.optimal_cost, res.witness
+        return solve_unit(instance)
     if algorithm == "ilp":
-        res = solve_ilp(instance)
+        result = solve_ilp(instance)
         if getattr(args, "dump_ilp", None):
             _dump_programs(instance, args.dump_ilp)
-        return res.decision, None, res.witness
+        return result
     if algorithm == "color":
-        caps = _color_caps(args)
-        mode = args.color_mode
-        if mode == "auto":
-            others = instance.election.m - 1
-            nk = instance.election.n_expanded * instance.rule.k
-            exhaustive_fits = (
-                nk <= caps.pattern_size
-                and max(1, nk - 1) ** others <= caps.colorings
-            )
-            mode = "exhaustive" if exhaustive_fits else "random"
-        res = solve_color_coding(
-            instance, mode=mode, trials=args.trials, seed=args.seed, caps=caps
+        return solve_color_coding(
+            instance,
+            mode=args.color_mode,
+            trials=args.trials,
+            seed=args.seed,
+            caps=_color_caps(args),
         )
-        return res.decision, res.cost, res.witness
     raise SwapBriberyError(f"unknown algorithm {algorithm!r}")
+
+
+def _checked_cost(instance, result: SolveResult) -> Fraction | None:
+    """Verify a yes witness and return the cost to print.
+
+    That is the witness's own cost on a yes, else the proven optimum, if any.
+    """
+    if result.decision and result.witness is not None:
+        report = verify_bribery(instance, result.witness)
+        if not report.is_solution:
+            raise SwapBriberyError("solver produced an invalid witness")
+        return report.total_cost
+    return result.optimal_cost
 
 
 def _dump_programs(instance, path: str):
@@ -117,13 +124,9 @@ def _cmd_solve(args) -> int:
     algorithm = args.algorithm
     if algorithm == "auto":
         algorithm = _pick_algorithm(instance)
-    decision, cost, witness = _run_solver(instance, algorithm, args)
-    if witness is not None and decision:
-        report = verify_bribery(instance, witness)
-        if not report.is_solution:
-            print("error: solver produced an invalid witness", file=sys.stderr)
-            return ERROR
-        cost = report.total_cost
+    result = _run_solver(instance, algorithm, args)
+    cost = _checked_cost(instance, result)
+    decision = result.decision
     print(f"algorithm: {algorithm}")
     print(f"decision: {'yes' if decision else 'no'}")
     if cost is not None:
@@ -133,7 +136,7 @@ def _cmd_solve(args) -> int:
             instance,
             decision,
             cost,
-            witness if decision else None,
+            result.witness if decision else None,
             solver=algorithm,
             config={"seed": str(args.seed), "mode": args.color_mode},
         )
@@ -253,12 +256,11 @@ def _cmd_bench(args) -> int:
         instance = formats.parse_election(_read(path))
         for solver in args.solvers.split(","):
             started = time.perf_counter()
-            decision, cost, witness = _run_solver(instance, solver, args)
+            result = _run_solver(instance, solver, args)
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            if witness is not None and decision:
-                cost = verify_bribery(instance, witness).total_cost
+            cost = _checked_cost(instance, result)
             rows.append(
-                f"{path},{solver},{'yes' if decision else 'no'},"
+                f"{path},{solver},{'yes' if result.decision else 'no'},"
                 f"{formats.format_fraction(cost) if cost is not None else '-'},"
                 f"{elapsed_ms:.3f},{args.seed}"
             )

@@ -17,13 +17,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .core import K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .swaps import (
     Bribery,
     BriberyInstance,
+    SolveResult,
     move_to_top_cost,
     move_to_top_target,
     verify_bribery,
@@ -70,61 +71,6 @@ def successful_patterns(n: int, k: int, strict: bool = False, caps: ColorCaps = 
                 yield pattern
 
 
-def _matching_sets(
-    m: int,
-    k: int,
-    coloring: Mapping[int, int | None],
-    wanted: frozenset[int],
-) -> Iterator[tuple[int, ...]]:
-    """k-subsets of candidates whose colors are distinct and equal ``wanted``."""
-    for cands in combinations(range(m), k):
-        colors = {coloring.get(c) for c in cands}
-        if None not in colors and len(colors) == k and colors == wanted:
-            yield cands
-
-
-def cheapest_for_pattern(
-    instance: BriberyInstance,
-    pattern: ElectionPattern,
-    coloring: Mapping[int, int | None],
-) -> tuple[Bribery, Fraction] | None:
-    """Cheapest bribery realizing the pattern under a fixed coloring.
-
-    Per vote, minimizes the move-to-top cost over candidate sets whose
-    colors match the vote pattern; None when some vote has no match.
-    """
-    if instance.rule.kind != K_APPROVAL:
-        raise DomainError("color coding needs a k-approval instance")
-    k = instance.rule.k
-    rankings = instance.election.expanded_list()
-    if len(pattern) != len(rankings):
-        raise DomainError("pattern length must equal the number of expanded votes")
-    if coloring.get(instance.preferred) != 1:
-        raise DomainError("the preferred candidate must carry color 1")
-
-    targets: list[Ranking] = []
-    total = Fraction(0)
-    for idx, ranking in enumerate(rankings):
-        wanted = frozenset(pattern[idx])
-        best = None
-        for cands in _matching_sets(instance.election.m, k, coloring, wanted):
-            cost = move_to_top_cost(ranking, cands, k, instance.costs, idx)
-            if best is None or cost < best[1]:
-                best = (cands, cost)
-        if best is None:
-            return None
-        targets.append(move_to_top_target(ranking, frozenset(best[0])))
-        total += best[1]
-    return Bribery(tuple(targets)), total
-
-
-@dataclass(frozen=True)
-class ColorCodingResult:
-    decision: bool
-    witness: Bribery | None
-    cost: Fraction | None
-
-
 def _others(instance: BriberyInstance) -> list[int]:
     return [c for c in range(instance.election.m) if c != instance.preferred]
 
@@ -150,7 +96,7 @@ def _try_coloring(
     patterns: list[ElectionPattern],
     coloring: dict[int, int | None],
     costs: list[dict[tuple[int, ...], Fraction]],
-) -> tuple[Bribery, Fraction] | None:
+) -> Bribery | None:
     """Evaluate one coloring against many patterns sharing a color set."""
     k = instance.rule.k
     per_vote: list[dict[frozenset[int], tuple[tuple[int, ...], Fraction]]] = []
@@ -183,7 +129,7 @@ def _try_coloring(
         )
         witness = Bribery(targets)
         if verify_bribery(instance, witness).is_solution:
-            return witness, total
+            return witness
     return None
 
 
@@ -193,18 +139,20 @@ def solve_color_coding(
     trials: int | None = None,
     seed: int = 0,
     caps: ColorCaps = DEFAULT_CAPS,
-) -> ColorCodingResult:
+) -> SolveResult:
     """Pattern-driven search for a within-budget bribery.
 
     ``exhaustive`` enumerates every coloring with colors drawn from each
     pattern's color set and is complete: the decision matches ground
     truth. ``random`` samples ``trials`` colorings per pattern (default
     (nk-1)^(nk-1)) and is one-sided: any returned bribery is verified, a
-    miss proves nothing.
+    miss proves nothing. ``auto`` is exhaustive when (nk-1)^(m-1)
+    colorings fit the colorings cap, else random. No optimal cost is
+    claimed: the witness is the first one found within budget.
     """
     if instance.rule.kind != K_APPROVAL:
         raise DomainError("color coding needs a k-approval instance")
-    if mode not in ("exhaustive", "random"):
+    if mode not in ("auto", "exhaustive", "random"):
         raise DomainError(f"unknown mode {mode!r}")
     k = instance.rule.k
     n = instance.election.n_expanded
@@ -212,6 +160,8 @@ def solve_color_coding(
     nk = n * k
     if nk > caps.pattern_size:
         raise ResourceCapError(f"n*k = {nk} exceeds pattern cap {caps.pattern_size}")
+    if mode == "auto":
+        mode = "exhaustive" if max(1, nk - 1) ** (m - 1) <= caps.colorings else "random"
 
     others = _others(instance)
     rankings = instance.election.expanded_list()
@@ -229,10 +179,10 @@ def solve_color_coding(
                 coloring: dict[int, int | None] = {instance.preferred: 1}
                 for c in others:
                     coloring[c] = rng.choice(palette) if palette else None
-                hit = _try_coloring(instance, rankings, [pattern], coloring, costs)
-                if hit is not None:
-                    return ColorCodingResult(True, hit[0], hit[1])
-        return ColorCodingResult(False, None, None)
+                witness = _try_coloring(instance, rankings, [pattern], coloring, costs)
+                if witness is not None:
+                    return SolveResult(True, None, witness)
+        return SolveResult(False, None, None)
 
     by_palette: dict[tuple[int, ...], list[ElectionPattern]] = {}
     for pattern in patterns:
@@ -253,7 +203,7 @@ def solve_color_coding(
             if not values:
                 for c in others:
                     coloring[c] = None
-            hit = _try_coloring(instance, rankings, group, coloring, costs)
-            if hit is not None:
-                return ColorCodingResult(True, hit[0], hit[1])
-    return ColorCodingResult(False, None, None)
+            witness = _try_coloring(instance, rankings, group, coloring, costs)
+            if witness is not None:
+                return SolveResult(True, None, witness)
+    return SolveResult(False, None, None)

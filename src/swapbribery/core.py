@@ -62,14 +62,6 @@ class VotingRule:
         if self.kind == SCORING and len(self.vector) != m:
             raise DomainError("scoring vector length must equal m")
 
-    def score_of_rank(self, rank: int) -> int:
-        """Points earned by the candidate at the given 1-based rank."""
-        if self.kind == K_APPROVAL:
-            return 1 if rank <= self.k else 0
-        if self.kind == SCORING:
-            return self.vector[rank - 1]
-        raise UnsupportedRuleError("Bucklin has no per-position score")
-
     @property
     def is_score_based(self) -> bool:
         return self.kind in (K_APPROVAL, SCORING)
@@ -137,17 +129,45 @@ def rank_of(candidate: int, ranking: Ranking) -> int:
         raise DomainError(f"candidate {candidate} not in ranking") from None
 
 
-def score(candidate: int, election: Election, rule: VotingRule) -> int:
-    """Multiplicity-weighted total score of one candidate."""
-    rule.validate_for(election.m)
-    if not rule.is_score_based:
-        raise UnsupportedRuleError("score() is undefined for Bucklin")
-    if not 0 <= candidate < election.m:
-        raise DomainError(f"candidate {candidate} out of range")
-    return sum(
-        v.multiplicity * rule.score_of_rank(rank_of(candidate, v.ranking))
-        for v in election.votes
-    )
+def _approvals(weighted: list[tuple[Ranking, int]], m: int, depth: int) -> list[int]:
+    """Weight of the rankings that place each candidate within the first ``depth``."""
+    totals = [0] * m
+    for ranking, weight in weighted:
+        for c in ranking[:depth]:
+            totals[c] += weight
+    return totals
+
+
+def _bucklin_round(weighted: list[tuple[Ranking, int]], m: int) -> tuple[int, list[int]]:
+    """Bucklin's winning round and the approval counts at that depth."""
+    threshold = sum(weight for _, weight in weighted) // 2 + 1
+    for depth in range(1, m + 1):
+        totals = _approvals(weighted, m, depth)
+        if max(totals) >= threshold:
+            return depth, totals
+    raise DomainError("no Bucklin winning round; election malformed")
+
+
+def _tally(weighted: list[tuple[Ranking, int]], m: int, rule: VotingRule) -> list[int]:
+    """Per-candidate totals over (ranking, weight) pairs; Bucklin's at its winning round."""
+    if rule.kind == K_APPROVAL:
+        return _approvals(weighted, m, rule.k)
+    if rule.kind == SCORING:
+        totals = [0] * m
+        for ranking, weight in weighted:
+            for points, c in zip(rule.vector, ranking):
+                totals[c] += weight * points
+        return totals
+    return _bucklin_round(weighted, m)[1]
+
+
+def _weighted(election: Election) -> list[tuple[Ranking, int]]:
+    return [(vote.ranking, vote.multiplicity) for vote in election.votes]
+
+
+def _argmax(totals: list[int]) -> frozenset[int]:
+    best = max(totals)
+    return frozenset(c for c, s in enumerate(totals) if s == best)
 
 
 def scores(election: Election, rule: VotingRule) -> list[int]:
@@ -155,72 +175,20 @@ def scores(election: Election, rule: VotingRule) -> list[int]:
     rule.validate_for(election.m)
     if not rule.is_score_based:
         raise UnsupportedRuleError("scores() is undefined for Bucklin")
-    totals = [0] * election.m
-    if rule.kind == K_APPROVAL:
-        for vote in election.votes:
-            for c in vote.ranking[: rule.k]:
-                totals[c] += vote.multiplicity
-    else:
-        for vote in election.votes:
-            for pos, c in enumerate(vote.ranking):
-                totals[c] += vote.multiplicity * rule.vector[pos]
-    return totals
-
-
-def approval_counts(election: Election, depth: int) -> list[int]:
-    """How many votes rank each candidate within the first ``depth`` positions."""
-    totals = [0] * election.m
-    for vote in election.votes:
-        for c in vote.ranking[:depth]:
-            totals[c] += vote.multiplicity
-    return totals
+    return _tally(_weighted(election), election.m, rule)
 
 
 def bucklin_winning_round(election: Election) -> int:
     """Smallest depth at which some candidate is ranked by a strict majority."""
-    threshold = election.n_expanded // 2 + 1
-    for depth in range(1, election.m + 1):
-        if max(approval_counts(election, depth)) >= threshold:
-            return depth
-    raise DomainError("no Bucklin winning round; election malformed")
+    return _bucklin_round(_weighted(election), election.m)[0]
 
 
 def winners(election: Election, rule: VotingRule) -> frozenset[int]:
     """The set of winning candidates; full argmax set, no tie-breaking."""
     rule.validate_for(election.m)
-    if rule.is_score_based:
-        totals = scores(election, rule)
-    else:
-        totals = approval_counts(election, bucklin_winning_round(election))
-    best = max(totals)
-    return frozenset(c for c, s in enumerate(totals) if s == best)
+    return _argmax(_tally(_weighted(election), election.m, rule))
 
 
 def winners_of_rankings(rankings, m: int, rule: VotingRule) -> frozenset[int]:
     """Winner set for a plain list of expanded rankings (multiplicity 1 each)."""
-    if rule.kind == K_APPROVAL:
-        totals = [0] * m
-        for r in rankings:
-            for c in r[: rule.k]:
-                totals[c] += 1
-    elif rule.kind == SCORING:
-        totals = [0] * m
-        for r in rankings:
-            for pos, c in enumerate(r):
-                totals[c] += rule.vector[pos]
-    else:
-        n = len(rankings)
-        threshold = n // 2 + 1
-        totals = None
-        for depth in range(1, m + 1):
-            counts = [0] * m
-            for r in rankings:
-                for c in r[:depth]:
-                    counts[c] += 1
-            if max(counts) >= threshold:
-                totals = counts
-                break
-        if totals is None:
-            raise DomainError("no Bucklin winning round; election malformed")
-    best = max(totals)
-    return frozenset(c for c, s in enumerate(totals) if s == best)
+    return _argmax(_tally([(r, 1) for r in rankings], m, rule))

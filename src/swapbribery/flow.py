@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .core import K_APPROVAL, Ranking, rank_of
 from .errors import DomainError, PreconditionError
-from .swaps import Bribery, BriberyInstance, SwapCostFunction
+from .swaps import Bribery, BriberyInstance, SolveResult, SwapCostFunction
 from . import swaps as _swaps
 
 
@@ -239,15 +239,7 @@ def _extract_targets(
     return tuple(targets)
 
 
-@dataclass(frozen=True)
-class FlowSolveResult:
-    decision: bool
-    optimal_cost: Fraction | None
-    witness: Bribery | None
-    target_score: int | None
-
-
-def solve_unit(instance: BriberyInstance) -> FlowSolveResult:
+def solve_unit(instance: BriberyInstance) -> SolveResult:
     """Exact solver for unit swap costs: best over all target scores.
 
     Precondition: every swap price equals 1 (checked). Iterates every
@@ -262,7 +254,7 @@ def solve_unit(instance: BriberyInstance) -> FlowSolveResult:
     election = instance.election
     if election.m == 1:
         witness = Bribery.identity(election)
-        return FlowSolveResult(True, Fraction(0), witness, election.n_expanded)
+        return SolveResult(True, Fraction(0), witness)
 
     rankings = election.expanded_list()
     k = instance.rule.k
@@ -270,7 +262,6 @@ def solve_unit(instance: BriberyInstance) -> FlowSolveResult:
 
     best_cost: Fraction | None = None
     best_witness: Bribery | None = None
-    best_score: int | None = None
     for target_score in range(1, len(rankings) + 1):
         network = build_transfer_network(
             rankings, k, instance.preferred, target_score, instance.unique_mode
@@ -281,13 +272,10 @@ def solve_unit(instance: BriberyInstance) -> FlowSolveResult:
         if best_cost is None or result.cost < best_cost:
             best_cost = result.cost
             best_witness = Bribery(_extract_targets(network, result, rankings, k))
-            best_score = target_score
 
     if best_cost is None:
-        return FlowSolveResult(False, None, None, None)
-    return FlowSolveResult(
-        best_cost <= instance.budget, best_cost, best_witness, best_score
-    )
+        return SolveResult(False, None, None)
+    return SolveResult(best_cost <= instance.budget, best_cost, best_witness)
 
 
 def approx_within_range(

@@ -41,12 +41,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def has_clique(self, size: int) -> bool:
-        return any(
-            all(self.has_edge(u, v) for u, v in combinations(group, 2))
-            for group in combinations(range(self.n_vertices), size)
-        )
-
 
 @dataclass(frozen=True)
 class ColoredGraph(Graph):
@@ -143,6 +137,8 @@ def multicolored_clique_instance(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
+    if not isinstance(graph, ColoredGraph):
+        raise DomainError("the clique gadget needs a colored graph")
     graph.check_classes_independent()
     k = graph.k
     if k < 2:

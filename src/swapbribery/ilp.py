@@ -20,7 +20,7 @@ from math import factorial
 from .core import BUCKLIN, K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .lp import lp_feasible
-from .swaps import Bribery, BriberyInstance, transform_cost
+from .swaps import Bribery, BriberyInstance, SolveResult, transform_cost
 
 LE = "<="
 GE = ">="
@@ -412,26 +412,22 @@ def format_lp(ilp: TransformationIlp) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class IlpResult:
-    decision: bool
-    witness: Bribery | None
-    set_index: int | None
-
-
 def solve_ilp(
     instance: BriberyInstance,
     caps: IlpCaps = DEFAULT_CAPS,
     group_votes: bool = True,
     use_relaxation: bool = True,
-) -> IlpResult:
-    """Decide the instance by trying every set of the rule description."""
+) -> SolveResult:
+    """Decide the instance by trying every set of the rule description.
+
+    The witness is the first solution found, so no optimal cost is claimed.
+    """
     from .swaps import verify_bribery
 
     if instance.rule.kind not in (K_APPROVAL, BUCKLIN):
         raise DomainError("integer-program solving supports k-approval and Bucklin")
     if instance.election.m == 1:
-        return IlpResult(True, Bribery.identity(instance.election), None)
+        return SolveResult(True, None, Bribery.identity(instance.election))
     system = describe_rule(
         instance.rule,
         instance.election.m,
@@ -447,5 +443,5 @@ def solve_ilp(
         report = verify_bribery(instance, witness)
         if not report.is_solution:
             raise AssertionError("feasible assignment must convert to a solution")
-        return IlpResult(True, witness, set_index)
-    return IlpResult(False, None, None)
+        return SolveResult(True, None, witness)
+    return SolveResult(False, None, None)

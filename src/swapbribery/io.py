@@ -10,6 +10,7 @@ symmetrically on input.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .core import (
@@ -47,6 +48,16 @@ def parse_fraction(token: str, line: int) -> Fraction:
     return value
 
 
+def parse_int(token: str, line: int, low: int | None = None) -> int:
+    """A decimal integer of ASCII digits, at least ``low`` when given."""
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ParseError(line, f"bad integer {token!r}")
+    value = int(token)
+    if low is not None and value < low:
+        raise ParseError(line, f"integer {value} is below {low}")
+    return value
+
+
 class _Lines:
     def __init__(self, text: str):
         self.items = [
@@ -69,9 +80,9 @@ def _parse_rule(parts: list[str], line: int) -> VotingRule:
     if not parts:
         raise ParseError(line, "rule needs a variant")
     if parts[0] == "k-approval":
-        if len(parts) != 2 or not parts[1].isdigit():
+        if len(parts) != 2:
             raise ParseError(line, "usage: rule k-approval <k>")
-        return VotingRule.k_approval(int(parts[1]))
+        return VotingRule.k_approval(parse_int(parts[1], line, low=1))
     if parts[0] == "bucklin":
         if len(parts) != 1:
             raise ParseError(line, "usage: rule bucklin")
@@ -79,11 +90,7 @@ def _parse_rule(parts: list[str], line: int) -> VotingRule:
     if parts[0] == "scoring":
         if len(parts) != 2:
             raise ParseError(line, "usage: rule scoring s1,...,sm")
-        try:
-            vector = tuple(int(s) for s in parts[1].split(","))
-        except ValueError:
-            raise ParseError(line, "scoring vector must be integers") from None
-        return VotingRule.scoring(vector)
+        return VotingRule.scoring(parse_int(s, line, low=0) for s in parts[1].split(","))
     raise ParseError(line, f"unknown rule {parts[0]!r}")
 
 
@@ -120,13 +127,13 @@ def parse_election(text: str) -> BriberyInstance:
         parts = raw.split()
         key = parts[0]
         if key == "candidates":
-            if m is not None or len(parts) != 2 or not parts[1].isdigit():
+            if m is not None or len(parts) != 2:
                 raise ParseError(no, "usage: candidates <m> (once)")
-            m = int(parts[1])
+            m = parse_int(parts[1], no, low=1)
         elif key == "candidate":
-            if m is None or len(parts) != 3 or not parts[1].isdigit():
+            if m is None or len(parts) != 3:
                 raise ParseError(no, "usage: candidate <index> <name>")
-            idx, name = int(parts[1]), parts[2]
+            idx, name = parse_int(parts[1], no), parts[2]
             if idx in names or not 0 <= idx < m:
                 raise ParseError(no, f"bad or duplicate candidate index {idx}")
             if name in name_to_index:
@@ -152,24 +159,20 @@ def parse_election(text: str) -> BriberyInstance:
                 len(parts) < 6
                 or parts[2] != "multiplicity"
                 or parts[4] != "order"
-                or not parts[1].isdigit()
-                or not parts[3].isdigit()
             ):
                 raise ParseError(no, "usage: vote <i> multiplicity <w> order <names...>")
-            idx = int(parts[1])
+            idx = parse_int(parts[1], no, low=0)
             if idx in vote_rows:
                 raise ParseError(no, f"duplicate vote index {idx}")
-            mult = int(parts[3])
-            if mult < 1:
-                raise ParseError(no, "vote multiplicity must be >= 1")
+            mult = parse_int(parts[3], no, low=1)
             order = tuple(candidate_id(t, no) for t in parts[5:])
             if m is None or len(order) != m or len(set(order)) != m:
                 raise ParseError(no, "vote order must list every candidate once")
             vote_rows[idx] = (mult, order)
         elif key == "costs":
-            if len(parts) < 3 or not parts[1].isdigit():
+            if len(parts) < 3:
                 raise ParseError(no, "usage: costs <i> default|pair ...")
-            idx = int(parts[1])
+            idx = parse_int(parts[1], no, low=0)
             if parts[2] == "default" and len(parts) == 4:
                 cost_defaults[idx] = parse_fraction(parts[3], no)
             elif parts[2] == "pair" and len(parts) == 6:
@@ -310,7 +313,7 @@ def parse_solution(
         elif parts[0] == "config" and len(parts) >= 3:
             config[parts[1]] = " ".join(parts[2:])
         elif parts[0] == "target" and len(parts) >= 2:
-            idx = int(parts[1])
+            idx = parse_int(parts[1], no, low=0)
             try:
                 targets[idx] = tuple(names[t] for t in parts[2:])
             except KeyError as exc:
@@ -353,9 +356,11 @@ def parse_partial(text: str) -> PossibleWinnerInstance:
     for no, raw in lines:
         parts = raw.split()
         if parts[0] == "candidates" and len(parts) == 2:
-            m = int(parts[1])
+            m = parse_int(parts[1], no, low=1)
         elif parts[0] == "candidate" and len(parts) == 3:
-            idx, name = int(parts[1]), parts[2]
+            idx, name = parse_int(parts[1], no), parts[2]
+            if m is None or idx in names or not 0 <= idx < m:
+                raise ParseError(no, f"bad or duplicate candidate index {idx}")
             names[idx] = name
             name_to_index[name] = idx
         elif parts[0] == "rule":
@@ -365,9 +370,9 @@ def parse_partial(text: str) -> PossibleWinnerInstance:
             if preferred is None:
                 raise ParseError(no, f"unknown candidate {parts[1]!r}")
         elif parts[0] == "partials" and len(parts) == 2:
-            n_votes = int(parts[1])
+            n_votes = parse_int(parts[1], no, low=0)
         elif parts[0] == "partial" and len(parts) == 5 and parts[2] == "pair":
-            idx = int(parts[1])
+            idx = parse_int(parts[1], no, low=0)
             try:
                 a, b = name_to_index[parts[3]], name_to_index[parts[4]]
             except KeyError as exc:
@@ -395,19 +400,19 @@ def parse_graph(text: str) -> Graph | ColoredGraph:
     rows = list(lines)
     if not rows or rows[0][1].split()[0] != "graph":
         raise ParseError(1, "expected header 'graph N M [k]'")
-    head = rows[0][1].split()
+    line, head = rows[0][0], rows[0][1].split()
     if len(head) not in (3, 4):
-        raise ParseError(rows[0][0], "expected header 'graph N M [k]'")
-    n, m_edges = int(head[1]), int(head[2])
-    k = int(head[3]) if len(head) == 4 else None
+        raise ParseError(line, "expected header 'graph N M [k]'")
+    n, m_edges = parse_int(head[1], line, low=0), parse_int(head[2], line, low=0)
+    k = parse_int(head[3], line, low=1) if len(head) == 4 else None
     edges = set()
     colors: dict[int, int] = {}
     for no, raw in rows[1:]:
         parts = raw.split()
         if parts[0] == "color" and len(parts) == 3:
-            colors[int(parts[1])] = int(parts[2])
+            colors[parse_int(parts[1], no)] = parse_int(parts[2], no)
         elif len(parts) == 2:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = parse_int(parts[0], no), parse_int(parts[1], no)
             edges.add((min(u, v), max(u, v)))
         else:
             raise ParseError(no, f"bad graph line {raw!r}")

@@ -18,11 +18,12 @@ from itertools import permutations
 from math import comb, factorial, lcm
 
 from . import _search
-from .core import K_APPROVAL, Ranking, winners_of_rankings
+from .core import K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .swaps import (
     Bribery,
     BriberyInstance,
+    SolveResult,
     move_to_top_target,
     transform_cost,
 )
@@ -50,13 +51,6 @@ class OracleCaps:
 
 
 DEFAULT_CAPS = OracleCaps()
-
-
-@dataclass(frozen=True)
-class BruteResult:
-    decision: bool
-    optimal_cost: Fraction | None
-    witness: Bribery | None
 
 
 def _topk_vote_options(
@@ -175,7 +169,7 @@ def brute_topk(
     instance: BriberyInstance,
     caps: OracleCaps = DEFAULT_CAPS,
     prune_to_budget: bool = False,
-) -> BruteResult:
+) -> SolveResult:
     """Exhaustive k-approval solver over per-vote one-position sets.
 
     Default mode reports the unconstrained optimum (minimum cost making the
@@ -219,7 +213,7 @@ def brute_topk(
                     f"affordable combinations exceed cap {caps.topk_combinations}"
                 )
         if any(not options for options in per_vote_options):
-            return BruteResult(False, None, None)
+            return SolveResult(False, None, None)
 
     hit = _run_search(
         per_vote_options,
@@ -230,19 +224,19 @@ def brute_topk(
         budget_cap,
     )
     if hit is None:
-        return BruteResult(False, None, None)
+        return SolveResult(False, None, None)
     optimum, local = hit
     targets = tuple(
         move_to_top_target(r, frozenset(per_vote_options[v][i][0]))
         for v, (r, i) in enumerate(zip(rankings, local))
     )
-    return BruteResult(optimum <= instance.budget, optimum, Bribery(targets))
+    return SolveResult(optimum <= instance.budget, optimum, Bribery(targets))
 
 
 def brute_rankings(
     instance: BriberyInstance,
     caps: OracleCaps = DEFAULT_CAPS,
-) -> BruteResult:
+) -> SolveResult:
     """Exhaustive solver over all per-vote target rankings, any supported rule."""
     election = instance.election
     m = election.m
@@ -295,10 +289,10 @@ def brute_rankings(
         None,
     )
     if hit is None:
-        return BruteResult(False, None, None)
+        return SolveResult(False, None, None)
     optimum, local = hit
     witness = Bribery(tuple(per_vote_targets[v][i] for v, i in enumerate(local)))
-    return BruteResult(optimum <= instance.budget, optimum, witness)
+    return SolveResult(optimum <= instance.budget, optimum, witness)
 
 
 def _brute_rankings_generic(
@@ -306,10 +300,9 @@ def _brute_rankings_generic(
     rankings: list[Ranking],
     targets: list[Ranking],
     per_vote_costs: list[list[Fraction]],
-) -> BruteResult:
+) -> SolveResult:
     """Plain DFS with full winner evaluation at the leaves (Bucklin etc.)."""
     n = len(rankings)
-    m = instance.election.m
     order = [
         sorted(range(len(targets)), key=lambda j: per_vote_costs[v][j])
         for v in range(n)
@@ -325,12 +318,7 @@ def _brute_rankings_generic(
     def descend(v: int, acc: Fraction):
         nonlocal best, best_targets
         if v == n:
-            winning = winners_of_rankings(current, m, instance.rule)
-            if instance.unique_mode:
-                ok = winning == frozenset({instance.preferred})
-            else:
-                ok = instance.preferred in winning
-            if ok and (best is None or acc < best):
+            if (best is None or acc < best) and instance.preferred_wins(current):
                 best = acc
                 best_targets = current.copy()
             return
@@ -344,7 +332,5 @@ def _brute_rankings_generic(
 
     descend(0, Fraction(0))
     if best is None:
-        return BruteResult(False, None, None)
-    return BruteResult(
-        best <= instance.budget, best, Bribery(tuple(best_targets))
-    )
+        return SolveResult(False, None, None)
+    return SolveResult(best <= instance.budget, best, Bribery(tuple(best_targets)))

@@ -161,10 +161,21 @@ class Bribery:
     def identity(cls, election: Election) -> "Bribery":
         return cls(tuple(election.expanded()))
 
-    def replaced(self, vote: int, target: Ranking) -> "Bribery":
-        targets = list(self.targets)
-        targets[vote] = target
-        return Bribery(tuple(targets))
+
+@dataclass(frozen=True)
+class SolveResult:
+    """What every solver returns.
+
+    ``optimal_cost`` is the proven minimum cost of making the preferred
+    candidate win, budget aside, or None when the solver proves no
+    optimum (or none exists). ``witness`` makes the preferred candidate
+    win: within budget on a yes; on a no, solvers that report an optimum
+    return the bribery attaining it.
+    """
+
+    decision: bool
+    optimal_cost: Fraction | None
+    witness: Bribery | None
 
 
 @dataclass(frozen=True)
@@ -193,6 +204,13 @@ class BriberyInstance:
     @property
     def unique_mode(self) -> bool:
         return self.mode == UNIQUE_WINNER
+
+    def preferred_wins(self, rankings) -> bool:
+        """Whether the preferred candidate wins these expanded rankings in this mode."""
+        winning = winners_of_rankings(rankings, self.election.m, self.rule)
+        if self.unique_mode:
+            return winning == frozenset({self.preferred})
+        return self.preferred in winning
 
 
 def apply_swaps(ranking: Ranking, swaps: Iterable[tuple[int, int]]) -> Ranking:
@@ -337,7 +355,6 @@ class VerifyReport:
     """Outcome of checking a bribery against an instance."""
 
     total_cost: Fraction
-    winners: frozenset[int]
     preferred_wins: bool
     within_budget: bool
 
@@ -371,14 +388,8 @@ def verify_bribery(instance: BriberyInstance, bribery: Bribery) -> VerifyReport:
         if len(dst) != instance.election.m or frozenset(dst) != roster:
             raise DomainError(f"target for vote {idx} is not a permutation of the roster")
         total += transform_cost(src, dst, instance.costs, idx)
-    winning = winners_of_rankings(bribery.targets, instance.election.m, instance.rule)
-    if instance.unique_mode:
-        p_wins = winning == frozenset({instance.preferred})
-    else:
-        p_wins = instance.preferred in winning
     return VerifyReport(
         total_cost=total,
-        winners=winning,
-        preferred_wins=p_wins,
+        preferred_wins=instance.preferred_wins(bribery.targets),
         within_budget=total <= instance.budget,
     )

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from swapbribery import cli
 from swapbribery.cli import main
 from swapbribery.io import parse_election, serialize_election
 from swapbribery.reductions import gen_random
+from swapbribery.swaps import Bribery, SolveResult
 
 SAMPLE = """\
 sbe 1
@@ -56,6 +63,14 @@ def test_solve_reports_errors(tmp_path, capsys):
     path.write_text("nonsense\n")
     assert main(["solve", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule", ["bucklin", "scoring 2,1,1,0,0"])
+def test_color_on_other_rules_is_an_error(tmp_path, rule, capsys):
+    path = tmp_path / "other.sbe"
+    path.write_text(SAMPLE.replace("k-approval 2", rule))
+    assert main(["solve", str(path), "--algorithm", "color"]) == 2
+    assert capsys.readouterr().err == "error: color coding needs a k-approval instance\n"
 
 
 def test_verify_rejects_corrupted_solution(sample_path, tmp_path, capsys):
@@ -164,3 +179,125 @@ def test_bench_rows_reproducible_modulo_timing(sample_path, tmp_path):
         return rows
 
     assert strip_time(a) == strip_time(b)
+
+
+def test_invalid_witness_is_an_error_in_solve_and_bench(sample_path, monkeypatch, capsys):
+    # The identity bribery leaves p without a point, so it does not win.
+    def lying_flow(instance):
+        return SolveResult(True, Fraction(0), Bribery.identity(instance.election))
+
+    monkeypatch.setattr(cli, "solve_unit", lying_flow)
+    for argv in (["solve", "--algorithm", "flow"], ["bench", "--solvers", "flow"]):
+        assert main(argv + [str(sample_path)]) == 2
+        assert capsys.readouterr() == ("", "error: solver produced an invalid witness\n")
+
+
+# Small valid files of every input format. The fuzz below mutates their
+# tokens with values so small that no mutant can ask a solver for real work.
+FUZZ_SBE = """\
+sbe 1
+candidates 3
+candidate 0 a
+candidate 1 b
+candidate 2 p
+rule k-approval 1
+budget 1
+preferred p
+mode co-winner
+vote 0 multiplicity 2 order a b p
+vote 1 multiplicity 1 order b p a
+costs 0 default 1/2
+costs 1 pair b p 2
+"""
+FUZZ_SBS = """\
+sbs 1
+decision yes
+solver brute
+cost 1
+config seed 0
+target 0 a b p
+target 1 a b p
+target 2 p b a
+"""
+FUZZ_PWE = """\
+pwe 1
+candidates 3
+candidate 0 a
+candidate 1 b
+candidate 2 p
+rule k-approval 1
+preferred p
+partials 2
+partial 0 pair a b
+partial 1 pair b p
+"""
+FUZZ_GRAPH = """\
+graph 4 3 2
+0 2
+1 3
+0 3
+color 0 1
+color 1 1
+color 2 2
+color 3 2
+"""
+FUZZ_CASES = {
+    "sbe": (FUZZ_SBE, [
+        ["verify", "{file}", "{sbs}"],
+        ["kernelize", "--simple", "{file}"],
+        ["solve", "--algorithm", "brute", "{file}"],
+    ]),
+    "sbs": (FUZZ_SBS, [["verify", "{sbe}", "{file}"]]),
+    "pwe": (FUZZ_PWE, [["reduce", "pw-to-sb", "{file}"]]),
+    "graph": (FUZZ_GRAPH, [
+        ["generate", "clique-gadget", "--graph", "{file}"],
+        ["generate", "clique-single-vote", "--graph", "{file}"],
+    ]),
+}
+FUZZ_TOKENS = [str(i) for i in range(-1, 10)] + ["³", "x", "1/2", "3/0", "1,0,0", "a", "b", "p"] + [
+    "sbe", "sbs", "pwe", "graph", "candidates", "candidate", "rule", "k-approval",
+    "bucklin", "scoring", "budget", "preferred", "mode", "co-winner", "unique-winner",
+    "vote", "multiplicity", "order", "costs", "default", "pair", "decision", "yes",
+    "no", "solver", "cost", "config", "target", "partials", "partial", "color",
+]
+FUZZ_EDITS = st.tuples(
+    st.sampled_from(("replace", "insert", "delete", "drop-line", "copy-line")),
+    st.integers(0, 15),
+    st.integers(0, 8),
+    st.sampled_from(FUZZ_TOKENS),
+)
+
+
+def _mutate(text: str, edits) -> str:
+    lines = [line.split() for line in text.splitlines()]
+    for op, i, j, token in edits:
+        i %= len(lines)
+        line = lines[i]
+        if op == "drop-line" and len(lines) > 1:
+            del lines[i]
+        elif op == "copy-line":
+            lines.insert(i, list(line))
+        elif op == "insert":
+            line.insert(j % (len(line) + 1), token)
+        elif line and op == "replace":
+            line[j % len(line)] = token
+        elif line and op == "delete":
+            del line[j % len(line)]
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(FUZZ_CASES)), edits=st.lists(FUZZ_EDITS, min_size=1, max_size=4))
+def test_mutated_files_never_crash_the_cli(kind, edits):
+    text, commands = FUZZ_CASES[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"file": Path(tmp) / "mutant", "sbe": Path(tmp) / "ok.sbe", "sbs": Path(tmp) / "ok.sbs"}
+        paths["file"].write_text(_mutate(text, edits))
+        paths["sbe"].write_text(FUZZ_SBE)
+        paths["sbs"].write_text(FUZZ_SBS)
+        for command in commands:
+            argv = [arg.format(**paths) for arg in command]
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code)

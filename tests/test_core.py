@@ -9,7 +9,6 @@ from swapbribery.core import (
     VotingRule,
     bucklin_winning_round,
     rank_of,
-    score,
     scores,
     winners,
 )
@@ -42,23 +41,21 @@ def test_scores_on_sample():
     election = sample_election()
     rule = VotingRule.k_approval(2)
     assert scores(election, rule) == [2, 2, 0, 0, 0]
-    assert score(0, election, rule) == 2
-    assert score(2, election, rule) == 0
 
 
 def test_score_zero_when_never_in_top_k():
     election = make([(0, 1, 2), (1, 0, 2)])
-    assert score(2, election, VotingRule.k_approval(1)) == 0
+    assert scores(election, VotingRule.k_approval(1))[2] == 0
 
 
 def test_scoring_vector_rule():
     election = make([(0, 1, 2)])
-    assert score(1, election, VotingRule.scoring((2, 1, 0))) == 1
+    assert scores(election, VotingRule.scoring((2, 1, 0)))[1] == 1
 
 
 def test_score_rejects_bucklin():
     with pytest.raises(UnsupportedRuleError):
-        score(0, make([(0, 1)]), VotingRule.bucklin())
+        scores(make([(0, 1)]), VotingRule.bucklin())
 
 
 def test_winners_plurality_single_vote():

@@ -8,6 +8,7 @@ from swapbribery.errors import DomainError, PreconditionError
 from swapbribery.flow import (
     FlowArc,
     FlowNetwork,
+    _extract_targets,
     approx_within_range,
     build_transfer_network,
     min_cost_max_flow,
@@ -15,6 +16,7 @@ from swapbribery.flow import (
 )
 from swapbribery.oracle import brute_topk
 from swapbribery.swaps import (
+    Bribery,
     BriberyInstance,
     SwapCostFunction,
     bribed_election,
@@ -177,21 +179,33 @@ class TestSolveUnit:
                 assert report.preferred_wins
 
     def test_score_profile_matches_target(self):
-        # For each feasible target score, the extracted bribery gives the
-        # preferred candidate exactly that score and caps every rival.
+        # For every target score with a full-value flow, the extracted
+        # bribery gives the preferred candidate exactly that score and
+        # caps every rival at it (one below it in unique-winner mode).
         rng = random.Random(77)
+        checked = 0
         for _ in range(25):
-            inst = random_instance(rng, m_max=5, n_max=3, cost_kind="unit")
-            res = solve_unit(inst)
-            if res.witness is None:
-                continue
-            bribed = bribed_election(inst, res.witness)
-            totals = scores(bribed, inst.rule)
-            assert totals[inst.preferred] == res.target_score
-            limit = res.target_score - (1 if inst.unique_mode else 0)
-            assert all(
-                s <= limit for c, s in enumerate(totals) if c != inst.preferred
-            )
+            mode = rng.choice(("co-winner", "unique-winner"))
+            inst = random_instance(rng, m_max=5, n_max=3, cost_kind="unit", mode=mode)
+            rankings = inst.election.expanded_list()
+            k = inst.rule.k
+            for target in range(1, len(rankings) + 1):
+                network = build_transfer_network(
+                    rankings, k, inst.preferred, target, inst.unique_mode
+                )
+                res = min_cost_max_flow(network)
+                if res.value != len(rankings) * k:
+                    continue
+                bribery = Bribery(_extract_targets(network, res, rankings, k))
+                totals = scores(bribed_election(inst, bribery), inst.rule)
+                assert totals[inst.preferred] == target
+                limit = target - (1 if inst.unique_mode else 0)
+                assert all(
+                    s <= limit for c, s in enumerate(totals) if c != inst.preferred
+                )
+                assert verify_bribery(inst, bribery).total_cost == res.cost
+                checked += 1
+        assert checked > 25
 
     def test_per_target_score_flow_equals_profile_search(self):
         # A full-value flow of cost c exists for target score s exactly

@@ -125,6 +125,10 @@ class TestCliqueGadget:
         with pytest.raises(DomainError):
             multicolored_clique_instance(graph)
 
+    def test_rejects_uncolored_graph(self):
+        with pytest.raises(DomainError):
+            multicolored_clique_instance(Graph(2, frozenset({(0, 1)})))
+
 
 class TestSingleVoteClique:
     def test_formula_values(self):

@@ -81,6 +81,12 @@ def test_fraction_formatting():
         lambda t: t.replace("vote 0", "vote x"),
         lambda t: t.replace("multiplicity 1", "multiplicity y"),
         lambda t: t.replace("multiplicity 1", "multiplicity 0"),
+        lambda t: t.replace("candidates 2", "candidates ³"),
+        lambda t: t.replace("candidates 2", "candidates -2"),
+        lambda t: t.replace("candidate 1 p", "candidate x p"),
+        lambda t: t.replace("k-approval 1", "k-approval ³"),
+        lambda t: t.replace("k-approval 1", "scoring 1,x"),
+        lambda t: t + "costs ³ default 1\n",
     ],
 )
 def test_bad_files_rejected(mangle):
@@ -146,6 +152,45 @@ def test_solution_round_trip(sample_instance):
     assert config == {"seed": "0"}
 
 
+@pytest.mark.parametrize("target", ["x", "³", "-1"])
+def test_solution_rejects_bad_target_index(sample_instance, target):
+    res = brute_topk(sample_instance)
+    text = serialize_solution(
+        sample_instance, res.decision, res.optimal_cost, res.witness, "brute"
+    )
+    with pytest.raises(ParseError):
+        parse_solution(text.replace("target 0", f"target {target}"), sample_instance)
+
+
+PARTIAL = """\
+pwe 1
+candidates 3
+candidate 0 a
+candidate 1 b
+candidate 2 p
+rule k-approval 1
+preferred p
+partials 1
+partial 0 pair a b
+"""
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda t: t.replace("candidates 3", "candidates x"),
+        lambda t: t.replace("partial 0", "partial y"),
+        lambda t: t.replace("partials 1", "partials ³"),
+        lambda t: t.replace("candidate 2 p", "candidate 5 p"),
+        lambda t: t.replace("candidate 1 b", "candidate 0 b"),
+    ],
+)
+def test_bad_partial_files_rejected(mangle):
+    assert parse_partial(PARTIAL).preferred == 2
+    with pytest.raises(ParseError):
+        parse_partial(mangle(PARTIAL))
+
+
 def test_partial_round_trip():
     votes = random_partial_votes(4, 3, seed=5)
     pw = PossibleWinnerInstance(
@@ -165,6 +210,21 @@ def test_graph_round_trip():
 def test_graph_rejects_uncolored_vertex():
     with pytest.raises(ParseError):
         parse_graph("graph 2 1 2\n0 1\ncolor 0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "graph 4 x\n",
+        "graph ³ 0\n",
+        "graph 2 1 y\n0 1\n",
+        "graph 2 1\n0 z\n",
+        "graph 2 1 2\n0 1\ncolor 0 1\ncolor 1 x\n",
+    ],
+)
+def test_graph_rejects_bad_integers(text):
+    with pytest.raises(ParseError):
+        parse_graph(text)
 
 
 def test_dot_counts_for_sample_network():
