@@ -1,12 +1,13 @@
 """Unit-cost k-approval solving via minimum-cost maximum flow.
 
-For each target score ``s*`` of the preferred candidate, a network routes
+For a target score ``s*`` of the preferred candidate, a network routes
 one flow unit per (vote, one-position) pair; rerouting a unit from the
 candidate holding the position to a candidate below position k costs the
 rank difference, which under unit swap prices equals the swap cost of the
 corresponding demotion/promotion. A flow of full value |V|k and cost <= b
 exists exactly when some bribery of cost <= b gives the preferred
-candidate score s* and everyone else at most s*.
+candidate score s* and everyone else at most s*. ``solve_unit`` bisects
+over s* instead of trying every score, so it runs O(log |V|) flows.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import K_APPROVAL, Ranking, rank_of
+from .core import K_APPROVAL, Ranking
 from .errors import DomainError, PreconditionError
 from .swaps import Bribery, BriberyInstance, SolveResult, SwapCostFunction
 from . import swaps as _swaps
@@ -26,12 +27,12 @@ class FlowArc:
     tail: int
     head: int
     capacity: int
-    cost: Fraction
+    cost: int | Fraction
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Directed network with integer capacities and rational arc costs."""
+    """Directed network with integer capacities and exact arc costs."""
 
     node_names: tuple[str, ...]
     arcs: tuple[FlowArc, ...]
@@ -49,14 +50,11 @@ class FlowNetwork:
             if arc.tail == self.sink:
                 raise DomainError("sink must have no outgoing arcs")
 
-    def node(self, name: str) -> int:
-        return self.node_names.index(name)
-
 
 @dataclass(frozen=True)
 class FlowResult:
     value: int
-    cost: Fraction
+    cost: int | Fraction
     arc_flows: tuple[int, ...]
 
 
@@ -64,12 +62,13 @@ def min_cost_max_flow(network: FlowNetwork) -> FlowResult:
     """Maximum flow of minimum cost, by successive shortest augmenting paths.
 
     Costs are non-negative, so Dijkstra with node potentials applies and
-    the returned flow is integral.
+    the returned flow is integral. Arithmetic stays in the arcs' own cost
+    type: native ints for int costs, exact rationals for ``Fraction`` ones.
     """
     n = len(network.node_names)
     to: list[int] = []
     cap: list[int] = []
-    cost: list[Fraction] = []
+    cost: list[int | Fraction] = []
     adj: list[list[int]] = [[] for _ in range(n)]
 
     for arc in network.arcs:
@@ -82,30 +81,32 @@ def min_cost_max_flow(network: FlowNetwork) -> FlowResult:
         cap.append(0)
         cost.append(-arc.cost)
 
-    zero = Fraction(0)
-    potential = [zero] * n
+    potential: list[int | Fraction] = [0] * n
     source, sink = network.source, network.sink
     value = 0
-    total = zero
+    total: int | Fraction = 0
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     while True:
-        dist: list[Fraction | None] = [None] * n
+        dist: list[int | Fraction | None] = [None] * n
         parent_edge = [-1] * n
-        dist[source] = zero
-        heap = [(zero, source)]
+        dist[source] = 0
+        heap = [(0, source)]
         while heap:
-            d, node = heapq.heappop(heap)
-            if dist[node] is None or d > dist[node]:
+            d, node = heappop(heap)
+            if d > dist[node]:
                 continue
+            base = d + potential[node]
             for eid in adj[node]:
                 if cap[eid] == 0:
                     continue
                 other = to[eid]
-                nd = d + cost[eid] + potential[node] - potential[other]
-                if dist[other] is None or nd < dist[other]:
+                nd = base + cost[eid] - potential[other]
+                old = dist[other]
+                if old is None or nd < old:
                     dist[other] = nd
                     parent_edge[other] = eid
-                    heapq.heappush(heap, (nd, other))
+                    heappush(heap, (nd, other))
         if dist[sink] is None:
             break
         for node in range(n):
@@ -132,6 +133,19 @@ def min_cost_max_flow(network: FlowNetwork) -> FlowResult:
     return FlowResult(value=value, cost=total, arc_flows=flows)
 
 
+# Node ids of a transfer network: s, t and x, then one ``a`` node per
+# (vote, top-k position), one ``ap`` node per (vote, candidate) and one ``b``
+# node per candidate, each block in row-major order.
+_S, _T, _X = 0, 1, 2
+_A0 = 3
+
+
+def _blocks(n_votes: int, m: int, k: int) -> tuple[int, int]:
+    """First node ids of the ``ap`` and ``b`` blocks."""
+    ap0 = _A0 + n_votes * k
+    return ap0, ap0 + n_votes * m
+
+
 def build_transfer_network(
     rankings: list[Ranking],
     k: int,
@@ -144,58 +158,47 @@ def build_transfer_network(
     Nodes: source ``s``, sink ``t``, junction ``x``, one ``a[v,c]`` per
     one-position holder, one ``ap[v,c]`` per (vote, candidate), one
     ``b[c]`` per candidate. Rerouting arcs ``a[v,c] -> ap[v,c']`` cost the
-    rank difference; everything else costs 0.
+    rank difference, an int; everything else costs 0.
     """
     n_votes = len(rankings)
     if not rankings:
         raise DomainError("need at least one vote")
     m = len(rankings[0])
+    if not 1 <= k <= m:
+        raise DomainError(f"k = {k} outside 1..{m}")
     if not 1 <= target_score <= n_votes:
         raise DomainError(f"target score {target_score} outside 1..{n_votes}")
     if not 0 <= preferred < m:
         raise DomainError("preferred candidate out of range")
 
+    ap0, b0 = _blocks(n_votes, m, k)
     names = ["s", "t", "x"]
-    index: dict[str, int] = {name: i for i, name in enumerate(names)}
-
-    def add_node(name: str) -> int:
-        index[name] = len(names)
-        names.append(name)
-        return index[name]
-
-    for v, ranking in enumerate(rankings):
-        for c in ranking[:k]:
-            add_node(f"a[{v},{c}]")
-    for v in range(n_votes):
-        for c in range(m):
-            add_node(f"ap[{v},{c}]")
-    for c in range(m):
-        add_node(f"b[{c}]")
+    names += [f"a[{v},{c}]" for v, ranking in enumerate(rankings) for c in ranking[:k]]
+    names += [f"ap[{v},{c}]" for v in range(n_votes) for c in range(m)]
+    names += [f"b[{c}]" for c in range(m)]
 
     arcs: list[FlowArc] = []
-    zero = Fraction(0)
-    s, t, x = index["s"], index["t"], index["x"]
+    a_node = _A0
     for v, ranking in enumerate(rankings):
-        for c in ranking[:k]:
-            a_node = index[f"a[{v},{c}]"]
-            arcs.append(FlowArc(s, a_node, 1, zero))
-            arcs.append(FlowArc(a_node, index[f"ap[{v},{c}]"], 1, zero))
-            for c_prime in ranking[k:]:
-                gap = rank_of(c_prime, ranking) - rank_of(c, ranking)
-                arcs.append(
-                    FlowArc(a_node, index[f"ap[{v},{c_prime}]"], 1, Fraction(gap))
-                )
+        ap_v = ap0 + v * m
+        for i, c in enumerate(ranking[:k]):
+            arcs.append(FlowArc(_S, a_node, 1, 0))
+            arcs.append(FlowArc(a_node, ap_v + c, 1, 0))
+            # ranking[k + j] sits k + j - i places below ranking[i]
+            for gap, c_prime in enumerate(ranking[k:], start=k - i):
+                arcs.append(FlowArc(a_node, ap_v + c_prime, 1, gap))
+            a_node += 1
         for c in range(m):
-            arcs.append(FlowArc(index[f"ap[{v},{c}]"], index[f"b[{c}]"], 1, zero))
+            arcs.append(FlowArc(ap_v + c, b0 + c, 1, 0))
     side_cap = target_score - 1 if unique else target_score
     for c in range(m):
         if c == preferred:
-            arcs.append(FlowArc(index[f"b[{c}]"], t, target_score, zero))
+            arcs.append(FlowArc(b0 + c, _T, target_score, 0))
         else:
-            arcs.append(FlowArc(index[f"b[{c}]"], x, side_cap, zero))
-    arcs.append(FlowArc(x, t, n_votes * k - target_score, zero))
+            arcs.append(FlowArc(b0 + c, _X, side_cap, 0))
+    arcs.append(FlowArc(_X, _T, n_votes * k - target_score, 0))
 
-    return FlowNetwork(tuple(names), tuple(arcs), source=s, sink=t)
+    return FlowNetwork(tuple(names), tuple(arcs), source=_S, sink=_T)
 
 
 def _extract_targets(
@@ -210,18 +213,17 @@ def _extract_targets(
     in take positions k down to k-h+1; both blocks keep the original
     relative order (any fixed order realizes the same cost).
     """
-    moved_out: dict[int, set[int]] = {v: set() for v in range(len(rankings))}
-    moved_in: dict[int, set[int]] = {v: set() for v in range(len(rankings))}
+    m = len(rankings[0])
+    ap0, b0 = _blocks(len(rankings), m, k)
+    moved_out: list[set[int]] = [set() for _ in rankings]
+    moved_in: list[set[int]] = [set() for _ in rankings]
     for arc, flow in zip(network.arcs, result.arc_flows):
-        if flow == 0:
+        if flow == 0 or not (_A0 <= arc.tail < ap0 and ap0 <= arc.head < b0):
             continue
-        tail_name = network.node_names[arc.tail]
-        head_name = network.node_names[arc.head]
-        if not tail_name.startswith("a[") or not head_name.startswith("ap["):
-            continue
-        v, c = map(int, tail_name[2:-1].split(","))
-        v2, c2 = map(int, head_name[3:-1].split(","))
-        if v == v2 and c != c2:
+        v, i = divmod(arc.tail - _A0, k)
+        c = rankings[v][i]
+        c2 = (arc.head - ap0) % m
+        if c != c2:
             moved_out[v].add(c)
             moved_in[v].add(c2)
 
@@ -242,9 +244,16 @@ def _extract_targets(
 def solve_unit(instance: BriberyInstance) -> SolveResult:
     """Exact solver for unit swap costs: best over all target scores.
 
-    Precondition: every swap price equals 1 (checked). Iterates every
-    feasible score for the preferred candidate and keeps the cheapest
-    full-value flow, then reads the bribery out of the flow.
+    Precondition: every swap price equals 1 (checked). Finds the smallest
+    target score for the preferred candidate whose full-value flow is
+    cheapest, with at most 2*ceil(log2 |V|) + 1 flows, then reads the
+    bribery out of that flow.
+
+    Two facts make the bisection exact. Feasibility is up-closed in s*:
+    swapping the preferred candidate into one more approval set helps no
+    rival. And the cheapest cost is convex in s*: the capacities are affine
+    in s*, the minimum of an LP is convex in its right-hand side, and the
+    network matrix is totally unimodular, so integer flows attain it.
     """
     if instance.rule.kind != K_APPROVAL:
         raise DomainError("flow solver needs a k-approval instance")
@@ -258,24 +267,36 @@ def solve_unit(instance: BriberyInstance) -> SolveResult:
 
     rankings = election.expanded_list()
     k = instance.rule.k
-    full_value = len(rankings) * k
+    n_votes = len(rankings)
+    flows: dict[int, tuple[FlowNetwork, FlowResult] | None] = {}
 
-    best_cost: Fraction | None = None
-    best_witness: Bribery | None = None
-    for target_score in range(1, len(rankings) + 1):
-        network = build_transfer_network(
-            rankings, k, instance.preferred, target_score, instance.unique_mode
-        )
-        result = min_cost_max_flow(network)
-        if result.value != full_value:
-            continue
-        if best_cost is None or result.cost < best_cost:
-            best_cost = result.cost
-            best_witness = Bribery(_extract_targets(network, result, rankings, k))
+    def cheapest(target_score: int) -> tuple[FlowNetwork, FlowResult] | None:
+        """The target score's min-cost flow, or None if it is not full-value."""
+        if target_score not in flows:
+            network = build_transfer_network(
+                rankings, k, instance.preferred, target_score, instance.unique_mode
+            )
+            result = min_cost_max_flow(network)
+            flows[target_score] = (network, result) if result.value == n_votes * k else None
+        return flows[target_score]
 
-    if best_cost is None:
+    if cheapest(n_votes) is None:
         return SolveResult(False, None, None)
-    return SolveResult(best_cost <= instance.budget, best_cost, best_witness)
+    lo, hi = 1, n_votes
+    while lo < hi:
+        mid = (lo + hi) // 2
+        here = cheapest(mid)
+        # an infeasible s* lies left of every minimiser; a feasible one has
+        # a feasible successor
+        if here is not None and here[1].cost <= cheapest(mid + 1)[1].cost:
+            hi = mid
+        else:
+            lo = mid + 1
+
+    network, result = flows[lo]
+    cost = Fraction(result.cost)
+    witness = Bribery(_extract_targets(network, result, rankings, k))
+    return SolveResult(cost <= instance.budget, cost, witness)
 
 
 def approx_within_range(

@@ -153,6 +153,69 @@ def test_export_network_node_count(sample_path, tmp_path):
     assert sum(1 for l in dot.splitlines() if l.endswith('";')) == 22
 
 
+README_SAMPLE = """\
+sbe 1
+candidates 3
+candidate 0 a
+candidate 1 b
+candidate 2 p
+rule k-approval 1
+budget 3/2
+preferred p
+mode co-winner
+vote 0 multiplicity 2 order a b p
+costs 0 default 1
+costs 0 pair a b 3/2
+"""
+
+README_NETWORK = """\
+digraph transfer {
+  rankdir=LR;
+  "s";
+  "t";
+  "x";
+  "a[0,0]";
+  "a[1,0]";
+  "ap[0,0]";
+  "ap[0,1]";
+  "ap[0,2]";
+  "ap[1,0]";
+  "ap[1,1]";
+  "ap[1,2]";
+  "b[0]";
+  "b[1]";
+  "b[2]";
+  "s" -> "a[0,0]" [label="cap 1"];
+  "a[0,0]" -> "ap[0,0]" [label="cap 1"];
+  "a[0,0]" -> "ap[0,1]" [label="cap 1, cost 1"];
+  "a[0,0]" -> "ap[0,2]" [label="cap 1, cost 2"];
+  "ap[0,0]" -> "b[0]" [label="cap 1"];
+  "ap[0,1]" -> "b[1]" [label="cap 1"];
+  "ap[0,2]" -> "b[2]" [label="cap 1"];
+  "s" -> "a[1,0]" [label="cap 1"];
+  "a[1,0]" -> "ap[1,0]" [label="cap 1"];
+  "a[1,0]" -> "ap[1,1]" [label="cap 1, cost 1"];
+  "a[1,0]" -> "ap[1,2]" [label="cap 1, cost 2"];
+  "ap[1,0]" -> "b[0]" [label="cap 1"];
+  "ap[1,1]" -> "b[1]" [label="cap 1"];
+  "ap[1,2]" -> "b[2]" [label="cap 1"];
+  "b[0]" -> "x" [label="cap 1"];
+  "b[1]" -> "x" [label="cap 1"];
+  "b[2]" -> "t" [label="cap 1"];
+  "x" -> "t" [label="cap 1"];
+}
+"""
+
+
+def test_export_network_of_readme_sample(tmp_path):
+    # Integer arc costs print exactly as rational ones did.
+    path = tmp_path / "readme.sbe"
+    path.write_text(README_SAMPLE)
+    out = tmp_path / "net.dot"
+    assert main(["export-network", str(path), "--s-star", "1", "--out", str(out)]) == 0
+    assert out.read_text() == README_NETWORK
+
+
 def test_bench_csv_schema(sample_path, tmp_path):
     out = tmp_path / "bench.csv"
     assert (

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from swapbribery.core import Election, Vote, VotingRule, scores
+from swapbribery.core import CO_WINNER, UNIQUE_WINNER, Election, Vote, VotingRule, scores
 from swapbribery.errors import DomainError, PreconditionError
 from swapbribery.flow import (
     FlowArc,
@@ -15,6 +16,7 @@ from swapbribery.flow import (
     solve_unit,
 )
 from swapbribery.oracle import brute_topk
+from swapbribery.reductions import gen_random
 from swapbribery.swaps import (
     Bribery,
     BriberyInstance,
@@ -78,6 +80,26 @@ class TestEngine:
                 assert 0 <= flow <= arc.capacity
                 assert isinstance(flow, int)
 
+    def test_fraction_costs_stay_exact(self):
+        # Routes s-a-t (5/6), s-b-t (1) and s-a-b-t (7/6); two units fit, and
+        # the cheapest pair is 5/6 + 1.
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        net = FlowNetwork(
+            ("s", "a", "b", "t"),
+            (
+                FlowArc(0, 1, 2, third),
+                FlowArc(0, 2, 1, half),
+                FlowArc(1, 3, 1, half),
+                FlowArc(1, 2, 1, third),
+                FlowArc(2, 3, 1, half),
+            ),
+            0,
+            3,
+        )
+        res = min_cost_max_flow(net)
+        assert res.value == 2
+        assert res.cost == Fraction(11, 6) and isinstance(res.cost, Fraction)
+
     def test_rejects_negative_capacity(self):
         with pytest.raises(DomainError):
             FlowNetwork(("s", "t"), (FlowArc(0, 1, -1, Fraction(0)),), 0, 1)
@@ -110,6 +132,11 @@ class TestNetworkShape:
                 if (v1, c1) == (v2, c2):
                     assert arc.cost == 0
 
+    def test_rejects_k_outside_one_to_m(self):
+        for k in (0, 6):
+            with pytest.raises(DomainError):
+                build_transfer_network([SAMPLE_V, SAMPLE_U], k, 2, 1)
+
     def test_sample_full_flow_cost(self, sample_instance):
         net = build_transfer_network([SAMPLE_V, SAMPLE_U], 2, 2, 2)
         res = min_cost_max_flow(net)
@@ -121,6 +148,8 @@ class TestSolveUnit:
     def test_sample_decision(self, sample_instance):
         res = solve_unit(sample_instance)
         assert res.decision and res.optimal_cost == 3
+        # the flows run on int costs, but the reported optimum is exact rational
+        assert isinstance(res.optimal_cost, Fraction)
         report = verify_bribery(sample_instance, res.witness)
         assert report.total_cost == 3 and report.preferred_wins
 
@@ -253,6 +282,62 @@ class TestSolveUnit:
                     assert res.value < full
                 else:
                     assert res.value == full and res.cost == best
+
+
+def _scan_every_target(inst):
+    """Reference for solve_unit: one flow per target score, first minimiser kept."""
+    rankings = inst.election.expanded_list()
+    k = inst.rule.k
+    best = None
+    for target in range(1, len(rankings) + 1):
+        network = build_transfer_network(
+            rankings, k, inst.preferred, target, inst.unique_mode
+        )
+        res = min_cost_max_flow(network)
+        if res.value == len(rankings) * k and (best is None or res.cost < best[0]):
+            best = (res.cost, Bribery(_extract_targets(network, res, rankings, k)))
+    if best is None:
+        return False, None, None
+    return best[0] <= inst.budget, best[0], best[1]
+
+
+class TestTargetScoreBisection:
+    def test_matches_scan_over_every_target_score(self):
+        # The bisection relies on up-closed feasibility and a convex cost in
+        # s*; a scan over every s* needs neither.
+        rng = random.Random(89)
+        never_winnable = 0
+        for seed in range(240):
+            mode = (CO_WINNER, UNIQUE_WINNER)[seed % 2]
+            m = rng.randint(2, 7)
+            k = m if seed % 8 < 2 else rng.randint(1, min(m, 3))
+            inst = gen_random(m, rng.randint(1, 10), k, seed=seed, mode=mode)
+            got = solve_unit(inst)
+            assert (got.decision, got.optimal_cost, got.witness) == _scan_every_target(inst)
+            if k == m and mode == UNIQUE_WINNER:
+                assert got.optimal_cost is None
+                never_winnable += 1
+        assert never_winnable >= 30
+
+    @pytest.mark.parametrize("n", [8, 16, 30])
+    def test_flow_count_is_logarithmic(self, monkeypatch, n):
+        runs = []
+
+        def counted(network):
+            runs.append(network)
+            return min_cost_max_flow(network)
+
+        monkeypatch.setattr("swapbribery.flow.min_cost_max_flow", counted)
+        bound = 2 * math.ceil(math.log2(n)) + 1
+        two_valued = ("two-valued", Fraction(1), Fraction(2), 0.3)
+        for seed in range(3):
+            for mode in (CO_WINNER, UNIQUE_WINNER):
+                runs.clear()
+                solve_unit(gen_random(5, n, 2, seed=seed, mode=mode))
+                assert 1 <= len(runs) <= bound
+                runs.clear()
+                approx_within_range(gen_random(5, n, 2, two_valued, seed, mode=mode), 2)
+                assert 1 <= len(runs) <= bound
 
 
 class TestApproxWithinRange:
