@@ -19,7 +19,7 @@ from math import factorial
 from pathlib import Path
 
 from . import io as formats
-from .colorcoding import ColorCaps, solve_color_coding
+from .colorcoding import solve_color_coding
 from .errors import SwapBriberyError
 from .flow import build_transfer_network, solve_unit
 from .hardness import (
@@ -28,7 +28,7 @@ from .hardness import (
     random_graph,
     single_vote_clique_instance,
 )
-from .ilp import solve_ilp
+from .ilp import DEFAULT_CAPS as ILP_CAPS, solve_ilp
 from .kernel import kernelize, truncation_kernel
 from .oracle import brute_topk, brute_rankings
 from .reductions import gen_random, pw_to_sb, sb_to_pw
@@ -51,19 +51,12 @@ def _write(path: str | None, text: str):
 def _pick_algorithm(instance) -> str:
     if instance.rule.kind == "k-approval" and instance.costs.is_uniform(1):
         return "flow"
-    if factorial(instance.election.m) <= 720 and instance.rule.kind in ("k-approval", "bucklin"):
+    ilp_fits = factorial(instance.election.m) <= ILP_CAPS.permutations
+    if ilp_fits and instance.rule.kind in ("k-approval", "bucklin"):
         return "ilp"
     if instance.rule.kind == "k-approval":
         return "color"
     return "brute"
-
-
-def _color_caps(args) -> ColorCaps:
-    base = ColorCaps()
-    return ColorCaps(
-        pattern_size=args.pattern_cap if getattr(args, "pattern_cap", None) else base.pattern_size,
-        colorings=args.coloring_cap if getattr(args, "coloring_cap", None) else base.colorings,
-    )
 
 
 def _run_solver(instance, algorithm: str, args) -> SolveResult:
@@ -85,7 +78,6 @@ def _run_solver(instance, algorithm: str, args) -> SolveResult:
             mode=args.color_mode,
             trials=args.trials,
             seed=args.seed,
-            caps=_color_caps(args),
         )
     raise SwapBriberyError(f"unknown algorithm {algorithm!r}")
 
@@ -186,13 +178,30 @@ def _parse_cost_model(text: str):
     if text == "unit":
         return "unit"
     parts = text.split(":")
-    if parts[0] == "two" and len(parts) == 4:
-        return ("two-valued", Fraction(parts[1]), Fraction(parts[2]), float(parts[3]))
-    if parts[0] == "range" and len(parts) == 3:
-        return ("uniform-range", Fraction(parts[1]), Fraction(parts[2]))
+    try:
+        if parts[0] == "two" and len(parts) == 4:
+            return ("two-valued", Fraction(parts[1]), Fraction(parts[2]), float(parts[3]))
+        if parts[0] == "range" and len(parts) == 3:
+            return ("uniform-range", Fraction(parts[1]), Fraction(parts[2]))
+    except (ValueError, ZeroDivisionError):
+        pass
     raise SwapBriberyError(
         f"bad cost model {text!r}; use unit, two:a:b:density or range:lo:hi"
     )
+
+
+def _parse_rational(text: str, option: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SwapBriberyError(f"bad {option} {text!r}; use p or p/q") from None
+
+
+def _parse_class_sizes(text: str) -> list[int]:
+    tokens = text.split(",")
+    if not all(t.isascii() and t.isdigit() and int(t) >= 1 for t in tokens):
+        raise SwapBriberyError(f"bad --classes {text!r}; use class sizes >= 1, like 2,2")
+    return [int(t) for t in tokens]
 
 
 def _cmd_generate(args) -> int:
@@ -203,17 +212,19 @@ def _cmd_generate(args) -> int:
             args.k,
             cost_model=_parse_cost_model(args.cost_model),
             seed=args.seed,
-            budget=Fraction(args.budget) if args.budget is not None else None,
+            budget=None if args.budget is None else _parse_rational(args.budget, "--budget"),
         )
     elif args.kind == "clique-gadget":
-        if args.graph == "planted":
-            sizes = [int(s) for s in args.classes.split(",")]
-            graph, _ = planted_multicolored_clique(sizes, seed=args.seed)
+        if args.graph in (None, "planted"):
+            graph, _ = planted_multicolored_clique(
+                _parse_class_sizes(args.classes), seed=args.seed
+            )
         else:
             graph = formats.parse_graph(_read(args.graph))
-        instance, _ = multicolored_clique_instance(graph, epsilon=Fraction(args.epsilon))
+        epsilon = _parse_rational(args.epsilon, "--epsilon")
+        instance, _ = multicolored_clique_instance(graph, epsilon=epsilon)
     elif args.kind == "clique-single-vote":
-        if args.graph == "random":
+        if args.graph in (None, "random"):
             graph = random_graph(args.n, 0.5, args.seed)
         else:
             graph = formats.parse_graph(_read(args.graph))
@@ -285,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--color-mode", choices=("auto", "exhaustive", "random"), default="auto")
     solve.add_argument("--trials", type=int, default=None)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--pattern-cap", type=int, default=None)
-    solve.add_argument("--coloring-cap", type=int, default=None)
     solve.add_argument("--solution", help="write a solution file here")
     solve.add_argument("--dump-ilp", help="write the transformation programs here")
     solve.set_defaults(func=_cmd_solve)
@@ -311,7 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--cost-model", default="unit")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--budget", default=None)
-    gen.add_argument("--graph", default="planted", help="graph file, or planted/random")
+    gen.add_argument(
+        "--graph",
+        help="graph file; default: planted for clique-gadget, random for clique-single-vote",
+    )
     gen.add_argument("--classes", default="2,2", help="class sizes for planted graphs")
     gen.add_argument("--epsilon", default="1")
     gen.add_argument("--out", default="-")

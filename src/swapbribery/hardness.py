@@ -315,11 +315,12 @@ def multicolored_clique_instance(
     # Initializing votes lift every durable candidate to the common level:
     # K for everyone, K+1 for the senders in A; r stays at zero.
     init: HeadList = []
-    guard_set = set(guards)
+    covered = {r, *guards}  # and, below, every candidate passed to add_init
 
     def add_init(c: int, copies: int):
         if copies < 0:
             raise AssertionError("initializing multiplicity must be non-negative")
+        covered.add(c)
         for _ in range(copies):
             init.append(truncated([c, dummy()]))
 
@@ -338,24 +339,6 @@ def multicolored_clique_instance(
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             add_init(index[_name_m(i, j)], base_score - 2)
-    covered = (
-        {p, r}
-        | guard_set
-        | {index[_name_a(i, j)] for i in range(1, k + 1) for j in range(1, k + 1)}
-        | {
-            index[_name_h(i, x)]
-            for i in range(1, k + 1)
-            for x in range(graph.n_vertices)
-            if graph.color_of[x] > i
-        }
-        | {
-            index[_name_ht(i, x)]
-            for i in range(1, k + 1)
-            for x in range(graph.n_vertices)
-            if graph.color_of[x] < i
-        }
-        | {index[_name_m(i, j)] for i in range(1, k + 1) for j in range(i + 1, k + 1)}
-    )
     durable = [
         c
         for c in range(len(names))

@@ -20,19 +20,19 @@ from math import factorial
 from .core import BUCKLIN, K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .lp import lp_feasible
+from .oracle import _scaled_ints
 from .swaps import Bribery, BriberyInstance, SolveResult, transform_cost
-
-LE = "<="
-GE = ">="
-
 
 @dataclass(frozen=True)
 class Inequality:
-    """coeffs . x REL rhs, over the m! permutation-count variables."""
+    """The row coeffs . x >= rhs, in integers.
 
-    coeffs: tuple[Fraction, ...]
-    rel: str
-    rhs: Fraction
+    Over the m! permutation counts in a rule description, and over the
+    transformation counts once substituted into a program.
+    """
+
+    coeffs: tuple[int, ...]
+    rhs: int
 
 
 @dataclass(frozen=True)
@@ -71,56 +71,45 @@ def describe_rule(
     per candidate position b: rows forcing the winning round to be at
     least b, a majority row for the preferred slot at depth b, and m-1
     dominance rows at depth b. Under unique-winner semantics dominance
-    rows require a strictly higher count (+1 on integer data).
+    rows require a strictly higher count (+1 on integer data). Upper
+    bounds are written negated, so every row reads ``>=``.
     """
     if m < 2:
         raise DomainError("rule descriptions need at least two candidates")
     if factorial(m) > caps.permutations:
         raise ResourceCapError(f"m! = {factorial(m)} exceeds cap {caps.permutations}")
     perms = tuple(permutations(range(m)))
-    margin = Fraction(1 if unique else 0)
+    margin = 1 if unique else 0
 
-    def depth_coeffs(slot: int, depth: int) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(1) if perm.index(slot) < depth else Fraction(0) for perm in perms
-        )
+    def depth_coeffs(slot: int, depth: int) -> tuple[int, ...]:
+        return tuple(int(perm.index(slot) < depth) for perm in perms)
+
+    def dominance(depth: int) -> list[Inequality]:
+        """Slot 0 counted at least as often (unique: more often) as each rival."""
+        top_p = depth_coeffs(0, depth)
+        return [
+            Inequality(
+                tuple(a - b for a, b in zip(top_p, depth_coeffs(slot, depth))), margin
+            )
+            for slot in range(1, m)
+        ]
 
     if rule.kind == K_APPROVAL:
-        k = rule.k
-        if k > m:
+        if rule.k > m:
             raise DomainError("k exceeds the number of candidates")
-        top_p = depth_coeffs(0, k)
-        rows = []
-        for slot in range(1, m):
-            top_c = depth_coeffs(slot, k)
-            rows.append(
-                Inequality(
-                    tuple(a - b for a, b in zip(top_p, top_c)),
-                    GE,
-                    margin,
-                )
-            )
-        return LinearInequalitySystem(m, perms, (tuple(rows),))
+        return LinearInequalitySystem(m, perms, (tuple(dominance(rule.k)),))
 
     if rule.kind == BUCKLIN:
-        half = Fraction(n // 2)
+        half = n // 2
         sets = []
         for b in range(1, m + 1):
+            # No slot reaches a majority within depth b-1.
             rows = [
-                Inequality(depth_coeffs(slot, b - 1), LE, half)
+                Inequality(tuple(-c for c in depth_coeffs(slot, b - 1)), -half)
                 for slot in range(m)
             ]
-            top_p = depth_coeffs(0, b)
-            rows.append(Inequality(top_p, GE, half + 1))
-            for slot in range(1, m):
-                top_c = depth_coeffs(slot, b)
-                rows.append(
-                    Inequality(
-                        tuple(a - b_ for a, b_ in zip(top_p, top_c)),
-                        GE,
-                        margin,
-                    )
-                )
+            rows.append(Inequality(depth_coeffs(0, b), half + 1))
+            rows.extend(dominance(b))
             sets.append(tuple(rows))
         return LinearInequalitySystem(m, perms, tuple(sets))
 
@@ -135,33 +124,21 @@ class VoteGroup:
     members: tuple[int, ...]  # expanded vote indices
     costs: tuple[Fraction, ...]  # transformation cost to each permutation
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
-class SubstitutedRow:
-    """An inequality over the transformation variables after substitution."""
-
-    var_coeffs: tuple[Fraction, ...]
-    rel: str
-    rhs: Fraction  # original rhs minus the all-zero base value
-
 
 @dataclass(frozen=True)
 class TransformationIlp:
-    """One description set, substituted and ready to decide."""
+    """One description set, substituted and ready to decide.
+
+    Rows are over the variables; a row's rhs is the description row's rhs
+    minus its value on the votes as cast.
+    """
 
     groups: tuple[VoteGroup, ...]
     variables: tuple[tuple[int, int], ...]  # (group index, target permutation)
+    var_costs: tuple[Fraction, ...]  # cost of one transformation, per variable
     budget: Fraction
-    rows: tuple[SubstitutedRow, ...]
+    rows: tuple[Inequality, ...]
     perms: tuple[Ranking, ...]
-
-    @property
-    def var_costs(self) -> tuple[Fraction, ...]:
-        return tuple(self.groups[g].costs[j] for g, j in self.variables)
 
 
 def slot_mapping(instance: BriberyInstance) -> tuple[list[int], list[int]]:
@@ -179,38 +156,29 @@ def build_ilp(
     instance: BriberyInstance,
     system: LinearInequalitySystem,
     set_index: int,
-    group_votes: bool = True,
 ) -> TransformationIlp:
-    """Instantiate one description set over grouped transformation counts.
-
-    ``group_votes=False`` keeps every expanded vote in its own group
-    (used to validate that grouping never changes the decision).
-    """
+    """Instantiate one description set over grouped transformation counts."""
     if system.m != instance.election.m:
         raise DomainError("description built for a different candidate count")
     cand_of_slot, slot_of_cand = slot_mapping(instance)
     perm_index = {perm: i for i, perm in enumerate(system.perms)}
     rankings = instance.election.expanded_list()
 
+    # Groups keep the order of their first members.
     grouped: dict[object, list[int]] = {}
     for idx, ranking in enumerate(rankings):
         base = perm_index[tuple(slot_of_cand[c] for c in ranking)]
-        if group_votes:
-            table = instance.costs.overrides(idx)
-            key = (base, instance.costs.default(idx), frozenset(table.items()))
-        else:
-            key = (base, idx)
+        table = instance.costs.overrides(idx)
+        key = (base, instance.costs.default(idx), frozenset(table.items()))
         grouped.setdefault(key, []).append(idx)
 
     groups = []
-    for key in sorted(grouped, key=lambda k: grouped[k][0]):
-        members = grouped[key]
-        base = key[0]
+    counts = [0] * len(system.perms)
+    for (base, *_), members in grouped.items():
         rep = members[0]
-        base_ranking = rankings[rep]
         costs = tuple(
             transform_cost(
-                base_ranking,
+                rankings[rep],
                 tuple(cand_of_slot[s] for s in perm),
                 instance.costs,
                 rep,
@@ -218,10 +186,7 @@ def build_ilp(
             for perm in system.perms
         )
         groups.append(VoteGroup(base, tuple(members), costs))
-
-    counts = [0] * len(system.perms)
-    for group in groups:
-        counts[group.base] += group.size
+        counts[base] += len(members)
 
     variables = tuple(
         (g, j)
@@ -229,45 +194,35 @@ def build_ilp(
         for j in range(len(system.perms))
         if j != group.base
     )
-
-    rows = []
-    for ineq in system.sets[set_index]:
-        base_value = sum(c * x for c, x in zip(ineq.coeffs, counts))
-        var_coeffs = tuple(
-            ineq.coeffs[j] - ineq.coeffs[groups[g].base] for g, j in variables
+    rows = tuple(
+        Inequality(
+            tuple(row.coeffs[j] - row.coeffs[groups[g].base] for g, j in variables),
+            row.rhs - sum(c * x for c, x in zip(row.coeffs, counts)),
         )
-        rows.append(SubstitutedRow(var_coeffs, ineq.rel, ineq.rhs - base_value))
+        for row in system.sets[set_index]
+    )
     return TransformationIlp(
         groups=tuple(groups),
         variables=variables,
+        var_costs=tuple(groups[g].costs[j] for g, j in variables),
         budget=instance.budget,
-        rows=tuple(rows),
+        rows=rows,
         perms=system.perms,
     )
 
 
-def _relaxation_rows(ilp: TransformationIlp) -> list[tuple[list[Fraction], Fraction]]:
-    n_vars = len(ilp.variables)
-    rows: list[tuple[list[Fraction], Fraction]] = []
-    for row in ilp.rows:
-        if row.rel == LE:
-            rows.append((list(row.var_coeffs), row.rhs))
-        else:
-            rows.append(([-c for c in row.var_coeffs], -row.rhs))
+def _relaxation_rows(ilp: TransformationIlp) -> list[tuple[list, Fraction]]:
+    """Every constraint of the program in the ``a . x <= b`` form of ``lp_feasible``."""
+    rows = [([-c for c in row.coeffs], -row.rhs) for row in ilp.rows]
     rows.append((list(ilp.var_costs), ilp.budget))
     for g, group in enumerate(ilp.groups):
-        coeffs = [
-            Fraction(1) if ilp.variables[v][0] == g else Fraction(0)
-            for v in range(n_vars)
-        ]
-        rows.append((coeffs, Fraction(group.size)))
+        rows.append(([int(var[0] == g) for var in ilp.variables], len(group.members)))
     return rows
 
 
 def ilp_feasible(
     ilp: TransformationIlp,
     caps: IlpCaps = DEFAULT_CAPS,
-    use_relaxation: bool = True,
 ) -> dict[tuple[int, int], int] | None:
     """Exact feasibility of one substituted set; witness assignment or None.
 
@@ -278,78 +233,65 @@ def ilp_feasible(
     n_vars = len(ilp.variables)
     if n_vars > caps.variables:
         raise ResourceCapError(f"{n_vars} variables exceed cap {caps.variables}")
-
-    # Normalize rows to ">=": coeffs . t >= rhs.
-    ge_rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for row in ilp.rows:
-        if row.rel == GE:
-            ge_rows.append((row.var_coeffs, row.rhs))
-        else:
-            ge_rows.append((tuple(-c for c in row.var_coeffs), -row.rhs))
+    coeffs = [row.coeffs for row in ilp.rows]
+    rhs = [row.rhs for row in ilp.rows]
     if not n_vars:
-        if all(rhs <= 0 for _, rhs in ge_rows):
-            return {}
+        return {} if all(b <= 0 for b in rhs) else None
+
+    if lp_feasible(_relaxation_rows(ilp), n_vars) is None:
         return None
 
-    if use_relaxation and lp_feasible(_relaxation_rows(ilp), n_vars) is None:
-        return None
-
-    var_costs = ilp.var_costs
-    group_of = [g for g, _ in ilp.variables]
-    group_start: dict[int, int] = {}
-    for v, g in enumerate(group_of):
-        group_start.setdefault(g, v)
-    sizes = [group.size for group in ilp.groups]
+    # Prices and budget on one integer scale, so the search adds native ints.
+    var_costs, (budget,), _ = _scaled_ints(list(ilp.var_costs), [ilp.budget])
+    group_of = [g for g, _ in ilp.variables]  # ascending: a group's variables are adjacent
+    sizes = [len(group.members) for group in ilp.groups]
 
     # Optimistic remaining contribution per row from groups g.. onward:
     # each group may put its full size on its best non-negative coefficient.
     n_groups = len(ilp.groups)
-    best_gain = [[Fraction(0)] * (n_groups + 1) for _ in ge_rows]
-    for r, (coeffs, _) in enumerate(ge_rows):
+    best_gain = [[0] * (n_groups + 1) for _ in coeffs]
+    for r, row in enumerate(coeffs):
         for g in range(n_groups - 1, -1, -1):
-            top = max(
-                (coeffs[v] for v in range(n_vars) if group_of[v] == g),
-                default=Fraction(0),
-            )
-            best_gain[r][g] = best_gain[r][g + 1] + max(Fraction(0), top) * sizes[g]
+            top = max((row[v] for v in range(n_vars) if group_of[v] == g), default=0)
+            best_gain[r][g] = best_gain[r][g + 1] + max(0, top) * sizes[g]
 
     values = [0] * n_vars
-    row_acc = [Fraction(0)] * len(ge_rows)
+    row_acc = [0] * len(coeffs)
     nodes = 0
 
-    def descend(v: int, spent: Fraction, remaining: int) -> bool:
+    def descend(v: int, spent: int, remaining: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > caps.search_nodes:
             raise ResourceCapError(f"search exceeded {caps.search_nodes} nodes")
         if v == n_vars:
-            return all(acc >= rhs for acc, (_, rhs) in zip(row_acc, ge_rows))
+            return all(acc >= b for acc, b in zip(row_acc, rhs))
         g = group_of[v]
-        if v == group_start[g]:
+        if v == 0 or group_of[v - 1] != g:  # first variable of group g
             remaining = sizes[g]
-        for r, (_, rhs) in enumerate(ge_rows):
-            if row_acc[r] + best_gain[r][g] < rhs:
+        for r, b in enumerate(rhs):
+            if row_acc[r] + best_gain[r][g] < b:
                 return False
         for t in range(remaining + 1):
             cost = spent + var_costs[v] * t
-            if cost > ilp.budget:
+            if cost > budget:
                 break
             values[v] = t
             if t:
-                for r, (coeffs, _) in enumerate(ge_rows):
-                    if coeffs[v]:
-                        row_acc[r] += coeffs[v] * t
+                for r, row in enumerate(coeffs):
+                    if row[v]:
+                        row_acc[r] += row[v] * t
             hit = descend(v + 1, cost, remaining - t)
             if t:
-                for r, (coeffs, _) in enumerate(ge_rows):
-                    if coeffs[v]:
-                        row_acc[r] -= coeffs[v] * t
+                for r, row in enumerate(coeffs):
+                    if row[v]:
+                        row_acc[r] -= row[v] * t
             if hit:
                 return True
         values[v] = 0
         return False
 
-    if not descend(0, Fraction(0), 0):
+    if not descend(0, 0, 0):
         return None
     return {var: values[v] for v, var in enumerate(ilp.variables)}
 
@@ -399,14 +341,14 @@ def format_lp(ilp: TransformationIlp) -> str:
     out = ["\\ transformation feasibility program"]
     out.append("subject to")
     for g, group in enumerate(ilp.groups):
-        coeffs = [Fraction(1) if v[0] == g else Fraction(0) for v in ilp.variables]
-        out.append(f"  group{g}: {terms(coeffs)} <= {group.size}")
+        coeffs = [int(var[0] == g) for var in ilp.variables]
+        out.append(f"  group{g}: {terms(coeffs)} <= {len(group.members)}")
     out.append(f"  budget: {terms(ilp.var_costs)} <= {ilp.budget}")
     for i, row in enumerate(ilp.rows):
-        out.append(f"  win{i}: {terms(row.var_coeffs)} {row.rel} {row.rhs}")
+        out.append(f"  win{i}: {terms(row.coeffs)} >= {row.rhs}")
     out.append("bounds")
     for var in ilp.variables:
-        out.append(f"  0 <= {var_name(var)} <= {ilp.groups[var[0]].size}")
+        out.append(f"  0 <= {var_name(var)} <= {len(ilp.groups[var[0]].members)}")
     out.append("integer")
     out.append("  " + " ".join(var_name(v) for v in ilp.variables))
     return "\n".join(out) + "\n"
@@ -415,8 +357,6 @@ def format_lp(ilp: TransformationIlp) -> str:
 def solve_ilp(
     instance: BriberyInstance,
     caps: IlpCaps = DEFAULT_CAPS,
-    group_votes: bool = True,
-    use_relaxation: bool = True,
 ) -> SolveResult:
     """Decide the instance by trying every set of the rule description.
 
@@ -433,10 +373,11 @@ def solve_ilp(
         instance.election.m,
         instance.election.n_expanded,
         unique=instance.unique_mode,
+        caps=caps,
     )
     for set_index in range(len(system.sets)):
-        ilp = build_ilp(instance, system, set_index, group_votes=group_votes)
-        assignment = ilp_feasible(ilp, caps=caps, use_relaxation=use_relaxation)
+        ilp = build_ilp(instance, system, set_index)
+        assignment = ilp_feasible(ilp, caps=caps)
         if assignment is None:
             continue
         witness = assignment_to_bribery(instance, ilp, assignment)

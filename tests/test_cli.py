@@ -129,6 +129,31 @@ def test_generate_clique_gadget(tmp_path):
     assert inst.budget == 48
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "--cost-model", "two:1:2:x"],
+        ["random", "--cost-model", "range:a:3"],
+        ["random", "--budget", "abc"],
+        ["clique-gadget", "--epsilon", "abc"],
+        ["clique-gadget", "--classes", "a,b"],
+        ["clique-gadget", "--classes", "2,-1"],
+        ["clique-gadget", "--classes", "2,0"],
+    ],
+)
+def test_generate_rejects_bad_arguments(tmp_path, argv, capsys):
+    assert main(["generate", *argv, "--out", str(tmp_path / "g.sbe")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_generate_single_vote_clique_without_graph(tmp_path):
+    out = tmp_path / "single.sbe"
+    assert main(["generate", "clique-single-vote", "--n", "5", "--k", "2", "--out", str(out)]) == 0
+    inst = parse_election(out.read_text())
+    assert len(inst.election.votes) == 1
+
+
 def test_reduce_round_trip(tmp_path):
     inst = gen_random(
         4, 2, 1, cost_model=("two-valued", 0, 1, 0.5), seed=8, budget=0
@@ -214,6 +239,74 @@ def test_export_network_of_readme_sample(tmp_path):
     out = tmp_path / "net.dot"
     assert main(["export-network", str(path), "--s-star", "1", "--out", str(out)]) == 0
     assert out.read_text() == README_NETWORK
+
+
+DUMP_SAMPLE = """\
+sbe 1
+candidates 3
+candidate 0 a
+candidate 1 b
+candidate 2 p
+rule k-approval 1
+budget 5/2
+preferred p
+mode unique-winner
+vote 0 multiplicity 2 order a b p
+vote 1 multiplicity 1 order b p a
+costs 1 default 2
+costs 1 pair p a 1/2
+"""
+
+# --dump-ilp of DUMP_SAMPLE: two vote groups, one of two votes, rational prices.
+DUMP_PROGRAM = """\
+\\ description set 0
+\\ transformation feasibility program
+subject to
+  group0: + t[0->0] + t[0->1] + t[0->2] + t[0->4] + t[0->5] <= 2
+  group1: + t[1->0] + t[1->1] + t[1->2] + t[1->3] + t[1->5] <= 1
+  budget: + 2 t[0->0] + 3 t[0->1] + t[0->2] + 2 t[0->4] + t[0->5] + 4 t[1->0] + 2 t[1->1] + 9/2 t[1->2] + 5/2 t[1->3] + 1/2 t[1->5] <= 5/2
+  win0: + 2 t[0->0] + 2 t[0->1] + t[0->4] + t[0->5] + t[1->0] + t[1->1] - t[1->2] - t[1->3] >= 3
+  win1: + t[0->0] + t[0->1] - t[0->4] - t[0->5] + 2 t[1->0] + 2 t[1->1] + t[1->2] + t[1->3] >= 2
+bounds
+  0 <= t[0->0] <= 2
+  0 <= t[0->1] <= 2
+  0 <= t[0->2] <= 2
+  0 <= t[0->4] <= 2
+  0 <= t[0->5] <= 2
+  0 <= t[1->0] <= 1
+  0 <= t[1->1] <= 1
+  0 <= t[1->2] <= 1
+  0 <= t[1->3] <= 1
+  0 <= t[1->5] <= 1
+integer
+  t[0->0] t[0->1] t[0->2] t[0->4] t[0->5] t[1->0] t[1->1] t[1->2] t[1->3] t[1->5]
+"""
+
+
+def test_dump_ilp_of_k_approval_sample(tmp_path):
+    path = tmp_path / "dump.sbe"
+    path.write_text(DUMP_SAMPLE)
+    out = tmp_path / "dump.lp"
+    assert main(["solve", str(path), "--algorithm", "ilp", "--dump-ilp", str(out)]) == 1
+    assert out.read_text() == DUMP_PROGRAM
+
+
+def test_dump_ilp_of_bucklin_sample(tmp_path):
+    # Bucklin's upper bounds print negated: every win row is a >= row.
+    path = tmp_path / "dump.sbe"
+    path.write_text(DUMP_SAMPLE.replace("rule k-approval 1", "rule bucklin"))
+    out = tmp_path / "dump.lp"
+    assert main(["solve", str(path), "--algorithm", "ilp", "--dump-ilp", str(out)]) in (0, 1)
+    lines = out.read_text().splitlines()
+    win_rows = [l for l in lines if l.strip().startswith("win")]
+    assert len(win_rows) == 3 * 6  # one set per round, m + 1 + (m - 1) rows each
+    for row in win_rows:
+        relation, rhs = row.split()[-2:]
+        assert relation == ">=" and rhs.lstrip("-").isdigit(), row
+    for start in (i for i, l in enumerate(lines) if l == "integer"):
+        listed = set(lines[start + 1].split())
+        bounded = {l.split()[2] for l in lines[start - len(listed) : start]}
+        assert listed == bounded and listed
 
 
 def test_bench_csv_schema(sample_path, tmp_path):
