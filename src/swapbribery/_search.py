@@ -22,9 +22,15 @@ keep that result:
 
 All costs are non-negative scaled integers. Options must be sorted by
 ascending cost per vote.
+
+The search gives up with ``ResourceCapError`` after a set number of nodes
+(calls of ``descend``): a count, not a clock, so it stops at the same point
+on any machine and its answers are reproducible.
 """
 
 from __future__ import annotations
+
+from .errors import ResourceCapError
 
 # perfbench reports this name as the search backend.
 BACKEND_NAME = "pure"
@@ -39,6 +45,8 @@ def best_assignment(
     preferred: int,
     unique: bool,
     budget: int,
+    *,
+    max_nodes: int,
 ):
     """Minimum-cost choice of one option per vote under the winner condition.
 
@@ -46,7 +54,8 @@ def best_assignment(
     gives one point per entry of ``gains[i*width:(i+1)*width]``.
     ``budget`` of -1 means unbounded; otherwise only assignments of total
     cost <= budget qualify. Returns ``(cost, choices)`` with global option
-    indices, or ``None``.
+    indices, or ``None``. Raises ``ResourceCapError`` once the search has
+    entered more than ``max_nodes`` nodes.
     """
     n_votes = len(offsets) - 1
     suffix_min = [0] * (n_votes + 1)
@@ -78,9 +87,13 @@ def best_assignment(
     best_choice = None
     scores = [0] * m
     choice = [0] * n_votes
+    nodes = 0
 
     def descend(v: int, acc: int, rival: int):
-        nonlocal best, best_choice
+        nonlocal best, best_choice, nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
         if v == n_votes:
             # the cost and score cuts at the parent admit only winning leaves
             # strictly cheaper than the best so far

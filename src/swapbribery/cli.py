@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 
 from . import io as formats
@@ -28,7 +27,7 @@ from .hardness import (
     random_graph,
     single_vote_clique_instance,
 )
-from .ilp import DEFAULT_CAPS as ILP_CAPS, solve_ilp
+from .ilp import solve_ilp
 from .kernel import kernelize, truncation_kernel
 from .oracle import brute_topk, brute_rankings
 from .reductions import gen_random, pw_to_sb, sb_to_pw
@@ -49,13 +48,9 @@ def _write(path: str | None, text: str):
 
 
 def _pick_algorithm(instance) -> str:
+    """Flow for unit-price k-approval, the paper's polynomial case; else the exact search."""
     if instance.rule.kind == "k-approval" and instance.costs.is_uniform(1):
         return "flow"
-    ilp_fits = factorial(instance.election.m) <= ILP_CAPS.permutations
-    if ilp_fits and instance.rule.kind in ("k-approval", "bucklin"):
-        return "ilp"
-    if instance.rule.kind == "k-approval":
-        return "color"
     return "brute"
 
 
@@ -180,13 +175,16 @@ def _parse_cost_model(text: str):
     parts = text.split(":")
     try:
         if parts[0] == "two" and len(parts) == 4:
-            return ("two-valued", Fraction(parts[1]), Fraction(parts[2]), float(parts[3]))
-        if parts[0] == "range" and len(parts) == 3:
+            density = float(parts[3])
+            # written so that nan fails it too
+            if 0 <= density <= 1:
+                return ("two-valued", Fraction(parts[1]), Fraction(parts[2]), density)
+        elif parts[0] == "range" and len(parts) == 3:
             return ("uniform-range", Fraction(parts[1]), Fraction(parts[2]))
     except (ValueError, ZeroDivisionError):
         pass
     raise SwapBriberyError(
-        f"bad cost model {text!r}; use unit, two:a:b:density or range:lo:hi"
+        f"bad cost model {text!r}; use unit, two:a:b:density with density in [0, 1], or range:lo:hi"
     )
 
 

@@ -8,6 +8,10 @@ already beats what the preferred candidate can still collect) and by
 symmetry (identical votes choose non-decreasing options). It returns the
 lexicographically first optimal choice vector with or without the cuts,
 so the optimum and the witness do not depend on them.
+
+Nothing bounds the number of vote combinations up front. The number of
+options built is capped, and the search over them stops after
+``OracleCaps.search_nodes`` nodes with ``ResourceCapError``.
 """
 
 from __future__ import annotations
@@ -44,10 +48,18 @@ def get_backend(name: str = "auto"):
 
 @dataclass(frozen=True)
 class OracleCaps:
-    """Enumeration size limits; exceeding one raises ResourceCapError."""
+    """Size limits; exceeding one raises ResourceCapError.
+
+    ``topk_combinations`` and ``ranking_combinations`` bound the options
+    built over all votes, before they are built: n * C(m, k) subsets and
+    n * m! rankings. ``search_nodes`` bounds the search over those options:
+    it counts the nodes the search enters, so a search stops at the same
+    point on any machine.
+    """
 
     topk_combinations: int = 10**7
     ranking_combinations: int = 10**6
+    search_nodes: int = 10**6
 
 
 DEFAULT_CAPS = OracleCaps()
@@ -138,6 +150,7 @@ def _run_search(
     preferred: int,
     unique: bool,
     budget: Fraction | None,
+    max_nodes: int,
 ):
     """Scale costs to integers, flatten, run the search."""
     flat_costs: list[Fraction] = []
@@ -156,7 +169,7 @@ def _run_search(
 
     # looked up on the module per call, so a wrapper installed there sees it
     hit = _search.best_assignment(
-        offsets, gains, width, scaled, m, preferred, unique, budget_int
+        offsets, gains, width, scaled, m, preferred, unique, budget_int, max_nodes=max_nodes
     )
     if hit is None:
         return None
@@ -185,35 +198,20 @@ def brute_topk(
     m = election.m
     rankings = election.expanded_list()
 
-    per_vote = comb(m, k)
-    if per_vote > caps.topk_combinations:
+    options = len(rankings) * comb(m, k)
+    if options > caps.topk_combinations:
         raise ResourceCapError(
-            f"C({m},{k}) = {per_vote} exceeds cap {caps.topk_combinations}"
+            f"{len(rankings)} votes x C({m},{k}) = {options} options exceed cap "
+            f"{caps.topk_combinations}"
         )
-    if not prune_to_budget:
-        total = 1
-        for _ in rankings:
-            total *= per_vote
-            if total > caps.topk_combinations:
-                raise ResourceCapError(
-                    f"C({m},{k})^{len(rankings)} exceeds cap {caps.topk_combinations}"
-                )
 
     budget_cap = instance.budget if prune_to_budget else None
     per_vote_options = [
         _topk_vote_options(r, k, instance, idx, budget_cap)
         for idx, r in enumerate(rankings)
     ]
-    if prune_to_budget:
-        total = 1
-        for options in per_vote_options:
-            total *= max(1, len(options))
-            if total > caps.topk_combinations:
-                raise ResourceCapError(
-                    f"affordable combinations exceed cap {caps.topk_combinations}"
-                )
-        if any(not options for options in per_vote_options):
-            return SolveResult(False, None, None)
+    if any(not options for options in per_vote_options):
+        return SolveResult(False, None, None)
 
     hit = _run_search(
         per_vote_options,
@@ -222,6 +220,7 @@ def brute_topk(
         instance.preferred,
         instance.unique_mode,
         budget_cap,
+        caps.search_nodes,
     )
     if hit is None:
         return SolveResult(False, None, None)
@@ -241,16 +240,13 @@ def brute_rankings(
     election = instance.election
     m = election.m
     rankings = election.expanded_list()
-    n = len(rankings)
 
-    per_vote = factorial(m)
-    total = 1
-    for _ in range(n):
-        total *= per_vote
-        if total > caps.ranking_combinations:
-            raise ResourceCapError(
-                f"(m!)^n = {per_vote}**{n} exceeds cap {caps.ranking_combinations}"
-            )
+    options = len(rankings) * factorial(m)
+    if options > caps.ranking_combinations:
+        raise ResourceCapError(
+            f"{len(rankings)} votes x {m}! = {options} options exceed cap "
+            f"{caps.ranking_combinations}"
+        )
 
     targets = list(permutations(range(m)))
     per_vote_costs = [
@@ -268,7 +264,9 @@ def brute_rankings(
             c for pos, c in enumerate(t) for _ in range(rule.vector[pos])
         )
     else:
-        return _brute_rankings_generic(instance, rankings, targets, per_vote_costs)
+        return _brute_rankings_generic(
+            instance, rankings, targets, per_vote_costs, caps.search_nodes
+        )
 
     per_vote_options = [
         [(gains_of(t), cost) for t, cost in zip(targets, costs)]
@@ -287,6 +285,7 @@ def brute_rankings(
         instance.preferred,
         instance.unique_mode,
         None,
+        caps.search_nodes,
     )
     if hit is None:
         return SolveResult(False, None, None)
@@ -300,6 +299,7 @@ def _brute_rankings_generic(
     rankings: list[Ranking],
     targets: list[Ranking],
     per_vote_costs: list[list[Fraction]],
+    max_nodes: int,
 ) -> SolveResult:
     """Plain DFS with full winner evaluation at the leaves (Bucklin etc.)."""
     n = len(rankings)
@@ -314,9 +314,13 @@ def _brute_rankings_generic(
     best: Fraction | None = None
     best_targets: list[Ranking] | None = None
     current: list[Ranking] = [rankings[v] for v in range(n)]
+    nodes = 0
 
     def descend(v: int, acc: Fraction):
-        nonlocal best, best_targets
+        nonlocal best, best_targets, nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
         if v == n:
             if (best is None or acc < best) and instance.preferred_wins(current):
                 best = acc

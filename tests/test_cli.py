@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import io
 import json
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -8,9 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swapbribery import cli
+from swapbribery import cli, oracle
 from swapbribery.cli import main
-from swapbribery.io import parse_election, serialize_election
+from swapbribery.core import CO_WINNER, UNIQUE_WINNER, VotingRule
+from swapbribery.io import format_fraction, parse_election, serialize_election
+from swapbribery.oracle import OracleCaps, brute_rankings, brute_topk
 from swapbribery.reductions import gen_random
 from swapbribery.swaps import Bribery, SolveResult
 
@@ -63,6 +67,81 @@ def test_solve_reports_errors(tmp_path, capsys):
     path.write_text("nonsense\n")
     assert main(["solve", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+TWO = ("two-valued", 1, 2, 0.3)
+RANGE = ("uniform-range", 1, 3)
+LIFTED = OracleCaps(topk_combinations=10**60, ranking_combinations=10**60, search_nodes=10**60)
+
+
+def _solve_auto(tmp_path, instance, capsys) -> tuple[int, list[str]]:
+    path = tmp_path / "instance.sbe"
+    path.write_text(serialize_election(instance))
+    code = main(["solve", str(path)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "m, n, k, seed, mode, answer",
+    [
+        (6, 4, 2, 5, CO_WINNER, ["decision: yes", "cost: 1"]),
+        (8, 5, 2, 5, CO_WINNER, ["decision: yes", "cost: 1"]),
+        (5, 4, 3, 138, UNIQUE_WINNER, ["decision: yes", "cost: 3"]),
+        # no assignment makes the preferred candidate the unique winner: no optimum
+        (3, 4, 3, 12, UNIQUE_WINNER, ["decision: no"]),
+    ],
+)
+def test_auto_searches_priced_k_approval(tmp_path, capsys, m, n, k, seed, mode, answer):
+    instance = gen_random(m, n, k, cost_model=TWO, seed=seed, mode=mode)
+    code, lines = _solve_auto(tmp_path, instance, capsys)
+    assert lines == ["algorithm: brute", *answer]
+    assert code == (0 if answer[0] == "decision: yes" else 1)
+
+
+def _differential_corpus():
+    rng = random.Random(61)
+    for rule in ("k-approval", "scoring", "bucklin"):
+        for mode in (CO_WINNER, UNIQUE_WINNER):
+            for cost in ("unit", TWO, RANGE):
+                for _ in range(4):
+                    m = rng.randint(2, 5 if rule == "k-approval" else 4)
+                    n = rng.randint(1, 4)
+                    k = rng.randint(1, m)
+                    voting = None  # gen_random's k-approval
+                    if rule == "scoring":
+                        voting = VotingRule.scoring(sorted((rng.randint(0, 3) for _ in range(m)), reverse=True))
+                    elif rule == "bucklin":
+                        voting = VotingRule.bucklin()
+                    seed = rng.randrange(10**6)
+                    yield gen_random(m, n, k, cost_model=cost, seed=seed, rule=voting, mode=mode)
+
+
+def test_auto_agrees_with_the_uncapped_oracles(tmp_path, capsys):
+    for instance in _differential_corpus():
+        k_approval = instance.rule.kind == "k-approval"
+        unit = k_approval and instance.costs.is_uniform(1)
+        expected = (brute_topk if k_approval else brute_rankings)(instance, caps=LIFTED)
+        code, lines = _solve_auto(tmp_path, instance, capsys)
+        answer = [
+            f"algorithm: {'flow' if unit else 'brute'}",
+            f"decision: {'yes' if expected.decision else 'no'}",
+        ]
+        if expected.optimal_cost is not None:
+            answer.append(f"cost: {format_fraction(expected.optimal_cost)}")
+        assert (code, lines) == (0 if expected.decision else 1, answer), serialize_election(instance)
+
+
+@pytest.mark.parametrize(
+    "oracle_name, rule",
+    [("brute_topk", "k-approval 2"), ("brute_rankings", "bucklin")],
+)
+def test_search_past_its_node_budget_is_an_error(sample_path, monkeypatch, capsys, oracle_name, rule):
+    sample_path.write_text(SAMPLE.replace("k-approval 2", rule) + "costs 0 default 2\n")
+    tiny = functools.partial(getattr(oracle, oracle_name), caps=OracleCaps(search_nodes=1))
+    monkeypatch.setattr(cli, oracle_name, tiny)
+    assert main(["solve", str(sample_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: search exceeded its node budget of 1\n"
 
 
 @pytest.mark.parametrize("rule", ["bucklin", "scoring 2,1,1,0,0"])
@@ -134,6 +213,10 @@ def test_generate_clique_gadget(tmp_path):
     [
         ["random", "--cost-model", "two:1:2:x"],
         ["random", "--cost-model", "range:a:3"],
+        ["random", "--cost-model", "two:1:2:nan"],
+        ["random", "--cost-model", "two:1:2:-0.1"],
+        ["random", "--cost-model", "two:1:2:1.5"],
+        ["random", "--cost-model", "two:1:2:inf"],
         ["random", "--budget", "abc"],
         ["clique-gadget", "--epsilon", "abc"],
         ["clique-gadget", "--classes", "a,b"],
@@ -145,6 +228,12 @@ def test_generate_rejects_bad_arguments(tmp_path, argv, capsys):
     assert main(["generate", *argv, "--out", str(tmp_path / "g.sbe")]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("density", ["0", "0.5", "1"])
+def test_generate_accepts_densities_from_zero_to_one(tmp_path, density):
+    out = tmp_path / "g.sbe"
+    assert main(["generate", "random", "--cost-model", f"two:1:2:{density}", "--out", str(out)]) == 0
 
 
 def test_generate_single_vote_clique_without_graph(tmp_path):

@@ -8,7 +8,7 @@ from swapbribery.errors import DomainError, ResourceCapError
 from swapbribery.oracle import OracleCaps, brute_rankings, brute_topk
 from swapbribery.swaps import BriberyInstance, SwapCostFunction, verify_bribery
 
-from conftest import random_instance, sample_election
+from conftest import P, random_instance, sample_election
 
 
 def test_sample_instance_optimum_is_three(sample_instance):
@@ -53,6 +53,27 @@ def test_cap_exceeded():
     inst = random_instance(random.Random(0), m_max=6, n_max=3)
     with pytest.raises(ResourceCapError):
         brute_topk(inst, caps=OracleCaps(topk_combinations=1))
+
+
+def test_option_caps_count_the_options_of_every_vote(sample_instance):
+    # two votes, each with C(5, 2) = 10 top-2 sets and 5! = 120 rankings
+    assert brute_topk(sample_instance, caps=OracleCaps(topk_combinations=20)).decision
+    with pytest.raises(ResourceCapError, match="= 20 options"):
+        brute_topk(sample_instance, caps=OracleCaps(topk_combinations=19))
+    assert brute_rankings(sample_instance, caps=OracleCaps(ranking_combinations=240)).decision
+    with pytest.raises(ResourceCapError, match="= 240 options"):
+        brute_rankings(sample_instance, caps=OracleCaps(ranking_combinations=239))
+
+
+def test_search_stops_at_its_node_budget(sample_instance):
+    tiny = OracleCaps(search_nodes=1)
+    with pytest.raises(ResourceCapError, match="node budget of 1$"):
+        brute_topk(sample_instance, caps=tiny)
+    bucklin = BriberyInstance(
+        sample_election(), VotingRule.bucklin(), P, SwapCostFunction.unit(2), Fraction(3)
+    )
+    with pytest.raises(ResourceCapError, match="node budget of 1$"):
+        brute_rankings(bucklin, caps=tiny)
 
 
 def test_witness_always_verifies():
