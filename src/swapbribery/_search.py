@@ -23,7 +23,7 @@ keep that result:
 All costs are non-negative scaled integers. Options must be sorted by
 ascending cost per vote.
 
-The search gives up with ``ResourceCapError`` after a set number of nodes
+The search gives up with ``ResourceCapError`` after ``MAX_NODES`` nodes
 (calls of ``descend``): a count, not a clock, so it stops at the same point
 on any machine and its answers are reproducible.
 """
@@ -35,6 +35,10 @@ from .errors import ResourceCapError
 # perfbench reports this name as the search backend.
 BACKEND_NAME = "pure"
 
+# Node budget of this search and of the oracle's generic ranking search; read
+# at every call.
+MAX_NODES = 10**6
+
 
 def best_assignment(
     offsets,
@@ -45,8 +49,6 @@ def best_assignment(
     preferred: int,
     unique: bool,
     budget: int,
-    *,
-    max_nodes: int,
 ):
     """Minimum-cost choice of one option per vote under the winner condition.
 
@@ -55,7 +57,7 @@ def best_assignment(
     ``budget`` of -1 means unbounded; otherwise only assignments of total
     cost <= budget qualify. Returns ``(cost, choices)`` with global option
     indices, or ``None``. Raises ``ResourceCapError`` once the search has
-    entered more than ``max_nodes`` nodes.
+    entered more than ``MAX_NODES`` nodes.
     """
     n_votes = len(offsets) - 1
     suffix_min = [0] * (n_votes + 1)
@@ -87,6 +89,7 @@ def best_assignment(
     best_choice = None
     scores = [0] * m
     choice = [0] * n_votes
+    max_nodes = MAX_NODES
     nodes = 0
 
     def descend(v: int, acc: int, rival: int):

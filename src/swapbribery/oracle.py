@@ -11,7 +11,7 @@ so the optimum and the witness do not depend on them.
 
 Nothing bounds the number of vote combinations up front. The number of
 options built is capped, and the search over them stops after
-``OracleCaps.search_nodes`` nodes with ``ResourceCapError``.
+``_search.MAX_NODES`` nodes with ``ResourceCapError``.
 """
 
 from __future__ import annotations
@@ -52,14 +52,12 @@ class OracleCaps:
 
     ``topk_combinations`` and ``ranking_combinations`` bound the options
     built over all votes, before they are built: n * C(m, k) subsets and
-    n * m! rankings. ``search_nodes`` bounds the search over those options:
-    it counts the nodes the search enters, so a search stops at the same
-    point on any machine.
+    n * m! rankings. Building one takes about 15-25 us (a subset) or
+    50-75 us (a ranking), so either default is about a second of building.
     """
 
-    topk_combinations: int = 10**7
-    ranking_combinations: int = 10**6
-    search_nodes: int = 10**6
+    topk_combinations: int = 5 * 10**4
+    ranking_combinations: int = 2 * 10**4
 
 
 DEFAULT_CAPS = OracleCaps()
@@ -150,7 +148,6 @@ def _run_search(
     preferred: int,
     unique: bool,
     budget: Fraction | None,
-    max_nodes: int,
 ):
     """Scale costs to integers, flatten, run the search."""
     flat_costs: list[Fraction] = []
@@ -169,7 +166,7 @@ def _run_search(
 
     # looked up on the module per call, so a wrapper installed there sees it
     hit = _search.best_assignment(
-        offsets, gains, width, scaled, m, preferred, unique, budget_int, max_nodes=max_nodes
+        offsets, gains, width, scaled, m, preferred, unique, budget_int
     )
     if hit is None:
         return None
@@ -210,9 +207,6 @@ def brute_topk(
         _topk_vote_options(r, k, instance, idx, budget_cap)
         for idx, r in enumerate(rankings)
     ]
-    if any(not options for options in per_vote_options):
-        return SolveResult(False, None, None)
-
     hit = _run_search(
         per_vote_options,
         k,
@@ -220,7 +214,6 @@ def brute_topk(
         instance.preferred,
         instance.unique_mode,
         budget_cap,
-        caps.search_nodes,
     )
     if hit is None:
         return SolveResult(False, None, None)
@@ -265,7 +258,7 @@ def brute_rankings(
         )
     else:
         return _brute_rankings_generic(
-            instance, rankings, targets, per_vote_costs, caps.search_nodes
+            instance, rankings, targets, per_vote_costs
         )
 
     per_vote_options = [
@@ -285,7 +278,6 @@ def brute_rankings(
         instance.preferred,
         instance.unique_mode,
         None,
-        caps.search_nodes,
     )
     if hit is None:
         return SolveResult(False, None, None)
@@ -299,7 +291,6 @@ def _brute_rankings_generic(
     rankings: list[Ranking],
     targets: list[Ranking],
     per_vote_costs: list[list[Fraction]],
-    max_nodes: int,
 ) -> SolveResult:
     """Plain DFS with full winner evaluation at the leaves (Bucklin etc.)."""
     n = len(rankings)
@@ -314,6 +305,7 @@ def _brute_rankings_generic(
     best: Fraction | None = None
     best_targets: list[Ranking] | None = None
     current: list[Ranking] = [rankings[v] for v in range(n)]
+    max_nodes = _search.MAX_NODES
     nodes = 0
 
     def descend(v: int, acc: Fraction):

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import json
 import random
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swapbribery import cli, oracle
+from swapbribery import _search, cli
 from swapbribery.cli import main
 from swapbribery.core import CO_WINNER, UNIQUE_WINNER, VotingRule
 from swapbribery.io import format_fraction, parse_election, serialize_election
@@ -71,7 +70,7 @@ def test_solve_reports_errors(tmp_path, capsys):
 
 TWO = ("two-valued", 1, 2, 0.3)
 RANGE = ("uniform-range", 1, 3)
-LIFTED = OracleCaps(topk_combinations=10**60, ranking_combinations=10**60, search_nodes=10**60)
+LIFTED = OracleCaps(topk_combinations=10**60, ranking_combinations=10**60)
 
 
 def _solve_auto(tmp_path, instance, capsys) -> tuple[int, list[str]]:
@@ -131,14 +130,10 @@ def test_auto_agrees_with_the_uncapped_oracles(tmp_path, capsys):
         assert (code, lines) == (0 if expected.decision else 1, answer), serialize_election(instance)
 
 
-@pytest.mark.parametrize(
-    "oracle_name, rule",
-    [("brute_topk", "k-approval 2"), ("brute_rankings", "bucklin")],
-)
-def test_search_past_its_node_budget_is_an_error(sample_path, monkeypatch, capsys, oracle_name, rule):
+@pytest.mark.parametrize("rule", ["k-approval 2", "bucklin"])
+def test_search_past_its_node_budget_is_an_error(sample_path, monkeypatch, capsys, rule):
     sample_path.write_text(SAMPLE.replace("k-approval 2", rule) + "costs 0 default 2\n")
-    tiny = functools.partial(getattr(oracle, oracle_name), caps=OracleCaps(search_nodes=1))
-    monkeypatch.setattr(cli, oracle_name, tiny)
+    monkeypatch.setattr(_search, "MAX_NODES", 1)
     assert main(["solve", str(sample_path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: search exceeded its node budget of 1\n"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from swapbribery import _search
 from swapbribery.core import Election, Vote, VotingRule
 from swapbribery.errors import DomainError, ResourceCapError
 from swapbribery.oracle import OracleCaps, brute_rankings, brute_topk
@@ -65,15 +66,43 @@ def test_option_caps_count_the_options_of_every_vote(sample_instance):
         brute_rankings(sample_instance, caps=OracleCaps(ranking_combinations=239))
 
 
-def test_search_stops_at_its_node_budget(sample_instance):
-    tiny = OracleCaps(search_nodes=1)
+def test_default_option_caps_refuse_before_building():
+    one_vote = Election(tuple("abcdefgh"), (Vote(tuple(range(8))),))
+    inst = BriberyInstance(one_vote, VotingRule.bucklin(), 7, SwapCostFunction.unit(1), Fraction(1))
+    with pytest.raises(ResourceCapError, match="40320 options exceed cap 20000$"):
+        brute_rankings(inst)
+    one_vote = Election(tuple("abcdefghijklmnopqrst"), (Vote(tuple(range(20))),))
+    inst = BriberyInstance(one_vote, VotingRule.k_approval(10), 19, SwapCostFunction.unit(1), Fraction(1))
+    with pytest.raises(ResourceCapError, match="184756 options exceed cap 50000$"):
+        brute_topk(inst)
+
+
+def _lift_the_cheapest(n: int) -> BriberyInstance:
+    # p last in n votes whose prices all differ, so neither symmetry nor an
+    # early cheap leaf cuts the search much
+    election = Election(("a", "p"), tuple(Vote((0, 1)) for _ in range(n)))
+    prices = SwapCostFunction([Fraction(100 + v) for v in range(n)], [{} for _ in range(n)])
+    return BriberyInstance(election, VotingRule.k_approval(1), 1, prices, Fraction(10**6))
+
+
+def test_node_budget_near_the_old_product_cap():
+    # 2^19 vote combinations: answered, by lifting p in the ten cheapest votes
+    assert brute_topk(_lift_the_cheapest(19)).optimal_cost == sum(range(100, 110))
+    # 2^23 <= 10^7 passed the old product cap; the search needs more than
+    # 10^6 nodes, so it is refused now
+    with pytest.raises(ResourceCapError, match="node budget of 1000000$"):
+        brute_topk(_lift_the_cheapest(23))
+
+
+def test_search_stops_at_its_node_budget(sample_instance, monkeypatch):
+    monkeypatch.setattr(_search, "MAX_NODES", 1)
     with pytest.raises(ResourceCapError, match="node budget of 1$"):
-        brute_topk(sample_instance, caps=tiny)
+        brute_topk(sample_instance)
     bucklin = BriberyInstance(
         sample_election(), VotingRule.bucklin(), P, SwapCostFunction.unit(2), Fraction(3)
     )
     with pytest.raises(ResourceCapError, match="node budget of 1$"):
-        brute_rankings(bucklin, caps=tiny)
+        brute_rankings(bucklin)
 
 
 def test_witness_always_verifies():
