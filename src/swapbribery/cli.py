@@ -47,8 +47,11 @@ def _write(path: str | None, text: str):
         Path(path).write_text(text)
 
 
-def _pick_algorithm(instance) -> str:
-    """Flow for unit-price k-approval, the paper's polynomial case; else the exact search."""
+def _resolve(instance, algorithm: str) -> str:
+    """The named algorithm; ``auto`` is flow on unit-price k-approval, the
+    paper's polynomial case, and the exact search on everything else."""
+    if algorithm != "auto":
+        return algorithm
     if instance.rule.kind == "k-approval" and instance.costs.is_uniform(1):
         return "flow"
     return "brute"
@@ -108,9 +111,7 @@ def _dump_programs(instance, path: str):
 
 def _cmd_solve(args) -> int:
     instance = formats.parse_election(_read(args.instance))
-    algorithm = args.algorithm
-    if algorithm == "auto":
-        algorithm = _pick_algorithm(instance)
+    algorithm = _resolve(instance, args.algorithm)
     result = _run_solver(instance, algorithm, args)
     cost = _checked_cost(instance, result)
     decision = result.decision
@@ -263,7 +264,8 @@ def _cmd_bench(args) -> int:
     rows = ["instance,solver,decision,cost,wall_ms,seed"]
     for path in args.instances:
         instance = formats.parse_election(_read(path))
-        for solver in args.solvers.split(","):
+        for name in args.solvers.split(","):
+            solver = _resolve(instance, name)
             started = time.perf_counter()
             result = _run_solver(instance, solver, args)
             elapsed_ms = (time.perf_counter() - started) * 1000.0

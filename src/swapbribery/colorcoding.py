@@ -14,18 +14,16 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator
 
 from .core import K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
+from .oracle import topk_options
 from .swaps import (
     Bribery,
     BriberyInstance,
     SolveResult,
-    move_to_top_cost,
     move_to_top_target,
     verify_bribery,
 )
@@ -33,14 +31,9 @@ from .swaps import (
 VotePattern = tuple[int, ...]
 ElectionPattern = tuple[VotePattern, ...]
 
-
-@dataclass(frozen=True)
-class ColorCaps:
-    pattern_size: int = 12  # bound on n*k
-    colorings: int = 10**6  # bound on |A|^(m-1) per pattern
-
-
-DEFAULT_CAPS = ColorCaps()
+# Size limits, read at every call; exceeding one raises ResourceCapError.
+MAX_PATTERN_SIZE = 12  # bound on n*k
+MAX_COLORINGS = 10**6  # bound on |A|^(m-1) per pattern
 
 
 def vote_patterns(nk: int, k: int) -> Iterator[VotePattern]:
@@ -48,15 +41,15 @@ def vote_patterns(nk: int, k: int) -> Iterator[VotePattern]:
     return combinations(range(1, nk + 1), k)
 
 
-def successful_patterns(n: int, k: int, strict: bool = False, caps: ColorCaps = DEFAULT_CAPS) -> Iterator[ElectionPattern]:
+def successful_patterns(n: int, k: int, strict: bool = False) -> Iterator[ElectionPattern]:
     """Election patterns where element 1 occurs at least as often as any other.
 
     With ``strict`` (unique-winner search), 1 must occur strictly more
     often than every other element.
     """
     nk = n * k
-    if nk > caps.pattern_size:
-        raise ResourceCapError(f"n*k = {nk} exceeds pattern cap {caps.pattern_size}")
+    if nk > MAX_PATTERN_SIZE:
+        raise ResourceCapError(f"n*k = {nk} exceeds pattern cap {MAX_PATTERN_SIZE}")
     for pattern in product(vote_patterns(nk, k), repeat=n):
         counts = Counter()
         for part in pattern:
@@ -75,45 +68,28 @@ def _others(instance: BriberyInstance) -> list[int]:
     return [c for c in range(instance.election.m) if c != instance.preferred]
 
 
-def _subset_costs(instance: BriberyInstance) -> list[dict[tuple[int, ...], Fraction]]:
-    """Per expanded vote, the move-to-top cost of every k-subset."""
-    k = instance.rule.k
-    m = instance.election.m
-    tables = []
-    for idx, ranking in enumerate(instance.election.expanded_list()):
-        tables.append(
-            {
-                cands: move_to_top_cost(ranking, cands, k, instance.costs, idx)
-                for cands in combinations(range(m), k)
-            }
-        )
-    return tables
-
-
 def _try_coloring(
     instance: BriberyInstance,
     rankings: list[Ranking],
     patterns: list[ElectionPattern],
     coloring: dict[int, int | None],
-    costs: list[dict[tuple[int, ...], Fraction]],
+    options: list[list[tuple[tuple[int, ...], int]]],
+    budget: int,
 ) -> Bribery | None:
     """Evaluate one coloring against many patterns sharing a color set."""
     k = instance.rule.k
-    per_vote: list[dict[frozenset[int], tuple[tuple[int, ...], Fraction]]] = []
-    for table in costs:
-        sig_best: dict[frozenset[int], tuple[tuple[int, ...], Fraction]] = {}
-        for cands, cost in table.items():
+    per_vote: list[dict[frozenset[int], tuple[tuple[int, ...], int]]] = []
+    for vote_options in options:
+        sig_best: dict[frozenset[int], tuple[tuple[int, ...], int]] = {}
+        for cands, cost in vote_options:
             colors = {coloring.get(c) for c in cands}
             if None in colors or len(colors) != k:
                 continue
-            sig = frozenset(colors)
-            held = sig_best.get(sig)
-            if held is None or cost < held[1]:
-                sig_best[sig] = (cands, cost)
+            sig_best.setdefault(frozenset(colors), (cands, cost))
         per_vote.append(sig_best)
 
     for pattern in patterns:
-        total = Fraction(0)
+        total = 0
         picks = []
         for idx, part in enumerate(pattern):
             hit = per_vote[idx].get(frozenset(part))
@@ -122,7 +98,7 @@ def _try_coloring(
                 break
             picks.append(hit[0])
             total += hit[1]
-        if picks is None or total > instance.budget:
+        if picks is None or total > budget:
             continue
         targets = tuple(
             move_to_top_target(r, frozenset(c)) for r, c in zip(rankings, picks)
@@ -138,15 +114,14 @@ def solve_color_coding(
     mode: str = "exhaustive",
     trials: int | None = None,
     seed: int = 0,
-    caps: ColorCaps = DEFAULT_CAPS,
 ) -> SolveResult:
     """Pattern-driven search for a within-budget bribery.
 
     ``exhaustive`` enumerates every coloring with colors drawn from each
     pattern's color set and is complete: the decision matches ground
-    truth. ``random`` samples ``trials`` colorings per pattern (default
-    (nk-1)^(nk-1)) and is one-sided: any returned bribery is verified, a
-    miss proves nothing. ``auto`` is exhaustive when (nk-1)^(m-1)
+    truth. ``random`` samples ``trials`` colorings per pattern (at least
+    1; default (nk-1)^(nk-1)) and is one-sided: any returned bribery is
+    verified, a miss proves nothing. ``auto`` is exhaustive when (nk-1)^(m-1)
     colorings fit the colorings cap, else random. No optimal cost is
     claimed: the witness is the first one found within budget.
     """
@@ -154,19 +129,27 @@ def solve_color_coding(
         raise DomainError("color coding needs a k-approval instance")
     if mode not in ("auto", "exhaustive", "random"):
         raise DomainError(f"unknown mode {mode!r}")
+    if trials is not None and trials < 1:
+        raise DomainError(f"trials must be at least 1, not {trials}")
     k = instance.rule.k
     n = instance.election.n_expanded
     m = instance.election.m
     nk = n * k
-    if nk > caps.pattern_size:
-        raise ResourceCapError(f"n*k = {nk} exceeds pattern cap {caps.pattern_size}")
+    if nk > MAX_PATTERN_SIZE:
+        raise ResourceCapError(f"n*k = {nk} exceeds pattern cap {MAX_PATTERN_SIZE}")
     if mode == "auto":
-        mode = "exhaustive" if max(1, nk - 1) ** (m - 1) <= caps.colorings else "random"
+        mode = "exhaustive" if max(1, nk - 1) ** (m - 1) <= MAX_COLORINGS else "random"
 
     others = _others(instance)
     rankings = instance.election.expanded_list()
-    costs = _subset_costs(instance)
-    patterns = list(successful_patterns(n, k, strict=instance.unique_mode, caps=caps))
+    _, prices, budget = instance.integer_prices()
+    # Cheapest first, ties in ascending candidate order, so the first subset
+    # of a color set is the one to take.
+    options = [
+        sorted(topk_options(r, k, prices, idx, budget), key=lambda o: (o[1], sorted(o[0])))
+        for idx, r in enumerate(rankings)
+    ]
+    patterns = list(successful_patterns(n, k, strict=instance.unique_mode))
 
     if mode == "random":
         rng = random.Random(seed)
@@ -179,7 +162,7 @@ def solve_color_coding(
                 coloring: dict[int, int | None] = {instance.preferred: 1}
                 for c in others:
                     coloring[c] = rng.choice(palette) if palette else None
-                witness = _try_coloring(instance, rankings, [pattern], coloring, costs)
+                witness = _try_coloring(instance, rankings, [pattern], coloring, options, budget)
                 if witness is not None:
                     return SolveResult(True, None, witness)
         return SolveResult(False, None, None)
@@ -191,9 +174,9 @@ def solve_color_coding(
 
     for palette, group in sorted(by_palette.items()):
         size = len(palette) ** len(others) if palette else 1
-        if size > caps.colorings:
+        if size > MAX_COLORINGS:
             raise ResourceCapError(
-                f"{len(palette)}^{len(others)} colorings exceed cap {caps.colorings}"
+                f"{len(palette)}^{len(others)} colorings exceed cap {MAX_COLORINGS}"
             )
         assignments = product(palette, repeat=len(others)) if palette else iter([()])
         for values in assignments:
@@ -203,7 +186,7 @@ def solve_color_coding(
             if not values:
                 for c in others:
                     coloring[c] = None
-            witness = _try_coloring(instance, rankings, group, coloring, costs)
+            witness = _try_coloring(instance, rankings, group, coloring, options, budget)
             if witness is not None:
                 return SolveResult(True, None, witness)
     return SolveResult(False, None, None)

@@ -17,10 +17,10 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+from . import _search
 from .core import BUCKLIN, K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .lp import lp_feasible
-from .oracle import _scaled_ints
 from .swaps import Bribery, BriberyInstance, SolveResult, transform_cost
 
 @dataclass(frozen=True)
@@ -48,23 +48,13 @@ class LinearInequalitySystem:
     sets: tuple[tuple[Inequality, ...], ...]
 
 
-@dataclass(frozen=True)
-class IlpCaps:
-    permutations: int = 720  # bound on m!
-    variables: int = 2000
-    search_nodes: int = 10**7
+# Size limits, read at every call; exceeding one raises ResourceCapError. The
+# search's node budget is ``_search.MAX_NODES``, shared by every exact search.
+MAX_PERMUTATIONS = 720  # bound on m!
+MAX_VARIABLES = 2000
 
 
-DEFAULT_CAPS = IlpCaps()
-
-
-def describe_rule(
-    rule,
-    m: int,
-    n: int,
-    unique: bool = False,
-    caps: IlpCaps = DEFAULT_CAPS,
-) -> LinearInequalitySystem:
+def describe_rule(rule, m: int, n: int, unique: bool = False) -> LinearInequalitySystem:
     """Linear-inequality description of k-approval or Bucklin.
 
     k-approval is one set of m-1 dominance rows. Bucklin needs one set
@@ -76,8 +66,8 @@ def describe_rule(
     """
     if m < 2:
         raise DomainError("rule descriptions need at least two candidates")
-    if factorial(m) > caps.permutations:
-        raise ResourceCapError(f"m! = {factorial(m)} exceeds cap {caps.permutations}")
+    if factorial(m) > MAX_PERMUTATIONS:
+        raise ResourceCapError(f"m! = {factorial(m)} exceeds cap {MAX_PERMUTATIONS}")
     perms = tuple(permutations(range(m)))
     margin = 1 if unique else 0
 
@@ -122,7 +112,7 @@ class VoteGroup:
 
     base: int  # permutation index of the shared ranking, in slot space
     members: tuple[int, ...]  # expanded vote indices
-    costs: tuple[Fraction, ...]  # transformation cost to each permutation
+    costs: tuple[int, ...]  # transformation cost to each permutation, times scale
 
 
 @dataclass(frozen=True)
@@ -130,13 +120,16 @@ class TransformationIlp:
     """One description set, substituted and ready to decide.
 
     Rows are over the variables; a row's rhs is the description row's rhs
-    minus its value on the votes as cast.
+    minus its value on the votes as cast. Costs and budget are ints on the
+    scale of ``BriberyInstance.integer_prices``: ``c`` stands for
+    ``Fraction(c, scale)``.
     """
 
     groups: tuple[VoteGroup, ...]
     variables: tuple[tuple[int, int], ...]  # (group index, target permutation)
-    var_costs: tuple[Fraction, ...]  # cost of one transformation, per variable
-    budget: Fraction
+    var_costs: tuple[int, ...]  # cost of one transformation, per variable
+    budget: int
+    scale: int
     rows: tuple[Inequality, ...]
     perms: tuple[Ranking, ...]
 
@@ -163,13 +156,14 @@ def build_ilp(
     cand_of_slot, slot_of_cand = slot_mapping(instance)
     perm_index = {perm: i for i, perm in enumerate(system.perms)}
     rankings = instance.election.expanded_list()
+    scale, prices, budget = instance.integer_prices()
 
     # Groups keep the order of their first members.
     grouped: dict[object, list[int]] = {}
     for idx, ranking in enumerate(rankings):
         base = perm_index[tuple(slot_of_cand[c] for c in ranking)]
-        table = instance.costs.overrides(idx)
-        key = (base, instance.costs.default(idx), frozenset(table.items()))
+        table = prices.overrides(idx)
+        key = (base, prices.default(idx), frozenset(table.items()))
         grouped.setdefault(key, []).append(idx)
 
     groups = []
@@ -180,7 +174,7 @@ def build_ilp(
             transform_cost(
                 rankings[rep],
                 tuple(cand_of_slot[s] for s in perm),
-                instance.costs,
+                prices,
                 rep,
             )
             for perm in system.perms
@@ -205,13 +199,14 @@ def build_ilp(
         groups=tuple(groups),
         variables=variables,
         var_costs=tuple(groups[g].costs[j] for g, j in variables),
-        budget=instance.budget,
+        budget=budget,
+        scale=scale,
         rows=rows,
         perms=system.perms,
     )
 
 
-def _relaxation_rows(ilp: TransformationIlp) -> list[tuple[list, Fraction]]:
+def _relaxation_rows(ilp: TransformationIlp) -> list[tuple[list, int]]:
     """Every constraint of the program in the ``a . x <= b`` form of ``lp_feasible``."""
     rows = [([-c for c in row.coeffs], -row.rhs) for row in ilp.rows]
     rows.append((list(ilp.var_costs), ilp.budget))
@@ -220,10 +215,7 @@ def _relaxation_rows(ilp: TransformationIlp) -> list[tuple[list, Fraction]]:
     return rows
 
 
-def ilp_feasible(
-    ilp: TransformationIlp,
-    caps: IlpCaps = DEFAULT_CAPS,
-) -> dict[tuple[int, int], int] | None:
+def ilp_feasible(ilp: TransformationIlp) -> dict[tuple[int, int], int] | None:
     """Exact feasibility of one substituted set; witness assignment or None.
 
     Depth-first search over the integer box, one group at a time, pruning
@@ -231,8 +223,8 @@ def ilp_feasible(
     rational-relaxation infeasibility. Exponential in the worst case.
     """
     n_vars = len(ilp.variables)
-    if n_vars > caps.variables:
-        raise ResourceCapError(f"{n_vars} variables exceed cap {caps.variables}")
+    if n_vars > MAX_VARIABLES:
+        raise ResourceCapError(f"{n_vars} variables exceed cap {MAX_VARIABLES}")
     coeffs = [row.coeffs for row in ilp.rows]
     rhs = [row.rhs for row in ilp.rows]
     if not n_vars:
@@ -241,8 +233,7 @@ def ilp_feasible(
     if lp_feasible(_relaxation_rows(ilp), n_vars) is None:
         return None
 
-    # Prices and budget on one integer scale, so the search adds native ints.
-    var_costs, (budget,), _ = _scaled_ints(list(ilp.var_costs), [ilp.budget])
+    var_costs, budget = ilp.var_costs, ilp.budget
     group_of = [g for g, _ in ilp.variables]  # ascending: a group's variables are adjacent
     sizes = [len(group.members) for group in ilp.groups]
 
@@ -257,13 +248,14 @@ def ilp_feasible(
 
     values = [0] * n_vars
     row_acc = [0] * len(coeffs)
+    max_nodes = _search.MAX_NODES
     nodes = 0
 
     def descend(v: int, spent: int, remaining: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > caps.search_nodes:
-            raise ResourceCapError(f"search exceeded {caps.search_nodes} nodes")
+        if nodes > max_nodes:
+            raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
         if v == n_vars:
             return all(acc >= b for acc, b in zip(row_acc, rhs))
         g = group_of[v]
@@ -343,7 +335,10 @@ def format_lp(ilp: TransformationIlp) -> str:
     for g, group in enumerate(ilp.groups):
         coeffs = [int(var[0] == g) for var in ilp.variables]
         out.append(f"  group{g}: {terms(coeffs)} <= {len(group.members)}")
-    out.append(f"  budget: {terms(ilp.var_costs)} <= {ilp.budget}")
+    out.append(
+        f"  budget: {terms(Fraction(c, ilp.scale) for c in ilp.var_costs)}"
+        f" <= {Fraction(ilp.budget, ilp.scale)}"
+    )
     for i, row in enumerate(ilp.rows):
         out.append(f"  win{i}: {terms(row.coeffs)} >= {row.rhs}")
     out.append("bounds")
@@ -354,10 +349,7 @@ def format_lp(ilp: TransformationIlp) -> str:
     return "\n".join(out) + "\n"
 
 
-def solve_ilp(
-    instance: BriberyInstance,
-    caps: IlpCaps = DEFAULT_CAPS,
-) -> SolveResult:
+def solve_ilp(instance: BriberyInstance) -> SolveResult:
     """Decide the instance by trying every set of the rule description.
 
     The witness is the first solution found, so no optimal cost is claimed.
@@ -373,11 +365,10 @@ def solve_ilp(
         instance.election.m,
         instance.election.n_expanded,
         unique=instance.unique_mode,
-        caps=caps,
     )
     for set_index in range(len(system.sets)):
         ilp = build_ilp(instance, system, set_index)
-        assignment = ilp_feasible(ilp, caps=caps)
+        assignment = ilp_feasible(ilp)
         if assignment is None:
             continue
         witness = assignment_to_bribery(instance, ilp, assignment)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from . import _search
 from .core import K_APPROVAL, Ranking
@@ -28,6 +28,7 @@ from .swaps import (
     Bribery,
     BriberyInstance,
     SolveResult,
+    SwapCostFunction,
     move_to_top_target,
     transform_cost,
 )
@@ -52,8 +53,9 @@ class OracleCaps:
 
     ``topk_combinations`` and ``ranking_combinations`` bound the options
     built over all votes, before they are built: n * C(m, k) subsets and
-    n * m! rankings. Building one takes about 15-25 us (a subset) or
-    50-75 us (a ranking), so either default is about a second of building.
+    n * m! rankings. Building one takes about 2-3 us (a subset) or
+    20-25 us (a ranking), so the defaults bound building to about 0.15 s
+    and 0.5 s.
     """
 
     topk_combinations: int = 5 * 10**4
@@ -63,31 +65,29 @@ class OracleCaps:
 DEFAULT_CAPS = OracleCaps()
 
 
-def _topk_vote_options(
+def topk_options(
     ranking: Ranking,
     k: int,
-    instance: BriberyInstance,
+    prices: SwapCostFunction,
     vote: int,
-    budget_cap: Fraction | None,
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Every k-subset of one vote with its move-to-top cost.
+    budget_cap: int | None,
+) -> list[tuple[tuple[int, ...], int]]:
+    """Every k-subset of one vote with its move-to-top cost, on int ``prices``.
 
-    With ``budget_cap`` set, subsets dearer than the cap are dropped; the
+    ``prices`` is the int table of ``BriberyInstance.integer_prices``. With
+    ``budget_cap`` set, subsets dearer than the cap are dropped; the
     enumeration exploits that re-based pair costs are non-negative, so the
     default-part of the cost grows with position and allows cutting.
     """
     m = len(ranking)
     if budget_cap is not None:
-        base, deltas = instance.costs.lowered(vote, m)
+        base, deltas = prices.lowered(vote, m)
     else:
         # no pruning, so deltas may be negative; skip the re-basing
-        base = instance.costs.default(vote)
-        deltas = {
-            pair: value - base
-            for pair, value in instance.costs.overrides(vote).items()
-        }
-    incoming: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-    prefix_delta = [Fraction(0)] * m
+        base = prices.default(vote)
+        deltas = {pair: value - base for pair, value in prices.overrides(vote).items()}
+    incoming: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    prefix_delta = [0] * m
     if deltas:
         pos = {c: i for i, c in enumerate(ranking)}
         for (a, b), d in deltas.items():
@@ -96,11 +96,11 @@ def _topk_vote_options(
                 incoming[ib].append((ia, d))
                 prefix_delta[ib] += d
 
-    out: list[tuple[tuple[int, ...], Fraction]] = []
+    out: list[tuple[tuple[int, ...], int]] = []
     chosen: list[int] = []
     is_chosen = [False] * m
 
-    def descend(start: int, cost: Fraction):
+    def descend(start: int, cost: int):
         if len(chosen) == k:
             out.append((tuple(ranking[i] for i in chosen), cost))
             return
@@ -123,56 +123,37 @@ def _topk_vote_options(
             is_chosen[p] = False
             chosen.pop()
 
-    descend(0, Fraction(0))
+    descend(0, 0)
     return out
 
 
-def _scaled_ints(values: list[Fraction], extra: list[Fraction]) -> tuple[list[int], list[int], int]:
-    """Common-denominator integer images of two Fraction lists."""
-    scale = 1
-    for v in values:
-        scale = lcm(scale, v.denominator)
-    for v in extra:
-        scale = lcm(scale, v.denominator)
-    return (
-        [int(v * scale) for v in values],
-        [int(v * scale) for v in extra],
-        scale,
-    )
-
-
 def _run_search(
-    per_vote_options: list[list[tuple[tuple[int, ...], Fraction]]],
+    per_vote_options: list[list[tuple[tuple[int, ...], int]]],
     width: int,
     m: int,
     preferred: int,
     unique: bool,
-    budget: Fraction | None,
+    budget: int | None,
 ):
-    """Scale costs to integers, flatten, run the search."""
-    flat_costs: list[Fraction] = []
+    """Sort each vote's options by cost, flatten them, run the search."""
+    costs: list[int] = []
+    gains: list[int] = []
+    offsets = [0]
     for options in per_vote_options:
         options.sort(key=lambda oc: oc[1])
-        flat_costs.extend(c for _, c in options)
-    scaled, extra, scale = _scaled_ints(flat_costs, [budget] if budget is not None else [])
-    budget_int = extra[0] if budget is not None else -1
-
-    offsets = [0]
-    gains: list[int] = []
-    for options in per_vote_options:
         offsets.append(offsets[-1] + len(options))
-        for cands, _ in options:
+        for cands, cost in options:
+            costs.append(cost)
             gains.extend(cands)
 
     # looked up on the module per call, so a wrapper installed there sees it
     hit = _search.best_assignment(
-        offsets, gains, width, scaled, m, preferred, unique, budget_int
+        offsets, gains, width, costs, m, preferred, unique, -1 if budget is None else budget
     )
     if hit is None:
         return None
-    cost_int, choices = hit
-    local = [choices[v] - offsets[v] for v in range(len(per_vote_options))]
-    return Fraction(cost_int, scale), local
+    cost, choices = hit
+    return cost, [choices[v] - offsets[v] for v in range(len(per_vote_options))]
 
 
 def brute_topk(
@@ -202,18 +183,13 @@ def brute_topk(
             f"{caps.topk_combinations}"
         )
 
-    budget_cap = instance.budget if prune_to_budget else None
+    scale, prices, budget = instance.integer_prices()
+    budget_cap = budget if prune_to_budget else None
     per_vote_options = [
-        _topk_vote_options(r, k, instance, idx, budget_cap)
-        for idx, r in enumerate(rankings)
+        topk_options(r, k, prices, idx, budget_cap) for idx, r in enumerate(rankings)
     ]
     hit = _run_search(
-        per_vote_options,
-        k,
-        m,
-        instance.preferred,
-        instance.unique_mode,
-        budget_cap,
+        per_vote_options, k, m, instance.preferred, instance.unique_mode, budget_cap
     )
     if hit is None:
         return SolveResult(False, None, None)
@@ -222,7 +198,7 @@ def brute_topk(
         move_to_top_target(r, frozenset(per_vote_options[v][i][0]))
         for v, (r, i) in enumerate(zip(rankings, local))
     )
-    return SolveResult(optimum <= instance.budget, optimum, Bribery(targets))
+    return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(targets))
 
 
 def brute_rankings(
@@ -241,9 +217,10 @@ def brute_rankings(
             f"{caps.ranking_combinations}"
         )
 
+    scale, prices, budget = instance.integer_prices()
     targets = list(permutations(range(m)))
     per_vote_costs = [
-        [transform_cost(r, t, instance.costs, idx) for t in targets]
+        [transform_cost(r, t, prices, idx) for t in targets]
         for idx, r in enumerate(rankings)
     ]
 
@@ -257,58 +234,58 @@ def brute_rankings(
             c for pos, c in enumerate(t) for _ in range(rule.vector[pos])
         )
     else:
-        return _brute_rankings_generic(
-            instance, rankings, targets, per_vote_costs
-        )
+        gains_of = None
 
-    per_vote_options = [
-        [(gains_of(t), cost) for t, cost in zip(targets, costs)]
-        for costs in per_vote_costs
-    ]
-    # Mirror of per_vote_options under the same stable sort by cost, so a
-    # local option index maps back to its target ranking.
-    per_vote_targets = [
-        [t for t, _ in sorted(zip(targets, costs), key=lambda tc: tc[1])]
-        for costs in per_vote_costs
-    ]
-    hit = _run_search(
-        per_vote_options,
-        width,
-        m,
-        instance.preferred,
-        instance.unique_mode,
-        None,
-    )
+    if gains_of is None:
+        hit = _brute_rankings_generic(instance, rankings, targets, per_vote_costs)
+    else:
+        per_vote_options = [
+            [(gains_of(t), cost) for t, cost in zip(targets, costs)]
+            for costs in per_vote_costs
+        ]
+        # Mirror of per_vote_options under the same stable sort by cost, so a
+        # local option index maps back to its target ranking.
+        per_vote_targets = [
+            [t for t, _ in sorted(zip(targets, costs), key=lambda tc: tc[1])]
+            for costs in per_vote_costs
+        ]
+        hit = _run_search(
+            per_vote_options, width, m, instance.preferred, instance.unique_mode, None
+        )
+        if hit is not None:
+            hit = hit[0], [per_vote_targets[v][i] for v, i in enumerate(hit[1])]
     if hit is None:
         return SolveResult(False, None, None)
-    optimum, local = hit
-    witness = Bribery(tuple(per_vote_targets[v][i] for v, i in enumerate(local)))
-    return SolveResult(optimum <= instance.budget, optimum, witness)
+    optimum, chosen = hit
+    return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(tuple(chosen)))
 
 
 def _brute_rankings_generic(
     instance: BriberyInstance,
     rankings: list[Ranking],
     targets: list[Ranking],
-    per_vote_costs: list[list[Fraction]],
-) -> SolveResult:
-    """Plain DFS with full winner evaluation at the leaves (Bucklin etc.)."""
+    per_vote_costs: list[list[int]],
+) -> tuple[int, list[Ranking]] | None:
+    """Plain DFS with full winner evaluation at the leaves (Bucklin etc.).
+
+    Returns the least winning cost and its targets, or None.
+    """
     n = len(rankings)
     order = [
         sorted(range(len(targets)), key=lambda j: per_vote_costs[v][j])
         for v in range(n)
     ]
-    suffix_min = [Fraction(0)] * (n + 1)
+    suffix_min = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
         suffix_min[v] = suffix_min[v + 1] + per_vote_costs[v][order[v][0]]
 
-    best: Fraction | None = None
+    best: int | None = None
     best_targets: list[Ranking] | None = None
     current: list[Ranking] = [rankings[v] for v in range(n)]
     max_nodes = _search.MAX_NODES
     nodes = 0
 
-    def descend(v: int, acc: Fraction):
+    def descend(v: int, acc: int):
         nonlocal best, best_targets, nodes
         nodes += 1
         if nodes > max_nodes:
@@ -326,7 +303,5 @@ def _brute_rankings_generic(
             descend(v + 1, acc + cost)
         current[v] = rankings[v]
 
-    descend(0, Fraction(0))
-    if best is None:
-        return SolveResult(False, None, None)
-    return SolveResult(best <= instance.budget, best, Bribery(tuple(best_targets)))
+    descend(0, 0)
+    return None if best is None else (best, best_targets)

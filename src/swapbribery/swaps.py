@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from .core import (
@@ -47,7 +48,10 @@ class Swap:
 
 
 class SwapCostFunction:
-    """Per-expanded-vote swap prices: a default plus sparse pair overrides."""
+    """Per-expanded-vote swap prices: a default plus sparse pair overrides.
+
+    Prices are Fractions, except in the int copy ``scaled`` makes.
+    """
 
     __slots__ = ("_defaults", "_overrides")
 
@@ -99,6 +103,16 @@ class SwapCostFunction:
         for default, table in zip(self._defaults, self._overrides):
             yield default
             yield from table.values()
+
+    def scaled(self, scale: int) -> "SwapCostFunction":
+        """Every price times ``scale``, held as ints; ``scale`` must clear every denominator."""
+        if any(scale % v.denominator for v in self.iter_values()):
+            raise DomainError(f"scale {scale} leaves a price fractional")
+        # Scaled tables stay canonical, so the constructor's checks are skipped.
+        out = object.__new__(SwapCostFunction)
+        out._defaults = tuple(int(d * scale) for d in self._defaults)
+        out._overrides = tuple({p: int(c * scale) for p, c in t.items()} for t in self._overrides)
+        return out
 
     def min_value(self) -> Fraction:
         return min(self.iter_values())
@@ -201,6 +215,19 @@ class BriberyInstance:
         if self.costs.n_votes != self.election.n_expanded:
             raise DomainError("cost function must cover every expanded vote")
 
+    def integer_prices(self) -> tuple[int, SwapCostFunction, int]:
+        """``(scale, prices * scale, budget * scale)``, every price an int.
+
+        ``scale`` is the lcm of the denominators of every price and of the
+        budget. The exact searches build on these prices, so a cost ``c``
+        they find is ``Fraction(c, scale)``. Witnesses are checked against
+        the original prices, never these.
+        """
+        scale = lcm(
+            self.budget.denominator, *(v.denominator for v in self.costs.iter_values())
+        )
+        return scale, self.costs.scaled(scale), int(self.budget * scale)
+
     @property
     def unique_mode(self) -> bool:
         return self.mode == UNIQUE_WINNER
@@ -296,7 +323,7 @@ def transform_cost(
 ) -> Fraction:
     """Minimum total swap cost converting ``ranking`` into ``target``."""
     if ranking == target:
-        return Fraction(0)
+        return 0
     if frozenset(ranking) != frozenset(target):
         raise DomainError("rankings must permute the same candidates")
     pos_target = {c: i for i, c in enumerate(target)}
@@ -339,7 +366,7 @@ def move_to_top_cost(
     chosen = frozenset(chosen)
     if len(chosen) != k:
         raise DomainError(f"chosen set must have exactly k={k} candidates")
-    total = Fraction(0)
+    total = 0
     seen_outside: list[int] = []
     for c in ranking:
         if c in chosen:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -11,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from swapbribery import _search, cli
 from swapbribery.cli import main
+from swapbribery.colorcoding import solve_color_coding
 from swapbribery.core import CO_WINNER, UNIQUE_WINNER, VotingRule
+from swapbribery.ilp import solve_ilp
 from swapbribery.io import format_fraction, parse_election, serialize_election
 from swapbribery.oracle import OracleCaps, brute_rankings, brute_topk
 from swapbribery.reductions import gen_random
-from swapbribery.swaps import Bribery, SolveResult
+from swapbribery.swaps import Bribery, SolveResult, verify_bribery
 
 SAMPLE = """\
 sbe 1
@@ -70,6 +73,8 @@ def test_solve_reports_errors(tmp_path, capsys):
 
 TWO = ("two-valued", 1, 2, 0.3)
 RANGE = ("uniform-range", 1, 3)
+# Denominators 3 and 7 against budgets in sixths: one integer scale, 42, for all.
+COPRIME = ("two-valued", Fraction(1, 3), Fraction(5, 7), 0.5)
 LIFTED = OracleCaps(topk_combinations=10**60, ranking_combinations=10**60)
 
 
@@ -97,7 +102,16 @@ def test_auto_searches_priced_k_approval(tmp_path, capsys, m, n, k, seed, mode, 
     assert code == (0 if answer[0] == "decision: yes" else 1)
 
 
+def _random_rule(rng, rule, m):
+    if rule == "scoring":
+        return VotingRule.scoring(sorted((rng.randint(0, 3) for _ in range(m)), reverse=True))
+    if rule == "bucklin":
+        return VotingRule.bucklin()
+    return None  # gen_random's k-approval
+
+
 def _differential_corpus():
+    """(instance, whether every solver runs on it) pairs."""
     rng = random.Random(61)
     for rule in ("k-approval", "scoring", "bucklin"):
         for mode in (CO_WINNER, UNIQUE_WINNER):
@@ -106,17 +120,47 @@ def _differential_corpus():
                     m = rng.randint(2, 5 if rule == "k-approval" else 4)
                     n = rng.randint(1, 4)
                     k = rng.randint(1, m)
-                    voting = None  # gen_random's k-approval
-                    if rule == "scoring":
-                        voting = VotingRule.scoring(sorted((rng.randint(0, 3) for _ in range(m)), reverse=True))
-                    elif rule == "bucklin":
-                        voting = VotingRule.bucklin()
+                    voting = _random_rule(rng, rule, m)
                     seed = rng.randrange(10**6)
-                    yield gen_random(m, n, k, cost_model=cost, seed=seed, rule=voting, mode=mode)
+                    yield gen_random(m, n, k, cost_model=cost, seed=seed, rule=voting, mode=mode), False
+    # Small enough for exhaustive color coding and the ILP.
+    rng = random.Random(62)
+    for rule in ("k-approval", "scoring", "bucklin"):
+        for mode in (CO_WINNER, UNIQUE_WINNER):
+            for _ in range(3):
+                m = rng.randint(2, 4)
+                n = rng.randint(1, 3)
+                k = rng.randint(1, min(m, 2))
+                voting = _random_rule(rng, rule, m)
+                seed = rng.randrange(10**6)
+                budget = Fraction(rng.randint(0, 12), 6)
+                yield gen_random(
+                    m, n, k, cost_model=COPRIME, seed=seed, budget=budget, rule=voting, mode=mode
+                ), True
+
+
+def _every_solver(instance):
+    """Each solver that accepts the instance, uncapped where it has option caps."""
+    solvers = [lambda inst: brute_rankings(inst, caps=LIFTED)]
+    if instance.rule.kind == "k-approval":
+        solvers += [
+            lambda inst: brute_topk(inst, caps=LIFTED),
+            lambda inst: brute_topk(inst, caps=LIFTED, prune_to_budget=True),
+            lambda inst: solve_color_coding(inst, mode="exhaustive"),
+        ]
+    if instance.rule.kind in ("k-approval", "bucklin"):
+        solvers.append(solve_ilp)
+    return solvers
 
 
 def test_auto_agrees_with_the_uncapped_oracles(tmp_path, capsys):
-    for instance in _differential_corpus():
+    """`solve` against the oracles; on the coprime-price members, every solver too.
+
+    Those members also run at a budget equal to the optimum and just below
+    it. Decisions must agree, and every cost a solver reports must be the
+    witness's cost at the original prices.
+    """
+    for instance, every_solver in _differential_corpus():
         k_approval = instance.rule.kind == "k-approval"
         unit = k_approval and instance.costs.is_uniform(1)
         expected = (brute_topk if k_approval else brute_rankings)(instance, caps=LIFTED)
@@ -128,6 +172,23 @@ def test_auto_agrees_with_the_uncapped_oracles(tmp_path, capsys):
         if expected.optimal_cost is not None:
             answer.append(f"cost: {format_fraction(expected.optimal_cost)}")
         assert (code, lines) == (0 if expected.decision else 1, answer), serialize_election(instance)
+        if not every_solver:
+            continue
+        cases = [(instance, expected.decision)]
+        optimum = expected.optimal_cost
+        if optimum is not None:
+            cases.append((dataclasses.replace(instance, budget=optimum), True))
+            if optimum:
+                cases.append((dataclasses.replace(instance, budget=optimum - Fraction(1, 42)), False))
+        for case, decision in cases:
+            for solve in _every_solver(case):
+                result = solve(case)
+                assert result.decision == decision, serialize_election(case)
+                if result.witness is None:
+                    continue
+                report = verify_bribery(case, result.witness)
+                assert report.is_solution or not result.decision
+                assert result.optimal_cost in (None, report.total_cost)
 
 
 @pytest.mark.parametrize("rule", ["k-approval 2", "bucklin"])
@@ -137,6 +198,19 @@ def test_search_past_its_node_budget_is_an_error(sample_path, monkeypatch, capsy
     assert main(["solve", str(sample_path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: search exceeded its node budget of 1\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_color_trials_below_one_is_an_error(tmp_path, trials, capsys):
+    # brute answers yes here; trying no coloring used to print "decision: no"
+    path = tmp_path / "two.sbe"
+    argv = ["generate", "random", "--m", "3", "--n", "2", "--k", "1", "--cost-model", "two:1:2:0.3"]
+    assert main(argv + ["--seed", "3", "--budget", "2", "--out", str(path)]) == 0
+    assert main(["solve", str(path), "--algorithm", "brute"]) == 0
+    capsys.readouterr()
+    argv = ["solve", str(path), "--algorithm", "color", "--color-mode", "random", "--trials", trials]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: trials must be at least 1, not {trials}\n")
 
 
 @pytest.mark.parametrize("rule", ["bucklin", "scoring 2,1,1,0,0"])
@@ -404,6 +478,21 @@ def test_bench_csv_schema(sample_path, tmp_path):
     rows = [l.split(",") for l in lines[1:]]
     assert len(rows) == 2
     assert all(r[2] == "yes" and r[3] == "3" for r in rows)
+
+
+def test_bench_names_the_solver_auto_picks(sample_path, tmp_path):
+    priced = tmp_path / "priced.sbe"
+    priced.write_text(SAMPLE + "costs 0 default 2\n")
+    out = tmp_path / "bench.csv"
+    argv = ["bench", str(sample_path), str(priced), "--solvers", "auto,ilp", "--out", str(out)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[1:4] for row in rows] == [
+        ["flow", "yes", "3"],
+        ["ilp", "yes", "3"],
+        ["brute", "no", "4"],
+        ["ilp", "no", "-"],
+    ]
 
 
 def test_bench_rows_reproducible_modulo_timing(sample_path, tmp_path):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from swapbribery import colorcoding
 from swapbribery.colorcoding import (
-    ColorCaps,
     solve_color_coding,
     successful_patterns,
     vote_patterns,
@@ -144,7 +144,7 @@ class TestSolve:
                 misses += 1
         assert misses / runs <= delta + 0.1, f"missed {misses}/{runs}"
 
-    def test_coloring_cap(self):
+    def test_coloring_cap(self, monkeypatch):
         # A no-instance forces the search through every palette, including
         # multi-color ones that overflow a colorings cap of 1.
         election = Election(
@@ -153,5 +153,6 @@ class TestSolve:
         inst = BriberyInstance(
             election, VotingRule.k_approval(2), 2, SwapCostFunction.unit(2), Fraction(0)
         )
-        with pytest.raises(ResourceCapError):
-            solve_color_coding(inst, caps=ColorCaps(pattern_size=12, colorings=1))
+        monkeypatch.setattr(colorcoding, "MAX_COLORINGS", 1)
+        with pytest.raises(ResourceCapError, match="colorings exceed cap 1$"):
+            solve_color_coding(inst)

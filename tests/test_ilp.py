@@ -6,8 +6,8 @@ import pytest
 
 from swapbribery.core import Election, Vote, VotingRule, winners
 from swapbribery.errors import DomainError, ResourceCapError
+from swapbribery import ilp as ilp_module
 from swapbribery.ilp import (
-    IlpCaps,
     Inequality,
     build_ilp,
     describe_rule,
@@ -168,12 +168,13 @@ class TestFeasibility:
         # -t >= 0 (that is, t <= 0) and t >= 1 over a single transformation count
         from swapbribery.ilp import TransformationIlp, VoteGroup
 
-        group = VoteGroup(base=0, members=(0,), costs=(Fraction(0), Fraction(0)))
+        group = VoteGroup(base=0, members=(0,), costs=(0, 0))
         ilp = TransformationIlp(
             groups=(group,),
             variables=((0, 1),),
-            var_costs=(Fraction(0),),
-            budget=Fraction(10),
+            var_costs=(0,),
+            budget=10,
+            scale=1,
             rows=(Inequality((-1,), 0), Inequality((1,), 1)),
             perms=((0, 1), (1, 0)),
         )
@@ -289,13 +290,14 @@ class TestSolve:
             res = solve_ilp(inst)
             assert res.decision == want, inst
 
-    def test_variable_cap(self):
+    def test_variable_cap(self, monkeypatch):
         election = Election(("a", "b", "p"), (Vote((0, 1, 2)), Vote((1, 0, 2))))
         inst = BriberyInstance(
             election, VotingRule.k_approval(1), 2, SwapCostFunction.unit(2), Fraction(2)
         )
-        with pytest.raises(ResourceCapError):
-            solve_ilp(inst, caps=IlpCaps(variables=1))
+        monkeypatch.setattr(ilp_module, "MAX_VARIABLES", 1)
+        with pytest.raises(ResourceCapError, match="variables exceed cap 1$"):
+            solve_ilp(inst)
 
     def test_rejects_scoring_rules(self):
         election = Election(("a", "p"), (Vote((0, 1)),))
