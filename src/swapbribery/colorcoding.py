@@ -1,112 +1,84 @@
 """Color-coding search for k-approval, driven by election patterns.
 
-A vote pattern is a k-subset of the integers [1..nk]; an election pattern
+A vote pattern is a k-subset of the colors [1..nk]; an election pattern
 assigns one to each vote, abstracting which (colored) candidates occupy
-the one-positions after a bribery. Patterns where 1 (the preferred
-candidate's reserved color) occurs at least as often as any other element
-are the ones a solution can produce. For each such pattern, candidates
-are colored and each vote takes the cheapest candidate set matching its
-pattern colors; exhaustive coloring enumeration makes the search complete
-at desk scale, random coloring gives the one-sided fast variant.
+the one-positions after a bribery. Color 1 is the preferred candidate's.
+The other colors are interchangeable labels, so only canonical patterns
+are generated: those whose other colors first appear, reading the votes
+in order and each vote's colors ascending, as 2, 3, .... Relabeling a
+pattern by first use gives a canonical one with the same counts. A
+solution leaves a pattern where 1 occurs at least as often as any other
+color; for each, candidates are colored from its palette and each vote
+takes the cheapest candidate set matching its colors. Trying every
+coloring makes the search complete, random colorings give the one-sided
+variant. Pattern generation and the coloring loop each stop with
+``ResourceCapError`` after ``_search.MAX_NODES`` nodes.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from itertools import combinations, product
 from typing import Iterator
 
-from .core import K_APPROVAL, Ranking
+from . import _search
+from .core import K_APPROVAL
 from .errors import DomainError, ResourceCapError
 from .oracle import topk_options
-from .swaps import (
-    Bribery,
-    BriberyInstance,
-    SolveResult,
-    move_to_top_target,
-    verify_bribery,
-)
+from .swaps import Bribery, BriberyInstance, SolveResult, move_to_top_target, verify_bribery
 
 VotePattern = tuple[int, ...]
 ElectionPattern = tuple[VotePattern, ...]
 
-# Size limits, read at every call; exceeding one raises ResourceCapError.
-MAX_PATTERN_SIZE = 12  # bound on n*k
-MAX_COLORINGS = 10**6  # bound on |A|^(m-1) per pattern
-
-
-def vote_patterns(nk: int, k: int) -> Iterator[VotePattern]:
-    """All k-subsets of [1..nk], ascending."""
-    return combinations(range(1, nk + 1), k)
-
 
 def successful_patterns(n: int, k: int, strict: bool = False) -> Iterator[ElectionPattern]:
-    """Election patterns where element 1 occurs at least as often as any other.
+    """Canonical election patterns where color 1 occurs at least as often as any other.
 
     With ``strict`` (unique-winner search), 1 must occur strictly more
-    often than every other element.
+    often than every other color. Patterns come in lexicographic order;
+    each vote pattern tried is one node.
     """
     nk = n * k
-    if nk > MAX_PATTERN_SIZE:
-        raise ResourceCapError(f"n*k = {nk} exceeds pattern cap {MAX_PATTERN_SIZE}")
-    for pattern in product(vote_patterns(nk, k), repeat=n):
-        counts = Counter()
-        for part in pattern:
-            counts.update(part)
-        ones = counts.get(1, 0)
-        rest = [c for e, c in counts.items() if e != 1]
-        if strict:
-            if all(c < ones for c in rest):
-                yield pattern
-        else:
-            if all(c <= ones for c in rest):
-                yield pattern
+    slack = 0 if strict else 1
+    max_nodes = _search.MAX_NODES
+    nodes = 0
+    counts = [0] * (nk + 1)
+    chosen: list[VotePattern] = []
+    # top -> the vote patterns that may follow a prefix whose highest color
+    # is top: new colors must be top+1, top+2, ... in order.
+    extensions: dict[int, list[tuple[VotePattern, int]]] = {}
 
+    def grow(v: int, top: int, lead: int) -> Iterator[ElectionPattern]:
+        # lead: the most votes any color other than 1 has in the prefix
+        nonlocal nodes
+        if v == n:
+            yield tuple(chosen)
+            return
+        if top not in extensions:
+            extensions[top] = [
+                (part, max(top, part[-1]))
+                for part in combinations(range(1, min(top + k, nk) + 1), k)
+                if part[-1] - top <= sum(c > top for c in part)
+            ]
+        # the votes after this one can still add this many to color 1
+        reach = n - v - 1 + slack
+        for part, new_top in extensions[top]:
+            nodes += 1
+            if nodes > max_nodes:
+                raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
+            rival = lead
+            for c in part:
+                counts[c] += 1
+                if c != 1 and counts[c] > rival:
+                    rival = counts[c]
+            if rival < counts[1] + reach:
+                chosen.append(part)
+                yield from grow(v + 1, new_top, rival)
+                chosen.pop()
+            for c in part:
+                counts[c] -= 1
 
-def _others(instance: BriberyInstance) -> list[int]:
-    return [c for c in range(instance.election.m) if c != instance.preferred]
-
-
-def _try_coloring(
-    instance: BriberyInstance,
-    rankings: list[Ranking],
-    patterns: list[ElectionPattern],
-    coloring: dict[int, int | None],
-    options: list[list[tuple[tuple[int, ...], int]]],
-    budget: int,
-) -> Bribery | None:
-    """Evaluate one coloring against many patterns sharing a color set."""
-    k = instance.rule.k
-    per_vote: list[dict[frozenset[int], tuple[tuple[int, ...], int]]] = []
-    for vote_options in options:
-        sig_best: dict[frozenset[int], tuple[tuple[int, ...], int]] = {}
-        for cands, cost in vote_options:
-            colors = {coloring.get(c) for c in cands}
-            if None in colors or len(colors) != k:
-                continue
-            sig_best.setdefault(frozenset(colors), (cands, cost))
-        per_vote.append(sig_best)
-
-    for pattern in patterns:
-        total = 0
-        picks = []
-        for idx, part in enumerate(pattern):
-            hit = per_vote[idx].get(frozenset(part))
-            if hit is None:
-                picks = None
-                break
-            picks.append(hit[0])
-            total += hit[1]
-        if picks is None or total > budget:
-            continue
-        targets = tuple(
-            move_to_top_target(r, frozenset(c)) for r, c in zip(rankings, picks)
-        )
-        witness = Bribery(targets)
-        if verify_bribery(instance, witness).is_solution:
-            return witness
-    return None
+    return grow(0, 1, 0)
 
 
 def solve_color_coding(
@@ -117,13 +89,17 @@ def solve_color_coding(
 ) -> SolveResult:
     """Pattern-driven search for a within-budget bribery.
 
-    ``exhaustive`` enumerates every coloring with colors drawn from each
-    pattern's color set and is complete: the decision matches ground
-    truth. ``random`` samples ``trials`` colorings per pattern (at least
-    1; default (nk-1)^(nk-1)) and is one-sided: any returned bribery is
-    verified, a miss proves nothing. ``auto`` is exhaustive when (nk-1)^(m-1)
-    colorings fit the colorings cap, else random. No optimal cost is
-    claimed: the witness is the first one found within budget.
+    Patterns are grouped by their palette, the j colors other than 1 they
+    use, and each coloring of the other candidates is tried against every
+    pattern of its group. ``exhaustive`` enumerates all j^(m-1) colorings
+    and is complete: the decision matches ground truth. ``random`` draws
+    ``trials`` colorings per group (at least 1; default j^j), or tries each
+    once where there are no more, and is one-sided: any returned bribery
+    is verified, a miss proves nothing.
+    ``auto`` is exhaustive when (nk-1)^(m-1) colorings fit the node budget,
+    else random. A coloring costs one node per pattern it is checked
+    against and per vote option it scans. No optimal cost is claimed: the
+    witness is the first one found within budget.
     """
     if instance.rule.kind != K_APPROVAL:
         raise DomainError("color coding needs a k-approval instance")
@@ -134,13 +110,12 @@ def solve_color_coding(
     k = instance.rule.k
     n = instance.election.n_expanded
     m = instance.election.m
-    nk = n * k
-    if nk > MAX_PATTERN_SIZE:
-        raise ResourceCapError(f"n*k = {nk} exceeds pattern cap {MAX_PATTERN_SIZE}")
+    max_nodes = _search.MAX_NODES
     if mode == "auto":
-        mode = "exhaustive" if max(1, nk - 1) ** (m - 1) <= MAX_COLORINGS else "random"
+        mode = "exhaustive" if max(1, n * k - 1) ** (m - 1) <= max_nodes else "random"
 
-    others = _others(instance)
+    preferred = instance.preferred
+    others = [c for c in range(m) if c != preferred]
     rankings = instance.election.expanded_list()
     _, prices, budget = instance.integer_prices()
     # Cheapest first, ties in ascending candidate order, so the first subset
@@ -149,44 +124,54 @@ def solve_color_coding(
         sorted(topk_options(r, k, prices, idx, budget), key=lambda o: (o[1], sorted(o[0])))
         for idx, r in enumerate(rankings)
     ]
-    patterns = list(successful_patterns(n, k, strict=instance.unique_mode))
+    # Patterns as color bitmasks, grouped by their highest color; a pattern
+    # of color 1 alone joins the group of palette {2}, where it loses nothing.
+    masks: dict[VotePattern, int] = {}
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for pattern in successful_patterns(n, k, strict=instance.unique_mode):
+        top = max(2, *(part[-1] for part in pattern))
+        for part in pattern:
+            if part not in masks:
+                masks[part] = sum(1 << c for c in part)
+        groups.setdefault(top, []).append(tuple(masks[part] for part in pattern))
 
-    if mode == "random":
-        rng = random.Random(seed)
-        if trials is None:
-            trials = max(1, (nk - 1) ** (nk - 1))
-        for pattern in patterns:
-            palette = sorted({e for part in pattern for e in part if e != 1})
-            rounds = trials if palette else 1
-            for _ in range(rounds):
-                coloring: dict[int, int | None] = {instance.preferred: 1}
-                for c in others:
-                    coloring[c] = rng.choice(palette) if palette else None
-                witness = _try_coloring(instance, rankings, [pattern], coloring, options, budget)
-                if witness is not None:
+    rng = random.Random(seed)
+    nodes = 0
+    scanned = sum(map(len, options))
+    bit = [0] * m
+    bit[preferred] = 1 << 1
+    for top, group in sorted(groups.items()):
+        palette = range(2, top + 1)
+        draws = len(palette) ** len(palette) if trials is None else trials
+        # drawing at least as many colorings as there are is no better than
+        # trying each once
+        if mode == "exhaustive" or len(palette) ** len(others) <= draws:
+            colorings = product(palette, repeat=len(others))
+        else:
+            colorings = ([rng.choice(palette) for _ in others] for _ in range(draws))
+        for coloring in colorings:
+            nodes += len(group) + scanned
+            if nodes > max_nodes:
+                raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
+            for c, color in zip(others, coloring):
+                bit[c] = 1 << color
+            cheapest = []
+            for vote_options in options:
+                best = {}
+                for option in vote_options:
+                    mask = 0
+                    for c in option[0]:
+                        mask |= bit[c]
+                    if mask.bit_count() == k and mask not in best:
+                        best[mask] = option
+                cheapest.append(best)
+            for pattern in group:
+                picks = [best.get(part) for best, part in zip(cheapest, pattern)]
+                if None in picks or sum(cost for _, cost in picks) > budget:
+                    continue
+                witness = Bribery(
+                    tuple(move_to_top_target(r, frozenset(c)) for r, (c, _) in zip(rankings, picks))
+                )
+                if verify_bribery(instance, witness).is_solution:
                     return SolveResult(True, None, witness)
-        return SolveResult(False, None, None)
-
-    by_palette: dict[tuple[int, ...], list[ElectionPattern]] = {}
-    for pattern in patterns:
-        palette = tuple(sorted({e for part in pattern for e in part if e != 1}))
-        by_palette.setdefault(palette, []).append(pattern)
-
-    for palette, group in sorted(by_palette.items()):
-        size = len(palette) ** len(others) if palette else 1
-        if size > MAX_COLORINGS:
-            raise ResourceCapError(
-                f"{len(palette)}^{len(others)} colorings exceed cap {MAX_COLORINGS}"
-            )
-        assignments = product(palette, repeat=len(others)) if palette else iter([()])
-        for values in assignments:
-            coloring = {instance.preferred: 1}
-            for c, value in zip(others, values):
-                coloring[c] = value
-            if not values:
-                for c in others:
-                    coloring[c] = None
-            witness = _try_coloring(instance, rankings, group, coloring, options, budget)
-            if witness is not None:
-                return SolveResult(True, None, witness)
     return SolveResult(False, None, None)

@@ -102,6 +102,22 @@ def test_auto_searches_priced_k_approval(tmp_path, capsys, m, n, k, seed, mode, 
     assert code == (0 if answer[0] == "decision: yes" else 1)
 
 
+@pytest.mark.parametrize(
+    "m, n, k, seed, mode, decision",
+    [
+        (3, 4, 3, 12, UNIQUE_WINNER, "no"),
+        (5, 4, 3, 138, UNIQUE_WINNER, "yes"),
+        (8, 5, 2, 5, CO_WINNER, "yes"),
+    ],
+)
+def test_color_decides_priced_k_approval_like_brute(tmp_path, capsys, m, n, k, seed, mode, decision):
+    path = tmp_path / "instance.sbe"
+    path.write_text(serialize_election(gen_random(m, n, k, cost_model=TWO, seed=seed, mode=mode)))
+    code = main(["solve", str(path), "--algorithm", "color"])
+    assert capsys.readouterr().out.splitlines()[:2] == ["algorithm: color", f"decision: {decision}"]
+    assert code == (0 if decision == "yes" else 1)
+
+
 def _random_rule(rng, rule, m):
     if rule == "scoring":
         return VotingRule.scoring(sorted((rng.randint(0, 3) for _ in range(m)), reverse=True))
@@ -191,11 +207,18 @@ def test_auto_agrees_with_the_uncapped_oracles(tmp_path, capsys):
                 assert result.optimal_cost in (None, report.total_cost)
 
 
-@pytest.mark.parametrize("rule", ["k-approval 2", "bucklin"])
-def test_search_past_its_node_budget_is_an_error(sample_path, monkeypatch, capsys, rule):
+@pytest.mark.parametrize(
+    "rule, algorithm",
+    [
+        pytest.param("k-approval 2", "auto", id="k-approval 2"),
+        pytest.param("bucklin", "auto", id="bucklin"),
+        pytest.param("k-approval 2", "color", id="color"),
+    ],
+)
+def test_search_past_its_node_budget_is_an_error(sample_path, monkeypatch, capsys, rule, algorithm):
     sample_path.write_text(SAMPLE.replace("k-approval 2", rule) + "costs 0 default 2\n")
     monkeypatch.setattr(_search, "MAX_NODES", 1)
-    assert main(["solve", str(sample_path)]) == 2
+    assert main(["solve", str(sample_path), "--algorithm", algorithm]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: search exceeded its node budget of 1\n"
 
@@ -575,6 +598,8 @@ FUZZ_CASES = {
         ["verify", "{file}", "{sbs}"],
         ["kernelize", "--simple", "{file}"],
         ["solve", "--algorithm", "brute", "{file}"],
+        ["solve", "--algorithm", "color", "{file}"],
+        ["solve", "--algorithm", "ilp", "{file}"],
     ]),
     "sbs": (FUZZ_SBS, [["verify", "{sbe}", "{file}"]]),
     "pwe": (FUZZ_PWE, [["reduce", "pw-to-sb", "{file}"]]),

@@ -1,14 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from swapbribery import colorcoding
-from swapbribery.colorcoding import (
-    solve_color_coding,
-    successful_patterns,
-    vote_patterns,
-)
+from swapbribery import _search
+from swapbribery.colorcoding import solve_color_coding, successful_patterns
 from swapbribery.core import Election, Vote, VotingRule
 from swapbribery.errors import ResourceCapError
 from swapbribery.oracle import brute_topk
@@ -33,13 +31,42 @@ def test_two_votes_plurality_patterns():
     ]
 
 
-def test_candidate_pattern_count_before_filter():
-    assert len(list(vote_patterns(4, 2))) ** 2 == 36
+@pytest.mark.parametrize("n, k, count", [(4, 2, 313), (4, 3, 5549), (5, 2, 4829)])
+def test_canonical_pattern_count(n, k, count):
+    assert sum(1 for _ in successful_patterns(n, k)) == count
 
 
-def test_pattern_cap():
-    with pytest.raises(ResourceCapError):
-        list(successful_patterns(7, 2))
+def _relabeled(pattern):
+    """Colors other than 1 renamed 2, 3, ... in order of first use."""
+    names = {1: 1}
+    for part in pattern:
+        for c in part:
+            names.setdefault(c, len(names) + 1)
+    return tuple(tuple(sorted(names[c] for c in part)) for part in pattern)
+
+
+def _successful(pattern, strict):
+    counts = Counter(c for part in pattern for c in part)
+    ones = counts.pop(1, 0)
+    return all(c < ones if strict else c <= ones for c in counts.values())
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (4, 1), (2, 2), (3, 2), (2, 3)])
+def test_every_successful_pattern_relabels_to_one_yielded(n, k, strict):
+    yielded = list(successful_patterns(n, k, strict=strict))
+    assert len(set(yielded)) == len(yielded)
+    for pattern in yielded:
+        assert _relabeled(pattern) == pattern and _successful(pattern, strict)
+    raw = product(combinations(range(1, n * k + 1), k), repeat=n)
+    hit = {_relabeled(pattern) for pattern in raw if _successful(pattern, strict)}
+    assert hit == set(yielded)
+
+
+def test_pattern_generator_stops_at_the_node_budget(monkeypatch):
+    monkeypatch.setattr(_search, "MAX_NODES", 10)
+    with pytest.raises(ResourceCapError, match="node budget of 10$"):
+        list(successful_patterns(2, 2))
 
 
 def test_strict_patterns_subset():
@@ -98,15 +125,26 @@ class TestSolve:
         assert report.is_solution and report.total_cost == 2
 
     def test_exhaustive_matches_oracle(self):
+        # Instances past the node budget raise; every other one must agree.
         rng = random.Random(29)
-        for _ in range(50):
-            mode = rng.choice(("co-winner", "unique-winner"))
+        decided = 0
+        for i in range(150):
             inst = random_instance(
-                rng, m_max=6, n_max=2, k_choices=(1, 2), mode=mode
+                rng,
+                m_max=6,
+                n_max=4,
+                k_choices=(1, 2, 3),
+                cost_kind=("unit", "one-two", "rational")[i % 3],
+                mode=rng.choice(("co-winner", "unique-winner")),
+                multiplicities=(1, 2),
             )
-            want = brute_topk(inst).decision
-            got = solve_color_coding(inst).decision
-            assert got == want, inst
+            try:
+                got = solve_color_coding(inst, mode="exhaustive").decision
+            except ResourceCapError:
+                continue
+            assert got == brute_topk(inst).decision, inst
+            decided += 1
+        assert decided >= 40
 
     def test_random_mode_is_sound_never_complete_claims(self):
         rng = random.Random(37)
@@ -145,14 +183,15 @@ class TestSolve:
         assert misses / runs <= delta + 0.1, f"missed {misses}/{runs}"
 
     def test_coloring_cap(self, monkeypatch):
-        # A no-instance forces the search through every palette, including
-        # multi-color ones that overflow a colorings cap of 1.
+        # A no-instance forces the search through every palette; a node
+        # budget of 100 admits its patterns but not all its colorings.
         election = Election(
             ("a", "b", "p", "d"), (Vote((0, 1, 2, 3)), Vote((0, 1, 2, 3)))
         )
         inst = BriberyInstance(
             election, VotingRule.k_approval(2), 2, SwapCostFunction.unit(2), Fraction(0)
         )
-        monkeypatch.setattr(colorcoding, "MAX_COLORINGS", 1)
-        with pytest.raises(ResourceCapError, match="colorings exceed cap 1$"):
+        monkeypatch.setattr(_search, "MAX_NODES", 100)
+        assert len(list(successful_patterns(2, 2))) == 4
+        with pytest.raises(ResourceCapError, match="node budget of 100$"):
             solve_color_coding(inst)
