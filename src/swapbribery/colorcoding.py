@@ -24,7 +24,7 @@ from typing import Iterator
 from . import _search
 from .core import K_APPROVAL
 from .errors import DomainError, ResourceCapError
-from .oracle import topk_options
+from .oracle import check_topk_cap, topk_options
 from .swaps import Bribery, BriberyInstance, SolveResult, move_to_top_target, verify_bribery
 
 VotePattern = tuple[int, ...]
@@ -98,8 +98,10 @@ def solve_color_coding(
     is verified, a miss proves nothing.
     ``auto`` is exhaustive when (nk-1)^(m-1) colorings fit the node budget,
     else random. A coloring costs one node per pattern it is checked
-    against and per vote option it scans. No optimal cost is claimed: the
-    witness is the first one found within budget.
+    against and per vote option it scans. Like ``brute_topk``, it refuses
+    more than ``OracleCaps.topk_combinations`` top-k sets over all votes
+    before building them. No optimal cost is claimed: the witness is the
+    first one found within budget.
     """
     if instance.rule.kind != K_APPROVAL:
         raise DomainError("color coding needs a k-approval instance")
@@ -110,6 +112,7 @@ def solve_color_coding(
     k = instance.rule.k
     n = instance.election.n_expanded
     m = instance.election.m
+    check_topk_cap(n, m, k)
     max_nodes = _search.MAX_NODES
     if mode == "auto":
         mode = "exhaustive" if max(1, n * k - 1) ** (m - 1) <= max_nodes else "random"

@@ -373,6 +373,8 @@ def parse_partial(text: str) -> PossibleWinnerInstance:
             n_votes = parse_int(parts[1], no, low=0)
         elif parts[0] == "partial" and len(parts) == 5 and parts[2] == "pair":
             idx = parse_int(parts[1], no, low=0)
+            if n_votes is None or idx >= n_votes:
+                raise ParseError(no, f"partial vote {idx} outside partials {n_votes}")
             try:
                 a, b = name_to_index[parts[3]], name_to_index[parts[4]]
             except KeyError as exc:

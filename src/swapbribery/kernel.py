@@ -11,7 +11,17 @@ and keeps the rule.
 When k <= floor(b) the window construction cannot align the one/zero
 boundary of the truncated votes with the new rule (padding votes would
 need negative multiplicities), so kernelize falls back to the truncation
-construction, which stays within both size bounds.
+construction, which stays within both size bounds. It does the same in
+unique-winner mode for a single 1-approval vote, the one case where the
+preferred candidate wins alone with one point, which a dummy would tie.
+
+Kernel votes keep their vote's default price and its overrides among the
+kept candidates; padding votes have price 1. Every price stays >= 1, and
+a dummy or tail candidate needs more than floor(b) passes to score, so
+its prices never decide anything. The exception is a window its vote's
+end cuts short (k + b > m): the first tail candidates then sit within
+reach, where the original vote has no one, so their passes over the head
+are priced floor(b) + 1, above the budget.
 """
 
 from __future__ import annotations
@@ -59,22 +69,20 @@ def relevant_candidates(instance: BriberyInstance) -> frozenset[int]:
     return frozenset(found)
 
 
-def _restrict_costs(
-    costs: SwapCostFunction, kept: list[int], mapping: dict[int, int]
-) -> SwapCostFunction:
-    kept_set = set(kept)
-    defaults = []
-    overrides = []
-    for v in range(costs.n_votes):
-        defaults.append(costs.default(v))
-        overrides.append(
-            {
-                (mapping[a], mapping[b]): value
-                for (a, b), value in costs.overrides(v).items()
-                if a in kept_set and b in kept_set
-            }
-        )
-    return SwapCostFunction(defaults, overrides)
+def _restricted_prices(
+    costs: SwapCostFunction, mapping: dict[int, int]
+) -> tuple[list[Fraction], list[dict[tuple[int, int], Fraction]]]:
+    """Each vote's default price and its overrides among ``mapping``'s keys, renumbered."""
+    defaults = [costs.default(v) for v in range(costs.n_votes)]
+    overrides = [
+        {
+            (mapping[a], mapping[b]): value
+            for (a, b), value in costs.overrides(v).items()
+            if a in mapping and b in mapping
+        }
+        for v in range(costs.n_votes)
+    ]
+    return defaults, overrides
 
 
 def truncation_kernel(instance: BriberyInstance) -> BriberyInstance:
@@ -106,7 +114,7 @@ def truncation_kernel(instance: BriberyInstance) -> BriberyInstance:
         election=kernel_election,
         rule=instance.rule,
         preferred=mapping[instance.preferred],
-        costs=_restrict_costs(instance.costs, kept, mapping),
+        costs=SwapCostFunction(*_restricted_prices(instance.costs, mapping)),
         budget=instance.budget,
         mode=instance.mode,
     )
@@ -119,7 +127,9 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
     election = instance.election
     n = election.n_expanded
 
-    if k <= beta:
+    # Head dummies keep one point each, so they tie a preferred candidate
+    # that wins uniquely with one point; only a lone 1-approval vote lets it.
+    if k <= beta or (instance.unique_mode and n * k == 1):
         return _kernelize_by_truncation(instance, beta)
 
     relevant = relevant_candidates(instance)
@@ -147,26 +157,11 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
 
     new_k = beta + 1
     lo = k - beta  # 0-based window start; positive since k > beta
-    heads: list[list[int]] = []
-    head_costs: list[dict[tuple[int, int], Fraction]] = []
-    rankings = election.expanded_list()
-    for v_idx, ranking in enumerate(rankings):
-        window = [mapping[c] for c in ranking[lo : k + beta]]
-        heads.append([new_dummy()] + window)
-        head_costs.append(
-            {
-                (mapping[a], mapping[b]): value
-                for (a, b), value in instance.costs.overrides(v_idx).items()
-                if a in mapping and b in mapping
-            }
-            if instance.costs.default(v_idx) == 1
-            else {
-                (mapping[a], mapping[b]): instance.costs.cost(v_idx, a, b)
-                for a in kept
-                for b in kept
-                if a != b and instance.costs.cost(v_idx, a, b) != 1
-            }
-        )
+    heads = [
+        [new_dummy()] + [mapping[c] for c in ranking[lo : k + beta]]
+        for ranking in election.expanded_list()
+    ]
+    defaults, head_costs = _restricted_prices(instance.costs, mapping)
 
     # Points held inside the windows survive truncation; everything else a
     # kept candidate scored is restored through single-purpose votes.
@@ -181,17 +176,21 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
             raise AssertionError("window truncation may never create points")
         for _ in range(deficit):
             heads.append([mapping[c]] + [new_dummy() for _ in range(2 * beta)])
+            defaults.append(Fraction(1))
             head_costs.append({})
 
     m_kernel = len(names)
     votes = []
-    for head in heads:
+    for head, prices in zip(heads, head_costs):
         in_head = set(head)
         tail = [c for c in range(m_kernel) if c not in in_head]
+        # below a window cut short by its vote's end, keep the tail out of reach
+        for t in tail[: 2 * beta + 1 - len(head)]:
+            prices.update(((x, t), Fraction(beta + 1)) for x in head)
         votes.append(Vote(tuple(head + tail)))
 
     kernel_election = Election(tuple(names), tuple(votes))
-    kernel_costs = SwapCostFunction([Fraction(1)] * len(votes), head_costs)
+    kernel_costs = SwapCostFunction(defaults, head_costs)
 
     _check_kernel_bounds(len(votes), m_kernel, n, beta)
 
@@ -220,7 +219,7 @@ def _check_kernel_bounds(n_votes: int, m_kernel: int, n: int, beta: int) -> None
 
 
 def _kernelize_by_truncation(instance: BriberyInstance, beta: int) -> KernelOutput:
-    """Fallback when k <= floor(budget): the truncation kernel, repackaged."""
+    """Fallback when the window construction does not apply: the truncation kernel, repackaged."""
     kernel = truncation_kernel(instance)
     kept_names = kernel.election.candidates
     orig = {name: idx for idx, name in enumerate(instance.election.candidates)}

@@ -65,6 +65,16 @@ class OracleCaps:
 DEFAULT_CAPS = OracleCaps()
 
 
+def check_topk_cap(n_votes: int, m: int, k: int, caps: OracleCaps = DEFAULT_CAPS) -> None:
+    """Refuse, before building, more than ``caps.topk_combinations`` top-k sets over all votes."""
+    options = n_votes * comb(m, k)
+    if options > caps.topk_combinations:
+        raise ResourceCapError(
+            f"{n_votes} votes x C({m},{k}) = {options} options exceed cap "
+            f"{caps.topk_combinations}"
+        )
+
+
 def topk_options(
     ranking: Ranking,
     k: int,
@@ -74,27 +84,25 @@ def topk_options(
 ) -> list[tuple[tuple[int, ...], int]]:
     """Every k-subset of one vote with its move-to-top cost, on int ``prices``.
 
-    ``prices`` is the int table of ``BriberyInstance.integer_prices``. With
-    ``budget_cap`` set, subsets dearer than the cap are dropped; the
-    enumeration exploits that re-based pair costs are non-negative, so the
-    default-part of the cost grows with position and allows cutting.
+    ``prices`` is the int table of ``BriberyInstance.integer_prices``. Lifting
+    the candidate at position p past the unchosen ones above it costs the
+    vote's default price per pass, corrected by each override it meets.
+    With ``budget_cap`` set, subsets dearer than the cap are dropped: every
+    pass costs at least the vote's cheapest price, so that price times the
+    passes bounds a lift from below, grows with position and allows cutting.
     """
     m = len(ranking)
-    if budget_cap is not None:
-        base, deltas = prices.lowered(vote, m)
-    else:
-        # no pruning, so deltas may be negative; skip the re-basing
-        base = prices.default(vote)
-        deltas = {pair: value - base for pair, value in prices.overrides(vote).items()}
+    default = prices.default(vote)
+    overrides = prices.overrides(vote)
+    low = min((default, *overrides.values()))
     incoming: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     prefix_delta = [0] * m
-    if deltas:
-        pos = {c: i for i, c in enumerate(ranking)}
-        for (a, b), d in deltas.items():
-            ia, ib = pos.get(a), pos.get(b)
-            if ia is not None and ib is not None and ia < ib:
-                incoming[ib].append((ia, d))
-                prefix_delta[ib] += d
+    pos = {c: i for i, c in enumerate(ranking)}
+    for (a, b), price in overrides.items():
+        ia, ib = pos.get(a), pos.get(b)
+        if ia is not None and ib is not None and ia < ib:
+            incoming[ib].append((ia, price - default))
+            prefix_delta[ib] += price - default
 
     out: list[tuple[tuple[int, ...], int]] = []
     chosen: list[int] = []
@@ -106,14 +114,13 @@ def topk_options(
             return
         count = len(chosen)
         for p in range(start, m - (k - count) + 1):
-            step_base = base * (p - count)
-            if budget_cap is not None and cost + step_base > budget_cap:
+            passes = p - count
+            if budget_cap is not None and cost + low * passes > budget_cap:
                 break
-            step = step_base + prefix_delta[p]
-            if incoming[p]:
-                for ia, d in incoming[p]:
-                    if is_chosen[ia]:
-                        step -= d
+            step = default * passes + prefix_delta[p]
+            for ia, d in incoming[p]:
+                if is_chosen[ia]:
+                    step -= d
             total = cost + step
             if budget_cap is not None and total > budget_cap:
                 continue
@@ -128,23 +135,28 @@ def topk_options(
 
 
 def _run_search(
-    per_vote_options: list[list[tuple[tuple[int, ...], int]]],
+    per_vote_options: list[list[tuple]],
     width: int,
     m: int,
     preferred: int,
     unique: bool,
     budget: int | None,
-):
-    """Sort each vote's options by cost, flatten them, run the search."""
+) -> tuple[int, list[tuple]] | None:
+    """Sort each vote's ``(gains, cost, ...)`` options by cost, flatten them, run the search.
+
+    Returns the optimum and each vote's chosen option, or None.
+    """
     costs: list[int] = []
     gains: list[int] = []
     offsets = [0]
+    flat: list[tuple] = []
     for options in per_vote_options:
-        options.sort(key=lambda oc: oc[1])
+        options.sort(key=lambda option: option[1])
         offsets.append(offsets[-1] + len(options))
-        for cands, cost in options:
-            costs.append(cost)
-            gains.extend(cands)
+        flat.extend(options)
+        for option in options:
+            costs.append(option[1])
+            gains.extend(option[0])
 
     # looked up on the module per call, so a wrapper installed there sees it
     hit = _search.best_assignment(
@@ -153,7 +165,7 @@ def _run_search(
     if hit is None:
         return None
     cost, choices = hit
-    return cost, [choices[v] - offsets[v] for v in range(len(per_vote_options))]
+    return cost, [flat[i] for i in choices]
 
 
 def brute_topk(
@@ -176,12 +188,7 @@ def brute_topk(
     m = election.m
     rankings = election.expanded_list()
 
-    options = len(rankings) * comb(m, k)
-    if options > caps.topk_combinations:
-        raise ResourceCapError(
-            f"{len(rankings)} votes x C({m},{k}) = {options} options exceed cap "
-            f"{caps.topk_combinations}"
-        )
+    check_topk_cap(len(rankings), m, k, caps)
 
     scale, prices, budget = instance.integer_prices()
     budget_cap = budget if prune_to_budget else None
@@ -193,10 +200,9 @@ def brute_topk(
     )
     if hit is None:
         return SolveResult(False, None, None)
-    optimum, local = hit
+    optimum, chosen = hit
     targets = tuple(
-        move_to_top_target(r, frozenset(per_vote_options[v][i][0]))
-        for v, (r, i) in enumerate(zip(rankings, local))
+        move_to_top_target(r, frozenset(cands)) for r, (cands, _) in zip(rankings, chosen)
     )
     return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(targets))
 
@@ -240,20 +246,14 @@ def brute_rankings(
         hit = _brute_rankings_generic(instance, rankings, targets, per_vote_costs)
     else:
         per_vote_options = [
-            [(gains_of(t), cost) for t, cost in zip(targets, costs)]
-            for costs in per_vote_costs
-        ]
-        # Mirror of per_vote_options under the same stable sort by cost, so a
-        # local option index maps back to its target ranking.
-        per_vote_targets = [
-            [t for t, _ in sorted(zip(targets, costs), key=lambda tc: tc[1])]
+            [(gains_of(t), cost, t) for t, cost in zip(targets, costs)]
             for costs in per_vote_costs
         ]
         hit = _run_search(
             per_vote_options, width, m, instance.preferred, instance.unique_mode, None
         )
         if hit is not None:
-            hit = hit[0], [per_vote_targets[v][i] for v, i in enumerate(hit[1])]
+            hit = hit[0], [t for _, _, t in hit[1]]
     if hit is None:
         return SolveResult(False, None, None)
     optimum, chosen = hit

@@ -28,10 +28,6 @@ from .errors import AdmissibilityError, DomainError
 
 PairCosts = Mapping[tuple[int, int], Fraction]
 
-# Above this many candidates, re-baselining a dense cost table to its
-# cheapest pair is refused (it would materialize m^2 overrides).
-_MATERIALIZE_LIMIT = 192
-
 
 @dataclass(frozen=True)
 class Swap:
@@ -126,35 +122,6 @@ class SwapCostFunction:
             d == value and all(c == value for c in table.values())
             for d, table in zip(self._defaults, self._overrides)
         )
-
-    def lowered(self, vote: int, m: int) -> tuple[Fraction, dict[tuple[int, int], Fraction]]:
-        """Rewrite vote's table as (base, deltas) with base = cheapest pair price.
-
-        All deltas are >= 0, which downstream enumerations rely on for
-        monotone pruning. If the default is not already the minimum the
-        full pair table is materialized, so this is refused for large m.
-        """
-        default = self._defaults[vote]
-        table = self._overrides[vote]
-        if not table:
-            return default, {}
-        low = min(default, min(table.values()))
-        if low == default:
-            return default, {p: c - default for p, c in table.items() if c != default}
-        if m > _MATERIALIZE_LIMIT:
-            raise DomainError(
-                "cost table default is not minimal; refusing to materialize "
-                f"{m}x{m} pair costs"
-            )
-        deltas = {}
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
-                c = table.get((a, b), default)
-                if c != low:
-                    deltas[(a, b)] = c - low
-        return low, deltas
 
     def __eq__(self, other):
         if not isinstance(other, SwapCostFunction):

@@ -236,6 +236,18 @@ def test_color_trials_below_one_is_an_error(tmp_path, trials, capsys):
     assert capsys.readouterr() == ("", f"error: trials must be at least 1, not {trials}\n")
 
 
+@pytest.mark.parametrize("algorithm", ["brute", "color"])
+def test_too_many_options_is_an_error(tmp_path, algorithm, capsys):
+    path = tmp_path / "wide.sbe"
+    argv = ["generate", "random", "--m", "30", "--n", "2", "--k", "5", "--cost-model", "two:1:2:0.3"]
+    assert main(argv + ["--seed", "1", "--budget", "1000", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(path), "--algorithm", algorithm]) == 2
+    assert capsys.readouterr() == (
+        "", "error: 2 votes x C(30,5) = 285012 options exceed cap 50000\n"
+    )
+
+
 @pytest.mark.parametrize("rule", ["bucklin", "scoring 2,1,1,0,0"])
 def test_color_on_other_rules_is_an_error(tmp_path, rule, capsys):
     path = tmp_path / "other.sbe"

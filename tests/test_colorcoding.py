@@ -195,3 +195,12 @@ class TestSolve:
         assert len(list(successful_patterns(2, 2))) == 4
         with pytest.raises(ResourceCapError, match="node budget of 100$"):
             solve_color_coding(inst)
+
+
+def test_long_vote_with_a_default_above_its_cheapest_price():
+    election = Election(tuple(f"c{i}" for i in range(200)), (Vote(tuple(range(200))),))
+    # lifting c3 to the top costs 1 + 2 + 2
+    prices = SwapCostFunction([2], [{(0, 3): 1}])
+    for budget, decision in ((5, True), (4, False)):
+        inst = BriberyInstance(election, VotingRule.k_approval(1), 3, prices, Fraction(budget))
+        assert solve_color_coding(inst).decision is decision

@@ -183,6 +183,7 @@ partial 0 pair a b
         lambda t: t.replace("partials 1", "partials ³"),
         lambda t: t.replace("candidate 2 p", "candidate 5 p"),
         lambda t: t.replace("candidate 1 b", "candidate 0 b"),
+        lambda t: t + "partial 5 pair p a\n",
     ],
 )
 def test_bad_partial_files_rejected(mangle):

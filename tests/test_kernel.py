@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from swapbribery.core import Election, Vote, VotingRule, scores
+from swapbribery.core import CO_WINNER, UNIQUE_WINNER, Election, Vote, VotingRule, scores
 from swapbribery.errors import DomainError, PreconditionError
 from swapbribery.kernel import kernelize, relevant_candidates, truncation_kernel
 from swapbribery.oracle import brute_topk
@@ -124,22 +125,40 @@ class TestKernelize:
 
     def test_decision_equivalence_mixed_costs(self):
         rng = random.Random(7)
-        checked = 0
-        for _ in range(80):
-            inst = random_instance(
+        cases = [
+            random_instance(
                 rng,
                 m_max=6,
                 n_max=2,
                 cost_kind="geq-one",
                 budget_max=2,
+                mode=mode,
                 multiplicities=(1, 1, 2),
             )
+            for mode in (CO_WINNER, UNIQUE_WINNER)
+            for _ in range(80)
+        ]
+        # a lone 1-approval vote: p wins alone with one point, which a head
+        # dummy would tie
+        lone = plain_instance([(0, 1)], k=1, preferred=0, budget=0)
+        cases.append(replace(lone, mode=UNIQUE_WINNER))
+        # k + b > m cuts the windows short: p, firmly approved in the first
+        # vote, sits right below that vote's window in the kernel and must
+        # not climb into it for 2
+        clipped = BriberyInstance(
+            Election(("p", "a", "b", "c"), (Vote((0, 1, 2, 3)), Vote((1, 2, 3, 0)))),
+            VotingRule.k_approval(3),
+            0,
+            SwapCostFunction([1, 3], [{}, {}]),
+            Fraction(2),
+        )
+        cases += [clipped, replace(clipped, mode=UNIQUE_WINNER)]
+        for inst in cases:
             want = brute_topk(inst).decision
             out = kernelize(inst)
             got = brute_topk(out.instance, prune_to_budget=True).decision
             assert want == got, inst
-            checked += 1
-        assert checked == 80
+        assert brute_topk(lone).decision and not brute_topk(clipped).decision
 
     def test_candidates_outside_kernel_window_are_frozen(self):
         # With minimum cost 1, no candidate below position k'+beta of a
@@ -213,9 +232,10 @@ class TestTruncationKernel:
 
     def test_decision_equivalence(self):
         rng = random.Random(15)
-        for _ in range(60):
+        for i in range(120):
+            mode = CO_WINNER if i < 60 else UNIQUE_WINNER
             inst = random_instance(
-                rng, m_max=6, n_max=2, cost_kind="geq-one", budget_max=2
+                rng, m_max=6, n_max=2, cost_kind="geq-one", budget_max=2, mode=mode
             )
             want = brute_topk(inst).decision
             got = brute_topk(truncation_kernel(inst), prune_to_budget=True).decision

@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from swapbribery import _search
 from swapbribery.core import Election, Vote, VotingRule
 from swapbribery.errors import DomainError, ResourceCapError
-from swapbribery.oracle import OracleCaps, brute_rankings, brute_topk
-from swapbribery.swaps import BriberyInstance, SwapCostFunction, verify_bribery
+from swapbribery.oracle import OracleCaps, brute_rankings, brute_topk, topk_options
+from swapbribery.swaps import BriberyInstance, SwapCostFunction, move_to_top_cost, verify_bribery
 
-from conftest import P, random_instance, sample_election
+from conftest import P, random_costs, random_instance, sample_election
 
 
 def test_sample_instance_optimum_is_three(sample_instance):
@@ -75,6 +76,35 @@ def test_default_option_caps_refuse_before_building():
     inst = BriberyInstance(one_vote, VotingRule.k_approval(10), 19, SwapCostFunction.unit(1), Fraction(1))
     with pytest.raises(ResourceCapError, match="184756 options exceed cap 50000$"):
         brute_topk(inst)
+
+
+def test_topk_options_price_every_set_by_move_to_top_cost():
+    rng = random.Random(31)
+    above_cheapest = 0
+    for _ in range(60):
+        m = rng.randint(1, 7)
+        k = rng.randint(1, m)
+        ranking = tuple(rng.sample(range(m), m))
+        prices = random_costs(rng, m, 1, maximum=5, denominators=(1,)).scaled(1)
+        above_cheapest += prices.default(0) > prices.min_value()
+        want = {
+            frozenset(s): move_to_top_cost(ranking, s, k, prices, 0)
+            for s in combinations(range(m), k)
+        }
+        for cap in (None, rng.randint(0, 12), 0):
+            got = topk_options(ranking, k, prices, 0, cap)
+            assert len(got) == len({frozenset(c) for c, _ in got})
+            assert {frozenset(c): cost for c, cost in got} == {
+                s: cost for s, cost in want.items() if cap is None or cost <= cap
+            }
+    assert above_cheapest >= 20
+
+
+def test_topk_options_on_a_long_vote_with_a_default_above_its_cheapest_price():
+    # candidate 3 passes 0 at the override 1 and 1, 2 at the default 2
+    prices = SwapCostFunction([2], [{(0, 3): 1}]).scaled(1)
+    got = topk_options(tuple(range(200)), 1, prices, 0, 5)
+    assert got == [((0,), 0), ((1,), 2), ((2,), 4), ((3,), 5)]
 
 
 def _lift_the_cheapest(n: int) -> BriberyInstance:
