@@ -35,8 +35,8 @@ from .errors import ResourceCapError
 # perfbench reports this name as the search backend.
 BACKEND_NAME = "pure"
 
-# Node budget of this search and of the oracle's generic ranking search; read
-# at every call.
+# Node budget of this search and of the oracle's generic ranking search, which
+# counts the options it scores; read at every call.
 MAX_NODES = 10**6
 
 

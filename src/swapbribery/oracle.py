@@ -1,17 +1,20 @@
 """Brute-force exact solvers; ground truth for every other solver.
 
-Both oracles enumerate plainly and exist to be obviously correct. The
-k-approval and scoring searches run on ``swapbribery._search``, whose only
-cleverness is cutting branches that cannot hold a better winning leaf: by
-cost (the budget or the best total so far), by score (the leading rival
-already beats what the preferred candidate can still collect) and by
-symmetry (identical votes choose non-decreasing options). It returns the
-lexicographically first optimal choice vector with or without the cuts,
-so the optimum and the witness do not depend on them.
+Both oracles search depth-first and exist to be obviously correct: their
+only cleverness is cutting branches that cannot hold a better winning
+leaf. The k-approval and scoring searches run on ``swapbribery._search``,
+which cuts by cost (the budget or the best total so far), by score (the
+leading rival already beats what the preferred candidate can still
+collect) and by symmetry (identical votes choose non-decreasing options).
+Bucklin and scoring vectors of more than 64 points run on
+``_brute_rankings_generic``, which cuts by cost and by score. Each returns
+the first optimal choice vector in its order with or without the cuts, so
+the optimum and the witness do not depend on them.
 
 Nothing bounds the number of vote combinations up front. The number of
-options built is capped, and the search over them stops after
-``_search.MAX_NODES`` nodes with ``ResourceCapError``.
+options built is capped, and each search stops with ``ResourceCapError``
+once it has counted ``_search.MAX_NODES`` nodes: ``_search`` counts its
+nodes, the generic search the options it scores.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import permutations
 from math import comb, factorial
 
 from . import _search
-from .core import K_APPROVAL, Ranking
+from .core import BUCKLIN, K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .swaps import (
     Bribery,
@@ -266,11 +269,48 @@ def _brute_rankings_generic(
     targets: list[Ranking],
     per_vote_costs: list[list[int]],
 ) -> tuple[int, list[Ranking]] | None:
-    """Plain DFS with full winner evaluation at the leaves (Bucklin etc.).
+    """Depth-first search over target rankings, for Bucklin and scoring vectors past 64 points.
 
-    Returns the least winning cost and its targets, or None.
+    Votes take their targets in ascending cost order, and the best only moves
+    on a strict improvement, so the result is the first optimal vector in
+    that order. Two cuts keep it:
+
+    - **Cost cut.** As in ``_search.best_assignment``.
+    - **Score cut.** Tallies only grow. Under Bucklin, row ``d`` counts the
+      assigned votes that rank each candidate in their first ``d + 1``
+      places; the winning round comes no later than the first row in which
+      some candidate already has a majority. The preferred candidate can win
+      only at a row up to that one where its count plus the votes left
+      reaches a majority and no rival is past that sum (or at it, for a
+      unique winner). A scoring vector keeps one row of scores, and the
+      preferred candidate gains at most the top score per vote left.
+
+    Leaves are decided by ``instance.preferred_wins``. The node budget counts
+    the options that pass the cost cut. Returns the least winning cost and
+    its targets, or None.
     """
     n = len(rankings)
+    m = instance.election.m
+    rule = instance.rule
+    # column 0 of every row holds the preferred candidate
+    column = list(range(m))
+    column[0], column[instance.preferred] = instance.preferred, 0
+    if rule.kind == BUCKLIN:
+        rows, top_score, majority = m, 1, n // 2 + 1
+        touched = lambda t: [
+            (d * m + column[c], 1) for pos, c in enumerate(t) for d in range(pos, m)
+        ]
+    else:
+        rows, top_score, majority = 1, rule.vector[0], 0
+        touched = lambda t: [(column[c], s) for s, c in zip(rule.vector, t) if s]
+    # each target's (tally index, amount) pairs; targets share equal pairs,
+    # which keeps the m! lists small
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    increments = [[shared.setdefault(pair, pair) for pair in touched(t)] for t in targets]
+    tie = 0 if instance.unique_mode else 1
+    tallies = [0] * (rows * m)
+    bases = range(0, rows * m, m)
+
     order = [
         sorted(range(len(targets)), key=lambda j: per_vote_costs[v][j])
         for v in range(n)
@@ -287,20 +327,37 @@ def _brute_rankings_generic(
 
     def descend(v: int, acc: int):
         nonlocal best, best_targets, nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
         if v == n:
-            if (best is None or acc < best) and instance.preferred_wins(current):
+            # the cost and score cuts admit only leaves cheaper than the best
+            # so far that can still win
+            if instance.preferred_wins(current):
                 best = acc
                 best_targets = current.copy()
             return
+        # the most the preferred candidate still gains in any row
+        gain = (n - v - 1) * top_score
         for j in order[v]:
             cost = per_vote_costs[v][j]
             if best is not None and acc + cost + suffix_min[v + 1] >= best:
                 break
-            current[v] = targets[j]
-            descend(v + 1, acc + cost)
+            nodes += 1
+            if nodes > max_nodes:
+                raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
+            step = increments[j]
+            for i, s in step:
+                tallies[i] += s
+            # descend if some row up to the first with a majority can still be won
+            for base in bases:
+                reach = tallies[base] + gain
+                lead = max(tallies[base + 1 : base + m], default=-1)
+                if reach >= majority and lead < reach + tie:
+                    current[v] = targets[j]
+                    descend(v + 1, acc + cost)
+                    break
+                if lead >= majority or tallies[base] >= majority:
+                    break
+            for i, s in step:
+                tallies[i] -= s
         current[v] = rankings[v]
 
     descend(0, 0)

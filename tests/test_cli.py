@@ -223,6 +223,17 @@ def test_search_past_its_node_budget_is_an_error(sample_path, monkeypatch, capsy
     assert out == "" and err == "error: search exceeded its node budget of 1\n"
 
 
+def test_bucklin_proves_its_optimum_well_inside_the_node_budget(tmp_path, monkeypatch, capsys):
+    # Proving the optimum of 7 against a budget of 3 scores 4,260 options with
+    # the score cut; the cost cut alone lets 455k through.
+    monkeypatch.setattr(_search, "MAX_NODES", 10**4)
+    instance = gen_random(5, 5, 2, ("two-valued", 1, 2, 0.3), seed=2, rule=VotingRule.bucklin())
+    assert _solve_auto(tmp_path, instance, capsys) == (
+        1,
+        ["algorithm: brute", "decision: no", "cost: 7"],
+    )
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_color_trials_below_one_is_an_error(tmp_path, trials, capsys):
     # brute answers yes here; trying no coloring used to print "decision: no"

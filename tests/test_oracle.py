@@ -1,14 +1,23 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
+from math import lcm
 
 import pytest
 
 from swapbribery import _search
-from swapbribery.core import Election, Vote, VotingRule
+from swapbribery.core import UNIQUE_WINNER, Election, Vote, VotingRule, winners_of_rankings
 from swapbribery.errors import DomainError, ResourceCapError
 from swapbribery.oracle import OracleCaps, brute_rankings, brute_topk, topk_options
-from swapbribery.swaps import BriberyInstance, SwapCostFunction, move_to_top_cost, verify_bribery
+from swapbribery.reductions import gen_random
+from swapbribery.swaps import (
+    Bribery,
+    BriberyInstance,
+    SwapCostFunction,
+    move_to_top_cost,
+    transform_cost,
+    verify_bribery,
+)
 
 from conftest import P, random_costs, random_instance, sample_election
 
@@ -225,3 +234,88 @@ def test_rankings_supports_scoring_vectors():
     assert res.decision
     report = verify_bribery(inst, res.witness)
     assert report.is_solution and report.total_cost == res.optimal_cost
+
+
+def enumerate_rankings(instance):
+    """(decision, optimum, witness) by plain enumeration of every target ranking.
+
+    Each vote's targets are stably sorted by cost, the product is walked in
+    order and the first strictly cheaper winning vector is kept.
+    """
+    m = instance.election.m
+    per_vote = [
+        sorted(
+            ((transform_cost(r, t, instance.costs, v), t) for t in permutations(range(m))),
+            key=lambda option: option[0],
+        )
+        for v, r in enumerate(instance.election.expanded())
+    ]
+    # int sums keep the walk fast; the order of the costs is unchanged
+    scale = lcm(*(cost.denominator for options in per_vote for cost, _ in options))
+    per_vote = [[(int(cost * scale), t) for cost, t in options] for options in per_vote]
+    best = None
+    for choice in product(*per_vote):
+        cost = sum(c for c, _ in choice)
+        if best is not None and cost >= best[0]:
+            continue
+        targets = tuple(t for _, t in choice)
+        winning = winners_of_rankings(targets, m, instance.rule)
+        if winning == {instance.preferred} or (
+            instance.mode != UNIQUE_WINNER and instance.preferred in winning
+        ):
+            best = cost, targets
+    if best is None:
+        return False, None, None
+    optimum = Fraction(best[0], scale)
+    return optimum <= instance.budget, optimum, Bribery(best[1])
+
+
+PRICE_MODELS = (
+    "unit",
+    ("two-valued", 1, 2, 0.3),
+    ("uniform-range", 1, 3),
+    ("two-valued", Fraction(1, 3), Fraction(5, 7), 0.5),
+)
+
+
+def _with_runs(rng, m, weights, rule, mode):
+    """A random instance whose i-th vote, prices and all, is repeated ``weights[i]`` times."""
+    model = rng.choice(PRICE_MODELS)
+    base = gen_random(m, len(weights), 1, model, seed=rng.randrange(10**6), rule=rule, mode=mode)
+    votes = tuple(Vote(v.ranking, w) for v, w in zip(base.election.votes, weights))
+    copies = [i for i, w in enumerate(weights) for _ in range(w)]
+    costs = SwapCostFunction(
+        [base.costs.default(i) for i in copies], [base.costs.overrides(i) for i in copies]
+    )
+    budget = Fraction(rng.randint(0, 4 * len(copies)), rng.choice((1, 2, 3)))
+    election = Election(base.election.candidates, votes)
+    return BriberyInstance(election, rule, base.preferred, costs, budget, mode)
+
+
+def _generic_search_corpus():
+    """Bucklin at m <= 4 and n <= 4, and scoring vectors past 64 points, both modes."""
+    rng = random.Random(10)
+    for trial in range(160):
+        m = rng.randint(2, 4)
+        n = rng.randint(1, 4 if m < 4 else 3)
+        weights = []
+        while sum(weights) < n:
+            weights.append(rng.randint(1, n - sum(weights)))
+        rule = VotingRule.bucklin()
+        if trial % 4 == 3:
+            top = rng.choice(((65,), (100, 40)))
+            rule = VotingRule.scoring(top + (0,) * (m - len(top)))
+        yield _with_runs(rng, m, weights, rule, rng.choice(("co-winner", UNIQUE_WINNER)))
+    # the largest products: (4!)^4 leaves
+    for mode in ("co-winner", UNIQUE_WINNER):
+        yield _with_runs(rng, 4, [1, 1, 1, 1], VotingRule.bucklin(), mode)
+        yield _with_runs(rng, 4, [2, 2], VotingRule.scoring((100, 40, 0, 0)), mode)
+
+
+def test_rankings_search_matches_enumeration():
+    """Bucklin and scoring vectors past 64 points take the cost- and score-cut DFS."""
+    for instance in _generic_search_corpus():
+        result = brute_rankings(instance)
+        assert (result.decision, result.optimal_cost, result.witness) == enumerate_rankings(
+            instance
+        ), instance
