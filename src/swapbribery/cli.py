@@ -153,10 +153,8 @@ def _cmd_kernelize(args) -> int:
     instance = formats.parse_election(_read(args.instance))
     if args.simple:
         kernel = truncation_kernel(instance)
-        provenance = {
-            name: instance.election.index_of(name)
-            for name in kernel.election.candidates
-        }
+        index = {name: i for i, name in enumerate(instance.election.candidates)}
+        provenance = {name: index[name] for name in kernel.election.candidates}
         _write(args.out, formats.serialize_election(kernel))
     else:
         result = kernelize(instance)

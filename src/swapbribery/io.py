@@ -60,11 +60,8 @@ def parse_int(token: str, line: int, low: int | None = None) -> int:
 
 class _Lines:
     def __init__(self, text: str):
-        self.items = [
-            (no, raw.strip())
-            for no, raw in enumerate(text.splitlines(), start=1)
-            if raw.strip() and not raw.lstrip().startswith("#")
-        ]
+        stripped = ((no, raw.strip()) for no, raw in enumerate(text.splitlines(), start=1))
+        self.items = [(no, line) for no, line in stripped if line and line[0] != "#"]
         self.pos = 0
 
     def __iter__(self):
@@ -165,7 +162,10 @@ def parse_election(text: str) -> BriberyInstance:
             if idx in vote_rows:
                 raise ParseError(no, f"duplicate vote index {idx}")
             mult = parse_int(parts[3], no, low=1)
-            order = tuple(candidate_id(t, no) for t in parts[5:])
+            try:
+                order = tuple(map(name_to_index.__getitem__, parts[5:]))
+            except KeyError as exc:
+                raise ParseError(no, f"unknown candidate {exc.args[0]!r}") from None
             if m is None or len(order) != m or len(set(order)) != m:
                 raise ParseError(no, "vote order must list every candidate once")
             vote_rows[idx] = (mult, order)
@@ -315,7 +315,7 @@ def parse_solution(
         elif parts[0] == "target" and len(parts) >= 2:
             idx = parse_int(parts[1], no, low=0)
             try:
-                targets[idx] = tuple(names[t] for t in parts[2:])
+                targets[idx] = tuple(map(names.__getitem__, parts[2:]))
             except KeyError as exc:
                 raise ParseError(no, f"unknown candidate {exc.args[0]!r}") from None
         else:

@@ -100,15 +100,17 @@ def truncation_kernel(instance: BriberyInstance) -> BriberyInstance:
     for ranking in election.expanded():
         kept_set.update(ranking[: k + beta])
     kept = sorted(kept_set)
+    if len(kept) > (k + beta) * election.n_expanded + 1:
+        raise AssertionError("truncation kernel exceeds its candidate bound")
+    if len(kept) == election.m:
+        return instance  # identity renumbering, every override kept: a rebuild would equal it
     mapping = {orig: new for new, orig in enumerate(kept)}
 
     votes = tuple(
-        Vote(tuple(mapping[c] for c in v.ranking if c in kept_set), v.multiplicity)
+        Vote(tuple(map(mapping.__getitem__, filter(kept_set.__contains__, v.ranking))), v.multiplicity)
         for v in election.votes
     )
     kernel_election = Election(tuple(election.candidates[c] for c in kept), votes)
-    if len(kept) > (k + beta) * election.n_expanded + 1:
-        raise AssertionError("truncation kernel exceeds its candidate bound")
 
     return BriberyInstance(
         election=kernel_election,

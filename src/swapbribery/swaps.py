@@ -11,6 +11,7 @@ swapped exactly once).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -253,32 +254,14 @@ def bribery_swaps(instance: BriberyInstance, bribery: Bribery) -> list[Swap]:
     return swaps
 
 
-def _count_inversions(seq: list[int]) -> int:
-    """Number of out-of-order pairs, by merge counting."""
-    if len(seq) < 2:
-        return 0
-    work = list(seq)
-    buf = [0] * len(work)
+def _count_inversions(seq: Iterable[int]) -> int:
+    """Number of out-of-order pairs: each item counts the larger items before it."""
+    seen: list[int] = []
     total = 0
-    width = 1
-    n = len(work)
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if work[i] <= work[j]:
-                    buf[k] = work[i]
-                    i += 1
-                else:
-                    buf[k] = work[j]
-                    j += 1
-                    total += mid - i
-                k += 1
-            buf[k:hi] = work[i:mid] if i < mid else work[j:hi]
-            work[lo:hi] = buf[lo:hi]
-        width *= 2
+    for x in seq:
+        at = bisect_right(seen, x)
+        total += len(seen) - at
+        seen.insert(at, x)
     return total
 
 
@@ -288,25 +271,32 @@ def transform_cost(
     costs: SwapCostFunction,
     vote: int,
 ) -> Fraction:
-    """Minimum total swap cost converting ``ranking`` into ``target``."""
+    """Minimum total swap cost converting ``ranking`` into ``target``.
+
+    Only pairs inside the stretch where the two differ are priced: a
+    candidate of their common prefix or suffix keeps its position, so it
+    keeps its side of every other candidate.
+    """
     if ranking == target:
         return 0
-    if frozenset(ranking) != frozenset(target):
+    roster = frozenset(ranking)
+    if len(roster) != len(ranking) or len(target) != len(ranking) or frozenset(target) != roster:
         raise DomainError("rankings must permute the same candidates")
-    pos_target = {c: i for i, c in enumerate(target)}
-    inversions = _count_inversions([pos_target[c] for c in ranking])
+    lo, hi = 0, len(ranking)
+    while ranking[lo] == target[lo]:
+        lo += 1
+    while ranking[hi - 1] == target[hi - 1]:
+        hi -= 1
+    source = ranking[lo:hi]
+    pos_target = {c: i for i, c in enumerate(target[lo:hi])}
     default = costs.default(vote)
-    total = default * inversions
+    total = default * _count_inversions(map(pos_target.__getitem__, source))
     table = costs.overrides(vote)
     if table:
-        pos_src = {c: i for i, c in enumerate(ranking)}
+        pos_src = {c: i for i, c in enumerate(source)}
         for (a, b), value in table.items():
-            if value == default:
-                continue
             pa, pb = pos_src.get(a), pos_src.get(b)
-            if pa is None or pb is None:
-                continue
-            if pa < pb and pos_target[a] > pos_target[b]:
+            if pa is not None and pb is not None and pa < pb and pos_target[a] > pos_target[b]:
                 total += value - default
     return total
 

@@ -15,7 +15,13 @@ from swapbribery.cli import main
 from swapbribery.colorcoding import solve_color_coding
 from swapbribery.core import CO_WINNER, UNIQUE_WINNER, VotingRule
 from swapbribery.ilp import solve_ilp
-from swapbribery.io import format_fraction, parse_election, serialize_election
+from swapbribery.hardness import (
+    multicolored_clique_instance,
+    multicolored_clique_witness,
+    planted_multicolored_clique,
+)
+from swapbribery.io import format_fraction, parse_election, serialize_election, serialize_solution
+from swapbribery.kernel import truncation_kernel
 from swapbribery.oracle import OracleCaps, brute_rankings, brute_topk
 from swapbribery.reductions import gen_random
 from swapbribery.swaps import Bribery, SolveResult, verify_bribery
@@ -291,6 +297,91 @@ def test_kernelize_roundtrip(tmp_path, capsys):
     mapping = json.loads(prov.read_text())
     assert kernel.election.candidates[kernel.preferred] in mapping
     assert mapping[kernel.election.candidates[kernel.preferred]] == inst.preferred
+
+
+@pytest.mark.parametrize("classes", ["2,2", "3,3"])
+def test_gadget_pipeline_keeps_every_byte(tmp_path, capsys, classes):
+    """Every gadget candidate is relevant, so the kernel is the input itself."""
+    src = tmp_path / "gadget.sbe"
+    assert main(["generate", "clique-gadget", "--classes", classes, "--seed", "1", "--out", str(src)]) == 0
+    text = src.read_text()
+    inst = parse_election(text)
+    assert serialize_election(inst) == text
+    assert truncation_kernel(inst) is inst
+
+    out = tmp_path / "kernel.sbe"
+    assert main(["kernelize", str(src), "--out", str(out)]) == 0
+    assert out.read_bytes() == src.read_bytes()
+
+    graph, planted = planted_multicolored_clique([int(c) for c in classes.split(",")], seed=1)
+    _, layout = multicolored_clique_instance(graph)
+    witness = multicolored_clique_witness(inst, layout, planted)
+    sol = tmp_path / "planted.sbs"
+    sol.write_text(serialize_solution(inst, True, layout.budget, witness, solver="planted"))
+    capsys.readouterr()
+    assert main(["verify", str(src), str(sol)]) == 0
+    assert capsys.readouterr().out == (
+        "stated cost: 48\nchecked cost: 48\npreferred wins: yes\nsolution valid: yes\n"
+    )
+
+
+# Truncation drops c2, c3 and c6 here, and with them every override that
+# names one of them; the kept overrides are renumbered.
+TRUNCATED_IN = """\
+sbe 1
+candidates 7
+candidate 0 c0
+candidate 1 c1
+candidate 2 c2
+candidate 3 c3
+candidate 4 c4
+candidate 5 c5
+candidate 6 c6
+rule k-approval 1
+budget 1
+preferred c0
+mode co-winner
+vote 0 multiplicity 1 order c1 c0 c6 c2 c4 c5 c3
+vote 1 multiplicity 1 order c5 c4 c0 c1 c2 c6 c3
+costs 0 pair c0 c1 2
+costs 0 pair c1 c0 1
+costs 0 pair c0 c3 2
+costs 0 pair c3 c0 1
+costs 0 pair c4 c5 2
+costs 0 pair c5 c4 1
+costs 1 pair c4 c2 2
+costs 1 pair c2 c4 1
+"""
+TRUNCATED_OUT = """\
+sbe 1
+candidates 4
+candidate 0 c0
+candidate 1 c1
+candidate 2 c4
+candidate 3 c5
+rule k-approval 1
+budget 1
+preferred c0
+mode co-winner
+vote 0 multiplicity 1 order c1 c0 c4 c5
+vote 1 multiplicity 1 order c5 c4 c0 c1
+costs 0 pair c0 c1 2
+costs 0 pair c1 c0 1
+costs 0 pair c4 c5 2
+costs 0 pair c5 c4 1
+"""
+
+
+@pytest.mark.parametrize("simple", [[], ["--simple"]])
+def test_truncation_that_drops_candidates_keeps_its_kernel(tmp_path, simple):
+    inst = gen_random(7, 2, 1, cost_model=("two-valued", 1, 2, 0.08), seed=1, budget=1)
+    assert serialize_election(inst) == TRUNCATED_IN
+    src = tmp_path / "in.sbe"
+    src.write_text(TRUNCATED_IN)
+    out, prov = tmp_path / "kernel.sbe", tmp_path / "kernel.json"
+    assert main(["kernelize", str(src), *simple, "--out", str(out), "--provenance", str(prov)]) == 0
+    assert out.read_text() == TRUNCATED_OUT
+    assert prov.read_text() == '{\n  "c0": 0,\n  "c1": 1,\n  "c4": 4,\n  "c5": 5\n}\n'
 
 
 def test_generate_and_solve_random(tmp_path):

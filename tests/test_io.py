@@ -94,6 +94,22 @@ def test_bad_files_rejected(mangle):
         parse_election(mangle(MINIMAL))
 
 
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda t: t.replace("order a p", "order a q"), "unknown candidate 'q'"),
+        (lambda t: t.replace("order a p", "order q a"), "unknown candidate 'q'"),
+        (lambda t: t.replace("order a p", "order a a"), "vote order must list every candidate once"),
+        (lambda t: t.replace("order a p", "order a p a"), "vote order must list every candidate once"),
+    ],
+)
+def test_bad_vote_line_names_its_line(mangle, message):
+    with pytest.raises(ParseError) as info:
+        parse_election(mangle(MINIMAL))
+    assert info.value.line == 8
+    assert str(info.value) == f"line 8: {message}"
+
+
 def test_round_trip_on_generated_corpus():
     for seed in range(25):
         for model in ("unit", ("two-valued", 1, 2, 0.4), ("uniform-range", 1, 3)):
@@ -160,6 +176,18 @@ def test_solution_rejects_bad_target_index(sample_instance, target):
     )
     with pytest.raises(ParseError):
         parse_solution(text.replace("target 0", f"target {target}"), sample_instance)
+
+
+def test_solution_rejects_unknown_target_candidate(sample_instance):
+    res = brute_topk(sample_instance)
+    text = serialize_solution(
+        sample_instance, res.decision, res.optimal_cost, res.witness, "brute"
+    )
+    assert text.splitlines()[5] == "target 1 c1 p c2 c3 c4"
+    with pytest.raises(ParseError) as info:
+        parse_solution(text.replace("target 1 c1 p", "target 1 c1 zz"), sample_instance)
+    assert info.value.line == 6
+    assert str(info.value) == "line 6: unknown candidate 'zz'"
 
 
 PARTIAL = """\

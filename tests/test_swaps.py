@@ -10,7 +10,9 @@ from swapbribery.swaps import (
     Bribery,
     BriberyInstance,
     SwapCostFunction,
+    _count_inversions,
     apply_swaps,
+    inverted_pairs,
     move_to_top_cost,
     move_to_top_target,
     transform_cost,
@@ -123,6 +125,13 @@ class TestTransformCost:
         with pytest.raises(DomainError):
             transform_cost((0, 1), (0, 2), unit(), 0)
 
+    @pytest.mark.parametrize(
+        "ranking, target", [((0, 1, 1), (0, 1)), ((1, 0), (1, 0, 0)), ((0, 0, 1), (0, 1, 1))]
+    )
+    def test_rejects_repeated_candidates(self, ranking, target):
+        with pytest.raises(DomainError):
+            transform_cost(ranking, target, unit(), 0)
+
 
 class TestMoveToTop:
     def test_current_top_set_is_free(self):
@@ -173,6 +182,55 @@ def test_transform_cost_small_rankings_match_oracle(data):
     }
     costs = SwapCostFunction([Fraction(1)], [table])
     assert transform_cost(v, w, costs, 0) == swap_graph_shortest_path(v, w, costs, 0)
+
+
+def test_count_inversions_matches_pair_count():
+    rng = random.Random(5)
+    seqs = [[], [3], [1, 2], [2, 1], [4, 4]]
+    for n in range(41):
+        seqs.append(rng.sample(range(n), n))
+        seqs.append([rng.randrange(8) for _ in range(n)])  # with repeats
+    for seq in seqs:
+        pairs = sum(seq[i] > seq[j] for i in range(len(seq)) for j in range(i + 1, len(seq)))
+        assert _count_inversions(seq) == pairs, seq
+
+
+def _local_bribe(rng: random.Random, ranking: tuple, where: str) -> tuple:
+    """A few moves of 1-6 positions near the head, the middle or the tail."""
+    m = len(ranking)
+    if where == "reversal":
+        return ranking[::-1]
+    target = list(ranking)
+    for _ in range(rng.randint(1, 3)):
+        i = {"head": rng.randrange(6), "middle": m // 2 + rng.randint(-5, 5), "tail": m - 1 - rng.randrange(6)}[where]
+        j = min(m - 1, max(0, i + rng.choice((-1, 1)) * rng.randint(1, 6)))
+        target.insert(j, target.pop(i))
+    return tuple(target)
+
+
+def test_transform_cost_on_local_bribes_matches_the_definition():
+    """Pricing the differing stretch alone equals pricing every flipped pair."""
+    rng = random.Random(17)
+    for trial in range(48):
+        m = rng.randint(50, 300)
+        ranking = tuple(rng.sample(range(m), m))
+        target = _local_bribe(rng, ranking, ("head", "middle", "tail", "reversal")[trial % 4])
+        diff = [i for i in range(m) if ranking[i] != target[i]] or [0]
+        lo, hi = diff[0], diff[-1] + 1
+        inside = ranking[lo:hi]
+        outside = ranking[:lo] + ranking[hi:] or inside
+        edges = [ranking[i] for i in (lo - 1, lo, hi - 1, hi) if 0 <= i < m]
+        pairs = [tuple(rng.sample(inside, 2)) for _ in range(3) if len(inside) > 1]
+        pairs += [tuple(rng.sample(outside, 2)) for _ in range(3) if len(outside) > 1]
+        pairs += [(a, b) for a in edges for b in edges if a != b]  # straddling the stretch's edges
+        default = Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2)))
+        table = {p: rng.choice((Fraction(0), default, default + 1, Fraction(1, 3))) for p in pairs}
+        costs = SwapCostFunction([default], [table])
+        want = sum((costs.cost(0, a, b) for a, b in inverted_pairs(ranking, target)), Fraction(0))
+        assert transform_cost(ranking, target, costs, 0) == want, (trial, lo, hi)
+        assert transform_cost(target, ranking, costs, 0) == sum(
+            (costs.cost(0, a, b) for a, b in inverted_pairs(target, ranking)), Fraction(0)
+        )
 
 
 class TestVerifyBribery:
