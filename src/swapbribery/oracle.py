@@ -1,20 +1,18 @@
 """Brute-force exact solvers; ground truth for every other solver.
 
-Both oracles search depth-first and exist to be obviously correct: their
-only cleverness is cutting branches that cannot hold a better winning
-leaf. The k-approval and scoring searches run on ``swapbribery._search``,
-which cuts by cost (the budget or the best total so far), by score (the
-leading rival already beats what the preferred candidate can still
-collect) and by symmetry (identical votes choose non-decreasing options).
-Bucklin and scoring vectors of more than 64 points run on
-``_brute_rankings_generic``, which cuts by cost and by score. Each returns
-the first optimal choice vector in its order with or without the cuts, so
-the optimum and the witness do not depend on them.
+Both oracles exist to be obviously correct. They build each vote's options
+(top-k sets or target rankings) with their costs and hand them to one
+depth-first search, ``swapbribery._search.best_assignment``, whose only
+cleverness is cutting branches that cannot hold a better winning leaf: by
+cost (the budget or the best total so far), by score (the leading rival
+already beats what the preferred candidate can still collect, round by
+round under Bucklin) and by symmetry (identical votes choose non-decreasing
+options). It returns the first optimal choice vector in its order with or
+without the cuts, so the optimum and the witness do not depend on them.
 
 Nothing bounds the number of vote combinations up front. The number of
-options built is capped, and each search stops with ``ResourceCapError``
-once it has counted ``_search.MAX_NODES`` nodes: ``_search`` counts its
-nodes, the generic search the options it scores.
+options built is capped, and the search stops with ``ResourceCapError``
+once it has scanned ``_search.MAX_NODES`` options that pass its cost cut.
 """
 
 from __future__ import annotations
@@ -139,36 +137,42 @@ def topk_options(
 
 def _run_search(
     per_vote_options: list[list[tuple]],
-    width: int,
+    rows: int,
     m: int,
-    preferred: int,
     unique: bool,
     budget: int | None,
-) -> tuple[int, list[tuple]] | None:
-    """Sort each vote's ``(gains, cost, ...)`` options by cost, flatten them, run the search.
+) -> tuple[int, list] | None:
+    """Sort each vote's ``(increments, cost, payload)`` options by cost, flatten them, run the search.
 
-    Returns the optimum and each vote's chosen option, or None.
+    Returns the optimum and each vote's chosen payload, or None.
     """
     costs: list[int] = []
-    gains: list[int] = []
+    increments: list[list[tuple[int, int]]] = []
     offsets = [0]
-    flat: list[tuple] = []
+    payloads: list = []
     for options in per_vote_options:
         options.sort(key=lambda option: option[1])
         offsets.append(offsets[-1] + len(options))
-        flat.extend(options)
-        for option in options:
-            costs.append(option[1])
-            gains.extend(option[0])
+        for step, cost, payload in options:
+            increments.append(step)
+            costs.append(cost)
+            payloads.append(payload)
 
     # looked up on the module per call, so a wrapper installed there sees it
     hit = _search.best_assignment(
-        offsets, gains, width, costs, m, preferred, unique, -1 if budget is None else budget
+        offsets, increments, costs, rows, m, unique, -1 if budget is None else budget
     )
     if hit is None:
         return None
     cost, choices = hit
-    return cost, [flat[i] for i in choices]
+    return cost, [payloads[i] for i in choices]
+
+
+def _columns(m: int, preferred: int) -> list[int]:
+    """Each candidate's tally column: the search keeps the preferred candidate in column 0."""
+    column = list(range(m))
+    column[0], column[preferred] = preferred, 0
+    return column
 
 
 def brute_topk(
@@ -195,17 +199,20 @@ def brute_topk(
 
     scale, prices, budget = instance.integer_prices()
     budget_cap = budget if prune_to_budget else None
+    pairs = [(c, 1) for c in _columns(m, instance.preferred)]
     per_vote_options = [
-        topk_options(r, k, prices, idx, budget_cap) for idx, r in enumerate(rankings)
+        [
+            (tuple(map(pairs.__getitem__, cands)), cost, cands)
+            for cands, cost in topk_options(r, k, prices, idx, budget_cap)
+        ]
+        for idx, r in enumerate(rankings)
     ]
-    hit = _run_search(
-        per_vote_options, k, m, instance.preferred, instance.unique_mode, budget_cap
-    )
+    hit = _run_search(per_vote_options, 1, m, instance.unique_mode, budget_cap)
     if hit is None:
         return SolveResult(False, None, None)
     optimum, chosen = hit
     targets = tuple(
-        move_to_top_target(r, frozenset(cands)) for r, (cands, _) in zip(rankings, chosen)
+        move_to_top_target(r, frozenset(cands)) for r, cands in zip(rankings, chosen)
     )
     return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(targets))
 
@@ -234,131 +241,25 @@ def brute_rankings(
     ]
 
     rule = instance.rule
-    if rule.kind == K_APPROVAL:
-        width = rule.k
-        gains_of = lambda t: t[: rule.k]
-    elif rule.kind == "scoring" and sum(rule.vector) <= 64:
-        width = sum(rule.vector)
-        gains_of = lambda t: tuple(
-            c for pos, c in enumerate(t) for _ in range(rule.vector[pos])
-        )
-    else:
-        gains_of = None
-
-    if gains_of is None:
-        hit = _brute_rankings_generic(instance, rankings, targets, per_vote_costs)
-    else:
-        per_vote_options = [
-            [(gains_of(t), cost, t) for t, cost in zip(targets, costs)]
-            for costs in per_vote_costs
-        ]
-        hit = _run_search(
-            per_vote_options, width, m, instance.preferred, instance.unique_mode, None
-        )
-        if hit is not None:
-            hit = hit[0], [t for _, _, t in hit[1]]
-    if hit is None:
-        return SolveResult(False, None, None)
-    optimum, chosen = hit
-    return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(tuple(chosen)))
-
-
-def _brute_rankings_generic(
-    instance: BriberyInstance,
-    rankings: list[Ranking],
-    targets: list[Ranking],
-    per_vote_costs: list[list[int]],
-) -> tuple[int, list[Ranking]] | None:
-    """Depth-first search over target rankings, for Bucklin and scoring vectors past 64 points.
-
-    Votes take their targets in ascending cost order, and the best only moves
-    on a strict improvement, so the result is the first optimal vector in
-    that order. Two cuts keep it:
-
-    - **Cost cut.** As in ``_search.best_assignment``.
-    - **Score cut.** Tallies only grow. Under Bucklin, row ``d`` counts the
-      assigned votes that rank each candidate in their first ``d + 1``
-      places; the winning round comes no later than the first row in which
-      some candidate already has a majority. The preferred candidate can win
-      only at a row up to that one where its count plus the votes left
-      reaches a majority and no rival is past that sum (or at it, for a
-      unique winner). A scoring vector keeps one row of scores, and the
-      preferred candidate gains at most the top score per vote left.
-
-    Leaves are decided by ``instance.preferred_wins``. The node budget counts
-    the options that pass the cost cut. Returns the least winning cost and
-    its targets, or None.
-    """
-    n = len(rankings)
-    m = instance.election.m
-    rule = instance.rule
-    # column 0 of every row holds the preferred candidate
-    column = list(range(m))
-    column[0], column[instance.preferred] = instance.preferred, 0
+    column = _columns(m, instance.preferred)
     if rule.kind == BUCKLIN:
-        rows, top_score, majority = m, 1, n // 2 + 1
+        rows = m
         touched = lambda t: [
             (d * m + column[c], 1) for pos, c in enumerate(t) for d in range(pos, m)
         ]
     else:
-        rows, top_score, majority = 1, rule.vector[0], 0
-        touched = lambda t: [(column[c], s) for s, c in zip(rule.vector, t) if s]
-    # each target's (tally index, amount) pairs; targets share equal pairs,
-    # which keeps the m! lists small
+        rows = 1
+        points = (1,) * rule.k if rule.kind == K_APPROVAL else rule.vector
+        touched = lambda t: [(column[c], s) for s, c in zip(points, t) if s]
+    # each target's increments; targets share equal pairs, which keeps the m!
+    # lists small
     shared: dict[tuple[int, int], tuple[int, int]] = {}
     increments = [[shared.setdefault(pair, pair) for pair in touched(t)] for t in targets]
-    tie = 0 if instance.unique_mode else 1
-    tallies = [0] * (rows * m)
-    bases = range(0, rows * m, m)
-
-    order = [
-        sorted(range(len(targets)), key=lambda j: per_vote_costs[v][j])
-        for v in range(n)
+    per_vote_options = [
+        list(zip(increments, costs, targets)) for costs in per_vote_costs
     ]
-    suffix_min = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        suffix_min[v] = suffix_min[v + 1] + per_vote_costs[v][order[v][0]]
-
-    best: int | None = None
-    best_targets: list[Ranking] | None = None
-    current: list[Ranking] = [rankings[v] for v in range(n)]
-    max_nodes = _search.MAX_NODES
-    nodes = 0
-
-    def descend(v: int, acc: int):
-        nonlocal best, best_targets, nodes
-        if v == n:
-            # the cost and score cuts admit only leaves cheaper than the best
-            # so far that can still win
-            if instance.preferred_wins(current):
-                best = acc
-                best_targets = current.copy()
-            return
-        # the most the preferred candidate still gains in any row
-        gain = (n - v - 1) * top_score
-        for j in order[v]:
-            cost = per_vote_costs[v][j]
-            if best is not None and acc + cost + suffix_min[v + 1] >= best:
-                break
-            nodes += 1
-            if nodes > max_nodes:
-                raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
-            step = increments[j]
-            for i, s in step:
-                tallies[i] += s
-            # descend if some row up to the first with a majority can still be won
-            for base in bases:
-                reach = tallies[base] + gain
-                lead = max(tallies[base + 1 : base + m], default=-1)
-                if reach >= majority and lead < reach + tie:
-                    current[v] = targets[j]
-                    descend(v + 1, acc + cost)
-                    break
-                if lead >= majority or tallies[base] >= majority:
-                    break
-            for i, s in step:
-                tallies[i] -= s
-        current[v] = rankings[v]
-
-    descend(0, 0)
-    return None if best is None else (best, best_targets)
+    hit = _run_search(per_vote_options, rows, m, instance.unique_mode, None)
+    if hit is None:
+        return SolveResult(False, None, None)
+    optimum, chosen = hit
+    return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(tuple(chosen)))

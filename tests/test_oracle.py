@@ -144,6 +144,36 @@ def test_search_stops_at_its_node_budget(sample_instance, monkeypatch):
         brute_rankings(bucklin)
 
 
+def _preferred_last(m, n, rule, budget):
+    """One vote of multiplicity n ranking the preferred candidate last, unit prices, unique winner."""
+    election = Election(tuple(f"c{i}" for i in range(m)), (Vote(tuple(range(m)), n),))
+    prices = SwapCostFunction.unit(n)
+    return BriberyInstance(election, rule, m - 1, prices, Fraction(budget), UNIQUE_WINNER)
+
+
+def test_node_budget_counts_the_options_scanned(monkeypatch):
+    # all six options pass the cost cut; the last, the dearest, lifts p to the top
+    instance = _preferred_last(6, 1, VotingRule.k_approval(1), 5)
+    monkeypatch.setattr(_search, "MAX_NODES", 5)
+    with pytest.raises(ResourceCapError, match="node budget of 5$"):
+        brute_topk(instance)
+    monkeypatch.setattr(_search, "MAX_NODES", 6)
+    result = brute_topk(instance)
+    assert (result.decision, result.optimal_cost) == (True, 5)
+
+
+@pytest.mark.parametrize("m, n, nodes", [(4, 6, 2 * 10**4), (5, 5, 10**5)])
+def test_bucklin_identical_votes_take_the_symmetry_cut(monkeypatch, m, n, nodes):
+    # Without the cut, every ordering of the same targets over the n copies
+    # is scanned: 567,410 options at m=4 and 984,867 at m=5.
+    monkeypatch.setattr(_search, "MAX_NODES", nodes)
+    instance = _preferred_last(m, n, VotingRule.bucklin(), 0)
+    result = brute_rankings(instance)
+    assert (result.decision, result.optimal_cost) == (False, 12)
+    report = verify_bribery(instance, result.witness)
+    assert report.preferred_wins and report.total_cost == 12
+
+
 def test_witness_always_verifies():
     rng = random.Random(17)
     for _ in range(40):
@@ -292,7 +322,7 @@ def _with_runs(rng, m, weights, rule, mode):
     return BriberyInstance(election, rule, base.preferred, costs, budget, mode)
 
 
-def _generic_search_corpus():
+def _rankings_search_corpus():
     """Bucklin at m <= 4 and n <= 4, and scoring vectors past 64 points, both modes."""
     rng = random.Random(10)
     for trial in range(160):
@@ -313,8 +343,8 @@ def _generic_search_corpus():
 
 
 def test_rankings_search_matches_enumeration():
-    """Bucklin and scoring vectors past 64 points take the cost- and score-cut DFS."""
-    for instance in _generic_search_corpus():
+    """Bucklin, and scoring vectors past 64 points, give what plain enumeration gives."""
+    for instance in _rankings_search_corpus():
         result = brute_rankings(instance)
         assert (result.decision, result.optimal_cost, result.witness) == enumerate_rankings(
             instance
