@@ -11,6 +11,7 @@ cost on a yes. On a no it is the proven optimum, which only ``brute`` and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -277,7 +278,12 @@ def _cmd_bench(args) -> int:
     return YES
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls.
+
+    Parsing keeps no state in it: each ``parse_args`` starts a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="swapbribery",
         description="solver workbench for swap bribery under k-approval, scoring and Bucklin rules",

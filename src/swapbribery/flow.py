@@ -8,6 +8,11 @@ corresponding demotion/promotion. A flow of full value |V|k and cost <= b
 exists exactly when some bribery of cost <= b gives the preferred
 candidate score s* and everyone else at most s*. ``solve_unit`` bisects
 over s* instead of trying every score, so it runs O(log |V|) flows.
+
+``min_cost_max_flow`` is the primal-dual form of successive shortest
+paths: one Dijkstra per distinct shortest-path length, after which every
+path of that length is pushed at once by blocking flows, instead of one
+Dijkstra per unit of flow.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import K_APPROVAL, Ranking
 from .errors import DomainError, PreconditionError
@@ -22,8 +28,7 @@ from .swaps import Bribery, BriberyInstance, SolveResult, SwapCostFunction
 from . import swaps as _swaps
 
 
-@dataclass(frozen=True)
-class FlowArc:
+class FlowArc(NamedTuple):
     tail: int
     head: int
     capacity: int
@@ -40,14 +45,14 @@ class FlowNetwork:
     sink: int
 
     def __post_init__(self):
-        for arc in self.arcs:
-            if arc.capacity < 0:
+        for tail, head, capacity, cost in self.arcs:
+            if capacity < 0:
                 raise DomainError("arc capacities must be non-negative")
-            if arc.cost < 0:
+            if cost < 0:
                 raise DomainError("arc costs must be non-negative")
-            if arc.head == self.source:
+            if head == self.source:
                 raise DomainError("source must have no incoming arcs")
-            if arc.tail == self.sink:
+            if tail == self.sink:
                 raise DomainError("sink must have no outgoing arcs")
 
 
@@ -59,11 +64,16 @@ class FlowResult:
 
 
 def min_cost_max_flow(network: FlowNetwork) -> FlowResult:
-    """Maximum flow of minimum cost, by successive shortest augmenting paths.
+    """Maximum flow of minimum cost, by the primal-dual successive shortest paths.
 
-    Costs are non-negative, so Dijkstra with node potentials applies and
-    the returned flow is integral. Arithmetic stays in the arcs' own cost
-    type: native ints for int costs, exact rationals for ``Fraction`` ones.
+    Each round runs one Dijkstra with node potentials (costs are
+    non-negative, so reduced costs stay non-negative), then saturates every
+    shortest path at once: Dinic blocking flows over the residual arcs of
+    reduced cost 0, until none of them leads to the sink. So a flow costs
+    one Dijkstra per distinct shortest-path length, not one per unit. BFS
+    levels keep zero-cost cycles from looping the search, and the returned
+    flow is integral. Arithmetic stays in the arcs' own cost type: native
+    ints for int costs, exact rationals for ``Fraction`` ones.
     """
     n = len(network.node_names)
     to: list[int] = []
@@ -71,15 +81,13 @@ def min_cost_max_flow(network: FlowNetwork) -> FlowResult:
     cost: list[int | Fraction] = []
     adj: list[list[int]] = [[] for _ in range(n)]
 
-    for arc in network.arcs:
-        adj[arc.tail].append(len(to))
-        to.append(arc.head)
-        cap.append(arc.capacity)
-        cost.append(arc.cost)
-        adj[arc.head].append(len(to))
-        to.append(arc.tail)
-        cap.append(0)
-        cost.append(-arc.cost)
+    for tail, head, capacity, arc_cost in network.arcs:
+        eid = len(to)
+        adj[tail].append(eid)
+        adj[head].append(eid + 1)
+        to += (head, tail)
+        cap += (capacity, 0)
+        cost += (arc_cost, -arc_cost)
 
     potential: list[int | Fraction] = [0] * n
     source, sink = network.source, network.sink
@@ -89,7 +97,6 @@ def min_cost_max_flow(network: FlowNetwork) -> FlowResult:
 
     while True:
         dist: list[int | Fraction | None] = [None] * n
-        parent_edge = [-1] * n
         dist[source] = 0
         heap = [(0, source)]
         while heap:
@@ -105,32 +112,86 @@ def min_cost_max_flow(network: FlowNetwork) -> FlowResult:
                 old = dist[other]
                 if old is None or nd < old:
                     dist[other] = nd
-                    parent_edge[other] = eid
                     heappush(heap, (nd, other))
         if dist[sink] is None:
             break
-        for node in range(n):
-            if dist[node] is not None:
-                potential[node] += dist[node]
+        # Nodes left unreached stay so: no residual arc leads into them.
+        for node, d in enumerate(dist):
+            if d is not None:
+                potential[node] += d
 
-        bottleneck = None
-        node = sink
-        while node != source:
-            eid = parent_edge[node]
-            if bottleneck is None or cap[eid] < bottleneck:
-                bottleneck = cap[eid]
-            node = to[eid ^ 1]
-        node = sink
-        while node != source:
-            eid = parent_edge[node]
-            cap[eid] -= bottleneck
-            cap[eid ^ 1] += bottleneck
-            total += bottleneck * cost[eid]
-            node = to[eid ^ 1]
-        value += bottleneck
+        pushed = _blocking_flows(adj, to, cap, cost, potential, source, sink)
+        # Reduced costs sum to 0 along each path pushed, so each costs
+        # potential[sink] - potential[source], and potential[source] is 0.
+        value += pushed
+        total += pushed * potential[sink]
 
-    flows = tuple(cap[2 * i + 1] for i in range(len(network.arcs)))
+    flows = tuple(cap[1::2])
     return FlowResult(value=value, cost=total, arc_flows=flows)
+
+
+def _blocking_flows(adj, to, cap, cost, potential, source, sink) -> int:
+    """Push flow along residual arcs of reduced cost 0 until none reaches the sink.
+
+    Dinic's method on that subgraph: each phase levels it by BFS, keeps the
+    arcs that go one level down, and augments along them with a current-arc
+    pointer per node. Returns the flow pushed.
+    """
+    n = len(adj)
+    pushed = 0
+    while True:
+        level = [-1] * n
+        level[source] = 0
+        forward: list[list[int]] = [[] for _ in range(n)]
+        queue = [source]
+        for node in queue:
+            here = level[node]
+            if here == level[sink]:
+                break  # queue is in level order: no shorter path is left
+            below = here + 1
+            reach = potential[node]
+            out = forward[node]
+            for eid in adj[node]:
+                if cap[eid] == 0:
+                    continue
+                other = to[eid]
+                if cost[eid] + reach == potential[other]:
+                    seen = level[other]
+                    if seen < 0:
+                        level[other] = below
+                        queue.append(other)
+                        out.append(eid)
+                    elif seen == below:
+                        out.append(eid)
+        if level[sink] < 0:
+            return pushed
+
+        pointer = [0] * n
+        path: list[int] = []
+        node = source
+        while True:
+            out = forward[node]
+            i = pointer[node]
+            while i < len(out) and cap[out[i]] == 0:
+                i += 1
+            pointer[node] = i
+            if i == len(out):  # dead end: retreat and skip the arc that led here
+                if node == source:
+                    break
+                node = to[path.pop() ^ 1]
+                pointer[node] += 1
+                continue
+            eid = out[i]
+            path.append(eid)
+            node = to[eid]
+            if node == sink:
+                bottleneck = min(cap[eid] for eid in path)
+                for eid in path:
+                    cap[eid] -= bottleneck
+                    cap[eid ^ 1] += bottleneck
+                pushed += bottleneck
+                path.clear()
+                node = source
 
 
 # Node ids of a transfer network: s, t and x, then one ``a`` node per

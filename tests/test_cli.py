@@ -2,7 +2,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -75,6 +78,57 @@ def test_solve_reports_errors(tmp_path, capsys):
     path.write_text("nonsense\n")
     assert main(["solve", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FRESH = "import sys; from swapbribery.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _in_process(argv, capsys):
+    """Exit code, stdout and stderr of one ``main`` call in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _in_fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_calls_in_one_process_answer_as_in_fresh_ones(sample_path, tmp_path, capsys):
+    # main reuses one parser; no call may see the options of the one before.
+    solution = tmp_path / "sol.sbs"
+    solve = ["solve", str(sample_path)]
+    random_color = [*solve, "--algorithm", "color", "--color-mode", "random"]
+    calls = [
+        [*solve, "--algorithm", "brute"],
+        solve,
+        [*random_color, "--trials", "0"],
+        random_color,
+        [*solve, "--algorithm", "nope"],
+        solve,
+        [*solve, "--seed", "5", "--solution", str(solution)],
+        [*solve, "--solution", str(solution)],
+    ]
+    seen = []
+    for argv in calls:
+        solution.unlink(missing_ok=True)
+        here = _in_process(argv, capsys), solution.read_text() if solution.exists() else None
+        solution.unlink(missing_ok=True)
+        fresh = _in_fresh_process(argv), solution.read_text() if solution.exists() else None
+        assert here == fresh, argv
+        seen.append(here)
+    assert seen[1][0][1].startswith("algorithm: flow\n")
+    assert seen[2][0][0] == 2 and seen[3][0][0] == 0
+    assert seen[4][0][0] == 2 and seen[5][0] == seen[1][0]
+    assert "config seed 5" in seen[6][1] and "config seed 0" in seen[7][1]
 
 
 TWO = ("two-valued", 1, 2, 0.3)

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -26,6 +27,103 @@ from swapbribery.swaps import (
 )
 
 from conftest import SAMPLE_U, SAMPLE_V, random_instance, sample_election
+
+
+def _one_path_per_dijkstra(network):
+    """Reference for min_cost_max_flow: one Dijkstra per augmenting path.
+
+    Successive shortest paths in their plain form, (value, cost, arc flows).
+    """
+    n = len(network.node_names)
+    to, cap, cost = [], [], []
+    adj = [[] for _ in range(n)]
+    for arc in network.arcs:
+        adj[arc.tail].append(len(to))
+        to.append(arc.head)
+        cap.append(arc.capacity)
+        cost.append(arc.cost)
+        adj[arc.head].append(len(to))
+        to.append(arc.tail)
+        cap.append(0)
+        cost.append(-arc.cost)
+
+    potential = [0] * n
+    source, sink = network.source, network.sink
+    value, total = 0, 0
+    while True:
+        dist = [None] * n
+        parent_edge = [-1] * n
+        dist[source] = 0
+        heap = [(0, source)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue
+            for eid in adj[node]:
+                if cap[eid] == 0:
+                    continue
+                other = to[eid]
+                nd = d + potential[node] + cost[eid] - potential[other]
+                if dist[other] is None or nd < dist[other]:
+                    dist[other] = nd
+                    parent_edge[other] = eid
+                    heapq.heappush(heap, (nd, other))
+        if dist[sink] is None:
+            break
+        for node in range(n):
+            if dist[node] is not None:
+                potential[node] += dist[node]
+        path = []
+        node = sink
+        while node != source:
+            path.append(parent_edge[node])
+            node = to[parent_edge[node] ^ 1]
+        bottleneck = min(cap[eid] for eid in path)
+        for eid in path:
+            cap[eid] -= bottleneck
+            cap[eid ^ 1] += bottleneck
+            total += bottleneck * cost[eid]
+        value += bottleneck
+    return value, total, tuple(cap[1::2])
+
+
+def _random_network(rng):
+    """A small network with parallel and antiparallel arcs and zero-cost cycles.
+
+    Node 0 is the source, node 1 the sink; some draws leave the sink unreachable.
+    """
+    n_mid = rng.randint(0, 5)
+    n = 2 + n_mid
+    inner = list(range(2, n))
+    fractional = rng.random() < 0.5
+    zero = Fraction(0) if fractional else 0
+
+    def price():
+        if rng.random() < 0.3:
+            return zero
+        if fractional:
+            return Fraction(rng.randint(0, 6), rng.choice((1, 2, 3, 5)))
+        return rng.randint(0, 4)
+
+    arcs = []
+    for _ in range(rng.randint(0, 3 * n)):
+        tail = rng.choice([0, *inner])
+        head = rng.choice([1, *inner])
+        if tail != head:
+            arcs.append(FlowArc(tail, head, rng.randint(0, 3), price()))
+    if len(inner) >= 2 and rng.random() < 0.5:  # a zero-cost cycle, both ways round
+        cycle = rng.sample(inner, rng.randint(2, len(inner)))
+        for tail, head in zip(cycle, cycle[1:] + cycle[:1]):
+            arcs.append(FlowArc(tail, head, rng.randint(1, 3), zero))
+            arcs.append(FlowArc(head, tail, rng.randint(1, 3), zero))
+    if arcs and rng.random() < 0.3:  # a parallel twin of some arc
+        twin = rng.choice(arcs)
+        arcs.append(FlowArc(twin.tail, twin.head, rng.randint(0, 3), price()))
+    if rng.random() < 0.1:  # nothing enters the sink
+        arcs = [arc for arc in arcs if arc.head != 1]
+    rng.shuffle(arcs)
+    names = tuple(["s", "t"] + [f"v{i}" for i in inner])
+    return FlowNetwork(names, tuple(arcs), 0, 1)
 
 
 class TestEngine:
@@ -99,6 +197,31 @@ class TestEngine:
         res = min_cost_max_flow(net)
         assert res.value == 2
         assert res.cost == Fraction(11, 6) and isinstance(res.cost, Fraction)
+
+    def test_matches_one_path_per_dijkstra(self):
+        # Same value and cost as the plain loop; the flow itself may be
+        # another optimum, so it is checked on its own terms.
+        rng = random.Random(2029)
+        kinds = {int: 0, Fraction: 0}
+        unreachable = 0
+        for _ in range(3000):
+            net = _random_network(rng)
+            value, cost, _ = _one_path_per_dijkstra(net)
+            res = min_cost_max_flow(net)
+            assert (res.value, res.cost) == (value, cost)
+            assert type(res.cost) is type(cost)
+            balance = [0] * len(net.node_names)
+            for arc, flow in zip(net.arcs, res.arc_flows):
+                assert 0 <= flow <= arc.capacity
+                balance[arc.tail] -= flow
+                balance[arc.head] += flow
+            assert balance[2:] == [0] * (len(balance) - 2)
+            assert balance[1] == -balance[0] == res.value
+            assert sum(flow * arc.cost for arc, flow in zip(net.arcs, res.arc_flows)) == res.cost
+            if net.arcs:
+                kinds[type(net.arcs[0].cost)] += 1
+            unreachable += value == 0
+        assert min(kinds.values()) > 1000 and unreachable > 300
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(DomainError):

@@ -12,6 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from swapbribery import flow
+from swapbribery.flow import build_transfer_network
+from swapbribery.io import parse_election
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
@@ -40,6 +44,23 @@ preferred p
 mode unique-winner
 vote 0 multiplicity 1 order a p
 costs 0 default 1
+"""
+
+# Unit prices, 1-approval, three votes: the flow solver tries s* = 3, 2 and 1,
+# and s* = 1 leaves the rivals' two approvals nowhere to go.
+UNIT = """\
+sbe 1
+candidates 3
+candidate 0 a
+candidate 1 b
+candidate 2 p
+rule k-approval 1
+budget 3
+preferred p
+mode unique-winner
+vote 0 multiplicity 1 order a b p
+vote 1 multiplicity 1 order a p b
+vote 2 multiplicity 1 order b a p
 """
 
 BUCKLIN = """\
@@ -85,3 +106,20 @@ def test_tracer_sees_the_bucklin_search(tmp_path):
     path = tmp_path / "bucklin.sbe"
     path.write_text(BUCKLIN)
     assert _traced(path, "brute", "search.calls", "oracle.options") == [0, 1, 2 * 6]
+
+
+def test_tracer_sees_every_flow_and_its_arcs(tmp_path, monkeypatch):
+    path = tmp_path / "unit.sbe"
+    path.write_text(UNIT)
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(build_transfer_network(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(flow, "build_transfer_network", recorded)
+    assert flow.solve_unit(parse_election(UNIT)).optimal_cost == 3
+    arcs = sum(len(network.arcs) for network in built)
+    assert len(built) == 3
+    # tracing._flow reads network.arcs, each arc's .tail and .capacity, and the result's value.
+    assert _traced(path, "flow", "flow.flows_run", "flow.full_value", "flow.arcs") == [0, 3, 2, arcs]
