@@ -36,9 +36,14 @@ ascending cost per vote.
 The search gives up with ``ResourceCapError`` once it has scanned more than
 ``MAX_NODES`` options that pass the cost cut: a count, not a clock, so it
 stops at the same point on any machine and its answers are reproducible.
+It also gives up, through ``depth_capped``, when it recurses once per vote
+past Python's recursion limit.
 """
 
 from __future__ import annotations
+
+import sys
+from contextlib import contextmanager
 
 from .errors import ResourceCapError
 
@@ -47,6 +52,21 @@ BACKEND_NAME = "pure"
 
 # Node budget of this search, counted in options scanned; read at every call.
 MAX_NODES = 10**6
+
+
+@contextmanager
+def depth_capped():
+    """Report a walk that recurses past Python's recursion limit as ``ResourceCapError``.
+
+    The exact walks recurse once per vote, variable or approved position, so
+    the depth they reach is that count plus the caller's own stack.
+    """
+    try:
+        yield
+    except RecursionError:
+        raise ResourceCapError(
+            f"search nests deeper than Python's recursion limit of {sys.getrecursionlimit()}"
+        ) from None
 
 
 def best_assignment(
@@ -161,7 +181,8 @@ def best_assignment(
                 tallies[i] -= a
 
     # every rival starts at 0; with no rival (m == 1) every leaf must pass
-    descend(0, 0, [0 if m > 1 else -1] * rows + [0])
+    with depth_capped():
+        descend(0, 0, [0 if m > 1 else -1] * rows + [0])
     if best_choice is None:
         return None
     return int(best), best_choice

@@ -29,7 +29,7 @@ from .hardness import (
     single_vote_clique_instance,
 )
 from .ilp import solve_ilp
-from .kernel import kernelize, truncation_kernel
+from .kernel import kernelize, truncation_kernel, truncation_provenance
 from .oracle import brute_topk, brute_rankings
 from .reductions import gen_random, pw_to_sb, sb_to_pw
 from .swaps import SolveResult, verify_bribery
@@ -38,14 +38,17 @@ YES, NO, ERROR = 0, 1, 2
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise SwapBriberyError(f"{path} is not UTF-8 text") from None
 
 
 def _write(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _resolve(instance, algorithm: str) -> str:
@@ -154,17 +157,13 @@ def _cmd_kernelize(args) -> int:
     instance = formats.parse_election(_read(args.instance))
     if args.simple:
         kernel = truncation_kernel(instance)
-        index = {name: i for i, name in enumerate(instance.election.candidates)}
-        provenance = {name: index[name] for name in kernel.election.candidates}
-        _write(args.out, formats.serialize_election(kernel))
+        origins = truncation_provenance(instance, kernel)
     else:
         result = kernelize(instance)
-        provenance = {
-            result.instance.election.candidates[i]: orig
-            for i, orig in enumerate(result.provenance)
-        }
-        _write(args.out, formats.serialize_election(result.instance))
+        kernel, origins = result.instance, result.provenance
+    _write(args.out, formats.serialize_election(kernel))
     if args.provenance:
+        provenance = dict(zip(kernel.election.candidates, origins))
         _write(args.provenance, json.dumps(provenance, indent=2) + "\n")
     return YES
 

@@ -78,7 +78,8 @@ def successful_patterns(n: int, k: int, strict: bool = False) -> Iterator[Electi
             for c in part:
                 counts[c] -= 1
 
-    return grow(0, 1, 0)
+    with _search.depth_capped():
+        yield from grow(0, 1, 0)
 
 
 def solve_color_coding(

@@ -18,13 +18,13 @@ Dijkstra per unit of flow.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
 from .core import K_APPROVAL, Ranking
 from .errors import DomainError, PreconditionError
-from .swaps import Bribery, BriberyInstance, SolveResult, SwapCostFunction
+from .swaps import Bribery, BriberyInstance, SolveResult, SwapCostFunction, move_to_top_target
 from . import swaps as _swaps
 
 
@@ -270,36 +270,18 @@ def _extract_targets(
 ) -> tuple[Ranking, ...]:
     """Turn a full-value flow into per-vote target rankings.
 
-    Candidates rerouted away move just below position k, candidates routed
-    in take positions k down to k-h+1; both blocks keep the original
-    relative order (any fixed order realizes the same cost).
+    Each vote approves the candidates whose ``ap[v,c] -> b[c]`` arc carries
+    flow; its target moves that set to the top, which costs exactly the
+    rank gaps the flow paid.
     """
     m = len(rankings[0])
     ap0, b0 = _blocks(len(rankings), m, k)
-    moved_out: list[set[int]] = [set() for _ in rankings]
-    moved_in: list[set[int]] = [set() for _ in rankings]
-    for arc, flow in zip(network.arcs, result.arc_flows):
-        if flow == 0 or not (_A0 <= arc.tail < ap0 and ap0 <= arc.head < b0):
-            continue
-        v, i = divmod(arc.tail - _A0, k)
-        c = rankings[v][i]
-        c2 = (arc.head - ap0) % m
-        if c != c2:
-            moved_out[v].add(c)
-            moved_in[v].add(c2)
-
-    targets = []
-    for v, ranking in enumerate(rankings):
-        outs, ins = moved_out[v], moved_in[v]
-        if not outs:
-            targets.append(ranking)
-            continue
-        top_keep = [c for c in ranking[:k] if c not in outs]
-        in_block = [c for c in ranking if c in ins]
-        out_block = [c for c in ranking if c in outs]
-        rest = [c for c in ranking[k:] if c not in ins]
-        targets.append(tuple(top_keep + in_block + out_block + rest))
-    return tuple(targets)
+    approved: list[set[int]] = [set() for _ in rankings]
+    for (tail, _, _, _), flow in zip(network.arcs, result.arc_flows):
+        if flow and ap0 <= tail < b0:  # every arc out of an ap node enters b
+            v, c = divmod(tail - ap0, m)
+            approved[v].add(c)
+    return tuple(map(move_to_top_target, rankings, approved))
 
 
 def solve_unit(instance: BriberyInstance) -> SolveResult:
@@ -321,12 +303,7 @@ def solve_unit(instance: BriberyInstance) -> SolveResult:
     if not instance.costs.is_uniform(1):
         raise PreconditionError("flow solver requires every swap cost to equal 1")
 
-    election = instance.election
-    if election.m == 1:
-        witness = Bribery.identity(election)
-        return SolveResult(True, Fraction(0), witness)
-
-    rankings = election.expanded_list()
+    rankings = instance.election.expanded_list()
     k = instance.rule.k
     n_votes = len(rankings)
     flows: dict[int, tuple[FlowNetwork, FlowResult] | None] = {}
@@ -375,14 +352,7 @@ def approx_within_range(
     if instance.costs.min_value() < 1 or instance.costs.max_value() > delta:
         raise PreconditionError(f"every swap cost must lie within [1, {delta}]")
 
-    unit_twin = BriberyInstance(
-        election=instance.election,
-        rule=instance.rule,
-        preferred=instance.preferred,
-        costs=SwapCostFunction.unit(instance.election.n_expanded),
-        budget=instance.budget,
-        mode=instance.mode,
-    )
+    unit_twin = replace(instance, costs=SwapCostFunction.unit(instance.election.n_expanded))
     solved = solve_unit(unit_twin)
     if solved.witness is None:
         return None

@@ -77,12 +77,10 @@ class GadgetLayout:
     """Bookkeeping of a multicolored-clique instance.
 
     ``votes`` maps a gadget key to the expanded vote indices it occupies;
-    chain keys list their votes in relay order. ``candidate`` maps
-    display names to candidate indices.
+    chain keys list their votes in relay order.
     """
 
     votes: dict[tuple, tuple[int, ...]]
-    candidate: dict[str, int]
     base_score: int  # the common score level K
     budget: Fraction
 
@@ -394,7 +392,6 @@ def multicolored_clique_instance(
     )
     layout = GadgetLayout(
         votes=layout_votes,
-        candidate=dict(index),
         base_score=base_score,
         budget=Fraction(budget),
     )

@@ -283,8 +283,9 @@ def ilp_feasible(ilp: TransformationIlp) -> dict[tuple[int, int], int] | None:
         values[v] = 0
         return False
 
-    if not descend(0, 0, 0):
-        return None
+    with _search.depth_capped():
+        if not descend(0, 0, 0):
+            return None
     return {var: values[v] for v, var in enumerate(ilp.variables)}
 
 

@@ -99,73 +99,92 @@ def _rule_text(rule: VotingRule) -> str:
     return "scoring " + ",".join(str(s) for s in rule.vector)
 
 
+def _candidate_ids(index: dict[str, int], tokens: list[str], line: int) -> tuple[int, ...]:
+    """The ids of candidate names, through ``index``."""
+    try:
+        return tuple(map(index.__getitem__, tokens))
+    except KeyError as exc:
+        raise ParseError(line, f"unknown candidate {exc.args[0]!r}") from None
+
+
+class _Header:
+    """The ``candidates``, ``candidate``, ``rule`` and ``preferred`` lines
+    that election and partial-vote files share."""
+
+    def __init__(self):
+        self.m: int | None = None
+        self.names: dict[int, str] = {}
+        self.index: dict[str, int] = {}
+        self.rule: VotingRule | None = None
+        self.preferred: int | None = None
+
+    def read(self, parts: list[str], no: int) -> bool:
+        """Take one header line; False when its key is not a header key."""
+        key = parts[0]
+        if key == "candidates":
+            if self.m is not None or len(parts) != 2:
+                raise ParseError(no, "usage: candidates <m> (once)")
+            self.m = parse_int(parts[1], no, low=1)
+        elif key == "candidate":
+            if self.m is None or len(parts) != 3:
+                raise ParseError(no, "usage: candidate <index> <name>")
+            idx, name = parse_int(parts[1], no), parts[2]
+            if idx in self.names or not 0 <= idx < self.m:
+                raise ParseError(no, f"bad or duplicate candidate index {idx}")
+            if name in self.index:
+                raise ParseError(no, f"duplicate candidate name {name!r}")
+            self.names[idx] = name
+            self.index[name] = idx
+        elif key == "rule":
+            self.rule = _parse_rule(parts[1:], no)
+        elif key == "preferred":
+            if len(parts) != 2:
+                raise ParseError(no, "usage: preferred <name>")
+            (self.preferred,) = _candidate_ids(self.index, parts[1:], no)
+        else:
+            return False
+        return True
+
+    def roster(self) -> tuple[str, ...]:
+        if self.m is None or len(self.names) != self.m:
+            raise ParseError(1, "candidate count and candidate lines disagree")
+        return tuple(self.names[i] for i in range(self.m))
+
+
+def _roster_lines(candidates: tuple[str, ...]) -> list[str]:
+    out = [f"candidates {len(candidates)}"]
+    for idx, name in enumerate(candidates):
+        if any(ch.isspace() for ch in name):
+            raise DomainError(f"candidate name {name!r} is not serializable")
+        out.append(f"candidate {idx} {name}")
+    return out
+
+
 def parse_election(text: str) -> BriberyInstance:
     """Parse the election file format into a bribery instance."""
     lines = _Lines(text)
     lines.expect_magic(ELECTION_MAGIC)
 
-    m = None
-    names: dict[int, str] = {}
-    rule = None
+    header = _Header()
+    index = header.index
     budget = None
-    preferred = None
     mode = CO_WINNER
     vote_rows: dict[int, tuple[int, tuple[int, ...]]] = {}
     cost_defaults: dict[int, Fraction] = {}
     cost_pairs: dict[int, dict[tuple[int, int], Fraction]] = {}
-    name_to_index: dict[str, int] = {}
-
-    def candidate_id(token: str, line: int) -> int:
-        if token not in name_to_index:
-            raise ParseError(line, f"unknown candidate {token!r}")
-        return name_to_index[token]
 
     for no, raw in lines:
         parts = raw.split()
         key = parts[0]
-        if key == "candidates":
-            if m is not None or len(parts) != 2:
-                raise ParseError(no, "usage: candidates <m> (once)")
-            m = parse_int(parts[1], no, low=1)
-        elif key == "candidate":
-            if m is None or len(parts) != 3:
-                raise ParseError(no, "usage: candidate <index> <name>")
-            idx, name = parse_int(parts[1], no), parts[2]
-            if idx in names or not 0 <= idx < m:
-                raise ParseError(no, f"bad or duplicate candidate index {idx}")
-            if name in name_to_index:
-                raise ParseError(no, f"duplicate candidate name {name!r}")
-            names[idx] = name
-            name_to_index[name] = idx
-        elif key == "rule":
-            rule = _parse_rule(parts[1:], no)
-        elif key == "budget":
-            if len(parts) != 2:
-                raise ParseError(no, "usage: budget <p[/q]>")
-            budget = parse_fraction(parts[1], no)
-        elif key == "preferred":
-            if len(parts) != 2:
-                raise ParseError(no, "usage: preferred <name>")
-            preferred = candidate_id(parts[1], no)
-        elif key == "mode":
-            if len(parts) != 2 or parts[1] not in (CO_WINNER, UNIQUE_WINNER):
-                raise ParseError(no, "usage: mode co-winner|unique-winner")
-            mode = parts[1]
-        elif key == "vote":
-            if (
-                len(parts) < 6
-                or parts[2] != "multiplicity"
-                or parts[4] != "order"
-            ):
+        if key == "vote":
+            if len(parts) < 6 or parts[2] != "multiplicity" or parts[4] != "order":
                 raise ParseError(no, "usage: vote <i> multiplicity <w> order <names...>")
             idx = parse_int(parts[1], no, low=0)
             if idx in vote_rows:
                 raise ParseError(no, f"duplicate vote index {idx}")
             mult = parse_int(parts[3], no, low=1)
-            try:
-                order = tuple(map(name_to_index.__getitem__, parts[5:]))
-            except KeyError as exc:
-                raise ParseError(no, f"unknown candidate {exc.args[0]!r}") from None
+            order = _candidate_ids(index, parts[5:], no)
+            m = header.m
             if m is None or len(order) != m or len(set(order)) != m:
                 raise ParseError(no, "vote order must list every candidate once")
             vote_rows[idx] = (mult, order)
@@ -176,15 +195,23 @@ def parse_election(text: str) -> BriberyInstance:
             if parts[2] == "default" and len(parts) == 4:
                 cost_defaults[idx] = parse_fraction(parts[3], no)
             elif parts[2] == "pair" and len(parts) == 6:
-                a, b = candidate_id(parts[3], no), candidate_id(parts[4], no)
-                cost_pairs.setdefault(idx, {})[(a, b)] = parse_fraction(parts[5], no)
+                pair = _candidate_ids(index, parts[3:5], no)
+                cost_pairs.setdefault(idx, {})[pair] = parse_fraction(parts[5], no)
             else:
                 raise ParseError(no, "usage: costs <i> default <v> | costs <i> pair <a> <b> <v>")
-        else:
+        elif key == "budget":
+            if len(parts) != 2:
+                raise ParseError(no, "usage: budget <p[/q]>")
+            budget = parse_fraction(parts[1], no)
+        elif key == "mode":
+            if len(parts) != 2 or parts[1] not in (CO_WINNER, UNIQUE_WINNER):
+                raise ParseError(no, "usage: mode co-winner|unique-winner")
+            mode = parts[1]
+        elif not header.read(parts, no):
             raise ParseError(no, f"unknown key {key!r}")
 
-    if m is None or len(names) != m:
-        raise ParseError(1, "candidate count and candidate lines disagree")
+    candidates = header.roster()
+    rule, preferred = header.rule, header.preferred
     if rule is None or budget is None or preferred is None:
         raise ParseError(1, "rule, budget and preferred are required")
     if sorted(vote_rows) != list(range(len(vote_rows))) or not vote_rows:
@@ -207,7 +234,7 @@ def parse_election(text: str) -> BriberyInstance:
         overrides.extend([table] * vote.multiplicity)
 
     try:
-        election = Election(tuple(names[i] for i in range(m)), votes)
+        election = Election(candidates, votes)
         return BriberyInstance(
             election=election,
             rule=rule,
@@ -224,11 +251,7 @@ def serialize_election(instance: BriberyInstance) -> str:
     """Inverse of parse_election on its image; splits vote objects whose
     expanded copies ended up with diverging cost tables."""
     election = instance.election
-    out = [ELECTION_MAGIC, f"candidates {election.m}"]
-    for idx, name in enumerate(election.candidates):
-        if any(ch.isspace() for ch in name):
-            raise DomainError(f"candidate name {name!r} is not serializable")
-        out.append(f"candidate {idx} {name}")
+    out = [ELECTION_MAGIC, *_roster_lines(election.candidates)]
     out.append("rule " + _rule_text(instance.rule))
     out.append(f"budget {format_fraction(instance.budget)}")
     out.append(f"preferred {election.candidates[instance.preferred]}")
@@ -314,10 +337,7 @@ def parse_solution(
             config[parts[1]] = " ".join(parts[2:])
         elif parts[0] == "target" and len(parts) >= 2:
             idx = parse_int(parts[1], no, low=0)
-            try:
-                targets[idx] = tuple(map(names.__getitem__, parts[2:]))
-            except KeyError as exc:
-                raise ParseError(no, f"unknown candidate {exc.args[0]!r}") from None
+            targets[idx] = _candidate_ids(names, parts[2:], no)
         else:
             raise ParseError(no, f"unknown key {parts[0]!r}")
     if decision is None:
@@ -331,9 +351,7 @@ def parse_solution(
 
 
 def serialize_partial(pw: PossibleWinnerInstance) -> str:
-    out = [PARTIAL_MAGIC, f"candidates {len(pw.candidates)}"]
-    for idx, name in enumerate(pw.candidates):
-        out.append(f"candidate {idx} {name}")
+    out = [PARTIAL_MAGIC, *_roster_lines(pw.candidates)]
     out.append("rule " + _rule_text(pw.rule))
     out.append(f"preferred {pw.candidates[pw.preferred]}")
     out.append(f"partials {len(pw.votes)}")
@@ -346,53 +364,28 @@ def serialize_partial(pw: PossibleWinnerInstance) -> str:
 def parse_partial(text: str) -> PossibleWinnerInstance:
     lines = _Lines(text)
     lines.expect_magic(PARTIAL_MAGIC)
-    m = None
-    names: dict[int, str] = {}
-    name_to_index: dict[str, int] = {}
-    rule = None
-    preferred = None
+    header = _Header()
     n_votes = None
     pairs: dict[int, set[tuple[int, int]]] = {}
     for no, raw in lines:
         parts = raw.split()
-        if parts[0] == "candidates" and len(parts) == 2:
-            m = parse_int(parts[1], no, low=1)
-        elif parts[0] == "candidate" and len(parts) == 3:
-            idx, name = parse_int(parts[1], no), parts[2]
-            if m is None or idx in names or not 0 <= idx < m:
-                raise ParseError(no, f"bad or duplicate candidate index {idx}")
-            names[idx] = name
-            name_to_index[name] = idx
-        elif parts[0] == "rule":
-            rule = _parse_rule(parts[1:], no)
-        elif parts[0] == "preferred" and len(parts) == 2:
-            preferred = name_to_index.get(parts[1])
-            if preferred is None:
-                raise ParseError(no, f"unknown candidate {parts[1]!r}")
-        elif parts[0] == "partials" and len(parts) == 2:
+        if parts[0] == "partials" and len(parts) == 2:
             n_votes = parse_int(parts[1], no, low=0)
         elif parts[0] == "partial" and len(parts) == 5 and parts[2] == "pair":
             idx = parse_int(parts[1], no, low=0)
             if n_votes is None or idx >= n_votes:
                 raise ParseError(no, f"partial vote {idx} outside partials {n_votes}")
-            try:
-                a, b = name_to_index[parts[3]], name_to_index[parts[4]]
-            except KeyError as exc:
-                raise ParseError(no, f"unknown candidate {exc.args[0]!r}") from None
-            pairs.setdefault(idx, set()).add((a, b))
-        else:
+            pairs.setdefault(idx, set()).add(_candidate_ids(header.index, parts[3:], no))
+        elif not header.read(parts, no):
             raise ParseError(no, f"unknown key {parts[0]!r}")
-    if m is None or len(names) != m or rule is None or preferred is None or n_votes is None:
+    candidates = header.roster()
+    if header.rule is None or header.preferred is None or n_votes is None:
         raise ParseError(1, "incomplete partial-vote file")
-    votes = tuple(
-        PartialVote(m, frozenset(pairs.get(i, set()))) for i in range(n_votes)
-    )
-    return PossibleWinnerInstance(
-        candidates=tuple(names[i] for i in range(m)),
-        votes=votes,
-        rule=rule,
-        preferred=preferred,
-    )
+    try:
+        votes = tuple(PartialVote(len(candidates), frozenset(pairs.get(i, ()))) for i in range(n_votes))
+        return PossibleWinnerInstance(candidates, votes, header.rule, header.preferred)
+    except DomainError as exc:
+        raise ParseError(1, str(exc)) from None
 
 
 def parse_graph(text: str) -> Graph | ColoredGraph:
@@ -412,7 +405,12 @@ def parse_graph(text: str) -> Graph | ColoredGraph:
     for no, raw in rows[1:]:
         parts = raw.split()
         if parts[0] == "color" and len(parts) == 3:
-            colors[parse_int(parts[1], no)] = parse_int(parts[2], no)
+            v = parse_int(parts[1], no)
+            if not 0 <= v < n:
+                raise ParseError(no, f"vertex {v} outside 0..{n - 1}")
+            if v in colors:
+                raise ParseError(no, f"vertex {v} colored twice")
+            colors[v] = parse_int(parts[2], no)
         elif len(parts) == 2:
             u, v = parse_int(parts[0], no), parse_int(parts[1], no)
             edges.add((min(u, v), max(u, v)))

@@ -40,8 +40,6 @@ class KernelOutput:
     """A kernel instance plus bookkeeping tying it back to the original."""
 
     instance: BriberyInstance
-    relevant: frozenset[int]  # original indices of window candidates
-    c_star: int | None  # original index of the strongest outside rival
     dummies: frozenset[int]  # kernel indices of dummy candidates
     provenance: tuple[int | None, ...]  # kernel index -> original index
 
@@ -120,6 +118,12 @@ def truncation_kernel(instance: BriberyInstance) -> BriberyInstance:
         budget=instance.budget,
         mode=instance.mode,
     )
+
+
+def truncation_provenance(instance: BriberyInstance, kernel: BriberyInstance) -> tuple[int, ...]:
+    """Original index of each candidate of ``truncation_kernel(instance)``, found by name."""
+    index = {name: i for i, name in enumerate(instance.election.candidates)}
+    return tuple(index[name] for name in kernel.election.candidates)
 
 
 def kernelize(instance: BriberyInstance) -> KernelOutput:
@@ -207,8 +211,6 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
     provenance = tuple(kept) + (None,) * (m_kernel - len(kept))
     return KernelOutput(
         instance=kernel,
-        relevant=relevant,
-        c_star=c_star,
         dummies=frozenset(range(len(kept), m_kernel)),
         provenance=provenance,
     )
@@ -223,14 +225,5 @@ def _check_kernel_bounds(n_votes: int, m_kernel: int, n: int, beta: int) -> None
 def _kernelize_by_truncation(instance: BriberyInstance, beta: int) -> KernelOutput:
     """Fallback when the window construction does not apply: the truncation kernel, repackaged."""
     kernel = truncation_kernel(instance)
-    kept_names = kernel.election.candidates
-    orig = {name: idx for idx, name in enumerate(instance.election.candidates)}
-    provenance = tuple(orig[name] for name in kept_names)
     _check_kernel_bounds(kernel.election.n_expanded, kernel.election.m, instance.election.n_expanded, beta)
-    return KernelOutput(
-        instance=kernel,
-        relevant=relevant_candidates(instance),
-        c_star=None,
-        dummies=frozenset(),
-        provenance=provenance,
-    )
+    return KernelOutput(kernel, frozenset(), truncation_provenance(instance, kernel))

@@ -131,7 +131,8 @@ def topk_options(
             is_chosen[p] = False
             chosen.pop()
 
-    descend(0, 0)
+    with _search.depth_capped():
+        descend(0, 0)
     return out
 
 

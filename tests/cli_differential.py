@@ -1,0 +1,157 @@
+"""Seeded command-line differential between two source trees.
+
+    python tests/cli_differential.py OLD_SRC NEW_SRC WORKDIR
+
+Generates a seeded corpus with OLD_SRC's ``generate``, then runs the same
+command lines through ``cli.main`` of each tree, one process per tree, and
+compares exit code, stdout, stderr and every file a call writes. Covered:
+``solve`` with every algorithm and ``--solution``, ``verify`` of each
+solution, ``kernelize`` with and without ``--simple`` and ``--provenance``,
+``export-network`` for every s* from 0 to n + 1, ``reduce`` both ways,
+and gadget ``generate`` and ``kernelize``. Prints each call that differs
+and the counts; exits 1 when any call differs beyond its stderr.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+RUNNER = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from swapbribery.cli import main
+results = []
+for argv, outputs in json.loads(Path(sys.argv[2]).read_text()):
+    for name in outputs:
+        Path(name).unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except BaseException as exc:
+            code = "raised " + type(exc).__name__
+    files = {name: Path(name).read_text() if Path(name).exists() else None for name in outputs}
+    results.append([code, out.getvalue(), err.getvalue(), files])
+Path(sys.argv[3]).write_text(json.dumps(results))
+"""
+
+
+def build_calls(work: Path, old_src: str) -> list:
+    corpus, out = work / "corpus", work / "out"
+    corpus.mkdir(parents=True, exist_ok=True)
+    out.mkdir(exist_ok=True)
+    rng = random.Random(2026)
+    env = dict(os.environ, PYTHONPATH=old_src)
+
+    def generate(args, path):
+        command = [sys.executable, "-m", "swapbribery.cli", "generate", *map(str, args), "--out", str(path)]
+        subprocess.run(command, env=env, check=True)
+
+    instances = []
+    models = ["unit", "unit", "two:1:2:0.3", "range:1:3", "two:1/2:3/2:0.5"]
+    for i in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        k = rng.randint(1, m)
+        path = corpus / f"r{i}.sbe"
+        generate(["random", "--m", m, "--n", n, "--k", k, "--cost-model", rng.choice(models), "--seed", i], path)
+        text = path.read_text()
+        roll = rng.random()
+        if roll < 0.15 and m <= 5:
+            text = text.replace(f"rule k-approval {k}", "rule bucklin")
+        elif roll < 0.25:
+            vector = sorted((rng.randint(0, 3) for _ in range(m)), reverse=True)
+            text = text.replace(f"rule k-approval {k}", "rule scoring " + ",".join(map(str, vector)))
+        if rng.random() < 0.3:
+            text = text.replace("mode co-winner", "mode unique-winner")
+        path.write_text(text)
+        instances.append((path, n))
+    # zero budget and prices in {0, 1}: instances that reduce to Possible Winner
+    reducible = []
+    for i in range(40):
+        m, n = rng.randint(2, 5), rng.randint(1, 4)
+        k = rng.randint(1, m)
+        path = corpus / f"z{i}.sbe"
+        generate(["random", "--m", m, "--n", n, "--k", k, "--cost-model", "two:0:1:0.5",
+                  "--budget", "0", "--seed", 1000 + i], path)
+        reducible.append(path)
+
+    calls = []
+
+    def call(*argv, outputs=()):
+        calls.append([[str(a) for a in argv], [str(o) for o in outputs]])
+
+    for path, n in instances:
+        for algorithm in ("auto", "brute", "flow", "color", "ilp"):
+            solution = out / f"{path.stem}.{algorithm}.sbs"
+            call("solve", path, "--algorithm", algorithm, "--solution", solution, outputs=[solution])
+            call("verify", path, solution)
+        kernel, provenance = out / f"{path.stem}.k.sbe", out / f"{path.stem}.k.json"
+        call("kernelize", path, "--out", kernel, "--provenance", provenance, outputs=[kernel, provenance])
+        call("kernelize", "--simple", path, "--out", kernel, "--provenance", provenance,
+             outputs=[kernel, provenance])
+        call("kernelize", path)
+        for s_star in range(n + 2):
+            call("export-network", path, "--s-star", s_star)
+        partial = out / f"{path.stem}.pwe"
+        call("reduce", "sb-to-pw", path, "--out", partial, outputs=[partial])
+    for path in reducible:
+        partial, back = out / f"{path.stem}.pwe", out / f"{path.stem}.back.sbe"
+        call("reduce", "sb-to-pw", path, "--out", partial, outputs=[partial])
+        call("reduce", "pw-to-sb", partial, "--out", back, outputs=[back])
+        solution = out / f"{path.stem}.sbs"
+        call("solve", back, "--solution", solution, outputs=[solution])
+        call("verify", back, solution)
+    for seed in range(12):
+        classes = rng.choice(["2,2", "1,2", "2,3", "1,1,1", "2,1,2"])
+        gadget, kernel, provenance = out / f"g{seed}.sbe", out / f"g{seed}.k.sbe", out / f"g{seed}.k.json"
+        call("generate", "clique-gadget", "--classes", classes, "--seed", seed, "--out", gadget, outputs=[gadget])
+        call("kernelize", gadget, "--out", kernel, "--provenance", provenance, outputs=[kernel, provenance])
+        call("kernelize", "--simple", gadget, "--out", kernel, "--provenance", provenance,
+             outputs=[kernel, provenance])
+        single = out / f"sv{seed}.sbe"
+        call("generate", "clique-single-vote", "--n", rng.randint(2, 6), "--k", rng.randint(1, 3),
+             "--seed", seed, "--out", single, outputs=[single])
+        call("kernelize", single)
+        call("solve", single)
+    return calls
+
+
+def main():
+    old_src, new_src, work = sys.argv[1], sys.argv[2], Path(sys.argv[3])
+    work.mkdir(parents=True, exist_ok=True)
+    calls = build_calls(work, old_src)
+    (work / "calls.json").write_text(json.dumps(calls))
+    (work / "runner.py").write_text(RUNNER)
+    results = []
+    for tag, src in (("old", old_src), ("new", new_src)):
+        target = work / f"{tag}.json"
+        subprocess.run([sys.executable, str(work / "runner.py"), src, str(work / "calls.json"), str(target)],
+                       check=True)
+        results.append(json.loads(target.read_text()))
+    same = stderr_only = differ = 0
+    commands, codes = {}, {}
+    for (argv, _), old, new in zip(calls, *results):
+        commands[argv[0]] = commands.get(argv[0], 0) + 1
+        codes[str(old[0])] = codes.get(str(old[0]), 0) + 1
+        if old == new:
+            same += 1
+        elif (old[0], old[1], old[3]) == (new[0], new[1], new[3]):
+            stderr_only += 1
+            print("stderr differs:", argv, repr(old[2]), repr(new[2]))
+        else:
+            differ += 1
+            print("differs:", argv, old[:3], new[:3])
+    print(f"calls {len(calls)}: identical {same}, stderr only {stderr_only}, differ {differ}")
+    print("calls per command:", commands)
+    print("old exit codes:", codes)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

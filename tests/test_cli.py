@@ -823,3 +823,114 @@ def test_mutated_files_never_crash_the_cli(kind, edits):
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = main(argv)
             assert code in (0, 1, 2), (argv, code)
+
+
+NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100))  # an executable's first bytes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{bad}"],
+        ["verify", "{bad}", "{sbs}"],
+        ["verify", "{sbe}", "{bad}"],
+        ["kernelize", "{bad}"],
+        ["kernelize", "--simple", "{bad}"],
+        ["reduce", "sb-to-pw", "{bad}"],
+        ["reduce", "pw-to-sb", "{bad}"],
+        ["generate", "clique-gadget", "--graph", "{bad}"],
+        ["generate", "clique-single-vote", "--graph", "{bad}"],
+        ["export-network", "{bad}", "--s-star", "1"],
+        ["bench", "{bad}"],
+    ],
+)
+def test_files_that_are_not_utf8_are_an_error(tmp_path, argv, capsys):
+    paths = {"bad": tmp_path / "binary", "sbe": tmp_path / "ok.sbe", "sbs": tmp_path / "ok.sbs"}
+    paths["bad"].write_bytes(NOT_UTF8)
+    paths["sbe"].write_text(FUZZ_SBE)
+    paths["sbs"].write_text(FUZZ_SBS)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {paths['bad']} is not UTF-8 text\n")
+
+
+# Every command that reads an instance, with the files it reads: the mutant
+# is {file}, the other files are the valid ones above.
+SWEEP_COMMANDS = {
+    "sbe": [
+        ["solve", "{file}"],
+        ["solve", "--algorithm", "brute", "{file}"],
+        ["verify", "{file}", "{sbs}"],
+        ["kernelize", "{file}", "--provenance", "{out}"],
+        ["kernelize", "--simple", "{file}"],
+        ["reduce", "sb-to-pw", "{file}"],
+        ["export-network", "{file}", "--s-star", "2"],
+    ],
+    "sbs": [["verify", "{sbe}", "{file}"]],
+    "pwe": [["reduce", "pw-to-sb", "{file}"]],
+    "graph": [
+        ["generate", "clique-gadget", "--graph", "{file}"],
+        ["generate", "clique-single-vote", "--graph", "{file}", "--k", "2"],
+    ],
+}
+
+
+def _corrupt_bytes(rng: random.Random, data: bytes) -> bytes:
+    """One to three byte-level edits: overwrite, insert or delete a byte, or truncate."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(data) + 1)
+        op = rng.choice(("overwrite", "insert", "delete", "truncate"))
+        if op == "insert":
+            data.insert(i, rng.randrange(256))
+        elif i < len(data) and op == "overwrite":
+            data[i] = rng.randrange(256)
+        elif i < len(data) and op == "delete":
+            del data[i]
+        elif op == "truncate":
+            del data[i:]
+    return bytes(data)
+
+
+def test_malformed_input_sweep_answers_or_names_one_error(tmp_path, capsys):
+    # Seeded text- and byte-level mutants of every input format. Each command
+    # answers (0 or 1) or prints exactly one error line (2); none raises.
+    rng = random.Random(14)
+    texts = {"sbe": FUZZ_SBE, "sbs": FUZZ_SBS, "pwe": FUZZ_PWE, "graph": FUZZ_GRAPH}
+    paths = {name: tmp_path / name for name in ("file", "sbe", "sbs", "out")}
+    paths["sbe"].write_text(FUZZ_SBE)
+    paths["sbs"].write_text(FUZZ_SBS)
+    codes = []
+    for trial in range(400):
+        kind = rng.choice(sorted(texts))
+        if rng.random() < 0.5:
+            edits = [
+                (rng.choice(("replace", "insert", "delete", "drop-line", "copy-line")),
+                 rng.randrange(16), rng.randrange(9), rng.choice(FUZZ_TOKENS))
+                for _ in range(rng.randint(1, 4))
+            ]
+            data = _mutate(texts[kind], edits).encode()
+        else:
+            data = _corrupt_bytes(rng, texts[kind].encode())
+        paths["file"].write_bytes(data)
+        for command in SWEEP_COMMANDS[kind]:
+            argv = [arg.format(**paths) for arg in command]
+            code = main(argv)
+            _, err = capsys.readouterr()
+            assert code in (0, 1, 2), (trial, argv, data)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (trial, argv, data, err)
+            else:
+                assert err == "", (trial, argv, data, err)
+            codes.append(code)
+    # the mutants reach every outcome, not only the parsers' rejections
+    assert {0, 1, 2} <= set(codes)
+
+
+def test_search_past_the_recursion_limit_is_an_error(tmp_path, capsys):
+    path = tmp_path / "deep.sbe"
+    two = ("two-valued", Fraction(1), Fraction(2), 0.5)
+    path.write_text(serialize_election(gen_random(2, 1500, 1, cost_model=two, seed=3)))
+    assert main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: search nests deeper than Python's recursion limit of {sys.getrecursionlimit()}\n"

@@ -204,3 +204,9 @@ def test_long_vote_with_a_default_above_its_cheapest_price():
     for budget, decision in ((5, True), (4, False)):
         inst = BriberyInstance(election, VotingRule.k_approval(1), 3, prices, Fraction(budget))
         assert solve_color_coding(inst).decision is decision
+
+
+def test_patterns_deeper_than_the_recursion_limit_are_a_cap_error():
+    # One level per vote: 1,500 votes.
+    with pytest.raises(ResourceCapError, match="recursion limit"):
+        next(successful_patterns(1500, 1))

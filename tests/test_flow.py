@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 import random
@@ -21,6 +22,7 @@ from swapbribery.reductions import gen_random
 from swapbribery.swaps import (
     Bribery,
     BriberyInstance,
+    SolveResult,
     SwapCostFunction,
     bribed_election,
     verify_bribery,
@@ -309,12 +311,14 @@ class TestSolveUnit:
             solve_unit(inst)
 
     def test_single_candidate_degenerate_yes(self):
-        election = Election(("p",), (Vote((0,)),))
+        # m = 1 runs through the bisection like any other instance.
+        election = Election(("p",), (Vote((0,), 3), Vote((0,))))
         inst = BriberyInstance(
-            election, VotingRule.k_approval(1), 0, SwapCostFunction.unit(1), Fraction(0)
+            election, VotingRule.k_approval(1), 0, SwapCostFunction.unit(4), Fraction(0)
         )
-        res = solve_unit(inst)
-        assert res.decision and res.optimal_cost == 0
+        for mode in (CO_WINNER, UNIQUE_WINNER):
+            res = solve_unit(dataclasses.replace(inst, mode=mode))
+            assert res == SolveResult(True, Fraction(0), Bribery.identity(election))
 
     def test_matches_oracle_including_unique_mode(self):
         rng = random.Random(71)
@@ -405,6 +409,58 @@ class TestSolveUnit:
                     assert res.value < full
                 else:
                     assert res.value == full and res.cost == best
+
+
+def _four_block_targets(network, result, rankings, k):
+    """Reference for _extract_targets: each vote's target rebuilt in four blocks.
+
+    The kept top-k candidates, then those the flow routes in, then those it
+    routes out, then the rest, each block in its original order.
+    """
+    m = len(rankings[0])
+    a0, ap0 = 3, 3 + len(rankings) * k
+    b0 = ap0 + len(rankings) * m
+    moved_out = [set() for _ in rankings]
+    moved_in = [set() for _ in rankings]
+    for arc, flow in zip(network.arcs, result.arc_flows):
+        if flow == 0 or not (a0 <= arc.tail < ap0 and ap0 <= arc.head < b0):
+            continue
+        v, i = divmod(arc.tail - a0, k)
+        c, c2 = rankings[v][i], (arc.head - ap0) % m
+        if c != c2:
+            moved_out[v].add(c)
+            moved_in[v].add(c2)
+    targets = []
+    for v, ranking in enumerate(rankings):
+        outs, ins = moved_out[v], moved_in[v]
+        top_keep = [c for c in ranking[:k] if c not in outs]
+        in_block = [c for c in ranking if c in ins]
+        out_block = [c for c in ranking if c in outs]
+        rest = [c for c in ranking[k:] if c not in ins]
+        targets.append(tuple(top_keep + in_block + out_block + rest))
+    return tuple(targets)
+
+
+class TestExtractTargets:
+    def test_matches_four_block_reference(self):
+        # Moving each vote's approved set to the top is the four-block
+        # ranking: kept and moved-in candidates first, both in vote order.
+        rng = random.Random(83)
+        compared = 0
+        for seed in range(300):
+            mode = (CO_WINNER, UNIQUE_WINNER)[seed % 2]
+            m = rng.randint(1, 7)
+            k = rng.randint(1, m)
+            inst = gen_random(m, rng.randint(1, 8), k, seed=seed, mode=mode)
+            rankings = inst.election.expanded_list()
+            for target in range(1, len(rankings) + 1):
+                network = build_transfer_network(rankings, k, inst.preferred, target, inst.unique_mode)
+                res = min_cost_max_flow(network)
+                if res.value == len(rankings) * k:
+                    got = _extract_targets(network, res, rankings, k)
+                    assert got == _four_block_targets(network, res, rankings, k), (seed, target)
+                    compared += 1
+        assert compared > 500
 
 
 def _scan_every_target(inst):

@@ -16,6 +16,7 @@ from swapbribery.ilp import (
 )
 from swapbribery.lp import lp_feasible
 from swapbribery.oracle import brute_rankings, brute_topk
+from swapbribery.reductions import gen_random
 from swapbribery.swaps import BriberyInstance, SwapCostFunction, verify_bribery
 
 from conftest import random_costs, random_instance
@@ -323,3 +324,12 @@ class TestSolve:
         assert "subject to" in text and "budget:" in text
         assert "t[0->" in text and "t[1->" in text
         assert "integer" in text
+
+
+def test_program_deeper_than_the_recursion_limit_is_a_cap_error():
+    # Two vote groups of 6! - 1 transformations each: 1,438 variables, one
+    # level each, and the preferred candidate already wins, so the search
+    # walks every level.
+    instance = gen_random(6, 2, 6, cost_model=("two-valued", Fraction(1), Fraction(2), 0.3), seed=118)
+    with pytest.raises(ResourceCapError, match="recursion limit"):
+        solve_ilp(instance)

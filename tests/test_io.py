@@ -220,6 +220,25 @@ def test_bad_partial_files_rejected(mangle):
         parse_partial(mangle(PARTIAL))
 
 
+@pytest.mark.parametrize(
+    "mangle, line, message",
+    [
+        # the header checks election files have
+        (lambda t: t.replace("candidate 1 b", "candidate 1 a"), 4, "duplicate candidate name 'a'"),
+        (lambda t: t.replace("rule", "candidates 3\nrule"), 6, "usage: candidates <m> (once)"),
+        (lambda t: t.replace("candidates 3\n", ""), 2, "usage: candidate <index> <name>"),
+        (lambda t: t.replace("preferred p", "preferred p a"), 7, "usage: preferred <name>"),
+        # a partial vote the roster cannot hold
+        (lambda t: t + "partial 0 pair b a\n", 1, "cycle through candidates 0 and 1"),
+        (lambda t: t + "partial 0 pair p p\n", 1, "partial order must be irreflexive"),
+    ],
+)
+def test_partial_files_get_the_election_checks(mangle, line, message):
+    with pytest.raises(ParseError) as info:
+        parse_partial(mangle(PARTIAL))
+    assert str(info.value) == f"line {line}: {message}"
+
+
 def test_partial_round_trip():
     votes = random_partial_votes(4, 3, seed=5)
     pw = PossibleWinnerInstance(
@@ -234,6 +253,19 @@ def test_graph_round_trip():
     assert parse_graph(serialize_graph(graph)) == graph
     colored, _ = planted_multicolored_clique([2, 3], seed=2)
     assert parse_graph(serialize_graph(colored)) == colored
+
+
+@pytest.mark.parametrize(
+    "colors, message",
+    [
+        ("color 0 1\ncolor 2 2\ncolor 1 2\n", "line 4: vertex 2 outside 0..1"),
+        ("color 0 1\ncolor 1 2\ncolor 0 2\n", "line 5: vertex 0 colored twice"),
+    ],
+)
+def test_graph_checks_its_color_lines(colors, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph("graph 2 1 2\n0 1\n" + colors)
+    assert str(info.value) == message
 
 
 def test_graph_rejects_uncolored_vertex():

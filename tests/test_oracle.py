@@ -349,3 +349,10 @@ def test_rankings_search_matches_enumeration():
         assert (result.decision, result.optimal_cost, result.witness) == enumerate_rankings(
             instance
         ), instance
+
+
+def test_subsets_deeper_than_the_recursion_limit_are_a_cap_error():
+    # One level per approved position: k = 1,499 of 1,500 candidates.
+    m = 1500
+    with pytest.raises(ResourceCapError, match="recursion limit"):
+        topk_options(tuple(range(m)), m - 1, SwapCostFunction.unit(1), 0, None)

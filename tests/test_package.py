@@ -17,3 +17,16 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_file_calls_name_their_encoding():
+    # Files are UTF-8 whatever the locale, so every text read and write says so.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("read_text", "write_text", "open")
+        and not any(keyword.arg == "encoding" for keyword in node.keywords)
+    ]
+    assert not found, found

@@ -3,7 +3,10 @@
 import random
 from itertools import product
 
+import pytest
+
 from swapbribery import _search
+from swapbribery.errors import ResourceCapError
 from swapbribery.oracle import available_backends, get_backend
 
 
@@ -99,3 +102,11 @@ def test_search_matches_enumeration():
     for trial in range(2000):
         args = random_search(rng)
         assert _search.best_assignment(*args) == reference(*args), (trial, args)
+
+
+def test_search_deeper_than_the_recursion_limit_is_a_cap_error():
+    # One level per vote: 1,500 votes, each giving the preferred candidate a point.
+    n_votes = 1500
+    offsets = list(range(n_votes + 1))
+    with pytest.raises(ResourceCapError, match="recursion limit"):
+        _search.best_assignment(offsets, [[(0, 1)]] * n_votes, [0] * n_votes, 1, 2, False, -1)
