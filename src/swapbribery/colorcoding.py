@@ -1,8 +1,8 @@
 """Color-coding search for k-approval, driven by election patterns.
 
-A vote pattern is a k-subset of the colors [1..nk]; an election pattern
-assigns one to each vote, abstracting which (colored) candidates occupy
-the one-positions after a bribery. Color 1 is the preferred candidate's.
+A vote pattern is a k-subset of the colors [1..min(nk, m)]; an election
+pattern assigns one to each vote, abstracting which (colored) candidates
+occupy the one-positions after a bribery. Color 1 is the preferred candidate's.
 The other colors are interchangeable labels, so only canonical patterns
 are generated: those whose other colors first appear, reading the votes
 in order and each vote's colors ascending, as 2, 3, .... Relabeling a
@@ -31,18 +31,21 @@ VotePattern = tuple[int, ...]
 ElectionPattern = tuple[VotePattern, ...]
 
 
-def successful_patterns(n: int, k: int, strict: bool = False) -> Iterator[ElectionPattern]:
+def successful_patterns(
+    n: int, k: int, m: int, strict: bool = False
+) -> Iterator[ElectionPattern]:
     """Canonical election patterns where color 1 occurs at least as often as any other.
 
     With ``strict`` (unique-winner search), 1 must occur strictly more
-    often than every other color. Patterns come in lexicographic order;
-    each vote pattern tried is one node.
+    often than every other color. Patterns use at most ``m`` colors, since
+    a coloring of ``m`` candidates shows no more. Patterns come in
+    lexicographic order; each vote pattern tried is one node.
     """
-    nk = n * k
+    colors = min(n * k, m)
     slack = 0 if strict else 1
     max_nodes = _search.MAX_NODES
     nodes = 0
-    counts = [0] * (nk + 1)
+    counts = [0] * (colors + 1)
     chosen: list[VotePattern] = []
     # top -> the vote patterns that may follow a prefix whose highest color
     # is top: new colors must be top+1, top+2, ... in order.
@@ -57,7 +60,7 @@ def successful_patterns(n: int, k: int, strict: bool = False) -> Iterator[Electi
         if top not in extensions:
             extensions[top] = [
                 (part, max(top, part[-1]))
-                for part in combinations(range(1, min(top + k, nk) + 1), k)
+                for part in combinations(range(1, min(top + k, colors) + 1), k)
                 if part[-1] - top <= sum(c > top for c in part)
             ]
         # the votes after this one can still add this many to color 1
@@ -132,7 +135,7 @@ def solve_color_coding(
     # of color 1 alone joins the group of palette {2}, where it loses nothing.
     masks: dict[VotePattern, int] = {}
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for pattern in successful_patterns(n, k, strict=instance.unique_mode):
+    for pattern in successful_patterns(n, k, m, strict=instance.unique_mode):
         top = max(2, *(part[-1] for part in pattern))
         for part in pattern:
             if part not in masks:

@@ -21,7 +21,7 @@ from . import _search
 from .core import BUCKLIN, K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .lp import lp_feasible
-from .swaps import Bribery, BriberyInstance, SolveResult, transform_cost
+from .swaps import Bribery, BriberyInstance, SolveResult, target_costs
 
 @dataclass(frozen=True)
 class Inequality:
@@ -41,6 +41,7 @@ class LinearInequalitySystem:
 
     Permutations order candidate *slots*, slot 0 being the preferred
     candidate; instances relabel their roster onto slots before use.
+    ``perms`` is ``permutations(range(m))``, in that order.
     """
 
     m: int
@@ -169,16 +170,9 @@ def build_ilp(
     groups = []
     counts = [0] * len(system.perms)
     for (base, *_), members in grouped.items():
+        # permutations(cand_of_slot) lists the targets in system.perms order
         rep = members[0]
-        costs = tuple(
-            transform_cost(
-                rankings[rep],
-                tuple(cand_of_slot[s] for s in perm),
-                prices,
-                rep,
-            )
-            for perm in system.perms
-        )
+        costs = tuple(target_costs(rankings[rep], prices, rep, cand_of_slot))
         groups.append(VoteGroup(base, tuple(members), costs))
         counts[base] += len(members)
 

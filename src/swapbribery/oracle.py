@@ -10,9 +10,12 @@ round under Bucklin) and by symmetry (identical votes choose non-decreasing
 options). It returns the first optimal choice vector in its order with or
 without the cuts, so the optimum and the witness do not depend on them.
 
-Nothing bounds the number of vote combinations up front. The number of
-options built is capped, and the search stops with ``ResourceCapError``
-once it has scanned ``_search.MAX_NODES`` options that pass its cost cut.
+A unique-winner instance of a score-based rule in which some rival is sure
+to reach the most the preferred candidate can collect is answered no before
+anything is built. Nothing else bounds the number of vote combinations up
+front. The number of options built is capped, and the search stops with
+``ResourceCapError`` once it has scanned ``_search.MAX_NODES`` options that
+pass its cost cut.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .swaps import (
     SolveResult,
     SwapCostFunction,
     move_to_top_target,
-    transform_cost,
+    target_costs,
 )
 
 
@@ -55,8 +58,8 @@ class OracleCaps:
     ``topk_combinations`` and ``ranking_combinations`` bound the options
     built over all votes, before they are built: n * C(m, k) subsets and
     n * m! rankings. Building one takes about 2-3 us (a subset) or
-    20-25 us (a ranking), so the defaults bound building to about 0.15 s
-    and 0.5 s.
+    1-4 us (a ranking, priced with its vote's other targets in one walk),
+    so the defaults bound building to about 0.15 s and 0.1 s.
     """
 
     topk_combinations: int = 5 * 10**4
@@ -169,6 +172,29 @@ def _run_search(
     return cost, [payloads[i] for i in choices]
 
 
+def _points(rule, m: int) -> tuple[int, ...]:
+    """The score of each position under k-approval or a scoring vector."""
+    return (1,) * rule.k + (0,) * (m - rule.k) if rule.kind == K_APPROVAL else rule.vector
+
+
+def _hopeless(instance: BriberyInstance) -> bool:
+    """Whether no bribery makes the preferred candidate the unique winner of a score-based rule.
+
+    With n votes and vector s of sum S, the preferred candidate collects at
+    most n * s[0], so its m - 1 rivals share at least n * S - n * s[0] points
+    and one of them gets at least that over m - 1, rounded up. Once that
+    reaches n * s[0], no bribery wins. Co-winners are never hopeless this way,
+    since s[0] * m >= S.
+    """
+    rule, m = instance.rule, instance.election.m
+    if not instance.unique_mode or not rule.is_score_based or m < 2:
+        return False
+    points = _points(rule, m)
+    n = instance.election.n_expanded
+    top = n * points[0]
+    return -(-(n * sum(points) - top) // (m - 1)) >= top
+
+
 def _columns(m: int, preferred: int) -> list[int]:
     """Each candidate's tally column: the search keeps the preferred candidate in column 0."""
     column = list(range(m))
@@ -191,6 +217,8 @@ def brute_topk(
     """
     if instance.rule.kind != K_APPROVAL:
         raise DomainError("brute_topk needs a k-approval instance")
+    if _hopeless(instance):
+        return SolveResult(False, None, None)
     k = instance.rule.k
     election = instance.election
     m = election.m
@@ -222,7 +250,12 @@ def brute_rankings(
     instance: BriberyInstance,
     caps: OracleCaps = DEFAULT_CAPS,
 ) -> SolveResult:
-    """Exhaustive solver over all per-vote target rankings, any supported rule."""
+    """Exhaustive solver over all per-vote target rankings, any supported rule.
+
+    Each vote's m! targets are priced in one walk, ``swaps.target_costs``.
+    """
+    if _hopeless(instance):
+        return SolveResult(False, None, None)
     election = instance.election
     m = election.m
     rankings = election.expanded_list()
@@ -236,29 +269,31 @@ def brute_rankings(
 
     scale, prices, budget = instance.integer_prices()
     targets = list(permutations(range(m)))
-    per_vote_costs = [
-        [transform_cost(r, t, prices, idx) for t in targets]
-        for idx, r in enumerate(rankings)
-    ]
 
     rule = instance.rule
     column = _columns(m, instance.preferred)
+    # placed[pos][c]: the increments of candidate c at position pos
     if rule.kind == BUCKLIN:
         rows = m
-        touched = lambda t: [
-            (d * m + column[c], 1) for pos, c in enumerate(t) for d in range(pos, m)
+        placed = [
+            [[(d * m + column[c], 1) for d in range(pos, m)] for c in range(m)]
+            for pos in range(m)
         ]
     else:
         rows = 1
-        points = (1,) * rule.k if rule.kind == K_APPROVAL else rule.vector
-        touched = lambda t: [(column[c], s) for s, c in zip(points, t) if s]
+        placed = [[[(column[c], s)] if s else [] for c in range(m)] for s in _points(rule, m)]
     # each target's increments; targets share equal pairs, which keeps the m!
     # lists small
-    shared: dict[tuple[int, int], tuple[int, int]] = {}
-    increments = [[shared.setdefault(pair, pair) for pair in touched(t)] for t in targets]
-    per_vote_options = [
-        list(zip(increments, costs, targets)) for costs in per_vote_costs
-    ]
+    increments = [[pair for pos, c in enumerate(t) for pair in placed[pos][c]] for t in targets]
+    # votes with the same ranking and prices share one option list
+    shared_options: dict[object, list] = {}
+    per_vote_options = []
+    for idx, r in enumerate(rankings):
+        key = (r, prices.default(idx), frozenset(prices.overrides(idx).items()))
+        if key not in shared_options:
+            costs = target_costs(r, prices, idx, range(m))
+            shared_options[key] = list(zip(increments, costs, targets))
+        per_vote_options.append(shared_options[key])
     hit = _run_search(per_vote_options, rows, m, instance.unique_mode, None)
     if hit is None:
         return SolveResult(False, None, None)

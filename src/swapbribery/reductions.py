@@ -148,7 +148,8 @@ def sb_to_pw(instance: BriberyInstance) -> PossibleWinnerInstance:
         raise PreconditionError("translation needs budget zero")
     positive = {c for c in instance.costs.iter_values() if c != 0}
     if len(positive) > 1:
-        raise PreconditionError(f"costs must lie in {{0, d}}; found {sorted(positive)}")
+        found = ", ".join(map(str, sorted(positive)))
+        raise PreconditionError(f"costs must lie in {{0, d}}; found {found}")
 
     m = instance.election.m
     partials = []

@@ -301,6 +301,50 @@ def transform_cost(
     return total
 
 
+def target_costs(
+    ranking: Ranking,
+    prices: SwapCostFunction,
+    vote: int,
+    order: Iterable[int],
+) -> list:
+    """``transform_cost`` from ``ranking`` to every target, in ``permutations(order)`` order.
+
+    The targets that start with ``c`` are ``c`` followed by every ordering
+    of the rest, in the same order, and only the pairs with ``c`` tell them
+    from those orderings: ``c`` passes each candidate of the rest that the
+    vote ranks above it. So each subset of candidates gets one table, its
+    orderings' costs, built from the tables one candidate smaller.
+    """
+    order = tuple(order)
+    m = len(order)
+    rank = {c: i for i, c in enumerate(ranking)}
+    if len(rank) != len(ranking) or len(ranking) != m or set(order) != rank.keys():
+        raise DomainError("rankings must permute the same candidates")
+    default = prices.default(vote)
+    bit = {c: 1 << i for i, c in enumerate(order)}
+    # above[i]: the candidates the vote ranks above order[i], as a bitmask
+    above = [sum(bit[a] for a in ranking[: rank[c]]) for c in order]
+    # deltas[i]: (bitmask of a, price of (a, order[i]) above the default)
+    deltas: list[list[tuple[int, object]]] = [[] for _ in range(m)]
+    for (a, b), price in prices.overrides(vote).items():
+        if a in rank and b in rank and rank[a] < rank[b]:
+            deltas[order.index(b)].append((bit[a], price - default))
+    # tables[mask]: the costs of the orderings of the subset ``mask``; every
+    # subset one candidate smaller is a smaller number, so it comes first
+    tables: list[list] = [[0]] + [[] for _ in range(1, 1 << m)]
+    for mask in range(1, 1 << m):
+        table = tables[mask]
+        for i in range(m):
+            if mask >> i & 1:
+                rest = mask ^ (1 << i)
+                step = default * (rest & above[i]).bit_count()
+                for b, d in deltas[i]:
+                    if rest & b:
+                        step += d
+                table.extend([x + step for x in tables[rest]] if step else tables[rest])
+    return tables[-1]
+
+
 def move_to_top_target(ranking: Ranking, chosen: frozenset[int]) -> Ranking:
     """Cheapest ranking whose first |chosen| positions hold ``chosen``.
 

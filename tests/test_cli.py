@@ -319,6 +319,49 @@ def test_too_many_options_is_an_error(tmp_path, algorithm, capsys):
     )
 
 
+def test_color_skips_palettes_wider_than_the_roster(tmp_path, capsys):
+    # 3-approval of 3 candidates: every vote approves everyone, so all tie.
+    # Palettes of up to n*k = 15 colors used to run it to the node budget.
+    path = tmp_path / "narrow.sbe"
+    argv = ["generate", "random", "--m", "3", "--n", "5", "--k", "3", "--seed", "12"]
+    assert main(argv + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(path), "--algorithm", "color"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "algorithm: color",
+        "decision: yes",
+        "cost: 0",
+    ]
+
+
+def test_hopeless_unique_winner_scoring_instance_is_a_no(tmp_path, capsys):
+    # Four rivals share at least 3 * 4 - 3 = 9 points: one of them always
+    # reaches the preferred candidate's 3. The search used to scan 10^6
+    # options and give up.
+    path = tmp_path / "hopeless.sbe"
+    argv = ["generate", "random", "--m", "5", "--n", "3", "--k", "4", "--seed", "0", "--budget", "100"]
+    assert main(argv + ["--out", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    path.write_text(
+        text.replace("rule k-approval 4", "rule scoring 1,1,1,1,0").replace(
+            "mode co-winner", "mode unique-winner"
+        ),
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert main(["solve", str(path), "--algorithm", "brute"]) == 1
+    assert capsys.readouterr() == ("algorithm: brute\ndecision: no\n", "")
+
+
+def test_sb_to_pw_prints_the_prices_it_rejects(tmp_path, capsys):
+    path = tmp_path / "two.sbe"
+    argv = ["generate", "random", "--m", "3", "--n", "2", "--k", "1", "--cost-model", "two:1:2:0.5"]
+    assert main(argv + ["--budget", "0", "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["reduce", "sb-to-pw", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: costs must lie in {0, d}; found 1, 2\n")
+
+
 @pytest.mark.parametrize("rule", ["bucklin", "scoring 2,1,1,0,0"])
 def test_color_on_other_rules_is_an_error(tmp_path, rule, capsys):
     path = tmp_path / "other.sbe"

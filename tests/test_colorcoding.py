@@ -20,11 +20,11 @@ from conftest import random_instance, sample_election
 
 
 def test_single_vote_plurality_has_one_pattern():
-    assert list(successful_patterns(1, 1)) == [((1,),)]
+    assert list(successful_patterns(1, 1, 2)) == [((1,),)]
 
 
 def test_two_votes_plurality_patterns():
-    assert list(successful_patterns(2, 1)) == [
+    assert list(successful_patterns(2, 1, 2)) == [
         ((1,), (1,)),
         ((1,), (2,)),
         ((2,), (1,)),
@@ -33,7 +33,12 @@ def test_two_votes_plurality_patterns():
 
 @pytest.mark.parametrize("n, k, count", [(4, 2, 313), (4, 3, 5549), (5, 2, 4829)])
 def test_canonical_pattern_count(n, k, count):
-    assert sum(1 for _ in successful_patterns(n, k)) == count
+    assert sum(1 for _ in successful_patterns(n, k, n * k)) == count
+
+
+@pytest.mark.parametrize("n, k, m, count", [(4, 2, 4, 109), (4, 3, 5, 462), (5, 2, 3, 58)])
+def test_patterns_use_no_more_colors_than_candidates(n, k, m, count):
+    assert sum(1 for _ in successful_patterns(n, k, m)) == count
 
 
 def _relabeled(pattern):
@@ -51,27 +56,43 @@ def _successful(pattern, strict):
     return all(c < ones if strict else c <= ones for c in counts.values())
 
 
-@pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (4, 1), (2, 2), (3, 2), (2, 3)])
-def test_every_successful_pattern_relabels_to_one_yielded(n, k, strict):
-    yielded = list(successful_patterns(n, k, strict=strict))
+def _check_yielded_against_every_pattern(n, k, m, strict):
+    yielded = list(successful_patterns(n, k, m, strict=strict))
     assert len(set(yielded)) == len(yielded)
+    assert yielded == sorted(yielded)
     for pattern in yielded:
         assert _relabeled(pattern) == pattern and _successful(pattern, strict)
     raw = product(combinations(range(1, n * k + 1), k), repeat=n)
-    hit = {_relabeled(pattern) for pattern in raw if _successful(pattern, strict)}
+    hit = {
+        _relabeled(pattern)
+        for pattern in raw
+        if _successful(pattern, strict) and len({c for part in pattern for c in part}) <= m
+    }
     assert hit == set(yielded)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (4, 1), (2, 2), (3, 2), (2, 3)])
+def test_every_successful_pattern_relabels_to_one_yielded(n, k, strict):
+    _check_yielded_against_every_pattern(n, k, n * k, strict)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n, k, m", [(4, 1, 2), (2, 2, 3), (3, 2, 4), (2, 3, 3)])
+def test_every_pattern_within_m_colors_is_yielded(n, k, m, strict):
+    # a coloring of m candidates shows at most m colors
+    _check_yielded_against_every_pattern(n, k, m, strict)
 
 
 def test_pattern_generator_stops_at_the_node_budget(monkeypatch):
     monkeypatch.setattr(_search, "MAX_NODES", 10)
     with pytest.raises(ResourceCapError, match="node budget of 10$"):
-        list(successful_patterns(2, 2))
+        list(successful_patterns(2, 2, 4))
 
 
 def test_strict_patterns_subset():
-    loose = set(successful_patterns(2, 2))
-    strict = set(successful_patterns(2, 2, strict=True))
+    loose = set(successful_patterns(2, 2, 4))
+    strict = set(successful_patterns(2, 2, 4, strict=True))
     assert strict < loose
     for pattern in strict:
         flat = [e for part in pattern for e in part]
@@ -192,7 +213,7 @@ class TestSolve:
             election, VotingRule.k_approval(2), 2, SwapCostFunction.unit(2), Fraction(0)
         )
         monkeypatch.setattr(_search, "MAX_NODES", 100)
-        assert len(list(successful_patterns(2, 2))) == 4
+        assert len(list(successful_patterns(2, 2, 4))) == 4
         with pytest.raises(ResourceCapError, match="node budget of 100$"):
             solve_color_coding(inst)
 
@@ -209,4 +230,4 @@ def test_long_vote_with_a_default_above_its_cheapest_price():
 def test_patterns_deeper_than_the_recursion_limit_are_a_cap_error():
     # One level per vote: 1,500 votes.
     with pytest.raises(ResourceCapError, match="recursion limit"):
-        next(successful_patterns(1500, 1))
+        next(successful_patterns(1500, 1, 1500))

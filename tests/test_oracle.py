@@ -8,11 +8,12 @@ import pytest
 from swapbribery import _search
 from swapbribery.core import UNIQUE_WINNER, Election, Vote, VotingRule, winners_of_rankings
 from swapbribery.errors import DomainError, ResourceCapError
-from swapbribery.oracle import OracleCaps, brute_rankings, brute_topk, topk_options
+from swapbribery.oracle import OracleCaps, _hopeless, brute_rankings, brute_topk, topk_options
 from swapbribery.reductions import gen_random
 from swapbribery.swaps import (
     Bribery,
     BriberyInstance,
+    SolveResult,
     SwapCostFunction,
     move_to_top_cost,
     transform_cost,
@@ -172,6 +173,49 @@ def test_bucklin_identical_votes_take_the_symmetry_cut(monkeypatch, m, n, nodes)
     assert (result.decision, result.optimal_cost) == (False, 12)
     report = verify_bribery(instance, result.witness)
     assert report.preferred_wins and report.total_cost == 12
+
+
+@pytest.mark.parametrize(
+    "solver, rule",
+    [
+        (brute_topk, VotingRule.k_approval(4)),
+        (brute_rankings, VotingRule.k_approval(4)),
+        (brute_rankings, VotingRule.scoring((1, 1, 1, 1, 0))),
+    ],
+)
+def test_hopeless_unique_winner_instances_answer_no_before_any_search(monkeypatch, solver, rule):
+    # The four rivals share at least 3 * 4 - 3 = 9 points, so one of them
+    # gets 3, all the preferred candidate can collect.
+    monkeypatch.setattr(_search, "MAX_NODES", 0)
+    instance = _preferred_last(5, 3, rule, 100)
+    assert _hopeless(instance)
+    assert solver(instance) == SolveResult(False, None, None)
+    # a tie at 3 each is in reach of co-winners
+    monkeypatch.setattr(_search, "MAX_NODES", 10**6)
+    co_winner = BriberyInstance(
+        instance.election, rule, instance.preferred, instance.costs, instance.budget
+    )
+    assert not _hopeless(co_winner) and solver(co_winner).decision
+
+
+def test_hopeless_instances_have_no_winning_bribery():
+    """Every score instance the bound calls hopeless has no winning vector, and it finds some."""
+    rng = random.Random(23)
+    hopeless = 0
+    for _ in range(300):
+        m = rng.randint(2, 4)
+        n = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            rule = VotingRule.k_approval(rng.randint(1, m))
+        else:
+            rule = VotingRule.scoring(sorted((rng.randint(0, 3) for _ in range(m)), reverse=True))
+        mode = rng.choice(("co-winner", UNIQUE_WINNER))
+        instance = gen_random(m, n, 1, "unit", seed=rng.randrange(10**6), rule=rule, mode=mode)
+        if _hopeless(instance):
+            hopeless += 1
+            assert mode == UNIQUE_WINNER
+            assert enumerate_rankings(instance) == (False, None, None), instance
+    assert hopeless > 20
 
 
 def test_witness_always_verifies():

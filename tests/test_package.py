@@ -30,3 +30,15 @@ def test_file_calls_name_their_encoding():
         and not any(keyword.arg == "encoding" for keyword in node.keywords)
     ]
     assert not found, found
+
+
+def test_only_swaps_prices_one_target_at_a_time():
+    # Option builders price every target of a vote in one walk,
+    # swaps.target_costs; transform_cost stays the definition it is checked by.
+    found = sorted(
+        path.name
+        for path in SOURCE.glob("*.py")
+        if path.name not in ("swaps.py", "__init__.py")
+        and "transform_cost" in path.read_text(encoding="utf-8")
+    )
+    assert not found, found

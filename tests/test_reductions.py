@@ -92,7 +92,7 @@ class TestSbToPw:
         inst = BriberyInstance(
             election, VotingRule.k_approval(1), 0, costs, Fraction(0)
         )
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"; found 1, 2$"):
             sb_to_pw(inst)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from swapbribery.swaps import (
     inverted_pairs,
     move_to_top_cost,
     move_to_top_target,
+    target_costs,
     transform_cost,
     verify_bribery,
 )
@@ -231,6 +233,50 @@ def test_transform_cost_on_local_bribes_matches_the_definition():
         assert transform_cost(target, ranking, costs, 0) == sum(
             (costs.cost(0, a, b) for a, b in inverted_pairs(target, ranking)), Fraction(0)
         )
+
+
+def _walk_prices(rng: random.Random, m: int, model: str) -> SwapCostFunction:
+    """One vote's int prices: a default plus overrides drawn under ``model``."""
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    default, table = 1, {}
+    if model == "two-valued":
+        table = {p: 2 for p in pairs + [(b, a) for a, b in pairs] if rng.random() < 0.4}
+    elif model == "range":
+        default = rng.randint(0, 3)
+        table = {p: rng.randint(0, 3) for p in pairs + [(b, a) for a, b in pairs] if rng.random() < 0.5}
+    elif model == "zero":
+        default = 0
+        table = {p: 1 for p in pairs if rng.random() < 0.2}
+    elif model == "one-sided":
+        default = rng.randint(0, 2)
+        table = {(b, a) if rng.random() < 0.5 else (a, b): rng.randint(0, 4) for a, b in pairs}
+    elif model == "symmetric":
+        default = rng.randint(0, 2)
+        for a, b in pairs:
+            if rng.random() < 0.5:
+                table[(a, b)] = table[(b, a)] = rng.randint(0, 4)
+    return SwapCostFunction([default], [table]).scaled(1)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_target_costs_match_transform_cost_target_by_target(m):
+    rng = random.Random(m)
+    for model in ("unit", "two-valued", "range", "zero", "one-sided", "symmetric"):
+        prices = _walk_prices(rng, m, model)
+        ranking = tuple(rng.sample(range(m), m))
+        # every target's cost in permutations order, over the roster and over
+        # a relabeling that puts one candidate first, as ilp.slot_mapping does
+        first = rng.randrange(m)
+        for order in (range(m), [first] + [c for c in range(m) if c != first]):
+            want = [transform_cost(ranking, t, prices, 0) for t in permutations(order)]
+            assert target_costs(ranking, prices, 0, order) == want, (model, ranking, order)
+
+
+def test_target_costs_rejects_an_order_of_other_candidates():
+    with pytest.raises(DomainError):
+        target_costs((0, 1, 2), unit(), 0, (0, 1, 3))
+    with pytest.raises(DomainError):
+        target_costs((0, 1, 2), unit(), 0, (0, 1))
 
 
 class TestVerifyBribery:
