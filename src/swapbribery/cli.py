@@ -21,7 +21,7 @@ from pathlib import Path
 from . import io as formats
 from .colorcoding import solve_color_coding
 from .errors import SwapBriberyError
-from .flow import build_transfer_network, solve_unit
+from .flow import build_transfer_network, covers, solve_unit, vote_classes
 from .hardness import (
     multicolored_clique_instance,
     planted_multicolored_clique,
@@ -52,13 +52,12 @@ def _write(path: str | None, text: str):
 
 
 def _resolve(instance, algorithm: str) -> str:
-    """The named algorithm; ``auto`` is flow on unit-price k-approval, the
-    paper's polynomial case, and the exact search on everything else."""
+    """The named algorithm; ``auto`` is flow wherever it applies, on k-approval
+    with one swap price per vote (which holds the paper's polynomial case,
+    unit prices), and the exact search on everything else."""
     if algorithm != "auto":
         return algorithm
-    if instance.rule.kind == "k-approval" and instance.costs.is_uniform(1):
-        return "flow"
-    return "brute"
+    return "flow" if covers(instance) else "brute"
 
 
 def _run_solver(instance, algorithm: str, args) -> SolveResult:
@@ -244,15 +243,9 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_export_network(args) -> int:
     instance = formats.parse_election(_read(args.instance))
-    if instance.rule.kind != "k-approval":
-        print("error: transfer networks need a k-approval instance", file=sys.stderr)
-        return ERROR
+    classes = vote_classes(instance, instance.costs)  # raises outside flow's scope
     network = build_transfer_network(
-        instance.election.expanded_list(),
-        instance.rule.k,
-        instance.preferred,
-        args.s_star,
-        unique=instance.unique_mode,
+        classes, instance.rule.k, instance.preferred, args.s_star, instance.unique_mode
     )
     _write(args.out, formats.network_to_dot(network))
     return YES

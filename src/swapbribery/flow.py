@@ -1,13 +1,15 @@
-"""Unit-cost k-approval solving via minimum-cost maximum flow.
+"""k-approval with one swap price per vote, solved by minimum-cost maximum flow.
 
-For a target score ``s*`` of the preferred candidate, a network routes
-one flow unit per (vote, one-position) pair; rerouting a unit from the
-candidate holding the position to a candidate below position k costs the
-rank difference, which under unit swap prices equals the swap cost of the
-corresponding demotion/promotion. A flow of full value |V|k and cost <= b
-exists exactly when some bribery of cost <= b gives the preferred
-candidate score s* and everyone else at most s*. ``solve_unit`` bisects
-over s* instead of trying every score, so it runs O(log |V|) flows.
+In a vote priced p per swap, moving an approved set S to the top costs
+p·(Σ_{c∈S} pos(c) − k(k−1)/2), a sum over candidates, so the bribery is a
+transportation problem. Votes sharing a ranking and a price form a class
+of w votes, which sends k·w approvals to the candidates, at most w to
+each, at p·pos(c) apiece. For a target score ``s*`` of the preferred
+candidate, the cheapest flow of full value |V|k costs Σ p·w·k(k−1)/2 more
+than the cheapest bribery giving it s* and every rival at most s*, and
+exists exactly when one does. ``solve_unit`` bisects over s*, so it runs
+O(log |V|) flows. The NP-hardness gadget prices two swaps of one vote
+differently, so it lies outside.
 
 ``min_cost_max_flow`` is the primal-dual form of successive shortest
 paths: one Dijkstra per distinct shortest-path length, after which every
@@ -194,37 +196,59 @@ def _blocking_flows(adj, to, cap, cost, potential, source, sink) -> int:
                 node = source
 
 
-# Node ids of a transfer network: s, t and x, then one ``a`` node per
-# (vote, top-k position), one ``ap`` node per (vote, candidate) and one ``b``
-# node per candidate, each block in row-major order.
+class VoteClass(NamedTuple):
+    """The expanded votes that share a ranking and a swap price."""
+
+    ranking: Ranking
+    price: int | Fraction
+    votes: tuple[int, ...]
+
+
+def covers(instance: BriberyInstance) -> bool:
+    """Flow's scope: k-approval with one swap price per vote, no pair override."""
+    costs = instance.costs
+    return instance.rule.kind == K_APPROVAL and not any(map(costs.overrides, range(costs.n_votes)))
+
+
+def vote_classes(instance: BriberyInstance, prices: SwapCostFunction) -> list[VoteClass]:
+    """The expanded votes by ranking and default in ``prices``, in order of first vote.
+
+    Raises PreconditionError outside flow's scope (``covers``).
+    """
+    if not covers(instance):
+        raise PreconditionError("flow solver needs k-approval with one swap price per vote, without pair overrides")
+    groups: dict[tuple[Ranking, int | Fraction], list[int]] = {}
+    for v, ranking in enumerate(instance.election.expanded()):
+        groups.setdefault((ranking, prices.default(v)), []).append(v)
+    return [VoteClass(ranking, price, tuple(votes)) for (ranking, price), votes in groups.items()]
+
+
+# Node ids of a transfer network: s, t and x, then one ``g`` node per vote
+# class, then one ``b`` node per candidate.
 _S, _T, _X = 0, 1, 2
-_A0 = 3
-
-
-def _blocks(n_votes: int, m: int, k: int) -> tuple[int, int]:
-    """First node ids of the ``ap`` and ``b`` blocks."""
-    ap0 = _A0 + n_votes * k
-    return ap0, ap0 + n_votes * m
 
 
 def build_transfer_network(
-    rankings: list[Ranking],
+    classes: list[VoteClass],
     k: int,
     preferred: int,
     target_score: int,
     unique: bool = False,
 ) -> FlowNetwork:
-    """Score-transfer network for one target score of the preferred candidate.
+    """Transportation network for one target score of the preferred candidate.
 
-    Nodes: source ``s``, sink ``t``, junction ``x``, one ``a[v,c]`` per
-    one-position holder, one ``ap[v,c]`` per (vote, candidate), one
-    ``b[c]`` per candidate. Rerouting arcs ``a[v,c] -> ap[v,c']`` cost the
-    rank difference, an int; everything else costs 0.
+    Nodes: source ``s``, sink ``t``, junction ``x``, one ``g[i]`` per vote
+    class, one ``b[c]`` per candidate. Class i of w votes sends k·w
+    approvals along ``s -> g[i]``, then at most w to each candidate c along
+    ``g[i] -> b[c]`` at its price times c's 0-based position; these arcs
+    follow their ``s -> g[i]`` arc in ranking order. The preferred candidate
+    passes exactly ``target_score`` approvals to ``t``, the others at most
+    that many (one fewer if ``unique``) through ``x``.
     """
-    n_votes = len(rankings)
-    if not rankings:
+    if not classes:
         raise DomainError("need at least one vote")
-    m = len(rankings[0])
+    m = len(classes[0].ranking)
+    n_votes = sum(len(votes) for _, _, votes in classes)
     if not 1 <= k <= m:
         raise DomainError(f"k = {k} outside 1..{m}")
     if not 1 <= target_score <= n_votes:
@@ -232,90 +256,70 @@ def build_transfer_network(
     if not 0 <= preferred < m:
         raise DomainError("preferred candidate out of range")
 
-    ap0, b0 = _blocks(n_votes, m, k)
-    names = ["s", "t", "x"]
-    names += [f"a[{v},{c}]" for v, ranking in enumerate(rankings) for c in ranking[:k]]
-    names += [f"ap[{v},{c}]" for v in range(n_votes) for c in range(m)]
-    names += [f"b[{c}]" for c in range(m)]
+    b0 = _X + 1 + len(classes)
+    names = ["s", "t", "x", *(f"g[{i}]" for i in range(len(classes))), *(f"b[{c}]" for c in range(m))]
 
     arcs: list[FlowArc] = []
-    a_node = _A0
-    for v, ranking in enumerate(rankings):
-        ap_v = ap0 + v * m
-        for i, c in enumerate(ranking[:k]):
-            arcs.append(FlowArc(_S, a_node, 1, 0))
-            arcs.append(FlowArc(a_node, ap_v + c, 1, 0))
-            # ranking[k + j] sits k + j - i places below ranking[i]
-            for gap, c_prime in enumerate(ranking[k:], start=k - i):
-                arcs.append(FlowArc(a_node, ap_v + c_prime, 1, gap))
-            a_node += 1
-        for c in range(m):
-            arcs.append(FlowArc(ap_v + c, b0 + c, 1, 0))
+    for g, (ranking, price, votes) in enumerate(classes, start=_X + 1):
+        arcs.append(FlowArc(_S, g, k * len(votes), 0))
+        arcs += [FlowArc(g, b0 + c, len(votes), price * pos) for pos, c in enumerate(ranking)]
     side_cap = target_score - 1 if unique else target_score
-    for c in range(m):
-        if c == preferred:
-            arcs.append(FlowArc(b0 + c, _T, target_score, 0))
-        else:
-            arcs.append(FlowArc(b0 + c, _X, side_cap, 0))
+    arcs += [
+        FlowArc(b0 + c, _T, target_score, 0) if c == preferred else FlowArc(b0 + c, _X, side_cap, 0)
+        for c in range(m)
+    ]
     arcs.append(FlowArc(_X, _T, n_votes * k - target_score, 0))
 
     return FlowNetwork(tuple(names), tuple(arcs), source=_S, sink=_T)
 
 
-def _extract_targets(
-    network: FlowNetwork,
-    result: FlowResult,
-    rankings: list[Ranking],
-    k: int,
-) -> tuple[Ranking, ...]:
-    """Turn a full-value flow into per-vote target rankings.
+def _split(classes: list[VoteClass], result: FlowResult) -> tuple[Ranking, ...]:
+    """Per-vote target rankings from a full-value flow, round-robin within each class.
 
-    Each vote approves the candidates whose ``ap[v,c] -> b[c]`` arc carries
-    flow; its target moves that set to the top, which costs exactly the
-    rank gaps the flow paid.
+    A class's units, listed candidate by candidate in ranking order, go the
+    t-th to its (t mod w)-th vote: no candidate carries more than w units,
+    so each vote gets k distinct ones, and their cost is what the flow paid.
     """
-    m = len(rankings[0])
-    ap0, b0 = _blocks(len(rankings), m, k)
-    approved: list[set[int]] = [set() for _ in rankings]
-    for (tail, _, _, _), flow in zip(network.arcs, result.arc_flows):
-        if flow and ap0 <= tail < b0:  # every arc out of an ap node enters b
-            v, c = divmod(tail - ap0, m)
-            approved[v].add(c)
-    return tuple(map(move_to_top_target, rankings, approved))
+    targets: dict[int, Ranking] = {}
+    flows = iter(result.arc_flows)
+    for ranking, _, votes in classes:
+        next(flows)  # s -> g
+        units = [c for c in ranking for _ in range(next(flows))]
+        for i, v in enumerate(votes):
+            targets[v] = move_to_top_target(ranking, frozenset(units[i :: len(votes)]))
+    return tuple(targets[v] for v in range(len(targets)))
 
 
 def solve_unit(instance: BriberyInstance) -> SolveResult:
-    """Exact solver for unit swap costs: best over all target scores.
+    """Exact solver for k-approval with one swap price per vote: best over all target scores.
 
-    Precondition: every swap price equals 1 (checked). Finds the smallest
-    target score for the preferred candidate whose full-value flow is
-    cheapest, with at most 2*ceil(log2 |V|) + 1 flows, then reads the
-    bribery out of that flow.
+    Precondition: ``covers(instance)`` (checked). At the instance's integer
+    prices, finds the smallest target score for the preferred candidate
+    whose full-value flow is cheapest, with at most 2*ceil(log2 |V|) + 1
+    flows, and splits that flow into a bribery.
 
     Two facts make the bisection exact. Feasibility is up-closed in s*:
     swapping the preferred candidate into one more approval set helps no
-    rival. And the cheapest cost is convex in s*: the capacities are affine
-    in s*, the minimum of an LP is convex in its right-hand side, and the
-    network matrix is totally unimodular, so integer flows attain it.
+    rival. And the cheapest cost is convex in s*: only the capacities out
+    of the ``b`` nodes and ``x`` depend on s*, affinely; the minimum of an
+    LP is convex in its right-hand side; the network matrix is totally
+    unimodular, so integer flows attain it; and ``_split`` turns an integer
+    flow into per-vote approval sets of the same cost.
     """
-    if instance.rule.kind != K_APPROVAL:
-        raise DomainError("flow solver needs a k-approval instance")
-    if not instance.costs.is_uniform(1):
-        raise PreconditionError("flow solver requires every swap cost to equal 1")
-
-    rankings = instance.election.expanded_list()
+    scale, prices, _ = instance.integer_prices()
+    classes = vote_classes(instance, prices)
     k = instance.rule.k
-    n_votes = len(rankings)
-    flows: dict[int, tuple[FlowNetwork, FlowResult] | None] = {}
+    n_votes = instance.election.n_expanded
+    flows: dict[int, FlowResult | None] = {}
 
-    def cheapest(target_score: int) -> tuple[FlowNetwork, FlowResult] | None:
+    def cheapest(target_score: int) -> FlowResult | None:
         """The target score's min-cost flow, or None if it is not full-value."""
         if target_score not in flows:
             network = build_transfer_network(
-                rankings, k, instance.preferred, target_score, instance.unique_mode
+                classes, k, instance.preferred, target_score, instance.unique_mode
             )
             result = min_cost_max_flow(network)
-            flows[target_score] = (network, result) if result.value == n_votes * k else None
+            flows[target_score] = result if result.value == n_votes * k else None
         return flows[target_score]
 
     if cheapest(n_votes) is None:
@@ -326,15 +330,15 @@ def solve_unit(instance: BriberyInstance) -> SolveResult:
         here = cheapest(mid)
         # an infeasible s* lies left of every minimiser; a feasible one has
         # a feasible successor
-        if here is not None and here[1].cost <= cheapest(mid + 1)[1].cost:
+        if here is not None and here.cost <= cheapest(mid + 1).cost:
             hi = mid
         else:
             lo = mid + 1
 
-    network, result = flows[lo]
-    cost = Fraction(result.cost)
-    witness = Bribery(_extract_targets(network, result, rankings, k))
-    return SolveResult(cost <= instance.budget, cost, witness)
+    result = flows[lo]
+    kept = k * (k - 1) // 2 * sum(price * len(votes) for _, price, votes in classes)
+    cost = Fraction(result.cost - kept, scale)
+    return SolveResult(cost <= instance.budget, cost, Bribery(_split(classes, result)))
 
 
 def approx_within_range(

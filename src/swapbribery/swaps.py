@@ -107,8 +107,10 @@ class SwapCostFunction:
             raise DomainError(f"scale {scale} leaves a price fractional")
         # Scaled tables stay canonical, so the constructor's checks are skipped.
         out = object.__new__(SwapCostFunction)
-        out._defaults = tuple(int(d * scale) for d in self._defaults)
-        out._overrides = tuple({p: int(c * scale) for p, c in t.items()} for t in self._overrides)
+        out._defaults = tuple(d.numerator * (scale // d.denominator) for d in self._defaults)
+        out._overrides = tuple(
+            {p: c.numerator * (scale // c.denominator) for p, c in t.items()} for t in self._overrides
+        )
         return out
 
     def min_value(self) -> Fraction:

@@ -8,8 +8,12 @@ compares exit code, stdout, stderr and every file a call writes. Covered:
 ``solve`` with every algorithm and ``--solution``, ``verify`` of each
 solution, ``kernelize`` with and without ``--simple`` and ``--provenance``,
 ``export-network`` for every s* from 0 to n + 1, ``reduce`` both ways,
-and gadget ``generate`` and ``kernelize``. Prints each call that differs
-and the counts; exits 1 when any call differs beyond its stderr.
+and gadget ``generate`` and ``kernelize``; the instances include files with
+one swap price per vote, zero and rational ones among them. The two trees
+run under different hash seeds, so ``python tests/cli_differential.py src
+src WORKDIR`` checks that no output depends on the process. Prints each
+call that differs and the counts; exits 1 when any call differs beyond
+its stderr.
 """
 
 import json
@@ -86,7 +90,7 @@ def build_calls(work: Path, old_src: str) -> list:
     def call(*argv, outputs=()):
         calls.append([[str(a) for a in argv], [str(o) for o in outputs]])
 
-    for path, n in instances:
+    def instance_calls(path, n):
         for algorithm in ("auto", "brute", "flow", "color", "ilp"):
             solution = out / f"{path.stem}.{algorithm}.sbs"
             call("solve", path, "--algorithm", algorithm, "--solution", solution, outputs=[solution])
@@ -100,6 +104,9 @@ def build_calls(work: Path, old_src: str) -> list:
             call("export-network", path, "--s-star", s_star)
         partial = out / f"{path.stem}.pwe"
         call("reduce", "sb-to-pw", path, "--out", partial, outputs=[partial])
+
+    for path, n in instances:
+        instance_calls(path, n)
     for path in reducible:
         partial, back = out / f"{path.stem}.pwe", out / f"{path.stem}.back.sbe"
         call("reduce", "sb-to-pw", path, "--out", partial, outputs=[partial])
@@ -119,6 +126,20 @@ def build_calls(work: Path, old_src: str) -> list:
              "--seed", seed, "--out", single, outputs=[single])
         call("kernelize", single)
         call("solve", single)
+    # One swap price per vote, drawn after everything above so that the
+    # corpus before it stays the same: uniform 2, 0 and 1/2 prices, and
+    # range:1:3 without its pair lines, whose votes keep different defaults.
+    for i in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        k = rng.randint(1, m)
+        model = ("range:2:2", "range:0:0", "range:1/2:1/2", "range:1:3")[i % 4]
+        path = corpus / f"p{i}.sbe"
+        generate(["random", "--m", m, "--n", n, "--k", k, "--cost-model", model, "--seed", 2000 + i], path)
+        text = "".join(line for line in path.read_text().splitlines(keepends=True) if " pair " not in line)
+        if rng.random() < 0.3:
+            text = text.replace("mode co-winner", "mode unique-winner")
+        path.write_text(text)
+        instance_calls(path, n)
     return calls
 
 
@@ -129,10 +150,12 @@ def main():
     (work / "calls.json").write_text(json.dumps(calls))
     (work / "runner.py").write_text(RUNNER)
     results = []
-    for tag, src in (("old", old_src), ("new", new_src)):
+    # Each tree runs under its own hash seed, so that with OLD_SRC = NEW_SRC
+    # the run checks that no output depends on set or dict order.
+    for tag, src, hash_seed in (("old", old_src, "1"), ("new", new_src, "2")):
         target = work / f"{tag}.json"
         subprocess.run([sys.executable, str(work / "runner.py"), src, str(work / "calls.json"), str(target)],
-                       check=True)
+                       env=dict(os.environ, PYTHONHASHSEED=hash_seed), check=True)
         results.append(json.loads(target.read_text()))
     same = stderr_only = differ = 0
     commands, codes = {}, {}

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from swapbribery.colorcoding import solve_color_coding
 from swapbribery.core import Election, Vote, VotingRule, scores, winners
-from swapbribery.flow import approx_within_range, build_transfer_network, solve_unit
+from swapbribery.flow import approx_within_range, build_transfer_network, solve_unit, vote_classes
 from swapbribery.hardness import (
     multicolored_clique_instance,
     multicolored_clique_witness,
@@ -40,8 +40,6 @@ from swapbribery.swaps import (
 )
 
 from conftest import (
-    SAMPLE_U,
-    SAMPLE_V,
     random_costs,
     random_instance,
     sample_election,
@@ -81,16 +79,16 @@ def test_sample_instance_concrete_values():
     oracle = brute_topk(inst)
     assert oracle.optimal_cost == 3
 
-    network = build_transfer_network([SAMPLE_V, SAMPLE_U], 2, 2, 2)
+    network = build_transfer_network(vote_classes(inst, inst.costs), 2, 2, 2)
     arc_cost = {
         (network.node_names[a.tail], network.node_names[a.head]): a.cost
         for a in network.arcs
     }
-    # rerouting c2's point to c4 in the second vote costs rank(c4)-rank(c2)
-    assert arc_cost[("a[1,1]", "ap[1,3]")] == 3
-    # rerouting c1's point to p in the first vote prices by the same rule;
+    # moving c2's point to c4 in the second vote costs rank(c4)-rank(c2)
+    assert arc_cost[("g[1]", "b[3]")] - arc_cost[("g[1]", "b[1]")] == 3
+    # moving c1's point to p in the first vote prices by the same rule;
     # the rank difference is 2 (and nothing asserts any other value here)
-    assert arc_cost[("a[0,0]", "ap[0,2]")] == 2
+    assert arc_cost[("g[0]", "b[2]")] - arc_cost[("g[0]", "b[0]")] == 2
     print("PASS: five-candidate sample costs 3 and carries the rank-gap arc prices")
 
 

@@ -238,11 +238,11 @@ def test_auto_agrees_with_the_uncapped_oracles(tmp_path, capsys):
     """
     for instance, every_solver in _differential_corpus():
         k_approval = instance.rule.kind == "k-approval"
-        unit = k_approval and instance.costs.is_uniform(1)
+        one_price = k_approval and not any(map(instance.costs.overrides, range(instance.election.n_expanded)))
         expected = (brute_topk if k_approval else brute_rankings)(instance, caps=LIFTED)
         code, lines = _solve_auto(tmp_path, instance, capsys)
         answer = [
-            f"algorithm: {'flow' if unit else 'brute'}",
+            f"algorithm: {'flow' if one_price else 'brute'}",
             f"decision: {'yes' if expected.decision else 'no'}",
         ]
         if expected.optimal_cost is not None:
@@ -276,7 +276,8 @@ def test_auto_agrees_with_the_uncapped_oracles(tmp_path, capsys):
     ],
 )
 def test_search_past_its_node_budget_is_an_error(sample_path, monkeypatch, capsys, rule, algorithm):
-    sample_path.write_text(SAMPLE.replace("k-approval 2", rule) + "costs 0 default 2\n")
+    # the pair override keeps auto off flow, whose scope is one price per vote
+    sample_path.write_text(SAMPLE.replace("k-approval 2", rule) + "costs 0 default 2\ncosts 0 pair c1 c2 3\n")
     monkeypatch.setattr(_search, "MAX_NODES", 1)
     assert main(["solve", str(sample_path), "--algorithm", algorithm]) == 2
     out, err = capsys.readouterr()
@@ -567,7 +568,8 @@ def test_export_network_node_count(sample_path, tmp_path):
         == 0
     )
     dot = out.read_text()
-    assert sum(1 for l in dot.splitlines() if l.endswith('";')) == 22
+    # s, t, x, one class per distinct vote, one node per candidate
+    assert sum(1 for l in dot.splitlines() if l.endswith('";')) == 3 + 2 + 5
 
 
 README_SAMPLE = """\
@@ -585,37 +587,22 @@ costs 0 default 1
 costs 0 pair a b 3/2
 """
 
+# The README sample without its pair override, at price 3/2 a swap: both
+# copies of the vote form one class.
 README_NETWORK = """\
 digraph transfer {
   rankdir=LR;
   "s";
   "t";
   "x";
-  "a[0,0]";
-  "a[1,0]";
-  "ap[0,0]";
-  "ap[0,1]";
-  "ap[0,2]";
-  "ap[1,0]";
-  "ap[1,1]";
-  "ap[1,2]";
+  "g[0]";
   "b[0]";
   "b[1]";
   "b[2]";
-  "s" -> "a[0,0]" [label="cap 1"];
-  "a[0,0]" -> "ap[0,0]" [label="cap 1"];
-  "a[0,0]" -> "ap[0,1]" [label="cap 1, cost 1"];
-  "a[0,0]" -> "ap[0,2]" [label="cap 1, cost 2"];
-  "ap[0,0]" -> "b[0]" [label="cap 1"];
-  "ap[0,1]" -> "b[1]" [label="cap 1"];
-  "ap[0,2]" -> "b[2]" [label="cap 1"];
-  "s" -> "a[1,0]" [label="cap 1"];
-  "a[1,0]" -> "ap[1,0]" [label="cap 1"];
-  "a[1,0]" -> "ap[1,1]" [label="cap 1, cost 1"];
-  "a[1,0]" -> "ap[1,2]" [label="cap 1, cost 2"];
-  "ap[1,0]" -> "b[0]" [label="cap 1"];
-  "ap[1,1]" -> "b[1]" [label="cap 1"];
-  "ap[1,2]" -> "b[2]" [label="cap 1"];
+  "s" -> "g[0]" [label="cap 2"];
+  "g[0]" -> "b[0]" [label="cap 2"];
+  "g[0]" -> "b[1]" [label="cap 2, cost 3/2"];
+  "g[0]" -> "b[2]" [label="cap 2, cost 3"];
   "b[0]" -> "x" [label="cap 1"];
   "b[1]" -> "x" [label="cap 1"];
   "b[2]" -> "t" [label="cap 1"];
@@ -624,13 +611,39 @@ digraph transfer {
 """
 
 
-def test_export_network_of_readme_sample(tmp_path):
-    # Integer arc costs print exactly as rational ones did.
+def test_export_network_of_readme_sample(tmp_path, capsys):
+    # Arc costs print at the instance's own prices; a pair override puts the
+    # instance outside flow's scope, for export as for solve.
     path = tmp_path / "readme.sbe"
-    path.write_text(README_SAMPLE)
     out = tmp_path / "net.dot"
+    path.write_text(README_SAMPLE.replace("costs 0 pair a b 3/2\n", "").replace("default 1", "default 3/2"))
     assert main(["export-network", str(path), "--s-star", "1", "--out", str(out)]) == 0
     assert out.read_text() == README_NETWORK
+    path.write_text(README_SAMPLE)
+    capsys.readouterr()
+    error = "error: flow solver needs k-approval with one swap price per vote, without pair overrides\n"
+    for argv in (["export-network", str(path), "--s-star", "1"], ["solve", "--algorithm", "flow", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", error)
+
+
+def test_flow_solves_and_exports_one_price_per_vote(tmp_path, capsys):
+    # range:2:2 prices every swap 2, and the pair lines equal to the default
+    # drop out, so auto runs flow; brute refuses 12 * C(20, 4) top-4 sets.
+    path = tmp_path / "r22.sbe"
+    argv = ["generate", "random", "--m", "20", "--n", "12", "--k", "4", "--cost-model", "range:2:2"]
+    assert main(argv + ["--seed", "1", "--out", str(path)]) == 0
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == "algorithm: flow\ndecision: yes\ncost: 6\n"
+    out = tmp_path / "net.dot"
+    assert main(["export-network", str(path), "--s-star", "3", "--out", str(out)]) == 0
+    dot = out.read_text()
+    rankings = parse_election(path.read_text()).election.expanded_list()
+    assert len(set(rankings)) == 12  # twelve distinct votes, twelve classes
+    for g, ranking in enumerate(rankings):
+        for pos, c in enumerate(ranking):
+            label = f"cap 1, cost {2 * pos}" if pos else "cap 1"
+            assert f'  "g[{g}]" -> "b[{c}]" [label="{label}"];\n' in dot
 
 
 DUMP_SAMPLE = """\
@@ -715,15 +728,19 @@ def test_bench_csv_schema(sample_path, tmp_path):
 
 
 def test_bench_names_the_solver_auto_picks(sample_path, tmp_path):
-    priced = tmp_path / "priced.sbe"
+    # one price per vote is flow's; a pair override sends auto to brute
+    priced, paired = tmp_path / "priced.sbe", tmp_path / "paired.sbe"
     priced.write_text(SAMPLE + "costs 0 default 2\n")
+    paired.write_text(SAMPLE + "costs 0 default 2\ncosts 0 pair c1 c2 3\n")
     out = tmp_path / "bench.csv"
-    argv = ["bench", str(sample_path), str(priced), "--solvers", "auto,ilp", "--out", str(out)]
+    argv = ["bench", str(sample_path), str(priced), str(paired), "--solvers", "auto,ilp", "--out", str(out)]
     assert main(argv) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [row[1:4] for row in rows] == [
         ["flow", "yes", "3"],
         ["ilp", "yes", "3"],
+        ["flow", "no", "4"],
+        ["ilp", "no", "-"],
         ["brute", "no", "4"],
         ["ilp", "no", "-"],
     ]

@@ -11,11 +11,14 @@ from swapbribery.errors import DomainError, PreconditionError
 from swapbribery.flow import (
     FlowArc,
     FlowNetwork,
-    _extract_targets,
+    VoteClass,
+    _split,
     approx_within_range,
     build_transfer_network,
+    covers,
     min_cost_max_flow,
     solve_unit,
+    vote_classes,
 )
 from swapbribery.oracle import brute_topk
 from swapbribery.reductions import gen_random
@@ -230,43 +233,76 @@ class TestEngine:
             FlowNetwork(("s", "t"), (FlowArc(0, 1, -1, Fraction(0)),), 0, 1)
 
 
+# The sample's two votes, one unit-price class each.
+SAMPLE_CLASSES = [VoteClass(SAMPLE_V, 1, (0,)), VoteClass(SAMPLE_U, 1, (1,))]
+
+
+def _classes(inst):
+    """The vote classes ``solve_unit`` builds, and the constant its flows pay on top."""
+    scale, prices, _ = inst.integer_prices()
+    classes = vote_classes(inst, prices)
+    k = inst.rule.k
+    kept = k * (k - 1) // 2 * sum(price * len(votes) for _, price, votes in classes)
+    return scale, classes, kept
+
+
 class TestNetworkShape:
     def test_sample_node_count(self):
-        net = build_transfer_network([SAMPLE_V, SAMPLE_U], 2, 2, 2)
-        # 4 one-position nodes, 10 receivers, 5 collectors, s, t, x.
-        assert len(net.node_names) == 22
+        net = build_transfer_network(SAMPLE_CLASSES, 2, 2, 2)
+        # s, t, x, 2 classes, 5 candidates.
+        assert len(net.node_names) == 10
+        # a source arc and 5 candidate arcs per class, 5 collector arcs, x -> t.
+        assert len(net.arcs) == 2 * (1 + 5) + 5 + 1
 
     def test_reroute_arc_costs_are_rank_gaps(self):
-        net = build_transfer_network([SAMPLE_V, SAMPLE_U], 2, 2, 2)
-        arc_cost = {}
-        for arc in net.arcs:
-            arc_cost[(net.node_names[arc.tail], net.node_names[arc.head])] = arc.cost
-        # in vote u, candidate c2 (rank 2) rerouting to c4 (rank 5) costs 3
-        assert arc_cost[("a[1,1]", "ap[1,3]")] == 3
-        # in vote v, candidate c1 (rank 1) rerouting to p (rank 3) costs 2
-        assert arc_cost[("a[0,0]", "ap[0,2]")] == 2
+        for price in (1, 2):
+            classes = [c._replace(price=price) for c in SAMPLE_CLASSES]
+            net = build_transfer_network(classes, 2, 2, 2)
+            arc_cost = {
+                (net.node_names[arc.tail], net.node_names[arc.head]): arc.cost for arc in net.arcs
+            }
+            # in vote u, trading c2's approval (rank 2) for c4's (rank 5) costs 3 swaps
+            assert arc_cost[("g[1]", "b[3]")] - arc_cost[("g[1]", "b[1]")] == 3 * price
+            # in vote v, trading c1's approval (rank 1) for p's (rank 3) costs 2 swaps
+            assert arc_cost[("g[0]", "b[2]")] - arc_cost[("g[0]", "b[0]")] == 2 * price
 
     def test_keep_arcs_cost_zero(self):
-        net = build_transfer_network([SAMPLE_V, SAMPLE_U], 2, 2, 2)
-        for arc in net.arcs:
-            tail = net.node_names[arc.tail]
-            head = net.node_names[arc.head]
-            if tail.startswith("a[") and head.startswith("ap["):
-                v1, c1 = tail[2:-1].split(",")
-                v2, c2 = head[3:-1].split(",")
-                if (v1, c1) == (v2, c2):
-                    assert arc.cost == 0
+        # Keeping a class's top k costs only the constant its flows pay on
+        # top, price * w * k(k-1)/2; no arc but a class's costs anything.
+        classes = [VoteClass(SAMPLE_V, 3, (0, 2)), VoteClass(SAMPLE_U, 2, (1,))]
+        for k in range(1, 6):
+            net = build_transfer_network(classes, k, 2, 2)
+            for g, (ranking, price, votes) in enumerate(classes):
+                top = [net.node_names.index(f"b[{c}]") for c in ranking[:k]]
+                node = net.node_names.index(f"g[{g}]")
+                keep = sum(a.cost * len(votes) for a in net.arcs if a.tail == node and a.head in top)
+                assert keep == price * len(votes) * k * (k - 1) // 2
+            assert all(a.cost == 0 for a in net.arcs if not net.node_names[a.tail].startswith("g["))
 
     def test_rejects_k_outside_one_to_m(self):
         for k in (0, 6):
             with pytest.raises(DomainError):
-                build_transfer_network([SAMPLE_V, SAMPLE_U], k, 2, 1)
+                build_transfer_network(SAMPLE_CLASSES, k, 2, 1)
 
     def test_sample_full_flow_cost(self, sample_instance):
-        net = build_transfer_network([SAMPLE_V, SAMPLE_U], 2, 2, 2)
+        net = build_transfer_network(SAMPLE_CLASSES, 2, 2, 2)
         res = min_cost_max_flow(net)
         assert res.value == 4  # |V| * k
-        assert res.cost == 3
+        assert res.cost == 3 + 2  # the bribery, plus 1 * 1 * 2(2-1)/2 per vote
+
+    def test_classes_share_a_ranking_and_a_price(self):
+        election = Election(("a", "b", "p"), (Vote((0, 1, 2), 3), Vote((1, 0, 2)), Vote((0, 1, 2), 2)))
+        costs = SwapCostFunction([1, 2, 1, 2, 1, 1], [{}] * 6)
+        inst = BriberyInstance(election, VotingRule.k_approval(1), 2, costs, Fraction(1))
+        classes = vote_classes(inst, costs)
+        assert classes == [
+            VoteClass((0, 1, 2), 1, (0, 2, 4, 5)),
+            VoteClass((0, 1, 2), 2, (1,)),
+            VoteClass((1, 0, 2), 2, (3,)),
+        ]
+        # one class arc per (class, candidate): d * m, whatever the multiplicities
+        net = build_transfer_network(classes, 1, 2, 3)
+        assert sum(net.node_names[a.tail].startswith("g[") for a in net.arcs) == 3 * 3
 
 
 class TestSolveUnit:
@@ -299,16 +335,25 @@ class TestSolveUnit:
             assert res.decision is expected
             assert res.optimal_cost == 1
 
-    def test_rejects_non_unit_costs(self):
-        inst = BriberyInstance(
-            sample_election(),
-            VotingRule.k_approval(2),
-            2,
-            SwapCostFunction.uniform(2, Fraction(2)),
-            Fraction(3),
-        )
+    def test_rejects_pair_overrides(self):
+        costs = SwapCostFunction([1, 1], [{}, {(0, 1): Fraction(2)}])
+        inst = BriberyInstance(sample_election(), VotingRule.k_approval(2), 2, costs, Fraction(3))
+        assert not covers(inst)
         with pytest.raises(PreconditionError):
             solve_unit(inst)
+        bucklin = dataclasses.replace(inst, rule=VotingRule.bucklin(), costs=SwapCostFunction.unit(2))
+        assert not covers(bucklin)
+        with pytest.raises(PreconditionError):
+            solve_unit(bucklin)
+
+    def test_uniform_price_scales_the_unit_optimum(self, sample_instance):
+        # The sample costs 3 at unit prices; at price 2 every swap costs twice.
+        doubled = dataclasses.replace(sample_instance, costs=SwapCostFunction.uniform(2, 2))
+        assert covers(doubled)
+        for budget, decision in ((5, False), (6, True)):
+            res = solve_unit(dataclasses.replace(doubled, budget=Fraction(budget)))
+            assert (res.decision, res.optimal_cost) == (decision, 2 * solve_unit(sample_instance).optimal_cost)
+            assert verify_bribery(doubled, res.witness).total_cost == 6
 
     def test_single_candidate_degenerate_yes(self):
         # m = 1 runs through the bisection like any other instance.
@@ -334,6 +379,23 @@ class TestSolveUnit:
                 assert report.total_cost == flow.optimal_cost
                 assert report.preferred_wins
 
+    def test_matches_oracle_on_per_vote_prices(self):
+        # Prices differ between votes, zero and rational ones included, and
+        # a multiplicity-w vote's copies may be priced apart.
+        rng = random.Random(97)
+        kinds = set()
+        for _ in range(300):
+            inst = _per_vote_instance(rng)
+            flow = solve_unit(inst)
+            brute = brute_topk(inst)
+            assert (flow.decision, flow.optimal_cost) == (brute.decision, brute.optimal_cost)
+            if flow.witness is not None:
+                report = verify_bribery(inst, flow.witness)
+                assert report.total_cost == flow.optimal_cost and report.preferred_wins
+            prices = {inst.costs.default(v) for v in range(inst.costs.n_votes)}
+            kinds.add((len(prices) > 1, 0 in prices, any(p.denominator > 1 for p in prices), inst.mode))
+        assert len(kinds) >= 12
+
     def test_score_profile_matches_target(self):
         # For every target score with a full-value flow, the extracted
         # bribery gives the preferred candidate exactly that score and
@@ -345,21 +407,22 @@ class TestSolveUnit:
             inst = random_instance(rng, m_max=5, n_max=3, cost_kind="unit", mode=mode)
             rankings = inst.election.expanded_list()
             k = inst.rule.k
+            scale, classes, kept = _classes(inst)
             for target in range(1, len(rankings) + 1):
                 network = build_transfer_network(
-                    rankings, k, inst.preferred, target, inst.unique_mode
+                    classes, k, inst.preferred, target, inst.unique_mode
                 )
                 res = min_cost_max_flow(network)
                 if res.value != len(rankings) * k:
                     continue
-                bribery = Bribery(_extract_targets(network, res, rankings, k))
+                bribery = Bribery(_split(classes, res))
                 totals = scores(bribed_election(inst, bribery), inst.rule)
                 assert totals[inst.preferred] == target
                 limit = target - (1 if inst.unique_mode else 0)
                 assert all(
                     s <= limit for c, s in enumerate(totals) if c != inst.preferred
                 )
-                assert verify_bribery(inst, bribery).total_cost == res.cost
+                assert verify_bribery(inst, bribery).total_cost == Fraction(res.cost - kept, scale)
                 checked += 1
         assert checked > 25
 
@@ -400,81 +463,95 @@ class TestSolveUnit:
                     cost = sum(c for _, c in picks)
                     if best is None or cost < best:
                         best = cost
+                scale, classes, kept = _classes(inst)
                 network = build_transfer_network(
-                    rankings, k, inst.preferred, target
+                    classes, k, inst.preferred, target
                 )
                 res = min_cost_max_flow(network)
                 full = len(rankings) * k
                 if best is None:
                     assert res.value < full
                 else:
-                    assert res.value == full and res.cost == best
+                    assert res.value == full and Fraction(res.cost - kept, scale) == best
 
 
-def _four_block_targets(network, result, rankings, k):
-    """Reference for _extract_targets: each vote's target rebuilt in four blocks.
+def _per_vote_instance(rng):
+    """k-approval, one swap price per vote from {0, 1/2, 3/4, 1, 2, 3, 5}; both modes.
 
-    The kept top-k candidates, then those the flow routes in, then those it
-    routes out, then the rest, each block in its original order.
+    m 2-5, one to three vote lines of multiplicity 1-3, so up to nine votes;
+    the copies of a vote share a price more often than not.
     """
-    m = len(rankings[0])
-    a0, ap0 = 3, 3 + len(rankings) * k
-    b0 = ap0 + len(rankings) * m
-    moved_out = [set() for _ in rankings]
-    moved_in = [set() for _ in rankings]
-    for arc, flow in zip(network.arcs, result.arc_flows):
-        if flow == 0 or not (a0 <= arc.tail < ap0 and ap0 <= arc.head < b0):
-            continue
-        v, i = divmod(arc.tail - a0, k)
-        c, c2 = rankings[v][i], (arc.head - ap0) % m
-        if c != c2:
-            moved_out[v].add(c)
-            moved_in[v].add(c2)
-    targets = []
-    for v, ranking in enumerate(rankings):
-        outs, ins = moved_out[v], moved_in[v]
-        top_keep = [c for c in ranking[:k] if c not in outs]
-        in_block = [c for c in ranking if c in ins]
-        out_block = [c for c in ranking if c in outs]
-        rest = [c for c in ranking[k:] if c not in ins]
-        targets.append(tuple(top_keep + in_block + out_block + rest))
-    return tuple(targets)
+    prices = [Fraction(p) for p in ("0", "1/2", "3/4", "1", "2", "3", "5")]
+    m = rng.randint(2, 5)
+    votes = tuple(Vote(tuple(rng.sample(range(m), m)), rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
+    defaults = []
+    for vote in votes:
+        shared = rng.choice(prices)
+        together = rng.random() < 0.7
+        defaults += [shared if together else rng.choice(prices) for _ in range(vote.multiplicity)]
+    return BriberyInstance(
+        Election(tuple(f"c{i}" for i in range(m)), votes),
+        VotingRule.k_approval(rng.randint(1, m)),
+        rng.randrange(m),
+        SwapCostFunction(defaults, [{}] * len(defaults)),
+        Fraction(rng.randint(0, 24), 2),
+        rng.choice((CO_WINNER, UNIQUE_WINNER)),
+    )
 
 
-class TestExtractTargets:
-    def test_matches_four_block_reference(self):
-        # Moving each vote's approved set to the top is the four-block
-        # ranking: kept and moved-in candidates first, both in vote order.
+class TestSplit:
+    def test_round_robin_split_meets_the_flow(self):
+        # Each vote gets k distinct candidates at the top, in vote order; each
+        # class's candidates are approved as often as its arcs carry flow; and
+        # the bribery costs the flow minus its constant.
         rng = random.Random(83)
-        compared = 0
-        for seed in range(300):
-            mode = (CO_WINNER, UNIQUE_WINNER)[seed % 2]
-            m = rng.randint(1, 7)
-            k = rng.randint(1, m)
-            inst = gen_random(m, rng.randint(1, 8), k, seed=seed, mode=mode)
-            rankings = inst.election.expanded_list()
-            for target in range(1, len(rankings) + 1):
-                network = build_transfer_network(rankings, k, inst.preferred, target, inst.unique_mode)
+        compared = shared = 0
+        for _ in range(200):
+            inst = _per_vote_instance(rng)
+            k, n = inst.rule.k, inst.election.n_expanded
+            scale, classes, kept = _classes(inst)
+            for target in range(1, n + 1):
+                network = build_transfer_network(classes, k, inst.preferred, target, inst.unique_mode)
                 res = min_cost_max_flow(network)
-                if res.value == len(rankings) * k:
-                    got = _extract_targets(network, res, rankings, k)
-                    assert got == _four_block_targets(network, res, rankings, k), (seed, target)
-                    compared += 1
-        assert compared > 500
+                if res.value != n * k:
+                    continue
+                targets = _split(classes, res)
+                for g, (ranking, _, votes) in enumerate(classes):
+                    node = network.node_names.index(f"g[{g}]")
+                    shared += len(votes) > 1
+                    carried = {
+                        arc.head: flow
+                        for arc, flow in zip(network.arcs, res.arc_flows)
+                        if arc.tail == node
+                    }
+                    counts = dict.fromkeys(carried, 0)
+                    for v in votes:
+                        top = set(targets[v][:k])
+                        assert targets[v] == tuple(c for c in ranking if c in top) + tuple(
+                            c for c in ranking if c not in top
+                        )
+                        for c in top:
+                            counts[network.node_names.index(f"b[{c}]")] += 1
+                    assert counts == carried
+                assert verify_bribery(inst, Bribery(targets)).total_cost == Fraction(res.cost - kept, scale)
+                compared += 1
+        assert compared > 300 and shared > 300
 
 
 def _scan_every_target(inst):
     """Reference for solve_unit: one flow per target score, first minimiser kept."""
     rankings = inst.election.expanded_list()
     k = inst.rule.k
+    scale, classes, kept = _classes(inst)
     best = None
     for target in range(1, len(rankings) + 1):
         network = build_transfer_network(
-            rankings, k, inst.preferred, target, inst.unique_mode
+            classes, k, inst.preferred, target, inst.unique_mode
         )
         res = min_cost_max_flow(network)
-        if res.value == len(rankings) * k and (best is None or res.cost < best[0]):
-            best = (res.cost, Bribery(_extract_targets(network, res, rankings, k)))
+        cost = Fraction(res.cost - kept, scale)
+        if res.value == len(rankings) * k and (best is None or cost < best[0]):
+            best = (cost, Bribery(_split(classes, res)))
     if best is None:
         return False, None, None
     return best[0] <= inst.budget, best[0], best[1]

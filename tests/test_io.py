@@ -21,7 +21,7 @@ from swapbribery.io import (
     serialize_partial,
     serialize_solution,
 )
-from swapbribery.flow import build_transfer_network
+from swapbribery.flow import VoteClass, build_transfer_network
 from swapbribery.oracle import brute_topk
 from swapbribery.reductions import (
     PossibleWinnerInstance,
@@ -289,9 +289,15 @@ def test_graph_rejects_bad_integers(text):
 
 
 def test_dot_counts_for_sample_network():
-    net = build_transfer_network([SAMPLE_V, SAMPLE_U], 2, 2, 2)
+    classes = [VoteClass(SAMPLE_V, 1, (0,)), VoteClass(SAMPLE_U, Fraction(3, 2), (1,))]
+    net = build_transfer_network(classes, 2, 2, 2)
     dot = network_to_dot(net)
     node_lines = [l for l in dot.splitlines() if l.endswith('";')]
     arc_lines = [l for l in dot.splitlines() if "->" in l]
-    assert len(node_lines) == 22
-    assert len(arc_lines) == len(net.arcs)
+    assert len(node_lines) == 10  # s, t, x, 2 classes, 5 candidates
+    assert len(arc_lines) == len(net.arcs) == 2 * 6 + 5 + 1
+    # zero costs go unlabelled; rational ones print as p/q
+    assert '  "g[1]" -> "b[0]" [label="cap 1"];' in arc_lines
+    assert '  "g[1]" -> "b[4]" [label="cap 1, cost 3"];' in arc_lines
+    assert '  "g[1]" -> "b[3]" [label="cap 1, cost 6"];' in arc_lines
+    assert '  "g[1]" -> "b[2]" [label="cap 1, cost 9/2"];' in arc_lines

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swapbribery.core import VotingRule
+from swapbribery.core import Election, Vote, VotingRule
 from swapbribery.errors import AdmissibilityError, DomainError
 from swapbribery.swaps import (
     Bribery,
@@ -354,3 +354,25 @@ def test_cost_function_rejects_negatives():
         SwapCostFunction([Fraction(-1)], [{}])
     with pytest.raises(DomainError):
         SwapCostFunction([Fraction(1)], [{(0, 1): Fraction(-2)}])
+
+
+def test_integer_prices_scale_zero_integral_and_coprime_prices():
+    # Denominators 3, 7 and 14 against a budget in halves: scale 42.
+    defaults = [Fraction(0), Fraction(3), Fraction(1, 3), Fraction(5, 7)]
+    tables = [{(0, 1): Fraction(2, 3)}, {}, {(1, 0): Fraction(0)}, {(0, 2): Fraction(9, 14)}]
+    costs = SwapCostFunction(defaults, tables)
+    inst = BriberyInstance(
+        Election(("a", "b", "c"), (Vote((0, 1, 2), 4),)),
+        VotingRule.k_approval(1),
+        0,
+        costs,
+        Fraction(1, 2),
+    )
+    scale, prices, budget = inst.integer_prices()
+    assert (scale, budget) == (42, 21)
+    for v in range(4):
+        assert prices.default(v) == costs.default(v) * 42
+        assert prices.overrides(v) == {pair: c * 42 for pair, c in costs.overrides(v).items()}
+        assert all(type(c) is int for c in (prices.default(v), *prices.overrides(v).values()))
+    with pytest.raises(DomainError):
+        costs.scaled(21)
