@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     ParseError,
     PreconditionError,
+    RankingError,
     ResourceCapError,
     SwapBriberyError,
     UnsupportedRuleError,
@@ -60,6 +61,7 @@ __all__ = [
     "ParseError",
     "PreconditionError",
     "Ranking",
+    "RankingError",
     "ResourceCapError",
     "SCORING",
     "SolveResult",

@@ -153,14 +153,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_kernelize(args) -> int:
-    instance = formats.parse_election(_read(args.instance))
+    text = _read(args.instance)
+    instance = formats.parse_election(text)
     if args.simple:
         kernel = truncation_kernel(instance)
         origins = truncation_provenance(instance, kernel)
     else:
         result = kernelize(instance)
         kernel, origins = result.instance, result.provenance
-    _write(args.out, formats.serialize_election(kernel))
+    # A kernel that is its input is written back as read, not serialized again.
+    _write(args.out, text if kernel is instance else formats.serialize_election(kernel))
     if args.provenance:
         provenance = dict(zip(kernel.election.candidates, origins))
         _write(args.provenance, json.dumps(provenance, indent=2) + "\n")

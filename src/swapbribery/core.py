@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError, UnsupportedRuleError
+from .errors import DomainError, RankingError, UnsupportedRuleError
 
 Ranking = tuple[int, ...]
 
@@ -92,10 +92,12 @@ class Election:
             raise DomainError("candidate names must be unique")
         if not self.votes:
             raise DomainError("election needs at least one vote")
+        # The one permutation check of a vote: parse_election names the
+        # file line of the vote this error reports.
         full = frozenset(range(m))
-        for vote in self.votes:
+        for i, vote in enumerate(self.votes):
             if len(vote.ranking) != m or frozenset(vote.ranking) != full:
-                raise DomainError(f"vote {vote.ranking} is not a permutation of 0..{m - 1}")
+                raise RankingError(i, f"vote {vote.ranking} is not a permutation of 0..{m - 1}")
 
     @property
     def m(self) -> int:

@@ -9,6 +9,14 @@ class DomainError(SwapBriberyError):
     """Malformed value or an argument outside an operation's domain."""
 
 
+class RankingError(DomainError):
+    """A vote's ranking is not a permutation of the roster; ``vote`` is the vote's position."""
+
+    def __init__(self, vote: int, message: str):
+        super().__init__(message)
+        self.vote = vote
+
+
 class PreconditionError(SwapBriberyError):
     """A solver-specific precondition on the instance does not hold."""
 

@@ -1,17 +1,22 @@
 """Line-oriented file formats: elections, solutions, partial votes, graphs.
 
 All rationals are serialized as ``p/q`` with ``/q`` omitted for integers,
-and parsing is strict: unknown keys, duplicate candidates, non-permutation
-votes and negative costs are rejected with the offending line number.
-Election cost lines address vote objects (an object's costs apply to each
-of its multiplicity copies); one-sided pair overrides are completed
-symmetrically on input.
+and parsing is strict: unknown keys, repeated keys, duplicate candidates,
+non-permutation votes and negative costs are rejected with the offending
+line number. Election cost lines address vote objects (an object's costs
+apply to each of its multiplicity copies); one-sided pair overrides are
+completed symmetrically on input. Solution files list only the votes a
+bribery changes: a ``changed c`` line, then c ``target i`` lines; every
+other vote keeps its ranking. Files without a ``changed`` line list every
+vote, and still read. A line of candidate names maps to ids, and ids to
+names, in one ``operator.itemgetter`` call.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 from .core import (
     BUCKLIN,
@@ -22,7 +27,7 @@ from .core import (
     Vote,
     VotingRule,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, RankingError
 from .flow import FlowNetwork
 from .reductions import PartialVote, PossibleWinnerInstance
 from .swaps import Bribery, BriberyInstance, SwapCostFunction
@@ -102,9 +107,25 @@ def _rule_text(rule: VotingRule) -> str:
 def _candidate_ids(index: dict[str, int], tokens: list[str], line: int) -> tuple[int, ...]:
     """The ids of candidate names, through ``index``."""
     try:
-        return tuple(map(index.__getitem__, tokens))
+        if len(tokens) > 1:
+            return itemgetter(*tokens)(index)
+        # itemgetter of one key returns the bare item, and of none cannot be built
+        return tuple(index[token] for token in tokens)
     except KeyError as exc:
         raise ParseError(line, f"unknown candidate {exc.args[0]!r}") from None
+
+
+def _names_text(names: tuple[str, ...], ids: tuple[int, ...]) -> str:
+    """The names of candidate ids, separated by spaces."""
+    if len(ids) > 1:
+        return " ".join(itemgetter(*ids)(names))
+    return " ".join(names[c] for c in ids)
+
+
+def _once(value, key: str, line: int):
+    """Reject the second line of a key that a file may hold once."""
+    if value is not None:
+        raise ParseError(line, f"duplicate {key} line")
 
 
 class _Header:
@@ -136,10 +157,12 @@ class _Header:
             self.names[idx] = name
             self.index[name] = idx
         elif key == "rule":
+            _once(self.rule, key, no)
             self.rule = _parse_rule(parts[1:], no)
         elif key == "preferred":
             if len(parts) != 2:
                 raise ParseError(no, "usage: preferred <name>")
+            _once(self.preferred, key, no)
             (self.preferred,) = _candidate_ids(self.index, parts[1:], no)
         else:
             return False
@@ -168,8 +191,8 @@ def parse_election(text: str) -> BriberyInstance:
     header = _Header()
     index = header.index
     budget = None
-    mode = CO_WINNER
-    vote_rows: dict[int, tuple[int, tuple[int, ...]]] = {}
+    mode = None
+    vote_rows: dict[int, tuple[int, tuple[int, ...], int]] = {}  # (multiplicity, order, line)
     cost_defaults: dict[int, Fraction] = {}
     cost_pairs: dict[int, dict[tuple[int, int], Fraction]] = {}
 
@@ -183,29 +206,33 @@ def parse_election(text: str) -> BriberyInstance:
             if idx in vote_rows:
                 raise ParseError(no, f"duplicate vote index {idx}")
             mult = parse_int(parts[3], no, low=1)
-            order = _candidate_ids(index, parts[5:], no)
-            m = header.m
-            if m is None or len(order) != m or len(set(order)) != m:
-                raise ParseError(no, "vote order must list every candidate once")
-            vote_rows[idx] = (mult, order)
+            # Election checks that the order is a permutation; its error names this line.
+            vote_rows[idx] = (mult, _candidate_ids(index, parts[5:], no), no)
         elif key == "costs":
             if len(parts) < 3:
                 raise ParseError(no, "usage: costs <i> default|pair ...")
             idx = parse_int(parts[1], no, low=0)
             if parts[2] == "default" and len(parts) == 4:
+                if idx in cost_defaults:
+                    raise ParseError(no, f"duplicate costs {idx} default")
                 cost_defaults[idx] = parse_fraction(parts[3], no)
             elif parts[2] == "pair" and len(parts) == 6:
                 pair = _candidate_ids(index, parts[3:5], no)
-                cost_pairs.setdefault(idx, {})[pair] = parse_fraction(parts[5], no)
+                table = cost_pairs.setdefault(idx, {})
+                if pair in table:
+                    raise ParseError(no, f"duplicate costs {idx} pair {parts[3]} {parts[4]}")
+                table[pair] = parse_fraction(parts[5], no)
             else:
                 raise ParseError(no, "usage: costs <i> default <v> | costs <i> pair <a> <b> <v>")
         elif key == "budget":
             if len(parts) != 2:
                 raise ParseError(no, "usage: budget <p[/q]>")
+            _once(budget, key, no)
             budget = parse_fraction(parts[1], no)
         elif key == "mode":
             if len(parts) != 2 or parts[1] not in (CO_WINNER, UNIQUE_WINNER):
                 raise ParseError(no, "usage: mode co-winner|unique-winner")
+            _once(mode, key, no)
             mode = parts[1]
         elif not header.read(parts, no):
             raise ParseError(no, f"unknown key {key!r}")
@@ -241,8 +268,10 @@ def parse_election(text: str) -> BriberyInstance:
             preferred=preferred,
             costs=SwapCostFunction(defaults, overrides),
             budget=budget,
-            mode=mode,
+            mode=mode or CO_WINNER,
         )
+    except RankingError as exc:
+        raise ParseError(vote_rows[exc.vote][2], "vote order must list every candidate once") from None
     except DomainError as exc:
         raise ParseError(1, str(exc)) from None
 
@@ -272,9 +301,9 @@ def serialize_election(instance: BriberyInstance) -> str:
                 rows.append((1, vote.ranking, expanded + c))
         expanded += vote.multiplicity
 
+    names = election.candidates
     for i, (mult, order, _) in enumerate(rows):
-        ordered = " ".join(election.candidates[c] for c in order)
-        out.append(f"vote {i} multiplicity {mult} order {ordered}")
+        out.append(f"vote {i} multiplicity {mult} order {_names_text(names, order)}")
     for i, (_, _, src) in enumerate(rows):
         default = instance.costs.default(src)
         if default != 1:
@@ -302,52 +331,87 @@ def serialize_solution(
     solver: str,
     config: dict[str, str] | None = None,
 ) -> str:
+    """The solution file; a bribery is written as the votes it changes."""
     out = [SOLUTION_MAGIC, f"decision {'yes' if decision else 'no'}", f"solver {solver}"]
     if cost is not None:
         out.append(f"cost {format_fraction(cost)}")
     for key, value in (config or {}).items():
         out.append(f"config {key} {value}")
     if bribery is not None:
+        rankings = instance.election.expanded_list()
+        if len(bribery.targets) != len(rankings):
+            raise DomainError(f"bribery covers {len(bribery.targets)} votes, expected {len(rankings)}")
+        changed = [(i, target) for i, (ranking, target) in enumerate(zip(rankings, bribery.targets))
+                   if target != ranking]
+        out.append(f"changed {len(changed)}")
         names = instance.election.candidates
-        for i, target in enumerate(bribery.targets):
-            out.append(f"target {i} " + " ".join(names[c] for c in target))
+        for i, target in changed:
+            out.append(f"target {i} {_names_text(names, target)}")
     return "\n".join(out) + "\n"
 
 
 def parse_solution(
     text: str, instance: BriberyInstance
 ) -> tuple[bool, Fraction | None, Bribery | None, str, dict[str, str]]:
+    """Read a solution file against its instance.
+
+    With a ``changed c`` line the file holds c target lines, and every vote
+    without one keeps its ranking; without it, the targets (if any) must
+    cover every expanded vote.
+    """
     lines = _Lines(text)
     lines.expect_magic(SOLUTION_MAGIC)
-    decision = None
-    cost = None
-    solver = "unknown"
+    decision = cost = solver = changed = None
+    changed_line = outside_line = None
     config: dict[str, str] = {}
     targets: dict[int, tuple[int, ...]] = {}
     names = {name: i for i, name in enumerate(instance.election.candidates)}
+    n = instance.election.n_expanded
     for no, raw in lines:
         parts = raw.split()
-        if parts[0] == "decision" and len(parts) == 2 and parts[1] in ("yes", "no"):
-            decision = parts[1] == "yes"
-        elif parts[0] == "cost" and len(parts) == 2:
-            cost = parse_fraction(parts[1], no)
-        elif parts[0] == "solver" and len(parts) == 2:
-            solver = parts[1]
-        elif parts[0] == "config" and len(parts) >= 3:
-            config[parts[1]] = " ".join(parts[2:])
-        elif parts[0] == "target" and len(parts) >= 2:
+        key = parts[0]
+        if key == "target" and len(parts) >= 2:
             idx = parse_int(parts[1], no, low=0)
+            if idx in targets:
+                raise ParseError(no, f"duplicate target index {idx}")
+            if idx >= n and outside_line is None:
+                outside_line = no
             targets[idx] = _candidate_ids(names, parts[2:], no)
+        elif key == "decision" and len(parts) == 2 and parts[1] in ("yes", "no"):
+            _once(decision, key, no)
+            decision = parts[1] == "yes"
+        elif key == "cost" and len(parts) == 2:
+            _once(cost, key, no)
+            cost = parse_fraction(parts[1], no)
+        elif key == "solver" and len(parts) == 2:
+            _once(solver, key, no)
+            solver = parts[1]
+        elif key == "changed" and len(parts) == 2:
+            _once(changed, key, no)
+            changed, changed_line = parse_int(parts[1], no, low=0), no
+        elif key == "config" and len(parts) >= 3:
+            if parts[1] in config:
+                raise ParseError(no, f"duplicate config {parts[1]}")
+            config[parts[1]] = " ".join(parts[2:])
         else:
-            raise ParseError(no, f"unknown key {parts[0]!r}")
+            raise ParseError(no, f"unknown key {key!r}")
     if decision is None:
         raise ParseError(1, "solution file needs a decision line")
     bribery = None
-    if targets:
-        if sorted(targets) != list(range(instance.election.n_expanded)):
+    if changed is not None:
+        if outside_line is not None:
+            raise ParseError(outside_line, f"target index outside expanded votes 0..{n - 1}")
+        if len(targets) != changed:
+            raise ParseError(changed_line, f"changed {changed} votes, but {len(targets)} target lines follow")
+        rankings = instance.election.expanded_list()
+        for idx, target in targets.items():
+            rankings[idx] = target
+        bribery = Bribery(tuple(rankings))
+    elif targets:
+        if sorted(targets) != list(range(n)):
             raise ParseError(1, "targets must cover expanded votes 0..n-1")
         bribery = Bribery(tuple(targets[i] for i in range(len(targets))))
-    return decision, cost, bribery, solver, config
+    return decision, cost, bribery, solver or "unknown", config
 
 
 def serialize_partial(pw: PossibleWinnerInstance) -> str:
@@ -370,6 +434,7 @@ def parse_partial(text: str) -> PossibleWinnerInstance:
     for no, raw in lines:
         parts = raw.split()
         if parts[0] == "partials" and len(parts) == 2:
+            _once(n_votes, "partials", no)
             n_votes = parse_int(parts[1], no, low=0)
         elif parts[0] == "partial" and len(parts) == 5 and parts[2] == "pair":
             idx = parse_int(parts[1], no, low=0)

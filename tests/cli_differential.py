@@ -6,13 +6,17 @@ Generates a seeded corpus with OLD_SRC's ``generate``, then runs the same
 command lines through ``cli.main`` of each tree, one process per tree, and
 compares exit code, stdout, stderr and every file a call writes. Covered:
 ``solve`` with every algorithm and ``--solution``, ``verify`` of each
-solution, ``kernelize`` with and without ``--simple`` and ``--provenance``,
+solution and of the solution file OLD_SRC's ``solve`` writes for the same
+call, so that both trees read the same files (the full form, one target
+line per vote, when OLD_SRC predates the short form), ``kernelize`` with
+and without ``--simple`` and ``--provenance``,
 ``export-network`` for every s* from 0 to n + 1, ``reduce`` both ways,
 and gadget ``generate`` and ``kernelize``; the instances include files with
 one swap price per vote, zero and rational ones among them. The two trees
 run under different hash seeds, so ``python tests/cli_differential.py src
 src WORKDIR`` checks that no output depends on the process. Prints each
-call that differs and the counts; exits 1 when any call differs beyond
+call that differs, the counts, and the differing calls per command and
+per part (exit code, stdout, files); exits 1 when any call differs beyond
 its stderr.
 """
 
@@ -44,6 +48,16 @@ for argv, outputs in json.loads(Path(sys.argv[2]).read_text()):
     results.append([code, out.getvalue(), err.getvalue(), files])
 Path(sys.argv[3]).write_text(json.dumps(results))
 """
+
+
+def run_tree(work: Path, src: str, calls: list, name: str, hash_seed: str) -> list:
+    """Run ``calls`` through ``cli.main`` of the tree at ``src``, in one process."""
+    calls_path, runner, target = work / f"{name}.calls.json", work / "runner.py", work / f"{name}.json"
+    calls_path.write_text(json.dumps(calls))
+    runner.write_text(RUNNER)
+    subprocess.run([sys.executable, str(runner), src, str(calls_path), str(target)],
+                   env=dict(os.environ, PYTHONHASHSEED=hash_seed), check=True)
+    return json.loads(target.read_text())
 
 
 def build_calls(work: Path, old_src: str) -> list:
@@ -86,6 +100,7 @@ def build_calls(work: Path, old_src: str) -> list:
         reducible.append(path)
 
     calls = []
+    old_solves = []  # run once by OLD_SRC while the corpus is built
 
     def call(*argv, outputs=()):
         calls.append([[str(a) for a in argv], [str(o) for o in outputs]])
@@ -95,6 +110,9 @@ def build_calls(work: Path, old_src: str) -> list:
             solution = out / f"{path.stem}.{algorithm}.sbs"
             call("solve", path, "--algorithm", algorithm, "--solution", solution, outputs=[solution])
             call("verify", path, solution)
+            old_solution = corpus / f"{path.stem}.{algorithm}.sbs"
+            old_solves.append([["solve", str(path), "--algorithm", algorithm, "--solution", str(old_solution)], []])
+            call("verify", path, old_solution)
         kernel, provenance = out / f"{path.stem}.k.sbe", out / f"{path.stem}.k.json"
         call("kernelize", path, "--out", kernel, "--provenance", provenance, outputs=[kernel, provenance])
         call("kernelize", "--simple", path, "--out", kernel, "--provenance", provenance,
@@ -140,6 +158,7 @@ def build_calls(work: Path, old_src: str) -> list:
             text = text.replace("mode co-winner", "mode unique-winner")
         path.write_text(text)
         instance_calls(path, n)
+    run_tree(work, old_src, old_solves, "old-solutions", "1")
     return calls
 
 
@@ -147,18 +166,12 @@ def main():
     old_src, new_src, work = sys.argv[1], sys.argv[2], Path(sys.argv[3])
     work.mkdir(parents=True, exist_ok=True)
     calls = build_calls(work, old_src)
-    (work / "calls.json").write_text(json.dumps(calls))
-    (work / "runner.py").write_text(RUNNER)
-    results = []
     # Each tree runs under its own hash seed, so that with OLD_SRC = NEW_SRC
     # the run checks that no output depends on set or dict order.
-    for tag, src, hash_seed in (("old", old_src, "1"), ("new", new_src, "2")):
-        target = work / f"{tag}.json"
-        subprocess.run([sys.executable, str(work / "runner.py"), src, str(work / "calls.json"), str(target)],
-                       env=dict(os.environ, PYTHONHASHSEED=hash_seed), check=True)
-        results.append(json.loads(target.read_text()))
+    results = [run_tree(work, src, calls, tag, hash_seed)
+               for tag, src, hash_seed in (("old", old_src, "1"), ("new", new_src, "2"))]
     same = stderr_only = differ = 0
-    commands, codes = {}, {}
+    commands, codes, differing = {}, {}, {}
     for (argv, _), old, new in zip(calls, *results):
         commands[argv[0]] = commands.get(argv[0], 0) + 1
         codes[str(old[0])] = codes.get(str(old[0]), 0) + 1
@@ -170,9 +183,13 @@ def main():
         else:
             differ += 1
             print("differs:", argv, old[:3], new[:3])
+            parts = [part for part, i in (("exit", 0), ("stdout", 1), ("files", 3)) if old[i] != new[i]]
+            category = f"{argv[0]} ({', '.join(parts)})"
+            differing[category] = differing.get(category, 0) + 1
     print(f"calls {len(calls)}: identical {same}, stderr only {stderr_only}, differ {differ}")
     print("calls per command:", commands)
     print("old exit codes:", codes)
+    print("differing calls per command and part:", differing)
     return 1 if differ else 0
 
 

@@ -408,8 +408,9 @@ def test_gadget_pipeline_keeps_every_byte(tmp_path, capsys, classes):
     assert truncation_kernel(inst) is inst
 
     out = tmp_path / "kernel.sbe"
-    assert main(["kernelize", str(src), "--out", str(out)]) == 0
-    assert out.read_bytes() == src.read_bytes()
+    for simple in ([], ["--simple"]):
+        assert main(["kernelize", *simple, str(src), "--out", str(out)]) == 0
+        assert out.read_bytes() == src.read_bytes()
 
     graph, planted = planted_multicolored_clique([int(c) for c in classes.split(",")], seed=1)
     _, layout = multicolored_clique_instance(graph)
@@ -421,6 +422,25 @@ def test_gadget_pipeline_keeps_every_byte(tmp_path, capsys, classes):
     assert capsys.readouterr().out == (
         "stated cost: 48\nchecked cost: 48\npreferred wins: yes\nsolution valid: yes\n"
     )
+
+
+def test_kernelize_copies_an_unreduced_input_as_read(tmp_path):
+    src = tmp_path / "gadget.sbe"
+    assert main(["generate", "clique-gadget", "--classes", "2,2", "--seed", "1", "--out", str(src)]) == 0
+    plain = src.read_text()
+    commented = plain.replace("sbe 1\n", "sbe 1\n# a planted 2,2 clique gadget\n")
+    src.write_text(commented)
+    out = tmp_path / "kernel.sbe"
+    assert main(["kernelize", str(src), "--out", str(out)]) == 0
+    assert out.read_text() == commented
+    assert parse_election(out.read_text()) == parse_election(plain)
+
+
+def test_verify_of_a_yes_file_without_targets(sample_path, tmp_path, capsys):
+    sol = tmp_path / "bare.sbs"
+    sol.write_text("sbs 1\ndecision yes\nsolver brute\ncost 3\n")
+    assert main(["verify", str(sample_path), str(sol)]) == 1
+    assert capsys.readouterr().out == "solution file declares no witness\n"
 
 
 # Truncation drops c2, c3 and c6 here, and with them every override that
@@ -799,6 +819,17 @@ target 0 a b p
 target 1 a b p
 target 2 p b a
 """
+# The same bribery as FUZZ_SBS, as serialize_solution writes it: only the
+# vote it changes.
+FUZZ_SBS_SHORT = """\
+sbs 1
+decision yes
+solver brute
+cost 1
+config seed 0
+changed 1
+target 2 p b a
+"""
 FUZZ_PWE = """\
 pwe 1
 candidates 3
@@ -830,6 +861,7 @@ FUZZ_CASES = {
         ["solve", "--algorithm", "ilp", "{file}"],
     ]),
     "sbs": (FUZZ_SBS, [["verify", "{sbe}", "{file}"]]),
+    "sbs-short": (FUZZ_SBS_SHORT, [["verify", "{sbe}", "{file}"]]),
     "pwe": (FUZZ_PWE, [["reduce", "pw-to-sb", "{file}"]]),
     "graph": (FUZZ_GRAPH, [
         ["generate", "clique-gadget", "--graph", "{file}"],
@@ -840,7 +872,7 @@ FUZZ_TOKENS = [str(i) for i in range(-1, 10)] + ["³", "x", "1/2", "3/0", "1,0,0
     "sbe", "sbs", "pwe", "graph", "candidates", "candidate", "rule", "k-approval",
     "bucklin", "scoring", "budget", "preferred", "mode", "co-winner", "unique-winner",
     "vote", "multiplicity", "order", "costs", "default", "pair", "decision", "yes",
-    "no", "solver", "cost", "config", "target", "partials", "partial", "color",
+    "no", "solver", "cost", "config", "target", "partials", "partial", "color", "changed",
 ]
 FUZZ_EDITS = st.tuples(
     st.sampled_from(("replace", "insert", "delete", "drop-line", "copy-line")),

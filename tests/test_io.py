@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from swapbribery.errors import ParseError
+from swapbribery.errors import DomainError, ParseError
 from swapbribery.hardness import (
     multicolored_clique_instance,
     planted_multicolored_clique,
@@ -23,6 +23,7 @@ from swapbribery.io import (
 )
 from swapbribery.flow import VoteClass, build_transfer_network
 from swapbribery.oracle import brute_topk
+from swapbribery.swaps import Bribery, verify_bribery
 from swapbribery.reductions import (
     PossibleWinnerInstance,
     gen_random,
@@ -87,6 +88,13 @@ def test_fraction_formatting():
         lambda t: t.replace("k-approval 1", "k-approval ³"),
         lambda t: t.replace("k-approval 1", "scoring 1,x"),
         lambda t: t + "costs ³ default 1\n",
+        # a key a file may hold once, repeated
+        lambda t: t + "budget 9\n",
+        lambda t: t + "mode co-winner\nmode unique-winner\n",
+        lambda t: t + "rule k-approval 2\n",
+        lambda t: t + "preferred a\n",
+        lambda t: t + "costs 0 default 5\ncosts 0 default 5\n",
+        lambda t: t + "costs 0 pair a p 2\ncosts 0 pair a p 3\n",
     ],
 )
 def test_bad_files_rejected(mangle):
@@ -108,6 +116,25 @@ def test_bad_vote_line_names_its_line(mangle, message):
         parse_election(mangle(MINIMAL))
     assert info.value.line == 8
     assert str(info.value) == f"line 8: {message}"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("budget 9", "duplicate budget line"),
+        ("mode co-winner\nmode co-winner", "duplicate mode line"),
+        ("rule k-approval 1", "duplicate rule line"),
+        ("preferred p", "duplicate preferred line"),
+        ("costs 0 default 5\ncosts 0 default 5", "duplicate costs 0 default"),
+        ("costs 0 pair a p 2\ncosts 0 pair p a 2\ncosts 0 pair a p 3", "duplicate costs 0 pair a p"),
+    ],
+)
+def test_repeated_key_names_the_repeating_line(extra, message):
+    text = MINIMAL + extra + "\n"
+    line = text.count("\n")
+    with pytest.raises(ParseError) as info:
+        parse_election(text)
+    assert str(info.value) == f"line {line}: {message}"
 
 
 def test_round_trip_on_generated_corpus():
@@ -183,11 +210,124 @@ def test_solution_rejects_unknown_target_candidate(sample_instance):
     text = serialize_solution(
         sample_instance, res.decision, res.optimal_cost, res.witness, "brute"
     )
-    assert text.splitlines()[5] == "target 1 c1 p c2 c3 c4"
+    assert text.splitlines()[4:7] == ["changed 2", "target 0 c1 p c2 c4 c3", "target 1 c1 p c2 c3 c4"]
     with pytest.raises(ParseError) as info:
         parse_solution(text.replace("target 1 c1 p", "target 1 c1 zz"), sample_instance)
-    assert info.value.line == 6
-    assert str(info.value) == "line 6: unknown candidate 'zz'"
+    assert info.value.line == 7
+    assert str(info.value) == "line 7: unknown candidate 'zz'"
+
+
+# The sample's optimal bribery as full-form files list it: every expanded
+# vote has a target line, and there is no changed line.
+FULL_FORM_SOLUTION = """\
+sbs 1
+decision yes
+solver brute
+cost 3
+config seed 0
+target 0 c1 p c2 c4 c3
+target 1 c1 p c2 c3 c4
+"""
+
+
+def test_full_form_solution_reads_to_the_same_bribery(sample_instance):
+    res = brute_topk(sample_instance)
+    assert parse_solution(FULL_FORM_SOLUTION, sample_instance) == (
+        True, 3, res.witness, "brute", {"seed": "0"}
+    )
+    short = serialize_solution(sample_instance, True, 3, res.witness, "brute", config={"seed": "0"})
+    assert short == FULL_FORM_SOLUTION.replace("target 0", "changed 2\ntarget 0")
+
+
+def test_solution_lists_only_the_votes_it_changes():
+    inst = gen_random(4, 5, 2, seed=3)
+    rankings = inst.election.expanded_list()
+    targets = list(rankings)
+    targets[1] = rankings[1][::-1]
+    targets[3] = rankings[3][1:] + rankings[3][:1]
+    bribery = Bribery(tuple(targets))
+    text = serialize_solution(inst, True, None, bribery, "hand")
+    names = inst.election.candidates
+    assert text.splitlines()[3:] == [
+        "changed 2",
+        "target 1 " + " ".join(names[c] for c in targets[1]),
+        "target 3 " + " ".join(names[c] for c in targets[3]),
+    ]
+    assert parse_solution(text, inst) == (True, None, bribery, "hand", {})
+
+
+def test_identity_bribery_writes_changed_0_and_verifies():
+    inst = parse_election(MINIMAL.replace("order a p", "order p a"))
+    identity = Bribery.identity(inst.election)
+    text = serialize_solution(inst, True, 0, identity, "brute")
+    assert text == "sbs 1\ndecision yes\nsolver brute\ncost 0\nchanged 0\n"
+    _, _, bribery, _, _ = parse_solution(text, inst)
+    assert bribery == identity
+    report = verify_bribery(inst, bribery)
+    assert report.is_solution and report.total_cost == 0
+
+
+def test_solution_of_a_bribery_with_too_few_votes_is_refused(sample_instance):
+    # Unlisted votes read as unchanged, so a short bribery must not be written.
+    with pytest.raises(DomainError):
+        serialize_solution(sample_instance, True, 0, Bribery((SAMPLE_V,)), "hand")
+
+
+def test_solution_without_targets_has_no_bribery(sample_instance):
+    text = "sbs 1\ndecision yes\nsolver brute\ncost 3\n"
+    assert parse_solution(text, sample_instance) == (True, 3, None, "brute", {})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # the changed line's count disagrees with the target lines
+        (("changed 2", "changed 3"), "line 5: changed 3 votes, but 2 target lines follow"),
+        (("target 1 c1 p c2 c3 c4\n", ""), "line 5: changed 2 votes, but 1 target lines follow"),
+        # a vote index the instance does not have
+        (("target 1 ", "target 2 "), "line 7: target index outside expanded votes 0..1"),
+        # a key a file may hold once, repeated
+        (("cost 3\n", "cost 3\ndecision no\n"), "line 5: duplicate decision line"),
+        (("cost 3\n", "cost 3\ncost 3\n"), "line 5: duplicate cost line"),
+        (("cost 3\n", "cost 3\nsolver flow\n"), "line 5: duplicate solver line"),
+        (("changed 2\n", "changed 2\nchanged 2\n"), "line 6: duplicate changed line"),
+        (("target 1 ", "target 0 "), "line 7: duplicate target index 0"),
+        (("cost 3\n", "cost 3\nconfig seed 0\nconfig seed 1\n"), "line 6: duplicate config seed"),
+    ],
+)
+def test_bad_short_solution_names_its_line(sample_instance, edit, message):
+    res = brute_topk(sample_instance)
+    text = serialize_solution(sample_instance, True, 3, res.witness, "brute")
+    assert text.count(edit[0]) == 1
+    with pytest.raises(ParseError) as info:
+        parse_solution(text.replace(*edit), sample_instance)
+    assert str(info.value) == message
+
+
+def test_full_form_solution_rejects_a_repeated_target(sample_instance):
+    text = FULL_FORM_SOLUTION.replace("target 1 c1 p c2 c3 c4", "target 0 c1 p c2 c3 c4")
+    with pytest.raises(ParseError) as info:
+        parse_solution(text, sample_instance)
+    assert str(info.value) == "line 7: duplicate target index 0"
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_one_and_two_candidate_rosters_round_trip(m):
+    # itemgetter of a single key returns the bare item: a one-name vote line
+    # and a one-name target must still read and write as one name.
+    inst = gen_random(m, 3, 1, seed=m)
+    text = serialize_election(inst)
+    assert parse_election(text) == inst
+    assert serialize_election(parse_election(text)) == text
+    names = inst.election.candidates
+    targets = tuple(ranking[::-1] for ranking in inst.election.expanded_list())
+    solution = serialize_solution(inst, True, None, Bribery(targets), "hand")
+    assert solution.count("target ") == (3 if m == 2 else 0)
+    assert parse_solution(solution, inst)[2] == Bribery(targets)
+    full = "sbs 1\ndecision yes\n" + "".join(
+        f"target {i} " + " ".join(names[c] for c in target) + "\n" for i, target in enumerate(targets)
+    )
+    assert parse_solution(full, inst)[2] == Bribery(targets)
 
 
 PARTIAL = """\
@@ -228,6 +368,9 @@ def test_bad_partial_files_rejected(mangle):
         (lambda t: t.replace("rule", "candidates 3\nrule"), 6, "usage: candidates <m> (once)"),
         (lambda t: t.replace("candidates 3\n", ""), 2, "usage: candidate <index> <name>"),
         (lambda t: t.replace("preferred p", "preferred p a"), 7, "usage: preferred <name>"),
+        (lambda t: t + "rule k-approval 1\n", 10, "duplicate rule line"),
+        (lambda t: t + "preferred a\n", 10, "duplicate preferred line"),
+        (lambda t: t + "partials 2\n", 10, "duplicate partials line"),
         # a partial vote the roster cannot hold
         (lambda t: t + "partial 0 pair b a\n", 1, "cycle through candidates 0 and 1"),
         (lambda t: t + "partial 0 pair p p\n", 1, "partial order must be irreflexive"),
