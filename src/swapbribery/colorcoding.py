@@ -100,9 +100,11 @@ def solve_color_coding(
     ``trials`` colorings per group (at least 1; default j^j), or tries each
     once where there are no more, and is one-sided: any returned bribery
     is verified, a miss proves nothing.
-    ``auto`` is exhaustive when (nk-1)^(m-1) colorings fit the node budget,
-    else random. A coloring costs one node per pattern it is checked
-    against and per vote option it scans. Like ``brute_topk``, it refuses
+    A coloring costs one node per pattern it is checked against and per
+    vote option it scans. ``auto`` is exhaustive when the exhaustive loop's
+    count fits the node budget, else random: summed over the palette
+    groups, j^(m-1) colorings times the group's patterns plus the options
+    scanned, all known before the loop starts. Like ``brute_topk``, it refuses
     more than ``OracleCaps.topk_combinations`` top-k sets over all votes
     before building them. No optimal cost is claimed: the witness is the
     first one found within budget.
@@ -118,8 +120,6 @@ def solve_color_coding(
     m = instance.election.m
     check_topk_cap(n, m, k)
     max_nodes = _search.MAX_NODES
-    if mode == "auto":
-        mode = "exhaustive" if max(1, n * k - 1) ** (m - 1) <= max_nodes else "random"
 
     preferred = instance.preferred
     others = [c for c in range(m) if c != preferred]
@@ -142,9 +142,13 @@ def solve_color_coding(
                 masks[part] = sum(1 << c for c in part)
         groups.setdefault(top, []).append(tuple(masks[part] for part in pattern))
 
+    scanned = sum(map(len, options))
+    if mode == "auto":
+        needed = sum((top - 1) ** len(others) * (len(group) + scanned) for top, group in groups.items())
+        mode = "exhaustive" if needed <= max_nodes else "random"
+
     rng = random.Random(seed)
     nodes = 0
-    scanned = sum(map(len, options))
     bit = [0] * m
     bit[preferred] = 1 << 1
     for top, group in sorted(groups.items()):

@@ -116,12 +116,6 @@ class Election:
     def expanded_list(self) -> list[Ranking]:
         return list(self.expanded())
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.candidates.index(name)
-        except ValueError:
-            raise DomainError(f"unknown candidate {name!r}") from None
-
 
 def rank_of(candidate: int, ranking: Ranking) -> int:
     """1-based position of a candidate in a ranking."""
@@ -178,11 +172,6 @@ def scores(election: Election, rule: VotingRule) -> list[int]:
     if not rule.is_score_based:
         raise UnsupportedRuleError("scores() is undefined for Bucklin")
     return _tally(_weighted(election), election.m, rule)
-
-
-def bucklin_winning_round(election: Election) -> int:
-    """Smallest depth at which some candidate is ranked by a strict majority."""
-    return _bucklin_round(_weighted(election), election.m)[0]
 
 
 def winners(election: Election, rule: VotingRule) -> frozenset[int]:

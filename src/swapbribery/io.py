@@ -492,20 +492,6 @@ def parse_graph(text: str) -> Graph | ColoredGraph:
     return ColoredGraph(n, frozenset(edges), color_of)
 
 
-def serialize_graph(graph: Graph) -> str:
-    colored = isinstance(graph, ColoredGraph)
-    head = f"graph {graph.n_vertices} {len(graph.edges)}"
-    if colored:
-        head += f" {graph.k}"
-    out = [head]
-    for u, v in sorted(graph.edges):
-        out.append(f"{u} {v}")
-    if colored:
-        for v in range(graph.n_vertices):
-            out.append(f"color {v} {graph.color_of[v]}")
-    return "\n".join(out) + "\n"
-
-
 def network_to_dot(network: FlowNetwork) -> str:
     """Graphviz rendering of a transfer network with cap/cost labels."""
     out = ["digraph transfer {", "  rankdir=LR;"]

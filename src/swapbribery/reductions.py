@@ -59,10 +59,6 @@ class PartialVote:
     def requires(self, a: int, b: int) -> bool:
         return (a, b) in self.pairs
 
-    def is_extension(self, ranking: Ranking) -> bool:
-        pos = {c: i for i, c in enumerate(ranking)}
-        return all(pos[a] < pos[b] for a, b in self.pairs)
-
     def minimal_extension(self) -> Ranking:
         """Lexicographically smallest topological order, by candidate index."""
         succs: dict[int, set[int]] = {c: set() for c in range(self.m)}
@@ -207,23 +203,6 @@ def possible_winner_brute(
         if pw.preferred in winners_of_rankings(list(profile), m, pw.rule):
             return True
     return False
-
-
-def random_partial_votes(
-    m: int, n: int, seed: int, density: float = 0.4
-) -> tuple[PartialVote, ...]:
-    """Seeded partial orders: random subsets of random linear orders."""
-    rng = random.Random(seed)
-    votes = []
-    for _ in range(n):
-        order = rng.sample(range(m), m)
-        pairs = set()
-        for i in range(m):
-            for j in range(i + 1, m):
-                if rng.random() < density:
-                    pairs.add((order[i], order[j]))
-        votes.append(PartialVote(m, frozenset(pairs)))
-    return tuple(votes)
 
 
 def gen_random(

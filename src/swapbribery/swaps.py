@@ -393,16 +393,6 @@ class VerifyReport:
         return self.preferred_wins and self.within_budget
 
 
-def bribed_election(instance: BriberyInstance, bribery: Bribery) -> Election:
-    """The election obtained by replacing each expanded vote with its target."""
-    from .core import Vote
-
-    return Election(
-        instance.election.candidates,
-        tuple(Vote(t) for t in bribery.targets),
-    )
-
-
 def verify_bribery(instance: BriberyInstance, bribery: Bribery) -> VerifyReport:
     """Price a bribery and evaluate the winner condition on the result."""
     originals = instance.election.expanded_list()

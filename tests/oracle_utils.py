@@ -2,17 +2,95 @@
 
 These deliberately avoid the code paths they check: swap costs are
 re-derived as shortest paths in the full graph of rankings connected by
-single adjacent swaps, and clique existence by direct enumeration.
+single adjacent swaps, bribery by plain enumeration of every target
+ranking, and clique existence by direct enumeration. Also here: the
+helpers only tests use, and ``brute``, the exact oracle without its option
+caps. Nothing here asserts, since ``python -O`` strips asserts outside
+the modules pytest rewrites.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import lcm
 
-from swapbribery.core import Ranking
-from swapbribery.swaps import SwapCostFunction
+from swapbribery.core import K_APPROVAL, UNIQUE_WINNER, Election, Ranking, Vote, winners_of_rankings
+from swapbribery.oracle import OracleCaps, brute_rankings, brute_topk
+from swapbribery.reductions import PartialVote
+from swapbribery.swaps import Bribery, BriberyInstance, SwapCostFunction, transform_cost
+
+UNCAPPED = OracleCaps(topk_combinations=10**60, ranking_combinations=10**60)
+
+
+def brute(instance: BriberyInstance):
+    """What ``solve --algorithm brute`` runs, without its option caps."""
+    if instance.rule.kind == K_APPROVAL:
+        return brute_topk(instance, caps=UNCAPPED)
+    return brute_rankings(instance, caps=UNCAPPED)
+
+
+def enumerate_rankings(instance: BriberyInstance):
+    """(decision, optimum, witness) by plain enumeration of every target ranking.
+
+    Each vote's targets are stably sorted by cost, the product is walked in
+    order and the first strictly cheaper winning vector is kept.
+    """
+    m = instance.election.m
+    per_vote = [
+        sorted(
+            ((transform_cost(r, t, instance.costs, v), t) for t in permutations(range(m))),
+            key=lambda option: option[0],
+        )
+        for v, r in enumerate(instance.election.expanded())
+    ]
+    # int sums keep the walk fast; the order of the costs is unchanged
+    scale = lcm(*(cost.denominator for options in per_vote for cost, _ in options))
+    per_vote = [[(int(cost * scale), t) for cost, t in options] for options in per_vote]
+    best = None
+    for choice in product(*per_vote):
+        cost = sum(c for c, _ in choice)
+        if best is not None and cost >= best[0]:
+            continue
+        targets = tuple(t for _, t in choice)
+        winning = winners_of_rankings(targets, m, instance.rule)
+        if winning == {instance.preferred} or (
+            instance.mode != UNIQUE_WINNER and instance.preferred in winning
+        ):
+            best = cost, targets
+    if best is None:
+        return False, None, None
+    optimum = Fraction(best[0], scale)
+    return optimum <= instance.budget, optimum, Bribery(best[1])
+
+
+def bribed_election(instance: BriberyInstance, bribery: Bribery) -> Election:
+    """The election obtained by replacing each expanded vote with its target."""
+    return Election(instance.election.candidates, tuple(Vote(t) for t in bribery.targets))
+
+
+def bucklin_winning_round(election: Election) -> int:
+    """Smallest depth at which some candidate is ranked by a strict majority."""
+    rankings = election.expanded_list()
+    return next(d for d in range(1, election.m + 1) if any(
+        2 * sum(c in r[:d] for r in rankings) > len(rankings) for c in range(election.m)))
+
+
+def random_partial_votes(m: int, n: int, seed: int, density: float = 0.4) -> tuple[PartialVote, ...]:
+    """Seeded partial orders: random subsets of random linear orders."""
+    rng = random.Random(seed)
+    votes = []
+    for _ in range(n):
+        order = rng.sample(range(m), m)
+        pairs = set()
+        for i in range(m):
+            for j in range(i + 1, m):
+                if rng.random() < density:
+                    pairs.add((order[i], order[j]))
+        votes.append(PartialVote(m, frozenset(pairs)))
+    return tuple(votes)
 
 
 def swap_graph_shortest_path(

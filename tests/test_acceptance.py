@@ -3,16 +3,16 @@
 One test per exit criterion, each over a seeded corpus at its stated size
 and tolerance (all comparisons are exact rational equality). Every test
 prints a single PASS line with its corpus size; run with ``pytest -s
-tests/test_acceptance.py`` to see them.
+tests/test_acceptance.py`` to see them. Whether each solver agrees with
+the oracles is checked over the shared corpus, by ``test_conformance.py``.
 """
 
 import random
-import time
 from fractions import Fraction
 
 from swapbribery.colorcoding import solve_color_coding
-from swapbribery.core import Election, Vote, VotingRule, scores, winners
-from swapbribery.flow import approx_within_range, build_transfer_network, solve_unit, vote_classes
+from swapbribery.core import VotingRule, scores
+from swapbribery.flow import approx_within_range, build_transfer_network, vote_classes
 from swapbribery.hardness import (
     multicolored_clique_instance,
     multicolored_clique_witness,
@@ -20,21 +20,18 @@ from swapbribery.hardness import (
     random_graph,
     single_vote_clique_instance,
 )
-from swapbribery.ilp import describe_rule, solve_ilp
 from swapbribery.kernel import kernelize, truncation_kernel
-from swapbribery.oracle import brute_rankings, brute_topk
+from swapbribery.oracle import brute_topk
 from swapbribery.reductions import (
     PossibleWinnerInstance,
     gen_random,
     possible_winner_brute,
     pw_to_sb,
-    random_partial_votes,
     sb_to_pw,
 )
 from swapbribery.swaps import (
     BriberyInstance,
     SwapCostFunction,
-    bribed_election,
     transform_cost,
     verify_bribery,
 )
@@ -44,31 +41,7 @@ from conftest import (
     random_instance,
     sample_election,
 )
-from oracle_utils import clique_exists, swap_graph_shortest_path
-
-
-def test_flow_solver_matches_oracle_on_unit_costs():
-    rng = random.Random(1001)
-    started = time.perf_counter()
-    count = 500
-    for i in range(count):
-        inst = random_instance(
-            rng,
-            m_max=6,
-            n_max=3,
-            k_choices=(1, 2, 3),
-            cost_kind="unit",
-            multiplicities=(1, 1, 2),
-        )
-        flow = solve_unit(inst)
-        oracle = brute_topk(inst)
-        assert flow.decision == oracle.decision, f"instance {i}"
-        assert flow.optimal_cost == oracle.optimal_cost, f"instance {i}"
-    elapsed = time.perf_counter() - started
-    print(
-        f"PASS: flow solver equals the oracle on {count} unit-cost instances "
-        f"({elapsed:.1f}s)"
-    )
+from oracle_utils import bribed_election, clique_exists, random_partial_votes, swap_graph_shortest_path
 
 
 def test_sample_instance_concrete_values():
@@ -113,17 +86,14 @@ def test_range_approximation_within_factor_two():
     )
 
 
-def test_color_coding_complete_and_random_mode_hit_rate():
+def test_color_coding_random_mode_hit_rate():
     rng = random.Random(20260810)
     count = 300
     yes = solved = 0
     for i in range(count):
         kind = ("unit", "one-two", "rational")[i % 3]
         inst = random_instance(rng, m_max=6, n_max=2, k_choices=(1, 2), cost_kind=kind)
-        want = brute_topk(inst).decision
-        got = solve_color_coding(inst, mode="exhaustive")
-        assert got.decision == want, f"instance {i}"
-        if want:
+        if brute_topk(inst).decision:
             yes += 1
             nk = inst.election.n_expanded * inst.rule.k
             trials = max(1, (nk - 1) ** (nk - 1))
@@ -137,12 +107,12 @@ def test_color_coding_complete_and_random_mode_hit_rate():
     rate = solved / yes
     assert rate >= 0.95, f"random mode solved only {solved}/{yes}"
     print(
-        f"PASS: exhaustive color coding matched the oracle on {count} instances; "
-        f"random mode solved {solved}/{yes} yes-instances ({rate:.0%})"
+        f"PASS: random color coding solved {solved}/{yes} yes-instances ({rate:.0%}) "
+        f"of {count}"
     )
 
 
-def test_kernels_preserve_decisions_within_size_bounds():
+def test_kernels_stay_within_size_bounds():
     rng = random.Random(1005)
     count = 300
     for i in range(count):
@@ -157,72 +127,11 @@ def test_kernels_preserve_decisions_within_size_bounds():
         )
         n = inst.election.n_expanded
         beta = int(inst.budget)
-        want = brute_topk(inst).decision
-
         out = kernelize(inst)
-        got = brute_topk(out.instance, prune_to_budget=True).decision
-        assert got == want, f"instance {i}"
-        assert out.instance.election.n_expanded <= (2 * n * beta + 3) * n
-        assert out.instance.election.m <= n + (2 * n * beta + 2) * (2 * n * beta + 1)
-
-        trunc = truncation_kernel(inst)
-        got = brute_topk(trunc, prune_to_budget=True).decision
-        assert got == want, f"instance {i} (truncation)"
-        assert trunc.election.m <= (inst.rule.k + beta) * n + 1
-    print(f"PASS: both kernels preserved the decision and size bounds on {count} instances")
-
-
-def test_ilp_matches_oracles_and_description_is_exact():
-    rng = random.Random(1006)
-    for i in range(200):
-        inst = random_instance(
-            rng, m_max=4, n_max=3, multiplicities=(1, 1, 2)
-        )
-        assert solve_ilp(inst).decision == brute_topk(inst).decision, f"instance {i}"
-
-    for i in range(100):
-        m = rng.randint(2, 3)
-        n = rng.randint(1, 3)
-        election = Election(
-            tuple(f"c{j}" for j in range(m)),
-            tuple(Vote(tuple(rng.sample(range(m), m))) for _ in range(n)),
-        )
-        inst = BriberyInstance(
-            election,
-            VotingRule.bucklin(),
-            rng.randrange(m),
-            random_costs(rng, m, n, minimum=0, maximum=2),
-            Fraction(rng.randint(0, 4)),
-        )
-        assert (
-            solve_ilp(inst).decision == brute_rankings(inst).decision
-        ), f"bucklin instance {i}"
-
-    # Bucklin description vs direct winner evaluation, every profile m=3, n<=4.
-    from itertools import combinations_with_replacement, permutations
-
-    rule = VotingRule.bucklin()
-    perms = list(permutations(range(3)))
-    profiles = 0
-    for n_total in (1, 2, 3, 4):
-        system = describe_rule(rule, 3, n_total)
-        for combo in combinations_with_replacement(range(len(perms)), n_total):
-            counts = [0] * len(perms)
-            for j in combo:
-                counts[j] += 1
-            votes = tuple(Vote(p, c) for p, c in zip(perms, counts) if c)
-            election = Election(("s0", "s1", "s2"), votes)
-            want = 0 in winners(election, rule)
-            satisfied = any(
-                all(sum(q * x for q, x in zip(row.coeffs, counts)) >= row.rhs for row in rows)
-                for rows in system.sets
-            )
-            assert satisfied == want, counts
-            profiles += 1
-    print(
-        "PASS: transformation programs matched the oracles on 200 + 100 instances; "
-        f"Bucklin description exact on {profiles} profiles"
-    )
+        assert out.instance.election.n_expanded <= (2 * n * beta + 3) * n, f"instance {i}"
+        assert out.instance.election.m <= n + (2 * n * beta + 2) * (2 * n * beta + 1), f"instance {i}"
+        assert truncation_kernel(inst).election.m <= (inst.rule.k + beta) * n + 1, f"instance {i}"
+    print(f"PASS: both kernels stayed within their size bounds on {count} instances")
 
 
 def test_clique_gadget_witness_exact_cost_and_scores():

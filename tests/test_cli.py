@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -15,19 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from swapbribery import _search, cli
 from swapbribery.cli import main
-from swapbribery.colorcoding import solve_color_coding
 from swapbribery.core import CO_WINNER, UNIQUE_WINNER, VotingRule
-from swapbribery.ilp import solve_ilp
 from swapbribery.hardness import (
     multicolored_clique_instance,
     multicolored_clique_witness,
     planted_multicolored_clique,
 )
-from swapbribery.io import format_fraction, parse_election, serialize_election, serialize_solution
+from swapbribery.io import parse_election, serialize_election, serialize_solution
 from swapbribery.kernel import truncation_kernel
-from swapbribery.oracle import OracleCaps, brute_rankings, brute_topk
 from swapbribery.reductions import gen_random
-from swapbribery.swaps import Bribery, SolveResult, verify_bribery
+from swapbribery.swaps import Bribery, SolveResult
 
 SAMPLE = """\
 sbe 1
@@ -132,10 +128,6 @@ def test_calls_in_one_process_answer_as_in_fresh_ones(sample_path, tmp_path, cap
 
 
 TWO = ("two-valued", 1, 2, 0.3)
-RANGE = ("uniform-range", 1, 3)
-# Denominators 3 and 7 against budgets in sixths: one integer scale, 42, for all.
-COPRIME = ("two-valued", Fraction(1, 3), Fraction(5, 7), 0.5)
-LIFTED = OracleCaps(topk_combinations=10**60, ranking_combinations=10**60)
 
 
 def _solve_auto(tmp_path, instance, capsys) -> tuple[int, list[str]]:
@@ -176,95 +168,6 @@ def test_color_decides_priced_k_approval_like_brute(tmp_path, capsys, m, n, k, s
     code = main(["solve", str(path), "--algorithm", "color"])
     assert capsys.readouterr().out.splitlines()[:2] == ["algorithm: color", f"decision: {decision}"]
     assert code == (0 if decision == "yes" else 1)
-
-
-def _random_rule(rng, rule, m):
-    if rule == "scoring":
-        return VotingRule.scoring(sorted((rng.randint(0, 3) for _ in range(m)), reverse=True))
-    if rule == "bucklin":
-        return VotingRule.bucklin()
-    return None  # gen_random's k-approval
-
-
-def _differential_corpus():
-    """(instance, whether every solver runs on it) pairs."""
-    rng = random.Random(61)
-    for rule in ("k-approval", "scoring", "bucklin"):
-        for mode in (CO_WINNER, UNIQUE_WINNER):
-            for cost in ("unit", TWO, RANGE):
-                for _ in range(4):
-                    m = rng.randint(2, 5 if rule == "k-approval" else 4)
-                    n = rng.randint(1, 4)
-                    k = rng.randint(1, m)
-                    voting = _random_rule(rng, rule, m)
-                    seed = rng.randrange(10**6)
-                    yield gen_random(m, n, k, cost_model=cost, seed=seed, rule=voting, mode=mode), False
-    # Small enough for exhaustive color coding and the ILP.
-    rng = random.Random(62)
-    for rule in ("k-approval", "scoring", "bucklin"):
-        for mode in (CO_WINNER, UNIQUE_WINNER):
-            for _ in range(3):
-                m = rng.randint(2, 4)
-                n = rng.randint(1, 3)
-                k = rng.randint(1, min(m, 2))
-                voting = _random_rule(rng, rule, m)
-                seed = rng.randrange(10**6)
-                budget = Fraction(rng.randint(0, 12), 6)
-                yield gen_random(
-                    m, n, k, cost_model=COPRIME, seed=seed, budget=budget, rule=voting, mode=mode
-                ), True
-
-
-def _every_solver(instance):
-    """Each solver that accepts the instance, uncapped where it has option caps."""
-    solvers = [lambda inst: brute_rankings(inst, caps=LIFTED)]
-    if instance.rule.kind == "k-approval":
-        solvers += [
-            lambda inst: brute_topk(inst, caps=LIFTED),
-            lambda inst: brute_topk(inst, caps=LIFTED, prune_to_budget=True),
-            lambda inst: solve_color_coding(inst, mode="exhaustive"),
-        ]
-    if instance.rule.kind in ("k-approval", "bucklin"):
-        solvers.append(solve_ilp)
-    return solvers
-
-
-def test_auto_agrees_with_the_uncapped_oracles(tmp_path, capsys):
-    """`solve` against the oracles; on the coprime-price members, every solver too.
-
-    Those members also run at a budget equal to the optimum and just below
-    it. Decisions must agree, and every cost a solver reports must be the
-    witness's cost at the original prices.
-    """
-    for instance, every_solver in _differential_corpus():
-        k_approval = instance.rule.kind == "k-approval"
-        one_price = k_approval and not any(map(instance.costs.overrides, range(instance.election.n_expanded)))
-        expected = (brute_topk if k_approval else brute_rankings)(instance, caps=LIFTED)
-        code, lines = _solve_auto(tmp_path, instance, capsys)
-        answer = [
-            f"algorithm: {'flow' if one_price else 'brute'}",
-            f"decision: {'yes' if expected.decision else 'no'}",
-        ]
-        if expected.optimal_cost is not None:
-            answer.append(f"cost: {format_fraction(expected.optimal_cost)}")
-        assert (code, lines) == (0 if expected.decision else 1, answer), serialize_election(instance)
-        if not every_solver:
-            continue
-        cases = [(instance, expected.decision)]
-        optimum = expected.optimal_cost
-        if optimum is not None:
-            cases.append((dataclasses.replace(instance, budget=optimum), True))
-            if optimum:
-                cases.append((dataclasses.replace(instance, budget=optimum - Fraction(1, 42)), False))
-        for case, decision in cases:
-            for solve in _every_solver(case):
-                result = solve(case)
-                assert result.decision == decision, serialize_election(case)
-                if result.witness is None:
-                    continue
-                report = verify_bribery(case, result.witness)
-                assert report.is_solution or not result.decision
-                assert result.optimal_cost in (None, report.total_cost)
 
 
 @pytest.mark.parametrize(
@@ -333,6 +236,19 @@ def test_color_skips_palettes_wider_than_the_roster(tmp_path, capsys):
         "decision: yes",
         "cost: 0",
     ]
+
+
+def test_color_auto_sizes_the_colorings_it_would_run(tmp_path, capsys):
+    # (n*k - 1)^(m - 1) = 7^6 colorings fit the node budget, but with each
+    # coloring's patterns and scanned options the exhaustive loop needs more
+    # than 10^6 nodes: auto used to run it into the budget (exit 2).
+    path = tmp_path / "wide.sbe"
+    argv = ["generate", "random", "--m", "7", "--n", "4", "--k", "2", "--cost-model", "two:1:2:0.3"]
+    assert main(argv + ["--seed", "0", "--budget", "0", "--out", str(path)]) == 0
+    assert main(["solve", str(path), "--algorithm", "brute"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["algorithm: brute", "decision: no", "cost: 8"]
+    assert main(["solve", str(path), "--algorithm", "color"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["algorithm: color", "decision: no"]
 
 
 def test_hopeless_unique_winner_scoring_instance_is_a_no(tmp_path, capsys):

@@ -7,7 +7,6 @@ from swapbribery.core import (
     Election,
     Vote,
     VotingRule,
-    bucklin_winning_round,
     rank_of,
     scores,
     winners,
@@ -15,6 +14,7 @@ from swapbribery.core import (
 from swapbribery.errors import DomainError, UnsupportedRuleError
 
 from conftest import SAMPLE_U, SAMPLE_V, sample_election
+from oracle_utils import bucklin_winning_round
 
 
 def make(votes, m=None, mults=None):

@@ -27,11 +27,11 @@ from swapbribery.swaps import (
     BriberyInstance,
     SolveResult,
     SwapCostFunction,
-    bribed_election,
     verify_bribery,
 )
 
 from conftest import SAMPLE_U, SAMPLE_V, random_instance, sample_election
+from oracle_utils import bribed_election
 
 
 def _one_path_per_dijkstra(network):
@@ -364,37 +364,6 @@ class TestSolveUnit:
         for mode in (CO_WINNER, UNIQUE_WINNER):
             res = solve_unit(dataclasses.replace(inst, mode=mode))
             assert res == SolveResult(True, Fraction(0), Bribery.identity(election))
-
-    def test_matches_oracle_including_unique_mode(self):
-        rng = random.Random(71)
-        for _ in range(60):
-            mode = rng.choice(("co-winner", "unique-winner"))
-            inst = random_instance(rng, cost_kind="unit", mode=mode)
-            flow = solve_unit(inst)
-            brute = brute_topk(inst)
-            assert flow.decision == brute.decision
-            assert flow.optimal_cost == brute.optimal_cost
-            if flow.witness is not None:
-                report = verify_bribery(inst, flow.witness)
-                assert report.total_cost == flow.optimal_cost
-                assert report.preferred_wins
-
-    def test_matches_oracle_on_per_vote_prices(self):
-        # Prices differ between votes, zero and rational ones included, and
-        # a multiplicity-w vote's copies may be priced apart.
-        rng = random.Random(97)
-        kinds = set()
-        for _ in range(300):
-            inst = _per_vote_instance(rng)
-            flow = solve_unit(inst)
-            brute = brute_topk(inst)
-            assert (flow.decision, flow.optimal_cost) == (brute.decision, brute.optimal_cost)
-            if flow.witness is not None:
-                report = verify_bribery(inst, flow.witness)
-                assert report.total_cost == flow.optimal_cost and report.preferred_wins
-            prices = {inst.costs.default(v) for v in range(inst.costs.n_votes)}
-            kinds.add((len(prices) > 1, 0 in prices, any(p.denominator > 1 for p in prices), inst.mode))
-        assert len(kinds) >= 12
 
     def test_score_profile_matches_target(self):
         # For every target score with a full-value flow, the extracted

@@ -15,9 +15,9 @@ from swapbribery.hardness import (
     single_vote_clique_instance,
 )
 from swapbribery.oracle import brute_topk
-from swapbribery.swaps import bribed_election, verify_bribery
+from swapbribery.swaps import verify_bribery
 
-from oracle_utils import clique_exists
+from oracle_utils import bribed_election, clique_exists
 
 
 class TestColoredGraph:
@@ -136,15 +136,15 @@ class TestSingleVoteClique:
         inst = single_vote_clique_instance(graph, 2)
         assert inst.budget == 39  # (N-k)N^2 + kN - C(k,2)
         assert inst.election.m == 8  # N + k + 2
-        c1 = inst.election.index_of("c1")
-        p = inst.election.index_of("p")
+        c1 = inst.election.candidates.index("c1")
+        p = inst.election.candidates.index("p")
         assert inst.costs.cost(0, c1, p) == 16  # N^2
 
     def test_edge_costs(self):
         graph = Graph(3, frozenset({(0, 1)}))
         inst = single_vote_clique_instance(graph, 1)
-        c = [inst.election.index_of(f"c{i}") for i in (1, 2, 3)]
-        d1 = inst.election.index_of("d1")
+        c = [inst.election.candidates.index(f"c{i}") for i in (1, 2, 3)]
+        d1 = inst.election.candidates.index("d1")
         assert inst.costs.cost(0, c[0], c[1]) == 1
         assert inst.costs.cost(0, c[0], c[2]) == 0
         # d1 -> c_i costs N minus the earlier neighbors of v_i

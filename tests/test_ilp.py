@@ -15,11 +15,10 @@ from swapbribery.ilp import (
     solve_ilp,
 )
 from swapbribery.lp import lp_feasible
-from swapbribery.oracle import brute_rankings, brute_topk
 from swapbribery.reductions import gen_random
-from swapbribery.swaps import BriberyInstance, SwapCostFunction, verify_bribery
+from swapbribery.swaps import BriberyInstance, SwapCostFunction
 
-from conftest import random_costs, random_instance
+from conftest import random_instance
 
 
 class TestDescribeRule:
@@ -242,54 +241,6 @@ class TestSolve:
         res = solve_ilp(inst)
         assert res.decision
         assert res.witness.targets == tuple(inst.election.expanded())
-
-    def test_matches_topk_oracle(self):
-        # Rational prices draw one cost table per expanded vote, so their
-        # groups are singletons; unit prices with multiplicities 2-3 give
-        # groups of several votes.
-        rng = random.Random(47)
-        corpus = [(60, "rational", (1, 1, 2)), (40, "unit", (2, 3))]
-        largest_group = 0
-        for count, cost_kind, multiplicities in corpus:
-            for _ in range(count):
-                mode = rng.choice(("co-winner", "unique-winner"))
-                inst = random_instance(
-                    rng,
-                    m_max=4,
-                    n_max=4 if cost_kind == "unit" else 3,
-                    cost_kind=cost_kind,
-                    mode=mode,
-                    multiplicities=multiplicities,
-                )
-                system = describe_rule(inst.rule, inst.election.m, inst.election.n_expanded)
-                groups = build_ilp(inst, system, 0).groups
-                largest_group = max(largest_group, *(len(g.members) for g in groups))
-                want = brute_topk(inst).decision
-                res = solve_ilp(inst)
-                assert res.decision == want, inst
-                if res.decision:
-                    assert verify_bribery(inst, res.witness).is_solution
-        assert largest_group >= 2
-
-    def test_matches_rankings_oracle_on_bucklin(self):
-        rng = random.Random(53)
-        for _ in range(40):
-            m = rng.randint(2, 3)
-            n = rng.randint(1, 3)
-            election = Election(
-                tuple(f"c{i}" for i in range(m)),
-                tuple(Vote(tuple(rng.sample(range(m), m))) for _ in range(n)),
-            )
-            inst = BriberyInstance(
-                election,
-                VotingRule.bucklin(),
-                rng.randrange(m),
-                random_costs(rng, m, n, minimum=0, maximum=2),
-                Fraction(rng.randint(0, 4)),
-            )
-            want = brute_rankings(inst).decision
-            res = solve_ilp(inst)
-            assert res.decision == want, inst
 
     def test_variable_cap(self, monkeypatch):
         election = Election(("a", "b", "p"), (Vote((0, 1, 2)), Vote((1, 0, 2))))
