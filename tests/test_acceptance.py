@@ -3,15 +3,18 @@
 One test per exit criterion, each over a seeded corpus at its stated size
 and tolerance (all comparisons are exact rational equality). Every test
 prints a single PASS line with its corpus size; run with ``pytest -s
-tests/test_acceptance.py`` to see them. Whether each solver agrees with
-the oracles is checked over the shared corpus, by ``test_conformance.py``.
+tests/test_acceptance.py`` to see them. The flow and ILP criteria check
+their slices of the shared corpus, ``corpus.py``, with the conformance
+table's ``check``.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 from swapbribery.colorcoding import solve_color_coding
-from swapbribery.core import VotingRule, scores
+from swapbribery.core import UNIQUE_WINNER, VotingRule, scores, winners
 from swapbribery.flow import approx_within_range, build_transfer_network, vote_classes
 from swapbribery.hardness import (
     multicolored_clique_instance,
@@ -20,6 +23,7 @@ from swapbribery.hardness import (
     random_graph,
     single_vote_clique_instance,
 )
+from swapbribery.ilp import describe_rule
 from swapbribery.kernel import kernelize, truncation_kernel
 from swapbribery.oracle import brute_topk
 from swapbribery.reductions import (
@@ -41,7 +45,15 @@ from conftest import (
     random_instance,
     sample_election,
 )
+from corpus import CORPUS
 from oracle_utils import bribed_election, clique_exists, random_partial_votes, swap_graph_shortest_path
+from test_conformance import check, ilp_fits, labels
+
+
+def test_flow_solver_matches_oracle_on_unit_costs():
+    count = check("flow", lambda case: labels(case).prices == "unit")
+    assert count >= 15
+    print(f"PASS: flow solver equals the oracle on {count} unit-price corpus instances")
 
 
 def test_sample_instance_concrete_values():
@@ -132,6 +144,32 @@ def test_kernels_stay_within_size_bounds():
         assert out.instance.election.m <= n + (2 * n * beta + 2) * (2 * n * beta + 1), f"instance {i}"
         assert truncation_kernel(inst).election.m <= (inst.rule.k + beta) * n + 1, f"instance {i}"
     print(f"PASS: both kernels stayed within their size bounds on {count} instances")
+
+
+def _described_winner(instance) -> bool:
+    """Whether the unbribed profile satisfies ``describe_rule``, the preferred candidate in slot 0."""
+    m = instance.election.m
+    slot = {c: i for i, c in enumerate(sorted(range(m), key=lambda c: c != instance.preferred))}
+    index = {perm: i for i, perm in enumerate(permutations(range(m)))}
+    counts = Counter(index[tuple(slot[c] for c in r)] for r in instance.election.expanded())
+    system = describe_rule(instance.rule, m, instance.election.n_expanded, instance.mode == UNIQUE_WINNER)
+    return any(all(sum(q * counts[i] for i, q in enumerate(row.coeffs)) >= row.rhs for row in rows) for rows in system.sets)
+
+
+def test_ilp_matches_oracles_and_description_is_exact():
+    count = check("ilp")
+    profiles = 0
+    for case, inst in CORPUS:
+        if ilp_fits(inst) and labels(case).budget == "drawn":
+            won = winners(inst.election, inst.rule)
+            want = won == {inst.preferred} if inst.mode == UNIQUE_WINNER else inst.preferred in won
+            assert _described_winner(inst) == want, case
+            profiles += 1
+    assert count >= 150 and profiles >= 60
+    print(
+        f"PASS: transformation programs matched the oracles on {count} corpus instances; "
+        f"rule description exact on their {profiles} profiles"
+    )
 
 
 def test_clique_gadget_witness_exact_cost_and_scores():

@@ -17,6 +17,7 @@ from swapbribery.swaps import (
 )
 
 from conftest import random_instance, sample_election
+from test_conformance import check, labels
 
 
 def test_single_vote_plurality_has_one_pattern():
@@ -135,6 +136,16 @@ class TestSolve:
         assert len(res.witness.targets) == 2  # one target per expanded copy
         report = verify_bribery(inst, res.witness)
         assert report.is_solution and report.total_cost == 2
+
+    def test_witnesses_always_verify(self):
+        # ``check`` verifies every witness a row returns
+        for row in ("color-exhaustive", "color-random", "color-auto"):
+            assert check(row) >= 100, row
+
+    def test_exhaustive_matches_oracle(self):
+        # the price kinds of the seeded loop this replaced, both modes
+        kinds = ("unit", "one-two", "rational")
+        assert check("color-exhaustive", lambda case: labels(case).prices in kinds) >= 30
 
     def test_random_mode_miss_rate_within_theory(self):
         # With T = ceil((nk-1)^(nk-1) * ln(1/d)) trials per pattern, a

@@ -8,10 +8,13 @@ instead. Claims: ``optimum``, the decision and the optimal cost;
 every target vector on the smallest instances and the uncapped ``brute``
 elsewhere. Every witness goes through ``verify_bribery`` on the instance
 solved: the preferred candidate wins, within budget exactly on a yes, at
-the reported cost where there is one.
+the reported cost where there is one. ``check`` does this for one row on
+a slice of its cases; the other test files check, under their own names,
+the slices of the rows of their solvers. Each row runs once a session.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import tempfile
@@ -51,6 +54,9 @@ OPTIMA = {
     for case, inst in CORPUS
     if case.endswith("@drawn")
 }
+
+# the cases whose reference is plain enumeration's
+BY_ENUMERATION = {case for case, inst in CORPUS if _product(inst) <= ENUMERATED}
 
 
 def reference(case: str, instance):
@@ -127,17 +133,44 @@ ROWS = (
 )
 
 
-def answers(row: Row):
-    """(case, instance, the instance solved, result) for every corpus case in the row's scope."""
+ROW = {row.name: row for row in ROWS}
+
+
+class Labels(NamedTuple):
+    rule: str
+    mode: str
+    prices: str
+    votes: str
+    budget: str
+
+
+def labels(case: str) -> Labels:
+    """The parts of a corpus id, ``rule/mode/prices/votes/i@budget``, without the index."""
+    drawn, budget = case.split("@")
+    return Labels(*drawn.split("/")[:4], budget)
+
+
+@functools.cache
+def answers(name: str) -> tuple:
+    """(case, instance, the instance solved, result) for every corpus case in the row's scope.
+
+    Each row runs once a session; the tests that check a slice of it share the answers.
+    """
+    row, found = ROW[name], []
     for case, instance in CORPUS:
         if row.scope(instance):
             solved = row.reduce(instance) if row.reduce else instance
-            yield case, instance, solved, row.solve(solved)
+            found.append((case, instance, solved, row.solve(solved)))
+    return tuple(found)
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
-def test_solver_agrees_with_the_oracles(row):
-    for case, instance, solved, got in answers(row):
+def check(name: str, keep: Callable[[str], bool] = lambda case: True) -> int:
+    """Check the row's answers on the cases in its scope that ``keep`` keeps; how many there were."""
+    row, checked = ROW[name], 0
+    for case, instance, solved, got in answers(name):
+        if not keep(case):
+            continue
+        checked += 1
         decision, optimum, enumerated = reference(case, instance)
         assert got.decision == decision or (row.claim == ONE_SIDED and not got.decision), case
         if row.claim == OPTIMUM:
@@ -151,6 +184,12 @@ def test_solver_agrees_with_the_oracles(row):
             report = verify_bribery(solved, got.witness)
             assert report.preferred_wins and report.within_budget == got.decision, case
             assert got.optimal_cost in (None, report.total_cost), case
+    return checked
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_solver_agrees_with_the_oracles(row):
+    check(row.name)
 
 
 # The largest m and the most expanded votes each row got from the per-file loops it replaced.
@@ -169,7 +208,7 @@ def _copies(instance):
 
 def test_corpus_covers_every_regime():
     """Each regime of the per-file loops this corpus replaced is here, and more."""
-    assert {(*case.split("@")[0].split("/")[:4], case.split("@")[1]) for case, _ in CORPUS} == {
+    assert {labels(case) for case, _ in CORPUS} == {
         (rule, mode, prices, votes, budget)
         for rule in ("k-approval", "scoring", "scoring>64", "bucklin")
         for mode in ("co-winner", "unique-winner")
@@ -206,7 +245,7 @@ def test_corpus_covers_every_regime():
 def digest() -> str:
     """One line: sha256 over the sorted (solver, id, decision, optimum) rows, and the counts."""
     rows = sorted(
-        (row.name, case, got.decision, str(got.optimal_cost)) for row in ROWS for case, _, _, got in answers(row)
+        (row.name, case, got.decision, str(got.optimal_cost)) for row in ROWS for case, _, _, got in answers(row.name)
     )
     text = "\n".join("\t".join(map(str, r)) for r in rows).encode()
     return (

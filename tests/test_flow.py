@@ -32,6 +32,7 @@ from swapbribery.swaps import (
 
 from conftest import SAMPLE_U, SAMPLE_V, random_instance, sample_election
 from oracle_utils import bribed_election
+from test_conformance import check, labels
 
 
 def _one_path_per_dijkstra(network):
@@ -364,6 +365,15 @@ class TestSolveUnit:
         for mode in (CO_WINNER, UNIQUE_WINNER):
             res = solve_unit(dataclasses.replace(inst, mode=mode))
             assert res == SolveResult(True, Fraction(0), Bribery.identity(election))
+
+    def test_matches_oracle_including_unique_mode(self):
+        for mode in (CO_WINNER, UNIQUE_WINNER):
+            assert check("flow", lambda case: labels(case).mode == mode) >= 30, mode
+
+    def test_matches_oracle_on_per_vote_prices(self):
+        # Prices differ between votes, zero and rational ones included, and
+        # a multiplicity-w vote's copies may be priced apart.
+        assert check("flow", lambda case: labels(case).prices == "per-vote") >= 60
 
     def test_score_profile_matches_target(self):
         # For every target score with a full-value flow, the extracted

@@ -19,6 +19,7 @@ from swapbribery.reductions import gen_random
 from swapbribery.swaps import BriberyInstance, SwapCostFunction
 
 from conftest import random_instance
+from test_conformance import check, labels
 
 
 class TestDescribeRule:
@@ -241,6 +242,12 @@ class TestSolve:
         res = solve_ilp(inst)
         assert res.decision
         assert res.witness.targets == tuple(inst.election.expanded())
+
+    def test_matches_topk_oracle(self):
+        assert check("ilp", lambda case: labels(case).rule == "k-approval") >= 80
+
+    def test_matches_rankings_oracle_on_bucklin(self):
+        assert check("ilp", lambda case: labels(case).rule == "bucklin") >= 70
 
     def test_variable_cap(self, monkeypatch):
         election = Election(("a", "b", "p"), (Vote((0, 1, 2)), Vote((1, 0, 2))))

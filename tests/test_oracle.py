@@ -19,6 +19,7 @@ from swapbribery.swaps import (
 
 from conftest import P, random_costs, random_instance, sample_election
 from oracle_utils import enumerate_rankings
+from test_conformance import BY_ENUMERATION, answers, check, labels
 
 
 def test_sample_instance_optimum_is_three(sample_instance):
@@ -214,6 +215,35 @@ def test_hopeless_instances_have_no_winning_bribery():
             assert mode == UNIQUE_WINNER
             assert enumerate_rankings(instance) == (False, None, None), instance
     assert hopeless > 20
+
+
+def test_witness_always_verifies():
+    # ``check`` verifies every witness at the reported optimum
+    assert check("brute_topk") >= 150
+
+
+def test_decision_monotone_in_budget():
+    """Yes at a budget equal to the optimum, no one price step below it."""
+    at = {"opt": 0, "below": 0}
+    for case, _, _, got in answers("brute_topk"):
+        budget = labels(case).budget
+        if budget in at:
+            assert got.decision == (budget == "opt"), case
+            at[budget] += 1
+    assert min(at.values()) >= 40
+
+
+def test_rankings_oracle_agrees_with_topk():
+    topk = {case: (got.decision, got.optimal_cost) for case, _, _, got in answers("brute_topk")}
+    both = [(case, got) for case, _, _, got in answers("brute_rankings") if case in topk]
+    for case, got in both:
+        assert (got.decision, got.optimal_cost) == topk[case], case
+    assert len(both) >= 100
+
+
+def test_rankings_search_matches_enumeration():
+    """Decision, optimum and witness equal plain enumeration's wherever the corpus enumerates."""
+    assert check("brute_rankings", BY_ENUMERATION.__contains__) >= 200
 
 
 def test_rankings_unlimited_budget_always_solvable():
