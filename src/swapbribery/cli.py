@@ -21,7 +21,7 @@ from pathlib import Path
 from . import io as formats
 from .colorcoding import solve_color_coding
 from .errors import SwapBriberyError
-from .flow import build_transfer_network, covers, solve_unit, vote_classes
+from .flow import build_transfer_network, covers, require_covers, solve_unit
 from .hardness import (
     multicolored_clique_instance,
     planted_multicolored_clique,
@@ -32,7 +32,7 @@ from .ilp import solve_ilp
 from .kernel import kernelize, truncation_kernel, truncation_provenance
 from .oracle import brute_topk, brute_rankings
 from .reductions import gen_random, pw_to_sb, sb_to_pw
-from .swaps import SolveResult, verify_bribery
+from .swaps import SolveResult, verify_bribery, vote_classes
 
 YES, NO, ERROR = 0, 1, 2
 
@@ -245,7 +245,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_export_network(args) -> int:
     instance = formats.parse_election(_read(args.instance))
-    classes = vote_classes(instance, instance.costs)  # raises outside flow's scope
+    require_covers(instance)
+    classes = vote_classes(instance, instance.costs)
     network = build_transfer_network(
         classes, instance.rule.k, instance.preferred, args.s_star, instance.unique_mode
     )

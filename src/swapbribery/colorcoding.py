@@ -25,7 +25,7 @@ from . import _search
 from .core import K_APPROVAL
 from .errors import DomainError, ResourceCapError
 from .oracle import check_topk_cap, topk_options
-from .swaps import Bribery, BriberyInstance, SolveResult, move_to_top_target, verify_bribery
+from .swaps import Bribery, BriberyInstance, SolveResult, move_to_top_target, verify_bribery, vote_classes
 
 VotePattern = tuple[int, ...]
 ElectionPattern = tuple[VotePattern, ...]
@@ -126,11 +126,12 @@ def solve_color_coding(
     rankings = instance.election.expanded_list()
     _, prices, budget = instance.integer_prices()
     # Cheapest first, ties in ascending candidate order, so the first subset
-    # of a color set is the one to take.
-    options = [
-        sorted(topk_options(r, k, prices, idx, budget), key=lambda o: (o[1], sorted(o[0])))
-        for idx, r in enumerate(rankings)
-    ]
+    # of a color set is the one to take; the votes of a class share one list.
+    options: list = [None] * n
+    for ranking, _, votes in vote_classes(instance, prices):
+        shared = sorted(topk_options(ranking, k, prices, votes[0], budget), key=lambda o: (o[1], sorted(o[0])))
+        for v in votes:
+            options[v] = shared
     # Patterns as color bitmasks, grouped by their highest color; a pattern
     # of color 1 alone joins the group of palette {2}, where it loses nothing.
     masks: dict[VotePattern, int] = {}

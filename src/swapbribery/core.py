@@ -134,13 +134,13 @@ def _approvals(weighted: list[tuple[Ranking, int]], m: int, depth: int) -> list[
     return totals
 
 
-def _bucklin_round(weighted: list[tuple[Ranking, int]], m: int) -> tuple[int, list[int]]:
-    """Bucklin's winning round and the approval counts at that depth."""
+def _bucklin_round(weighted: list[tuple[Ranking, int]], m: int) -> list[int]:
+    """The approval counts at Bucklin's winning round."""
     threshold = sum(weight for _, weight in weighted) // 2 + 1
     for depth in range(1, m + 1):
         totals = _approvals(weighted, m, depth)
         if max(totals) >= threshold:
-            return depth, totals
+            return totals
     raise DomainError("no Bucklin winning round; election malformed")
 
 
@@ -154,7 +154,7 @@ def _tally(weighted: list[tuple[Ranking, int]], m: int, rule: VotingRule) -> lis
             for points, c in zip(rule.vector, ranking):
                 totals[c] += weight * points
         return totals
-    return _bucklin_round(weighted, m)[1]
+    return _bucklin_round(weighted, m)
 
 
 def _weighted(election: Election) -> list[tuple[Ranking, int]]:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .core import K_APPROVAL, Ranking
 from .errors import DomainError, PreconditionError
-from .swaps import Bribery, BriberyInstance, SolveResult, SwapCostFunction, move_to_top_target
+from .swaps import Bribery, BriberyInstance, SolveResult, SwapCostFunction, VoteClass, move_to_top_target
 from . import swaps as _swaps
 
 
@@ -196,31 +196,16 @@ def _blocking_flows(adj, to, cap, cost, potential, source, sink) -> int:
                 node = source
 
 
-class VoteClass(NamedTuple):
-    """The expanded votes that share a ranking and a swap price."""
-
-    ranking: Ranking
-    price: int | Fraction
-    votes: tuple[int, ...]
-
-
 def covers(instance: BriberyInstance) -> bool:
     """Flow's scope: k-approval with one swap price per vote, no pair override."""
     costs = instance.costs
     return instance.rule.kind == K_APPROVAL and not any(map(costs.overrides, range(costs.n_votes)))
 
 
-def vote_classes(instance: BriberyInstance, prices: SwapCostFunction) -> list[VoteClass]:
-    """The expanded votes by ranking and default in ``prices``, in order of first vote.
-
-    Raises PreconditionError outside flow's scope (``covers``).
-    """
+def require_covers(instance: BriberyInstance) -> None:
+    """Raise PreconditionError outside flow's scope (``covers``)."""
     if not covers(instance):
         raise PreconditionError("flow solver needs k-approval with one swap price per vote, without pair overrides")
-    groups: dict[tuple[Ranking, int | Fraction], list[int]] = {}
-    for v, ranking in enumerate(instance.election.expanded()):
-        groups.setdefault((ranking, prices.default(v)), []).append(v)
-    return [VoteClass(ranking, price, tuple(votes)) for (ranking, price), votes in groups.items()]
 
 
 # Node ids of a transfer network: s, t and x, then one ``g`` node per vote
@@ -306,8 +291,9 @@ def solve_unit(instance: BriberyInstance) -> SolveResult:
     unimodular, so integer flows attain it; and ``_split`` turns an integer
     flow into per-vote approval sets of the same cost.
     """
+    require_covers(instance)
     scale, prices, _ = instance.integer_prices()
-    classes = vote_classes(instance, prices)
+    classes = _swaps.vote_classes(instance, prices)
     k = instance.rule.k
     n_votes = instance.election.n_expanded
     flows: dict[int, FlowResult | None] = {}

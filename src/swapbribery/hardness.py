@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, filterfalse
 
 from .core import CO_WINNER, Election, Vote, VotingRule
 from .errors import DomainError
@@ -361,7 +361,7 @@ def multicolored_clique_instance(
     def emit(head: list[int], table: dict, multiplicity: int = 1) -> tuple[int, ...]:
         nonlocal expanded
         in_head = set(head)
-        ranking = tuple(head + [c for c in all_ids if c not in in_head])
+        ranking = tuple(head + list(filterfalse(in_head.__contains__, all_ids)))
         votes.append(Vote(ranking, multiplicity))
         ids = tuple(range(expanded, expanded + multiplicity))
         expanded += multiplicity

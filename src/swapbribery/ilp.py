@@ -3,10 +3,10 @@
 Works for any rule describable by linear inequality systems over the m!
 per-permutation vote counts: the preferred candidate wins exactly when
 some system in the description is satisfied. Votes are grouped by
-(ranking, cost table); integer variables count how many votes of a group
-transform into each target permutation, constrained by group sizes, the
-budget, and one description system with the transformed counts
-substituted in. Feasibility is decided exactly by depth-first search
+ranking and prices (``swaps.vote_classes``); integer variables count how
+many votes of a group transform into each target permutation,
+constrained by group sizes, the budget, and one description system with
+the transformed counts substituted in. Feasibility is decided exactly by depth-first search
 with bound propagation, after a rational-relaxation check.
 """
 
@@ -21,7 +21,7 @@ from . import _search
 from .core import BUCKLIN, K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .lp import lp_feasible
-from .swaps import Bribery, BriberyInstance, SolveResult, target_costs
+from .swaps import Bribery, BriberyInstance, SolveResult, target_costs, vote_classes
 
 @dataclass(frozen=True)
 class Inequality:
@@ -109,7 +109,7 @@ def describe_rule(rule, m: int, n: int, unique: bool = False) -> LinearInequalit
 
 @dataclass(frozen=True)
 class VoteGroup:
-    """Expanded votes sharing a ranking and a cost table."""
+    """One vote class (``swaps.vote_classes``) in slot space."""
 
     base: int  # permutation index of the shared ranking, in slot space
     members: tuple[int, ...]  # expanded vote indices
@@ -156,24 +156,15 @@ def build_ilp(
         raise DomainError("description built for a different candidate count")
     cand_of_slot, slot_of_cand = slot_mapping(instance)
     perm_index = {perm: i for i, perm in enumerate(system.perms)}
-    rankings = instance.election.expanded_list()
     scale, prices, budget = instance.integer_prices()
-
-    # Groups keep the order of their first members.
-    grouped: dict[object, list[int]] = {}
-    for idx, ranking in enumerate(rankings):
-        base = perm_index[tuple(slot_of_cand[c] for c in ranking)]
-        table = prices.overrides(idx)
-        key = (base, prices.default(idx), frozenset(table.items()))
-        grouped.setdefault(key, []).append(idx)
 
     groups = []
     counts = [0] * len(system.perms)
-    for (base, *_), members in grouped.items():
+    for ranking, _, members in vote_classes(instance, prices):
+        base = perm_index[tuple(slot_of_cand[c] for c in ranking)]
         # permutations(cand_of_slot) lists the targets in system.perms order
-        rep = members[0]
-        costs = tuple(target_costs(rankings[rep], prices, rep, cand_of_slot))
-        groups.append(VoteGroup(base, tuple(members), costs))
+        costs = tuple(target_costs(ranking, prices, members[0], cand_of_slot))
+        groups.append(VoteGroup(base, members, costs))
         counts[base] += len(members)
 
     variables = tuple(

@@ -1,14 +1,16 @@
 """Brute-force exact solvers; ground truth for every other solver.
 
-Both oracles exist to be obviously correct. They build each vote's options
-(top-k sets or target rankings) with their costs and hand them to one
-depth-first search, ``swapbribery._search.best_assignment``, whose only
-cleverness is cutting branches that cannot hold a better winning leaf: by
-cost (the budget or the best total so far), by score (the leading rival
-already beats what the preferred candidate can still collect, round by
-round under Bucklin) and by symmetry (identical votes choose non-decreasing
-options). It returns the first optimal choice vector in its order with or
-without the cuts, so the optimum and the witness do not depend on them.
+Both oracles exist to be obviously correct. They build the options (top-k
+sets or target rankings) with their costs once per vote class,
+``swaps.vote_classes``, and hand them to one depth-first search,
+``swapbribery._search.best_assignment``, with each class's votes side by
+side. The search's only cleverness is cutting branches that cannot hold a
+better winning leaf: by cost (the budget or the best total so far), by
+score (the leading rival already beats what the preferred candidate can
+still collect, round by round under Bucklin) and by symmetry (the votes of
+a class choose non-decreasing options). It returns the first optimal
+choice vector in its order with or without the cuts, so the optimum and
+the witness do not depend on them.
 
 A unique-winner instance of a score-based rule in which some rival is sure
 to reach the most the preferred candidate can collect is answered no before
@@ -35,6 +37,7 @@ from .swaps import (
     SwapCostFunction,
     move_to_top_target,
     target_costs,
+    vote_classes,
 )
 
 
@@ -140,27 +143,32 @@ def topk_options(
 
 
 def _run_search(
-    per_vote_options: list[list[tuple]],
+    classes: list[tuple[list[tuple], tuple[int, ...]]],
     rows: int,
     m: int,
     unique: bool,
     budget: int | None,
 ) -> tuple[int, list] | None:
-    """Sort each vote's ``(increments, cost, payload)`` options by cost, flatten them, run the search.
+    """Search one ``(options, votes)`` pair per vote class, options being ``(increments, cost, payload)``.
 
-    Returns the optimum and each vote's chosen payload, or None.
+    Each class's options are sorted by cost and its votes laid out as one
+    adjacent run, so the search's symmetry cut sees every copy of a vote.
+    Returns the optimum and each vote's chosen payload, in vote order, or None.
     """
     costs: list[int] = []
     increments: list[list[tuple[int, int]]] = []
     offsets = [0]
     payloads: list = []
-    for options in per_vote_options:
+    order: list[int] = []
+    for options, votes in classes:
         options.sort(key=lambda option: option[1])
-        offsets.append(offsets[-1] + len(options))
-        for step, cost, payload in options:
-            increments.append(step)
-            costs.append(cost)
-            payloads.append(payload)
+        steps, option_costs, option_payloads = zip(*options) if options else ((), (), ())
+        order += votes
+        for _ in votes:
+            offsets.append(offsets[-1] + len(options))
+            increments += steps
+            costs += option_costs
+            payloads += option_payloads
 
     # looked up on the module per call, so a wrapper installed there sees it
     hit = _search.best_assignment(
@@ -169,7 +177,7 @@ def _run_search(
     if hit is None:
         return None
     cost, choices = hit
-    return cost, [payloads[i] for i in choices]
+    return cost, [payloads[i] for _, i in sorted(zip(order, choices))]
 
 
 def _points(rule, m: int) -> tuple[int, ...]:
@@ -229,14 +237,11 @@ def brute_topk(
     scale, prices, budget = instance.integer_prices()
     budget_cap = budget if prune_to_budget else None
     pairs = [(c, 1) for c in _columns(m, instance.preferred)]
-    per_vote_options = [
-        [
-            (tuple(map(pairs.__getitem__, cands)), cost, cands)
-            for cands, cost in topk_options(r, k, prices, idx, budget_cap)
-        ]
-        for idx, r in enumerate(rankings)
-    ]
-    hit = _run_search(per_vote_options, 1, m, instance.unique_mode, budget_cap)
+    classes = []
+    for ranking, _, votes in vote_classes(instance, prices):
+        options = topk_options(ranking, k, prices, votes[0], budget_cap)
+        classes.append(([(tuple(map(pairs.__getitem__, c)), cost, c) for c, cost in options], votes))
+    hit = _run_search(classes, 1, m, instance.unique_mode, budget_cap)
     if hit is None:
         return SolveResult(False, None, None)
     optimum, chosen = hit
@@ -256,14 +261,13 @@ def brute_rankings(
     """
     if _hopeless(instance):
         return SolveResult(False, None, None)
-    election = instance.election
-    m = election.m
-    rankings = election.expanded_list()
+    m = instance.election.m
+    n_votes = instance.election.n_expanded
 
-    options = len(rankings) * factorial(m)
+    options = n_votes * factorial(m)
     if options > caps.ranking_combinations:
         raise ResourceCapError(
-            f"{len(rankings)} votes x {m}! = {options} options exceed cap "
+            f"{n_votes} votes x {m}! = {options} options exceed cap "
             f"{caps.ranking_combinations}"
         )
 
@@ -285,16 +289,11 @@ def brute_rankings(
     # each target's increments; targets share equal pairs, which keeps the m!
     # lists small
     increments = [[pair for pos, c in enumerate(t) for pair in placed[pos][c]] for t in targets]
-    # votes with the same ranking and prices share one option list
-    shared_options: dict[object, list] = {}
-    per_vote_options = []
-    for idx, r in enumerate(rankings):
-        key = (r, prices.default(idx), frozenset(prices.overrides(idx).items()))
-        if key not in shared_options:
-            costs = target_costs(r, prices, idx, range(m))
-            shared_options[key] = list(zip(increments, costs, targets))
-        per_vote_options.append(shared_options[key])
-    hit = _run_search(per_vote_options, rows, m, instance.unique_mode, None)
+    classes = [
+        (list(zip(increments, target_costs(ranking, prices, votes[0], range(m)), targets)), votes)
+        for ranking, _, votes in vote_classes(instance, prices)
+    ]
+    hit = _run_search(classes, rows, m, instance.unique_mode, None)
     if hit is None:
         return SolveResult(False, None, None)
     optimum, chosen = hit

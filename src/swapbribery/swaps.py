@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     CO_WINNER,
@@ -208,6 +208,27 @@ class BriberyInstance:
         if self.unique_mode:
             return winning == frozenset({self.preferred})
         return self.preferred in winning
+
+
+class VoteClass(NamedTuple):
+    """The expanded votes that share a ranking, a default swap price and an override table."""
+
+    ranking: Ranking
+    price: int | Fraction  # the default price; ``votes[0]`` supplies the override table
+    votes: tuple[int, ...]
+
+
+def vote_classes(instance: BriberyInstance, prices: SwapCostFunction) -> list[VoteClass]:
+    """The expanded votes grouped by ranking and by their prices in ``prices``, in order of first vote.
+
+    Votes of one class are interchangeable: each has the same options at the
+    same costs, so every solver builds a class's options once.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for v, ranking in enumerate(instance.election.expanded()):
+        key = (ranking, prices.default(v), frozenset(prices.overrides(v).items()))
+        groups.setdefault(key, []).append(v)
+    return [VoteClass(ranking, price, tuple(votes)) for (ranking, price, _), votes in groups.items()]
 
 
 def apply_swaps(ranking: Ranking, swaps: Iterable[tuple[int, int]]) -> Ranking:

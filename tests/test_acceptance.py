@@ -15,7 +15,7 @@ from itertools import permutations
 
 from swapbribery.colorcoding import solve_color_coding
 from swapbribery.core import UNIQUE_WINNER, VotingRule, scores, winners
-from swapbribery.flow import approx_within_range, build_transfer_network, vote_classes
+from swapbribery.flow import approx_within_range, build_transfer_network
 from swapbribery.hardness import (
     multicolored_clique_instance,
     multicolored_clique_witness,
@@ -38,6 +38,7 @@ from swapbribery.swaps import (
     SwapCostFunction,
     transform_cost,
     verify_bribery,
+    vote_classes,
 )
 
 from conftest import (

@@ -934,6 +934,17 @@ def test_malformed_input_sweep_answers_or_names_one_error(tmp_path, capsys):
     assert {0, 1, 2} <= set(codes)
 
 
+def test_identical_votes_anywhere_in_the_election_share_one_symmetry_run(tmp_path, capsys):
+    # generate random scatters the copies of its few m = 2 votes; the search
+    # used to see only copies side by side and stopped at its node budget.
+    path = tmp_path / "many.sbe"
+    argv = ["generate", "random", "--m", "2", "--n", "900", "--k", "1", "--cost-model", "two:1:2:0.5"]
+    assert main(argv + ["--seed", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr() == ("algorithm: brute\ndecision: yes\ncost: 4\n", "")
+
+
 def test_search_past_the_recursion_limit_is_an_error(tmp_path, capsys):
     path = tmp_path / "deep.sbe"
     two = ("two-valued", Fraction(1), Fraction(2), 0.5)

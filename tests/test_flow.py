@@ -11,14 +11,12 @@ from swapbribery.errors import DomainError, PreconditionError
 from swapbribery.flow import (
     FlowArc,
     FlowNetwork,
-    VoteClass,
     _split,
     approx_within_range,
     build_transfer_network,
     covers,
     min_cost_max_flow,
     solve_unit,
-    vote_classes,
 )
 from swapbribery.oracle import brute_topk
 from swapbribery.reductions import gen_random
@@ -27,7 +25,9 @@ from swapbribery.swaps import (
     BriberyInstance,
     SolveResult,
     SwapCostFunction,
+    VoteClass,
     verify_bribery,
+    vote_classes,
 )
 
 from conftest import SAMPLE_U, SAMPLE_V, random_instance, sample_election

@@ -21,9 +21,9 @@ from swapbribery.io import (
     serialize_partial,
     serialize_solution,
 )
-from swapbribery.flow import VoteClass, build_transfer_network
+from swapbribery.flow import build_transfer_network
 from swapbribery.oracle import brute_topk
-from swapbribery.swaps import Bribery, verify_bribery
+from swapbribery.swaps import Bribery, VoteClass, verify_bribery
 from swapbribery.reductions import PossibleWinnerInstance, gen_random
 from swapbribery.core import VotingRule
 

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from swapbribery import _search
-from swapbribery.core import UNIQUE_WINNER, Election, Vote, VotingRule
+from swapbribery.core import K_APPROVAL, UNIQUE_WINNER, Election, Vote, VotingRule
 from swapbribery.errors import DomainError, ResourceCapError
 from swapbribery.oracle import OracleCaps, _hopeless, brute_rankings, brute_topk, topk_options
 from swapbribery.reductions import gen_random
@@ -172,6 +172,30 @@ def test_bucklin_identical_votes_take_the_symmetry_cut(monkeypatch, m, n, nodes)
     assert (result.decision, result.optimal_cost) == (False, 12)
     report = verify_bribery(instance, result.witness)
     assert report.preferred_wins and report.total_cost == 12
+
+
+def _interleaved(rule):
+    """Six votes alternating between two rankings, a b p and b a p, in three price classes.
+
+    Votes 0 and 4 rank a b p at 1 a swap, vote 2 ranks it at 2; votes 1, 3
+    and 5 rank b a p at 3 a swap, save 1 for lifting p past a.
+    """
+    election = Election(("a", "b", "p"), (Vote((0, 1, 2)), Vote((1, 0, 2))) * 3)
+    prices = SwapCostFunction([1, 3, 2, 3, 1, 3], [{}, {(0, 2): 1}] * 3)
+    return BriberyInstance(election, rule, 2, prices, Fraction(6))
+
+
+@pytest.mark.parametrize("rule", [VotingRule.k_approval(1), VotingRule.bucklin()], ids=["k-approval", "bucklin"])
+def test_interleaved_classes_map_the_witness_back_to_each_vote(rule):
+    # The search lays the classes out as runs, votes 0 4 | 1 3 5 | 2; a
+    # witness left in that order would price targets against the wrong votes.
+    instance = _interleaved(rule)
+    expected = enumerate_rankings(instance)[:2]
+    for solver in (brute_topk, brute_rankings) if rule.kind == K_APPROVAL else (brute_rankings,):
+        result = solver(instance)
+        assert (result.decision, result.optimal_cost) == expected
+        report = verify_bribery(instance, result.witness)
+        assert report.preferred_wins and report.total_cost == result.optimal_cost
 
 
 @pytest.mark.parametrize(

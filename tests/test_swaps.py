@@ -11,6 +11,7 @@ from swapbribery.swaps import (
     Bribery,
     BriberyInstance,
     SwapCostFunction,
+    VoteClass,
     _count_inversions,
     apply_swaps,
     inverted_pairs,
@@ -19,6 +20,7 @@ from swapbribery.swaps import (
     target_costs,
     transform_cost,
     verify_bribery,
+    vote_classes,
 )
 
 from conftest import SAMPLE_V, random_costs, sample_election
@@ -376,3 +378,15 @@ def test_integer_prices_scale_zero_integral_and_coprime_prices():
         assert all(type(c) is int for c in (prices.default(v), *prices.overrides(v).values()))
     with pytest.raises(DomainError):
         costs.scaled(21)
+
+
+def test_vote_classes_split_by_ranking_default_and_override_table():
+    # votes 0-2 share a ranking and a default; vote 1's override table sets it apart
+    election = Election(("a", "b", "p"), (Vote((0, 1, 2), 3), Vote((1, 0, 2))))
+    costs = SwapCostFunction([1, 1, 1, 1], [{}, {(0, 1): 2}, {}, {}])
+    instance = BriberyInstance(election, VotingRule.k_approval(1), 2, costs, Fraction(1))
+    assert vote_classes(instance, costs) == [
+        VoteClass((0, 1, 2), 1, (0, 2)),
+        VoteClass((0, 1, 2), 1, (1,)),
+        VoteClass((1, 0, 2), 1, (3,)),
+    ]
