@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, filterfalse
+from itertools import combinations, count, filterfalse
 
 from .core import CO_WINNER, Election, Vote, VotingRule
 from .errors import DomainError
@@ -76,49 +76,31 @@ class ColoredGraph(Graph):
 class GadgetLayout:
     """Bookkeeping of a multicolored-clique instance.
 
-    ``votes`` maps a gadget key to the expanded vote indices it occupies;
-    chain keys list their votes in relay order.
+    ``votes`` maps a gadget key to the expanded vote indices it occupies.
+    A chain key's votes are relays ``[dummy, q_t, q_{t+1}, ...]`` in order,
+    passing one point from its start to its end at unit price per vote;
+    ``sel4``/``inc4`` keys hold one blocked vote whose head is four named
+    candidates w, x, y, z, with (w, x), (x, w), (y, z), (z, y) at 1+epsilon.
+    Below, x and y are vertices and col(x) is x's color class.
+
+    - ``("a-b", i, j, x)``, col(x) = j: a_i_j to b_i_vx, 1 vote.
+    - ``("b-ct", x)``: b_1_vx to ct_1_vx, 2 votes.
+    - ``("sel4", i, x)``, i >= 2: blocked b_i_vx, c_{i-1}_vx, ct_i_vx, f_{i-1}_vx.
+    - ``("c-f", x)``: c_k_vx to f_k_vx, 2 votes.
+    - ``("ct-c", i, x)``: ct_i_vx to c_i_vx, 1 vote.
+    - ``("f-h", i, x)``: f_i_vx to h_i_vx, 2(k-i)+1 votes.
+    - ``("h-ht", i, x)``, col(x) < i: h_i_vx to ht_i_vx, 1 vote.
+    - ``("inc4", i, j, y, x)``, i < j, col(y) = i, col(x) = j, x adjacent
+      to y: blocked h_i_vx, ht_j_vy, mt_i_j, m_i_j.
+    - ``("mt-m", i, j)``, i < j: mt_i_j to m_i_j, 1 vote.
+    - ``("h-m", i, x)``, col(x) = i: h_i_vx to m_i_i, 3 votes.
+    - ``("m-r", i, j)``, i <= j: parallel votes ``[dummy, m_i_j, r]``,
+      2 for i < j and 1 for i = j.
     """
 
     votes: dict[tuple, tuple[int, ...]]
     base_score: int  # the common score level K
     budget: Fraction
-
-
-def _name_a(i, j):
-    return f"a_{i}_{j}"
-
-
-def _name_b(i, x):
-    return f"b_{i}_v{x}"
-
-
-def _name_c(i, x):
-    return f"c_{i}_v{x}"
-
-
-def _name_ct(i, x):
-    return f"ct_{i}_v{x}"
-
-
-def _name_f(i, x):
-    return f"f_{i}_v{x}"
-
-
-def _name_h(i, x):
-    return f"h_{i}_v{x}"
-
-
-def _name_ht(i, x):
-    return f"ht_{i}_v{x}"
-
-
-def _name_m(i, j):
-    return f"m_{i}_{j}"
-
-
-def _name_mt(i, j):
-    return f"mt_{i}_{j}"
 
 
 def multicolored_clique_instance(
@@ -144,61 +126,37 @@ def multicolored_clique_instance(
 
     budget = k**3 + 10 * k**2
     n_guards = budget + 2
-    classes = {j: graph.color_class(j) for j in range(1, k + 1)}
-
-    degrees = [k * k]
-    for j in range(1, k + 1):
-        degrees.append(len(classes[j]))
-        for x in range(graph.n_vertices):
-            if graph.color_of[x] != j:
-                degrees.append(len(graph.neighbors_in_class(x, j)))
-    base_score = max(2, max(degrees))
-    if base_score % 2:
-        base_score += 1
+    color = graph.color_of
+    levels = range(1, k + 1)
+    vertices = range(graph.n_vertices)
+    classes = {j: graph.color_class(j) for j in levels}
+    neighbors = {
+        (x, i): graph.neighbors_in_class(x, i) for x in vertices for i in levels if color[x] != i
+    }
+    base_score = max(2, k * k, *map(len, classes.values()), *map(len, neighbors.values()))
+    base_score += base_score % 2
 
     names: list[str] = []
-    index: dict[str, int] = {}
 
     def cand(name: str) -> int:
-        if name not in index:
-            index[name] = len(names)
-            names.append(name)
-        return index[name]
+        names.append(name)
+        return len(names) - 1
 
+    # Ids follow registration order: this roster, then dummies and
+    # transporters as the votes below create them.
     p = cand("p")
     r = cand("r")
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            cand(_name_a(i, j))
-    for make in (_name_b, _name_c, _name_ct, _name_f, _name_h):
-        for i in range(1, k + 1):
-            for x in range(graph.n_vertices):
-                cand(make(i, x))
-    for i in range(1, k + 1):
-        for x in range(graph.n_vertices):
-            if graph.color_of[x] < i:
-                cand(_name_ht(i, x))
-    for i in range(1, k + 1):
-        for j in range(i, k + 1):
-            cand(_name_m(i, j))
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            cand(_name_mt(i, j))
-    guards = [cand(f"g{h}") for h in range(1, n_guards + 1)]
-
-    dummy_count = 0
-
-    def dummy() -> int:
-        nonlocal dummy_count
-        dummy_count += 1
-        return cand(f"dummy{dummy_count}")
-
-    transporter_count = 0
-
-    def transporter() -> int:
-        nonlocal transporter_count
-        transporter_count += 1
-        return cand(f"t{transporter_count}")
+    a = {(i, j): cand(f"a_{i}_{j}") for i in levels for j in levels}
+    b, c, ct, f, h = (
+        {(i, x): cand(f"{family}_{i}_v{x}") for i in levels for x in vertices}
+        for family in ("b", "c", "ct", "f", "h")
+    )
+    ht = {(i, x): cand(f"ht_{i}_v{x}") for i in levels for x in vertices if color[x] < i}
+    m = {(i, j): cand(f"m_{i}_{j}") for i in levels for j in levels if i <= j}
+    mt = {(i, j): cand(f"mt_{i}_{j}") for i in levels for j in levels if i < j}
+    guards = [cand(f"g{g}") for g in range(1, n_guards + 1)]
+    dummies = count(1)
+    transporters = count(1)
 
     # Heads are the first budget+2 positions of each vote; everything else
     # is appended in index order once the roster is complete. A vote head
@@ -206,192 +164,130 @@ def multicolored_clique_instance(
     # guard list), which can never score outside the guard votes.
     guard_ptr = 0
 
-    HeadList = list[tuple[list[int], dict[tuple[int, int], Fraction]]]
-
-    def truncated(head: list[int], costs: dict | None = None) -> tuple[list[int], dict]:
+    def truncated(head: list[int]) -> list[int]:
         nonlocal guard_ptr
         fill = n_guards - len(head)
         filler = [guards[(guard_ptr + t) % n_guards] for t in range(fill)]
         guard_ptr = (guard_ptr + fill) % n_guards
-        return head + filler, dict(costs or {})
+        return head + filler
 
-    def chain(key: tuple, q1: int, q2: int, length: int, into: HeadList, registry):
+    # The selection votes, then the incidence votes, as (head, price
+    # overrides); ``keys`` holds each gadget key's positions in ``body``.
+    body: list[tuple[list[int], dict]] = []
+    keys: dict[tuple, tuple[int, ...]] = {}
+
+    def relays(key: tuple, steps) -> None:
+        """One vote [dummy, q, q'] per step (q, q'): q can pass q' a point."""
+        start = len(body)
+        body.extend((truncated([cand(f"dummy{next(dummies)}"), q, q2]), {}) for q, q2 in steps)
+        keys[key] = tuple(range(start, len(body)))
+
+    def chain(key: tuple, q1: int, q2: int, length: int) -> None:
         """Votes letting q1 pass one point to q2 at total price ``length``."""
-        hops = [q1] + [transporter() for _ in range(length - 1)] + [q2]
-        ids = []
-        for a, b in zip(hops, hops[1:]):
-            ids.append(len(into))
-            into.append(truncated([dummy(), a, b]))
-        registry[key] = tuple(ids)
+        hops = [q1, *[cand(f"t{next(transporters)}") for _ in range(length - 1)], q2]
+        relays(key, zip(hops, hops[1:]))
 
-    selection: HeadList = []
-    incidence: HeadList = []
-    sel_keys: dict[tuple, tuple[int, ...]] = {}
-    inc_keys: dict[tuple, tuple[int, ...]] = {}
+    def blocked(key: tuple, w: int, x: int, y: int, z: int) -> None:
+        keys[key] = (len(body),)
+        tax = 1 + epsilon
+        table = {(w, x): tax, (x, w): tax, (y, z): tax, (z, y): tax}
+        body.append((truncated([w, x, y, z]), table))
 
     # Selection votes: one point can travel a -> b -> ct -> c -> f -> h per
     # vertex; the shared four-candidate votes make skipping a level cost
     # an extra epsilon.
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
+    for i in levels:
+        for j in levels:
             for x in classes[j]:
-                chain(("a-b", i, j, x), index[_name_a(i, j)], index[_name_b(i, x)], 1, selection, sel_keys)
-    for x in range(graph.n_vertices):
-        chain(("b-ct", x), index[_name_b(1, x)], index[_name_ct(1, x)], 2, selection, sel_keys)
+                chain(("a-b", i, j, x), a[i, j], b[i, x], 1)
+    for x in vertices:
+        chain(("b-ct", x), b[1, x], ct[1, x], 2)
     for i in range(2, k + 1):
-        for x in range(graph.n_vertices):
-            b, c = index[_name_b(i, x)], index[_name_c(i - 1, x)]
-            ct, f = index[_name_ct(i, x)], index[_name_f(i - 1, x)]
-            sel_keys[("sel4", i, x)] = (len(selection),)
-            selection.append(
-                truncated(
-                    [b, c, ct, f],
-                    {
-                        (b, c): 1 + epsilon,
-                        (c, b): 1 + epsilon,
-                        (ct, f): 1 + epsilon,
-                        (f, ct): 1 + epsilon,
-                    },
-                )
-            )
-    for x in range(graph.n_vertices):
-        chain(("c-f", x), index[_name_c(k, x)], index[_name_f(k, x)], 2, selection, sel_keys)
-    for i in range(1, k + 1):
-        for x in range(graph.n_vertices):
-            chain(("ct-c", i, x), index[_name_ct(i, x)], index[_name_c(i, x)], 1, selection, sel_keys)
-    for i in range(1, k + 1):
-        for x in range(graph.n_vertices):
-            chain(("f-h", i, x), index[_name_f(i, x)], index[_name_h(i, x)], 2 * (k - i) + 1, selection, sel_keys)
+        for x in vertices:
+            blocked(("sel4", i, x), b[i, x], c[i - 1, x], ct[i, x], f[i - 1, x])
+    for x in vertices:
+        chain(("c-f", x), c[k, x], f[k, x], 2)
+    for i in levels:
+        for x in vertices:
+            chain(("ct-c", i, x), ct[i, x], c[i, x], 1)
+    for i in levels:
+        for x in vertices:
+            chain(("f-h", i, x), f[i, x], h[i, x], 2 * (k - i) + 1)
 
     # Incidence votes: a point at h can reach the sink candidate r only
     # through a meeting candidate, and crossing an edge vote at unit price
     # requires the paired vertex point to cross simultaneously.
-    for i in range(1, k + 1):
-        for x in range(graph.n_vertices):
-            if graph.color_of[x] < i:
-                chain(("h-ht", i, x), index[_name_h(i, x)], index[_name_ht(i, x)], 1, incidence, inc_keys)
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for x in classes[j]:
-                for y in graph.neighbors_in_class(x, i):
-                    h, ht = index[_name_h(i, x)], index[_name_ht(j, y)]
-                    mt, mm = index[_name_mt(i, j)], index[_name_m(i, j)]
-                    inc_keys[("inc4", i, j, y, x)] = (len(incidence),)
-                    incidence.append(
-                        truncated(
-                            [h, ht, mt, mm],
-                            {
-                                (h, ht): 1 + epsilon,
-                                (ht, h): 1 + epsilon,
-                                (mt, mm): 1 + epsilon,
-                                (mm, mt): 1 + epsilon,
-                            },
-                        )
-                    )
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            chain(("mt-m", i, j), index[_name_mt(i, j)], index[_name_m(i, j)], 1, incidence, inc_keys)
-    for i in range(1, k + 1):
+    for i, x in ht:
+        chain(("h-ht", i, x), h[i, x], ht[i, x], 1)
+    for i, j in mt:
+        for x in classes[j]:
+            for y in neighbors[x, i]:
+                blocked(("inc4", i, j, y, x), h[i, x], ht[j, y], mt[i, j], m[i, j])
+    for i, j in mt:
+        chain(("mt-m", i, j), mt[i, j], m[i, j], 1)
+    for i in levels:
         for x in classes[i]:
-            chain(("h-m", i, x), index[_name_h(i, x)], index[_name_m(i, i)], 3, incidence, inc_keys)
-    for i in range(1, k + 1):
+            chain(("h-m", i, x), h[i, x], m[i, i], 3)
+    for i in levels:
         for j in range(i + 1, k + 1):
-            first = len(incidence)
-            incidence.append(truncated([dummy(), index[_name_m(i, j)], r]))
-            incidence.append(truncated([dummy(), index[_name_m(i, j)], r]))
-            inc_keys[("m-r", i, j)] = (first, first + 1)
-        inc_keys[("m-r", i, i)] = (len(incidence),)
-        incidence.append(truncated([dummy(), index[_name_m(i, i)], r]))
-
-    # Current scores before the initializing votes (2-approval; a vote head
-    # [d, q1, q2, ...] gives points to d and q1 only).
-    pre_scores: dict[int, int] = {c: 0 for c in range(len(names))}
-    for head, _ in selection + incidence:
-        pre_scores[head[0]] += 1
-        pre_scores[head[1]] += 1
+            relays(("m-r", i, j), [(m[i, j], r)] * 2)
+        relays(("m-r", i, i), [(m[i, i], r)])
 
     # Initializing votes lift every durable candidate to the common level:
     # K for everyone, K+1 for the senders in A; r stays at zero.
-    init: HeadList = []
+    init: list[list[int]] = []
     covered = {r, *guards}  # and, below, every candidate passed to add_init
 
-    def add_init(c: int, copies: int):
+    def add_init(q: int, copies: int):
         if copies < 0:
             raise AssertionError("initializing multiplicity must be non-negative")
-        covered.add(c)
+        covered.add(q)
         for _ in range(copies):
-            init.append(truncated([c, dummy()]))
+            init.append(truncated([q, cand(f"dummy{next(dummies)}")]))
 
     add_init(p, base_score)
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            add_init(index[_name_a(i, j)], base_score + 1 - len(classes[j]))
-    for i in range(1, k + 1):
-        for x in range(graph.n_vertices):
-            if graph.color_of[x] > i:
-                deg = len(graph.neighbors_in_class(x, i))
-                add_init(index[_name_h(i, x)], base_score - deg)
-            if graph.color_of[x] < i:
-                deg = len(graph.neighbors_in_class(x, i))
-                add_init(index[_name_ht(i, x)], base_score - deg)
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            add_init(index[_name_m(i, j)], base_score - 2)
+    for (i, j), q in a.items():
+        add_init(q, base_score + 1 - len(classes[j]))
+    for i in levels:
+        for x in vertices:
+            if color[x] > i:
+                add_init(h[i, x], base_score - len(neighbors[x, i]))
+            if color[x] < i:
+                add_init(ht[i, x], base_score - len(neighbors[x, i]))
+    for i, j in mt:
+        add_init(m[i, j], base_score - 2)
     durable = [
-        c
-        for c in range(len(names))
-        if c not in covered and not names[c].startswith("dummy")
+        q
+        for q in range(len(names))
+        if q not in covered and not names[q].startswith("dummy")
     ]
-    for c in durable:
-        add_init(c, base_score - 1)
+    for q in durable:
+        add_init(q, base_score - 1)
 
-    # Assemble: guard votes, initializing votes, selection, incidence.
-    guard_votes = []
-    for h in range(n_guards):
-        rotation = guards[h:] + guards[:h]
-        guard_votes.append((rotation, {}))
+    # Assemble: guard votes, initializing votes, then the body.
+    all_ids = list(range(len(names)))
 
-    m_total = len(names)
-    all_ids = list(range(m_total))
-    votes: list[Vote] = []
-    defaults: list[Fraction] = []
-    overrides: list[dict] = []
-    expanded = 0
-
-    def emit(head: list[int], table: dict, multiplicity: int = 1) -> tuple[int, ...]:
-        nonlocal expanded
+    def ranking(head: list[int]) -> tuple[int, ...]:
         in_head = set(head)
-        ranking = tuple(head + list(filterfalse(in_head.__contains__, all_ids)))
-        votes.append(Vote(ranking, multiplicity))
-        ids = tuple(range(expanded, expanded + multiplicity))
-        expanded += multiplicity
-        defaults.extend([Fraction(1)] * multiplicity)
-        overrides.extend([table] * multiplicity)
-        return ids
+        return tuple(head + list(filterfalse(in_head.__contains__, all_ids)))
 
-    for head, table in guard_votes:
-        emit(head, table, multiplicity=base_score // 2)
-    init_offsets = [emit(head, table)[0] for head, table in init]
-    sel_offsets = [emit(head, table)[0] for head, table in selection]
-    inc_offsets = [emit(head, table)[0] for head, table in incidence]
+    pairs = base_score // 2
+    first = n_guards * pairs + len(init)
+    votes = [Vote(ranking(guards[g:] + guards[:g]), pairs) for g in range(n_guards)]
+    votes += [Vote(ranking(head)) for head in init]
+    votes += [Vote(ranking(head)) for head, _ in body]
+    overrides = [{}] * first + [table for _, table in body]
 
-    layout_votes: dict[tuple, tuple[int, ...]] = {}
-    for key, ids in sel_keys.items():
-        layout_votes[key] = tuple(sel_offsets[i] for i in ids)
-    for key, ids in inc_keys.items():
-        layout_votes[key] = tuple(inc_offsets[i] for i in ids)
-
-    election = Election(tuple(names), tuple(votes))
     instance = BriberyInstance(
-        election=election,
+        election=Election(tuple(names), tuple(votes)),
         rule=VotingRule.k_approval(2),
         preferred=p,
-        costs=SwapCostFunction(defaults, overrides),
+        costs=SwapCostFunction([Fraction(1)] * len(overrides), overrides),
         budget=Fraction(budget),
         mode=CO_WINNER,
     )
     layout = GadgetLayout(
-        votes=layout_votes,
+        votes={key: tuple(first + at for at in ids) for key, ids in keys.items()},
         base_score=base_score,
         budget=Fraction(budget),
     )

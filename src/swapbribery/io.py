@@ -489,6 +489,8 @@ def parse_graph(text: str) -> Graph | ColoredGraph:
         color_of = tuple(colors[v] for v in range(n))
     except KeyError as exc:
         raise ParseError(1, f"vertex {exc.args[0]} has no color") from None
+    if set(color_of) != set(range(1, k + 1)):
+        raise ParseError(line, f"colors must be exactly 1..{k}, as the header says")
     return ColoredGraph(n, frozenset(edges), color_of)
 
 

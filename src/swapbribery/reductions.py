@@ -45,6 +45,8 @@ class PartialVote:
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if not all(0 <= a < self.m and 0 <= b < self.m for a, b in self.pairs):
+            raise DomainError("pair outside the candidate range")
         closed = _transitive_closure(self.m, self.pairs)
         if closed != self.pairs:
             object.__setattr__(self, "pairs", closed)
@@ -53,20 +55,22 @@ class PartialVote:
                 raise DomainError("partial order must be irreflexive")
             if (b, a) in self.pairs:
                 raise DomainError(f"cycle through candidates {a} and {b}")
-            if not (0 <= a < self.m and 0 <= b < self.m):
-                raise DomainError("pair outside the candidate range")
 
     def requires(self, a: int, b: int) -> bool:
         return (a, b) in self.pairs
 
-    def minimal_extension(self) -> Ranking:
-        """Lexicographically smallest topological order, by candidate index."""
-        succs: dict[int, set[int]] = {c: set() for c in range(self.m)}
+    def _successors(self) -> tuple[list[set[int]], list[int]]:
+        """Each candidate's successors, and how many candidates precede it."""
+        succs: list[set[int]] = [set() for _ in range(self.m)]
         indeg = [0] * self.m
         for a, b in self.pairs:
-            if b not in succs[a]:
-                succs[a].add(b)
-                indeg[b] += 1
+            succs[a].add(b)
+            indeg[b] += 1
+        return succs, indeg
+
+    def minimal_extension(self) -> Ranking:
+        """Lexicographically smallest topological order, by candidate index."""
+        succs, indeg = self._successors()
         ready = sorted(c for c in range(self.m) if indeg[c] == 0)
         out = []
         while ready:
@@ -83,12 +87,7 @@ class PartialVote:
 
     def extensions(self, cap: int | None = None) -> Iterator[Ranking]:
         """All linear extensions, in lexicographic order."""
-        succs: dict[int, set[int]] = {c: set() for c in range(self.m)}
-        indeg = [0] * self.m
-        for a, b in self.pairs:
-            if b not in succs[a]:
-                succs[a].add(b)
-                indeg[b] += 1
+        succs, indeg = self._successors()
         prefix: list[int] = []
         used = [False] * self.m
         count = 0

@@ -130,6 +130,66 @@ class TestCliqueGadget:
             multicolored_clique_instance(Graph(2, frozenset({(0, 1)})))
 
 
+# Each chain family's start, end and number of relay votes, from its key.
+CHAINS = {
+    "a-b": lambda k, i, j, x: (f"a_{i}_{j}", f"b_{i}_v{x}", 1),
+    "b-ct": lambda k, x: (f"b_1_v{x}", f"ct_1_v{x}", 2),
+    "c-f": lambda k, x: (f"c_{k}_v{x}", f"f_{k}_v{x}", 2),
+    "ct-c": lambda k, i, x: (f"ct_{i}_v{x}", f"c_{i}_v{x}", 1),
+    "f-h": lambda k, i, x: (f"f_{i}_v{x}", f"h_{i}_v{x}", 2 * (k - i) + 1),
+    "h-ht": lambda k, i, x: (f"h_{i}_v{x}", f"ht_{i}_v{x}", 1),
+    "mt-m": lambda k, i, j: (f"mt_{i}_{j}", f"m_{i}_{j}", 1),
+    "h-m": lambda k, i, x: (f"h_{i}_v{x}", f"m_{i}_{i}", 3),
+}
+# Each blocked family's four head candidates w, x, y, z, from its key.
+BLOCKED = {
+    "sel4": lambda i, x: (f"b_{i}_v{x}", f"c_{i - 1}_v{x}", f"ct_{i}_v{x}", f"f_{i - 1}_v{x}"),
+    "inc4": lambda i, j, y, x: (f"h_{i}_v{x}", f"ht_{j}_v{y}", f"mt_{i}_{j}", f"m_{i}_{j}"),
+}
+
+
+@pytest.mark.parametrize("class_sizes", [[2, 2], [1, 2, 3], [1, 1, 1, 1]])
+def test_layout_names_its_votes(class_sizes):
+    graph, _ = planted_multicolored_clique(class_sizes, seed=0)
+    epsilon = Fraction(1, 3)
+    inst, layout = multicolored_clique_instance(graph, epsilon)
+    k, names = graph.k, inst.election.candidates
+    ids = {name: c for c, name in enumerate(names)}
+    rankings = [tuple(names[c] for c in ranking[:4]) for ranking in inst.election.expanded_list()]
+    assert {key[0] for key in layout.votes} == {*CHAINS, *BLOCKED, "m-r"}
+    for key, votes in layout.votes.items():
+        family, *ix = key
+        heads = [rankings[v] for v in votes]
+        if family in BLOCKED:
+            (vote,) = votes
+            w, x, y, z = BLOCKED[family](*ix)
+            assert heads[0] == (w, x, y, z)
+            tax = 1 + epsilon
+            assert inst.costs.overrides(vote) == {
+                (ids[s], ids[t]): tax for s, t in ((w, x), (x, w), (y, z), (z, y))
+            }
+            continue
+        assert all(inst.costs.overrides(v) == {} for v in votes)
+        assert all(head[0].startswith("dummy") for head in heads)
+        if family == "m-r":
+            i, j = ix
+            assert [head[1:3] for head in heads] == [(f"m_{i}_{j}", "r")] * (2 if i < j else 1)
+            continue
+        start, end, length = CHAINS[family](k, *ix)
+        hops = [heads[0][1], *(head[2] for head in heads)]
+        assert len(votes) == length
+        assert [head[1] for head in heads] == hops[:-1]
+        assert (hops[0], hops[-1]) == (start, end)
+        assert all(q.startswith("t") for q in hops[1:-1])
+    # Every vote after the guard and initializing votes belongs to exactly one key.
+    body = [
+        v for v, head in enumerate(rankings)
+        if not head[0].startswith("g") and not head[1].startswith("dummy")
+    ]
+    claimed = [v for votes in layout.votes.values() for v in votes]
+    assert sorted(claimed) == body
+
+
 class TestSingleVoteClique:
     def test_formula_values(self):
         graph = Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 2)}))

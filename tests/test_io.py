@@ -424,6 +424,20 @@ def test_graph_rejects_uncolored_vertex():
 @pytest.mark.parametrize(
     "text",
     [
+        "graph 4 1 5\n0 1\ncolor 0 1\ncolor 1 2\ncolor 2 1\ncolor 3 2\n",  # header k above every color
+        "graph 3 1 2\n0 1\ncolor 0 1\ncolor 1 2\ncolor 2 3\n",  # a color above the header's k
+        "graph 2 1 3\n0 1\ncolor 0 1\ncolor 1 3\n",  # class 2 empty
+    ],
+)
+def test_graph_colors_are_exactly_one_to_k(text):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert str(info.value).startswith("line 1: colors must be exactly 1..")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
         "graph 4 x\n",
         "graph ³ 0\n",
         "graph 2 1 y\n0 1\n",

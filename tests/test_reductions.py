@@ -49,6 +49,11 @@ class TestPartialVote:
         with pytest.raises(DomainError):
             PartialVote(3, frozenset({(0, 1), (1, 2), (2, 0)}))
 
+    @pytest.mark.parametrize("pair", [(5, 1), (1, 5), (-1, 0)])
+    def test_rejects_pairs_outside_the_range(self, pair):
+        with pytest.raises(DomainError, match="pair outside the candidate range"):
+            PartialVote(3, frozenset({pair}))
+
     def test_extensions_of_empty_order(self):
         vote = PartialVote(3, frozenset())
         assert len(list(vote.extensions())) == 6
