@@ -7,14 +7,19 @@ of w votes, which sends k·w approvals to the candidates, at most w to
 each, at p·pos(c) apiece. For a target score ``s*`` of the preferred
 candidate, the cheapest flow of full value |V|k costs Σ p·w·k(k−1)/2 more
 than the cheapest bribery giving it s* and every rival at most s*, and
-exists exactly when one does. ``solve_unit`` bisects over s*, so it runs
-O(log |V|) flows. The NP-hardness gadget prices two swaps of one vote
-differently, so it lies outside.
+exists exactly when one does. ``solve_unit`` builds the network once and
+bisects over s* between the unbribed scores, where the optimum lies; only
+the m + 1 collector arcs out of the candidates and the junction change
+with s*. Each flow starts from the election as it stands, every class
+approving its own top k, and moves only the approvals that s* forces to
+move. The NP-hardness gadget prices two swaps of one vote differently,
+so it lies outside.
 
 ``min_cost_max_flow`` is the primal-dual form of successive shortest
 paths: one Dijkstra per distinct shortest-path length, after which every
 path of that length is pushed at once by blocking flows, instead of one
-Dijkstra per unit of flow.
+Dijkstra per unit of flow. It starts from zero or from a given
+pseudo-flow, with potentials that keep every reduced cost non-negative.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import K_APPROVAL, Ranking
+from .core import K_APPROVAL, Ranking, scores
 from .errors import DomainError, PreconditionError
 from .swaps import Bribery, BriberyInstance, SolveResult, SwapCostFunction, VoteClass, move_to_top_target
 from . import swaps as _swaps
@@ -65,42 +70,71 @@ class FlowResult:
     arc_flows: tuple[int, ...]
 
 
-def min_cost_max_flow(network: FlowNetwork) -> FlowResult:
+def min_cost_max_flow(network: FlowNetwork, start=None) -> FlowResult:
     """Maximum flow of minimum cost, by the primal-dual successive shortest paths.
 
-    Each round runs one Dijkstra with node potentials (costs are
-    non-negative, so reduced costs stay non-negative), then saturates every
-    shortest path at once: Dinic blocking flows over the residual arcs of
-    reduced cost 0, until none of them leads to the sink. So a flow costs
-    one Dijkstra per distinct shortest-path length, not one per unit. BFS
-    levels keep zero-cost cycles from looping the search, and the returned
-    flow is integral. Arithmetic stays in the arcs' own cost type: native
-    ints for int costs, exact rationals for ``Fraction`` ones.
+    ``start``, if given, is ``(arc_flows, potentials)``: a pseudo-flow within
+    the capacities that leaves no deficit outside the source, and potentials
+    giving every residual arc a reduced cost ``cost + π(tail) − π(head)`` of
+    at least 0; otherwise DomainError. The default is zero for both. A
+    virtual root feeds the source's spare capacity and every excess. Each
+    round runs one Dijkstra from it, then saturates every shortest path at
+    once: Dinic blocking flows over the residual arcs of reduced cost 0. So
+    a flow costs one Dijkstra per distinct shortest-path length, not one per
+    unit; BFS levels keep zero-cost cycles from looping the search. The
+    result is integral: ``value`` flows into the sink, at a total ``cost``.
+    Excess that cannot reach the sink stays put, so ``value`` then falls
+    short of what the source sends. Arithmetic stays in the arcs' cost type.
     """
     n = len(network.node_names)
+    arcs = network.arcs
+    flows, potential = start if start is not None else ((0,) * len(arcs), (0,) * n)
+    # The root's potential is 0. An arc out of it may start at a negative
+    # reduced cost, which is harmless: Dijkstra settles the root first.
+    potential = [*potential, 0]
+    if len(flows) != len(arcs) or len(potential) != n + 1:
+        raise DomainError("a start gives one flow per arc and one potential per node")
     to: list[int] = []
     cap: list[int] = []
     cost: list[int | Fraction] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    excess = [0] * (n + 1)
+    total: int | Fraction = 0
 
-    for tail, head, capacity, arc_cost in network.arcs:
+    for (tail, head, capacity, arc_cost), flow in zip(arcs, flows):
+        reduced = arc_cost + potential[tail] - potential[head]
+        if not 0 <= flow <= capacity or (reduced < 0 and flow < capacity) or (reduced > 0 and flow):
+            raise DomainError("a start must keep to the capacities, with no residual arc of negative reduced cost")
         eid = len(to)
         adj[tail].append(eid)
         adj[head].append(eid + 1)
         to += (head, tail)
-        cap += (capacity, 0)
+        cap += (capacity - flow, flow)
         cost += (arc_cost, -arc_cost)
+        if flow:
+            excess[tail] -= flow
+            excess[head] += flow
+            total += flow * arc_cost
 
-    potential: list[int | Fraction] = [0] * n
-    source, sink = network.source, network.sink
-    value = 0
-    total: int | Fraction = 0
+    source, sink, root = network.source, network.sink, n
+    excess[source] = sum(cap[eid] for eid in adj[source])  # no arc enters the source
+    if min(excess) < 0:
+        raise DomainError("a start must not send more out of a node than into it")
+    value, excess[sink] = excess[sink], 0
+    for v in range(n):
+        if excess[v]:
+            adj[root].append(len(to))
+            adj[v].append(len(to) + 1)
+            to += (v, root)
+            cap += (excess[v], 0)
+            cost += (0, 0)
+
+    n += 1
     heappush, heappop = heapq.heappush, heapq.heappop
-
     while True:
         dist: list[int | Fraction | None] = [None] * n
-        dist[source] = 0
-        heap = [(0, source)]
+        dist[root] = 0
+        heap = [(0, root)]
         while heap:
             d, node = heappop(heap)
             if d > dist[node]:
@@ -122,14 +156,13 @@ def min_cost_max_flow(network: FlowNetwork) -> FlowResult:
             if d is not None:
                 potential[node] += d
 
-        pushed = _blocking_flows(adj, to, cap, cost, potential, source, sink)
+        pushed = _blocking_flows(adj, to, cap, cost, potential, root, sink)
         # Reduced costs sum to 0 along each path pushed, so each costs
-        # potential[sink] - potential[source], and potential[source] is 0.
+        # potential[sink] - potential[root], and potential[root] is 0.
         value += pushed
         total += pushed * potential[sink]
 
-    flows = tuple(cap[1::2])
-    return FlowResult(value=value, cost=total, arc_flows=flows)
+    return FlowResult(value=value, cost=total, arc_flows=tuple(cap[1 : 2 * len(arcs) : 2]))
 
 
 def _blocking_flows(adj, to, cap, cost, potential, source, sink) -> int:
@@ -248,14 +281,17 @@ def build_transfer_network(
     for g, (ranking, price, votes) in enumerate(classes, start=_X + 1):
         arcs.append(FlowArc(_S, g, k * len(votes), 0))
         arcs += [FlowArc(g, b0 + c, len(votes), price * pos) for pos, c in enumerate(ranking)]
-    side_cap = target_score - 1 if unique else target_score
-    arcs += [
-        FlowArc(b0 + c, _T, target_score, 0) if c == preferred else FlowArc(b0 + c, _X, side_cap, 0)
-        for c in range(m)
-    ]
-    arcs.append(FlowArc(_X, _T, n_votes * k - target_score, 0))
+    arcs += _collectors(b0, m, preferred, target_score, unique, n_votes * k)
 
     return FlowNetwork(tuple(names), tuple(arcs), source=_S, sink=_T)
+
+
+def _collectors(b0, m, preferred, target_score, unique, total) -> tuple[FlowArc, ...]:
+    """The m + 1 arcs out of the ``b`` nodes and ``x``, the only ones the target score sets."""
+    side_cap = target_score - 1 if unique else target_score
+    arcs = [FlowArc(b0 + c, _X, side_cap, 0) for c in range(m)]
+    arcs[preferred] = FlowArc(b0 + preferred, _T, target_score, 0)
+    return (*arcs, FlowArc(_X, _T, total - target_score, 0))
 
 
 def _split(classes: list[VoteClass], result: FlowResult) -> tuple[Ranking, ...]:
@@ -279,38 +315,70 @@ def solve_unit(instance: BriberyInstance) -> SolveResult:
     """Exact solver for k-approval with one swap price per vote: best over all target scores.
 
     Precondition: ``covers(instance)`` (checked). At the instance's integer
-    prices, finds the smallest target score for the preferred candidate
-    whose full-value flow is cheapest, with at most 2*ceil(log2 |V|) + 1
-    flows, and splits that flow into a bribery.
+    prices, bisects for a cheapest target score s* of the preferred
+    candidate p and splits its flow into a bribery. With sp p's unbribed
+    score, R the top rival one and u = 1 in unique-winner mode (else 0),
+    it searches [max(1, sp), min(n, max(sp, R + u))] for n votes, with at
+    most 2*ceil(log2 width) + 1 flows. Each starts from the unbribed flow
+    f0: every class sends w approvals to each of its top k, and each
+    collector carries what it can. Under the potentials π(g[i]) =
+    -p_i (k-1), π(s) = min π(g[i]) and 0 elsewhere, no residual arc of f0
+    has a negative reduced cost. The search is exact because:
 
-    Two facts make the bisection exact. Feasibility is up-closed in s*:
-    swapping the preferred candidate into one more approval set helps no
-    rival. And the cheapest cost is convex in s*: only the capacities out
-    of the ``b`` nodes and ``x`` depend on s*, affinely; the minimum of an
-    LP is convex in its right-hand side; the network matrix is totally
-    unimodular, so integer flows attain it; and ``_split`` turns an integer
-    flow into per-vote approval sets of the same cost.
+    - Feasibility is up-closed in s*: swapping p into one more approval set
+      helps no rival. The upper end is feasible unless R + u > n, and only
+      then probed first: at sp >= R + u the unbribed election wins, and else
+      moving p into the top k of R + u - sp votes pushes out rivals only.
+    - The cheapest cost C(s*) is convex: only the collectors' capacities
+      depend on s*, affinely; an LP's minimum is convex in its right-hand
+      side; the network matrix is totally unimodular; and ``_split`` turns
+      an integer flow into per-vote approval sets of the same cost.
+    - Outside the bracket nothing is cheaper. A flow at s* minus f0 splits
+      into cycles and exchange paths, each moving one approval from a
+      candidate that lost one to one that gained one, at a cost of at least
+      0: they run over residual arcs of f0, and every ``b`` node has
+      potential 0. At s* < sp, undoing a path out of ``b[p]`` gives a flow
+      at s* + 1 that costs no more. At s* > max(sp, R + u), undoing a path
+      into ``b[p]`` and one into each rival at s* - u (each gained, as
+      s* - u > R) gives one at s* - 1: the candidates the paths start from
+      lost approvals, so they end at most at R.
+
+    With zero prices a tie may put the smallest minimiser below sp; the
+    decision and the cost are the same.
     """
     require_covers(instance)
     scale, prices, _ = instance.integer_prices()
     classes = _swaps.vote_classes(instance, prices)
-    k = instance.rule.k
-    n_votes = instance.election.n_expanded
+    k, preferred, unique = instance.rule.k, instance.preferred, instance.unique_mode
+    m, n_votes = instance.election.m, instance.election.n_expanded
+    score = scores(instance.election, instance.rule)
+    rival = max((s for c, s in enumerate(score) if c != preferred), default=0)
+    top = max(score[preferred], rival + unique)
+    lo, hi = max(1, score[preferred]), min(n_votes, top)
+
+    network = build_transfer_network(classes, k, preferred, hi, unique)
+    shared, b0 = network.arcs[: -m - 1], _X + 1 + len(classes)
+    # f0 on the arcs every target score shares, and its potentials
+    unbribed = [f for _, _, votes in classes for f in (k * len(votes), *[len(votes)] * k, *[0] * (m - k))]
+    g_potentials = [-price * (k - 1) for _, price, _ in classes]
+    potentials = (min(g_potentials), 0, 0, *g_potentials, *[0] * m)
     flows: dict[int, FlowResult | None] = {}
 
     def cheapest(target_score: int) -> FlowResult | None:
         """The target score's min-cost flow, or None if it is not full-value."""
         if target_score not in flows:
-            network = build_transfer_network(
-                classes, k, instance.preferred, target_score, instance.unique_mode
-            )
-            result = min_cost_max_flow(network)
+            collectors = _collectors(b0, m, preferred, target_score, unique, n_votes * k)
+            here = network if target_score == hi else replace(network, arcs=shared + collectors)
+            # f0 on the collectors: each candidate passes on what it can, then x
+            carried = [min(s, arc.capacity) for s, arc in zip(score, collectors)]
+            into_x = sum(carried) - carried[preferred]
+            start = unbribed + carried + [min(into_x, collectors[-1].capacity)]
+            result = min_cost_max_flow(here, (start, potentials))
             flows[target_score] = result if result.value == n_votes * k else None
         return flows[target_score]
 
-    if cheapest(n_votes) is None:
+    if top > n_votes and cheapest(hi) is None:
         return SolveResult(False, None, None)
-    lo, hi = 1, n_votes
     while lo < hi:
         mid = (lo + hi) // 2
         here = cheapest(mid)
@@ -321,7 +389,7 @@ def solve_unit(instance: BriberyInstance) -> SolveResult:
         else:
             lo = mid + 1
 
-    result = flows[lo]
+    result = cheapest(lo)
     kept = k * (k - 1) // 2 * sum(price * len(votes) for _, price, votes in classes)
     cost = Fraction(result.cost - kept, scale)
     return SolveResult(cost <= instance.budget, cost, Bribery(_split(classes, result)))

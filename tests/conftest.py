@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the conformance table runs without pytest, but its asserts are rewritten under it
+pytest.register_assert_rewrite("conformance_table")
 
 from swapbribery.core import Election, Vote, VotingRule
 from swapbribery.swaps import BriberyInstance, SwapCostFunction

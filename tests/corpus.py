@@ -156,6 +156,6 @@ CORPUS = build()
 
 
 if __name__ == "__main__":
-    from test_conformance import digest
+    from conformance_table import digest
 
     print(digest())

@@ -1,44 +1,28 @@
 """Every solver against the oracles, over the one shared corpus (``corpus.py``).
 
-``ROWS`` is the table of solvers: a name, the corpus cases in its scope,
-its claim there, and for the kernels the equivalent instance it solves
-instead. Claims: ``optimum``, the decision and the optimal cost;
-``decision``, the decision, and a cost it reports is the optimum;
-``one-sided``, a yes is a true yes. The reference is plain enumeration of
-every target vector on the smallest instances and the uncapped ``brute``
-elsewhere. Every witness goes through ``verify_bribery`` on the instance
-solved: the preferred candidate wins, within budget exactly on a yes, at
-the reported cost where there is one. ``check`` does this for one row on
-a slice of its cases; the other test files check, under their own names,
-the slices of the rows of their solvers. Each row runs once a session.
+The table of solvers, their scopes and claims is ``conformance_table.ROWS``.
+The reference is plain enumeration of every target vector on the smallest
+instances and the uncapped ``brute`` elsewhere. Every witness goes through
+``verify_bribery`` on the instance solved: the preferred candidate wins,
+within budget exactly on a yes, at the reported cost where there is one.
+``check`` does this for one row on a slice of its cases; the other test
+files check, under their own names, the slices of the rows of their
+solvers. Each row runs once a test run.
 """
 
-import contextlib
-import functools
-import hashlib
-import io
-import tempfile
 from itertools import accumulate
-from math import comb, factorial
-from pathlib import Path
+from math import factorial
 from typing import Callable, NamedTuple
 
 import pytest
 
-from swapbribery import cli
-from swapbribery.colorcoding import solve_color_coding
-from swapbribery.core import BUCKLIN, K_APPROVAL
-from swapbribery.flow import covers, solve_unit
-from swapbribery.ilp import solve_ilp
-from swapbribery.io import parse_solution, serialize_election
-from swapbribery.kernel import kernelize, truncation_kernel
-from swapbribery.oracle import brute_rankings, brute_topk
-from swapbribery.swaps import SolveResult, verify_bribery
+from swapbribery.core import BUCKLIN
+from swapbribery.oracle import brute_rankings
+from swapbribery.swaps import verify_bribery
 
+from conformance_table import ONE_SIDED, OPTIMUM, ROW, ROWS, answers, ilp_fits, k_approval
 from corpus import CORPUS, PER_VOTE, PRICES
-from oracle_utils import UNCAPPED, brute, enumerate_rankings
-
-OPTIMUM, DECISION, ONE_SIDED = "optimum", "decision", "one-sided"
+from oracle_utils import brute, enumerate_rankings
 
 # plain enumeration walks at most this many target vectors, (m!)^n
 ENUMERATED = 3000
@@ -65,77 +49,6 @@ def reference(case: str, instance):
     return optimum is not None and optimum <= instance.budget, optimum, witness
 
 
-def k_approval(instance) -> bool:
-    return instance.rule.kind == K_APPROVAL
-
-
-def color_fits(instance) -> bool:
-    """k-approval with at most 3,000 election patterns before canonical relabeling."""
-    n, m, k = instance.election.n_expanded, instance.election.m, instance.rule.k
-    return k_approval(instance) and comb(min(n * k, m), k) ** n <= 3000
-
-
-def ilp_fits(instance) -> bool:
-    """m! - 1 variables per vote group: k-approval at m <= 4, Bucklin at m <= 3, up to 4 votes."""
-    most = {K_APPROVAL: 4, BUCKLIN: 3}.get(instance.rule.kind, 0)
-    return instance.election.m <= most and instance.election.n_expanded <= 4
-
-
-def kernel_fits(instance) -> bool:
-    """The kernels' precondition, every price at least 1, at budgets small enough to stay small."""
-    return k_approval(instance) and instance.costs.min_value() >= 1 and instance.budget < 3
-
-
-def pruned(instance):
-    return brute_topk(instance, caps=UNCAPPED, prune_to_budget=True)
-
-
-def solve_auto(instance):
-    """``swapbribery solve FILE --solution OUT`` read back, its output lines and exit code checked."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path, solution = Path(tmp, "instance.sbe"), Path(tmp, "solution.sbs")
-        path.write_text(serialize_election(instance), encoding="utf-8")
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = cli.main(["solve", str(path), "--solution", str(solution)])
-        decision, cost, witness, _, _ = parse_solution(solution.read_text(encoding="utf-8"), instance)
-    assert out.getvalue().splitlines() == [
-        f"algorithm: {'flow' if covers(instance) else 'brute'}",
-        f"decision: {'yes' if decision else 'no'}",
-    ] + [f"cost: {cost}"] * (cost is not None)
-    assert code == (0 if decision else 1)
-    return SolveResult(decision, cost, witness)
-
-
-class Row(NamedTuple):
-    name: str
-    scope: Callable
-    claim: str
-    solve: Callable
-    reduce: Callable | None = None
-
-
-ROWS = (
-    Row("brute_topk", k_approval, OPTIMUM, lambda inst: brute_topk(inst, caps=UNCAPPED)),
-    # at most 500 target rankings over all votes
-    Row("brute_rankings", lambda inst: inst.election.n_expanded * factorial(inst.election.m) <= 500, OPTIMUM, brute_rankings),
-    Row("flow", covers, OPTIMUM, solve_unit),
-    Row("brute_topk-pruned", k_approval, DECISION, pruned),
-    Row("ilp", ilp_fits, DECISION, solve_ilp),
-    Row("color-exhaustive", color_fits, DECISION, lambda inst: solve_color_coding(inst, "exhaustive")),
-    Row("kernelize-pruned", kernel_fits, DECISION, pruned, lambda inst: kernelize(inst).instance),
-    Row("truncation-pruned", kernel_fits, DECISION, pruned, truncation_kernel),
-    Row("color-random", color_fits, ONE_SIDED, lambda inst: solve_color_coding(inst, "random")),
-    # one-sided, and complete where it picks exhaustive: wherever the exhaustive
-    # loop fits the node budget, as the color-exhaustive row's nos show it does here
-    Row("color-auto", color_fits, DECISION, lambda inst: solve_color_coding(inst, "auto")),
-    # every corpus case is within the default option caps of brute
-    Row("solve-auto", lambda inst: True, OPTIMUM, solve_auto),
-)
-
-
-ROW = {row.name: row for row in ROWS}
-
-
 class Labels(NamedTuple):
     rule: str
     mode: str
@@ -148,20 +61,6 @@ def labels(case: str) -> Labels:
     """The parts of a corpus id, ``rule/mode/prices/votes/i@budget``, without the index."""
     drawn, budget = case.split("@")
     return Labels(*drawn.split("/")[:4], budget)
-
-
-@functools.cache
-def answers(name: str) -> tuple:
-    """(case, instance, the instance solved, result) for every corpus case in the row's scope.
-
-    Each row runs once a session; the tests that check a slice of it share the answers.
-    """
-    row, found = ROW[name], []
-    for case, instance in CORPUS:
-        if row.scope(instance):
-            solved = row.reduce(instance) if row.reduce else instance
-            found.append((case, instance, solved, row.solve(solved)))
-    return tuple(found)
 
 
 def check(name: str, keep: Callable[[str], bool] = lambda case: True) -> int:
@@ -242,13 +141,3 @@ def test_corpus_covers_every_regime():
     )
 
 
-def digest() -> str:
-    """One line: sha256 over the sorted (solver, id, decision, optimum) rows, and the counts."""
-    rows = sorted(
-        (row.name, case, got.decision, str(got.optimal_cost)) for row in ROWS for case, _, _, got in answers(row.name)
-    )
-    text = "\n".join("\t".join(map(str, r)) for r in rows).encode()
-    return (
-        f"corpus {len(CORPUS)} instances, {len(ROWS)} solvers, {len(rows)} answers, "
-        f"{sum(r[2] for r in rows)} yes; sha256 {hashlib.sha256(text).hexdigest()}"
-    )

@@ -306,6 +306,95 @@ class TestNetworkShape:
         assert sum(net.node_names[a.tail].startswith("g[") for a in net.arcs) == 3 * 3
 
 
+def _unbribed_start(network, classes, k):
+    """The unbribed election as a start: a greedy pass in arc order, and the potentials.
+
+    Each arc carries what its tail still holds, up to its capacity, the
+    source holding everything: so every s -> g arc is full, each class
+    fills its first k arcs (its top k), and each collector carries what it
+    can. π(g[i]) = -p_i (k-1), π(s) = min π(g[i]), 0 elsewhere.
+    """
+    held = [0] * len(network.node_names)
+    held[network.source] = sum(arc.capacity for arc in network.arcs)
+    flows = []
+    for tail, head, capacity, _ in network.arcs:
+        flows.append(min(held[tail], capacity))
+        held[tail] -= flows[-1]
+        held[head] += flows[-1]
+    g = [-price * (k - 1) for _, price, _ in classes]
+    return flows, [min(g), 0, 0, *g] + [0] * (len(network.node_names) - 3 - len(g))
+
+
+def _random_classes(rng, prices):
+    """m 1-5, one to three classes of multiplicity 1-3 with integer prices: 0, 1 or per class 0-4."""
+    m = rng.randint(1, 5)
+    classes, first = [], 0
+    for _ in range(rng.randint(1, 3)):
+        w = rng.randint(1, 3)
+        price = {"zero": 0, "unit": 1, "per-vote": rng.randint(0, 4)}[prices]
+        classes.append(VoteClass(tuple(rng.sample(range(m), m)), price, tuple(range(first, first + w))))
+        first += w
+    return classes, m, first
+
+
+class TestWarmStart:
+    def test_matches_a_cold_flow_at_every_target_score(self):
+        # Every target score of random transfer networks, started from the
+        # unbribed election: the same value as a cold flow, and at full value
+        # the same cost, with a flow that conserves at every inner node. A
+        # constant added to every potential changes no reduced cost but
+        # starts the root's arcs below 0.
+        rng = random.Random(101)
+        full = short = shared = 0
+        for trial in range(300):
+            classes, m, n = _random_classes(rng, ("zero", "unit", "per-vote")[trial % 3])
+            k, preferred, unique = rng.randint(1, m), rng.randrange(m), rng.random() < 0.5
+            shared += any(len(votes) > 1 for _, _, votes in classes)
+            for target in range(1, n + 1):
+                network = build_transfer_network(classes, k, preferred, target, unique)
+                value, cost, _ = _one_path_per_dijkstra(network)
+                flows, potentials = _unbribed_start(network, classes, k)
+                res = min_cost_max_flow(network, (flows, [p + trial % 4 for p in potentials]))
+                assert res.value == value
+                for arc, flow in zip(network.arcs, res.arc_flows):
+                    assert 0 <= flow <= arc.capacity
+                if value < n * k:
+                    short += 1
+                    continue
+                full += 1
+                assert res.cost == cost
+                balance = [0] * len(network.node_names)
+                for arc, flow in zip(network.arcs, res.arc_flows):
+                    balance[arc.tail] -= flow
+                    balance[arc.head] += flow
+                assert balance[2:] == [0] * (len(balance) - 2) and balance[1] == value
+                assert sum(flow * arc.cost for arc, flow in zip(network.arcs, res.arc_flows)) == cost
+        assert full > 300 and short > 300 and shared > 200
+
+    def test_rejects_a_start_it_cannot_trust(self):
+        classes = [VoteClass(SAMPLE_V, 2, (0, 1)), VoteClass(SAMPLE_U, 1, (2,))]
+        network = build_transfer_network(classes, 2, 2, 2)
+        flows, potentials = _unbribed_start(network, classes, 2)
+        assert min_cost_max_flow(network, (flows, potentials)).value == 6
+        over = list(flows)
+        over[0] += 1  # s -> g[0] above its capacity
+        negative = list(flows)
+        negative[1] = -1
+        deficit = [0] * len(flows)
+        deficit[-2] = 1  # a collector sends what nothing brought
+        for start in (
+            (over, potentials),
+            (negative, potentials),
+            (flows, [0] * len(potentials)),  # full class arcs of positive reduced cost
+            ([0] * len(flows), [0, 0, 0, 5] + [0] * (len(potentials) - 4)),  # s -> g[0] at -5, empty
+            (deficit, [0] * len(potentials)),
+            (flows[:-1], potentials),
+            (flows, potentials[:-1]),
+        ):
+            with pytest.raises(DomainError):
+                min_cost_max_flow(network, start)
+
+
 class TestSolveUnit:
     def test_sample_decision(self, sample_instance):
         res = solve_unit(sample_instance)
@@ -518,7 +607,7 @@ class TestSplit:
 
 
 def _scan_every_target(inst):
-    """Reference for solve_unit: one flow per target score, first minimiser kept."""
+    """Reference for solve_unit: one cold flow per target score; (decision, optimum, first minimiser)."""
     rankings = inst.election.expanded_list()
     k = inst.rule.k
     scale, classes, kept = _classes(inst)
@@ -530,16 +619,39 @@ def _scan_every_target(inst):
         res = min_cost_max_flow(network)
         cost = Fraction(res.cost - kept, scale)
         if res.value == len(rankings) * k and (best is None or cost < best[0]):
-            best = (cost, Bribery(_split(classes, res)))
+            best = (cost, target)
     if best is None:
         return False, None, None
     return best[0] <= inst.budget, best[0], best[1]
 
 
+def _bracket(inst):
+    """The target scores ``solve_unit`` searches: [max(1, sp), min(n, max(sp, R + u))]."""
+    totals = scores(inst.election, inst.rule)
+    own = totals.pop(inst.preferred)
+    top = max(own, max(totals, default=0) + inst.unique_mode)
+    return max(1, own), min(inst.election.n_expanded, top)
+
+
+def _check_against_scan(inst):
+    """solve_unit's decision and cost are the scan's, and its witness costs that much; the scan's minimiser."""
+    decision, optimum, target = _scan_every_target(inst)
+    got = solve_unit(inst)
+    assert (got.decision, got.optimal_cost) == (decision, optimum)
+    if optimum is None:
+        assert got.witness is None
+    else:
+        report = verify_bribery(inst, got.witness)
+        assert report.preferred_wins and report.total_cost == optimum
+    return target
+
+
 class TestTargetScoreBisection:
     def test_matches_scan_over_every_target_score(self):
-        # The bisection relies on up-closed feasibility and a convex cost in
-        # s*; a scan over every s* needs neither.
+        # The bisection relies on up-closed feasibility, a convex cost in s*
+        # and the bracket; a scan over every s* needs none of them. Flow
+        # promises an optimal bribery, not the scan's: witnesses are checked
+        # on their own terms.
         rng = random.Random(89)
         never_winnable = 0
         for seed in range(240):
@@ -547,32 +659,58 @@ class TestTargetScoreBisection:
             m = rng.randint(2, 7)
             k = m if seed % 8 < 2 else rng.randint(1, min(m, 3))
             inst = gen_random(m, rng.randint(1, 10), k, seed=seed, mode=mode)
-            got = solve_unit(inst)
-            assert (got.decision, got.optimal_cost, got.witness) == _scan_every_target(inst)
+            _check_against_scan(inst)
             if k == m and mode == UNIQUE_WINNER:
-                assert got.optimal_cost is None
+                assert solve_unit(inst).optimal_cost is None
                 never_winnable += 1
         assert never_winnable >= 30
 
+    def test_zero_prices_may_tie_below_the_bracket(self):
+        # At price 0 every feasible target score costs 0, so the scan's
+        # first minimiser is the smallest feasible one, often below the
+        # preferred candidate's unbribed score, where the bracket starts.
+        rng = random.Random(97)
+        below = 0
+        for seed in range(200):
+            mode = (CO_WINNER, UNIQUE_WINNER)[seed % 2]
+            m = rng.randint(2, 6)
+            inst = gen_random(m, rng.randint(1, 8), rng.randint(1, m), seed=seed, mode=mode)
+            inst = dataclasses.replace(inst, costs=SwapCostFunction.uniform(inst.election.n_expanded, 0))
+            target = _check_against_scan(inst)
+            below += target is not None and target < _bracket(inst)[0]
+        assert below >= 10
+
+    @pytest.mark.parametrize("m, n, k, optimum", [(64, 64, 4, 3), (32, 256, 4, 12)])
+    def test_larger_instances(self, m, n, k, optimum):
+        inst = gen_random(m, n, k, seed=1)
+        got = solve_unit(inst)
+        assert got.optimal_cost == optimum
+        assert verify_bribery(inst, got.witness).total_cost == optimum
+
     @pytest.mark.parametrize("n", [8, 16, 30])
     def test_flow_count_is_logarithmic(self, monkeypatch, n):
+        # at most 2 * ceil(log2 width) + 1 flows for a bracket of that width
         runs = []
 
-        def counted(network):
+        def counted(network, start=None):
             runs.append(network)
-            return min_cost_max_flow(network)
+            return min_cost_max_flow(network, start)
 
         monkeypatch.setattr("swapbribery.flow.min_cost_max_flow", counted)
-        bound = 2 * math.ceil(math.log2(n)) + 1
         two_valued = ("two-valued", Fraction(1), Fraction(2), 0.3)
+        widths = []
         for seed in range(3):
             for mode in (CO_WINNER, UNIQUE_WINNER):
-                runs.clear()
-                solve_unit(gen_random(5, n, 2, seed=seed, mode=mode))
-                assert 1 <= len(runs) <= bound
-                runs.clear()
-                approx_within_range(gen_random(5, n, 2, two_valued, seed, mode=mode), 2)
-                assert 1 <= len(runs) <= bound
+                for inst, solve in (
+                    (gen_random(5, n, 2, seed=seed, mode=mode), solve_unit),
+                    (gen_random(5, n, 2, two_valued, seed, mode=mode), lambda inst: approx_within_range(inst, 2)),
+                ):
+                    lo, hi = _bracket(inst)
+                    widths.append(hi - lo + 1)
+                    runs.clear()
+                    solve(inst)
+                    assert 1 <= len(runs) <= 2 * math.ceil(math.log2(widths[-1])) + 1
+        assert max(widths) >= 3
 
 
 class TestApproxWithinRange:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from swapbribery import flow
-from swapbribery.flow import build_transfer_network
+from swapbribery.flow import build_transfer_network, min_cost_max_flow
 from swapbribery.io import parse_election
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,8 +46,9 @@ vote 0 multiplicity 1 order a p
 costs 0 default 1
 """
 
-# Unit prices, 1-approval, three votes: the flow solver tries s* = 3, 2 and 1,
-# and s* = 1 leaves the rivals' two approvals nowhere to go.
+# Unit prices, 1-approval, three votes: the flow solver builds the network for
+# s* = 3, the top of its bracket, tries s* = 2, 3 and 1, and s* = 1 leaves the
+# rivals' two approvals nowhere to go.
 UNIT = """\
 sbe 1
 candidates 3
@@ -111,15 +112,22 @@ def test_tracer_sees_the_bucklin_search(tmp_path):
 def test_tracer_sees_every_flow_and_its_arcs(tmp_path, monkeypatch):
     path = tmp_path / "unit.sbe"
     path.write_text(UNIT)
-    built = []
+    built, solved = [], []
 
-    def recorded(*args, **kwargs):
+    def recorded_build(*args, **kwargs):
         built.append(build_transfer_network(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(flow, "build_transfer_network", recorded)
+    def recorded_flow(network, *args, **kwargs):
+        solved.append(network)
+        return min_cost_max_flow(network, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "build_transfer_network", recorded_build)
+    monkeypatch.setattr(flow, "min_cost_max_flow", recorded_flow)
     assert flow.solve_unit(parse_election(UNIT)).optimal_cost == 3
-    arcs = sum(len(network.arcs) for network in built)
-    assert len(built) == 3
+    # One network is built; each other target score's is that one with its collector arcs replaced.
+    assert len(built) == 1 and len(solved) == 3
+    assert solved[1] is built[0] and all(len(network.arcs) == len(built[0].arcs) for network in solved)
+    arcs = sum(len(network.arcs) for network in solved)
     # tracing._flow reads network.arcs, each arc's .tail and .capacity, and the result's value.
     assert _traced(path, "flow", "flow.flows_run", "flow.full_value", "flow.arcs") == [0, 3, 2, arcs]
