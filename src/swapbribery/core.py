@@ -8,7 +8,8 @@ All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import compress
+from typing import Iterator, Sequence
 
 from .errors import DomainError, RankingError, UnsupportedRuleError
 
@@ -94,9 +95,13 @@ class Election:
             raise DomainError("election needs at least one vote")
         # The one permutation check of a vote: parse_election names the
         # file line of the vote this error reports.
-        full = frozenset(range(m))
+        full = list(range(m))
         for i, vote in enumerate(self.votes):
-            if len(vote.ranking) != m or frozenset(vote.ranking) != full:
+            try:
+                ok = len(vote.ranking) == m and sorted(vote.ranking) == full
+            except TypeError:  # entries that do not compare, so are no candidate ids
+                ok = False
+            if not ok:
                 raise RankingError(i, f"vote {vote.ranking} is not a permutation of 0..{m - 1}")
 
     @property
@@ -115,6 +120,18 @@ class Election:
 
     def expanded_list(self) -> list[Ranking]:
         return list(self.expanded())
+
+
+def head_then_rest(head: Sequence[int], ids: tuple[int, ...]) -> Ranking:
+    """``head``, then every other id of ``ids`` in increasing order.
+
+    ``ids`` is ``tuple(range(m))``, built once and shared by every vote; the
+    tail is one ``compress`` over it, with the head masked out.
+    """
+    mask = bytearray(b"\1") * len(ids)
+    for c in head:
+        mask[c] = 0
+    return (*head, *compress(ids, mask))
 
 
 def rank_of(candidate: int, ranking: Ranking) -> int:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, filterfalse
+from itertools import combinations, count
 
-from .core import CO_WINNER, Election, Vote, VotingRule
+from .core import CO_WINNER, Election, Vote, VotingRule, head_then_rest
 from .errors import DomainError
 from .swaps import Bribery, BriberyInstance, SwapCostFunction
 
@@ -265,17 +265,12 @@ def multicolored_clique_instance(
         add_init(q, base_score - 1)
 
     # Assemble: guard votes, initializing votes, then the body.
-    all_ids = list(range(len(names)))
-
-    def ranking(head: list[int]) -> tuple[int, ...]:
-        in_head = set(head)
-        return tuple(head + list(filterfalse(in_head.__contains__, all_ids)))
-
+    ids = tuple(range(len(names)))
     pairs = base_score // 2
     first = n_guards * pairs + len(init)
-    votes = [Vote(ranking(guards[g:] + guards[:g]), pairs) for g in range(n_guards)]
-    votes += [Vote(ranking(head)) for head in init]
-    votes += [Vote(ranking(head)) for head, _ in body]
+    votes = [Vote(head_then_rest(guards[g:] + guards[:g], ids), pairs) for g in range(n_guards)]
+    votes += [Vote(head_then_rest(head, ids)) for head in init]
+    votes += [Vote(head_then_rest(head, ids)) for head, _ in body]
     overrides = [{}] * first + [table for _, table in body]
 
     instance = BriberyInstance(

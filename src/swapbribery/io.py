@@ -10,6 +10,11 @@ bribery changes: a ``changed c`` line, then c ``target i`` lines; every
 other vote keeps its ranking. Files without a ``changed`` line list every
 vote, and still read. A line of candidate names maps to ids, and ids to
 names, in one ``operator.itemgetter`` call.
+
+A ``vote i multiplicity w head <names>`` or ``target-head i <names>`` line
+names a ranking's head; every other candidate follows in increasing id
+order. The writer uses it where the tail it drops is at least max(32, m/2)
+names long, as in the clique gadget, and in no random instance.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .core import (
     Election,
     Vote,
     VotingRule,
+    head_then_rest,
 )
 from .errors import DomainError, ParseError, RankingError
 from .flow import FlowNetwork
@@ -122,6 +128,39 @@ def _names_text(names: tuple[str, ...], ids: tuple[int, ...]) -> str:
     return " ".join(names[c] for c in ids)
 
 
+def _head_length(ranking: tuple[int, ...], least_tail: int = 1) -> int | None:
+    """The length of ``ranking`` before its longest suffix in increasing
+    order, or None when that suffix is shorter than ``least_tail``.
+
+    Past ``least_tail``, the suffix grows by binary lifting: each check sorts
+    only the stretch a step would add, plus the one entry that joins it to
+    the suffix, so the work is linear in m and done in C.
+    """
+    m = len(ranking)
+
+    def rising(start: int, stop: int) -> bool:
+        stretch = ranking[start:stop]
+        return list(stretch) == sorted(stretch)
+
+    tail = max(1, least_tail)
+    if tail > m or not rising(m - tail, m):
+        return None
+    step = 1 << (m - tail).bit_length()
+    while step > 1:
+        step //= 2
+        if step <= m - tail and rising(m - tail - step, m - tail + 1):
+            tail += step
+    return m - tail
+
+
+def _written_names(names: tuple[str, ...], ranking: tuple[int, ...]) -> tuple[bool, str]:
+    """Whether ``ranking`` is written as its head, and the names written:
+    the head when the tail it drops is at least max(32, m/2) names long,
+    else the whole ranking."""
+    h = _head_length(ranking, max(32, (len(ranking) + 1) // 2))
+    return h is not None, _names_text(names, ranking if h is None else ranking[:h])
+
+
 def _once(value, key: str, line: int):
     """Reject the second line of a key that a file may hold once."""
     if value is not None:
@@ -196,18 +235,30 @@ def parse_election(text: str) -> BriberyInstance:
     cost_defaults: dict[int, Fraction] = {}
     cost_pairs: dict[int, dict[tuple[int, int], Fraction]] = {}
 
+    ids = None  # tuple(range(m)), which every head's tail is drawn from
+
     for no, raw in lines:
         parts = raw.split()
         key = parts[0]
         if key == "vote":
-            if len(parts) < 6 or parts[2] != "multiplicity" or parts[4] != "order":
-                raise ParseError(no, "usage: vote <i> multiplicity <w> order <names...>")
+            # an order names at least one candidate; a head may name none
+            if len(parts) < 5 or parts[2] != "multiplicity" or parts[4] not in ("order", "head") or (
+                parts[4] == "order" and len(parts) == 5
+            ):
+                raise ParseError(no, "usage: vote <i> multiplicity <w> order|head <names...>")
             idx = parse_int(parts[1], no, low=0)
             if idx in vote_rows:
                 raise ParseError(no, f"duplicate vote index {idx}")
             mult = parse_int(parts[3], no, low=1)
+            order = _candidate_ids(index, parts[5:], no)
+            if parts[4] == "head":
+                if header.m is None:
+                    raise ParseError(no, "a head vote needs the candidates line before it")
+                if ids is None:
+                    ids = tuple(range(header.m))
+                order = head_then_rest(order, ids)
             # Election checks that the order is a permutation; its error names this line.
-            vote_rows[idx] = (mult, _candidate_ids(index, parts[5:], no), no)
+            vote_rows[idx] = (mult, order, no)
         elif key == "costs":
             if len(parts) < 3:
                 raise ParseError(no, "usage: costs <i> default|pair ...")
@@ -303,7 +354,9 @@ def serialize_election(instance: BriberyInstance) -> str:
 
     names = election.candidates
     for i, (mult, order, _) in enumerate(rows):
-        out.append(f"vote {i} multiplicity {mult} order {_names_text(names, order)}")
+        as_head, text = _written_names(names, order)
+        # rstrip: an empty head leaves no space at the end of its line
+        out.append(f"vote {i} multiplicity {mult} {'head' if as_head else 'order'} {text}".rstrip())
     for i, (_, _, src) in enumerate(rows):
         default = instance.costs.default(src)
         if default != 1:
@@ -346,7 +399,8 @@ def serialize_solution(
         out.append(f"changed {len(changed)}")
         names = instance.election.candidates
         for i, target in changed:
-            out.append(f"target {i} {_names_text(names, target)}")
+            as_head, text = _written_names(names, target)
+            out.append(f"{'target-head' if as_head else 'target'} {i} {text}".rstrip())
     return "\n".join(out) + "\n"
 
 
@@ -366,17 +420,19 @@ def parse_solution(
     config: dict[str, str] = {}
     targets: dict[int, tuple[int, ...]] = {}
     names = {name: i for i, name in enumerate(instance.election.candidates)}
+    ids = tuple(range(instance.election.m))
     n = instance.election.n_expanded
     for no, raw in lines:
         parts = raw.split()
         key = parts[0]
-        if key == "target" and len(parts) >= 2:
+        if key in ("target", "target-head") and len(parts) >= 2:
             idx = parse_int(parts[1], no, low=0)
             if idx in targets:
                 raise ParseError(no, f"duplicate target index {idx}")
             if idx >= n and outside_line is None:
                 outside_line = no
-            targets[idx] = _candidate_ids(names, parts[2:], no)
+            target = _candidate_ids(names, parts[2:], no)
+            targets[idx] = target if key == "target" else head_then_rest(target, ids)
         elif key == "decision" and len(parts) == 2 and parts[1] in ("yes", "no"):
             _once(decision, key, no)
             decision = parts[1] == "yes"

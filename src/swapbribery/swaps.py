@@ -264,19 +264,6 @@ def inverted_pairs(ranking: Ranking, target: Ranking) -> Iterator[tuple[int, int
                 yield ranking[i], ranking[j]
 
 
-def bribery_swaps(instance: BriberyInstance, bribery: Bribery) -> list[Swap]:
-    """A minimum-cost admissible swap set realizing the bribery.
-
-    Swapping each flipped pair exactly once suffices; the returned set is
-    admissible per vote and prices out to the bribery's total cost.
-    """
-    swaps = []
-    for idx, (src, dst) in enumerate(zip(instance.election.expanded(), bribery.targets)):
-        for pair in inverted_pairs(src, dst):
-            swaps.append(Swap(idx, pair))
-    return swaps
-
-
 def _count_inversions(seq: Iterable[int]) -> int:
     """Number of out-of-order pairs: each item counts the larger items before it."""
     seen: list[int] = []

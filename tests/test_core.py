@@ -7,11 +7,12 @@ from swapbribery.core import (
     Election,
     Vote,
     VotingRule,
+    head_then_rest,
     rank_of,
     scores,
     winners,
 )
-from swapbribery.errors import DomainError, UnsupportedRuleError
+from swapbribery.errors import DomainError, RankingError, UnsupportedRuleError
 
 from conftest import SAMPLE_U, SAMPLE_V, sample_election
 from oracle_utils import bucklin_winning_round
@@ -153,3 +154,17 @@ def test_election_validation():
         VotingRule.scoring((1, 2))  # increasing
     with pytest.raises(DomainError):
         VotingRule.k_approval(0)
+
+
+@pytest.mark.parametrize("ranking", [(0, "1"), ("a", "b"), (0, None), (0, 1.5), (0, 0)])
+def test_a_ranking_of_other_than_ids_raises_ranking_error(ranking):
+    with pytest.raises(RankingError) as info:
+        Election(("a", "b"), (Vote((1, 0)), Vote(ranking)))
+    assert info.value.vote == 1
+
+
+def test_head_then_rest_appends_the_other_ids_in_order():
+    ids = tuple(range(6))
+    assert head_then_rest([4, 1], ids) == (4, 1, 0, 2, 3, 5)
+    assert head_then_rest((), ids) == ids
+    assert head_then_rest(ids[::-1], ids) == ids[::-1]

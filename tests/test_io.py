@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swapbribery.errors import DomainError, ParseError
 from swapbribery.hardness import (
@@ -11,6 +13,7 @@ from swapbribery.hardness import (
     single_vote_clique_instance,
 )
 from swapbribery.io import (
+    _head_length,
     format_fraction,
     network_to_dot,
     parse_election,
@@ -23,11 +26,12 @@ from swapbribery.io import (
 )
 from swapbribery.flow import build_transfer_network
 from swapbribery.oracle import brute_topk
-from swapbribery.swaps import Bribery, VoteClass, verify_bribery
+from swapbribery.swaps import Bribery, BriberyInstance, SwapCostFunction, VoteClass, verify_bribery
 from swapbribery.reductions import PossibleWinnerInstance, gen_random
-from swapbribery.core import VotingRule
+from swapbribery.core import Election, Vote, VotingRule
 
 from conftest import SAMPLE_U, SAMPLE_V
+from gadget_grid import check as check_gadget, full_form
 from oracle_utils import random_partial_votes
 
 
@@ -106,6 +110,9 @@ def test_bad_files_rejected(mangle):
         (lambda t: t.replace("order a p", "order q a"), "unknown candidate 'q'"),
         (lambda t: t.replace("order a p", "order a a"), "vote order must list every candidate once"),
         (lambda t: t.replace("order a p", "order a p a"), "vote order must list every candidate once"),
+        (lambda t: t.replace("order a p", "head q"), "unknown candidate 'q'"),
+        (lambda t: t.replace("order a p", "head a a"), "vote order must list every candidate once"),
+        (lambda t: t.replace("order a p", "head p a p"), "vote order must list every candidate once"),
     ],
 )
 def test_bad_vote_line_names_its_line(mangle, message):
@@ -113,6 +120,19 @@ def test_bad_vote_line_names_its_line(mangle, message):
         parse_election(mangle(MINIMAL))
     assert info.value.line == 8
     assert str(info.value) == f"line 8: {message}"
+
+
+@pytest.mark.parametrize("head, ranking", [("head p", (1, 0)), ("head a", (0, 1)), ("head", (0, 1)), ("head p a", (1, 0))])
+def test_head_vote_lists_the_rest_in_id_order(head, ranking):
+    inst = parse_election(MINIMAL.replace("order a p", head))
+    assert inst.election.votes == (Vote(ranking),)
+
+
+def test_head_vote_before_the_candidates_line_is_refused():
+    text = MINIMAL.replace("vote 0 multiplicity 1 order a p\n", "").replace("sbe 1\n", "sbe 1\nvote 0 multiplicity 1 head\n")
+    with pytest.raises(ParseError) as info:
+        parse_election(text)
+    assert str(info.value) == "line 2: a head vote needs the candidates line before it"
 
 
 @pytest.mark.parametrize(
@@ -463,3 +483,96 @@ def test_dot_counts_for_sample_network():
     assert '  "g[1]" -> "b[4]" [label="cap 1, cost 3"];' in arc_lines
     assert '  "g[1]" -> "b[3]" [label="cap 1, cost 6"];' in arc_lines
     assert '  "g[1]" -> "b[2]" [label="cap 1, cost 9/2"];' in arc_lines
+
+
+def _rising_tails(m: int, n: int, rng: random.Random) -> BriberyInstance:
+    """n votes of m candidates, each a random head of at most m/4 and then the rest in id order."""
+    ids = range(m)
+    votes = []
+    for _ in range(n):
+        head = rng.sample(ids, rng.randint(0, m // 4))
+        votes.append(Vote(tuple(head) + tuple(c for c in ids if c not in head)))
+    names = tuple(f"c{i}" for i in range(m))
+    return BriberyInstance(Election(names, tuple(votes)), VotingRule.k_approval(2), 0, SwapCostFunction.unit(n), Fraction(3))
+
+
+def test_votes_with_long_rising_tails_are_written_as_heads():
+    inst = _rising_tails(64, 5, random.Random(4))
+    text = serialize_election(inst)
+    assert text.count(" head") == 5 and " order " not in text
+    assert parse_election(text) == inst == parse_election(full_form(text, inst))
+    assert serialize_election(parse_election(text)) == text
+
+
+def test_roster_names_that_are_keywords_round_trip_in_both_forms():
+    inst = _rising_tails(64, 4, random.Random(7))
+    names = ("head", "order", "target-head", *inst.election.candidates[3:])
+    votes = (*inst.election.votes, Vote((1, 0, *range(2, 64))), Vote((0, 2, 1, *range(3, 64))))
+    inst = BriberyInstance(Election(names, votes), inst.rule, 2, SwapCostFunction.unit(6), inst.budget)
+    text = serialize_election(inst)
+    assert text.endswith("vote 4 multiplicity 1 head order\nvote 5 multiplicity 1 head head target-head\n")
+    assert parse_election(text) == inst == parse_election(full_form(text, inst))
+
+    rankings = inst.election.expanded_list()
+    targets = (rankings[4], rankings[5], *rankings[2:4], *rankings[:2])
+    solution = serialize_solution(inst, True, None, Bribery(targets), "hand")
+    assert "\ntarget-head 0 order\ntarget-head 1 head target-head\n" in solution
+    assert parse_solution(solution, inst)[2] == Bribery(targets)
+    full = solution.replace("target-head 0 order", "target 0 " + " ".join(names[c] for c in targets[0]))
+    assert parse_solution(full, inst)[2] == Bribery(targets)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (("target-head 1 ", "target 3 c0\ntarget-head 3 "), "line 6: duplicate target index 3"),
+        (("target-head 1 ", "target-head 6 "), "line 5: target index outside expanded votes 0..5"),
+        (("target-head 1 ", "target-head 1 zz "), "line 5: unknown candidate 'zz'"),
+    ],
+)
+def test_bad_target_head_line_names_its_line(edit, message):
+    ids = tuple(range(64))
+    inst = BriberyInstance(
+        Election(tuple(f"c{i}" for i in ids), (Vote(ids),) * 6), VotingRule.k_approval(2), 0, SwapCostFunction.unit(6), Fraction(3)
+    )
+    targets = (ids, (63, *ids[:-1]), *(ids,) * 4)
+    solution = serialize_solution(inst, True, None, Bribery(targets), "hand")
+    assert solution.splitlines()[3:] == ["changed 1", "target-head 1 c63"]
+    assert parse_solution(solution, inst)[2] == Bribery(targets)
+    with pytest.raises(ParseError) as info:
+        parse_solution(solution.replace(*edit), inst)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "classes, seed, epsilon",
+    [("2,2", 0, "1"), ("3,3", 1, "1/3"), ("2,2,2", 1, "1"), ("1,1", 2, "1"), ("3,2", 3, "1/3"), ("4,4", 2, "1/3")],
+)
+def test_gadget_head_form_round_trips(classes, seed, epsilon):
+    # A slice of tests/gadget_grid.py, which runs all 80 members of the grid.
+    size = check_gadget(classes, seed, Fraction(epsilon))
+    if (classes, seed) == ("2,2,2", 1):
+        assert size <= 1_500_000  # 33 MB in full
+
+
+def _last_descent_plus_one(ranking) -> int:
+    return max((i + 1 for i in range(len(ranking) - 1) if ranking[i] > ranking[i + 1]), default=0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_head_length_is_the_last_descent_plus_one(data):
+    m = data.draw(st.integers(1, 300))
+    head = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
+    ranking = tuple(head) + tuple(sorted(set(range(m)) - set(head)))
+    expected = _last_descent_plus_one(ranking)
+    assert _head_length(ranking) == expected
+    least = data.draw(st.integers(0, m + 1))
+    assert _head_length(ranking, least) == (expected if m - expected >= least else None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=st.integers(2, 80), n=st.integers(1, 6), seed=st.integers(0, 10**6))
+def test_random_instances_are_written_in_full(m, n, seed):
+    text = serialize_election(gen_random(m, n, 1, seed=seed))
+    assert " head" not in text and text.count(" order ") == n

