@@ -20,12 +20,10 @@ from .core import (
     Ranking,
     Vote,
     VotingRule,
-    rank_of,
     scores,
     winners,
 )
 from .errors import (
-    AdmissibilityError,
     DomainError,
     ParseError,
     PreconditionError,
@@ -38,9 +36,7 @@ from .swaps import (
     Bribery,
     BriberyInstance,
     SolveResult,
-    Swap,
     SwapCostFunction,
-    apply_swaps,
     move_to_top_cost,
     move_to_top_target,
     transform_cost,
@@ -50,7 +46,6 @@ from .swaps import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityError",
     "Bribery",
     "BriberyInstance",
     "BUCKLIN",
@@ -65,17 +60,14 @@ __all__ = [
     "ResourceCapError",
     "SCORING",
     "SolveResult",
-    "Swap",
     "SwapBriberyError",
     "SwapCostFunction",
     "UNIQUE_WINNER",
     "UnsupportedRuleError",
     "Vote",
     "VotingRule",
-    "apply_swaps",
     "move_to_top_cost",
     "move_to_top_target",
-    "rank_of",
     "scores",
     "transform_cost",
     "verify_bribery",

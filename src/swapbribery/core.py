@@ -134,14 +134,6 @@ def head_then_rest(head: Sequence[int], ids: tuple[int, ...]) -> Ranking:
     return (*head, *compress(ids, mask))
 
 
-def rank_of(candidate: int, ranking: Ranking) -> int:
-    """1-based position of a candidate in a ranking."""
-    try:
-        return ranking.index(candidate) + 1
-    except ValueError:
-        raise DomainError(f"candidate {candidate} not in ranking") from None
-
-
 def _approvals(weighted: list[tuple[Ranking, int]], m: int, depth: int) -> list[int]:
     """Weight of the rankings that place each candidate within the first ``depth``."""
     totals = [0] * m

@@ -29,10 +29,6 @@ class UnsupportedRuleError(SwapBriberyError):
     """The requested operation is undefined for this voting rule."""
 
 
-class AdmissibilityError(DomainError):
-    """A swap set cannot be realized by any sequence of adjacent swaps."""
-
-
 class ParseError(SwapBriberyError):
     """Malformed input file; carries a 1-based line number."""
 

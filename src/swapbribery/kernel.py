@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .core import Election, K_APPROVAL, Vote, VotingRule, scores
+from .core import Election, K_APPROVAL, Vote, VotingRule, head_then_rest, scores
 from .errors import DomainError, PreconditionError
 from .swaps import BriberyInstance, SwapCostFunction
 
@@ -186,14 +186,14 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
             head_costs.append({})
 
     m_kernel = len(names)
+    ids = tuple(range(m_kernel))
     votes = []
     for head, prices in zip(heads, head_costs):
-        in_head = set(head)
-        tail = [c for c in range(m_kernel) if c not in in_head]
+        ranking = head_then_rest(head, ids)
         # below a window cut short by its vote's end, keep the tail out of reach
-        for t in tail[: 2 * beta + 1 - len(head)]:
+        for t in ranking[len(head) : 2 * beta + 1]:
             prices.update(((x, t), Fraction(beta + 1)) for x in head)
-        votes.append(Vote(tuple(head + tail)))
+        votes.append(Vote(ranking))
 
     kernel_election = Election(tuple(names), tuple(votes))
     kernel_costs = SwapCostFunction(defaults, head_costs)

@@ -3,8 +3,7 @@
 With budget zero and swap prices in {0, d}, forbidding exactly the
 positive-priced swaps turns each vote into a partial order: the reachable
 rankings are precisely its linear extensions. Both translation directions
-and a brute-force Possible Winner decider live here, plus the seeded
-generator behind the test corpora.
+live here, plus the seeded generator behind the test corpora.
 """
 
 from __future__ import annotations
@@ -12,11 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterator
 
-from .core import CO_WINNER, Election, Ranking, Vote, VotingRule, winners_of_rankings
-from .errors import DomainError, PreconditionError, ResourceCapError
+from .core import CO_WINNER, Election, Ranking, Vote, VotingRule
+from .errors import DomainError, PreconditionError
 from .swaps import BriberyInstance, SwapCostFunction
 
 
@@ -56,9 +53,6 @@ class PartialVote:
             if (b, a) in self.pairs:
                 raise DomainError(f"cycle through candidates {a} and {b}")
 
-    def requires(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs
-
     def _successors(self) -> tuple[list[set[int]], list[int]]:
         """Each candidate's successors, and how many candidates precede it."""
         succs: list[set[int]] = [set() for _ in range(self.m)]
@@ -84,36 +78,6 @@ class PartialVote:
         if len(out) != self.m:
             raise DomainError("partial order has a cycle")
         return tuple(out)
-
-    def extensions(self, cap: int | None = None) -> Iterator[Ranking]:
-        """All linear extensions, in lexicographic order."""
-        succs, indeg = self._successors()
-        prefix: list[int] = []
-        used = [False] * self.m
-        count = 0
-
-        def descend():
-            nonlocal count
-            if len(prefix) == self.m:
-                count += 1
-                if cap is not None and count > cap:
-                    raise ResourceCapError(f"more than {cap} linear extensions")
-                yield tuple(prefix)
-                return
-            for c in range(self.m):
-                if used[c] or indeg[c] > 0:
-                    continue
-                used[c] = True
-                for b in succs[c]:
-                    indeg[b] -= 1
-                prefix.append(c)
-                yield from descend()
-                prefix.pop()
-                for b in succs[c]:
-                    indeg[b] += 1
-                used[c] = False
-
-        yield from descend()
 
 
 @dataclass(frozen=True)
@@ -183,25 +147,6 @@ def pw_to_sb(pw: PossibleWinnerInstance) -> BriberyInstance:
         budget=Fraction(0),
         mode=CO_WINNER,
     )
-
-
-def possible_winner_brute(
-    pw: PossibleWinnerInstance, cap: int = 10**6
-) -> bool:
-    """Exhaustive decision: some joint extension makes the candidate win."""
-    per_vote: list[list[Ranking]] = []
-    total = 1
-    for vote in pw.votes:
-        exts = list(vote.extensions(cap=cap))
-        total *= len(exts)
-        if total > cap:
-            raise ResourceCapError(f"extension combinations exceed cap {cap}")
-        per_vote.append(exts)
-    m = len(pw.candidates)
-    for profile in product(*per_vote):
-        if pw.preferred in winners_of_rankings(list(profile), m, pw.rule):
-            return True
-    return False
 
 
 def gen_random(

@@ -25,23 +25,9 @@ from .core import (
     VotingRule,
     winners_of_rankings,
 )
-from .errors import AdmissibilityError, DomainError
+from .errors import DomainError
 
 PairCosts = Mapping[tuple[int, int], Fraction]
-
-
-@dataclass(frozen=True)
-class Swap:
-    """An adjacent transposition request: swap ``pair[0]`` with ``pair[1]``."""
-
-    vote: int
-    pair: tuple[int, int]
-
-    def __post_init__(self):
-        if self.pair[0] == self.pair[1]:
-            raise DomainError("a swap needs two distinct candidates")
-        if self.vote < 0:
-            raise DomainError("vote index must be non-negative")
 
 
 class SwapCostFunction:
@@ -229,39 +215,6 @@ def vote_classes(instance: BriberyInstance, prices: SwapCostFunction) -> list[Vo
         key = (ranking, prices.default(v), frozenset(prices.overrides(v).items()))
         groups.setdefault(key, []).append(v)
     return [VoteClass(ranking, price, tuple(votes)) for (ranking, price, _), votes in groups.items()]
-
-
-def apply_swaps(ranking: Ranking, swaps: Iterable[tuple[int, int]]) -> Ranking:
-    """Apply a set of adjacent swaps in some valid sequential order.
-
-    Raises AdmissibilityError when no order applies every requested swap.
-    The result is order-independent for admissible sets.
-    """
-    order = list(ranking)
-    pending = list(dict.fromkeys(tuple(p) for p in swaps))
-    for a, b in pending:
-        if a == b or a not in order or b not in order:
-            raise DomainError(f"swap pair ({a}, {b}) invalid for this ranking")
-    while pending:
-        pos = {c: i for i, c in enumerate(order)}
-        for idx, (a, b) in enumerate(pending):
-            if pos[a] + 1 == pos[b]:
-                order[pos[a]], order[pos[b]] = order[pos[b]], order[pos[a]]
-                pending.pop(idx)
-                break
-        else:
-            raise AdmissibilityError(f"swaps {pending} are not admissible")
-    return tuple(order)
-
-
-def inverted_pairs(ranking: Ranking, target: Ranking) -> Iterator[tuple[int, int]]:
-    """Pairs whose order flips, oriented as (earlier-in-ranking, later)."""
-    pos = {c: i for i, c in enumerate(target)}
-    m = len(ranking)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pos[ranking[i]] > pos[ranking[j]]:
-                yield ranking[i], ranking[j]
 
 
 def _count_inversions(seq: Iterable[int]) -> int:

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: swap costs are
 re-derived as shortest paths in the full graph of rankings connected by
 single adjacent swaps, bribery by plain enumeration of every target
-ranking, and clique existence by direct enumeration. Also here: the
+ranking, Possible Winner by enumeration of every joint linear extension,
+and clique existence by direct enumeration. Also here: the
 helpers only tests use, and ``brute``, the exact oracle without its option
 caps. Nothing here asserts, since ``python -O`` strips asserts outside
 the modules pytest rewrites.
@@ -18,8 +19,9 @@ from itertools import combinations, permutations, product
 from math import lcm
 
 from swapbribery.core import K_APPROVAL, UNIQUE_WINNER, Election, Ranking, Vote, winners_of_rankings
+from swapbribery.errors import ResourceCapError
 from swapbribery.oracle import OracleCaps, brute_rankings, brute_topk
-from swapbribery.reductions import PartialVote
+from swapbribery.reductions import PartialVote, PossibleWinnerInstance
 from swapbribery.swaps import Bribery, BriberyInstance, SwapCostFunction, transform_cost
 
 UNCAPPED = OracleCaps(topk_combinations=10**60, ranking_combinations=10**60)
@@ -91,6 +93,54 @@ def random_partial_votes(m: int, n: int, seed: int, density: float = 0.4) -> tup
                     pairs.add((order[i], order[j]))
         votes.append(PartialVote(m, frozenset(pairs)))
     return tuple(votes)
+
+
+def linear_extensions(vote: PartialVote, cap: int | None = None):
+    """All linear extensions of a partial vote, in lexicographic order."""
+    succs, indeg = vote._successors()
+    prefix: list[int] = []
+    used = [False] * vote.m
+    count = 0
+
+    def descend():
+        nonlocal count
+        if len(prefix) == vote.m:
+            count += 1
+            if cap is not None and count > cap:
+                raise ResourceCapError(f"more than {cap} linear extensions")
+            yield tuple(prefix)
+            return
+        for c in range(vote.m):
+            if used[c] or indeg[c] > 0:
+                continue
+            used[c] = True
+            for b in succs[c]:
+                indeg[b] -= 1
+            prefix.append(c)
+            yield from descend()
+            prefix.pop()
+            for b in succs[c]:
+                indeg[b] += 1
+            used[c] = False
+
+    yield from descend()
+
+
+def possible_winner_brute(pw: PossibleWinnerInstance, cap: int = 10**6) -> bool:
+    """Exhaustive decision: some joint extension makes the candidate win."""
+    per_vote: list[list[Ranking]] = []
+    total = 1
+    for vote in pw.votes:
+        exts = list(linear_extensions(vote, cap=cap))
+        total *= len(exts)
+        if total > cap:
+            raise ResourceCapError(f"extension combinations exceed cap {cap}")
+        per_vote.append(exts)
+    m = len(pw.candidates)
+    for profile in product(*per_vote):
+        if pw.preferred in winners_of_rankings(list(profile), m, pw.rule):
+            return True
+    return False
 
 
 def swap_graph_shortest_path(

@@ -29,7 +29,6 @@ from swapbribery.oracle import brute_topk
 from swapbribery.reductions import (
     PossibleWinnerInstance,
     gen_random,
-    possible_winner_brute,
     pw_to_sb,
     sb_to_pw,
 )
@@ -47,7 +46,13 @@ from conftest import (
     sample_election,
 )
 from corpus import CORPUS
-from oracle_utils import bribed_election, clique_exists, random_partial_votes, swap_graph_shortest_path
+from oracle_utils import (
+    bribed_election,
+    clique_exists,
+    possible_winner_brute,
+    random_partial_votes,
+    swap_graph_shortest_path,
+)
 from test_conformance import check, ilp_fits, labels
 
 

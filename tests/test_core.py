@@ -8,13 +8,12 @@ from swapbribery.core import (
     Vote,
     VotingRule,
     head_then_rest,
-    rank_of,
     scores,
     winners,
 )
 from swapbribery.errors import DomainError, RankingError, UnsupportedRuleError
 
-from conftest import SAMPLE_U, SAMPLE_V, sample_election
+from conftest import sample_election
 from oracle_utils import bucklin_winning_round
 
 
@@ -25,17 +24,6 @@ def make(votes, m=None, mults=None):
         tuple(f"c{i}" for i in range(m)),
         tuple(Vote(tuple(v), w) for v, w in zip(votes, mults)),
     )
-
-
-def test_rank_of_sample_votes():
-    assert rank_of(2, SAMPLE_V) == 3  # p sits third in v
-    assert rank_of(SAMPLE_V[0], SAMPLE_V) == 1
-    assert rank_of(3, SAMPLE_U) == 5  # c4 sits last in u
-
-
-def test_rank_of_rejects_unknown_candidate():
-    with pytest.raises(DomainError):
-        rank_of(9, SAMPLE_V)
 
 
 def test_scores_on_sample():

@@ -1,21 +1,20 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swapbribery.core import Election, Vote, VotingRule
-from swapbribery.errors import AdmissibilityError, DomainError
+from swapbribery.core import Election, Ranking, Vote, VotingRule
+from swapbribery.errors import DomainError
 from swapbribery.swaps import (
     Bribery,
     BriberyInstance,
-    Swap,
     SwapCostFunction,
     VoteClass,
     _count_inversions,
-    apply_swaps,
-    inverted_pairs,
     move_to_top_cost,
     move_to_top_target,
     target_costs,
@@ -30,6 +29,62 @@ from oracle_utils import min_cost_with_top_set, swap_graph_shortest_path
 
 def unit(n=1):
     return SwapCostFunction.unit(n)
+
+
+# The paper's swap semantics, spelled out: a bribery is a set of adjacent
+# swaps applied in some valid order, each flipped pair swapped once. The
+# library prices it with transform_cost alone; these are what it is checked by.
+
+
+class AdmissibilityError(DomainError):
+    """A swap set cannot be realized by any sequence of adjacent swaps."""
+
+
+@dataclass(frozen=True)
+class Swap:
+    """An adjacent transposition request: swap ``pair[0]`` with ``pair[1]``."""
+
+    vote: int
+    pair: tuple[int, int]
+
+    def __post_init__(self):
+        if self.pair[0] == self.pair[1]:
+            raise DomainError("a swap needs two distinct candidates")
+        if self.vote < 0:
+            raise DomainError("vote index must be non-negative")
+
+
+def apply_swaps(ranking: Ranking, swaps: Iterable[tuple[int, int]]) -> Ranking:
+    """Apply a set of adjacent swaps in some valid sequential order.
+
+    Raises AdmissibilityError when no order applies every requested swap.
+    The result is order-independent for admissible sets.
+    """
+    order = list(ranking)
+    pending = list(dict.fromkeys(tuple(p) for p in swaps))
+    for a, b in pending:
+        if a == b or a not in order or b not in order:
+            raise DomainError(f"swap pair ({a}, {b}) invalid for this ranking")
+    while pending:
+        pos = {c: i for i, c in enumerate(order)}
+        for idx, (a, b) in enumerate(pending):
+            if pos[a] + 1 == pos[b]:
+                order[pos[a]], order[pos[b]] = order[pos[b]], order[pos[a]]
+                pending.pop(idx)
+                break
+        else:
+            raise AdmissibilityError(f"swaps {pending} are not admissible")
+    return tuple(order)
+
+
+def inverted_pairs(ranking: Ranking, target: Ranking) -> Iterator[tuple[int, int]]:
+    """Pairs whose order flips, oriented as (earlier-in-ranking, later)."""
+    pos = {c: i for i, c in enumerate(target)}
+    m = len(ranking)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if pos[ranking[i]] > pos[ranking[j]]:
+                yield ranking[i], ranking[j]
 
 
 class TestApplySwaps:
