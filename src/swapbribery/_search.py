@@ -36,14 +36,9 @@ ascending cost per vote.
 The search gives up with ``ResourceCapError`` once it has scanned more than
 ``MAX_NODES`` options that pass the cost cut: a count, not a clock, so it
 stops at the same point on any machine and its answers are reproducible.
-It also gives up, through ``depth_capped``, when it recurses once per vote
-past Python's recursion limit.
 """
 
 from __future__ import annotations
-
-import sys
-from contextlib import contextmanager
 
 from .errors import ResourceCapError
 
@@ -52,21 +47,6 @@ BACKEND_NAME = "pure"
 
 # Node budget of this search, counted in options scanned; read at every call.
 MAX_NODES = 10**6
-
-
-@contextmanager
-def depth_capped():
-    """Report a walk that recurses past Python's recursion limit as ``ResourceCapError``.
-
-    The exact walks recurse once per vote, variable or approved position, so
-    the depth they reach is that count plus the caller's own stack.
-    """
-    try:
-        yield
-    except RecursionError:
-        raise ResourceCapError(
-            f"search nests deeper than Python's recursion limit of {sys.getrecursionlimit()}"
-        ) from None
 
 
 def best_assignment(
@@ -137,28 +117,27 @@ def best_assignment(
     choice = [0] * n_votes
     max_nodes = MAX_NODES
     nodes = 0
-
-    def descend(v: int, acc: int, leads: list[int]):
-        nonlocal best, best_choice, nodes
-        if v == n_votes:
-            # the cost and score cuts at the parent admit only winning leaves
-            # strictly cheaper than the best so far
-            best = acc
-            best_choice = choice.copy()
-            return
-        rest = suffix_min[v + 1]
-        room = reach[v + 1]
-        start = offsets[v] if shift[v] is None else choice[v - 1] + shift[v]
-        for idx in range(start, offsets[v + 1]):
-            total = acc + costs[idx]
-            if best is not None and total + rest >= best:
+    # One level per vote: accs[v] and leads[v] are the cost and the leading
+    # rivals that votes 0..v-1 leave, choice[v] the option vote v is on.
+    # Every rival starts at 0; with no rival (m == 1) every leaf must pass.
+    accs = [0] * n_votes
+    leads = [None] * n_votes
+    leads[0] = [0 if m > 1 else -1] * rows + [0]
+    choice[0] = offsets[0]
+    v = 0
+    while True:
+        idx = choice[v]
+        if idx == offsets[v + 1] or best is not None and accs[v] + costs[idx] + suffix_min[v + 1] >= best:
+            # vote v is done: back to the vote above
+            if not v:
                 break
+            v -= 1
+        else:
             nodes += 1
             if nodes > max_nodes:
                 raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
-            step = increments[idx]
-            lead = leads.copy()
-            for i, a in step:
+            lead = leads[v].copy()
+            for i, a in increments[idx]:
                 s = tallies[i] + a
                 tallies[i] = s
                 r = row_of[i]
@@ -166,23 +145,33 @@ def best_assignment(
                     lead[r] = s
             # descend if some row up to the first with a rival at a majority
             # can still be won
+            room = reach[v + 1]
+            down = False
             r = 0
             for base in bases:
                 mine = tallies[base] + room[r]
                 top = lead[r]
                 if mine >= need and top < mine:
-                    choice[v] = idx
-                    descend(v + 1, total, lead)
+                    down = True
                     break
                 if top >= majority:
                     break
                 r += 1
-            for i, a in step:
-                tallies[i] -= a
-
-    # every rival starts at 0; with no rival (m == 1) every leaf must pass
-    with depth_capped():
-        descend(0, 0, [0 if m > 1 else -1] * rows + [0])
+            if down:
+                if v + 1 < n_votes:
+                    v += 1
+                    accs[v] = accs[v - 1] + costs[idx]
+                    leads[v] = lead
+                    choice[v] = offsets[v] if shift[v] is None else idx + shift[v]
+                    continue
+                # the cost and score cuts admit only winning leaves strictly
+                # cheaper than the best so far
+                best = accs[v] + costs[idx]
+                best_choice = choice.copy()
+        # on to the next option of vote v
+        for i, a in increments[choice[v]]:
+            tallies[i] -= a
+        choice[v] += 1
     if best_choice is None:
         return None
     return int(best), best_choice

@@ -46,43 +46,51 @@ def successful_patterns(
     max_nodes = _search.MAX_NODES
     nodes = 0
     counts = [0] * (colors + 1)
-    chosen: list[VotePattern] = []
     # top -> the vote patterns that may follow a prefix whose highest color
     # is top: new colors must be top+1, top+2, ... in order.
     extensions: dict[int, list[tuple[VotePattern, int]]] = {}
-
-    def grow(v: int, top: int, lead: int) -> Iterator[ElectionPattern]:
-        # lead: the most votes any color other than 1 has in the prefix
-        nonlocal nodes
+    # Depth first, one level per vote: tops[v] and leads[v] are the highest
+    # color and the most votes of a color other than 1 in chosen[:v], and
+    # at[v] indexes the extension of tops[v] that vote v is on.
+    chosen: list[VotePattern] = []
+    tops = [1] * (n + 1)
+    leads = [0] * (n + 1)
+    at = [0] * (n + 1)
+    while True:
+        v = len(chosen)
         if v == n:
             yield tuple(chosen)
-            return
-        if top not in extensions:
-            extensions[top] = [
-                (part, max(top, part[-1]))
-                for part in combinations(range(1, min(top + k, colors) + 1), k)
-                if part[-1] - top <= sum(c > top for c in part)
-            ]
-        # the votes after this one can still add this many to color 1
-        reach = n - v - 1 + slack
-        for part, new_top in extensions[top]:
-            nodes += 1
-            if nodes > max_nodes:
-                raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
-            rival = lead
-            for c in part:
-                counts[c] += 1
-                if c != 1 and counts[c] > rival:
-                    rival = counts[c]
-            if rival < counts[1] + reach:
+        else:
+            top = tops[v]
+            if top not in extensions:
+                extensions[top] = [
+                    (part, max(top, part[-1]))
+                    for part in combinations(range(1, min(top + k, colors) + 1), k)
+                    if part[-1] - top <= sum(c > top for c in part)
+                ]
+            if at[v] < len(extensions[top]):
+                part, new_top = extensions[top][at[v]]
+                nodes += 1
+                if nodes > max_nodes:
+                    raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
                 chosen.append(part)
-                yield from grow(v + 1, new_top, rival)
-                chosen.pop()
-            for c in part:
-                counts[c] -= 1
-
-    with _search.depth_capped():
-        yield from grow(0, 1, 0)
+                rival = leads[v]
+                for c in part:
+                    counts[c] += 1
+                    if c != 1 and counts[c] > rival:
+                        rival = counts[c]
+                # the votes after this one can still add n - v - 1 to color 1
+                if rival < counts[1] + n - v - 1 + slack:
+                    tops[v + 1] = new_top
+                    leads[v + 1] = rival
+                    at[v + 1] = 0
+                    continue
+        # back up past the last vote pattern chosen, to the next one of its vote
+        if not chosen:
+            return
+        for c in chosen.pop():
+            counts[c] -= 1
+        at[len(chosen)] += 1
 
 
 def solve_color_coding(

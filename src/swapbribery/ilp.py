@@ -235,43 +235,44 @@ def ilp_feasible(ilp: TransformationIlp) -> dict[tuple[int, int], int] | None:
     row_acc = [0] * len(coeffs)
     max_nodes = _search.MAX_NODES
     nodes = 0
-
-    def descend(v: int, spent: int, remaining: int) -> bool:
-        nonlocal nodes
+    # One level per variable, each entry a node: spent[v] and remaining[v] are
+    # the cost so far and the votes left in v's group, values[v] v's count.
+    spent = [0] * (n_vars + 1)
+    remaining = [0] * (n_vars + 1)
+    v = 0
+    while True:
         nodes += 1
         if nodes > max_nodes:
             raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
         if v == n_vars:
-            return all(acc >= b for acc, b in zip(row_acc, rhs))
-        g = group_of[v]
-        if v == 0 or group_of[v - 1] != g:  # first variable of group g
-            remaining = sizes[g]
-        for r, b in enumerate(rhs):
-            if row_acc[r] + best_gain[r][g] < b:
-                return False
-        for t in range(remaining + 1):
-            cost = spent + var_costs[v] * t
-            if cost > budget:
-                break
-            values[v] = t
-            if t:
-                for r, row in enumerate(coeffs):
-                    if row[v]:
-                        row_acc[r] += row[v] * t
-            hit = descend(v + 1, cost, remaining - t)
+            if all(acc >= b for acc, b in zip(row_acc, rhs)):
+                return {var: values[v] for v, var in enumerate(ilp.variables)}
+            t = None
+        else:
+            g = group_of[v]
+            if v == 0 or group_of[v - 1] != g:  # first variable of group g
+                remaining[v] = sizes[g]
+            reachable = all(row_acc[r] + best_gain[r][g] >= b for r, b in enumerate(rhs))
+            t = 0 if reachable else None
+        # back up while level v has no count t left to try
+        while t is None or t > remaining[v] or spent[v] + var_costs[v] * t > budget:
+            if not v:
+                return None
+            v -= 1
+            t = values[v]
             if t:
                 for r, row in enumerate(coeffs):
                     if row[v]:
                         row_acc[r] -= row[v] * t
-            if hit:
-                return True
-        values[v] = 0
-        return False
-
-    with _search.depth_capped():
-        if not descend(0, 0, 0):
-            return None
-    return {var: values[v] for v, var in enumerate(ilp.variables)}
+            t += 1
+        values[v] = t
+        if t:
+            for r, row in enumerate(coeffs):
+                if row[v]:
+                    row_acc[r] += row[v] * t
+        spent[v + 1] = spent[v] + var_costs[v] * t
+        remaining[v + 1] = remaining[v] - t
+        v += 1
 
 
 def assignment_to_bribery(

@@ -112,34 +112,36 @@ def topk_options(
             prefix_delta[ib] += price - default
 
     out: list[tuple[tuple[int, ...], int]] = []
+    # Depth first, one level per approved position: chosen holds the positions
+    # approved so far, at costs[len(chosen)], and p is the next one tried.
     chosen: list[int] = []
+    costs = [0] * (k + 1)
     is_chosen = [False] * m
-
-    def descend(start: int, cost: int):
-        if len(chosen) == k:
-            out.append((tuple(ranking[i] for i in chosen), cost))
-            return
+    p = 0
+    while True:
         count = len(chosen)
-        for p in range(start, m - (k - count) + 1):
+        if count == k:
+            out.append((tuple(ranking[i] for i in chosen), costs[k]))
+        elif p <= m - (k - count):
             passes = p - count
-            if budget_cap is not None and cost + low * passes > budget_cap:
-                break
-            step = default * passes + prefix_delta[p]
-            for ia, d in incoming[p]:
-                if is_chosen[ia]:
-                    step -= d
-            total = cost + step
-            if budget_cap is not None and total > budget_cap:
+            cost = costs[count]
+            if budget_cap is None or cost + low * passes <= budget_cap:
+                step = default * passes + prefix_delta[p]
+                for ia, d in incoming[p]:
+                    if is_chosen[ia]:
+                        step -= d
+                if budget_cap is None or cost + step <= budget_cap:
+                    chosen.append(p)
+                    is_chosen[p] = True
+                    costs[count + 1] = cost + step
+                p += 1
                 continue
-            chosen.append(p)
-            is_chosen[p] = True
-            descend(p + 1, total)
-            is_chosen[p] = False
-            chosen.pop()
-
-    with _search.depth_capped():
-        descend(0, 0)
-    return out
+        # back up past the last position approved, to the one after it
+        if not chosen:
+            return out
+        p = chosen.pop()
+        is_chosen[p] = False
+        p += 1
 
 
 def _run_search(

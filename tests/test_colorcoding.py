@@ -199,7 +199,6 @@ def test_long_vote_with_a_default_above_its_cheapest_price():
         assert solve_color_coding(inst).decision is decision
 
 
-def test_patterns_deeper_than_the_recursion_limit_are_a_cap_error():
-    # One level per vote: 1,500 votes.
-    with pytest.raises(ResourceCapError, match="recursion limit"):
-        next(successful_patterns(1500, 1, 1500))
+def test_patterns_go_1500_votes_deep():
+    # One level per vote: 1,500 votes, the first pattern giving each color 1.
+    assert next(successful_patterns(1500, 1, 1500)) == ((1,),) * 1500

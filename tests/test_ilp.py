@@ -284,10 +284,11 @@ class TestSolve:
         assert "integer" in text
 
 
-def test_program_deeper_than_the_recursion_limit_is_a_cap_error():
+def test_program_goes_1438_variables_deep():
     # Two vote groups of 6! - 1 transformations each: 1,438 variables, one
     # level each, and the preferred candidate already wins, so the search
-    # walks every level.
+    # walks every level and leaves every vote as cast.
     instance = gen_random(6, 2, 6, cost_model=("two-valued", Fraction(1), Fraction(2), 0.3), seed=118)
-    with pytest.raises(ResourceCapError, match="recursion limit"):
-        solve_ilp(instance)
+    result = solve_ilp(instance)
+    assert result.decision
+    assert result.witness.targets == tuple(instance.election.expanded())

@@ -308,8 +308,10 @@ def test_rankings_supports_scoring_vectors():
     assert report.is_solution and report.total_cost == res.optimal_cost
 
 
-def test_subsets_deeper_than_the_recursion_limit_are_a_cap_error():
-    # One level per approved position: k = 1,499 of 1,500 candidates.
+def test_subsets_go_1500_positions_deep():
+    # One level per approved position: k = 1,499 of 1,500 candidates. A cap
+    # of 0 at unit prices leaves one path, the top 1,499 as cast; with no cap
+    # the walk builds all 1,500 subsets, in time quadratic in k.
     m = 1500
-    with pytest.raises(ResourceCapError, match="recursion limit"):
-        topk_options(tuple(range(m)), m - 1, SwapCostFunction.unit(1), 0, None)
+    got = topk_options(tuple(range(m)), m - 1, SwapCostFunction.unit(1), 0, 0)
+    assert got == [(tuple(range(m - 1)), 0)]

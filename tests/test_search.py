@@ -1,13 +1,16 @@
 """The search must return what plain enumeration returns, cuts and all."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
-import pytest
-
 from swapbribery import _search
-from swapbribery.errors import ResourceCapError
-from swapbribery.oracle import available_backends, get_backend
+from swapbribery.colorcoding import successful_patterns
+from swapbribery.core import Election, Vote, VotingRule
+from swapbribery.ilp import solve_ilp
+from swapbribery.oracle import available_backends, brute_rankings, brute_topk, get_backend
+from swapbribery.reductions import gen_random
+from swapbribery.swaps import BriberyInstance, SwapCostFunction
 
 
 def test_pure_backend_always_available():
@@ -104,9 +107,44 @@ def test_search_matches_enumeration():
         assert _search.best_assignment(*args) == reference(*args), (trial, args)
 
 
-def test_search_deeper_than_the_recursion_limit_is_a_cap_error():
+def test_search_goes_1500_votes_deep():
     # One level per vote: 1,500 votes, each giving the preferred candidate a point.
     n_votes = 1500
     offsets = list(range(n_votes + 1))
-    with pytest.raises(ResourceCapError, match="recursion limit"):
-        _search.best_assignment(offsets, [[(0, 1)]] * n_votes, [0] * n_votes, 1, 2, False, -1)
+    got = _search.best_assignment(offsets, [[(0, 1)]] * n_votes, [0] * n_votes, 1, 2, False, -1)
+    assert got == (0, list(range(n_votes)))
+
+
+class NodeSpy:
+    """Stands in for ``_search.MAX_NODES``: records the most nodes a walk compares with it."""
+
+    def __init__(self):
+        self.most = 0
+
+    def __lt__(self, nodes):
+        # reflected: a walk's ``nodes > max_nodes`` lands here
+        self.most = max(self.most, nodes)
+        return nodes > 10**6
+
+
+TWO = ("two-valued", Fraction(1), Fraction(2), 0.3)
+TIE = BriberyInstance(
+    Election(tuple("abcde"), (Vote((0, 1, 2, 3, 4), 5),)),
+    VotingRule.k_approval(2), 4, SwapCostFunction.unit(5), Fraction(8),
+)
+
+
+def test_walks_visit_a_fixed_number_of_nodes(monkeypatch):
+    """Each exact walk's node count on one input, so reordering a walk shows."""
+    runs = [
+        (lambda: brute_topk(TIE), 416, (False, 12)),
+        (lambda: brute_rankings(gen_random(4, 4, 1, cost_model=TWO, seed=4, rule=VotingRule.bucklin())), 323, (False, 4)),
+        (lambda: solve_ilp(gen_random(4, 4, 2, cost_model=TWO, seed=1)), 108, (True, None)),
+        (lambda: sum(1 for _ in successful_patterns(5, 2, 7)), 12257, 4644),
+    ]
+    for run, nodes, answer in runs:
+        spy = NodeSpy()
+        monkeypatch.setattr(_search, "MAX_NODES", spy)
+        got = run()
+        assert (got if isinstance(got, int) else (got.decision, got.optimal_cost)) == answer
+        assert spy.most == nodes
