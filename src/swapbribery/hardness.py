@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
 
-from .core import CO_WINNER, Election, Vote, VotingRule, head_then_rest
+from .core import CO_WINNER, Election, Vote, VotingRule, head_then_rest, scores
 from .errors import DomainError
 from .swaps import Bribery, BriberyInstance, SwapCostFunction
 
@@ -96,11 +96,20 @@ class GadgetLayout:
     - ``("h-m", i, x)``, col(x) = i: h_i_vx to m_i_i, 3 votes.
     - ``("m-r", i, j)``, i <= j: parallel votes ``[dummy, m_i_j, r]``,
       2 for i < j and 1 for i = j.
+
+    A clique's witness bribes the keys whose vertices all lie in it, keys
+    without vertices included: each chain vote swaps positions 1 and 2, and
+    a ``sel4``/``inc4`` vote trades its pairs to y, z, w, x.
     """
 
     votes: dict[tuple, tuple[int, ...]]
     base_score: int  # the common score level K
     budget: Fraction
+
+
+# Each gadget key is (family, level indices..., vertices...): its family's level count.
+_LEVEL_INDICES = {"a-b": 2, "b-ct": 0, "sel4": 1, "c-f": 0, "ct-c": 1, "f-h": 1, "h-ht": 1,
+                  "inc4": 2, "mt-m": 2, "h-m": 1, "m-r": 2}
 
 
 def multicolored_clique_instance(
@@ -293,8 +302,6 @@ def multicolored_clique_instance(
 def audit_gadget_scores(instance: BriberyInstance, layout: GadgetLayout) -> None:
     """Assert the generated score table: senders K+1, sink 0, dummies <= 1,
     every durable candidate exactly K."""
-    from .core import scores
-
     totals = scores(instance.election, instance.rule)
     names = instance.election.candidates
     level = layout.base_score
@@ -324,58 +331,26 @@ def multicolored_clique_witness(
     common score level.
     """
     k = max(clique)
-    if sorted(clique) != list(range(1, k + 1)):
+    if sorted(clique) != list(range(1, k + 1)) or ("m-r", k + 1, k + 1) in layout.votes:
         raise DomainError("need exactly one vertex per color class")
-
-    rankings = instance.election.expanded_list()
-    targets = list(rankings)
-
-    def transfer(key):
-        for vote in layout.votes[key]:
-            ranking = list(targets[vote])
-            ranking[1], ranking[2] = ranking[2], ranking[1]
-            targets[vote] = tuple(ranking)
-
-    def rotate4(key):
-        (vote,) = layout.votes[key]
-        ranking = targets[vote]
-        targets[vote] = ranking[2:4] + ranking[0:2] + ranking[4:]
-
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            transfer(("a-b", i, j, clique[j]))
-    for j in range(1, k + 1):
-        transfer(("b-ct", clique[j]))
-    for i in range(2, k + 1):
-        for j in range(1, k + 1):
-            rotate4(("sel4", i, clique[j]))
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            transfer(("ct-c", i, clique[j]))
-    for j in range(1, k + 1):
-        transfer(("c-f", clique[j]))
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            transfer(("f-h", i, clique[j]))
-    for i in range(1, k + 1):
-        for j in range(1, i):
-            transfer(("h-ht", i, clique[j]))
+    # An ("a-b", 1, j, x) key exists exactly when x is in class j.
+    if any(("a-b", 1, j, x) not in layout.votes for j, x in clique.items()):
+        raise DomainError("need exactly one vertex per color class")
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
-            key = ("inc4", i, j, clique[i], clique[j])
-            if key not in layout.votes:
-                raise DomainError(
-                    f"vertices {clique[i]} and {clique[j]} are not adjacent"
-                )
-            rotate4(key)
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            transfer(("mt-m", i, j))
-    for i in range(1, k + 1):
-        transfer(("h-m", i, clique[i]))
-    for i in range(1, k + 1):
-        for j in range(i, k + 1):
-            transfer(("m-r", i, j))
+            if ("inc4", i, j, clique[i], clique[j]) not in layout.votes:
+                raise DomainError(f"vertices {clique[i]} and {clique[j]} are not adjacent")
+
+    chosen = set(clique.values())
+    targets = instance.election.expanded_list()
+    for (family, *indices), votes in layout.votes.items():
+        if chosen.issuperset(indices[_LEVEL_INDICES[family] :]):
+            for vote in votes:
+                ranking = targets[vote]
+                if family in ("sel4", "inc4"):
+                    targets[vote] = ranking[2:4] + ranking[:2] + ranking[4:]
+                else:
+                    targets[vote] = (ranking[0], ranking[2], ranking[1]) + ranking[3:]
     return Bribery(tuple(targets))
 
 

@@ -8,6 +8,7 @@ live here, plus the seeded generator behind the test corpora.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,23 +16,6 @@ from fractions import Fraction
 from .core import CO_WINNER, Election, Ranking, Vote, VotingRule
 from .errors import DomainError, PreconditionError
 from .swaps import BriberyInstance, SwapCostFunction
-
-
-def _transitive_closure(m: int, pairs: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    reach: dict[int, set[int]] = {a: set() for a in range(m)}
-    for a, b in pairs:
-        reach[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(m):
-            extra = set()
-            for b in reach[a]:
-                extra |= reach[b] - reach[a]
-            if extra:
-                reach[a] |= extra
-                changed = True
-    return frozenset((a, b) for a in range(m) for b in reach[a])
 
 
 @dataclass(frozen=True)
@@ -44,7 +28,15 @@ class PartialVote:
     def __post_init__(self):
         if not all(0 <= a < self.m and 0 <= b < self.m for a, b in self.pairs):
             raise DomainError("pair outside the candidate range")
-        closed = _transitive_closure(self.m, self.pairs)
+        # Warshall: after round b, every path through b has its shortcut.
+        succs: list[set[int]] = [set() for _ in range(self.m)]
+        for a, b in self.pairs:
+            succs[a].add(b)
+        for b in range(self.m):
+            for a in range(self.m):
+                if b in succs[a]:
+                    succs[a] |= succs[b]
+        closed = frozenset((a, b) for a in range(self.m) for b in succs[a])
         if closed != self.pairs:
             object.__setattr__(self, "pairs", closed)
         for a, b in self.pairs:
@@ -53,30 +45,23 @@ class PartialVote:
             if (b, a) in self.pairs:
                 raise DomainError(f"cycle through candidates {a} and {b}")
 
-    def _successors(self) -> tuple[list[set[int]], list[int]]:
-        """Each candidate's successors, and how many candidates precede it."""
-        succs: list[set[int]] = [set() for _ in range(self.m)]
-        indeg = [0] * self.m
-        for a, b in self.pairs:
-            succs[a].add(b)
-            indeg[b] += 1
-        return succs, indeg
-
     def minimal_extension(self) -> Ranking:
         """Lexicographically smallest topological order, by candidate index."""
-        succs, indeg = self._successors()
-        ready = sorted(c for c in range(self.m) if indeg[c] == 0)
+        succs: list[list[int]] = [[] for _ in range(self.m)]
+        indeg = [0] * self.m
+        for a, b in self.pairs:
+            succs[a].append(b)
+            indeg[b] += 1
+        # Kahn's algorithm, smallest ready candidate first; acyclic, so all come out.
+        ready = [c for c in range(self.m) if indeg[c] == 0]
         out = []
         while ready:
-            c = ready.pop(0)
+            c = heapq.heappop(ready)
             out.append(c)
-            for b in sorted(succs[c]):
+            for b in succs[c]:
                 indeg[b] -= 1
                 if indeg[b] == 0:
-                    ready.append(b)
-            ready.sort()
-        if len(out) != self.m:
-            raise DomainError("partial order has a cycle")
+                    heapq.heappush(ready, b)
         return tuple(out)
 
 
@@ -177,32 +162,31 @@ def gen_random(
     if cost_model == "unit":
         defaults = [Fraction(1)] * n
         overrides = [{} for _ in range(n)]
-    elif cost_model[0] == "two-valued":
-        _, low, high, density = cost_model
-        low, high = Fraction(low), Fraction(high)
+    else:
+        if cost_model[0] == "two-valued":
+            _, low, high, density = cost_model
+            low, high = Fraction(low), Fraction(high)
+        elif cost_model[0] == "uniform-range":
+            _, lo, hi = cost_model
+            lo_q, hi_q = int(Fraction(lo) * 4), int(Fraction(hi) * 4)
+            if lo_q > hi_q:
+                raise DomainError("uniform-range needs lo <= hi")
+            density, low, high = 0.5, None, None  # every price is drawn
+        else:
+            raise DomainError(f"unknown cost model {cost_model!r}")
+
+        def price(fixed: Fraction | None) -> Fraction:
+            return fixed if fixed is not None else Fraction(rng.randint(lo_q, hi_q), 4)
+
         for _ in range(n):
-            defaults.append(low)
+            defaults.append(price(low))
             table = {}
+            # One draw per ordered pair even at density 0: later draws depend on it.
             for a in range(m):
                 for b in range(m):
                     if a != b and rng.random() < density:
-                        table[(a, b)] = high
+                        table[(a, b)] = price(high)
             overrides.append(table)
-    elif cost_model[0] == "uniform-range":
-        _, lo, hi = cost_model
-        lo_q, hi_q = int(Fraction(lo) * 4), int(Fraction(hi) * 4)
-        if lo_q > hi_q:
-            raise DomainError("uniform-range needs lo <= hi")
-        for _ in range(n):
-            defaults.append(Fraction(rng.randint(lo_q, hi_q), 4))
-            table = {}
-            for a in range(m):
-                for b in range(m):
-                    if a != b and rng.random() < 0.5:
-                        table[(a, b)] = Fraction(rng.randint(lo_q, hi_q), 4)
-            overrides.append(table)
-    else:
-        raise DomainError(f"unknown cost model {cost_model!r}")
 
     if budget is None:
         budget = Fraction(rng.randint(0, n * k))

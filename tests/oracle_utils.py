@@ -97,7 +97,11 @@ def random_partial_votes(m: int, n: int, seed: int, density: float = 0.4) -> tup
 
 def linear_extensions(vote: PartialVote, cap: int | None = None):
     """All linear extensions of a partial vote, in lexicographic order."""
-    succs, indeg = vote._successors()
+    succs: list[list[int]] = [[] for _ in range(vote.m)]
+    indeg = [0] * vote.m
+    for a, b in vote.pairs:
+        succs[a].append(b)
+        indeg[b] += 1
     prefix: list[int] = []
     used = [False] * vote.m
     count = 0

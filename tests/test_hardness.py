@@ -114,6 +114,17 @@ class TestCliqueGadget:
         with pytest.raises(DomainError):
             multicolored_clique_witness(inst, layout, other)
 
+    def test_witness_rejects_vertices_outside_their_class(self):
+        graph, planted = planted_multicolored_clique([2, 2], seed=1)
+        assert planted == {1: 0, 2: 2}
+        inst, layout = multicolored_clique_instance(graph)
+        # the same two vertices, each named for the other's class
+        with pytest.raises(DomainError, match="one vertex per color class"):
+            multicolored_clique_witness(inst, layout, {1: 2, 2: 0})
+        # a class left out
+        with pytest.raises(DomainError, match="one vertex per color class"):
+            multicolored_clique_witness(inst, layout, {1: 0})
+
     def test_epsilon_appears_in_blocking_pairs(self):
         graph, _ = planted_multicolored_clique([2, 2], seed=10)
         inst, layout = multicolored_clique_instance(graph, epsilon=Fraction(1, 3))

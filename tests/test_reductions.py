@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from swapbribery.core import Election, Vote, VotingRule
+from swapbribery.core import UNIQUE_WINNER, Election, Vote, VotingRule
 from swapbribery.errors import DomainError, PreconditionError, ResourceCapError
 from swapbribery.oracle import brute_topk
 from swapbribery.reductions import (
@@ -66,6 +67,40 @@ class TestPartialVote:
     def test_minimal_extension_is_lexicographic(self):
         vote = PartialVote(4, frozenset({(3, 0)}))
         assert vote.minimal_extension() == (1, 2, 3, 0)
+
+    def test_random_orders_match_brute_force(self):
+        rng = random.Random(26)
+        cyclic = 0
+        for _ in range(400):
+            m = rng.randint(2, 6)
+            order = rng.sample(range(m), m)
+            pairs = {
+                (order[i], order[j])
+                for i in range(m)
+                for j in range(i + 1, m)
+                if rng.random() < 0.3
+            }
+            if rng.random() < 0.1:
+                i, j = rng.sample(range(m), 2)
+                pairs |= {(order[i], order[j]), (order[j], order[i])}
+            # reachability by a walk from every candidate
+            reach = set()
+            for a in range(m):
+                stack = [b for x, b in pairs if x == a]
+                while stack:
+                    b = stack.pop()
+                    if (a, b) not in reach:
+                        reach.add((a, b))
+                        stack.extend(c for x, c in pairs if x == b)
+            if any(a == b for a, b in reach):
+                cyclic += 1
+                with pytest.raises(DomainError):
+                    PartialVote(m, frozenset(pairs))
+                continue
+            vote = PartialVote(m, frozenset(pairs))
+            assert vote.pairs == reach
+            assert vote.minimal_extension() == next(linear_extensions(vote))
+        assert 25 <= cyclic <= 60
 
 
 class TestSbToPw:
@@ -189,3 +224,30 @@ class TestGenRandom:
             4, 2, 2, cost_model=("uniform-range", Fraction(1), Fraction(3)), seed=5
         )
         assert all(1 <= v <= 3 for v in inst.costs.iter_values())
+
+    def test_draws_are_pinned(self):
+        # Each draw depends on how many came before it, so one digest over a
+        # small grid pins their order, prices included (the cost function's
+        # repr shows none). Density 0 still draws once per ordered pair.
+        models = [
+            "unit",
+            ("two-valued", 1, 2, 0.0),
+            ("two-valued", 1, 2, 0.3),
+            ("two-valued", 1, 2, 1.0),
+            ("uniform-range", Fraction(1, 2), 2),
+        ]
+        made = [
+            gen_random(m, n, min(m, 2), cost_model=model, seed=seed)
+            for m in (1, 3, 5)
+            for n in (1, 4)
+            for model in models
+            for seed in (0, 1)
+        ]
+        made.append(gen_random(4, 3, 2, ("two-valued", 1, 2, 0.3), seed=2, budget=2, rule=VotingRule.bucklin()))
+        made.append(gen_random(4, 3, 2, ("uniform-range", 1, 3), seed=3, mode=UNIQUE_WINNER))
+        text = repr([
+            (inst, [(inst.costs.default(v), inst.costs.overrides(v)) for v in range(inst.costs.n_votes)])
+            for inst in made
+        ])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "4f97d902e55fe1e499495137b5b352874d5f01f25d3c0aff7dd64a45d03e7cc4"
