@@ -68,9 +68,6 @@ class ColoredGraph(Graph):
             if self.color_of[u] == self.color_of[v]:
                 raise DomainError(f"edge ({u}, {v}) inside color class {self.color_of[u]}")
 
-    def neighbors_in_class(self, x: int, color: int) -> list[int]:
-        return [y for y in self.color_class(color) if self.has_edge(x, y)]
-
 
 @dataclass(frozen=True)
 class GadgetLayout:
@@ -140,7 +137,7 @@ def multicolored_clique_instance(
     vertices = range(graph.n_vertices)
     classes = {j: graph.color_class(j) for j in levels}
     neighbors = {
-        (x, i): graph.neighbors_in_class(x, i) for x in vertices for i in levels if color[x] != i
+        (x, i): [y for y in classes[i] if graph.has_edge(x, y)] for x in vertices for i in levels if color[x] != i
     }
     base_score = max(2, k * k, *map(len, classes.values()), *map(len, neighbors.values()))
     base_score += base_score % 2

@@ -43,6 +43,11 @@ ELECTION_MAGIC = "sbe 1"
 SOLUTION_MAGIC = "sbs 1"
 PARTIAL_MAGIC = "pwe 1"
 
+# The most votes a file may declare: an election's expanded votes, with
+# multiplicities counted, or a partial-vote file's ``partials``. Read at
+# call time, so a test can lower it.
+MAX_VOTES = 10**6
+
 
 def format_fraction(value: Fraction) -> str:
     value = Fraction(value)
@@ -51,11 +56,14 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_fraction(token: str, line: int) -> Fraction:
+def parse_fraction(token: str, line: int, low: int | None = None) -> Fraction:
+    """A rational ``p`` or ``p/q``, at least ``low`` when given."""
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(line, f"bad rational {token!r}") from None
+    if low is not None and value < low:
+        raise ParseError(line, f"rational {value} is below {low}")
     return value
 
 
@@ -69,19 +77,22 @@ def parse_int(token: str, line: int, low: int | None = None) -> int:
     return value
 
 
-class _Lines:
-    def __init__(self, text: str):
-        stripped = ((no, raw.strip()) for no, raw in enumerate(text.splitlines(), start=1))
-        self.items = [(no, line) for no, line in stripped if line and line[0] != "#"]
-        self.pos = 0
+def _lines(text: str, magic: str | None = None) -> list[tuple[int, str]]:
+    """The numbered lines that are neither blank nor comments; with ``magic``,
+    those after the header line ``magic``."""
+    stripped = ((no, raw.strip()) for no, raw in enumerate(text.splitlines(), start=1))
+    rows = [(no, line) for no, line in stripped if line and line[0] != "#"]
+    if magic is None:
+        return rows
+    if not rows or rows[0][1] != magic:
+        raise ParseError(1, f"expected header {magic!r}")
+    return rows[1:]
 
-    def __iter__(self):
-        return iter(self.items[self.pos :])
 
-    def expect_magic(self, magic: str):
-        if not self.items or self.items[0][1] != magic:
-            raise ParseError(1, f"expected header {magic!r}")
-        self.pos = 1
+def _check_vote_count(count: int, line: int) -> None:
+    """Refuse a file whose votes, up to ``line``, number more than ``MAX_VOTES``."""
+    if count > MAX_VOTES:
+        raise ParseError(line, f"more than {MAX_VOTES} votes")
 
 
 def _parse_rule(parts: list[str], line: int) -> VotingRule:
@@ -224,20 +235,16 @@ def _roster_lines(candidates: tuple[str, ...]) -> list[str]:
 
 def parse_election(text: str) -> BriberyInstance:
     """Parse the election file format into a bribery instance."""
-    lines = _Lines(text)
-    lines.expect_magic(ELECTION_MAGIC)
-
     header = _Header()
     index = header.index
     budget = None
     mode = None
-    vote_rows: dict[int, tuple[int, tuple[int, ...], int]] = {}  # (multiplicity, order, line)
+    vote_rows: dict[int, tuple[int, tuple[int, ...], bool, int]] = {}  # (multiplicity, names, head, line)
+    n_expanded = 0
     cost_defaults: dict[int, Fraction] = {}
     cost_pairs: dict[int, dict[tuple[int, int], Fraction]] = {}
 
-    ids = None  # tuple(range(m)), which every head's tail is drawn from
-
-    for no, raw in lines:
+    for no, raw in _lines(text, ELECTION_MAGIC):
         parts = raw.split()
         key = parts[0]
         if key == "vote":
@@ -250,15 +257,14 @@ def parse_election(text: str) -> BriberyInstance:
             if idx in vote_rows:
                 raise ParseError(no, f"duplicate vote index {idx}")
             mult = parse_int(parts[3], no, low=1)
-            order = _candidate_ids(index, parts[5:], no)
-            if parts[4] == "head":
-                if header.m is None:
-                    raise ParseError(no, "a head vote needs the candidates line before it")
-                if ids is None:
-                    ids = tuple(range(header.m))
-                order = head_then_rest(order, ids)
+            n_expanded += mult
+            _check_vote_count(n_expanded, no)
+            names = _candidate_ids(index, parts[5:], no)
+            head = parts[4] == "head"
+            if head and header.m is None:
+                raise ParseError(no, "a head vote needs the candidates line before it")
             # Election checks that the order is a permutation; its error names this line.
-            vote_rows[idx] = (mult, order, no)
+            vote_rows[idx] = (mult, names, head, no)
         elif key == "costs":
             if len(parts) < 3:
                 raise ParseError(no, "usage: costs <i> default|pair ...")
@@ -266,13 +272,13 @@ def parse_election(text: str) -> BriberyInstance:
             if parts[2] == "default" and len(parts) == 4:
                 if idx in cost_defaults:
                     raise ParseError(no, f"duplicate costs {idx} default")
-                cost_defaults[idx] = parse_fraction(parts[3], no)
+                cost_defaults[idx] = parse_fraction(parts[3], no, low=0)
             elif parts[2] == "pair" and len(parts) == 6:
                 pair = _candidate_ids(index, parts[3:5], no)
                 table = cost_pairs.setdefault(idx, {})
                 if pair in table:
                     raise ParseError(no, f"duplicate costs {idx} pair {parts[3]} {parts[4]}")
-                table[pair] = parse_fraction(parts[5], no)
+                table[pair] = parse_fraction(parts[5], no, low=0)
             else:
                 raise ParseError(no, "usage: costs <i> default <v> | costs <i> pair <a> <b> <v>")
         elif key == "budget":
@@ -298,21 +304,21 @@ def parse_election(text: str) -> BriberyInstance:
         if idx not in vote_rows:
             raise ParseError(1, f"costs reference unknown vote {idx}")
 
-    votes = tuple(Vote(vote_rows[i][1], vote_rows[i][0]) for i in range(len(vote_rows)))
+    ids = tuple(range(len(candidates)))  # every head's tail is drawn from these
+    votes = []
     defaults = []
     overrides = []
-    for i, vote in enumerate(votes):
-        default = cost_defaults.get(i, Fraction(1))
+    for i in range(len(vote_rows)):
+        mult, names, head, _ = vote_rows[i]
+        votes.append(Vote(head_then_rest(names, ids) if head else names, mult))
         table = dict(cost_pairs.get(i, {}))
         for (a, b), value in list(table.items()):
             table.setdefault((b, a), value)
-        if default < 0 or any(v < 0 for v in table.values()):
-            raise ParseError(1, f"negative cost on vote {i}")
-        defaults.extend([default] * vote.multiplicity)
-        overrides.extend([table] * vote.multiplicity)
+        defaults.extend([cost_defaults.get(i, Fraction(1))] * mult)
+        overrides.extend([table] * mult)
 
     try:
-        election = Election(candidates, votes)
+        election = Election(candidates, tuple(votes))
         return BriberyInstance(
             election=election,
             rule=rule,
@@ -322,7 +328,7 @@ def parse_election(text: str) -> BriberyInstance:
             mode=mode or CO_WINNER,
         )
     except RankingError as exc:
-        raise ParseError(vote_rows[exc.vote][2], "vote order must list every candidate once") from None
+        raise ParseError(vote_rows[exc.vote][3], "vote order must list every candidate once") from None
     except DomainError as exc:
         raise ParseError(1, str(exc)) from None
 
@@ -413,8 +419,6 @@ def parse_solution(
     without one keeps its ranking; without it, the targets (if any) must
     cover every expanded vote.
     """
-    lines = _Lines(text)
-    lines.expect_magic(SOLUTION_MAGIC)
     decision = cost = solver = changed = None
     changed_line = outside_line = None
     config: dict[str, str] = {}
@@ -422,7 +426,7 @@ def parse_solution(
     names = {name: i for i, name in enumerate(instance.election.candidates)}
     ids = tuple(range(instance.election.m))
     n = instance.election.n_expanded
-    for no, raw in lines:
+    for no, raw in _lines(text, SOLUTION_MAGIC):
         parts = raw.split()
         key = parts[0]
         if key in ("target", "target-head") and len(parts) >= 2:
@@ -482,16 +486,15 @@ def serialize_partial(pw: PossibleWinnerInstance) -> str:
 
 
 def parse_partial(text: str) -> PossibleWinnerInstance:
-    lines = _Lines(text)
-    lines.expect_magic(PARTIAL_MAGIC)
     header = _Header()
     n_votes = None
     pairs: dict[int, set[tuple[int, int]]] = {}
-    for no, raw in lines:
+    for no, raw in _lines(text, PARTIAL_MAGIC):
         parts = raw.split()
         if parts[0] == "partials" and len(parts) == 2:
             _once(n_votes, "partials", no)
             n_votes = parse_int(parts[1], no, low=0)
+            _check_vote_count(n_votes, no)
         elif parts[0] == "partial" and len(parts) == 5 and parts[2] == "pair":
             idx = parse_int(parts[1], no, low=0)
             if n_votes is None or idx >= n_votes:
@@ -512,8 +515,7 @@ def parse_partial(text: str) -> PossibleWinnerInstance:
 def parse_graph(text: str) -> Graph | ColoredGraph:
     """Graph format: ``graph N M [k]``, M ``u v`` edge lines, then for
     colored graphs one ``color u c`` line per vertex."""
-    lines = _Lines(text)
-    rows = list(lines)
+    rows = _lines(text)
     if not rows or rows[0][1].split()[0] != "graph":
         raise ParseError(1, "expected header 'graph N M [k]'")
     line, head = rows[0][0], rows[0][1].split()

@@ -40,8 +40,7 @@ class KernelOutput:
     """A kernel instance plus bookkeeping tying it back to the original."""
 
     instance: BriberyInstance
-    dummies: frozenset[int]  # kernel indices of dummy candidates
-    provenance: tuple[int | None, ...]  # kernel index -> original index
+    provenance: tuple[int | None, ...]  # kernel index -> original index, None for a dummy
 
 
 def _check_preconditions(instance: BriberyInstance) -> int:
@@ -62,8 +61,8 @@ def relevant_candidates(instance: BriberyInstance) -> frozenset[int]:
     k = instance.rule.k
     lo = max(0, k - beta)  # 0-based window start (position k-beta+1)
     found: set[int] = set()
-    for ranking in instance.election.expanded():
-        found.update(ranking[lo : k + beta])
+    for vote in instance.election.votes:
+        found.update(vote.ranking[lo : k + beta])
     return frozenset(found)
 
 
@@ -95,8 +94,8 @@ def truncation_kernel(instance: BriberyInstance) -> BriberyInstance:
     k = instance.rule.k
     election = instance.election
     kept_set: set[int] = {instance.preferred}
-    for ranking in election.expanded():
-        kept_set.update(ranking[: k + beta])
+    for vote in election.votes:
+        kept_set.update(vote.ranking[: k + beta])
     kept = sorted(kept_set)
     if len(kept) > (k + beta) * election.n_expanded + 1:
         raise AssertionError("truncation kernel exceeds its candidate bound")
@@ -136,7 +135,9 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
     # Head dummies keep one point each, so they tie a preferred candidate
     # that wins uniquely with one point; only a lone 1-approval vote lets it.
     if k <= beta or (instance.unique_mode and n * k == 1):
-        return _kernelize_by_truncation(instance, beta)
+        kernel = truncation_kernel(instance)
+        _check_kernel_bounds(kernel.election.n_expanded, kernel.election.m, n, beta)
+        return KernelOutput(kernel, truncation_provenance(instance, kernel))
 
     relevant = relevant_candidates(instance)
     original_scores = scores(election, instance.rule)
@@ -208,22 +209,10 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
         budget=instance.budget,
         mode=instance.mode,
     )
-    provenance = tuple(kept) + (None,) * (m_kernel - len(kept))
-    return KernelOutput(
-        instance=kernel,
-        dummies=frozenset(range(len(kept), m_kernel)),
-        provenance=provenance,
-    )
+    return KernelOutput(kernel, tuple(kept) + (None,) * (m_kernel - len(kept)))
 
 
 def _check_kernel_bounds(n_votes: int, m_kernel: int, n: int, beta: int) -> None:
     """The kernel's size bounds: (2nb+3)n votes, n+(2nb+2)(2nb+1) candidates."""
     if n_votes > (2 * n * beta + 3) * n or m_kernel > n + (2 * n * beta + 2) * (2 * n * beta + 1):
         raise AssertionError(f"kernel of {n_votes} votes and {m_kernel} candidates exceeds its bounds")
-
-
-def _kernelize_by_truncation(instance: BriberyInstance, beta: int) -> KernelOutput:
-    """Fallback when the window construction does not apply: the truncation kernel, repackaged."""
-    kernel = truncation_kernel(instance)
-    _check_kernel_bounds(kernel.election.n_expanded, kernel.election.m, instance.election.n_expanded, beta)
-    return KernelOutput(kernel, frozenset(), truncation_provenance(instance, kernel))

@@ -118,7 +118,7 @@ class SwapCostFunction:
         return self._defaults == other._defaults and self._overrides == other._overrides
 
     def __repr__(self):
-        return f"SwapCostFunction(n_votes={self.n_votes})"
+        return f"SwapCostFunction({self._defaults!r}, {self._overrides!r})"
 
 
 @dataclass(frozen=True)
@@ -326,19 +326,12 @@ def move_to_top_cost(
     costs: SwapCostFunction,
     vote: int,
 ) -> Fraction:
-    """Minimum cost of any bribery putting exactly ``chosen`` in the top k."""
+    """Minimum cost of any bribery putting exactly ``chosen`` in the top k:
+    the price of ``move_to_top_target``."""
     chosen = frozenset(chosen)
     if len(chosen) != k:
         raise DomainError(f"chosen set must have exactly k={k} candidates")
-    total = 0
-    seen_outside: list[int] = []
-    for c in ranking:
-        if c in chosen:
-            for a in seen_outside:
-                total += costs.cost(vote, a, c)
-        else:
-            seen_outside.append(c)
-    return total
+    return transform_cost(ranking, move_to_top_target(ranking, chosen), costs, vote)
 
 
 @dataclass(frozen=True)

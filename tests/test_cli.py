@@ -76,6 +76,16 @@ def test_solve_reports_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_vote_count_past_the_bound_is_an_error_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "huge.sbe"
+    path.write_text(
+        "sbe 1\ncandidates 2\ncandidate 0 a\ncandidate 1 p\nrule k-approval 1\nbudget 1\npreferred p\n"
+        "vote 0 multiplicity 1000000000000000000 order a p\n"
+    )
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 8: more than 1000000 votes\n"
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 FRESH = "import sys; from swapbribery.cli import main; sys.exit(main(sys.argv[1:]))"
 

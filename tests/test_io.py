@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swapbribery import io as sbio
 from swapbribery.errors import DomainError, ParseError
 from swapbribery.hardness import (
     ColoredGraph,
@@ -133,6 +134,30 @@ def test_head_vote_before_the_candidates_line_is_refused():
     with pytest.raises(ParseError) as info:
         parse_election(text)
     assert str(info.value) == "line 2: a head vote needs the candidates line before it"
+
+
+@pytest.mark.parametrize("extra", ["costs 0 pair a p -2", "costs 0 default -1/2"])
+def test_negative_cost_is_refused_on_its_own_line(extra):
+    with pytest.raises(ParseError) as info:
+        parse_election(MINIMAL + extra + "\n")
+    assert str(info.value) == f"line 9: rational {extra.split()[-1]} is below 0"
+
+
+def test_head_vote_waits_for_the_roster_it_draws_its_tail_from():
+    # the roster check fails before a tail of range(10**14) is built
+    text = MINIMAL.replace("candidates 2", "candidates 100000000000000").replace("order a p", "head p")
+    with pytest.raises(ParseError) as info:
+        parse_election(text)
+    assert str(info.value) == "line 1: candidate count and candidate lines disagree"
+
+
+def test_votes_are_counted_with_their_multiplicities(monkeypatch):
+    monkeypatch.setattr(sbio, "MAX_VOTES", 5)
+    text = MINIMAL.replace("multiplicity 1", "multiplicity 2") + "vote 1 multiplicity 3 head p\n"
+    assert parse_election(text).election.n_expanded == 5
+    with pytest.raises(ParseError) as info:
+        parse_election(text.replace("multiplicity 3", "multiplicity 4"))
+    assert str(info.value) == "line 9: more than 5 votes"
 
 
 @pytest.mark.parametrize(
@@ -397,6 +422,14 @@ def test_partial_files_get_the_election_checks(mangle, line, message):
     with pytest.raises(ParseError) as info:
         parse_partial(mangle(PARTIAL))
     assert str(info.value) == f"line {line}: {message}"
+
+
+def test_partials_count_is_bounded(monkeypatch):
+    monkeypatch.setattr(sbio, "MAX_VOTES", 5)
+    assert len(parse_partial(PARTIAL.replace("partials 1", "partials 5")).votes) == 5
+    with pytest.raises(ParseError) as info:
+        parse_partial(PARTIAL.replace("partials 1", "partials 6"))
+    assert str(info.value) == "line 8: more than 5 votes"
 
 
 def test_partial_round_trip():

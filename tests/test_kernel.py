@@ -99,7 +99,8 @@ class TestKernelize:
             out = kernelize(inst)
             totals = scores(out.instance.election, out.instance.rule)
             heads = set()
-            for kernel_c in out.dummies:
+            dummies = [c for c, orig in enumerate(out.provenance) if orig is None]
+            for kernel_c in dummies:
                 assert totals[kernel_c] <= 1
                 appearances = [
                     v

@@ -228,7 +228,8 @@ class TestGenRandom:
     def test_draws_are_pinned(self):
         # Each draw depends on how many came before it, so one digest over a
         # small grid pins their order, prices included (the cost function's
-        # repr shows none). Density 0 still draws once per ordered pair.
+        # repr shows every default and override). Density 0 still draws once
+        # per ordered pair.
         models = [
             "unit",
             ("two-valued", 1, 2, 0.0),
@@ -245,9 +246,5 @@ class TestGenRandom:
         ]
         made.append(gen_random(4, 3, 2, ("two-valued", 1, 2, 0.3), seed=2, budget=2, rule=VotingRule.bucklin()))
         made.append(gen_random(4, 3, 2, ("uniform-range", 1, 3), seed=3, mode=UNIQUE_WINNER))
-        text = repr([
-            (inst, [(inst.costs.default(v), inst.costs.overrides(v)) for v in range(inst.costs.n_votes)])
-            for inst in made
-        ])
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "4f97d902e55fe1e499495137b5b352874d5f01f25d3c0aff7dd64a45d03e7cc4"
+        digest = hashlib.sha256(repr(made).encode()).hexdigest()
+        assert digest == "0feb5708caf7e0903aa38ef4a283d0944b8b0d9dff899b948ddf69cad06ab0eb"
