@@ -22,7 +22,7 @@ from itertools import combinations, product
 from typing import Iterator
 
 from . import _search
-from .core import K_APPROVAL
+from .core import K_APPROVAL, head_then_rest
 from .errors import DomainError, ResourceCapError
 from .oracle import check_topk_cap, topk_options
 from .swaps import Bribery, BriberyInstance, SolveResult, move_to_top_target, verify_bribery, vote_classes
@@ -131,7 +131,7 @@ def solve_color_coding(
 
     preferred = instance.preferred
     others = [c for c in range(m) if c != preferred]
-    rankings = instance.election.expanded_list()
+    rankings = [head_then_rest(r, m) for r in instance.election.expanded()]
     _, prices, budget = instance.integer_prices()
     # Cheapest first, ties in ascending candidate order, so the first subset
     # of a color set is the one to take; the votes of a class share one list.

@@ -3,12 +3,22 @@
 Candidates are dense integer indices ``0..m-1`` with display names kept on
 the election roster. A ranking is a tuple of candidate indices, best first.
 All values are immutable; every operation is a pure function.
+
+A ranking may also be given as its head: distinct ids that every other id
+follows in increasing order. An election holds each vote in one stored
+form, decided by ``stored_ranking``: the head before the ranking's longest
+increasing tail when that tail is at least max(32, ceil(m/2)) long, as in
+the clique gadget, else the full tuple. With m < 32 every ranking is stored
+in full. So equal elections hold equal votes, and the file format writes
+each vote as it is stored. ``ranking_prefix`` reads the first positions of
+a stored ranking without building its tail; ``head_then_rest`` builds the
+full ranking, for the solvers that walk every position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, filterfalse, islice
 from typing import Iterator, Sequence
 
 from .errors import DomainError, RankingError, UnsupportedRuleError
@@ -93,16 +103,18 @@ class Election:
             raise DomainError("candidate names must be unique")
         if not self.votes:
             raise DomainError("election needs at least one vote")
-        # The one permutation check of a vote: parse_election names the
-        # file line of the vote this error reports.
-        full = list(range(m))
-        for i, vote in enumerate(self.votes):
+        # The one check of a vote: parse_election names the file line of
+        # the vote this error reports.
+        votes = list(self.votes)
+        for i, vote in enumerate(votes):
             try:
-                ok = len(vote.ranking) == m and sorted(vote.ranking) == full
-            except TypeError:  # entries that do not compare, so are no candidate ids
-                ok = False
-            if not ok:
-                raise RankingError(i, f"vote {vote.ranking} is not a permutation of 0..{m - 1}")
+                ranking = stored_ranking(vote.ranking, m)
+            except DomainError:
+                message = f"vote {vote.ranking} is not a permutation of 0..{m - 1} or a head of one"
+                raise RankingError(i, message) from None
+            if ranking is not vote.ranking:
+                votes[i] = Vote(ranking, vote.multiplicity)
+        object.__setattr__(self, "votes", tuple(votes))
 
     @property
     def m(self) -> int:
@@ -113,7 +125,7 @@ class Election:
         return sum(v.multiplicity for v in self.votes)
 
     def expanded(self) -> Iterator[Ranking]:
-        """Rankings with multiplicities unrolled, in declaration order."""
+        """Stored rankings with multiplicities unrolled, in declaration order."""
         for vote in self.votes:
             for _ in range(vote.multiplicity):
                 yield vote.ranking
@@ -122,23 +134,67 @@ class Election:
         return list(self.expanded())
 
 
-def head_then_rest(head: Sequence[int], ids: tuple[int, ...]) -> Ranking:
-    """``head``, then every other id of ``ids`` in increasing order.
+def stored_ranking(ranking: Sequence[int], m: int) -> Ranking:
+    """The stored form of a ranking of ``0..m-1``, given in full or as a head.
 
-    ``ids`` is ``tuple(range(m))``, built once and shared by every vote; the
-    tail is one ``compress`` over it, with the head masked out.
+    That is the head before its longest increasing tail when the tail is at
+    least max(32, ceil(m/2)) long, else the full ranking. A head costs
+    O(len(head)), since its tail starts at the least id it leaves out.
+    Raises DomainError when ``ranking`` is neither a permutation nor a head.
     """
-    mask = bytearray(b"\1") * len(ids)
-    for c in head:
+    r = ranking if type(ranking) is tuple else tuple(ranking)
+    least = max(32, (m + 1) // 2)  # the shortest tail a stored ranking leaves out
+    try:
+        if len(r) == m:
+            if sorted(r) != list(range(m)):
+                raise DomainError(f"{r} is not a permutation of 0..{m - 1}")
+            if m < least or list(r[m - least :]) != sorted(r[m - least :]):
+                return r
+            h = m - least
+            while h and r[h - 1] < r[h]:
+                h -= 1
+            return r[:h]
+        named = bytearray(m)
+        for c in r:
+            named[c] = 1
+    except (TypeError, IndexError):  # entries that are no candidate ids
+        raise DomainError(f"{r} is not a ranking of 0..{m - 1}") from None
+    if (r and min(r) < 0) or named.count(1) != len(r):
+        raise DomainError(f"{r} is not a head of a ranking of 0..{m - 1}")
+    first = named.find(0)  # the least id the head leaves out, which starts its tail
+    h = len(r)
+    while h and r[h - 1] < first:
+        h -= 1
+        first = r[h]
+    if m - h < least:
+        return head_then_rest(r, m)
+    return r if h == len(r) else r[:h]
+
+
+def head_then_rest(ranking: Sequence[int], m: int) -> Ranking:
+    """The full ranking of a stored one: its head, then every other id of
+    ``0..m-1`` in increasing order. The one place a tail is built."""
+    if len(ranking) == m:
+        return tuple(ranking)
+    mask = bytearray(b"\1") * m
+    for c in ranking:
         mask[c] = 0
-    return (*head, *compress(ids, mask))
+    return (*ranking, *compress(range(m), mask))
+
+
+def ranking_prefix(ranking: Sequence[int], depth: int, m: int) -> Ranking:
+    """The first ``depth`` positions of a stored ranking, in O(len(ranking) + depth)."""
+    if len(ranking) >= depth or len(ranking) == m:
+        return ranking[:depth]
+    rest = filterfalse(set(ranking).__contains__, range(m))
+    return (*ranking, *islice(rest, depth - len(ranking)))
 
 
 def _approvals(weighted: list[tuple[Ranking, int]], m: int, depth: int) -> list[int]:
     """Weight of the rankings that place each candidate within the first ``depth``."""
     totals = [0] * m
     for ranking, weight in weighted:
-        for c in ranking[:depth]:
+        for c in ranking_prefix(ranking, depth, m):
             totals[c] += weight
     return totals
 
@@ -154,9 +210,10 @@ def _bucklin_round(weighted: list[tuple[Ranking, int]], m: int) -> list[int]:
 
 
 def _tally(weighted: list[tuple[Ranking, int]], m: int, rule: VotingRule) -> list[int]:
-    """Per-candidate totals over (ranking, weight) pairs; Bucklin's at its winning round."""
+    """Per-candidate totals over (stored ranking, weight) pairs; Bucklin's at its winning round."""
     if rule.kind == K_APPROVAL:
         return _approvals(weighted, m, rule.k)
+    weighted = [(head_then_rest(ranking, m), weight) for ranking, weight in weighted]
     if rule.kind == SCORING:
         totals = [0] * m
         for ranking, weight in weighted:
@@ -190,5 +247,5 @@ def winners(election: Election, rule: VotingRule) -> frozenset[int]:
 
 
 def winners_of_rankings(rankings, m: int, rule: VotingRule) -> frozenset[int]:
-    """Winner set for a plain list of expanded rankings (multiplicity 1 each)."""
+    """Winner set for a plain list of expanded stored rankings (multiplicity 1 each)."""
     return _argmax(_tally([(r, 1) for r in rankings], m, rule))

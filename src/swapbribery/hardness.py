@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
 
-from .core import CO_WINNER, Election, Vote, VotingRule, head_then_rest, scores
+from .core import CO_WINNER, Election, Vote, VotingRule, scores
 from .errors import DomainError
 from .swaps import Bribery, BriberyInstance, SwapCostFunction
 
@@ -165,8 +165,8 @@ def multicolored_clique_instance(
     transporters = count(1)
 
     # Heads are the first budget+2 positions of each vote; everything else
-    # is appended in index order once the roster is complete. A vote head
-    # shorter than budget+2 is padded with guards (rotating through the
+    # follows in index order, and the election stores only the head. A vote
+    # head shorter than budget+2 is padded with guards (rotating through the
     # guard list), which can never score outside the guard votes.
     guard_ptr = 0
 
@@ -271,12 +271,11 @@ def multicolored_clique_instance(
         add_init(q, base_score - 1)
 
     # Assemble: guard votes, initializing votes, then the body.
-    ids = tuple(range(len(names)))
     pairs = base_score // 2
     first = n_guards * pairs + len(init)
-    votes = [Vote(head_then_rest(guards[g:] + guards[:g], ids), pairs) for g in range(n_guards)]
-    votes += [Vote(head_then_rest(head, ids)) for head in init]
-    votes += [Vote(head_then_rest(head, ids)) for head, _ in body]
+    votes = [Vote((*guards[g:], *guards[:g]), pairs) for g in range(n_guards)]
+    votes += [Vote(tuple(head)) for head in init]
+    votes += [Vote(tuple(head)) for head, _ in body]
     overrides = [{}] * first + [table for _, table in body]
 
     instance = BriberyInstance(

@@ -13,13 +13,15 @@ names, in one ``operator.itemgetter`` call.
 
 A ``vote i multiplicity w head <names>`` or ``target-head i <names>`` line
 names a ranking's head; every other candidate follows in increasing id
-order. The writer uses it where the tail it drops is at least max(32, m/2)
-names long, as in the clique gadget, and in no random instance.
+order. The writer writes each ranking as ``core.stored_ranking`` holds it in
+memory: as its head where the tail it drops is at least max(32, m/2) names
+long, as in the clique gadget, and in no random instance; else in full. A
+parsed head is stored as read when it is already in that form, so reading
+it costs O(len(head)), not O(m).
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import itemgetter
 
@@ -31,7 +33,7 @@ from .core import (
     Election,
     Vote,
     VotingRule,
-    head_then_rest,
+    stored_ranking,
 )
 from .errors import DomainError, ParseError, RankingError
 from .flow import FlowNetwork
@@ -47,6 +49,11 @@ PARTIAL_MAGIC = "pwe 1"
 # multiplicities counted, or a partial-vote file's ``partials``. Read at
 # call time, so a test can lower it.
 MAX_VOTES = 10**6
+
+# The most vertices a graph file may declare. Read at call time, as
+# MAX_VOTES is. ``generate clique-single-vote`` prices every vertex pair,
+# so it takes about 1 s at this bound and about 17 s at four times it.
+MAX_VERTICES = 1000
 
 
 def format_fraction(value: Fraction) -> str:
@@ -68,8 +75,9 @@ def parse_fraction(token: str, line: int, low: int | None = None) -> Fraction:
 
 
 def parse_int(token: str, line: int, low: int | None = None) -> int:
-    """A decimal integer of ASCII digits, at least ``low`` when given."""
-    if not re.fullmatch(r"-?[0-9]+", token):
+    """A decimal integer: an optional ``-``, then ASCII digits. At least ``low`` when given."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
         raise ParseError(line, f"bad integer {token!r}")
     value = int(token)
     if low is not None and value < low:
@@ -139,37 +147,9 @@ def _names_text(names: tuple[str, ...], ids: tuple[int, ...]) -> str:
     return " ".join(names[c] for c in ids)
 
 
-def _head_length(ranking: tuple[int, ...], least_tail: int = 1) -> int | None:
-    """The length of ``ranking`` before its longest suffix in increasing
-    order, or None when that suffix is shorter than ``least_tail``.
-
-    Past ``least_tail``, the suffix grows by binary lifting: each check sorts
-    only the stretch a step would add, plus the one entry that joins it to
-    the suffix, so the work is linear in m and done in C.
-    """
-    m = len(ranking)
-
-    def rising(start: int, stop: int) -> bool:
-        stretch = ranking[start:stop]
-        return list(stretch) == sorted(stretch)
-
-    tail = max(1, least_tail)
-    if tail > m or not rising(m - tail, m):
-        return None
-    step = 1 << (m - tail).bit_length()
-    while step > 1:
-        step //= 2
-        if step <= m - tail and rising(m - tail - step, m - tail + 1):
-            tail += step
-    return m - tail
-
-
 def _written_names(names: tuple[str, ...], ranking: tuple[int, ...]) -> tuple[bool, str]:
-    """Whether ``ranking`` is written as its head, and the names written:
-    the head when the tail it drops is at least max(32, m/2) names long,
-    else the whole ranking."""
-    h = _head_length(ranking, max(32, (len(ranking) + 1) // 2))
-    return h is not None, _names_text(names, ranking if h is None else ranking[:h])
+    """Whether a stored ranking is a head, and the names written: the ranking as stored."""
+    return len(ranking) < len(names), _names_text(names, ranking)
 
 
 def _once(value, key: str, line: int):
@@ -239,7 +219,7 @@ def parse_election(text: str) -> BriberyInstance:
     index = header.index
     budget = None
     mode = None
-    vote_rows: dict[int, tuple[int, tuple[int, ...], bool, int]] = {}  # (multiplicity, names, head, line)
+    vote_rows: dict[int, tuple[int, tuple[int, ...], int]] = {}  # (multiplicity, names, line)
     n_expanded = 0
     cost_defaults: dict[int, Fraction] = {}
     cost_pairs: dict[int, dict[tuple[int, int], Fraction]] = {}
@@ -263,8 +243,10 @@ def parse_election(text: str) -> BriberyInstance:
             head = parts[4] == "head"
             if head and header.m is None:
                 raise ParseError(no, "a head vote needs the candidates line before it")
-            # Election checks that the order is a permutation; its error names this line.
-            vote_rows[idx] = (mult, names, head, no)
+            if not head and len(names) != header.m:  # names resolve only once the roster has begun
+                raise ParseError(no, "vote order must list every candidate once")
+            # Election checks the rest of an order, and a head; its error names this line.
+            vote_rows[idx] = (mult, names, no)
         elif key == "costs":
             if len(parts) < 3:
                 raise ParseError(no, "usage: costs <i> default|pair ...")
@@ -304,13 +286,12 @@ def parse_election(text: str) -> BriberyInstance:
         if idx not in vote_rows:
             raise ParseError(1, f"costs reference unknown vote {idx}")
 
-    ids = tuple(range(len(candidates)))  # every head's tail is drawn from these
     votes = []
     defaults = []
     overrides = []
     for i in range(len(vote_rows)):
-        mult, names, head, _ = vote_rows[i]
-        votes.append(Vote(head_then_rest(names, ids) if head else names, mult))
+        mult, names, _ = vote_rows[i]
+        votes.append(Vote(names, mult))
         table = dict(cost_pairs.get(i, {}))
         for (a, b), value in list(table.items()):
             table.setdefault((b, a), value)
@@ -328,7 +309,7 @@ def parse_election(text: str) -> BriberyInstance:
             mode=mode or CO_WINNER,
         )
     except RankingError as exc:
-        raise ParseError(vote_rows[exc.vote][3], "vote order must list every candidate once") from None
+        raise ParseError(vote_rows[exc.vote][2], "vote order must list every candidate once") from None
     except DomainError as exc:
         raise ParseError(1, str(exc)) from None
 
@@ -400,14 +381,29 @@ def serialize_solution(
         rankings = instance.election.expanded_list()
         if len(bribery.targets) != len(rankings):
             raise DomainError(f"bribery covers {len(bribery.targets)} votes, expected {len(rankings)}")
-        changed = [(i, target) for i, (ranking, target) in enumerate(zip(rankings, bribery.targets))
-                   if target != ranking]
+        changed = []  # (vote, its target as stored), where the two differ as rankings
+        for i, (ranking, target) in enumerate(zip(rankings, bribery.targets)):
+            if target != ranking:
+                target = stored_ranking(target, instance.election.m)
+                if target != ranking:
+                    changed.append((i, target))
         out.append(f"changed {len(changed)}")
         names = instance.election.candidates
         for i, target in changed:
             as_head, text = _written_names(names, target)
             out.append(f"{'target-head' if as_head else 'target'} {i} {text}".rstrip())
     return "\n".join(out) + "\n"
+
+
+def _stored_target(ids: tuple[int, ...], full: bool, m: int) -> tuple[int, ...] | None:
+    """The ranking a ``target`` (``full``) or ``target-head`` line names, as
+    stored; None when the line names no ranking."""
+    if full and len(ids) != m:
+        return None
+    try:
+        return stored_ranking(ids, m)
+    except DomainError:
+        return None
 
 
 def parse_solution(
@@ -420,11 +416,11 @@ def parse_solution(
     cover every expanded vote.
     """
     decision = cost = solver = changed = None
-    changed_line = outside_line = None
+    changed_line = outside_line = bad_line = None
     config: dict[str, str] = {}
     targets: dict[int, tuple[int, ...]] = {}
     names = {name: i for i, name in enumerate(instance.election.candidates)}
-    ids = tuple(range(instance.election.m))
+    m = instance.election.m
     n = instance.election.n_expanded
     for no, raw in _lines(text, SOLUTION_MAGIC):
         parts = raw.split()
@@ -435,8 +431,9 @@ def parse_solution(
                 raise ParseError(no, f"duplicate target index {idx}")
             if idx >= n and outside_line is None:
                 outside_line = no
-            target = _candidate_ids(names, parts[2:], no)
-            targets[idx] = target if key == "target" else head_then_rest(target, ids)
+            targets[idx] = _stored_target(_candidate_ids(names, parts[2:], no), key == "target", m)
+            if targets[idx] is None and bad_line is None:
+                bad_line = no
         elif key == "decision" and len(parts) == 2 and parts[1] in ("yes", "no"):
             _once(decision, key, no)
             decision = parts[1] == "yes"
@@ -457,6 +454,8 @@ def parse_solution(
             raise ParseError(no, f"unknown key {key!r}")
     if decision is None:
         raise ParseError(1, "solution file needs a decision line")
+    if bad_line is not None:
+        raise ParseError(bad_line, "target must list every candidate once")
     bribery = None
     if changed is not None:
         if outside_line is not None:
@@ -522,6 +521,8 @@ def parse_graph(text: str) -> Graph | ColoredGraph:
     if len(head) not in (3, 4):
         raise ParseError(line, "expected header 'graph N M [k]'")
     n, m_edges = parse_int(head[1], line, low=0), parse_int(head[2], line, low=0)
+    if n > MAX_VERTICES:
+        raise ParseError(line, f"more than {MAX_VERTICES} vertices")
     k = parse_int(head[3], line, low=1) if len(head) == 4 else None
     edges = set()
     colors: dict[int, int] = {}

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .core import Election, K_APPROVAL, Vote, VotingRule, head_then_rest, scores
+from .core import Election, K_APPROVAL, Vote, VotingRule, ranking_prefix, scores
 from .errors import DomainError, PreconditionError
 from .swaps import BriberyInstance, SwapCostFunction
 
@@ -60,9 +60,10 @@ def relevant_candidates(instance: BriberyInstance) -> frozenset[int]:
     beta = _check_preconditions(instance)
     k = instance.rule.k
     lo = max(0, k - beta)  # 0-based window start (position k-beta+1)
+    m = instance.election.m
     found: set[int] = set()
     for vote in instance.election.votes:
-        found.update(vote.ranking[lo : k + beta])
+        found.update(ranking_prefix(vote.ranking, k + beta, m)[lo:])
     return frozenset(found)
 
 
@@ -95,7 +96,7 @@ def truncation_kernel(instance: BriberyInstance) -> BriberyInstance:
     election = instance.election
     kept_set: set[int] = {instance.preferred}
     for vote in election.votes:
-        kept_set.update(vote.ranking[: k + beta])
+        kept_set.update(ranking_prefix(vote.ranking, k + beta, election.m))
     kept = sorted(kept_set)
     if len(kept) > (k + beta) * election.n_expanded + 1:
         raise AssertionError("truncation kernel exceeds its candidate bound")
@@ -103,6 +104,8 @@ def truncation_kernel(instance: BriberyInstance) -> BriberyInstance:
         return instance  # identity renumbering, every override kept: a rebuild would equal it
     mapping = {orig: new for new, orig in enumerate(kept)}
 
+    # ``mapping`` keeps the order of ids, so a stored head restricts to the
+    # head of the restricted ranking: its tail stays increasing.
     votes = tuple(
         Vote(tuple(map(mapping.__getitem__, filter(kept_set.__contains__, v.ranking))), v.multiplicity)
         for v in election.votes
@@ -165,7 +168,7 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
     new_k = beta + 1
     lo = k - beta  # 0-based window start; positive since k > beta
     heads = [
-        [new_dummy()] + [mapping[c] for c in ranking[lo : k + beta]]
+        [new_dummy()] + [mapping[c] for c in ranking_prefix(ranking, k + beta, election.m)[lo:]]
         for ranking in election.expanded_list()
     ]
     defaults, head_costs = _restricted_prices(instance.costs, mapping)
@@ -187,14 +190,12 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
             head_costs.append({})
 
     m_kernel = len(names)
-    ids = tuple(range(m_kernel))
     votes = []
     for head, prices in zip(heads, head_costs):
-        ranking = head_then_rest(head, ids)
         # below a window cut short by its vote's end, keep the tail out of reach
-        for t in ranking[len(head) : 2 * beta + 1]:
+        for t in ranking_prefix(head, 2 * beta + 1, m_kernel)[len(head) :]:
             prices.update(((x, t), Fraction(beta + 1)) for x in head)
-        votes.append(Vote(ranking))
+        votes.append(Vote(tuple(head)))
 
     kernel_election = Election(tuple(names), tuple(votes))
     kernel_costs = SwapCostFunction(defaults, head_costs)

@@ -28,7 +28,7 @@ from itertools import permutations
 from math import comb, factorial
 
 from . import _search
-from .core import BUCKLIN, K_APPROVAL, Ranking
+from .core import BUCKLIN, K_APPROVAL, Ranking, head_then_rest
 from .errors import DomainError, ResourceCapError
 from .swaps import (
     Bribery,
@@ -232,9 +232,8 @@ def brute_topk(
     k = instance.rule.k
     election = instance.election
     m = election.m
-    rankings = election.expanded_list()
 
-    check_topk_cap(len(rankings), m, k, caps)
+    check_topk_cap(election.n_expanded, m, k, caps)
 
     scale, prices, budget = instance.integer_prices()
     budget_cap = budget if prune_to_budget else None
@@ -248,7 +247,7 @@ def brute_topk(
         return SolveResult(False, None, None)
     optimum, chosen = hit
     targets = tuple(
-        move_to_top_target(r, frozenset(cands)) for r, cands in zip(rankings, chosen)
+        move_to_top_target(head_then_rest(r, m), frozenset(cands)) for r, cands in zip(election.expanded(), chosen)
     )
     return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(targets))
 

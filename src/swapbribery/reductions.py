@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CO_WINNER, Election, Ranking, Vote, VotingRule
+from .core import CO_WINNER, Election, Ranking, Vote, VotingRule, head_then_rest
 from .errors import DomainError, PreconditionError
 from .swaps import BriberyInstance, SwapCostFunction
 
@@ -98,6 +98,7 @@ def sb_to_pw(instance: BriberyInstance) -> PossibleWinnerInstance:
     m = instance.election.m
     partials = []
     for idx, ranking in enumerate(instance.election.expanded()):
+        ranking = head_then_rest(ranking, m)
         pairs = set()
         for i in range(m):
             for j in range(i + 1, m):

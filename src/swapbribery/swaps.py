@@ -23,6 +23,9 @@ from .core import (
     Election,
     Ranking,
     VotingRule,
+    head_then_rest,
+    ranking_prefix,
+    stored_ranking,
     winners_of_rankings,
 )
 from .errors import DomainError
@@ -123,7 +126,12 @@ class SwapCostFunction:
 
 @dataclass(frozen=True)
 class Bribery:
-    """A bribery, canonically represented by per-expanded-vote target rankings."""
+    """A bribery, canonically represented by per-expanded-vote target rankings.
+
+    A target may be given in full or as a head (``core.stored_ranking``);
+    ``verify_bribery`` and the solution writer compare it with its vote in
+    stored form, and ``parse_solution`` reads every target in that form.
+    """
 
     targets: tuple[Ranking, ...]
 
@@ -189,7 +197,7 @@ class BriberyInstance:
         return self.mode == UNIQUE_WINNER
 
     def preferred_wins(self, rankings) -> bool:
-        """Whether the preferred candidate wins these expanded rankings in this mode."""
+        """Whether the preferred candidate wins these expanded rankings, full or heads, in this mode."""
         winning = winners_of_rankings(rankings, self.election.m, self.rule)
         if self.unique_mode:
             return winning == frozenset({self.preferred})
@@ -214,7 +222,8 @@ def vote_classes(instance: BriberyInstance, prices: SwapCostFunction) -> list[Vo
     for v, ranking in enumerate(instance.election.expanded()):
         key = (ranking, prices.default(v), frozenset(prices.overrides(v).items()))
         groups.setdefault(key, []).append(v)
-    return [VoteClass(ranking, price, tuple(votes)) for (ranking, price, _), votes in groups.items()]
+    m = instance.election.m
+    return [VoteClass(head_then_rest(ranking, m), price, tuple(votes)) for (ranking, price, _), votes in groups.items()]
 
 
 def _count_inversions(seq: Iterable[int]) -> int:
@@ -347,21 +356,42 @@ class VerifyReport:
         return self.preferred_wins and self.within_budget
 
 
+def _stored_cost(src: Ranking, dst: Ranking, m: int, costs: SwapCostFunction, vote: int) -> Fraction:
+    """``transform_cost`` between two stored rankings of ``0..m-1``.
+
+    Where their first ``depth`` positions hold the same candidates, the two
+    agree on every later one, so only those positions are priced.
+    """
+    depth = max(len(src), len(dst))
+    if depth < m:
+        src_head, dst_head = ranking_prefix(src, depth, m), ranking_prefix(dst, depth, m)
+        if set(src_head) == set(dst_head):
+            return transform_cost(src_head, dst_head, costs, vote)
+    return transform_cost(head_then_rest(src, m), head_then_rest(dst, m), costs, vote)
+
+
 def verify_bribery(instance: BriberyInstance, bribery: Bribery) -> VerifyReport:
-    """Price a bribery and evaluate the winner condition on the result."""
+    """Price a bribery and evaluate the winner condition on the result.
+
+    Votes are compared with their targets in stored form, so only the votes
+    the bribery changes are read past their heads.
+    """
     originals = instance.election.expanded_list()
     if len(bribery.targets) != len(originals):
         raise DomainError(
             f"bribery covers {len(bribery.targets)} votes, expected {len(originals)}"
         )
-    roster = frozenset(range(instance.election.m))
+    m = instance.election.m
     total = Fraction(0)
     for idx, (src, dst) in enumerate(zip(originals, bribery.targets)):
         if src == dst:
             continue
-        if len(dst) != instance.election.m or frozenset(dst) != roster:
-            raise DomainError(f"target for vote {idx} is not a permutation of the roster")
-        total += transform_cost(src, dst, instance.costs, idx)
+        try:
+            dst = stored_ranking(dst, m)
+        except DomainError:
+            raise DomainError(f"target for vote {idx} is not a permutation of the roster") from None
+        if src != dst:
+            total += _stored_cost(src, dst, m, instance.costs, idx)
     return VerifyReport(
         total_cost=total,
         preferred_wins=instance.preferred_wins(bribery.targets),

@@ -3,10 +3,10 @@
     python tests/gadget_grid.py
 
 Builds the multicolored-clique gadget for ten class-size lists, seeds 0-3
-and epsilon 1 and 1/3: 80 instances. For each one, every vote is written
-as a ``head`` line, the election parses back to the instance, and the planted
-witness, written with ``target-head`` lines, reads back and verifies at
-exactly the budget. Where the gadget has at most three classes, the same
+and epsilon 1 and 1/3: 80 instances. For each one, every vote is stored as
+the head the gadget builds and written as that ``head`` line, the election
+parses back to the instance, and the planted witness, written with
+``target-head`` lines, reads back and verifies at exactly the budget. Where the gadget has at most three classes, the same
 election written in full, one ``order`` line per vote, parses to the same
 instance too; with four classes that file is 90-300 MB. Prints one line per
 class list, and exits 1 at the first failure. ``tests/test_io.py`` runs a
@@ -16,6 +16,7 @@ slice of the grid as tier-1 tests.
 import sys
 from fractions import Fraction
 
+from swapbribery.core import head_then_rest
 from swapbribery.hardness import (
     multicolored_clique_instance,
     multicolored_clique_witness,
@@ -42,8 +43,9 @@ def full_form(text: str, instance) -> str:
     if last - first + 1 != len(votes):
         raise GridError("the writer split a vote row")
     names = instance.election.candidates
+    m = instance.election.m
     orders = [
-        f"vote {i} multiplicity {vote.multiplicity} order " + " ".join(names[c] for c in vote.ranking)
+        f"vote {i} multiplicity {vote.multiplicity} order " + " ".join(names[c] for c in head_then_rest(vote.ranking, m))
         for i, vote in enumerate(votes)
     ]
     return "\n".join(lines[:first] + orders + lines[last + 1 :]) + "\n"
@@ -55,6 +57,10 @@ def check(classes: str, seed: int, epsilon: Fraction) -> int:
     instance, layout = multicolored_clique_instance(graph, epsilon)
     text = serialize_election(instance)
     where = f"{classes} seed {seed} epsilon {epsilon}"
+    # Every head the gadget builds is a vote's first budget + 2 positions, and
+    # the election stores each as built: none loses its last entries to the tail.
+    if any(len(vote.ranking) != layout.budget + 2 for vote in instance.election.votes):
+        raise GridError(f"{where}: a vote is not stored as the head the gadget builds")
     if " order " in text:
         raise GridError(f"{where}: a vote is written in full")
     again = parse_election(text)

@@ -153,6 +153,6 @@ def test_a_ranking_of_other_than_ids_raises_ranking_error(ranking):
 
 def test_head_then_rest_appends_the_other_ids_in_order():
     ids = tuple(range(6))
-    assert head_then_rest([4, 1], ids) == (4, 1, 0, 2, 3, 5)
-    assert head_then_rest((), ids) == ids
-    assert head_then_rest(ids[::-1], ids) == ids[::-1]
+    assert head_then_rest([4, 1], 6) == (4, 1, 0, 2, 3, 5)
+    assert head_then_rest((), 6) == ids
+    assert head_then_rest(ids[::-1], 6) == ids[::-1]

@@ -14,7 +14,6 @@ from swapbribery.hardness import (
     single_vote_clique_instance,
 )
 from swapbribery.io import (
-    _head_length,
     format_fraction,
     network_to_dot,
     parse_election,
@@ -29,7 +28,7 @@ from swapbribery.flow import build_transfer_network
 from swapbribery.oracle import brute_topk
 from swapbribery.swaps import Bribery, BriberyInstance, SwapCostFunction, VoteClass, verify_bribery
 from swapbribery.reductions import PossibleWinnerInstance, gen_random
-from swapbribery.core import Election, Vote, VotingRule
+from swapbribery.core import Election, Vote, VotingRule, head_then_rest, stored_ranking
 
 from conftest import SAMPLE_U, SAMPLE_V
 from gadget_grid import check as check_gadget, full_form
@@ -503,6 +502,28 @@ def test_graph_rejects_bad_integers(text):
         parse_graph(text)
 
 
+@pytest.mark.parametrize("header", ["graph {} 0", "graph {} 0 1"])
+def test_graph_vertex_count_is_bounded(monkeypatch, header):
+    monkeypatch.setattr(sbio, "MAX_VERTICES", 3)
+    colors = "".join(f"color {v} 1\n" for v in range(3)) if header.endswith(" 1") else ""
+    assert parse_graph("# a comment first\n" + header.format(3) + "\n" + colors).n_vertices == 3
+    with pytest.raises(ParseError) as info:
+        parse_graph("# a comment first\n" + header.format(4) + "\n")
+    assert str(info.value) == "line 2: more than 3 vertices"
+
+
+@pytest.mark.parametrize("token, value", [("007", 7), ("-0", 0), ("0", 0), ("-12", -12), ("1000", 1000)])
+def test_parse_int_takes_an_optional_minus_then_ascii_digits(token, value):
+    assert sbio.parse_int(token, 1) == value
+
+
+@pytest.mark.parametrize("token", ["+1", "１", "²", "-", "", "1_000", "0x1", "--1", "-+1", "1-", "٣", " 1", "1.0"])
+def test_parse_int_rejects_every_other_token(token):
+    with pytest.raises(ParseError) as info:
+        sbio.parse_int(token, 4)
+    assert str(info.value) == f"line 4: bad integer {token!r}"
+
+
 def test_dot_counts_for_sample_network():
     classes = [VoteClass(SAMPLE_V, 1, (0,)), VoteClass(SAMPLE_U, Fraction(3, 2), (1,))]
     net = build_transfer_network(classes, 2, 2, 2)
@@ -551,7 +572,7 @@ def test_roster_names_that_are_keywords_round_trip_in_both_forms():
     solution = serialize_solution(inst, True, None, Bribery(targets), "hand")
     assert "\ntarget-head 0 order\ntarget-head 1 head target-head\n" in solution
     assert parse_solution(solution, inst)[2] == Bribery(targets)
-    full = solution.replace("target-head 0 order", "target 0 " + " ".join(names[c] for c in targets[0]))
+    full = solution.replace("target-head 0 order", "target 0 " + " ".join(names[c] for c in head_then_rest(targets[0], 64)))
     assert parse_solution(full, inst)[2] == Bribery(targets)
 
 
@@ -571,7 +592,8 @@ def test_bad_target_head_line_names_its_line(edit, message):
     targets = (ids, (63, *ids[:-1]), *(ids,) * 4)
     solution = serialize_solution(inst, True, None, Bribery(targets), "hand")
     assert solution.splitlines()[3:] == ["changed 1", "target-head 1 c63"]
-    assert parse_solution(solution, inst)[2] == Bribery(targets)
+    # read back as stored: every target as its head
+    assert parse_solution(solution, inst)[2] == Bribery(((), (63,), *((),) * 4))
     with pytest.raises(ParseError) as info:
         parse_solution(solution.replace(*edit), inst)
     assert str(info.value) == message
@@ -595,13 +617,17 @@ def _last_descent_plus_one(ranking) -> int:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_head_length_is_the_last_descent_plus_one(data):
+    # The stored form, which the writer writes: the head before the longest
+    # rising tail when that tail is at least max(32, m/2) long, found from
+    # the full ranking and from any head of it alike.
     m = data.draw(st.integers(1, 300))
     head = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
     ranking = tuple(head) + tuple(sorted(set(range(m)) - set(head)))
     expected = _last_descent_plus_one(ranking)
-    assert _head_length(ranking) == expected
-    least = data.draw(st.integers(0, m + 1))
-    assert _head_length(ranking, least) == (expected if m - expected >= least else None)
+    stored = ranking[:expected] if m - expected >= max(32, (m + 1) // 2) else ranking
+    assert stored_ranking(ranking, m) == stored
+    assert stored_ranking(tuple(head), m) == stored
+    assert Election(tuple(map(str, range(m))), (Vote(tuple(head)),)).votes == (Vote(stored),)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
