@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, filterfalse, islice
+from operator import index
 from typing import Iterator, Sequence
 
 from .errors import DomainError, RankingError, UnsupportedRuleError
@@ -138,15 +139,17 @@ def stored_ranking(ranking: Sequence[int], m: int) -> Ranking:
     """The stored form of a ranking of ``0..m-1``, given in full or as a head.
 
     That is the head before its longest increasing tail when the tail is at
-    least max(32, ceil(m/2)) long, else the full ranking. A head costs
-    O(len(head)), since its tail starts at the least id it leaves out.
-    Raises DomainError when ``ranking`` is neither a permutation nor a head.
+    least max(32, ceil(m/2)) long, else the full ranking. A head's tail is
+    never built, since it starts at the least id the head leaves out: a head
+    costs one Python step per entry, plus an m-byte mask that it fills, counts
+    and scans in C. Raises DomainError when ``ranking`` is neither a
+    permutation nor a head; an id is an int, as a mask index is.
     """
     r = ranking if type(ranking) is tuple else tuple(ranking)
     least = max(32, (m + 1) // 2)  # the shortest tail a stored ranking leaves out
     try:
         if len(r) == m:
-            if sorted(r) != list(range(m)):
+            if sorted(map(index, r)) != list(range(m)):
                 raise DomainError(f"{r} is not a permutation of 0..{m - 1}")
             if m < least or list(r[m - least :]) != sorted(r[m - least :]):
                 return r

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, count
 
 from .core import CO_WINNER, Election, Vote, VotingRule, scores
-from .errors import DomainError
+from .errors import DomainError, ResourceCapError
 from .swaps import Bribery, BriberyInstance, SwapCostFunction
 
 
@@ -104,6 +104,11 @@ class GadgetLayout:
     budget: Fraction
 
 
+# The most head positions, vote objects times head length (budget + 2), that
+# ``multicolored_clique_instance`` stores; past it the gadget is refused
+# before a vote is built. Read at call time, so a test can lower it.
+MAX_GADGET_POSITIONS = 2 * 10**6
+
 # Each gadget key is (family, level indices..., vertices...): its family's level count.
 _LEVEL_INDICES = {"a-b": 2, "b-ct": 0, "sel4": 1, "c-f": 0, "ct-c": 1, "f-h": 1, "h-ht": 1,
                   "inc4": 2, "mt-m": 2, "h-m": 1, "m-r": 2}
@@ -142,6 +147,28 @@ def multicolored_clique_instance(
     base_score = max(2, k * k, *map(len, classes.values()), *map(len, neighbors.values()))
     base_score += base_score % 2
 
+    # The votes built below, counted from the graph alone: guard votes, then
+    # the initializing votes add_init makes and the body's relays and blocked votes.
+    n = graph.n_vertices
+    n_pairs = k * (k - 1) // 2  # the (i, j) with i < j
+    n_ht = sum(k - color[x] for x in vertices)  # one ht candidate, one h-ht vote each
+    n_inc = sum(len(neighbors[x, i]) for x in vertices for i in range(1, color[x]))  # the edges
+    n_transporters = 4 * n + n * k * (k - 1)
+    n_durable = 4 * k * n + n + n_ht + k + n_pairs + n_transporters
+    n_init = (
+        base_score
+        + k * (k * (base_score + 1) - n)
+        + n * (k - 1) * base_score - 2 * n_inc
+        + n_pairs * (base_score - 2)
+        + n_durable * (base_score - 1)
+    )
+    n_votes = n_guards + n_init + n * (k * k + 3 * k + 6) + n_ht + n_inc + 3 * n_pairs + k
+    if n_votes * n_guards > MAX_GADGET_POSITIONS:
+        raise ResourceCapError(
+            f"the clique gadget would store {n_votes} votes of {n_guards} head positions each, "
+            f"more than {MAX_GADGET_POSITIONS} positions"
+        )
+
     names: list[str] = []
 
     def cand(name: str) -> int:
@@ -169,23 +196,26 @@ def multicolored_clique_instance(
     # head shorter than budget+2 is padded with guards (rotating through the
     # guard list), which can never score outside the guard votes.
     guard_ptr = 0
+    guards_twice = guards + guards  # every rotation of the guards is a slice
 
     def truncated(head: list[int]) -> list[int]:
         nonlocal guard_ptr
         fill = n_guards - len(head)
-        filler = [guards[(guard_ptr + t) % n_guards] for t in range(fill)]
+        filler = guards_twice[guard_ptr : guard_ptr + fill]
         guard_ptr = (guard_ptr + fill) % n_guards
         return head + filler
 
     # The selection votes, then the incidence votes, as (head, price
     # overrides); ``keys`` holds each gadget key's positions in ``body``.
+    # Every vote at unit price shares one empty table.
     body: list[tuple[list[int], dict]] = []
     keys: dict[tuple, tuple[int, ...]] = {}
+    unit_priced: dict = {}
 
     def relays(key: tuple, steps) -> None:
         """One vote [dummy, q, q'] per step (q, q'): q can pass q' a point."""
         start = len(body)
-        body.extend((truncated([cand(f"dummy{next(dummies)}"), q, q2]), {}) for q, q2 in steps)
+        body.extend((truncated([cand(f"dummy{next(dummies)}"), q, q2]), unit_priced) for q, q2 in steps)
         keys[key] = tuple(range(start, len(body)))
 
     def chain(key: tuple, q1: int, q2: int, length: int) -> None:
@@ -273,10 +303,12 @@ def multicolored_clique_instance(
     # Assemble: guard votes, initializing votes, then the body.
     pairs = base_score // 2
     first = n_guards * pairs + len(init)
-    votes = [Vote((*guards[g:], *guards[:g]), pairs) for g in range(n_guards)]
+    votes = [Vote(tuple(guards_twice[g : g + n_guards]), pairs) for g in range(n_guards)]
     votes += [Vote(tuple(head)) for head in init]
     votes += [Vote(tuple(head)) for head, _ in body]
-    overrides = [{}] * first + [table for _, table in body]
+    if len(votes) != n_votes:
+        raise AssertionError(f"built {len(votes)} gadget votes, counted {n_votes}")
+    overrides = [unit_priced] * first + [table for _, table in body]
 
     instance = BriberyInstance(
         election=Election(tuple(names), tuple(votes)),

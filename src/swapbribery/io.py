@@ -17,11 +17,13 @@ order. The writer writes each ranking as ``core.stored_ranking`` holds it in
 memory: as its head where the tail it drops is at least max(32, m/2) names
 long, as in the clique gadget, and in no random instance; else in full. A
 parsed head is stored as read when it is already in that form, so reading
-it costs O(len(head)), not O(m).
+it builds no tail: its check is one pass over its names plus an m-byte
+mask (``core.stored_ranking``).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import itemgetter
 
@@ -54,6 +56,9 @@ MAX_VOTES = 10**6
 # MAX_VOTES is. ``generate clique-single-vote`` prices every vertex pair,
 # so it takes about 1 s at this bound and about 17 s at four times it.
 MAX_VERTICES = 1000
+
+# Whitespace as ``str.isspace`` and ``str.split`` see it, which no name may hold.
+_SPACE = re.compile(r"\s")
 
 
 def format_fraction(value: Fraction) -> str:
@@ -205,12 +210,10 @@ class _Header:
 
 
 def _roster_lines(candidates: tuple[str, ...]) -> list[str]:
-    out = [f"candidates {len(candidates)}"]
-    for idx, name in enumerate(candidates):
-        if any(ch.isspace() for ch in name):
-            raise DomainError(f"candidate name {name!r} is not serializable")
-        out.append(f"candidate {idx} {name}")
-    return out
+    if _SPACE.search("".join(candidates)):
+        name = next(name for name in candidates if _SPACE.search(name))
+        raise DomainError(f"candidate name {name!r} is not serializable")
+    return [f"candidates {len(candidates)}", *(f"candidate {idx} {name}" for idx, name in enumerate(candidates))]
 
 
 def parse_election(text: str) -> BriberyInstance:
@@ -289,13 +292,14 @@ def parse_election(text: str) -> BriberyInstance:
     votes = []
     defaults = []
     overrides = []
+    one, no_pairs = Fraction(1), {}  # shared by the votes without cost lines
     for i in range(len(vote_rows)):
         mult, names, _ = vote_rows[i]
         votes.append(Vote(names, mult))
-        table = dict(cost_pairs.get(i, {}))
+        table = cost_pairs.get(i, no_pairs)
         for (a, b), value in list(table.items()):
             table.setdefault((b, a), value)
-        defaults.extend([cost_defaults.get(i, Fraction(1))] * mult)
+        defaults.extend([cost_defaults.get(i, one)] * mult)
         overrides.extend([table] * mult)
 
     try:
@@ -324,14 +328,18 @@ def serialize_election(instance: BriberyInstance) -> str:
     out.append(f"preferred {election.candidates[instance.preferred]}")
     out.append(f"mode {instance.mode}")
 
+    costs = instance.costs
     rows: list[tuple[int, tuple[int, ...], int]] = []  # (multiplicity, order, expanded0)
     expanded = 0
     for vote in election.votes:
-        same = all(
-            instance.costs.default(expanded) == instance.costs.default(expanded + c)
-            and instance.costs.overrides(expanded) == instance.costs.overrides(expanded + c)
-            for c in range(vote.multiplicity)
-        )
+        same = vote.multiplicity == 1
+        if not same:
+            # tuples compare shared price objects by identity, not through Fraction.__eq__
+            first = (costs.default(expanded), costs.overrides(expanded))
+            same = all(
+                (costs.default(e), costs.overrides(e)) == first
+                for e in range(expanded + 1, expanded + vote.multiplicity)
+            )
         if same:
             rows.append((vote.multiplicity, vote.ranking, expanded))
         else:
@@ -345,10 +353,10 @@ def serialize_election(instance: BriberyInstance) -> str:
         # rstrip: an empty head leaves no space at the end of its line
         out.append(f"vote {i} multiplicity {mult} {'head' if as_head else 'order'} {text}".rstrip())
     for i, (_, _, src) in enumerate(rows):
-        default = instance.costs.default(src)
-        if default != 1:
+        default = costs.default(src)
+        if default.numerator != default.denominator:  # the price is not 1
             out.append(f"costs {i} default {format_fraction(default)}")
-        table = instance.costs.overrides(src)
+        table = costs.overrides(src)
         for (a, b) in sorted(table):
             value = table[(a, b)]
             out.append(

@@ -94,13 +94,14 @@ def truncation_kernel(instance: BriberyInstance) -> BriberyInstance:
     beta = _check_preconditions(instance)
     k = instance.rule.k
     election = instance.election
+    m = election.m
     kept_set: set[int] = {instance.preferred}
     for vote in election.votes:
-        kept_set.update(ranking_prefix(vote.ranking, k + beta, election.m))
+        kept_set.update(ranking_prefix(vote.ranking, k + beta, m))
     kept = sorted(kept_set)
     if len(kept) > (k + beta) * election.n_expanded + 1:
         raise AssertionError("truncation kernel exceeds its candidate bound")
-    if len(kept) == election.m:
+    if len(kept) == m:
         return instance  # identity renumbering, every override kept: a rebuild would equal it
     mapping = {orig: new for new, orig in enumerate(kept)}
 

@@ -33,6 +33,11 @@ from .errors import DomainError
 PairCosts = Mapping[tuple[int, int], Fraction]
 
 
+def _distinct(objects) -> Iterable:
+    """Each object of ``objects`` once, by identity, in order of first appearance."""
+    return dict(zip(map(id, objects), objects)).values()
+
+
 class SwapCostFunction:
     """Per-expanded-vote swap prices: a default plus sparse pair overrides.
 
@@ -42,26 +47,29 @@ class SwapCostFunction:
     __slots__ = ("_defaults", "_overrides")
 
     def __init__(self, defaults: Iterable[Fraction], overrides: Iterable[PairCosts]):
-        self._defaults = tuple(Fraction(d) for d in defaults)
+        self._defaults = tuple(d if type(d) is Fraction else Fraction(d) for d in defaults)
         tables = list(overrides)
         if len(self._defaults) != len(tables):
             raise DomainError("defaults and overrides must align per vote")
-        for d in self._defaults:
-            if d < 0:
-                raise DomainError("swap costs must be non-negative")
-        canonical = []
-        for default, table in zip(self._defaults, tables):
+        # Votes often share one default and one table object (a vote's copies,
+        # the unpriced votes of a file), so each distinct pair is checked once.
+        keys = list(zip(map(id, self._defaults), map(id, tables)))
+        if any(d < 0 for d in _distinct(self._defaults)):
+            raise DomainError("swap costs must be non-negative")
+        canonical = {}
+        for key, (default, table) in dict(zip(keys, zip(self._defaults, tables))).items():
             kept = {}
             for (a, b), value in table.items():
-                value = Fraction(value)
+                if type(value) is not Fraction:
+                    value = Fraction(value)
                 if a == b:
                     raise DomainError("cost override needs two distinct candidates")
                 if value < 0:
                     raise DomainError("swap costs must be non-negative")
                 if value != default:
                     kept[(a, b)] = value
-            canonical.append(kept)
-        self._overrides = tuple(canonical)
+            canonical[key] = kept
+        self._overrides = tuple(map(canonical.__getitem__, keys))
 
     @classmethod
     def unit(cls, n_votes: int) -> "SwapCostFunction":
@@ -92,7 +100,7 @@ class SwapCostFunction:
 
     def scaled(self, scale: int) -> "SwapCostFunction":
         """Every price times ``scale``, held as ints; ``scale`` must clear every denominator."""
-        if any(scale % v.denominator for v in self.iter_values()):
+        if any(scale % v.denominator for v in self._distinct_values()):
             raise DomainError(f"scale {scale} leaves a price fractional")
         # Scaled tables stay canonical, so the constructor's checks are skipped.
         out = object.__new__(SwapCostFunction)
@@ -102,18 +110,19 @@ class SwapCostFunction:
         )
         return out
 
+    def _distinct_values(self) -> list:
+        """The prices ``iter_values`` yields, each object once: votes share their price objects."""
+        return [*_distinct(self._defaults), *(v for t in _distinct(self._overrides) for v in t.values())]
+
     def min_value(self) -> Fraction:
-        return min(self.iter_values())
+        return min(self._distinct_values())
 
     def max_value(self) -> Fraction:
-        return max(self.iter_values())
+        return max(self._distinct_values())
 
     def is_uniform(self, value) -> bool:
         value = Fraction(value)
-        return all(
-            d == value and all(c == value for c in table.values())
-            for d, table in zip(self._defaults, self._overrides)
-        )
+        return all(v == value for v in self._distinct_values())
 
     def __eq__(self, other):
         if not isinstance(other, SwapCostFunction):

@@ -86,6 +86,16 @@ def test_a_vote_count_past_the_bound_is_an_error_naming_its_line(tmp_path, capsy
     assert capsys.readouterr().err == "error: line 8: more than 1000000 votes\n"
 
 
+def test_a_gadget_past_its_size_bound_is_an_error(tmp_path, capsys):
+    out = tmp_path / "g.sbe"
+    assert main(["generate", "clique-gadget", "--classes", "64,64", "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the clique gadget would store 134441 votes of 50 head positions each, "
+        "more than 2000000 positions\n"
+    )
+    assert not out.exists()
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 FRESH = "import sys; from swapbribery.cli import main; sys.exit(main(sys.argv[1:]))"
 

@@ -144,11 +144,18 @@ def test_election_validation():
         VotingRule.k_approval(0)
 
 
-@pytest.mark.parametrize("ranking", [(0, "1"), ("a", "b"), (0, None), (0, 1.5), (0, 0)])
+@pytest.mark.parametrize(
+    "ranking",
+    [(0, "1"), ("a", "b"), (0, None), (0, 1.5), (0, 0), (0, 1.0), (3, 3), (-1,), (64,), (None,)],
+)
 def test_a_ranking_of_other_than_ids_raises_ranking_error(ranking):
-    with pytest.raises(RankingError) as info:
-        Election(("a", "b"), (Vote((1, 0)), Vote(ranking)))
-    assert info.value.vote == 1
+    # A full ranking of two candidates, or a head of one, and a head of a
+    # ranking of 64: an entry that is no int of the roster, or a repeat, is refused.
+    for m in (2, 64):
+        names = tuple(f"c{i}" for i in range(m))
+        with pytest.raises(RankingError) as info:
+            Election(names, (Vote(tuple(range(m))), Vote(ranking)))
+        assert info.value.vote == 1
 
 
 def test_head_then_rest_appends_the_other_ids_in_order():

@@ -1,10 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from swapbribery import hardness
 from swapbribery.core import scores
-from swapbribery.errors import DomainError
+from swapbribery.errors import DomainError, ResourceCapError
 from swapbribery.hardness import (
     ColoredGraph,
     Graph,
@@ -14,6 +16,7 @@ from swapbribery.hardness import (
     random_graph,
     single_vote_clique_instance,
 )
+from swapbribery.io import serialize_election, serialize_solution
 from swapbribery.oracle import brute_topk
 from swapbribery.swaps import verify_bribery
 
@@ -139,6 +142,46 @@ class TestCliqueGadget:
     def test_rejects_uncolored_graph(self):
         with pytest.raises(DomainError):
             multicolored_clique_instance(Graph(2, frozenset({(0, 1)})))
+
+    @pytest.mark.parametrize("class_sizes", [[2, 2], [1, 2, 3]])
+    def test_size_bound_refuses_one_position_past_it_before_a_vote_is_built(self, class_sizes, monkeypatch):
+        graph, _ = planted_multicolored_clique(class_sizes, seed=2)
+        inst, layout = multicolored_clique_instance(graph)
+        positions = len(inst.election.votes) * (layout.budget + 2)
+        monkeypatch.setattr(hardness, "MAX_GADGET_POSITIONS", positions)
+        assert multicolored_clique_instance(graph)[0] == inst
+        monkeypatch.setattr(hardness, "MAX_GADGET_POSITIONS", positions - 1)
+        built = []
+        monkeypatch.setattr(hardness, "Vote", lambda *args: built.append(args))
+        with pytest.raises(ResourceCapError, match=f"more than {positions - 1} positions"):
+            multicolored_clique_instance(graph)
+        assert built == []
+
+
+# sha256 of the election file and of the planted witness's solution file, for
+# seed 1; the witness's file does not depend on epsilon.
+GADGET_BYTES = {
+    ("3,3", Fraction(1)): ("be6325327911a7e588c5456c979d4ea13124b76f4974deaf9a91ef9597763a1c",
+                           "fa6dc5901dca2ab29f2a433eaa0a0be99ba47b4807e3270072c441b8389ae270"),
+    ("3,3", Fraction(1, 3)): ("77619399029b6cf3c044e2d6b73d213067bd0097bff0401c367b1bc7c6f57fdf",
+                              "fa6dc5901dca2ab29f2a433eaa0a0be99ba47b4807e3270072c441b8389ae270"),
+    ("2,2,2", Fraction(1)): ("811aa89a91c7548749a6f98c613611efc9d7a4e1a5a4136f14cb229626cbfbce",
+                             "d91814506f339d8413d1a6ea2d921ea33a8a783f2e098947b837436fb0e12435"),
+    ("2,2,2", Fraction(1, 3)): ("bc88bbbdcd02423ef268c798f93918f017af635ed18e3e3b0b1f46b080943304",
+                                "d91814506f339d8413d1a6ea2d921ea33a8a783f2e098947b837436fb0e12435"),
+}
+
+
+@pytest.mark.parametrize("classes, epsilon", list(GADGET_BYTES))
+def test_gadget_files_are_pinned(classes, epsilon):
+    graph, planted = planted_multicolored_clique([int(s) for s in classes.split(",")], seed=1)
+    inst, layout = multicolored_clique_instance(graph, epsilon)
+    witness = multicolored_clique_witness(inst, layout, planted)
+    written = (
+        serialize_election(inst),
+        serialize_solution(inst, True, layout.budget, witness, "planted"),
+    )
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in written) == GADGET_BYTES[classes, epsilon]
 
 
 # Each chain family's start, end and number of relay votes, from its key.

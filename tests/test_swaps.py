@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from swapbribery.core import Election, Ranking, Vote, VotingRule
 from swapbribery.errors import DomainError
+from swapbribery.reductions import gen_random
 from swapbribery.swaps import (
     Bribery,
     BriberyInstance,
@@ -423,6 +424,47 @@ def test_cost_function_rejects_negatives():
         SwapCostFunction([Fraction(-1)], [{}])
     with pytest.raises(DomainError):
         SwapCostFunction([Fraction(1)], [{(0, 1): Fraction(-2)}])
+
+
+def test_cost_function_turns_every_default_and_override_into_a_fraction():
+    defaults = [Fraction(1, 2), 3, "5/4", Fraction(2), 0, "7"]
+    tables = [{}, {(0, 1): 2}, {(1, 0): "1/3"}, {}, {(0, 1): Fraction(3)}, {}]
+    costs = SwapCostFunction(defaults, tables)
+    assert [costs.default(v) for v in range(6)] == [Fraction(1, 2), 3, Fraction(5, 4), 2, 0, 7]
+    assert [costs.overrides(v) for v in range(6)] == [{}, {(0, 1): 2}, {(1, 0): Fraction(1, 3)}, {}, {(0, 1): 3}, {}]
+    assert all(type(value) is Fraction for value in costs.iter_values())
+
+
+# Votes sharing one default object and one table object, as a vote's copies
+# and a file's unpriced votes do, with one bad price on a vote that is not the first.
+@pytest.mark.parametrize(
+    "bad_default, bad_table",
+    [(Fraction(-1), {}), (-1, {}), (None, {(0, 1): Fraction(-1, 2)}), (None, {(2, 2): Fraction(2)})],
+)
+def test_cost_function_checks_every_vote_that_shares_prices(bad_default, bad_table):
+    shared, empty = Fraction(1), {}
+    defaults, tables = [shared] * 40, [empty] * 40
+    if bad_default is not None:
+        defaults[23] = bad_default
+    tables[23] = bad_table
+    with pytest.raises(DomainError):
+        SwapCostFunction(defaults, tables)
+    # the same bad table shared by every vote
+    with pytest.raises(DomainError):
+        SwapCostFunction([shared] * 40, [bad_table or {(0, 1): Fraction(-1)}] * 40)
+
+
+@pytest.mark.parametrize("model", ["unit", ("two-valued", 1, 3, 0.3), ("uniform-range", Fraction(1, 2), 3)])
+def test_cost_function_extremes_match_a_scan_of_every_price(model):
+    rng = random.Random(f"extremes:{model}")
+    for _ in range(500 // 3 + 1):
+        m = rng.randint(1, 5)
+        costs = gen_random(m, rng.randint(1, 6), rng.randint(1, m), cost_model=model, seed=rng.randrange(10**6)).costs
+        values = list(costs.iter_values())
+        assert costs.min_value() == min(values)
+        assert costs.max_value() == max(values)
+        for value in {1, min(values), max(values), values[-1]}:
+            assert costs.is_uniform(value) == all(v == value for v in values)
 
 
 def test_integer_prices_scale_zero_integral_and_coprime_prices():
