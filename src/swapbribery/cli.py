@@ -74,12 +74,7 @@ def _run_solver(instance, algorithm: str, args) -> SolveResult:
             _dump_programs(instance, args.dump_ilp)
         return result
     if algorithm == "color":
-        return solve_color_coding(
-            instance,
-            mode=args.color_mode,
-            trials=args.trials,
-            seed=args.seed,
-        )
+        return solve_color_coding(instance)
     raise SwapBriberyError(f"unknown algorithm {algorithm!r}")
 
 
@@ -129,7 +124,6 @@ def _cmd_solve(args) -> int:
             cost,
             result.witness if decision else None,
             solver=algorithm,
-            config={"seed": str(args.seed), "mode": args.color_mode},
         )
         _write(args.solution, text)
     return YES if decision else NO
@@ -199,7 +193,11 @@ def _parse_class_sizes(text: str) -> list[int]:
     tokens = text.split(",")
     if not all(t.isascii() and t.isdigit() and int(t) >= 1 for t in tokens):
         raise SwapBriberyError(f"bad --classes {text!r}; use class sizes >= 1, like 2,2")
-    return [int(t) for t in tokens]
+    sizes = [int(t) for t in tokens]
+    # checked before the graph is drawn, which takes time quadratic in its vertices
+    if sum(sizes) > formats.MAX_VERTICES:
+        raise SwapBriberyError(f"--classes {text} has {sum(sizes)} vertices, more than {formats.MAX_VERTICES}")
+    return sizes
 
 
 def _cmd_generate(args) -> int:
@@ -255,7 +253,7 @@ def _cmd_export_network(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = ["instance,solver,decision,cost,wall_ms,seed"]
+    rows = ["instance,solver,decision,cost,wall_ms"]
     for path in args.instances:
         instance = formats.parse_election(_read(path))
         for name in args.solvers.split(","):
@@ -267,7 +265,7 @@ def _cmd_bench(args) -> int:
             rows.append(
                 f"{path},{solver},{'yes' if result.decision else 'no'},"
                 f"{formats.format_fraction(cost) if cost is not None else '-'},"
-                f"{elapsed_ms:.3f},{args.seed}"
+                f"{elapsed_ms:.3f}"
             )
     _write(args.out, "\n".join(rows) + "\n")
     return YES
@@ -292,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "brute", "flow", "color", "ilp"),
         default="auto",
     )
-    solve.add_argument("--color-mode", choices=("auto", "exhaustive", "random"), default="auto")
-    solve.add_argument("--trials", type=int, default=None)
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--solution", help="write a solution file here")
     solve.add_argument("--dump-ilp", help="write the transformation programs here")
     solve.set_defaults(func=_cmd_solve)
@@ -337,9 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="time solvers over instance files, CSV output")
     bench.add_argument("instances", nargs="+")
     bench.add_argument("--solvers", default="brute,flow")
-    bench.add_argument("--color-mode", choices=("auto", "exhaustive", "random"), default="auto")
-    bench.add_argument("--trials", type=int, default=None)
-    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default="-")
     bench.set_defaults(func=_cmd_bench)
 
@@ -357,11 +349,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SwapBriberyError as exc:
+    except (SwapBriberyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return ERROR
+    except Exception:
+        # a fault of the program, not of the input: its traceback, but never exit 1, which means no
+        import traceback  # only here, so that no run that needs none loads it
+
+        traceback.print_exc()
         return ERROR
 
 

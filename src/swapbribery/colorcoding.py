@@ -10,14 +10,12 @@ pattern by first use gives a canonical one with the same counts. A
 solution leaves a pattern where 1 occurs at least as often as any other
 color; for each, candidates are colored from its palette and each vote
 takes the cheapest candidate set matching its colors. Trying every
-coloring makes the search complete, random colorings give the one-sided
-variant. Pattern generation and the coloring loop each stop with
-``ResourceCapError`` after ``_search.MAX_NODES`` nodes.
+coloring makes the search complete. Pattern generation and the coloring
+loop each stop with ``ResourceCapError`` after ``_search.MAX_NODES`` nodes.
 """
 
 from __future__ import annotations
 
-import random
 from itertools import combinations, product
 from typing import Iterator
 
@@ -93,36 +91,20 @@ def successful_patterns(
         at[len(chosen)] += 1
 
 
-def solve_color_coding(
-    instance: BriberyInstance,
-    mode: str = "exhaustive",
-    trials: int | None = None,
-    seed: int = 0,
-) -> SolveResult:
+def solve_color_coding(instance: BriberyInstance) -> SolveResult:
     """Pattern-driven search for a within-budget bribery.
 
     Patterns are grouped by their palette, the j colors other than 1 they
-    use, and each coloring of the other candidates is tried against every
-    pattern of its group. ``exhaustive`` enumerates all j^(m-1) colorings
-    and is complete: the decision matches ground truth. ``random`` draws
-    ``trials`` colorings per group (at least 1; default j^j), or tries each
-    once where there are no more, and is one-sided: any returned bribery
-    is verified, a miss proves nothing.
-    A coloring costs one node per pattern it is checked against and per
-    vote option it scans. ``auto`` is exhaustive when the exhaustive loop's
-    count fits the node budget, else random: summed over the palette
-    groups, j^(m-1) colorings times the group's patterns plus the options
-    scanned, all known before the loop starts. Like ``brute_topk``, it refuses
-    more than ``OracleCaps.topk_combinations`` top-k sets over all votes
-    before building them. No optimal cost is claimed: the witness is the
-    first one found within budget.
+    use, and every coloring of the other candidates from the palette,
+    j^(m-1) of them, is tried against each pattern of its group. The search
+    is complete: the decision matches ground truth. A coloring costs one
+    node per pattern it is checked against and per vote option it scans.
+    Like ``brute_topk``, it refuses more than ``OracleCaps.topk_combinations``
+    top-k sets over all votes before building them. No optimal cost is
+    claimed: the witness is the first one found within budget.
     """
     if instance.rule.kind != K_APPROVAL:
         raise DomainError("color coding needs a k-approval instance")
-    if mode not in ("auto", "exhaustive", "random"):
-        raise DomainError(f"unknown mode {mode!r}")
-    if trials is not None and trials < 1:
-        raise DomainError(f"trials must be at least 1, not {trials}")
     k = instance.rule.k
     n = instance.election.n_expanded
     m = instance.election.m
@@ -152,24 +134,11 @@ def solve_color_coding(
         groups.setdefault(top, []).append(tuple(masks[part] for part in pattern))
 
     scanned = sum(map(len, options))
-    if mode == "auto":
-        needed = sum((top - 1) ** len(others) * (len(group) + scanned) for top, group in groups.items())
-        mode = "exhaustive" if needed <= max_nodes else "random"
-
-    rng = random.Random(seed)
     nodes = 0
     bit = [0] * m
     bit[preferred] = 1 << 1
     for top, group in sorted(groups.items()):
-        palette = range(2, top + 1)
-        draws = len(palette) ** len(palette) if trials is None else trials
-        # drawing at least as many colorings as there are is no better than
-        # trying each once
-        if mode == "exhaustive" or len(palette) ** len(others) <= draws:
-            colorings = product(palette, repeat=len(others))
-        else:
-            colorings = ([rng.choice(palette) for _ in others] for _ in range(draws))
-        for coloring in colorings:
+        for coloring in product(range(2, top + 1), repeat=len(others)):
             nodes += len(group) + scanned
             if nodes > max_nodes:
                 raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")

@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
 
 from . import _search
 from .core import BUCKLIN, K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .lp import lp_feasible
+from .oracle import factorial_exceeds
 from .swaps import Bribery, BriberyInstance, SolveResult, target_costs, vote_classes
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ def describe_rule(rule, m: int, n: int, unique: bool = False) -> LinearInequalit
     """
     if m < 2:
         raise DomainError("rule descriptions need at least two candidates")
-    if factorial(m) > MAX_PERMUTATIONS:
-        raise ResourceCapError(f"m! = {factorial(m)} exceeds cap {MAX_PERMUTATIONS}")
+    if factorial_exceeds(1, m, MAX_PERMUTATIONS):
+        raise ResourceCapError(f"{m}! permutations exceed cap {MAX_PERMUTATIONS}")
     perms = tuple(permutations(range(m)))
     margin = 1 if unique else 0
 

@@ -377,14 +377,11 @@ def serialize_solution(
     cost: Fraction | None,
     bribery: Bribery | None,
     solver: str,
-    config: dict[str, str] | None = None,
 ) -> str:
     """The solution file; a bribery is written as the votes it changes."""
     out = [SOLUTION_MAGIC, f"decision {'yes' if decision else 'no'}", f"solver {solver}"]
     if cost is not None:
         out.append(f"cost {format_fraction(cost)}")
-    for key, value in (config or {}).items():
-        out.append(f"config {key} {value}")
     if bribery is not None:
         rankings = instance.election.expanded_list()
         if len(bribery.targets) != len(rankings):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb
 
 from . import _search
 from .core import BUCKLIN, K_APPROVAL, Ranking, head_then_rest
@@ -73,13 +73,34 @@ DEFAULT_CAPS = OracleCaps()
 
 
 def check_topk_cap(n_votes: int, m: int, k: int, caps: OracleCaps = DEFAULT_CAPS) -> None:
-    """Refuse, before building, more than ``caps.topk_combinations`` top-k sets over all votes."""
-    options = n_votes * comb(m, k)
-    if options > caps.topk_combinations:
-        raise ResourceCapError(
-            f"{n_votes} votes x C({m},{k}) = {options} options exceed cap "
-            f"{caps.topk_combinations}"
-        )
+    """Refuse, before building, more than ``caps.topk_combinations`` top-k sets over all votes.
+
+    Past 64 candidates, n * C(m, k) is built as n * C(m - j + i, i) for
+    i = 0..j, j = min(k, m - k), which never decreases, so it stops once past
+    the cap: no big integer is built.
+    """
+    cap = caps.topk_combinations
+    if m <= 64:  # C(m, k) < 2^64
+        options = n_votes * comb(m, k)
+    else:
+        j = min(k, m - k)
+        options = n_votes if j >= 0 else 0
+        for i in range(1, j + 1):
+            if options > cap:
+                break
+            options = options * (m - j + i) // i
+    if options > cap:
+        raise ResourceCapError(f"{n_votes} votes x C({m},{k}) options exceed cap {cap}")
+
+
+def factorial_exceeds(n: int, m: int, cap: int) -> bool:
+    """Whether n * m! passes ``cap``; the running product stops once past it."""
+    product = n
+    for i in range(2, m + 1):
+        if product > cap:
+            break
+        product *= i
+    return product > cap
 
 
 def topk_options(
@@ -265,12 +286,8 @@ def brute_rankings(
     m = instance.election.m
     n_votes = instance.election.n_expanded
 
-    options = n_votes * factorial(m)
-    if options > caps.ranking_combinations:
-        raise ResourceCapError(
-            f"{n_votes} votes x {m}! = {options} options exceed cap "
-            f"{caps.ranking_combinations}"
-        )
+    if factorial_exceeds(n_votes, m, caps.ranking_combinations):
+        raise ResourceCapError(f"{n_votes} votes x {m}! options exceed cap {caps.ranking_combinations}")
 
     scale, prices, budget = instance.integer_prices()
     targets = list(permutations(range(m)))

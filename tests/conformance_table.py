@@ -3,9 +3,9 @@
 ``ROWS`` is the table of solvers: a name, the corpus cases in its scope,
 its claim there, and for the kernels the equivalent instance it solves
 instead. Claims: ``optimum``, the decision and the optimal cost;
-``decision``, the decision, and a cost it reports is the optimum;
-``one-sided``, a yes is a true yes. ``answers`` runs one row over its
-cases, once a process, and ``digest`` hashes every row's answers.
+``decision``, the decision, and a cost it reports is the optimum.
+``answers`` runs one row over its
+cases, once a process, and ``digest`` hashes each row's answers and then all of them.
 ``test_conformance.py`` checks them against the oracles.
 
 Nothing here needs pytest, so ``python tests/corpus.py`` prints the digest
@@ -35,7 +35,7 @@ from swapbribery.swaps import SolveResult
 from corpus import CORPUS
 from oracle_utils import UNCAPPED
 
-OPTIMUM, DECISION, ONE_SIDED = "optimum", "decision", "one-sided"
+OPTIMUM, DECISION = "optimum", "decision"
 
 
 def k_approval(instance) -> bool:
@@ -94,13 +94,10 @@ ROWS = (
     Row("flow", covers, OPTIMUM, solve_unit),
     Row("brute_topk-pruned", k_approval, DECISION, pruned),
     Row("ilp", ilp_fits, DECISION, solve_ilp),
-    Row("color-exhaustive", color_fits, DECISION, lambda inst: solve_color_coding(inst, "exhaustive")),
+    # color coding tries every coloring; the row keeps its name, and so its digest line
+    Row("color-exhaustive", color_fits, DECISION, solve_color_coding),
     Row("kernelize-pruned", kernel_fits, DECISION, pruned, lambda inst: kernelize(inst).instance),
     Row("truncation-pruned", kernel_fits, DECISION, pruned, truncation_kernel),
-    Row("color-random", color_fits, ONE_SIDED, lambda inst: solve_color_coding(inst, "random")),
-    # one-sided, and complete where it picks exhaustive: wherever the exhaustive
-    # loop fits the node budget, as the color-exhaustive row's nos show it does here
-    Row("color-auto", color_fits, DECISION, lambda inst: solve_color_coding(inst, "auto")),
     # every corpus case is within the default option caps of brute
     Row("solve-auto", lambda inst: True, OPTIMUM, solve_auto),
 )
@@ -123,13 +120,20 @@ def answers(name: str) -> tuple:
     return tuple(found)
 
 
+def _hashed(rows: list) -> str:
+    """The counts of (solver, id, decision, optimum) rows, and sha256 over them sorted."""
+    text = "\n".join("\t".join(map(str, r)) for r in sorted(rows)).encode()
+    return f"{len(rows)} answers, {sum(r[2] for r in rows)} yes; sha256 {hashlib.sha256(text).hexdigest()}"
+
+
 def digest() -> str:
-    """One line: sha256 over the sorted (solver, id, decision, optimum) rows, and the counts."""
-    rows = sorted(
-        (row.name, case, got.decision, str(got.optimal_cost)) for row in ROWS for case, _, _, got in answers(row.name)
-    )
-    text = "\n".join("\t".join(map(str, r)) for r in rows).encode()
-    return (
-        f"corpus {len(CORPUS)} instances, {len(ROWS)} solvers, {len(rows)} answers, "
-        f"{sum(r[2] for r in rows)} yes; sha256 {hashlib.sha256(text).hexdigest()}"
+    """One line per solver over its (solver, id, decision, optimum) rows, then one over every solver's."""
+    rows = {
+        row.name: [(row.name, case, got.decision, str(got.optimal_cost)) for case, _, _, got in answers(row.name)]
+        for row in ROWS
+    }
+    every = [r for found in rows.values() for r in found]
+    return "\n".join(
+        [f"{name}: {_hashed(found)}" for name, found in rows.items()]
+        + [f"corpus {len(CORPUS)} instances, {len(ROWS)} solvers, {_hashed(every)}"]
     )

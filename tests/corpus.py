@@ -14,9 +14,10 @@ An id reads ``rule/mode/prices/votes/i@budget``:
 
 It builds data only: no asserts, which ``python -O`` strips outside the
 modules pytest rewrites. ``PYTHONPATH=src python tests/corpus.py`` prints
-one line: sha256 over every solver's sorted (solver, id, decision,
-optimum) rows, with the counts. It leaves witnesses out, so no hash seed
-changes it, and a change that keeps every answer keeps it.
+one line per solver, sha256 over its sorted (solver, id, decision,
+optimum) rows with their counts, so a change shows which rows it moves;
+then the same over every solver's rows. It leaves witnesses out, so no
+hash seed changes it, and a change that keeps every answer keeps it.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
-from swapbribery.colorcoding import solve_color_coding
 from swapbribery.core import UNIQUE_WINNER, VotingRule, scores, winners
 from swapbribery.flow import approx_within_range, build_transfer_network
 from swapbribery.hardness import (
@@ -101,32 +100,6 @@ def test_range_approximation_within_factor_two():
     print(
         f"PASS: range approximation stayed within factor 2 and always won "
         f"on {count} instances"
-    )
-
-
-def test_color_coding_random_mode_hit_rate():
-    rng = random.Random(20260810)
-    count = 300
-    yes = solved = 0
-    for i in range(count):
-        kind = ("unit", "one-two", "rational")[i % 3]
-        inst = random_instance(rng, m_max=6, n_max=2, k_choices=(1, 2), cost_kind=kind)
-        if brute_topk(inst).decision:
-            yes += 1
-            nk = inst.election.n_expanded * inst.rule.k
-            trials = max(1, (nk - 1) ** (nk - 1))
-            hit = solve_color_coding(
-                inst, mode="random", trials=trials, seed=1000 + i
-            )
-            if hit.decision:
-                assert verify_bribery(inst, hit.witness).is_solution
-                solved += 1
-    assert yes > 0
-    rate = solved / yes
-    assert rate >= 0.95, f"random mode solved only {solved}/{yes}"
-    print(
-        f"PASS: random color coding solved {solved}/{yes} yes-instances ({rate:.0%}) "
-        f"of {count}"
     )
 
 

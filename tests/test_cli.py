@@ -122,15 +122,14 @@ def test_calls_in_one_process_answer_as_in_fresh_ones(sample_path, tmp_path, cap
     # main reuses one parser; no call may see the options of the one before.
     solution = tmp_path / "sol.sbs"
     solve = ["solve", str(sample_path)]
-    random_color = [*solve, "--algorithm", "color", "--color-mode", "random"]
     calls = [
         [*solve, "--algorithm", "brute"],
         solve,
-        [*random_color, "--trials", "0"],
-        random_color,
+        [*solve, "--algorithm", "color", "--trials", "0"],
+        [*solve, "--algorithm", "color"],
         [*solve, "--algorithm", "nope"],
         solve,
-        [*solve, "--seed", "5", "--solution", str(solution)],
+        [*solve, "--algorithm", "brute", "--solution", str(solution)],
         [*solve, "--solution", str(solution)],
     ]
     seen = []
@@ -144,7 +143,7 @@ def test_calls_in_one_process_answer_as_in_fresh_ones(sample_path, tmp_path, cap
     assert seen[1][0][1].startswith("algorithm: flow\n")
     assert seen[2][0][0] == 2 and seen[3][0][0] == 0
     assert seen[4][0][0] == 2 and seen[5][0] == seen[1][0]
-    assert "config seed 5" in seen[6][1] and "config seed 0" in seen[7][1]
+    assert "solver brute" in seen[6][1] and "solver flow" in seen[7][1]
 
 
 TWO = ("two-valued", 1, 2, 0.3)
@@ -218,17 +217,14 @@ def test_bucklin_proves_its_optimum_well_inside_the_node_budget(tmp_path, monkey
     )
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_color_trials_below_one_is_an_error(tmp_path, trials, capsys):
-    # brute answers yes here; trying no coloring used to print "decision: no"
-    path = tmp_path / "two.sbe"
-    argv = ["generate", "random", "--m", "3", "--n", "2", "--k", "1", "--cost-model", "two:1:2:0.3"]
-    assert main(argv + ["--seed", "3", "--budget", "2", "--out", str(path)]) == 0
-    assert main(["solve", str(path), "--algorithm", "brute"]) == 0
-    capsys.readouterr()
-    argv = ["solve", str(path), "--algorithm", "color", "--color-mode", "random", "--trials", trials]
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: trials must be at least 1, not {trials}\n")
+@pytest.mark.parametrize("option", [["--color-mode", "random"], ["--trials", "3"], ["--seed", "1"]])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_color_takes_no_mode_trials_or_seed(sample_path, capsys, command, option):
+    # color tries every coloring; nothing is drawn at random
+    with pytest.raises(SystemExit) as stop:
+        main([command, str(sample_path), *option])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {' '.join(option)}\n")
 
 
 @pytest.mark.parametrize("algorithm", ["brute", "color"])
@@ -239,7 +235,7 @@ def test_too_many_options_is_an_error(tmp_path, algorithm, capsys):
     capsys.readouterr()
     assert main(["solve", str(path), "--algorithm", algorithm]) == 2
     assert capsys.readouterr() == (
-        "", "error: 2 votes x C(30,5) = 285012 options exceed cap 50000\n"
+        "", "error: 2 votes x C(30,5) options exceed cap 50000\n"
     )
 
 
@@ -256,19 +252,6 @@ def test_color_skips_palettes_wider_than_the_roster(tmp_path, capsys):
         "decision: yes",
         "cost: 0",
     ]
-
-
-def test_color_auto_sizes_the_colorings_it_would_run(tmp_path, capsys):
-    # (n*k - 1)^(m - 1) = 7^6 colorings fit the node budget, but with each
-    # coloring's patterns and scanned options the exhaustive loop needs more
-    # than 10^6 nodes: auto used to run it into the budget (exit 2).
-    path = tmp_path / "wide.sbe"
-    argv = ["generate", "random", "--m", "7", "--n", "4", "--k", "2", "--cost-model", "two:1:2:0.3"]
-    assert main(argv + ["--seed", "0", "--budget", "0", "--out", str(path)]) == 0
-    assert main(["solve", str(path), "--algorithm", "brute"]) == 1
-    assert capsys.readouterr().out.splitlines() == ["algorithm: brute", "decision: no", "cost: 8"]
-    assert main(["solve", str(path), "--algorithm", "color"]) == 1
-    assert capsys.readouterr().out.splitlines() == ["algorithm: color", "decision: no"]
 
 
 def test_hopeless_unique_winner_scoring_instance_is_a_no(tmp_path, capsys):
@@ -677,7 +660,7 @@ def test_bench_csv_schema(sample_path, tmp_path):
         == 0
     )
     lines = out.read_text().splitlines()
-    assert lines[0] == "instance,solver,decision,cost,wall_ms,seed"
+    assert lines[0] == "instance,solver,decision,cost,wall_ms"
     rows = [l.split(",") for l in lines[1:]]
     assert len(rows) == 2
     assert all(r[2] == "yes" and r[3] == "3" for r in rows)
@@ -711,7 +694,7 @@ def test_bench_rows_reproducible_modulo_timing(sample_path, tmp_path):
         rows = []
         for line in Path(path).read_text().splitlines()[1:]:
             cells = line.split(",")
-            rows.append(cells[:4] + cells[5:])
+            rows.append(cells[:4])
         return rows
 
     assert strip_time(a) == strip_time(b)
@@ -850,7 +833,7 @@ def test_mutated_files_never_crash_the_cli(kind, edits):
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = main(argv)
-            assert code in (0, 1, 2), (argv, code)
+            assert code in (0, 1, 2) and "Traceback" not in sink.getvalue(), (argv, code, sink.getvalue())
 
 
 NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100))  # an executable's first bytes

@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,14 +8,13 @@ from swapbribery import _search
 from swapbribery.colorcoding import solve_color_coding, successful_patterns
 from swapbribery.core import Election, Vote, VotingRule
 from swapbribery.errors import ResourceCapError
-from swapbribery.oracle import brute_topk
 from swapbribery.swaps import (
     BriberyInstance,
     SwapCostFunction,
     verify_bribery,
 )
 
-from conftest import random_instance, sample_election
+from conftest import sample_election
 from test_conformance import check, labels
 
 
@@ -124,7 +122,6 @@ class TestSolve:
             election, VotingRule.k_approval(1), 1, SwapCostFunction.unit(1), Fraction(1)
         )
         assert solve_color_coding(inst).decision
-        assert solve_color_coding(inst, mode="random", seed=1).decision
 
     def test_multiplicity_votes_are_expanded_for_patterns(self):
         election = Election(("a", "p"), (Vote((0, 1), 2),))
@@ -139,41 +136,12 @@ class TestSolve:
 
     def test_witnesses_always_verify(self):
         # ``check`` verifies every witness a row returns
-        for row in ("color-exhaustive", "color-random", "color-auto"):
-            assert check(row) >= 100, row
+        assert check("color-exhaustive") >= 100
 
     def test_exhaustive_matches_oracle(self):
-        # the price kinds of the seeded loop this replaced, both modes
+        # the price kinds of the seeded loop this replaced
         kinds = ("unit", "one-two", "rational")
         assert check("color-exhaustive", lambda case: labels(case).prices in kinds) >= 30
-
-    def test_random_mode_miss_rate_within_theory(self):
-        # With T = ceil((nk-1)^(nk-1) * ln(1/d)) trials per pattern, a
-        # solvable instance is missed with probability at most d. Fixed
-        # seed battery at nk in {3, 4}; observed misses must stay under
-        # the bound with slack for sampling noise.
-        import math
-
-        rng = random.Random(97)
-        delta = 0.5
-        runs = 0
-        misses = 0
-        while runs < 120:
-            n, k = rng.choice(((3, 1), (4, 1), (2, 2)))
-            inst = random_instance(
-                rng, m_max=5, n_max=n, k_choices=(k,), cost_kind="unit"
-            )
-            if inst.election.n_expanded != n or inst.rule.k != k:
-                continue
-            if not brute_topk(inst).decision:
-                continue
-            nk = n * k
-            trials = max(1, math.ceil((nk - 1) ** (nk - 1) * math.log(1 / delta)))
-            res = solve_color_coding(inst, mode="random", trials=trials, seed=runs)
-            runs += 1
-            if not res.decision:
-                misses += 1
-        assert misses / runs <= delta + 0.1, f"missed {misses}/{runs}"
 
     def test_coloring_cap(self, monkeypatch):
         # A no-instance forces the search through every palette; a node

@@ -226,14 +226,15 @@ def test_diverging_copy_costs_serialize_by_splitting():
 
 def test_solution_round_trip(sample_instance):
     res = brute_topk(sample_instance)
-    text = serialize_solution(
-        sample_instance, res.decision, res.optimal_cost, res.witness, "brute",
-        config={"seed": "0"},
-    )
+    text = serialize_solution(sample_instance, res.decision, res.optimal_cost, res.witness, "brute")
+    assert "config" not in text
     decision, cost, bribery, solver, config = parse_solution(text, sample_instance)
     assert decision and cost == 3 and solver == "brute"
     assert bribery == res.witness
-    assert config == {"seed": "0"}
+    assert config == {}
+    # config lines, which earlier versions wrote, still read
+    text = text.replace("cost 3\n", "cost 3\nconfig seed 0\nconfig mode auto\n")
+    assert parse_solution(text, sample_instance) == (True, 3, res.witness, "brute", {"seed": "0", "mode": "auto"})
 
 
 @pytest.mark.parametrize("target", ["x", "³", "-1"])
@@ -276,8 +277,8 @@ def test_full_form_solution_reads_to_the_same_bribery(sample_instance):
     assert parse_solution(FULL_FORM_SOLUTION, sample_instance) == (
         True, 3, res.witness, "brute", {"seed": "0"}
     )
-    short = serialize_solution(sample_instance, True, 3, res.witness, "brute", config={"seed": "0"})
-    assert short == FULL_FORM_SOLUTION.replace("target 0", "changed 2\ntarget 0")
+    short = serialize_solution(sample_instance, True, 3, res.witness, "brute")
+    assert short == FULL_FORM_SOLUTION.replace("config seed 0\n", "").replace("target 0", "changed 2\ntarget 0")
 
 
 def test_solution_lists_only_the_votes_it_changes():
