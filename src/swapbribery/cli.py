@@ -190,14 +190,15 @@ def _parse_rational(text: str, option: str) -> Fraction:
 
 
 def _parse_class_sizes(text: str) -> list[int]:
-    tokens = text.split(",")
-    if not all(t.isascii() and t.isdigit() and int(t) >= 1 for t in tokens):
+    sizes = [t.lstrip("0") for t in text.split(",")]  # a size of zero is left without digits
+    if not all(s.isascii() and s.isdigit() for s in sizes):
         raise SwapBriberyError(f"bad --classes {text!r}; use class sizes >= 1, like 2,2")
-    sizes = [int(t) for t in tokens]
-    # checked before the graph is drawn, which takes time quadratic in its vertices
-    if sum(sizes) > formats.MAX_VERTICES:
-        raise SwapBriberyError(f"--classes {text} has {sum(sizes)} vertices, more than {formats.MAX_VERTICES}")
-    return sizes
+    # checked before int(), which refuses more than 4,300 digits, and before
+    # the graph is drawn, which takes time quadratic in its vertices
+    bound = formats.MAX_VERTICES
+    if any(len(s) > len(str(bound)) for s in sizes) or sum(map(int, sizes)) > bound:
+        raise SwapBriberyError(f"--classes {text} has more than {bound} vertices")
+    return [int(s) for s in sizes]
 
 
 def _cmd_generate(args) -> int:
@@ -352,11 +353,20 @@ def main(argv=None) -> int:
     except (SwapBriberyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
+
+
+def console(argv=None) -> int:
+    """``main`` for the ``swapbribery`` command: a crash exits 2, never 1, which means no.
+
+    ``main`` itself lets a fault of the program raise to its caller, so that
+    one running it in process sees a failed assertion as such.
+    """
+    try:
+        return main(argv)
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return ERROR
     except Exception:
-        # a fault of the program, not of the input: its traceback, but never exit 1, which means no
         import traceback  # only here, so that no run that needs none loads it
 
         traceback.print_exc()
@@ -364,4 +374,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

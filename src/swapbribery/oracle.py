@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb
 
 from . import _search
 from .core import BUCKLIN, K_APPROVAL, Ranking, head_then_rest
@@ -75,20 +74,16 @@ DEFAULT_CAPS = OracleCaps()
 def check_topk_cap(n_votes: int, m: int, k: int, caps: OracleCaps = DEFAULT_CAPS) -> None:
     """Refuse, before building, more than ``caps.topk_combinations`` top-k sets over all votes.
 
-    Past 64 candidates, n * C(m, k) is built as n * C(m - j + i, i) for
-    i = 0..j, j = min(k, m - k), which never decreases, so it stops once past
-    the cap: no big integer is built.
+    n * C(m, k) is built as n * C(m - j + i, i) for i = 0..j, j = min(k, m - k),
+    which never decreases, so it stops once past the cap: no big integer is built.
     """
     cap = caps.topk_combinations
-    if m <= 64:  # C(m, k) < 2^64
-        options = n_votes * comb(m, k)
-    else:
-        j = min(k, m - k)
-        options = n_votes if j >= 0 else 0
-        for i in range(1, j + 1):
-            if options > cap:
-                break
-            options = options * (m - j + i) // i
+    j = min(k, m - k)
+    options = n_votes if j >= 0 else 0
+    for i in range(1, j + 1):
+        if options > cap:
+            break
+        options = options * (m - j + i) // i
     if options > cap:
         raise ResourceCapError(f"{n_votes} votes x C({m},{k}) options exceed cap {cap}")
 

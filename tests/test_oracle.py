@@ -1,13 +1,22 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
 from swapbribery import _search
 from swapbribery.core import K_APPROVAL, UNIQUE_WINNER, Election, Vote, VotingRule
 from swapbribery.errors import DomainError, ResourceCapError
-from swapbribery.oracle import OracleCaps, _hopeless, brute_rankings, brute_topk, topk_options
+from swapbribery.oracle import (
+    OracleCaps,
+    _hopeless,
+    brute_rankings,
+    brute_topk,
+    check_topk_cap,
+    factorial_exceeds,
+    topk_options,
+)
 from swapbribery.reductions import gen_random
 from swapbribery.swaps import (
     BriberyInstance,
@@ -85,6 +94,26 @@ def test_default_option_caps_refuse_before_building():
     inst = BriberyInstance(one_vote, VotingRule.k_approval(10), 19, SwapCostFunction.unit(1), Fraction(1))
     with pytest.raises(ResourceCapError, match="^1 votes x C\\(20,10\\) options exceed cap 50000$"):
         brute_topk(inst)
+
+
+def test_cap_checks_refuse_exactly_past_the_product():
+    # the running products stop early, yet refuse where n * C(m, k) and n * m! pass the cap
+    for m in range(12):
+        for k in range(m + 2):
+            for n in (1, 3):
+                for product, refused in (
+                    (n * comb(m, k), lambda cap: _refuses_topk(n, m, k, cap)),
+                    (n * factorial(m), lambda cap: factorial_exceeds(n, m, cap)),
+                ):
+                    assert not refused(product) and (product == 0 or refused(product - 1)), (n, m, k)
+
+
+def _refuses_topk(n, m, k, cap):
+    try:
+        check_topk_cap(n, m, k, OracleCaps(topk_combinations=cap))
+    except ResourceCapError:
+        return True
+    return False
 
 
 def test_topk_options_price_every_set_by_move_to_top_cost():

@@ -59,11 +59,12 @@ def test_top_k_cap_names_n_m_and_k_not_the_binomial(tmp_path):
     assert _refused("solve", path) == "error: 1 votes x C(14400,7200) options exceed cap 50000\n"
 
 
-def test_planted_classes_past_the_vertex_bound_are_refused_before_drawing(tmp_path):
-    # drawing the 6,000-vertex graph took 23 s before its size check
+@pytest.mark.parametrize("classes", ["3000,3000", "1" + "0" * 5000 + ",2"], ids=["6000-vertices", "5001-digits"])
+def test_planted_classes_past_the_vertex_bound_are_refused_before_drawing(tmp_path, classes):
+    # drawing the 6,000-vertex graph took 23 s before its size check; int() refuses 5,001 digits
     out = tmp_path / "g.sbe"
-    err = _refused("generate", "clique-gadget", "--classes", "3000,3000", "--out", out)
-    assert err == "error: --classes 3000,3000 has 6000 vertices, more than 1000\n"
+    err = _refused("generate", "clique-gadget", "--classes", classes, "--out", out)
+    assert err == f"error: --classes {classes} has more than 1000 vertices\n"
     assert not out.exists()
 
 
@@ -72,7 +73,7 @@ def test_running_out_of_memory_is_an_error(monkeypatch, capsys):
         raise MemoryError
 
     monkeypatch.setattr(cli, "_read", exhausted)
-    assert cli.main(["kernelize", "any.sbe"]) == 2
+    assert cli.console(["kernelize", "any.sbe"]) == 2
     assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
@@ -81,6 +82,16 @@ def test_any_other_exception_keeps_its_traceback_but_exits_2(monkeypatch, capsys
         raise RuntimeError("a fault of the program")
 
     monkeypatch.setattr(cli, "_read", broken)
-    assert cli.main(["kernelize", "any.sbe"]) == 2
+    assert cli.console(["kernelize", "any.sbe"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("Traceback") and err.endswith("RuntimeError: a fault of the program\n")
+
+
+def test_main_lets_a_fault_of_the_program_raise_to_its_caller(monkeypatch):
+    # a caller that runs main in process tells a failed assertion from an error line
+    def broken(path):
+        raise AssertionError("a failed check")
+
+    monkeypatch.setattr(cli, "_read", broken)
+    with pytest.raises(AssertionError, match="a failed check"):
+        cli.main(["kernelize", "any.sbe"])
