@@ -245,7 +245,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_export_network(args) -> int:
     instance = formats.parse_election(_read(args.instance))
     require_covers(instance)
-    classes = vote_classes(instance, instance.costs)
+    classes = vote_classes(instance)
     network = build_transfer_network(
         classes, instance.rule.k, instance.preferred, args.s_star, instance.unique_mode
     )

@@ -23,7 +23,7 @@ from . import _search
 from .core import K_APPROVAL, head_then_rest
 from .errors import DomainError, ResourceCapError
 from .oracle import check_topk_cap, topk_options
-from .swaps import Bribery, BriberyInstance, SolveResult, move_to_top_target, verify_bribery, vote_classes
+from .swaps import Bribery, BriberyInstance, SolveResult, move_to_top_target, verify_bribery
 
 VotePattern = tuple[int, ...]
 ElectionPattern = tuple[VotePattern, ...]
@@ -114,12 +114,12 @@ def solve_color_coding(instance: BriberyInstance) -> SolveResult:
     preferred = instance.preferred
     others = [c for c in range(m) if c != preferred]
     rankings = [head_then_rest(r, m) for r in instance.election.expanded()]
-    _, prices, budget = instance.integer_prices()
+    _, classes, budget = instance.integer_prices()
     # Cheapest first, ties in ascending candidate order, so the first subset
     # of a color set is the one to take; the votes of a class share one list.
     options: list = [None] * n
-    for ranking, _, votes in vote_classes(instance, prices):
-        shared = sorted(topk_options(ranking, k, prices, votes[0], budget), key=lambda o: (o[1], sorted(o[0])))
+    for ranking, price, overrides, votes in classes:
+        shared = sorted(topk_options(ranking, k, price, overrides, budget), key=lambda o: (o[1], sorted(o[0])))
         for v in votes:
             options[v] = shared
     # Patterns as color bitmasks, grouped by their highest color; a pattern

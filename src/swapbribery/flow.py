@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import K_APPROVAL, Ranking, scores
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, ResourceCapError
 from .swaps import Bribery, BriberyInstance, SolveResult, SwapCostFunction, VoteClass, move_to_top_target
 from . import swaps as _swaps
 
@@ -245,6 +245,10 @@ def require_covers(instance: BriberyInstance) -> None:
 # class, then one ``b`` node per candidate.
 _S, _T, _X = 0, 1, 2
 
+# The most arcs a transfer network may have, read at every call. A solve
+# peaks at 400-450 bytes of memory per arc, so at the cap it stays under 0.5 GB.
+MAX_ARCS = 10**6
+
 
 def build_transfer_network(
     classes: list[VoteClass],
@@ -266,19 +270,21 @@ def build_transfer_network(
     if not classes:
         raise DomainError("need at least one vote")
     m = len(classes[0].ranking)
-    n_votes = sum(len(votes) for _, _, votes in classes)
+    n_votes = sum(len(c.votes) for c in classes)
     if not 1 <= k <= m:
         raise DomainError(f"k = {k} outside 1..{m}")
     if not 1 <= target_score <= n_votes:
         raise DomainError(f"target score {target_score} outside 1..{n_votes}")
     if not 0 <= preferred < m:
         raise DomainError("preferred candidate out of range")
+    if len(classes) * (m + 1) + m + 1 > MAX_ARCS:
+        raise ResourceCapError(f"{len(classes)} vote classes x {m} candidates exceed the cap of {MAX_ARCS} arcs")
 
     b0 = _X + 1 + len(classes)
     names = ["s", "t", "x", *(f"g[{i}]" for i in range(len(classes))), *(f"b[{c}]" for c in range(m))]
 
     arcs: list[FlowArc] = []
-    for g, (ranking, price, votes) in enumerate(classes, start=_X + 1):
+    for g, (ranking, price, _, votes) in enumerate(classes, start=_X + 1):
         arcs.append(FlowArc(_S, g, k * len(votes), 0))
         arcs += [FlowArc(g, b0 + c, len(votes), price * pos) for pos, c in enumerate(ranking)]
     arcs += _collectors(b0, m, preferred, target_score, unique, n_votes * k)
@@ -303,7 +309,7 @@ def _split(classes: list[VoteClass], result: FlowResult) -> tuple[Ranking, ...]:
     """
     targets: dict[int, Ranking] = {}
     flows = iter(result.arc_flows)
-    for ranking, _, votes in classes:
+    for ranking, _, _, votes in classes:
         next(flows)  # s -> g
         units = [c for c in ranking for _ in range(next(flows))]
         for i, v in enumerate(votes):
@@ -347,8 +353,7 @@ def solve_unit(instance: BriberyInstance) -> SolveResult:
     decision and the cost are the same.
     """
     require_covers(instance)
-    scale, prices, _ = instance.integer_prices()
-    classes = _swaps.vote_classes(instance, prices)
+    scale, classes, _ = instance.integer_prices()
     k, preferred, unique = instance.rule.k, instance.preferred, instance.unique_mode
     m, n_votes = instance.election.m, instance.election.n_expanded
     score = scores(instance.election, instance.rule)
@@ -359,8 +364,8 @@ def solve_unit(instance: BriberyInstance) -> SolveResult:
     network = build_transfer_network(classes, k, preferred, hi, unique)
     shared, b0 = network.arcs[: -m - 1], _X + 1 + len(classes)
     # f0 on the arcs every target score shares, and its potentials
-    unbribed = [f for _, _, votes in classes for f in (k * len(votes), *[len(votes)] * k, *[0] * (m - k))]
-    g_potentials = [-price * (k - 1) for _, price, _ in classes]
+    unbribed = [f for c in classes for f in (k * len(c.votes), *[len(c.votes)] * k, *[0] * (m - k))]
+    g_potentials = [-c.price * (k - 1) for c in classes]
     potentials = (min(g_potentials), 0, 0, *g_potentials, *[0] * m)
     flows: dict[int, FlowResult | None] = {}
 
@@ -390,7 +395,7 @@ def solve_unit(instance: BriberyInstance) -> SolveResult:
             lo = mid + 1
 
     result = cheapest(lo)
-    kept = k * (k - 1) // 2 * sum(price * len(votes) for _, price, votes in classes)
+    kept = k * (k - 1) // 2 * sum(c.price * len(c.votes) for c in classes)
     cost = Fraction(result.cost - kept, scale)
     return SolveResult(cost <= instance.budget, cost, Bribery(_split(classes, result)))
 

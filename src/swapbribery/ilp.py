@@ -21,7 +21,7 @@ from .core import BUCKLIN, K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .lp import lp_feasible
 from .oracle import factorial_exceeds
-from .swaps import Bribery, BriberyInstance, SolveResult, target_costs, vote_classes
+from .swaps import Bribery, BriberyInstance, SolveResult, target_costs
 
 @dataclass(frozen=True)
 class Inequality:
@@ -156,14 +156,14 @@ def build_ilp(
         raise DomainError("description built for a different candidate count")
     cand_of_slot, slot_of_cand = slot_mapping(instance)
     perm_index = {perm: i for i, perm in enumerate(system.perms)}
-    scale, prices, budget = instance.integer_prices()
+    scale, classes, budget = instance.integer_prices()
 
     groups = []
     counts = [0] * len(system.perms)
-    for ranking, _, members in vote_classes(instance, prices):
+    for ranking, price, overrides, members in classes:
         base = perm_index[tuple(slot_of_cand[c] for c in ranking)]
         # permutations(cand_of_slot) lists the targets in system.perms order
-        costs = tuple(target_costs(ranking, prices, members[0], cand_of_slot))
+        costs = tuple(target_costs(ranking, price, overrides, cand_of_slot))
         groups.append(VoteGroup(base, members, costs))
         counts[base] += len(members)
 

@@ -40,7 +40,7 @@ from .core import (
 from .errors import DomainError, ParseError, RankingError
 from .flow import FlowNetwork
 from .reductions import PartialVote, PossibleWinnerInstance
-from .swaps import Bribery, BriberyInstance, SwapCostFunction
+from .swaps import Bribery, BriberyInstance, SwapCostFunction, changed_votes
 from .hardness import ColoredGraph, Graph
 
 ELECTION_MAGIC = "sbe 1"
@@ -383,18 +383,10 @@ def serialize_solution(
     if cost is not None:
         out.append(f"cost {format_fraction(cost)}")
     if bribery is not None:
-        rankings = instance.election.expanded_list()
-        if len(bribery.targets) != len(rankings):
-            raise DomainError(f"bribery covers {len(bribery.targets)} votes, expected {len(rankings)}")
-        changed = []  # (vote, its target as stored), where the two differ as rankings
-        for i, (ranking, target) in enumerate(zip(rankings, bribery.targets)):
-            if target != ranking:
-                target = stored_ranking(target, instance.election.m)
-                if target != ranking:
-                    changed.append((i, target))
+        changed = changed_votes(instance, bribery)
         out.append(f"changed {len(changed)}")
         names = instance.election.candidates
-        for i, target in changed:
+        for i, _, target in changed:
             as_head, text = _written_names(names, target)
             out.append(f"{'target-head' if as_head else 'target'} {i} {text}".rstrip())
     return "\n".join(out) + "\n"

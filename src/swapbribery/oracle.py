@@ -32,11 +32,10 @@ from .errors import DomainError, ResourceCapError
 from .swaps import (
     Bribery,
     BriberyInstance,
+    PairCosts,
     SolveResult,
-    SwapCostFunction,
     move_to_top_target,
     target_costs,
-    vote_classes,
 )
 
 
@@ -101,31 +100,29 @@ def factorial_exceeds(n: int, m: int, cap: int) -> bool:
 def topk_options(
     ranking: Ranking,
     k: int,
-    prices: SwapCostFunction,
-    vote: int,
+    price: int,
+    overrides: PairCosts,
     budget_cap: int | None,
 ) -> list[tuple[tuple[int, ...], int]]:
-    """Every k-subset of one vote with its move-to-top cost, on int ``prices``.
+    """Every k-subset of one vote class with its move-to-top cost, on its int prices.
 
-    ``prices`` is the int table of ``BriberyInstance.integer_prices``. Lifting
-    the candidate at position p past the unchosen ones above it costs the
-    vote's default price per pass, corrected by each override it meets.
+    ``price`` and ``overrides`` are a class's of ``BriberyInstance.integer_prices``.
+    Lifting the candidate at position p past the unchosen ones above it costs
+    the default ``price`` per pass, corrected by each override it meets.
     With ``budget_cap`` set, subsets dearer than the cap are dropped: every
     pass costs at least the vote's cheapest price, so that price times the
     passes bounds a lift from below, grows with position and allows cutting.
     """
     m = len(ranking)
-    default = prices.default(vote)
-    overrides = prices.overrides(vote)
-    low = min((default, *overrides.values()))
+    low = min((price, *overrides.values()))
     incoming: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     prefix_delta = [0] * m
     pos = {c: i for i, c in enumerate(ranking)}
-    for (a, b), price in overrides.items():
+    for (a, b), value in overrides.items():
         ia, ib = pos.get(a), pos.get(b)
         if ia is not None and ib is not None and ia < ib:
-            incoming[ib].append((ia, price - default))
-            prefix_delta[ib] += price - default
+            incoming[ib].append((ia, value - price))
+            prefix_delta[ib] += value - price
 
     out: list[tuple[tuple[int, ...], int]] = []
     # Depth first, one level per approved position: chosen holds the positions
@@ -142,7 +139,7 @@ def topk_options(
             passes = p - count
             cost = costs[count]
             if budget_cap is None or cost + low * passes <= budget_cap:
-                step = default * passes + prefix_delta[p]
+                step = price * passes + prefix_delta[p]
                 for ia, d in incoming[p]:
                     if is_chosen[ia]:
                         step -= d
@@ -251,14 +248,14 @@ def brute_topk(
 
     check_topk_cap(election.n_expanded, m, k, caps)
 
-    scale, prices, budget = instance.integer_prices()
+    scale, classes, budget = instance.integer_prices()
     budget_cap = budget if prune_to_budget else None
     pairs = [(c, 1) for c in _columns(m, instance.preferred)]
-    classes = []
-    for ranking, _, votes in vote_classes(instance, prices):
-        options = topk_options(ranking, k, prices, votes[0], budget_cap)
-        classes.append(([(tuple(map(pairs.__getitem__, c)), cost, c) for c, cost in options], votes))
-    hit = _run_search(classes, 1, m, instance.unique_mode, budget_cap)
+    searched = []
+    for ranking, price, overrides, votes in classes:
+        options = topk_options(ranking, k, price, overrides, budget_cap)
+        searched.append(([(tuple(map(pairs.__getitem__, c)), cost, c) for c, cost in options], votes))
+    hit = _run_search(searched, 1, m, instance.unique_mode, budget_cap)
     if hit is None:
         return SolveResult(False, None, None)
     optimum, chosen = hit
@@ -284,7 +281,7 @@ def brute_rankings(
     if factorial_exceeds(n_votes, m, caps.ranking_combinations):
         raise ResourceCapError(f"{n_votes} votes x {m}! options exceed cap {caps.ranking_combinations}")
 
-    scale, prices, budget = instance.integer_prices()
+    scale, classes, budget = instance.integer_prices()
     targets = list(permutations(range(m)))
 
     rule = instance.rule
@@ -302,11 +299,11 @@ def brute_rankings(
     # each target's increments; targets share equal pairs, which keeps the m!
     # lists small
     increments = [[pair for pos, c in enumerate(t) for pair in placed[pos][c]] for t in targets]
-    classes = [
-        (list(zip(increments, target_costs(ranking, prices, votes[0], range(m)), targets)), votes)
-        for ranking, _, votes in vote_classes(instance, prices)
+    searched = [
+        (list(zip(increments, target_costs(ranking, price, overrides, range(m)), targets)), votes)
+        for ranking, price, overrides, votes in classes
     ]
-    hit = _run_search(classes, rows, m, instance.unique_mode, None)
+    hit = _run_search(searched, rows, m, instance.unique_mode, None)
     if hit is None:
         return SolveResult(False, None, None)
     optimum, chosen = hit

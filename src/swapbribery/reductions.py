@@ -90,7 +90,7 @@ def sb_to_pw(instance: BriberyInstance) -> PossibleWinnerInstance:
     """
     if instance.budget != 0:
         raise PreconditionError("translation needs budget zero")
-    positive = {c for c in instance.costs.iter_values() if c != 0}
+    positive = {c for c in instance.costs.distinct_values() if c != 0}
     if len(positive) > 1:
         found = ", ".join(map(str, sorted(positive)))
         raise PreconditionError(f"costs must lie in {{0, d}}; found {found}")

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import (
     CO_WINNER,
@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import DomainError
 
-PairCosts = Mapping[tuple[int, int], Fraction]
+PairCosts = Mapping[tuple[int, int], Fraction]  # int values in a scaled vote class
 
 
 def _distinct(objects) -> Iterable:
@@ -39,10 +39,7 @@ def _distinct(objects) -> Iterable:
 
 
 class SwapCostFunction:
-    """Per-expanded-vote swap prices: a default plus sparse pair overrides.
-
-    Prices are Fractions, except in the int copy ``scaled`` makes.
-    """
+    """Per-expanded-vote swap prices, as Fractions: a default plus sparse pair overrides."""
 
     __slots__ = ("_defaults", "_overrides")
 
@@ -93,36 +90,19 @@ class SwapCostFunction:
     def cost(self, vote: int, a: int, b: int) -> Fraction:
         return self._overrides[vote].get((a, b), self._defaults[vote])
 
-    def iter_values(self) -> Iterator[Fraction]:
-        for default, table in zip(self._defaults, self._overrides):
-            yield default
-            yield from table.values()
-
-    def scaled(self, scale: int) -> "SwapCostFunction":
-        """Every price times ``scale``, held as ints; ``scale`` must clear every denominator."""
-        if any(scale % v.denominator for v in self._distinct_values()):
-            raise DomainError(f"scale {scale} leaves a price fractional")
-        # Scaled tables stay canonical, so the constructor's checks are skipped.
-        out = object.__new__(SwapCostFunction)
-        out._defaults = tuple(d.numerator * (scale // d.denominator) for d in self._defaults)
-        out._overrides = tuple(
-            {p: c.numerator * (scale // c.denominator) for p, c in t.items()} for t in self._overrides
-        )
-        return out
-
-    def _distinct_values(self) -> list:
-        """The prices ``iter_values`` yields, each object once: votes share their price objects."""
+    def distinct_values(self) -> list:
+        """Every price, each price object once: votes share their price objects."""
         return [*_distinct(self._defaults), *(v for t in _distinct(self._overrides) for v in t.values())]
 
     def min_value(self) -> Fraction:
-        return min(self._distinct_values())
+        return min(self.distinct_values())
 
     def max_value(self) -> Fraction:
-        return max(self._distinct_values())
+        return max(self.distinct_values())
 
     def is_uniform(self, value) -> bool:
         value = Fraction(value)
-        return all(v == value for v in self._distinct_values())
+        return all(v == value for v in self.distinct_values())
 
     def __eq__(self, other):
         if not isinstance(other, SwapCostFunction):
@@ -138,8 +118,8 @@ class Bribery:
     """A bribery, canonically represented by per-expanded-vote target rankings.
 
     A target may be given in full or as a head (``core.stored_ranking``);
-    ``verify_bribery`` and the solution writer compare it with its vote in
-    stored form, and ``parse_solution`` reads every target in that form.
+    ``changed_votes`` compares it with its vote in stored form, and
+    ``parse_solution`` reads every target in that form.
     """
 
     targets: tuple[Ranking, ...]
@@ -188,18 +168,18 @@ class BriberyInstance:
         if self.costs.n_votes != self.election.n_expanded:
             raise DomainError("cost function must cover every expanded vote")
 
-    def integer_prices(self) -> tuple[int, SwapCostFunction, int]:
-        """``(scale, prices * scale, budget * scale)``, every price an int.
+    def integer_prices(self) -> tuple[int, list["VoteClass"], int]:
+        """``(scale, vote classes, budget * scale)``, each class's prices times ``scale`` as ints.
 
         ``scale`` is the lcm of the denominators of every price and of the
-        budget. The exact searches build on these prices, so a cost ``c``
+        budget. The exact searches build on these classes, so a cost ``c``
         they find is ``Fraction(c, scale)``. Witnesses are checked against
         the original prices, never these.
         """
         scale = lcm(
-            self.budget.denominator, *(v.denominator for v in self.costs.iter_values())
+            self.budget.denominator, *(v.denominator for v in self.costs.distinct_values())
         )
-        return scale, self.costs.scaled(scale), int(self.budget * scale)
+        return scale, vote_classes(self, scale), int(self.budget * scale)
 
     @property
     def unique_mode(self) -> bool:
@@ -217,22 +197,34 @@ class VoteClass(NamedTuple):
     """The expanded votes that share a ranking, a default swap price and an override table."""
 
     ranking: Ranking
-    price: int | Fraction  # the default price; ``votes[0]`` supplies the override table
+    price: int | Fraction  # the default price
+    overrides: PairCosts
     votes: tuple[int, ...]
 
 
-def vote_classes(instance: BriberyInstance, prices: SwapCostFunction) -> list[VoteClass]:
-    """The expanded votes grouped by ranking and by their prices in ``prices``, in order of first vote.
+def vote_classes(instance: BriberyInstance, scale: int | None = None) -> list[VoteClass]:
+    """The expanded votes grouped by ranking and prices, in order of first vote.
 
-    Votes of one class are interchangeable: each has the same options at the
-    same costs, so every solver builds a class's options once.
+    Votes of one class are interchangeable, so every solver builds a class's
+    options once. A class holds its first vote's prices, as ints times
+    ``scale`` if given; ``scale`` must clear every denominator.
     """
-    groups: dict[tuple, list[int]] = {}
+    costs = instance.costs
+    groups: dict[tuple, tuple[PairCosts, list[int]]] = {}
     for v, ranking in enumerate(instance.election.expanded()):
-        key = (ranking, prices.default(v), frozenset(prices.overrides(v).items()))
-        groups.setdefault(key, []).append(v)
+        table = costs.overrides(v)
+        # a price enters the key as its two ints, which hash faster than a Fraction
+        prices = frozenset((pair, c.numerator, c.denominator) for pair, c in table.items())
+        key = (ranking, costs.default(v), prices)
+        groups.setdefault(key, (table, []))[1].append(v)
     m = instance.election.m
-    return [VoteClass(head_then_rest(ranking, m), price, tuple(votes)) for (ranking, price, _), votes in groups.items()]
+    classes = []
+    for (ranking, price, _), (overrides, votes) in groups.items():
+        if scale is not None:
+            price = price.numerator * (scale // price.denominator)
+            overrides = {pair: c.numerator * (scale // c.denominator) for pair, c in overrides.items()}
+        classes.append(VoteClass(head_then_rest(ranking, m), price, overrides, tuple(votes)))
+    return classes
 
 
 def _count_inversions(seq: Iterable[int]) -> int:
@@ -284,11 +276,12 @@ def transform_cost(
 
 def target_costs(
     ranking: Ranking,
-    prices: SwapCostFunction,
-    vote: int,
+    price: int | Fraction,
+    overrides: PairCosts,
     order: Iterable[int],
 ) -> list:
-    """``transform_cost`` from ``ranking`` to every target, in ``permutations(order)`` order.
+    """``transform_cost`` from ``ranking`` to every target, in ``permutations(order)`` order,
+    for a vote class's default ``price`` and ``overrides``.
 
     The targets that start with ``c`` are ``c`` followed by every ordering
     of the rest, in the same order, and only the pairs with ``c`` tell them
@@ -301,15 +294,14 @@ def target_costs(
     rank = {c: i for i, c in enumerate(ranking)}
     if len(rank) != len(ranking) or len(ranking) != m or set(order) != rank.keys():
         raise DomainError("rankings must permute the same candidates")
-    default = prices.default(vote)
     bit = {c: 1 << i for i, c in enumerate(order)}
     # above[i]: the candidates the vote ranks above order[i], as a bitmask
     above = [sum(bit[a] for a in ranking[: rank[c]]) for c in order]
     # deltas[i]: (bitmask of a, price of (a, order[i]) above the default)
     deltas: list[list[tuple[int, object]]] = [[] for _ in range(m)]
-    for (a, b), price in prices.overrides(vote).items():
+    for (a, b), value in overrides.items():
         if a in rank and b in rank and rank[a] < rank[b]:
-            deltas[order.index(b)].append((bit[a], price - default))
+            deltas[order.index(b)].append((bit[a], value - price))
     # tables[mask]: the costs of the orderings of the subset ``mask``; every
     # subset one candidate smaller is a smaller number, so it comes first
     tables: list[list] = [[0]] + [[] for _ in range(1, 1 << m)]
@@ -318,7 +310,7 @@ def target_costs(
         for i in range(m):
             if mask >> i & 1:
                 rest = mask ^ (1 << i)
-                step = default * (rest & above[i]).bit_count()
+                step = price * (rest & above[i]).bit_count()
                 for b, d in deltas[i]:
                     if rest & b:
                         step += d
@@ -379,28 +371,33 @@ def _stored_cost(src: Ranking, dst: Ranking, m: int, costs: SwapCostFunction, vo
     return transform_cost(head_then_rest(src, m), head_then_rest(dst, m), costs, vote)
 
 
-def verify_bribery(instance: BriberyInstance, bribery: Bribery) -> VerifyReport:
-    """Price a bribery and evaluate the winner condition on the result.
+def changed_votes(instance: BriberyInstance, bribery: Bribery) -> list[tuple[int, Ranking, Ranking]]:
+    """Each vote the bribery changes, as ``(vote, ranking, target)`` in stored form.
 
-    Votes are compared with their targets in stored form, so only the votes
-    the bribery changes are read past their heads.
+    A vote is compared with its target before the target is stored, so a
+    vote the bribery keeps is not read past its head.
     """
     originals = instance.election.expanded_list()
     if len(bribery.targets) != len(originals):
-        raise DomainError(
-            f"bribery covers {len(bribery.targets)} votes, expected {len(originals)}"
-        )
+        raise DomainError(f"bribery covers {len(bribery.targets)} votes, expected {len(originals)}")
     m = instance.election.m
-    total = Fraction(0)
+    changed = []
     for idx, (src, dst) in enumerate(zip(originals, bribery.targets)):
-        if src == dst:
-            continue
-        try:
-            dst = stored_ranking(dst, m)
-        except DomainError:
-            raise DomainError(f"target for vote {idx} is not a permutation of the roster") from None
         if src != dst:
-            total += _stored_cost(src, dst, m, instance.costs, idx)
+            try:
+                dst = stored_ranking(dst, m)
+            except DomainError:
+                raise DomainError(f"target for vote {idx} is not a permutation of the roster") from None
+            if src != dst:
+                changed.append((idx, src, dst))
+    return changed
+
+
+def verify_bribery(instance: BriberyInstance, bribery: Bribery) -> VerifyReport:
+    """Price the votes a bribery changes (``changed_votes``) and evaluate the winner condition."""
+    total = Fraction(0)
+    for idx, src, dst in changed_votes(instance, bribery):
+        total += _stored_cost(src, dst, instance.election.m, instance.costs, idx)
     return VerifyReport(
         total_cost=total,
         preferred_wins=instance.preferred_wins(bribery.targets),

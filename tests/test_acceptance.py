@@ -69,7 +69,7 @@ def test_sample_instance_concrete_values():
     oracle = brute_topk(inst)
     assert oracle.optimal_cost == 3
 
-    network = build_transfer_network(vote_classes(inst, inst.costs), 2, 2, 2)
+    network = build_transfer_network(vote_classes(inst), 2, 2, 2)
     arc_cost = {
         (network.node_names[a.tail], network.node_names[a.head]): a.cost
         for a in network.arcs

@@ -465,6 +465,9 @@ def test_generate_clique_gadget(tmp_path):
         ["clique-gadget", "--classes", "a,b"],
         ["clique-gadget", "--classes", "2,-1"],
         ["clique-gadget", "--classes", "2,0"],
+        ["random", "--cost-model", "range:3:1"],
+        ["clique-gadget", "--epsilon", "0"],
+        ["clique-gadget", "--classes", "3"],
     ],
 )
 def test_generate_rejects_bad_arguments(tmp_path, argv, capsys):

@@ -233,17 +233,28 @@ class TestEngine:
         with pytest.raises(DomainError):
             FlowNetwork(("s", "t"), (FlowArc(0, 1, -1, Fraction(0)),), 0, 1)
 
+    @pytest.mark.parametrize(
+        "arc, message",
+        [
+            (FlowArc(0, 2, 1, -1), "arc costs must be non-negative"),
+            (FlowArc(2, 0, 1, 0), "source must have no incoming arcs"),
+            (FlowArc(1, 2, 1, 0), "sink must have no outgoing arcs"),
+        ],
+    )
+    def test_rejects_an_arc_against_the_network_rules(self, arc, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            FlowNetwork(("s", "t", "a"), (FlowArc(0, 2, 1, 0), arc), 0, 1)
+
 
 # The sample's two votes, one unit-price class each.
-SAMPLE_CLASSES = [VoteClass(SAMPLE_V, 1, (0,)), VoteClass(SAMPLE_U, 1, (1,))]
+SAMPLE_CLASSES = [VoteClass(SAMPLE_V, 1, {}, (0,)), VoteClass(SAMPLE_U, 1, {}, (1,))]
 
 
 def _classes(inst):
     """The vote classes ``solve_unit`` builds, and the constant its flows pay on top."""
-    scale, prices, _ = inst.integer_prices()
-    classes = vote_classes(inst, prices)
+    scale, classes, _ = inst.integer_prices()
     k = inst.rule.k
-    kept = k * (k - 1) // 2 * sum(price * len(votes) for _, price, votes in classes)
+    kept = k * (k - 1) // 2 * sum(c.price * len(c.votes) for c in classes)
     return scale, classes, kept
 
 
@@ -270,10 +281,10 @@ class TestNetworkShape:
     def test_keep_arcs_cost_zero(self):
         # Keeping a class's top k costs only the constant its flows pay on
         # top, price * w * k(k-1)/2; no arc but a class's costs anything.
-        classes = [VoteClass(SAMPLE_V, 3, (0, 2)), VoteClass(SAMPLE_U, 2, (1,))]
+        classes = [VoteClass(SAMPLE_V, 3, {}, (0, 2)), VoteClass(SAMPLE_U, 2, {}, (1,))]
         for k in range(1, 6):
             net = build_transfer_network(classes, k, 2, 2)
-            for g, (ranking, price, votes) in enumerate(classes):
+            for g, (ranking, price, _, votes) in enumerate(classes):
                 top = [net.node_names.index(f"b[{c}]") for c in ranking[:k]]
                 node = net.node_names.index(f"g[{g}]")
                 keep = sum(a.cost * len(votes) for a in net.arcs if a.tail == node and a.head in top)
@@ -295,11 +306,11 @@ class TestNetworkShape:
         election = Election(("a", "b", "p"), (Vote((0, 1, 2), 3), Vote((1, 0, 2)), Vote((0, 1, 2), 2)))
         costs = SwapCostFunction([1, 2, 1, 2, 1, 1], [{}] * 6)
         inst = BriberyInstance(election, VotingRule.k_approval(1), 2, costs, Fraction(1))
-        classes = vote_classes(inst, costs)
+        classes = vote_classes(inst)
         assert classes == [
-            VoteClass((0, 1, 2), 1, (0, 2, 4, 5)),
-            VoteClass((0, 1, 2), 2, (1,)),
-            VoteClass((1, 0, 2), 2, (3,)),
+            VoteClass((0, 1, 2), 1, {}, (0, 2, 4, 5)),
+            VoteClass((0, 1, 2), 2, {}, (1,)),
+            VoteClass((1, 0, 2), 2, {}, (3,)),
         ]
         # one class arc per (class, candidate): d * m, whatever the multiplicities
         net = build_transfer_network(classes, 1, 2, 3)
@@ -321,7 +332,7 @@ def _unbribed_start(network, classes, k):
         flows.append(min(held[tail], capacity))
         held[tail] -= flows[-1]
         held[head] += flows[-1]
-    g = [-price * (k - 1) for _, price, _ in classes]
+    g = [-c.price * (k - 1) for c in classes]
     return flows, [min(g), 0, 0, *g] + [0] * (len(network.node_names) - 3 - len(g))
 
 
@@ -332,7 +343,7 @@ def _random_classes(rng, prices):
     for _ in range(rng.randint(1, 3)):
         w = rng.randint(1, 3)
         price = {"zero": 0, "unit": 1, "per-vote": rng.randint(0, 4)}[prices]
-        classes.append(VoteClass(tuple(rng.sample(range(m), m)), price, tuple(range(first, first + w))))
+        classes.append(VoteClass(tuple(rng.sample(range(m), m)), price, {}, tuple(range(first, first + w))))
         first += w
     return classes, m, first
 
@@ -349,7 +360,7 @@ class TestWarmStart:
         for trial in range(300):
             classes, m, n = _random_classes(rng, ("zero", "unit", "per-vote")[trial % 3])
             k, preferred, unique = rng.randint(1, m), rng.randrange(m), rng.random() < 0.5
-            shared += any(len(votes) > 1 for _, _, votes in classes)
+            shared += any(len(c.votes) > 1 for c in classes)
             for target in range(1, n + 1):
                 network = build_transfer_network(classes, k, preferred, target, unique)
                 value, cost, _ = _one_path_per_dijkstra(network)
@@ -372,7 +383,7 @@ class TestWarmStart:
         assert full > 300 and short > 300 and shared > 200
 
     def test_rejects_a_start_it_cannot_trust(self):
-        classes = [VoteClass(SAMPLE_V, 2, (0, 1)), VoteClass(SAMPLE_U, 1, (2,))]
+        classes = [VoteClass(SAMPLE_V, 2, {}, (0, 1)), VoteClass(SAMPLE_U, 1, {}, (2,))]
         network = build_transfer_network(classes, 2, 2, 2)
         flows, potentials = _unbribed_start(network, classes, 2)
         assert min_cost_max_flow(network, (flows, potentials)).value == 6
@@ -584,7 +595,7 @@ class TestSplit:
                 if res.value != n * k:
                     continue
                 targets = _split(classes, res)
-                for g, (ranking, _, votes) in enumerate(classes):
+                for g, (ranking, _, _, votes) in enumerate(classes):
                     node = network.node_names.index(f"g[{g}]")
                     shared += len(votes) > 1
                     carried = {

@@ -131,7 +131,7 @@ class TestCliqueGadget:
     def test_epsilon_appears_in_blocking_pairs(self):
         graph, _ = planted_multicolored_clique([2, 2], seed=10)
         inst, layout = multicolored_clique_instance(graph, epsilon=Fraction(1, 3))
-        values = set(inst.costs.iter_values())
+        values = set(inst.costs.distinct_values())
         assert values == {Fraction(1), Fraction(4, 3)}
 
     def test_rejects_dependent_classes(self):

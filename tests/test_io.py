@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -315,6 +316,13 @@ def test_solution_of_a_bribery_with_too_few_votes_is_refused(sample_instance):
         serialize_solution(sample_instance, True, 0, Bribery((SAMPLE_V,)), "hand")
 
 
+def test_a_roster_name_with_a_space_is_not_serialized():
+    inst = parse_election(MINIMAL)
+    election = Election(("a b", *inst.election.candidates[1:]), inst.election.votes)
+    with pytest.raises(DomainError, match="^candidate name 'a b' is not serializable$"):
+        serialize_election(replace(inst, election=election))
+
+
 def test_solution_without_targets_has_no_bribery(sample_instance):
     text = "sbs 1\ndecision yes\nsolver brute\ncost 3\n"
     assert parse_solution(text, sample_instance) == (True, 3, None, "brute", {})
@@ -526,7 +534,7 @@ def test_parse_int_rejects_every_other_token(token):
 
 
 def test_dot_counts_for_sample_network():
-    classes = [VoteClass(SAMPLE_V, 1, (0,)), VoteClass(SAMPLE_U, Fraction(3, 2), (1,))]
+    classes = [VoteClass(SAMPLE_V, 1, {}, (0,)), VoteClass(SAMPLE_U, Fraction(3, 2), {}, (1,))]
     net = build_transfer_network(classes, 2, 2, 2)
     dot = network_to_dot(net)
     node_lines = [l for l in dot.splitlines() if l.endswith('";')]
@@ -583,6 +591,8 @@ def test_roster_names_that_are_keywords_round_trip_in_both_forms():
         (("target-head 1 ", "target 3 c0\ntarget-head 3 "), "line 6: duplicate target index 3"),
         (("target-head 1 ", "target-head 6 "), "line 5: target index outside expanded votes 0..5"),
         (("target-head 1 ", "target-head 1 zz "), "line 5: unknown candidate 'zz'"),
+        (("target-head 1 ", "target-head 2 c5\ntarget-head 1 c63 "), "line 6: target must list every candidate once"),
+        (("target-head 1 c63", "target 1 c0 " + " ".join(f"c{i}" for i in range(63))), "line 5: target must list every candidate once"),
     ],
 )
 def test_bad_target_head_line_names_its_line(edit, message):

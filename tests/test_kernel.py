@@ -143,6 +143,20 @@ class TestKernelize:
             for kernel in (kernelize(inst).instance, truncation_kernel(inst)):
                 assert brute_topk(kernel, prune_to_budget=True).decision is decision, inst
 
+    @pytest.mark.parametrize(
+        "rows, decision",
+        [(((1, 4, 0, 5, 3, 2), (3, 5, 4, 0, 2, 1)), True), (((2, 0, 1, 4, 3, 5), (3, 1, 0, 5, 4, 2)), False)],
+    )
+    def test_dummies_keep_clear_of_roster_names(self, rows, decision):
+        # dummy0 and dummy1 are kept, so the first two dummies become xdummy0 and xdummy1
+        election = Election(("dummy0", "dummy1", "a", "b", "p", "c"), tuple(Vote(r) for r in rows))
+        inst = BriberyInstance(election, VotingRule.k_approval(3), 4, SwapCostFunction.unit(2), Fraction(1))
+        kernel = kernelize(inst).instance
+        names = kernel.election.candidates
+        assert names[:2] == ("dummy0", "dummy1") and {"xdummy0", "xdummy1", "dummy2"} <= set(names)
+        assert len(set(names)) == len(names)
+        assert brute_topk(inst).decision is brute_topk(kernel, prune_to_budget=True).decision is decision
+
     def test_candidates_outside_kernel_window_are_frozen(self):
         # With minimum cost 1, no candidate below position k'+beta of a
         # kernel vote can score within budget: kernel prices stay >= 1 and

@@ -123,14 +123,14 @@ def test_topk_options_price_every_set_by_move_to_top_cost():
         m = rng.randint(1, 7)
         k = rng.randint(1, m)
         ranking = tuple(rng.sample(range(m), m))
-        prices = random_costs(rng, m, 1, maximum=5, denominators=(1,)).scaled(1)
+        prices = random_costs(rng, m, 1, maximum=5, denominators=(1,))
         above_cheapest += prices.default(0) > prices.min_value()
         want = {
             frozenset(s): move_to_top_cost(ranking, s, k, prices, 0)
             for s in combinations(range(m), k)
         }
         for cap in (None, rng.randint(0, 12), 0):
-            got = topk_options(ranking, k, prices, 0, cap)
+            got = topk_options(ranking, k, prices.default(0), prices.overrides(0), cap)
             assert len(got) == len({frozenset(c) for c, _ in got})
             assert {frozenset(c): cost for c, cost in got} == {
                 s: cost for s, cost in want.items() if cap is None or cost <= cap
@@ -140,8 +140,7 @@ def test_topk_options_price_every_set_by_move_to_top_cost():
 
 def test_topk_options_on_a_long_vote_with_a_default_above_its_cheapest_price():
     # candidate 3 passes 0 at the override 1 and 1, 2 at the default 2
-    prices = SwapCostFunction([2], [{(0, 3): 1}]).scaled(1)
-    got = topk_options(tuple(range(200)), 1, prices, 0, 5)
+    got = topk_options(tuple(range(200)), 1, 2, {(0, 3): 1}, 5)
     assert got == [((0,), 0), ((1,), 2), ((2,), 4), ((3,), 5)]
 
 
@@ -342,5 +341,5 @@ def test_subsets_go_1500_positions_deep():
     # of 0 at unit prices leaves one path, the top 1,499 as cast; with no cap
     # the walk builds all 1,500 subsets, in time quadratic in k.
     m = 1500
-    got = topk_options(tuple(range(m)), m - 1, SwapCostFunction.unit(1), 0, 0)
+    got = topk_options(tuple(range(m)), m - 1, 1, {}, 0)
     assert got == [(tuple(range(m - 1)), 0)]

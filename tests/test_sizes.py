@@ -1,10 +1,13 @@
 """Inputs that ask for more than the workbench builds end in an error line, never a crash.
 
-Each file runs through the command line in a fresh process with a timeout,
-and must exit 2 with an ``error:`` line and no traceback.
+Each file runs through the command line in a fresh process with a timeout
+and a 1 GB address-space limit, and must exit 2 with an ``error:`` line and
+no traceback.
 """
 
 import os
+import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -18,11 +21,17 @@ from swapbribery.reductions import gen_random
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _one_gigabyte():
+    """Run in the child only: its address space is limited, the test process's is not."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
 def _refused(*argv):
     """stderr of one ``swapbribery`` call that must exit 2 with one error line and no traceback."""
     done = subprocess.run(
         [sys.executable, "-m", "swapbribery.cli", *map(str, argv)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=10,
+        preexec_fn=_one_gigabyte,
     )
     assert done.returncode == 2 and "Traceback" not in done.stderr, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
@@ -57,6 +66,23 @@ def test_top_k_cap_names_n_m_and_k_not_the_binomial(tmp_path):
         "costs 0 pair c0 c1 2", "",
     ]))
     assert _refused("solve", path) == "error: 1 votes x C(14400,7200) options exceed cap 50000\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "export-network"])
+def test_flow_names_the_classes_and_m_before_building_ten_million_arcs(tmp_path, command):
+    # 1,000 heads of two of 10,000 names, the preferred candidate in none:
+    # one unit-price class per vote, so the network would need 1,000 x 10,001 arcs
+    m, rng = 10_000, random.Random(12)
+    path = tmp_path / "m10000.sbe"
+    path.write_text("\n".join([
+        "sbe 1", f"candidates {m}", *(f"candidate {i} c{i}" for i in range(m)), "rule k-approval 1",
+        "budget 1", "preferred c0",
+        *(f"vote {v} multiplicity 1 head c{a} c{b}" for v, (a, b) in enumerate(rng.sample(range(1, m), 2) for _ in range(1000))),
+        "",
+    ]))
+    options = ["--s-star", 2, "--out", tmp_path / "net.dot"] if command == "export-network" else []
+    err = _refused(command, path, *options)
+    assert err == "error: 1000 vote classes x 10000 candidates exceed the cap of 1000000 arcs\n"
 
 
 @pytest.mark.parametrize("classes", ["3000,3000", "1" + "0" * 5000 + ",2"], ids=["6000-vertices", "5001-digits"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from swapbribery.core import Election, Ranking, Vote, VotingRule
 from swapbribery.errors import DomainError
+from swapbribery.io import serialize_solution
 from swapbribery.reductions import gen_random
 from swapbribery.swaps import (
     Bribery,
@@ -314,28 +315,29 @@ def _walk_prices(rng: random.Random, m: int, model: str) -> SwapCostFunction:
         for a, b in pairs:
             if rng.random() < 0.5:
                 table[(a, b)] = table[(b, a)] = rng.randint(0, 4)
-    return SwapCostFunction([default], [table]).scaled(1)
+    return default, table
 
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_target_costs_match_transform_cost_target_by_target(m):
     rng = random.Random(m)
     for model in ("unit", "two-valued", "range", "zero", "one-sided", "symmetric"):
-        prices = _walk_prices(rng, m, model)
+        default, table = _walk_prices(rng, m, model)
+        prices = SwapCostFunction([default], [table])
         ranking = tuple(rng.sample(range(m), m))
         # every target's cost in permutations order, over the roster and over
         # a relabeling that puts one candidate first, as ilp.slot_mapping does
         first = rng.randrange(m)
         for order in (range(m), [first] + [c for c in range(m) if c != first]):
             want = [transform_cost(ranking, t, prices, 0) for t in permutations(order)]
-            assert target_costs(ranking, prices, 0, order) == want, (model, ranking, order)
+            assert target_costs(ranking, default, table, order) == want, (model, ranking, order)
 
 
 def test_target_costs_rejects_an_order_of_other_candidates():
     with pytest.raises(DomainError):
-        target_costs((0, 1, 2), unit(), 0, (0, 1, 3))
+        target_costs((0, 1, 2), 1, {}, (0, 1, 3))
     with pytest.raises(DomainError):
-        target_costs((0, 1, 2), unit(), 0, (0, 1))
+        target_costs((0, 1, 2), 1, {}, (0, 1))
 
 
 class TestVerifyBribery:
@@ -387,6 +389,15 @@ class TestVerifyBribery:
         with pytest.raises(DomainError):
             verify_bribery(sample_instance, Bribery(((0, 1, 2, 3, 4),)))
 
+    @pytest.mark.parametrize(
+        "check",
+        [verify_bribery, lambda inst, bribery: serialize_solution(inst, True, None, bribery, "hand")],
+        ids=["verify_bribery", "serialize_solution"],
+    )
+    def test_a_target_that_repeats_a_candidate_is_refused_by_its_vote(self, sample_instance, check):
+        with pytest.raises(DomainError, match="^target for vote 1 is not a permutation of the roster$"):
+            check(sample_instance, Bribery(((0, 2, 1, 3, 4), (0, 2, 2, 3, 4))))
+
 
 def bribery_swaps(instance: BriberyInstance, bribery: Bribery) -> list[Swap]:
     """A minimum-cost admissible swap set realizing the bribery.
@@ -432,7 +443,7 @@ def test_cost_function_turns_every_default_and_override_into_a_fraction():
     costs = SwapCostFunction(defaults, tables)
     assert [costs.default(v) for v in range(6)] == [Fraction(1, 2), 3, Fraction(5, 4), 2, 0, 7]
     assert [costs.overrides(v) for v in range(6)] == [{}, {(0, 1): 2}, {(1, 0): Fraction(1, 3)}, {}, {(0, 1): 3}, {}]
-    assert all(type(value) is Fraction for value in costs.iter_values())
+    assert all(type(value) is Fraction for value in costs.distinct_values())
 
 
 # Votes sharing one default object and one table object, as a vote's copies
@@ -460,7 +471,7 @@ def test_cost_function_extremes_match_a_scan_of_every_price(model):
     for _ in range(500 // 3 + 1):
         m = rng.randint(1, 5)
         costs = gen_random(m, rng.randint(1, 6), rng.randint(1, m), cost_model=model, seed=rng.randrange(10**6)).costs
-        values = list(costs.iter_values())
+        values = [p for v in range(costs.n_votes) for p in (costs.default(v), *costs.overrides(v).values())]
         assert costs.min_value() == min(values)
         assert costs.max_value() == max(values)
         for value in {1, min(values), max(values), values[-1]}:
@@ -479,14 +490,13 @@ def test_integer_prices_scale_zero_integral_and_coprime_prices():
         costs,
         Fraction(1, 2),
     )
-    scale, prices, budget = inst.integer_prices()
+    scale, classes, budget = inst.integer_prices()
     assert (scale, budget) == (42, 21)
-    for v in range(4):
-        assert prices.default(v) == costs.default(v) * 42
-        assert prices.overrides(v) == {pair: c * 42 for pair, c in costs.overrides(v).items()}
-        assert all(type(c) is int for c in (prices.default(v), *prices.overrides(v).values()))
-    with pytest.raises(DomainError):
-        costs.scaled(21)
+    assert [c.votes for c in classes] == [(0,), (1,), (2,), (3,)]
+    for v, (_, price, overrides, _) in enumerate(classes):
+        assert price == costs.default(v) * 42
+        assert overrides == {pair: c * 42 for pair, c in costs.overrides(v).items()}
+        assert all(type(c) is int for c in (price, *overrides.values()))
 
 
 def test_vote_classes_split_by_ranking_default_and_override_table():
@@ -494,8 +504,8 @@ def test_vote_classes_split_by_ranking_default_and_override_table():
     election = Election(("a", "b", "p"), (Vote((0, 1, 2), 3), Vote((1, 0, 2))))
     costs = SwapCostFunction([1, 1, 1, 1], [{}, {(0, 1): 2}, {}, {}])
     instance = BriberyInstance(election, VotingRule.k_approval(1), 2, costs, Fraction(1))
-    assert vote_classes(instance, costs) == [
-        VoteClass((0, 1, 2), 1, (0, 2)),
-        VoteClass((0, 1, 2), 1, (1,)),
-        VoteClass((1, 0, 2), 1, (3,)),
+    assert vote_classes(instance) == [
+        VoteClass((0, 1, 2), 1, {}, (0, 2)),
+        VoteClass((0, 1, 2), 1, {(0, 1): 2}, (1,)),
+        VoteClass((1, 0, 2), 1, {}, (3,)),
     ]
