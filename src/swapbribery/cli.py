@@ -60,7 +60,7 @@ def _resolve(instance, algorithm: str) -> str:
     return "flow" if covers(instance) else "brute"
 
 
-def _run_solver(instance, algorithm: str, args) -> SolveResult:
+def _run_solver(instance, algorithm: str) -> SolveResult:
     # Solvers are looked up on this module per call, so wrappers installed here see them.
     if algorithm == "brute":
         if instance.rule.kind == "k-approval":
@@ -69,10 +69,7 @@ def _run_solver(instance, algorithm: str, args) -> SolveResult:
     if algorithm == "flow":
         return solve_unit(instance)
     if algorithm == "ilp":
-        result = solve_ilp(instance)
-        if getattr(args, "dump_ilp", None):
-            _dump_programs(instance, args.dump_ilp)
-        return result
+        return solve_ilp(instance)
     if algorithm == "color":
         return solve_color_coding(instance)
     raise SwapBriberyError(f"unknown algorithm {algorithm!r}")
@@ -98,6 +95,7 @@ def _dump_programs(instance, path: str):
         instance.rule,
         instance.election.m,
         instance.election.n_expanded,
+        instance.preferred,
         unique=instance.unique_mode,
     )
     chunks = []
@@ -108,9 +106,13 @@ def _dump_programs(instance, path: str):
 
 
 def _cmd_solve(args) -> int:
+    if args.dump_ilp and args.algorithm != "ilp":
+        raise SwapBriberyError("--dump-ilp needs --algorithm ilp")
     instance = formats.parse_election(_read(args.instance))
     algorithm = _resolve(instance, args.algorithm)
-    result = _run_solver(instance, algorithm, args)
+    result = _run_solver(instance, algorithm)
+    if args.dump_ilp:
+        _dump_programs(instance, args.dump_ilp)
     cost = _checked_cost(instance, result)
     decision = result.decision
     print(f"algorithm: {algorithm}")
@@ -260,7 +262,7 @@ def _cmd_bench(args) -> int:
         for name in args.solvers.split(","):
             solver = _resolve(instance, name)
             started = time.perf_counter()
-            result = _run_solver(instance, solver, args)
+            result = _run_solver(instance, solver)
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             cost = _checked_cost(instance, result)
             rows.append(

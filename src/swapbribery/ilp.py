@@ -2,11 +2,11 @@
 
 Works for any rule describable by linear inequality systems over the m!
 per-permutation vote counts: the preferred candidate wins exactly when
-some system in the description is satisfied. Votes are grouped by
-ranking and prices (``swaps.vote_classes``); integer variables count how
-many votes of a group transform into each target permutation,
-constrained by group sizes, the budget, and one description system with
-the transformed counts substituted in. Feasibility is decided exactly by depth-first search
+some system in the description is satisfied. Programs are written in
+candidate ids over the vote classes of ``BriberyInstance.integer_prices``;
+integer variables count how many votes of a class (a group) transform
+into each target permutation, constrained by group sizes, the budget, and
+one description system with the transformed counts substituted in. Feasibility is decided exactly by depth-first search
 with bound propagation, after a rational-relaxation check.
 """
 
@@ -21,7 +21,7 @@ from .core import BUCKLIN, K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .lp import lp_feasible
 from .oracle import factorial_exceeds
-from .swaps import Bribery, BriberyInstance, SolveResult, target_costs
+from .swaps import Bribery, BriberyInstance, SolveResult, VoteClass, target_costs
 
 @dataclass(frozen=True)
 class Inequality:
@@ -37,11 +37,11 @@ class Inequality:
 
 @dataclass(frozen=True)
 class LinearInequalitySystem:
-    """Rule description: the preferred slot wins iff some set is satisfied.
+    """Rule description: the preferred candidate wins iff some set is satisfied.
 
-    Permutations order candidate *slots*, slot 0 being the preferred
-    candidate; instances relabel their roster onto slots before use.
-    ``perms`` is ``permutations(range(m))``, in that order.
+    ``perms`` is ``permutations(order)``, in that order, where ``order`` is
+    the preferred candidate followed by the others in increasing id; so
+    ``perms[0][0]`` is the preferred candidate.
     """
 
     m: int
@@ -55,34 +55,35 @@ MAX_PERMUTATIONS = 720  # bound on m!
 MAX_VARIABLES = 2000
 
 
-def describe_rule(rule, m: int, n: int, unique: bool = False) -> LinearInequalitySystem:
-    """Linear-inequality description of k-approval or Bucklin.
+def describe_rule(rule, m: int, n: int, preferred: int, unique: bool = False) -> LinearInequalitySystem:
+    """Linear-inequality description of k-approval or Bucklin, for ``preferred``.
 
     k-approval is one set of m-1 dominance rows. Bucklin needs one set
     per candidate position b: rows forcing the winning round to be at
-    least b, a majority row for the preferred slot at depth b, and m-1
+    least b, a majority row for the preferred candidate at depth b, and m-1
     dominance rows at depth b. Under unique-winner semantics dominance
     rows require a strictly higher count (+1 on integer data). Upper
     bounds are written negated, so every row reads ``>=``.
     """
-    if m < 2:
-        raise DomainError("rule descriptions need at least two candidates")
+    if not 0 <= preferred < m:
+        raise DomainError("preferred candidate not on the roster")
     if factorial_exceeds(1, m, MAX_PERMUTATIONS):
         raise ResourceCapError(f"{m}! permutations exceed cap {MAX_PERMUTATIONS}")
-    perms = tuple(permutations(range(m)))
+    order = [preferred] + [c for c in range(m) if c != preferred]
+    perms = tuple(permutations(order))
     margin = 1 if unique else 0
 
-    def depth_coeffs(slot: int, depth: int) -> tuple[int, ...]:
-        return tuple(int(perm.index(slot) < depth) for perm in perms)
+    def depth_coeffs(cand: int, depth: int) -> tuple[int, ...]:
+        return tuple(int(perm.index(cand) < depth) for perm in perms)
 
     def dominance(depth: int) -> list[Inequality]:
-        """Slot 0 counted at least as often (unique: more often) as each rival."""
-        top_p = depth_coeffs(0, depth)
+        """The preferred candidate counted at least as often (unique: more often) as each rival."""
+        top_p = depth_coeffs(preferred, depth)
         return [
             Inequality(
-                tuple(a - b for a, b in zip(top_p, depth_coeffs(slot, depth))), margin
+                tuple(a - b for a, b in zip(top_p, depth_coeffs(rival, depth))), margin
             )
-            for slot in range(1, m)
+            for rival in order[1:]
         ]
 
     if rule.kind == K_APPROVAL:
@@ -94,26 +95,17 @@ def describe_rule(rule, m: int, n: int, unique: bool = False) -> LinearInequalit
         half = n // 2
         sets = []
         for b in range(1, m + 1):
-            # No slot reaches a majority within depth b-1.
+            # No candidate reaches a majority within depth b-1.
             rows = [
-                Inequality(tuple(-c for c in depth_coeffs(slot, b - 1)), -half)
-                for slot in range(m)
+                Inequality(tuple(-c for c in depth_coeffs(cand, b - 1)), -half)
+                for cand in order
             ]
-            rows.append(Inequality(depth_coeffs(0, b), half + 1))
+            rows.append(Inequality(depth_coeffs(preferred, b), half + 1))
             rows.extend(dominance(b))
             sets.append(tuple(rows))
         return LinearInequalitySystem(m, perms, tuple(sets))
 
     raise DomainError(f"no description for rule kind {rule.kind!r}")
-
-
-@dataclass(frozen=True)
-class VoteGroup:
-    """One vote class (``swaps.vote_classes``) in slot space."""
-
-    base: int  # permutation index of the shared ranking, in slot space
-    members: tuple[int, ...]  # expanded vote indices
-    costs: tuple[int, ...]  # transformation cost to each permutation, times scale
 
 
 @dataclass(frozen=True)
@@ -126,7 +118,7 @@ class TransformationIlp:
     ``Fraction(c, scale)``.
     """
 
-    groups: tuple[VoteGroup, ...]
+    groups: tuple[VoteClass, ...]  # the scaled classes of ``BriberyInstance.integer_prices``
     variables: tuple[tuple[int, int], ...]  # (group index, target permutation)
     var_costs: tuple[int, ...]  # cost of one transformation, per variable
     budget: int
@@ -135,55 +127,44 @@ class TransformationIlp:
     perms: tuple[Ranking, ...]
 
 
-def slot_mapping(instance: BriberyInstance) -> tuple[list[int], list[int]]:
-    """Candidate <-> slot relabeling putting the preferred candidate on slot 0."""
-    cand_of_slot = [instance.preferred] + [
-        c for c in range(instance.election.m) if c != instance.preferred
-    ]
-    slot_of_cand = [0] * instance.election.m
-    for slot, cand in enumerate(cand_of_slot):
-        slot_of_cand[cand] = slot
-    return cand_of_slot, slot_of_cand
-
-
 def build_ilp(
     instance: BriberyInstance,
     system: LinearInequalitySystem,
     set_index: int,
 ) -> TransformationIlp:
-    """Instantiate one description set over grouped transformation counts."""
+    """Instantiate one description set over the vote classes' transformation counts."""
     if system.m != instance.election.m:
         raise DomainError("description built for a different candidate count")
-    cand_of_slot, slot_of_cand = slot_mapping(instance)
+    if system.perms[0][0] != instance.preferred:
+        raise DomainError("description built for a different preferred candidate")
     perm_index = {perm: i for i, perm in enumerate(system.perms)}
     scale, classes, budget = instance.integer_prices()
 
-    groups = []
+    bases, costs = [], []  # per class: its ranking's permutation index, its target costs
     counts = [0] * len(system.perms)
-    for ranking, price, overrides, members in classes:
-        base = perm_index[tuple(slot_of_cand[c] for c in ranking)]
-        # permutations(cand_of_slot) lists the targets in system.perms order
-        costs = tuple(target_costs(ranking, price, overrides, cand_of_slot))
-        groups.append(VoteGroup(base, members, costs))
-        counts[base] += len(members)
+    for ranking, price, overrides, votes in classes:
+        bases.append(perm_index[ranking])
+        # targets in system.perms order, since system.perms is permutations(system.perms[0])
+        costs.append(target_costs(ranking, price, overrides, system.perms[0]))
+        counts[bases[-1]] += len(votes)
 
     variables = tuple(
         (g, j)
-        for g, group in enumerate(groups)
+        for g, base in enumerate(bases)
         for j in range(len(system.perms))
-        if j != group.base
+        if j != base
     )
     rows = tuple(
         Inequality(
-            tuple(row.coeffs[j] - row.coeffs[groups[g].base] for g, j in variables),
+            tuple(row.coeffs[j] - row.coeffs[bases[g]] for g, j in variables),
             row.rhs - sum(c * x for c, x in zip(row.coeffs, counts)),
         )
         for row in system.sets[set_index]
     )
     return TransformationIlp(
-        groups=tuple(groups),
+        groups=tuple(classes),
         variables=variables,
-        var_costs=tuple(groups[g].costs[j] for g, j in variables),
+        var_costs=tuple(costs[g][j] for g, j in variables),
         budget=budget,
         scale=scale,
         rows=rows,
@@ -196,7 +177,7 @@ def _relaxation_rows(ilp: TransformationIlp) -> list[tuple[list, int]]:
     rows = [([-c for c in row.coeffs], -row.rhs) for row in ilp.rows]
     rows.append((list(ilp.var_costs), ilp.budget))
     for g, group in enumerate(ilp.groups):
-        rows.append(([int(var[0] == g) for var in ilp.variables], len(group.members)))
+        rows.append(([int(var[0] == g) for var in ilp.variables], len(group.votes)))
     return rows
 
 
@@ -220,7 +201,7 @@ def ilp_feasible(ilp: TransformationIlp) -> dict[tuple[int, int], int] | None:
 
     var_costs, budget = ilp.var_costs, ilp.budget
     group_of = [g for g, _ in ilp.variables]  # ascending: a group's variables are adjacent
-    sizes = [len(group.members) for group in ilp.groups]
+    sizes = [len(group.votes) for group in ilp.groups]
 
     # Optimistic remaining contribution per row from groups g.. onward:
     # each group may put its full size on its best non-negative coefficient.
@@ -281,17 +262,15 @@ def assignment_to_bribery(
     assignment: dict[tuple[int, int], int],
 ) -> Bribery:
     """Transform t copies of each group into its targets, in expanded order."""
-    cand_of_slot, _ = slot_mapping(instance)
     targets = list(instance.election.expanded())
     taken = [0] * len(ilp.groups)
     for (g, j) in ilp.variables:
         t = assignment.get((g, j), 0)
         if t == 0:
             continue
-        ranking = tuple(cand_of_slot[s] for s in ilp.perms[j])
-        members = ilp.groups[g].members
+        votes = ilp.groups[g].votes
         for _ in range(t):
-            targets[members[taken[g]]] = ranking
+            targets[votes[taken[g]]] = ilp.perms[j]
             taken[g] += 1
     return Bribery(tuple(targets))
 
@@ -321,7 +300,7 @@ def format_lp(ilp: TransformationIlp) -> str:
     out.append("subject to")
     for g, group in enumerate(ilp.groups):
         coeffs = [int(var[0] == g) for var in ilp.variables]
-        out.append(f"  group{g}: {terms(coeffs)} <= {len(group.members)}")
+        out.append(f"  group{g}: {terms(coeffs)} <= {len(group.votes)}")
     out.append(
         f"  budget: {terms(Fraction(c, ilp.scale) for c in ilp.var_costs)}"
         f" <= {Fraction(ilp.budget, ilp.scale)}"
@@ -330,7 +309,7 @@ def format_lp(ilp: TransformationIlp) -> str:
         out.append(f"  win{i}: {terms(row.coeffs)} >= {row.rhs}")
     out.append("bounds")
     for var in ilp.variables:
-        out.append(f"  0 <= {var_name(var)} <= {len(ilp.groups[var[0]].members)}")
+        out.append(f"  0 <= {var_name(var)} <= {len(ilp.groups[var[0]].votes)}")
     out.append("integer")
     out.append("  " + " ".join(var_name(v) for v in ilp.variables))
     return "\n".join(out) + "\n"
@@ -345,12 +324,11 @@ def solve_ilp(instance: BriberyInstance) -> SolveResult:
 
     if instance.rule.kind not in (K_APPROVAL, BUCKLIN):
         raise DomainError("integer-program solving supports k-approval and Bucklin")
-    if instance.election.m == 1:
-        return SolveResult(True, None, Bribery.identity(instance.election))
     system = describe_rule(
         instance.rule,
         instance.election.m,
         instance.election.n_expanded,
+        instance.preferred,
         unique=instance.unique_mode,
     )
     for set_index in range(len(system.sets)):

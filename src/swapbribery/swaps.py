@@ -124,10 +124,6 @@ class Bribery:
 
     targets: tuple[Ranking, ...]
 
-    @classmethod
-    def identity(cls, election: Election) -> "Bribery":
-        return cls(tuple(election.expanded()))
-
 
 @dataclass(frozen=True)
 class SolveResult:

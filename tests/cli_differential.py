@@ -8,7 +8,8 @@ compares exit code, stdout, stderr and every file a call writes. Covered:
 ``solve`` with every algorithm and ``--solution``, ``verify`` of each
 solution and of the solution file OLD_SRC's ``solve`` writes for the same
 call, so that both trees read the same files (the full form, one target
-line per vote, when OLD_SRC predates the short form), ``kernelize`` with
+line per vote, when OLD_SRC predates the short form), ``solve --algorithm
+ilp --dump-ilp`` with its listing, ``kernelize`` with
 and without ``--simple`` and ``--provenance``,
 ``export-network`` for every s* from 0 to n + 1, ``reduce`` both ways,
 and gadget ``generate`` and ``kernelize``; the instances include files with
@@ -113,6 +114,8 @@ def build_calls(work: Path, old_src: str) -> list:
             old_solution = corpus / f"{path.stem}.{algorithm}.sbs"
             old_solves.append([["solve", str(path), "--algorithm", algorithm, "--solution", str(old_solution)], []])
             call("verify", path, old_solution)
+        listing = out / f"{path.stem}.lp"
+        call("solve", path, "--algorithm", "ilp", "--dump-ilp", listing, outputs=[listing])
         kernel, provenance = out / f"{path.stem}.k.sbe", out / f"{path.stem}.k.json"
         call("kernelize", path, "--out", kernel, "--provenance", provenance, outputs=[kernel, provenance])
         call("kernelize", "--simple", path, "--out", kernel, "--provenance", provenance,

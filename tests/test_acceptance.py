@@ -11,7 +11,6 @@ table's ``check``.
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
 
 from swapbribery.core import UNIQUE_WINNER, VotingRule, scores, winners
 from swapbribery.flow import approx_within_range, build_transfer_network
@@ -126,12 +125,11 @@ def test_kernels_stay_within_size_bounds():
 
 
 def _described_winner(instance) -> bool:
-    """Whether the unbribed profile satisfies ``describe_rule``, the preferred candidate in slot 0."""
+    """Whether the unbribed profile satisfies ``describe_rule``."""
     m = instance.election.m
-    slot = {c: i for i, c in enumerate(sorted(range(m), key=lambda c: c != instance.preferred))}
-    index = {perm: i for i, perm in enumerate(permutations(range(m)))}
-    counts = Counter(index[tuple(slot[c] for c in r)] for r in instance.election.expanded())
-    system = describe_rule(instance.rule, m, instance.election.n_expanded, instance.mode == UNIQUE_WINNER)
+    system = describe_rule(instance.rule, m, instance.election.n_expanded, instance.preferred, instance.mode == UNIQUE_WINNER)
+    index = {perm: i for i, perm in enumerate(system.perms)}
+    counts = Counter(index[r] for r in instance.election.expanded())
     return any(all(sum(q * counts[i] for i, q in enumerate(row.coeffs)) >= row.rhs for row in rows) for rows in system.sets)
 
 

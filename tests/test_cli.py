@@ -656,6 +656,49 @@ def test_dump_ilp_of_bucklin_sample(tmp_path):
         assert listed == bounded and listed
 
 
+# A one-candidate election: the program has no variables, and p wins as cast.
+ONE_CANDIDATE = """\
+sbe 1
+candidates 1
+candidate 0 p
+rule k-approval 1
+budget 0
+preferred p
+vote 0 multiplicity 1 order p
+"""
+ONE_CANDIDATE_PROGRAM = """\
+\\ description set 0
+\\ transformation feasibility program
+subject to
+  group0: 0 <= 1
+  budget: 0 <= 0
+bounds
+integer
+""" + "  \n"  # an empty list of integer variables
+
+
+@pytest.mark.parametrize(
+    "rule, win_rows",
+    [("k-approval 1", ""), ("bucklin", "  win0: 0 >= 0\n  win1: 0 >= 0\n")],
+)
+def test_dump_ilp_of_one_candidate(tmp_path, capsys, rule, win_rows):
+    path = tmp_path / "one.sbe"
+    path.write_text(ONE_CANDIDATE.replace("k-approval 1", rule))
+    out = tmp_path / "one.lp"
+    assert main(["solve", str(path), "--algorithm", "ilp", "--dump-ilp", str(out)]) == 0
+    assert capsys.readouterr().out == "algorithm: ilp\ndecision: yes\ncost: 0\n"
+    assert out.read_text() == ONE_CANDIDATE_PROGRAM.replace("bounds\n", win_rows + "bounds\n")
+
+
+@pytest.mark.parametrize("algorithm", ["auto", "brute", "flow", "color"])
+def test_dump_ilp_needs_the_ilp(sample_path, tmp_path, capsys, algorithm):
+    out = tmp_path / "dump.lp"
+    argv = ["solve", str(sample_path), "--algorithm", algorithm, "--dump-ilp", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --dump-ilp needs --algorithm ilp\n")
+    assert not out.exists()
+
+
 def test_bench_csv_schema(sample_path, tmp_path):
     out = tmp_path / "bench.csv"
     assert (
@@ -706,7 +749,7 @@ def test_bench_rows_reproducible_modulo_timing(sample_path, tmp_path):
 def test_invalid_witness_is_an_error_in_solve_and_bench(sample_path, monkeypatch, capsys):
     # The identity bribery leaves p without a point, so it does not win.
     def lying_flow(instance):
-        return SolveResult(True, Fraction(0), Bribery.identity(instance.election))
+        return SolveResult(True, Fraction(0), Bribery(tuple(instance.election.expanded())))
 
     monkeypatch.setattr(cli, "solve_unit", lying_flow)
     for argv in (["solve", "--algorithm", "flow"], ["bench", "--solvers", "flow"]):

@@ -464,7 +464,7 @@ class TestSolveUnit:
         )
         for mode in (CO_WINNER, UNIQUE_WINNER):
             res = solve_unit(dataclasses.replace(inst, mode=mode))
-            assert res == SolveResult(True, Fraction(0), Bribery.identity(election))
+            assert res == SolveResult(True, Fraction(0), Bribery(tuple(election.expanded())))
 
     def test_matches_oracle_including_unique_mode(self):
         for mode in (CO_WINNER, UNIQUE_WINNER):

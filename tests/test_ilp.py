@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -16,7 +16,7 @@ from swapbribery.ilp import (
 )
 from swapbribery.lp import lp_feasible
 from swapbribery.reductions import gen_random
-from swapbribery.swaps import BriberyInstance, SwapCostFunction
+from swapbribery.swaps import BriberyInstance, SwapCostFunction, VoteClass
 
 from conftest import random_instance
 from test_conformance import check, labels
@@ -24,48 +24,53 @@ from test_conformance import check, labels
 
 class TestDescribeRule:
     def test_k_approval_shape(self):
-        system = describe_rule(VotingRule.k_approval(1), 3, 2)
+        system = describe_rule(VotingRule.k_approval(1), 3, 2, 0)
         assert len(system.sets) == 1
         assert len(system.sets[0]) == 2
         assert len(system.perms) == 6
 
     def test_two_candidates_single_row(self):
-        system = describe_rule(VotingRule.k_approval(1), 2, 1)
+        system = describe_rule(VotingRule.k_approval(1), 2, 1, 0)
         (row,) = system.sets[0]
         # x_(c1 c2) >= x_(c2 c1)
         assert row == Inequality((1, -1), 0)
         assert all(type(c) is int for c in row.coeffs)
 
     def test_bucklin_shape(self):
-        system = describe_rule(VotingRule.bucklin(), 3, 3)
+        system = describe_rule(VotingRule.bucklin(), 3, 3, 0)
         assert len(system.sets) == 3
         assert all(len(rows) == 6 for rows in system.sets)
 
     def test_permutation_cap(self):
         with pytest.raises(ResourceCapError):
-            describe_rule(VotingRule.k_approval(2), 7, 1)
+            describe_rule(VotingRule.k_approval(2), 7, 1, 0)
+
+    @pytest.mark.parametrize("preferred", [3, -1])
+    def test_refuses_a_preferred_candidate_off_the_roster(self, preferred):
+        with pytest.raises(DomainError, match="not on the roster"):
+            describe_rule(VotingRule.k_approval(2), 3, 1, preferred)
 
     @staticmethod
-    def _profiles(m, n_total):
-        perms = list(permutations(range(m)))
+    def _profiles(perms, n_total):
         for combo in combinations_with_replacement(range(len(perms)), n_total):
             counts = [0] * len(perms)
             for i in combo:
                 counts[i] += 1
-            yield perms, counts
+            yield counts
 
     def test_bucklin_description_matches_winners_exhaustively(self):
-        # Every vote profile with m = 3 and n <= 4: slot 0 satisfies some
-        # set exactly when it wins under the direct Bucklin evaluation.
+        # Every vote profile with m = 3 and n <= 4, for every preferred
+        # candidate: it satisfies some set exactly when it wins under the
+        # direct Bucklin evaluation.
         rule = VotingRule.bucklin()
-        for n_total in (1, 2, 3, 4):
-            system = describe_rule(rule, 3, n_total)
-            for perms, counts in self._profiles(3, n_total):
+        for preferred, n_total in product((0, 1, 2), (1, 2, 3, 4)):
+            system = describe_rule(rule, 3, n_total, preferred)
+            for counts in self._profiles(system.perms, n_total):
                 votes = tuple(
-                    Vote(perm, c) for perm, c in zip(perms, counts) if c
+                    Vote(perm, c) for perm, c in zip(system.perms, counts) if c
                 )
                 election = Election(("s0", "s1", "s2"), votes)
-                want = 0 in winners(election, rule)
+                want = preferred in winners(election, rule)
                 satisfied = any(
                     all(
                         sum(q * x for q, x in zip(row.coeffs, counts)) >= row.rhs
@@ -73,16 +78,16 @@ class TestDescribeRule:
                     )
                     for rows in system.sets
                 )
-                assert satisfied == want, (counts, want)
+                assert satisfied == want, (preferred, counts, want)
 
     def test_k_approval_description_matches_winners_exhaustively(self):
         rule = VotingRule.k_approval(2)
-        for n_total in (1, 2, 3):
-            system = describe_rule(rule, 3, n_total)
-            for perms, counts in self._profiles(3, n_total):
-                votes = tuple(Vote(perm, c) for perm, c in zip(perms, counts) if c)
+        for preferred, n_total in product((0, 1, 2), (1, 2, 3)):
+            system = describe_rule(rule, 3, n_total, preferred)
+            for counts in self._profiles(system.perms, n_total):
+                votes = tuple(Vote(perm, c) for perm, c in zip(system.perms, counts) if c)
                 election = Election(("s0", "s1", "s2"), votes)
-                want = 0 in winners(election, rule)
+                want = preferred in winners(election, rule)
                 satisfied = all(
                     sum(q * x for q, x in zip(row.coeffs, counts)) >= row.rhs
                     for row in system.sets[0]
@@ -96,7 +101,7 @@ class TestBuildIlp:
         inst = BriberyInstance(
             election, VotingRule.k_approval(1), 2, SwapCostFunction.unit(3), Fraction(2)
         )
-        system = describe_rule(inst.rule, 3, 3)
+        system = describe_rule(inst.rule, 3, 3, 2)
         ilp = build_ilp(inst, system, 0)
         assert len(ilp.groups) == 1
         assert len(ilp.variables) == 5  # m! - 1
@@ -107,48 +112,54 @@ class TestBuildIlp:
         inst = BriberyInstance(
             election, VotingRule.k_approval(1), 1, SwapCostFunction.unit(1), Fraction(0)
         )
-        system = describe_rule(inst.rule, 2, 1)
+        system = describe_rule(inst.rule, 2, 1, 1)
         ilp = build_ilp(inst, system, 0)
         assignment = ilp_feasible(ilp)
         assert assignment is None  # p loses as cast and cannot move
 
     def test_transformation_cost_row(self, sample_instance):
-        system = describe_rule(sample_instance.rule, 5, 2)
+        system = describe_rule(sample_instance.rule, 5, 2, sample_instance.preferred)
         ilp = build_ilp(sample_instance, system, 0)
         # some group holds vote v; moving to (c1,p,c2,c4,c3) costs 1
-        slots = {}
-        cand_order = [sample_instance.preferred] + [
-            c for c in range(5) if c != sample_instance.preferred
-        ]
-        slot_of = {c: s for s, c in enumerate(cand_order)}
-        target_perm = tuple(slot_of[c] for c in (0, 2, 1, 3, 4))
-        j = ilp.perms.index(target_perm)
-        v_perm = tuple(slot_of[c] for c in (0, 1, 2, 3, 4))
-        group = next(g for g in ilp.groups if ilp.perms[g.base] == v_perm)
-        assert group.costs[j] == 1
+        j = ilp.perms.index((0, 2, 1, 3, 4))
+        g = next(g for g, group in enumerate(ilp.groups) if group.ranking == (0, 1, 2, 3, 4))
+        assert ilp.var_costs[ilp.variables.index((g, j))] == 1
+
+    @pytest.mark.parametrize(
+        "m, preferred, message",
+        [(2, 1, "different candidate count"), (3, 0, "different preferred candidate")],
+    )
+    def test_refuses_a_description_of_another_election(self, m, preferred, message):
+        election = Election(("a", "b", "p"), (Vote((0, 1, 2)),))
+        inst = BriberyInstance(
+            election, VotingRule.k_approval(1), 2, SwapCostFunction.unit(1), Fraction(1)
+        )
+        system = describe_rule(inst.rule, m, 1, preferred)
+        with pytest.raises(DomainError, match=message):
+            build_ilp(inst, system, 0)
 
     def test_transformed_counts_conserve_votes(self):
         rng = random.Random(3)
         for _ in range(20):
             inst = random_instance(rng, m_max=3, n_max=3)
-            system = describe_rule(inst.rule, inst.election.m, inst.election.n_expanded)
+            system = describe_rule(inst.rule, inst.election.m, inst.election.n_expanded, inst.preferred)
             ilp = build_ilp(inst, system, 0)
             counts = [0] * len(ilp.perms)
             for group in ilp.groups:
-                counts[group.base] += len(group.members)
+                counts[ilp.perms.index(group.ranking)] += len(group.votes)
             assignment = {
                 var: rng.randint(0, 1) for var in ilp.variables
             }
             # clamp to group capacity
             for g, group in enumerate(ilp.groups):
                 spent = sum(t for (gg, _), t in assignment.items() if gg == g)
-                if spent > len(group.members):
+                if spent > len(group.votes):
                     for var in list(assignment):
                         if var[0] == g:
                             assignment[var] = 0
             transformed = list(counts)
             for (g, j), t in assignment.items():
-                transformed[ilp.groups[g].base] -= t
+                transformed[ilp.perms.index(ilp.groups[g].ranking)] -= t
                 transformed[j] += t
             assert sum(transformed) == inst.election.n_expanded
             assert all(x >= 0 for x in transformed)
@@ -160,16 +171,16 @@ class TestFeasibility:
         inst = BriberyInstance(
             election, VotingRule.k_approval(2), 1, SwapCostFunction.unit(1), Fraction(0)
         )
-        system = describe_rule(inst.rule, 2, 1)
+        system = describe_rule(inst.rule, 2, 1, 1)
         ilp = build_ilp(inst, system, 0)
         assignment = ilp_feasible(ilp)
         assert assignment == {var: 0 for var in ilp.variables}
 
     def test_contradictory_rows_on_one_variable(self):
         # -t >= 0 (that is, t <= 0) and t >= 1 over a single transformation count
-        from swapbribery.ilp import TransformationIlp, VoteGroup
+        from swapbribery.ilp import TransformationIlp
 
-        group = VoteGroup(base=0, members=(0,), costs=(0, 0))
+        group = VoteClass(ranking=(0, 1), price=0, overrides={}, votes=(0,))
         ilp = TransformationIlp(
             groups=(group,),
             variables=((0, 1),),
@@ -188,18 +199,18 @@ class TestFeasibility:
         for _ in range(40):
             inst = random_instance(rng, m_max=3, n_max=2)
             system = describe_rule(
-                inst.rule, inst.election.m, inst.election.n_expanded
+                inst.rule, inst.election.m, inst.election.n_expanded, inst.preferred
             )
             ilp = build_ilp(inst, system, 0)
             got = ilp_feasible(ilp)
-            sizes = [len(ilp.groups[g].members) for g, _ in ilp.variables]
+            sizes = [len(ilp.groups[g].votes) for g, _ in ilp.variables]
             found = None
             for values in iproduct(*[range(s + 1) for s in sizes]):
                 by_group: dict[int, int] = {}
                 for (g, _), t in zip(ilp.variables, values):
                     by_group[g] = by_group.get(g, 0) + t
                 if any(
-                    spent > len(ilp.groups[g].members) for g, spent in by_group.items()
+                    spent > len(ilp.groups[g].votes) for g, spent in by_group.items()
                 ):
                     continue
                 if sum(c * t for c, t in zip(ilp.var_costs, values)) > ilp.budget:
@@ -277,7 +288,7 @@ class TestSolve:
         inst = BriberyInstance(
             election, VotingRule.k_approval(1), 1, SwapCostFunction.unit(2), Fraction(1)
         )
-        system = describe_rule(inst.rule, 2, 2)
+        system = describe_rule(inst.rule, 2, 2, 1)
         text = format_lp(build_ilp(inst, system, 0))
         assert "subject to" in text and "budget:" in text
         assert "t[0->" in text and "t[1->" in text

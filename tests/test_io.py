@@ -301,7 +301,7 @@ def test_solution_lists_only_the_votes_it_changes():
 
 def test_identity_bribery_writes_changed_0_and_verifies():
     inst = parse_election(MINIMAL.replace("order a p", "order p a"))
-    identity = Bribery.identity(inst.election)
+    identity = Bribery(tuple(inst.election.expanded()))
     text = serialize_solution(inst, True, 0, identity, "brute")
     assert text == "sbs 1\ndecision yes\nsolver brute\ncost 0\nchanged 0\n"
     _, _, bribery, _, _ = parse_solution(text, inst)

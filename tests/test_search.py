@@ -140,6 +140,8 @@ def test_walks_visit_a_fixed_number_of_nodes(monkeypatch):
         (lambda: brute_topk(TIE), 416, (False, 12)),
         (lambda: brute_rankings(gen_random(4, 4, 1, cost_model=TWO, seed=4, rule=VotingRule.bucklin())), 323, (False, 4)),
         (lambda: solve_ilp(gen_random(4, 4, 2, cost_model=TWO, seed=1)), 108, (True, None)),
+        # preferred candidate 1, so the rivals are listed 0, 2, 3
+        (lambda: solve_ilp(gen_random(4, 4, 1, cost_model=TWO, seed=0, rule=VotingRule.bucklin())), 953, (True, None)),
         (lambda: sum(1 for _ in successful_patterns(5, 2, 7)), 12257, 4644),
     ]
     for run, nodes, answer in runs:

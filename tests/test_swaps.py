@@ -326,7 +326,7 @@ def test_target_costs_match_transform_cost_target_by_target(m):
         prices = SwapCostFunction([default], [table])
         ranking = tuple(rng.sample(range(m), m))
         # every target's cost in permutations order, over the roster and over
-        # a relabeling that puts one candidate first, as ilp.slot_mapping does
+        # an order that puts one candidate first, as ilp.describe_rule does
         first = rng.randrange(m)
         for order in (range(m), [first] + [c for c in range(m) if c != first]):
             want = [transform_cost(ranking, t, prices, 0) for t in permutations(order)]
@@ -346,7 +346,7 @@ class TestVerifyBribery:
         inst = BriberyInstance(
             election, VotingRule.k_approval(2), 0, unit(2), Fraction(0)
         )
-        report = verify_bribery(inst, Bribery.identity(election))
+        report = verify_bribery(inst, Bribery(tuple(election.expanded())))
         assert report.total_cost == 0
         assert report.is_solution
 
