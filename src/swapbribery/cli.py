@@ -89,20 +89,11 @@ def _checked_cost(instance, result: SolveResult) -> Fraction | None:
 
 
 def _dump_programs(instance, path: str):
-    from .ilp import build_ilp, describe_rule, format_lp
+    from .ilp import format_lp, transformation_program
 
-    system = describe_rule(
-        instance.rule,
-        instance.election.m,
-        instance.election.n_expanded,
-        instance.preferred,
-        unique=instance.unique_mode,
-    )
-    chunks = []
-    for i in range(len(system.sets)):
-        chunks.append(f"\\ description set {i}")
-        chunks.append(format_lp(build_ilp(instance, system, i)))
-    _write(path, "\n".join(chunks))
+    ilp = transformation_program(instance)
+    listings = (f"\\ description set {i}\n{format_lp(ilp, rows)}" for i, rows in enumerate(ilp.sets))
+    _write(path, "\n".join(listings))
 
 
 def _cmd_solve(args) -> int:

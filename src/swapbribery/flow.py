@@ -236,9 +236,17 @@ def covers(instance: BriberyInstance) -> bool:
 
 
 def require_covers(instance: BriberyInstance) -> None:
-    """Raise PreconditionError outside flow's scope (``covers``)."""
+    """Raise PreconditionError outside flow's scope (``covers``), and
+    ResourceCapError where the transfer network would pass ``MAX_ARCS``.
+
+    Without overrides, ``swaps.vote_classes`` groups votes by stored ranking
+    and default price, so the classes are counted before any is built.
+    """
     if not covers(instance):
         raise PreconditionError("flow solver needs k-approval with one swap price per vote, without pair overrides")
+    costs = instance.costs
+    classes = set(zip(instance.election.expanded(), map(costs.default, range(costs.n_votes))))
+    _require_arcs(len(classes), instance.election.m)
 
 
 # Node ids of a transfer network: s, t and x, then one ``g`` node per vote
@@ -248,6 +256,11 @@ _S, _T, _X = 0, 1, 2
 # The most arcs a transfer network may have, read at every call. A solve
 # peaks at 400-450 bytes of memory per arc, so at the cap it stays under 0.5 GB.
 MAX_ARCS = 10**6
+
+
+def _require_arcs(n_classes: int, m: int) -> None:
+    if n_classes * (m + 1) + m + 1 > MAX_ARCS:
+        raise ResourceCapError(f"{n_classes} vote classes x {m} candidates exceed the cap of {MAX_ARCS} arcs")
 
 
 def build_transfer_network(
@@ -277,8 +290,7 @@ def build_transfer_network(
         raise DomainError(f"target score {target_score} outside 1..{n_votes}")
     if not 0 <= preferred < m:
         raise DomainError("preferred candidate out of range")
-    if len(classes) * (m + 1) + m + 1 > MAX_ARCS:
-        raise ResourceCapError(f"{len(classes)} vote classes x {m} candidates exceed the cap of {MAX_ARCS} arcs")
+    _require_arcs(len(classes), m)
 
     b0 = _X + 1 + len(classes)
     names = ["s", "t", "x", *(f"g[{i}]" for i in range(len(classes))), *(f"b[{c}]" for c in range(m))]

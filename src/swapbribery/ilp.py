@@ -2,16 +2,18 @@
 
 Works for any rule describable by linear inequality systems over the m!
 per-permutation vote counts: the preferred candidate wins exactly when
-some system in the description is satisfied. Programs are written in
-candidate ids over the vote classes of ``BriberyInstance.integer_prices``;
+some system in the description is satisfied. A solve builds one program,
+in candidate ids over the vote classes of ``BriberyInstance.integer_prices``:
 integer variables count how many votes of a class (a group) transform
 into each target permutation, constrained by group sizes, the budget, and
-one description system with the transformed counts substituted in. Feasibility is decided exactly by depth-first search
-with bound propagation, after a rational-relaxation check.
+each description set in turn, with the transformed counts substituted in.
+Feasibility is decided exactly by depth-first search with bound
+propagation, after a rational-relaxation check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -110,12 +112,12 @@ def describe_rule(rule, m: int, n: int, preferred: int, unique: bool = False) ->
 
 @dataclass(frozen=True)
 class TransformationIlp:
-    """One description set, substituted and ready to decide.
+    """Every description set, substituted over one variable layout and ready to decide.
 
-    Rows are over the variables; a row's rhs is the description row's rhs
-    minus its value on the votes as cast. Costs and budget are ints on the
-    scale of ``BriberyInstance.integer_prices``: ``c`` stands for
-    ``Fraction(c, scale)``.
+    ``sets`` holds each description set's rows over the variables; a row's
+    rhs is the description row's rhs minus its value on the votes as cast.
+    A group's variables are adjacent. Costs and budget are ints on the scale
+    of ``BriberyInstance.integer_prices``: ``c`` stands for ``Fraction(c, scale)``.
     """
 
     groups: tuple[VoteClass, ...]  # the scaled classes of ``BriberyInstance.integer_prices``
@@ -123,22 +125,21 @@ class TransformationIlp:
     var_costs: tuple[int, ...]  # cost of one transformation, per variable
     budget: int
     scale: int
-    rows: tuple[Inequality, ...]
+    sets: tuple[tuple[Inequality, ...], ...]
     perms: tuple[Ranking, ...]
 
 
-def build_ilp(
-    instance: BriberyInstance,
-    system: LinearInequalitySystem,
-    set_index: int,
-) -> TransformationIlp:
-    """Instantiate one description set over the vote classes' transformation counts."""
+def build_ilp(instance: BriberyInstance, system: LinearInequalitySystem) -> TransformationIlp:
+    """Instantiate every description set over the vote classes' transformation counts."""
     if system.m != instance.election.m:
         raise DomainError("description built for a different candidate count")
     if system.perms[0][0] != instance.preferred:
         raise DomainError("description built for a different preferred candidate")
     perm_index = {perm: i for i, perm in enumerate(system.perms)}
     scale, classes, budget = instance.integer_prices()
+    n_vars = len(classes) * (len(system.perms) - 1)  # checked before any target cost or row is built
+    if n_vars > MAX_VARIABLES:
+        raise ResourceCapError(f"{n_vars} variables exceed cap {MAX_VARIABLES}")
 
     bases, costs = [], []  # per class: its ranking's permutation index, its target costs
     counts = [0] * len(system.perms)
@@ -154,12 +155,15 @@ def build_ilp(
         for j in range(len(system.perms))
         if j != base
     )
-    rows = tuple(
-        Inequality(
-            tuple(row.coeffs[j] - row.coeffs[bases[g]] for g, j in variables),
-            row.rhs - sum(c * x for c, x in zip(row.coeffs, counts)),
+    sets = tuple(
+        tuple(
+            Inequality(
+                tuple(row.coeffs[j] - row.coeffs[bases[g]] for g, j in variables),
+                row.rhs - sum(c * x for c, x in zip(row.coeffs, counts)),
+            )
+            for row in rows
         )
-        for row in system.sets[set_index]
+        for rows in system.sets
     )
     return TransformationIlp(
         groups=tuple(classes),
@@ -167,49 +171,48 @@ def build_ilp(
         var_costs=tuple(costs[g][j] for g, j in variables),
         budget=budget,
         scale=scale,
-        rows=rows,
+        sets=sets,
         perms=system.perms,
     )
 
 
-def _relaxation_rows(ilp: TransformationIlp) -> list[tuple[list, int]]:
-    """Every constraint of the program in the ``a . x <= b`` form of ``lp_feasible``."""
-    rows = [([-c for c in row.coeffs], -row.rhs) for row in ilp.rows]
-    rows.append((list(ilp.var_costs), ilp.budget))
+def _relaxation_rows(ilp: TransformationIlp, rows: tuple[Inequality, ...]) -> list[tuple[list, int]]:
+    """Every constraint of the program with the set ``rows``, in the ``a . x <= b`` form of ``lp_feasible``."""
+    relaxed = [([-c for c in row.coeffs], -row.rhs) for row in rows]
+    relaxed.append((list(ilp.var_costs), ilp.budget))
     for g, group in enumerate(ilp.groups):
-        rows.append(([int(var[0] == g) for var in ilp.variables], len(group.votes)))
-    return rows
+        relaxed.append(([int(var[0] == g) for var in ilp.variables], len(group.votes)))
+    return relaxed
 
 
-def ilp_feasible(ilp: TransformationIlp) -> dict[tuple[int, int], int] | None:
-    """Exact feasibility of one substituted set; witness assignment or None.
+def ilp_feasible(ilp: TransformationIlp, rows: tuple[Inequality, ...]) -> dict[tuple[int, int], int] | None:
+    """Exact feasibility of the program with the set ``rows``; witness assignment or None.
 
     Depth-first search over the integer box, one group at a time, pruning
     on the budget, on per-row reachability bounds, and (once, up front) on
     rational-relaxation infeasibility. Exponential in the worst case.
     """
     n_vars = len(ilp.variables)
-    if n_vars > MAX_VARIABLES:
-        raise ResourceCapError(f"{n_vars} variables exceed cap {MAX_VARIABLES}")
-    coeffs = [row.coeffs for row in ilp.rows]
-    rhs = [row.rhs for row in ilp.rows]
+    coeffs = [row.coeffs for row in rows]
+    rhs = [row.rhs for row in rows]
     if not n_vars:
         return {} if all(b <= 0 for b in rhs) else None
 
-    if lp_feasible(_relaxation_rows(ilp), n_vars) is None:
+    if lp_feasible(_relaxation_rows(ilp, rows), n_vars) is None:
         return None
 
     var_costs, budget = ilp.var_costs, ilp.budget
     group_of = [g for g, _ in ilp.variables]  # ascending: a group's variables are adjacent
     sizes = [len(group.votes) for group in ilp.groups]
+    n_groups = len(ilp.groups)
+    starts = [bisect_left(group_of, g) for g in range(n_groups + 1)]  # group g's run: starts[g]:starts[g + 1]
 
     # Optimistic remaining contribution per row from groups g.. onward:
     # each group may put its full size on its best non-negative coefficient.
-    n_groups = len(ilp.groups)
     best_gain = [[0] * (n_groups + 1) for _ in coeffs]
     for r, row in enumerate(coeffs):
         for g in range(n_groups - 1, -1, -1):
-            top = max((row[v] for v in range(n_vars) if group_of[v] == g), default=0)
+            top = max(row[starts[g] : starts[g + 1]], default=0)
             best_gain[r][g] = best_gain[r][g + 1] + max(0, top) * sizes[g]
 
     values = [0] * n_vars
@@ -275,8 +278,8 @@ def assignment_to_bribery(
     return Bribery(tuple(targets))
 
 
-def format_lp(ilp: TransformationIlp) -> str:
-    """Plain-text listing of one substituted program, for audit.
+def format_lp(ilp: TransformationIlp, rows: tuple[Inequality, ...]) -> str:
+    """Plain-text listing of the program with the set ``rows``, for audit.
 
     Variables print as t[g->j]: transform one vote of group g into the
     j-th permutation.
@@ -305,7 +308,7 @@ def format_lp(ilp: TransformationIlp) -> str:
         f"  budget: {terms(Fraction(c, ilp.scale) for c in ilp.var_costs)}"
         f" <= {Fraction(ilp.budget, ilp.scale)}"
     )
-    for i, row in enumerate(ilp.rows):
+    for i, row in enumerate(rows):
         out.append(f"  win{i}: {terms(row.coeffs)} >= {row.rhs}")
     out.append("bounds")
     for var in ilp.variables:
@@ -315,13 +318,8 @@ def format_lp(ilp: TransformationIlp) -> str:
     return "\n".join(out) + "\n"
 
 
-def solve_ilp(instance: BriberyInstance) -> SolveResult:
-    """Decide the instance by trying every set of the rule description.
-
-    The witness is the first solution found, so no optimal cost is claimed.
-    """
-    from .swaps import verify_bribery
-
+def transformation_program(instance: BriberyInstance) -> TransformationIlp:
+    """The program of the instance's rule description, which ``solve_ilp`` decides and ``--dump-ilp`` lists."""
     if instance.rule.kind not in (K_APPROVAL, BUCKLIN):
         raise DomainError("integer-program solving supports k-approval and Bucklin")
     system = describe_rule(
@@ -331,9 +329,19 @@ def solve_ilp(instance: BriberyInstance) -> SolveResult:
         instance.preferred,
         unique=instance.unique_mode,
     )
-    for set_index in range(len(system.sets)):
-        ilp = build_ilp(instance, system, set_index)
-        assignment = ilp_feasible(ilp)
+    return build_ilp(instance, system)
+
+
+def solve_ilp(instance: BriberyInstance) -> SolveResult:
+    """Decide the instance by trying every set of the rule description, in order.
+
+    The witness is the first solution found, so no optimal cost is claimed.
+    """
+    from .swaps import verify_bribery
+
+    ilp = transformation_program(instance)
+    for rows in ilp.sets:
+        assignment = ilp_feasible(ilp, rows)
         if assignment is None:
             continue
         witness = assignment_to_bribery(instance, ilp, assignment)

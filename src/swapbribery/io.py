@@ -501,9 +501,15 @@ def parse_partial(text: str) -> PossibleWinnerInstance:
     candidates = header.roster()
     if header.rule is None or header.preferred is None or n_votes is None:
         raise ParseError(1, "incomplete partial-vote file")
+    closed: dict[frozenset, PartialVote] = {}  # votes with equal pairs share one closed order
     try:
-        votes = tuple(PartialVote(len(candidates), frozenset(pairs.get(i, ()))) for i in range(n_votes))
-        return PossibleWinnerInstance(candidates, votes, header.rule, header.preferred)
+        votes = []
+        for i in range(n_votes):
+            given = frozenset(pairs.get(i, ()))
+            if given not in closed:
+                closed[given] = PartialVote(len(candidates), given)
+            votes.append(closed[given])
+        return PossibleWinnerInstance(candidates, tuple(votes), header.rule, header.preferred)
     except DomainError as exc:
         raise ParseError(1, str(exc)) from None
 

@@ -12,6 +12,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .core import CO_WINNER, Election, Ranking, Vote, VotingRule, head_then_rest
 from .errors import DomainError, PreconditionError
@@ -116,15 +117,18 @@ def sb_to_pw(instance: BriberyInstance) -> PossibleWinnerInstance:
 def pw_to_sb(pw: PossibleWinnerInstance) -> BriberyInstance:
     """Possible Winner instance as a zero-budget bribery with {0,1} costs.
 
-    Casts each partial vote as its minimal linear extension and prices
-    exactly the ordered pairs the partial order requires.
+    Casts each run of equal consecutive partial votes as one vote, its
+    minimal linear extension with the run's length as multiplicity, and
+    prices exactly the ordered pairs the partial order requires, in one
+    table that the run's copies share.
     """
     cast = []
     overrides = []
-    for vote in pw.votes:
-        cast.append(Vote(vote.minimal_extension()))
-        overrides.append({(a, b): Fraction(1) for (a, b) in vote.pairs})
-    n = len(cast)
+    for vote, run in groupby(pw.votes):
+        copies = sum(1 for _ in run)
+        cast.append(Vote(vote.minimal_extension(), copies))
+        overrides += [{(a, b): Fraction(1) for (a, b) in vote.pairs}] * copies
+    n = len(overrides)
     return BriberyInstance(
         election=Election(pw.candidates, tuple(cast)),
         rule=pw.rule,

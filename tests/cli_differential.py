@@ -9,8 +9,9 @@ compares exit code, stdout, stderr and every file a call writes. Covered:
 solution and of the solution file OLD_SRC's ``solve`` writes for the same
 call, so that both trees read the same files (the full form, one target
 line per vote, when OLD_SRC predates the short form), ``solve --algorithm
-ilp --dump-ilp`` with its listing, ``kernelize`` with
-and without ``--simple`` and ``--provenance``,
+ilp --dump-ilp`` with its listing, also on Bucklin copies of small
+k-approval instances, whose listings hold one program per description set,
+``kernelize`` with and without ``--simple`` and ``--provenance``,
 ``export-network`` for every s* from 0 to n + 1, ``reduce`` both ways,
 and gadget ``generate`` and ``kernelize``; the instances include files with
 one swap price per vote, zero and rational ones among them. The two trees
@@ -73,6 +74,7 @@ def build_calls(work: Path, old_src: str) -> list:
         subprocess.run(command, env=env, check=True)
 
     instances = []
+    small = []  # (path, k) of k-approval instances over 2 to 4 candidates
     models = ["unit", "unit", "two:1:2:0.3", "range:1:3", "two:1/2:3/2:0.5"]
     for i in range(150):
         m, n = rng.randint(1, 6), rng.randint(1, 5)
@@ -90,6 +92,8 @@ def build_calls(work: Path, old_src: str) -> list:
             text = text.replace("mode co-winner", "mode unique-winner")
         path.write_text(text)
         instances.append((path, n))
+        if f"rule k-approval {k}\n" in text and 2 <= m <= 4:
+            small.append((path, k))
     # zero budget and prices in {0, 1}: instances that reduce to Possible Winner
     reducible = []
     for i in range(40):
@@ -161,6 +165,10 @@ def build_calls(work: Path, old_src: str) -> list:
             text = text.replace("mode co-winner", "mode unique-winner")
         path.write_text(text)
         instance_calls(path, n)
+    for path, k in small[:12]:
+        bucklin, listing = corpus / f"{path.stem}.bucklin.sbe", out / f"{path.stem}.bucklin.lp"
+        bucklin.write_text(path.read_text().replace(f"rule k-approval {k}\n", "rule bucklin\n"))
+        call("solve", bucklin, "--algorithm", "ilp", "--dump-ilp", listing, outputs=[listing])
     run_tree(work, old_src, old_solves, "old-solutions", "1")
     return calls
 

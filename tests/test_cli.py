@@ -638,22 +638,72 @@ def test_dump_ilp_of_k_approval_sample(tmp_path):
     assert out.read_text() == DUMP_PROGRAM
 
 
+# Bucklin's win rows for DUMP_SAMPLE, one set per round: upper bounds print
+# negated, so every row is a >= row. Groups, budget and bounds are the
+# k-approval program's, since every set is over the same variables.
+BUCKLIN_WIN_ROWS = (
+    """\
+  win0: 0 >= -1
+  win1: 0 >= -1
+  win2: 0 >= -1
+  win3: + t[0->0] + t[0->1] + t[1->0] + t[1->1] >= 2
+  win4: + 2 t[0->0] + 2 t[0->1] + t[0->4] + t[0->5] + t[1->0] + t[1->1] - t[1->2] - t[1->3] >= 3
+  win5: + t[0->0] + t[0->1] - t[0->4] - t[0->5] + 2 t[1->0] + 2 t[1->1] + t[1->2] + t[1->3] >= 2
+""",
+    """\
+  win0: - t[0->0] - t[0->1] - t[1->0] - t[1->1] >= -1
+  win1: + t[0->0] + t[0->1] + t[0->4] + t[0->5] - t[1->2] - t[1->3] >= 1
+  win2: - t[0->4] - t[0->5] + t[1->0] + t[1->1] + t[1->2] + t[1->3] >= 0
+  win3: + t[0->0] + t[0->1] + t[0->2] + t[0->4] - t[1->3] - t[1->5] >= 1
+  win4: + t[0->0] + 2 t[0->1] + t[0->2] + 2 t[0->4] - t[1->0] - t[1->2] - 2 t[1->3] - 2 t[1->5] >= 2
+  win5: + 2 t[0->0] + t[0->1] + 2 t[0->2] + t[0->4] + t[1->0] + t[1->2] - t[1->3] - t[1->5] >= 3
+""",
+    """\
+  win0: - t[0->0] - t[0->1] - t[0->2] - t[0->4] + t[1->3] + t[1->5] >= 0
+  win1: + t[0->1] + t[0->4] - t[1->0] - t[1->2] - t[1->3] - t[1->5] >= 1
+  win2: + t[0->0] + t[0->2] + t[1->0] + t[1->2] >= 2
+  win3: 0 >= -1
+  win4: 0 >= 1
+  win5: 0 >= 1
+""",
+)
+
+
 def test_dump_ilp_of_bucklin_sample(tmp_path):
-    # Bucklin's upper bounds print negated: every win row is a >= row.
     path = tmp_path / "dump.sbe"
     path.write_text(DUMP_SAMPLE.replace("rule k-approval 1", "rule bucklin"))
     out = tmp_path / "dump.lp"
-    assert main(["solve", str(path), "--algorithm", "ilp", "--dump-ilp", str(out)]) in (0, 1)
-    lines = out.read_text().splitlines()
-    win_rows = [l for l in lines if l.strip().startswith("win")]
-    assert len(win_rows) == 3 * 6  # one set per round, m + 1 + (m - 1) rows each
-    for row in win_rows:
-        relation, rhs = row.split()[-2:]
-        assert relation == ">=" and rhs.lstrip("-").isdigit(), row
-    for start in (i for i, l in enumerate(lines) if l == "integer"):
-        listed = set(lines[start + 1].split())
-        bounded = {l.split()[2] for l in lines[start - len(listed) : start]}
-        assert listed == bounded and listed
+    assert main(["solve", str(path), "--algorithm", "ilp", "--dump-ilp", str(out)]) == 1
+    head, _, rest = DUMP_PROGRAM.partition("  win0:")
+    tail = rest[rest.index("bounds\n") :]
+    sets = [head.replace("set 0", f"set {i}") + rows + tail for i, rows in enumerate(BUCKLIN_WIN_ROWS)]
+    assert out.read_text() == "\n".join(sets)
+
+
+@pytest.mark.parametrize("dump, calls", [(False, [1, 1, 1]), (True, [2, 2, 2])], ids=["solve", "dump"])
+def test_the_ilp_is_built_once_per_program(tmp_path, monkeypatch, dump, calls):
+    # Bucklin over four candidates, four description sets: the solve and
+    # the listing each describe the rule, price the classes and build once.
+    from swapbribery import ilp, swaps
+
+    text = serialize_election(gen_random(4, 4, 1, ("two-valued", 1, 2, 0.3), seed=3))
+    path = tmp_path / "bucklin.sbe"
+    path.write_text(text.replace("rule k-approval 1\n", "rule bucklin\n"))
+    names = ("describe_rule", "build_ilp", "integer_prices")
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for owner, name in zip((ilp, ilp, swaps.BriberyInstance), names):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    argv = ["solve", str(path), "--algorithm", "ilp"] + (["--dump-ilp", str(tmp_path / "b.lp")] if dump else [])
+    assert main(argv) == 1
+    assert [counts[name] for name in names] == calls
 
 
 # A one-candidate election: the program has no variables, and p wins as cast.

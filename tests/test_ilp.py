@@ -102,10 +102,10 @@ class TestBuildIlp:
             election, VotingRule.k_approval(1), 2, SwapCostFunction.unit(3), Fraction(2)
         )
         system = describe_rule(inst.rule, 3, 3, 2)
-        ilp = build_ilp(inst, system, 0)
+        ilp = build_ilp(inst, system)
         assert len(ilp.groups) == 1
         assert len(ilp.variables) == 5  # m! - 1
-        assert all(type(c) is int for row in ilp.rows for c in (*row.coeffs, row.rhs))
+        assert all(type(c) is int for row in ilp.sets[0] for c in (*row.coeffs, row.rhs))
 
     def test_zero_budget_positive_costs_freezes_votes(self):
         election = Election(("a", "p"), (Vote((0, 1)),))
@@ -113,13 +113,13 @@ class TestBuildIlp:
             election, VotingRule.k_approval(1), 1, SwapCostFunction.unit(1), Fraction(0)
         )
         system = describe_rule(inst.rule, 2, 1, 1)
-        ilp = build_ilp(inst, system, 0)
-        assignment = ilp_feasible(ilp)
+        ilp = build_ilp(inst, system)
+        assignment = ilp_feasible(ilp, ilp.sets[0])
         assert assignment is None  # p loses as cast and cannot move
 
     def test_transformation_cost_row(self, sample_instance):
         system = describe_rule(sample_instance.rule, 5, 2, sample_instance.preferred)
-        ilp = build_ilp(sample_instance, system, 0)
+        ilp = build_ilp(sample_instance, system)
         # some group holds vote v; moving to (c1,p,c2,c4,c3) costs 1
         j = ilp.perms.index((0, 2, 1, 3, 4))
         g = next(g for g, group in enumerate(ilp.groups) if group.ranking == (0, 1, 2, 3, 4))
@@ -136,14 +136,14 @@ class TestBuildIlp:
         )
         system = describe_rule(inst.rule, m, 1, preferred)
         with pytest.raises(DomainError, match=message):
-            build_ilp(inst, system, 0)
+            build_ilp(inst, system)
 
     def test_transformed_counts_conserve_votes(self):
         rng = random.Random(3)
         for _ in range(20):
             inst = random_instance(rng, m_max=3, n_max=3)
             system = describe_rule(inst.rule, inst.election.m, inst.election.n_expanded, inst.preferred)
-            ilp = build_ilp(inst, system, 0)
+            ilp = build_ilp(inst, system)
             counts = [0] * len(ilp.perms)
             for group in ilp.groups:
                 counts[ilp.perms.index(group.ranking)] += len(group.votes)
@@ -172,8 +172,8 @@ class TestFeasibility:
             election, VotingRule.k_approval(2), 1, SwapCostFunction.unit(1), Fraction(0)
         )
         system = describe_rule(inst.rule, 2, 1, 1)
-        ilp = build_ilp(inst, system, 0)
-        assignment = ilp_feasible(ilp)
+        ilp = build_ilp(inst, system)
+        assignment = ilp_feasible(ilp, ilp.sets[0])
         assert assignment == {var: 0 for var in ilp.variables}
 
     def test_contradictory_rows_on_one_variable(self):
@@ -187,10 +187,10 @@ class TestFeasibility:
             var_costs=(0,),
             budget=10,
             scale=1,
-            rows=(Inequality((-1,), 0), Inequality((1,), 1)),
+            sets=((Inequality((-1,), 0), Inequality((1,), 1)),),
             perms=((0, 1), (1, 0)),
         )
-        assert ilp_feasible(ilp) is None
+        assert ilp_feasible(ilp, ilp.sets[0]) is None
 
     def test_matches_box_enumeration(self):
         from itertools import product as iproduct
@@ -201,8 +201,8 @@ class TestFeasibility:
             system = describe_rule(
                 inst.rule, inst.election.m, inst.election.n_expanded, inst.preferred
             )
-            ilp = build_ilp(inst, system, 0)
-            got = ilp_feasible(ilp)
+            ilp = build_ilp(inst, system)
+            got = ilp_feasible(ilp, ilp.sets[0])
             sizes = [len(ilp.groups[g].votes) for g, _ in ilp.variables]
             found = None
             for values in iproduct(*[range(s + 1) for s in sizes]):
@@ -217,7 +217,7 @@ class TestFeasibility:
                     continue
                 if all(
                     sum(c * t for c, t in zip(row.coeffs, values)) >= row.rhs
-                    for row in ilp.rows
+                    for row in ilp.sets[0]
                 ):
                     found = values
                     break
@@ -268,6 +268,9 @@ class TestSolve:
         monkeypatch.setattr(ilp_module, "MAX_VARIABLES", 1)
         with pytest.raises(ResourceCapError, match="variables exceed cap 1$"):
             solve_ilp(inst)
+        # refused while building, before any set's rows are substituted
+        with pytest.raises(ResourceCapError, match="^10 variables exceed cap 1$"):
+            build_ilp(inst, describe_rule(inst.rule, 3, 2, 2))
 
     def test_rejects_scoring_rules(self):
         election = Election(("a", "p"), (Vote((0, 1)),))
@@ -289,7 +292,8 @@ class TestSolve:
             election, VotingRule.k_approval(1), 1, SwapCostFunction.unit(2), Fraction(1)
         )
         system = describe_rule(inst.rule, 2, 2, 1)
-        text = format_lp(build_ilp(inst, system, 0))
+        ilp = build_ilp(inst, system)
+        text = format_lp(ilp, ilp.sets[0])
         assert "subject to" in text and "budget:" in text
         assert "t[0->" in text and "t[1->" in text
         assert "integer" in text

@@ -156,6 +156,18 @@ class TestPwToSb:
         )
         assert brute_topk(pw_to_sb(pw)).decision is True
 
+    def test_runs_of_equal_votes_become_one_vote(self):
+        # votes 0 and 1 are equal but distinct objects; vote 3 equals them after another vote
+        x, y = PartialVote(3, frozenset({(0, 1)})), PartialVote(3, frozenset({(2, 0)}))
+        pw = PossibleWinnerInstance(
+            ("a", "b", "p"), (x, PartialVote(3, frozenset({(0, 1)})), y, x), VotingRule.k_approval(1), 2
+        )
+        inst = pw_to_sb(pw)
+        first, second = x.minimal_extension(), y.minimal_extension()
+        assert inst.election.votes == (Vote(first, 2), Vote(second), Vote(first))
+        assert list(map(inst.costs.overrides, range(4))) == [{(0, 1): 1}, {(0, 1): 1}, {(2, 0): 1}, {(0, 1): 1}]
+        assert sb_to_pw(inst).votes == pw.votes
+
     def test_round_trip_restores_partial_orders(self):
         for seed in range(30):
             votes = random_partial_votes(4, 3, seed=seed)
