@@ -89,9 +89,9 @@ def _checked_cost(instance, result: SolveResult) -> Fraction | None:
 
 
 def _dump_programs(instance, path: str):
-    from .ilp import format_lp, transformation_program
+    from .ilp import build_ilp, format_lp
 
-    ilp = transformation_program(instance)
+    ilp = build_ilp(instance)
     listings = (f"\\ description set {i}\n{format_lp(ilp, rows)}" for i, rows in enumerate(ilp.sets))
     _write(path, "\n".join(listings))
 

@@ -2,11 +2,12 @@
 
 Works for any rule describable by linear inequality systems over the m!
 per-permutation vote counts: the preferred candidate wins exactly when
-some system in the description is satisfied. A solve builds one program,
-in candidate ids over the vote classes of ``BriberyInstance.integer_prices``:
-integer variables count how many votes of a class (a group) transform
-into each target permutation, constrained by group sizes, the budget, and
-each description set in turn, with the transformed counts substituted in.
+some system in the description is satisfied. ``build_ilp(instance)``
+describes the instance's rule and builds one program, in candidate ids over
+the vote classes of ``BriberyInstance.integer_prices``: integer variables
+count how many votes of a class (a group) transform into each target
+permutation, constrained by group sizes, the budget, and each description
+set in turn, with the transformed counts substituted in.
 Feasibility is decided exactly by depth-first search with bound
 propagation, after a rational-relaxation check.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 from . import _search
 from .core import BUCKLIN, K_APPROVAL, Ranking
@@ -46,14 +47,13 @@ class LinearInequalitySystem:
     ``perms[0][0]`` is the preferred candidate.
     """
 
-    m: int
     perms: tuple[Ranking, ...]
     sets: tuple[tuple[Inequality, ...], ...]
 
 
-# Size limits, read at every call; exceeding one raises ResourceCapError. The
+# Size limit, read at every call; exceeding it raises ResourceCapError. Each
+# vote class has m! - 1 variables, so the limit also bounds m (at most 6). The
 # search's node budget is ``_search.MAX_NODES``, shared by every exact search.
-MAX_PERMUTATIONS = 720  # bound on m!
 MAX_VARIABLES = 2000
 
 
@@ -66,11 +66,18 @@ def describe_rule(rule, m: int, n: int, preferred: int, unique: bool = False) ->
     dominance rows at depth b. Under unique-winner semantics dominance
     rows require a strictly higher count (+1 on integer data). Upper
     bounds are written negated, so every row reads ``>=``.
+
+    Every refusal comes before any permutation is built, among them an m at
+    which one vote class alone would have m! - 1 > ``MAX_VARIABLES`` variables.
     """
+    if rule.kind not in (K_APPROVAL, BUCKLIN):
+        raise DomainError("integer-program solving supports k-approval and Bucklin")
     if not 0 <= preferred < m:
         raise DomainError("preferred candidate not on the roster")
-    if factorial_exceeds(1, m, MAX_PERMUTATIONS):
-        raise ResourceCapError(f"{m}! permutations exceed cap {MAX_PERMUTATIONS}")
+    if factorial_exceeds(1, m, MAX_VARIABLES + 1):
+        raise ResourceCapError(f"{m}! - 1 variables per vote class exceed cap {MAX_VARIABLES}")
+    if rule.kind == K_APPROVAL and rule.k > m:
+        raise DomainError("k exceeds the number of candidates")
     order = [preferred] + [c for c in range(m) if c != preferred]
     perms = tuple(permutations(order))
     margin = 1 if unique else 0
@@ -89,25 +96,20 @@ def describe_rule(rule, m: int, n: int, preferred: int, unique: bool = False) ->
         ]
 
     if rule.kind == K_APPROVAL:
-        if rule.k > m:
-            raise DomainError("k exceeds the number of candidates")
-        return LinearInequalitySystem(m, perms, (tuple(dominance(rule.k)),))
+        return LinearInequalitySystem(perms, (tuple(dominance(rule.k)),))
 
-    if rule.kind == BUCKLIN:
-        half = n // 2
-        sets = []
-        for b in range(1, m + 1):
-            # No candidate reaches a majority within depth b-1.
-            rows = [
-                Inequality(tuple(-c for c in depth_coeffs(cand, b - 1)), -half)
-                for cand in order
-            ]
-            rows.append(Inequality(depth_coeffs(preferred, b), half + 1))
-            rows.extend(dominance(b))
-            sets.append(tuple(rows))
-        return LinearInequalitySystem(m, perms, tuple(sets))
-
-    raise DomainError(f"no description for rule kind {rule.kind!r}")
+    half = n // 2
+    sets = []
+    for b in range(1, m + 1):
+        # No candidate reaches a majority within depth b-1.
+        rows = [
+            Inequality(tuple(-c for c in depth_coeffs(cand, b - 1)), -half)
+            for cand in order
+        ]
+        rows.append(Inequality(depth_coeffs(preferred, b), half + 1))
+        rows.extend(dominance(b))
+        sets.append(tuple(rows))
+    return LinearInequalitySystem(perms, tuple(sets))
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,14 @@ class TransformationIlp:
     perms: tuple[Ranking, ...]
 
 
-def build_ilp(instance: BriberyInstance, system: LinearInequalitySystem) -> TransformationIlp:
-    """Instantiate every description set over the vote classes' transformation counts."""
-    if system.m != instance.election.m:
-        raise DomainError("description built for a different candidate count")
-    if system.perms[0][0] != instance.preferred:
-        raise DomainError("description built for a different preferred candidate")
+def build_ilp(instance: BriberyInstance) -> TransformationIlp:
+    """The program that ``solve_ilp`` decides and ``--dump-ilp`` lists.
+
+    The instance's rule is described for its preferred candidate, and every
+    description set substituted over the vote classes' transformation counts.
+    """
+    election = instance.election
+    system = describe_rule(instance.rule, election.m, election.n_expanded, instance.preferred, instance.unique_mode)
     perm_index = {perm: i for i, perm in enumerate(system.perms)}
     scale, classes, budget = instance.integer_prices()
     n_vars = len(classes) * (len(system.perms) - 1)  # checked before any target cost or row is built
@@ -195,9 +199,6 @@ def ilp_feasible(ilp: TransformationIlp, rows: tuple[Inequality, ...]) -> dict[t
     n_vars = len(ilp.variables)
     coeffs = [row.coeffs for row in rows]
     rhs = [row.rhs for row in rows]
-    if not n_vars:
-        return {} if all(b <= 0 for b in rhs) else None
-
     if lp_feasible(_relaxation_rows(ilp, rows), n_vars) is None:
         return None
 
@@ -264,17 +265,12 @@ def assignment_to_bribery(
     ilp: TransformationIlp,
     assignment: dict[tuple[int, int], int],
 ) -> Bribery:
-    """Transform t copies of each group into its targets, in expanded order."""
+    """Transform t copies of each group into its targets: votes in expanded order, targets in variable order."""
     targets = list(instance.election.expanded())
-    taken = [0] * len(ilp.groups)
+    unassigned = [iter(group.votes) for group in ilp.groups]
     for (g, j) in ilp.variables:
-        t = assignment.get((g, j), 0)
-        if t == 0:
-            continue
-        votes = ilp.groups[g].votes
-        for _ in range(t):
-            targets[votes[taken[g]]] = ilp.perms[j]
-            taken[g] += 1
+        for vote in islice(unassigned[g], assignment.get((g, j), 0)):
+            targets[vote] = ilp.perms[j]
     return Bribery(tuple(targets))
 
 
@@ -318,20 +314,6 @@ def format_lp(ilp: TransformationIlp, rows: tuple[Inequality, ...]) -> str:
     return "\n".join(out) + "\n"
 
 
-def transformation_program(instance: BriberyInstance) -> TransformationIlp:
-    """The program of the instance's rule description, which ``solve_ilp`` decides and ``--dump-ilp`` lists."""
-    if instance.rule.kind not in (K_APPROVAL, BUCKLIN):
-        raise DomainError("integer-program solving supports k-approval and Bucklin")
-    system = describe_rule(
-        instance.rule,
-        instance.election.m,
-        instance.election.n_expanded,
-        instance.preferred,
-        unique=instance.unique_mode,
-    )
-    return build_ilp(instance, system)
-
-
 def solve_ilp(instance: BriberyInstance) -> SolveResult:
     """Decide the instance by trying every set of the rule description, in order.
 
@@ -339,7 +321,7 @@ def solve_ilp(instance: BriberyInstance) -> SolveResult:
     """
     from .swaps import verify_bribery
 
-    ilp = transformation_program(instance)
+    ilp = build_ilp(instance)
     for rows in ilp.sets:
         assignment = ilp_feasible(ilp, rows)
         if assignment is None:

@@ -11,6 +11,7 @@ call, so that both trees read the same files (the full form, one target
 line per vote, when OLD_SRC predates the short form), ``solve --algorithm
 ilp --dump-ilp`` with its listing, also on Bucklin copies of small
 k-approval instances, whose listings hold one program per description set,
+and on a seven-candidate file and its Bucklin copy, which the ILP refuses,
 ``kernelize`` with and without ``--simple`` and ``--provenance``,
 ``export-network`` for every s* from 0 to n + 1, ``reduce`` both ways,
 and gadget ``generate`` and ``kernelize``; the instances include files with
@@ -169,6 +170,17 @@ def build_calls(work: Path, old_src: str) -> list:
         bucklin, listing = corpus / f"{path.stem}.bucklin.sbe", out / f"{path.stem}.bucklin.lp"
         bucklin.write_text(path.read_text().replace(f"rule k-approval {k}\n", "rule bucklin\n"))
         call("solve", bucklin, "--algorithm", "ilp", "--dump-ilp", listing, outputs=[listing])
+    # Seven candidates, past the ILP's cap on m, drawn last so that every call
+    # above stays the same: the k-approval file and its Bucklin copy.
+    k = rng.randint(1, 7)
+    wide = corpus / "m7.sbe"
+    generate(["random", "--m", 7, "--n", rng.randint(1, 5), "--k", k, "--seed", 3000], wide)
+    bucklin = corpus / "m7.bucklin.sbe"
+    bucklin.write_text(wide.read_text().replace(f"rule k-approval {k}\n", "rule bucklin\n"))
+    for path in (wide, bucklin):
+        solution, listing = out / f"{path.stem}.ilp.sbs", out / f"{path.stem}.lp"
+        call("solve", path, "--algorithm", "ilp", "--solution", solution, outputs=[solution])
+        call("solve", path, "--algorithm", "ilp", "--dump-ilp", listing, outputs=[listing])
     run_tree(work, old_src, old_solves, "old-solutions", "1")
     return calls
 

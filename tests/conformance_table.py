@@ -49,9 +49,8 @@ def color_fits(instance) -> bool:
 
 
 def ilp_fits(instance) -> bool:
-    """m! - 1 variables per vote group: k-approval at m <= 4, Bucklin at m <= 3, up to 4 votes."""
-    most = {K_APPROVAL: 4, BUCKLIN: 3}.get(instance.rule.kind, 0)
-    return instance.election.m <= most and instance.election.n_expanded <= 4
+    """m! - 1 variables per vote group: k-approval at m <= 5, Bucklin at m <= 4, at every vote count."""
+    return instance.election.m <= {K_APPROVAL: 5, BUCKLIN: 4}.get(instance.rule.kind, 0)
 
 
 def kernel_fits(instance) -> bool:

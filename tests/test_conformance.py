@@ -93,7 +93,7 @@ def test_solver_agrees_with_the_oracles(row):
 
 # The largest m and the most expanded votes each row got from the per-file loops it replaced.
 REACHED = {
-    "brute_topk": (6, 4), "brute_rankings": (5, 4), "flow": (6, 9), "brute_topk-pruned": (6, 3), "ilp": (4, 4),
+    "brute_topk": (6, 4), "brute_rankings": (5, 4), "flow": (6, 9), "brute_topk-pruned": (6, 3), "ilp": (5, 9),
     "color-exhaustive": (6, 4), "kernelize-pruned": (6, 2), "truncation-pruned": (6, 2), "solve-auto": (5, 4),
 }
 
@@ -147,12 +147,12 @@ brute_topk: 181 answers, 96 yes; sha256 bec9dabd487296babf4942fa216ac88776c6f962
 brute_rankings: 454 answers, 245 yes; sha256 d5e9c4b215bc401a2b8c2543bfdaba7032f136ba2cd3229fda0ce27398c344a8
 flow: 88 answers, 46 yes; sha256 d71189c563cb1975ae1a1b242fa6d119471f4606b7f98fe6653b25fdea3797cb
 brute_topk-pruned: 181 answers, 96 yes; sha256 4e21b4a7c841301382ee89f7de4262eedacd18a9358879aff7a47cd4038d2e4d
-ilp: 163 answers, 90 yes; sha256 f8cc04aa073c214a2d4a9ab7a2389397dd195bdfd785b16440fcba0ce9e2e422
+ilp: 243 answers, 135 yes; sha256 84453ee6b86df5425e59ba643d549d9101b37c760a4c2324d2b52ca11b99b963
 color-exhaustive: 141 answers, 73 yes; sha256 3e353ff6b0e879ba37a98f542d28fb921a7a36ac781f85e58b8334b909b667e1
 kernelize-pruned: 56 answers, 28 yes; sha256 496d5425feaa04b4b5eb66e28b0ca19066b19b62a2e10724459d44790859358b
 truncation-pruned: 56 answers, 28 yes; sha256 2a23ca9db3bf8e4c193523d391228be3a1ac6223e518d8b505cdc8bf0a8491c7
 solve-auto: 509 answers, 275 yes; sha256 913d803a158283823d85571d63151a652141fefd137cb712ad1dbbb8141eecdc
-corpus 509 instances, 9 solvers, 1829 answers, 977 yes; sha256 6479d957e5ba6820a9e0179174c600aa9e8331a58b4690df93af5c99efa37ae8
+corpus 509 instances, 9 solvers, 1909 answers, 1022 yes; sha256 631b9d65c9e85f5ad7994963a20f5417dc1808a6b1cc8e31871aabe9a89aca24
 """
 
 

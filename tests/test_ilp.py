@@ -9,6 +9,7 @@ from swapbribery.errors import DomainError, ResourceCapError
 from swapbribery import ilp as ilp_module
 from swapbribery.ilp import (
     Inequality,
+    assignment_to_bribery,
     build_ilp,
     describe_rule,
     ilp_feasible,
@@ -41,9 +42,16 @@ class TestDescribeRule:
         assert len(system.sets) == 3
         assert all(len(rows) == 6 for rows in system.sets)
 
-    def test_permutation_cap(self):
-        with pytest.raises(ResourceCapError):
+    def test_permutation_cap(self, monkeypatch):
+        # One vote class has m! - 1 variables: m = 6 has 719, m = 7 has 5,039.
+        assert len(describe_rule(VotingRule.k_approval(2), 6, 1, 0).perms) == 720
+        with pytest.raises(ResourceCapError, match=r"^7! - 1 variables per vote class exceed cap 2000$"):
             describe_rule(VotingRule.k_approval(2), 7, 1, 0)
+        # At a cap of 5, m = 3 (5 variables) is described and m = 4 (23) is not.
+        monkeypatch.setattr(ilp_module, "MAX_VARIABLES", 5)
+        assert len(describe_rule(VotingRule.bucklin(), 3, 1, 0).perms) == 6
+        with pytest.raises(ResourceCapError, match=r"^4! - 1 variables per vote class exceed cap 5$"):
+            describe_rule(VotingRule.bucklin(), 4, 1, 0)
 
     @pytest.mark.parametrize("preferred", [3, -1])
     def test_refuses_a_preferred_candidate_off_the_roster(self, preferred):
@@ -101,49 +109,47 @@ class TestBuildIlp:
         inst = BriberyInstance(
             election, VotingRule.k_approval(1), 2, SwapCostFunction.unit(3), Fraction(2)
         )
-        system = describe_rule(inst.rule, 3, 3, 2)
-        ilp = build_ilp(inst, system)
+        ilp = build_ilp(inst)
         assert len(ilp.groups) == 1
         assert len(ilp.variables) == 5  # m! - 1
         assert all(type(c) is int for row in ilp.sets[0] for c in (*row.coeffs, row.rhs))
+
+    def test_a_class_hands_out_its_votes_in_order(self):
+        # Three copies (expanded votes 1-3) split 2/1 over two targets: the
+        # first two copies take the earlier target in variable order.
+        election = Election(("a", "b", "p"), (Vote((1, 0, 2)), Vote((0, 1, 2), 3)))
+        inst = BriberyInstance(
+            election, VotingRule.k_approval(1), 2, SwapCostFunction.unit(4), Fraction(10)
+        )
+        ilp = build_ilp(inst)
+        g = next(g for g, group in enumerate(ilp.groups) if group.ranking == (0, 1, 2))
+        assert ilp.groups[g].votes == (1, 2, 3)
+        first, second = [var for var in ilp.variables if var[0] == g][:2]
+        bribery = assignment_to_bribery(inst, ilp, {second: 1, first: 2})
+        early, late = ilp.perms[first[1]], ilp.perms[second[1]]
+        assert bribery.targets == ((1, 0, 2), early, early, late)
 
     def test_zero_budget_positive_costs_freezes_votes(self):
         election = Election(("a", "p"), (Vote((0, 1)),))
         inst = BriberyInstance(
             election, VotingRule.k_approval(1), 1, SwapCostFunction.unit(1), Fraction(0)
         )
-        system = describe_rule(inst.rule, 2, 1, 1)
-        ilp = build_ilp(inst, system)
+        ilp = build_ilp(inst)
         assignment = ilp_feasible(ilp, ilp.sets[0])
         assert assignment is None  # p loses as cast and cannot move
 
     def test_transformation_cost_row(self, sample_instance):
-        system = describe_rule(sample_instance.rule, 5, 2, sample_instance.preferred)
-        ilp = build_ilp(sample_instance, system)
+        ilp = build_ilp(sample_instance)
         # some group holds vote v; moving to (c1,p,c2,c4,c3) costs 1
         j = ilp.perms.index((0, 2, 1, 3, 4))
         g = next(g for g, group in enumerate(ilp.groups) if group.ranking == (0, 1, 2, 3, 4))
         assert ilp.var_costs[ilp.variables.index((g, j))] == 1
 
-    @pytest.mark.parametrize(
-        "m, preferred, message",
-        [(2, 1, "different candidate count"), (3, 0, "different preferred candidate")],
-    )
-    def test_refuses_a_description_of_another_election(self, m, preferred, message):
-        election = Election(("a", "b", "p"), (Vote((0, 1, 2)),))
-        inst = BriberyInstance(
-            election, VotingRule.k_approval(1), 2, SwapCostFunction.unit(1), Fraction(1)
-        )
-        system = describe_rule(inst.rule, m, 1, preferred)
-        with pytest.raises(DomainError, match=message):
-            build_ilp(inst, system)
-
     def test_transformed_counts_conserve_votes(self):
         rng = random.Random(3)
         for _ in range(20):
             inst = random_instance(rng, m_max=3, n_max=3)
-            system = describe_rule(inst.rule, inst.election.m, inst.election.n_expanded, inst.preferred)
-            ilp = build_ilp(inst, system)
+            ilp = build_ilp(inst)
             counts = [0] * len(ilp.perms)
             for group in ilp.groups:
                 counts[ilp.perms.index(group.ranking)] += len(group.votes)
@@ -171,8 +177,7 @@ class TestFeasibility:
         inst = BriberyInstance(
             election, VotingRule.k_approval(2), 1, SwapCostFunction.unit(1), Fraction(0)
         )
-        system = describe_rule(inst.rule, 2, 1, 1)
-        ilp = build_ilp(inst, system)
+        ilp = build_ilp(inst)
         assignment = ilp_feasible(ilp, ilp.sets[0])
         assert assignment == {var: 0 for var in ilp.variables}
 
@@ -198,10 +203,7 @@ class TestFeasibility:
         rng = random.Random(41)
         for _ in range(40):
             inst = random_instance(rng, m_max=3, n_max=2)
-            system = describe_rule(
-                inst.rule, inst.election.m, inst.election.n_expanded, inst.preferred
-            )
-            ilp = build_ilp(inst, system)
+            ilp = build_ilp(inst)
             got = ilp_feasible(ilp, ilp.sets[0])
             sizes = [len(ilp.groups[g].votes) for g, _ in ilp.variables]
             found = None
@@ -265,12 +267,13 @@ class TestSolve:
         inst = BriberyInstance(
             election, VotingRule.k_approval(1), 2, SwapCostFunction.unit(2), Fraction(2)
         )
-        monkeypatch.setattr(ilp_module, "MAX_VARIABLES", 1)
-        with pytest.raises(ResourceCapError, match="variables exceed cap 1$"):
+        # one class's 5 variables pass the description; the two classes' 10 do not
+        monkeypatch.setattr(ilp_module, "MAX_VARIABLES", 5)
+        with pytest.raises(ResourceCapError, match="^10 variables exceed cap 5$"):
             solve_ilp(inst)
         # refused while building, before any set's rows are substituted
-        with pytest.raises(ResourceCapError, match="^10 variables exceed cap 1$"):
-            build_ilp(inst, describe_rule(inst.rule, 3, 2, 2))
+        with pytest.raises(ResourceCapError, match="^10 variables exceed cap 5$"):
+            build_ilp(inst)
 
     def test_rejects_scoring_rules(self):
         election = Election(("a", "p"), (Vote((0, 1)),))
@@ -291,8 +294,7 @@ class TestSolve:
         inst = BriberyInstance(
             election, VotingRule.k_approval(1), 1, SwapCostFunction.unit(2), Fraction(1)
         )
-        system = describe_rule(inst.rule, 2, 2, 1)
-        ilp = build_ilp(inst, system)
+        ilp = build_ilp(inst)
         text = format_lp(ilp, ilp.sets[0])
         assert "subject to" in text and "budget:" in text
         assert "t[0->" in text and "t[1->" in text

@@ -52,7 +52,7 @@ def m1700(tmp_path_factory):
 
 
 def test_the_ilp_names_m_not_m_factorial(m1700):
-    assert _refused("solve", m1700, "--algorithm", "ilp") == "error: 1700! permutations exceed cap 720\n"
+    assert _refused("solve", m1700, "--algorithm", "ilp") == "error: 1700! - 1 variables per vote class exceed cap 2000\n"
 
 
 def test_bucklin_names_n_and_m_not_n_times_m_factorial(m1700, tmp_path):
