@@ -215,6 +215,8 @@ def _cmd_generate(args) -> int:
         instance, _ = multicolored_clique_instance(graph, epsilon=epsilon)
     elif args.kind == "clique-single-vote":
         if args.graph in (None, "random"):
+            if args.n > formats.MAX_VERTICES:  # drawing the graph takes time quadratic in n
+                raise SwapBriberyError(f"--n {args.n} has more than {formats.MAX_VERTICES} vertices")
             graph = random_graph(args.n, 0.5, args.seed)
         else:
             graph = formats.parse_graph(_read(args.graph))

@@ -231,21 +231,19 @@ def _blocking_flows(adj, to, cap, cost, potential, source, sink) -> int:
 
 def covers(instance: BriberyInstance) -> bool:
     """Flow's scope: k-approval with one swap price per vote, no pair override."""
-    costs = instance.costs
-    return instance.rule.kind == K_APPROVAL and not any(map(costs.overrides, range(costs.n_votes)))
+    return instance.rule.kind == K_APPROVAL and not any(table for _, table in instance.costs.prices)
 
 
 def require_covers(instance: BriberyInstance) -> None:
     """Raise PreconditionError outside flow's scope (``covers``), and
     ResourceCapError where the transfer network would pass ``MAX_ARCS``.
 
-    Without overrides, ``swaps.vote_classes`` groups votes by stored ranking
-    and default price, so the classes are counted before any is built.
+    The classes are counted by the key ``swaps.vote_classes`` groups by,
+    stored ranking and price id, before any is built.
     """
     if not covers(instance):
         raise PreconditionError("flow solver needs k-approval with one swap price per vote, without pair overrides")
-    costs = instance.costs
-    classes = set(zip(instance.election.expanded(), map(costs.default, range(costs.n_votes))))
+    classes = set(zip(instance.election.expanded(), instance.costs.price_ids))
     _require_arcs(len(classes), instance.election.m)
 
 

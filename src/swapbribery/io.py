@@ -54,7 +54,7 @@ MAX_VOTES = 10**6
 
 # The most vertices a graph file may declare. Read at call time, as
 # MAX_VOTES is. ``generate clique-single-vote`` prices every vertex pair,
-# so it takes about 1 s at this bound and about 17 s at four times it.
+# so it takes about 6 s at this bound and about 26 s at twice it.
 MAX_VERTICES = 1000
 
 # Whitespace as ``str.isspace`` and ``str.split`` see it, which no name may hold.
@@ -320,7 +320,7 @@ def parse_election(text: str) -> BriberyInstance:
 
 def serialize_election(instance: BriberyInstance) -> str:
     """Inverse of parse_election on its image; splits vote objects whose
-    expanded copies ended up with diverging cost tables."""
+    expanded copies ended up with different prices (``price_ids``)."""
     election = instance.election
     out = [ELECTION_MAGIC, *_roster_lines(election.candidates)]
     out.append("rule " + _rule_text(instance.rule))
@@ -328,35 +328,26 @@ def serialize_election(instance: BriberyInstance) -> str:
     out.append(f"preferred {election.candidates[instance.preferred]}")
     out.append(f"mode {instance.mode}")
 
-    costs = instance.costs
-    rows: list[tuple[int, tuple[int, ...], int]] = []  # (multiplicity, order, expanded0)
+    ids = instance.costs.price_ids
+    rows: list[tuple[int, tuple[int, ...], int]] = []  # (multiplicity, order, price id)
     expanded = 0
     for vote in election.votes:
-        same = vote.multiplicity == 1
-        if not same:
-            # tuples compare shared price objects by identity, not through Fraction.__eq__
-            first = (costs.default(expanded), costs.overrides(expanded))
-            same = all(
-                (costs.default(e), costs.overrides(e)) == first
-                for e in range(expanded + 1, expanded + vote.multiplicity)
-            )
-        if same:
-            rows.append((vote.multiplicity, vote.ranking, expanded))
+        end = expanded + vote.multiplicity
+        if vote.multiplicity == 1 or len(set(ids[expanded:end])) == 1:
+            rows.append((vote.multiplicity, vote.ranking, ids[expanded]))
         else:
-            for c in range(vote.multiplicity):
-                rows.append((1, vote.ranking, expanded + c))
-        expanded += vote.multiplicity
+            rows.extend((1, vote.ranking, price) for price in ids[expanded:end])
+        expanded = end
 
     names = election.candidates
     for i, (mult, order, _) in enumerate(rows):
         as_head, text = _written_names(names, order)
         # rstrip: an empty head leaves no space at the end of its line
         out.append(f"vote {i} multiplicity {mult} {'head' if as_head else 'order'} {text}".rstrip())
-    for i, (_, _, src) in enumerate(rows):
-        default = costs.default(src)
+    for i, (_, _, price) in enumerate(rows):
+        default, table = instance.costs.prices[price]
         if default.numerator != default.denominator:  # the price is not 1
             out.append(f"costs {i} default {format_fraction(default)}")
-        table = costs.overrides(src)
         for (a, b) in sorted(table):
             value = table[(a, b)]
             out.append(

@@ -70,17 +70,13 @@ def relevant_candidates(instance: BriberyInstance) -> frozenset[int]:
 def _restricted_prices(
     costs: SwapCostFunction, mapping: dict[int, int]
 ) -> tuple[list[Fraction], list[dict[tuple[int, int], Fraction]]]:
-    """Each vote's default price and its overrides among ``mapping``'s keys, renumbered."""
-    defaults = [costs.default(v) for v in range(costs.n_votes)]
-    overrides = [
-        {
-            (mapping[a], mapping[b]): value
-            for (a, b), value in costs.overrides(v).items()
-            if a in mapping and b in mapping
-        }
-        for v in range(costs.n_votes)
+    """Each vote's default price and its overrides among ``mapping``'s keys, renumbered,
+    each distinct price once and each vote's in a table of its own, which ``kernelize`` fills."""
+    restricted = [
+        {(mapping[a], mapping[b]): value for (a, b), value in table.items() if a in mapping and b in mapping}
+        for _, table in costs.prices
     ]
-    return defaults, overrides
+    return list(map(costs.default, range(costs.n_votes))), [dict(restricted[p]) for p in costs.price_ids]
 
 
 def truncation_kernel(instance: BriberyInstance) -> BriberyInstance:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .core import CO_WINNER, Election, Ranking, Vote, VotingRule, head_then_rest
+from .core import CO_WINNER, Election, Ranking, Vote, VotingRule
 from .errors import DomainError, PreconditionError
-from .swaps import BriberyInstance, SwapCostFunction
+from .swaps import BriberyInstance, SwapCostFunction, vote_classes
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ def sb_to_pw(instance: BriberyInstance) -> PossibleWinnerInstance:
     """Zero-budget, two-price bribery instance as a Possible Winner instance.
 
     Keeps, per vote, exactly the precedences whose swap would cost money;
-    their transitive closure is the partial vote.
+    their transitive closure is the partial vote, built once per vote class
+    (``swaps.vote_classes``) and shared by its votes.
     """
     if instance.budget != 0:
         raise PreconditionError("translation needs budget zero")
@@ -97,15 +98,14 @@ def sb_to_pw(instance: BriberyInstance) -> PossibleWinnerInstance:
         raise PreconditionError(f"costs must lie in {{0, d}}; found {found}")
 
     m = instance.election.m
-    partials = []
-    for idx, ranking in enumerate(instance.election.expanded()):
-        ranking = head_then_rest(ranking, m)
-        pairs = set()
-        for i in range(m):
-            for j in range(i + 1, m):
-                if instance.costs.cost(idx, ranking[i], ranking[j]) != 0:
-                    pairs.add((ranking[i], ranking[j]))
-        partials.append(PartialVote(m, frozenset(pairs)))
+    partials = [None] * instance.costs.n_votes
+    for ranking, price, overrides, votes in vote_classes(instance):
+        pairs = frozenset(
+            (a, b) for i, a in enumerate(ranking) for b in ranking[i + 1 :] if overrides.get((a, b), price) != 0
+        )
+        partial = PartialVote(m, pairs)
+        for v in votes:
+            partials[v] = partial
     return PossibleWinnerInstance(
         candidates=instance.election.candidates,
         votes=tuple(partials),

@@ -33,40 +33,51 @@ from .errors import DomainError
 PairCosts = Mapping[tuple[int, int], Fraction]  # int values in a scaled vote class
 
 
-def _distinct(objects) -> Iterable:
-    """Each object of ``objects`` once, by identity, in order of first appearance."""
-    return dict(zip(map(id, objects), objects)).values()
-
-
 class SwapCostFunction:
-    """Per-expanded-vote swap prices, as Fractions: a default plus sparse pair overrides."""
+    """Per-expanded-vote swap prices, as Fractions: a default plus sparse pair overrides.
 
-    __slots__ = ("_defaults", "_overrides")
+    ``prices`` holds each distinct price once, as ``(default, overrides)``
+    without the overrides equal to their default, in order of first vote;
+    ``price_ids`` numbers each expanded vote's price. Two votes share a
+    number exactly when their prices are equal, so groupings read the numbers.
+    """
+
+    __slots__ = ("prices", "price_ids")
 
     def __init__(self, defaults: Iterable[Fraction], overrides: Iterable[PairCosts]):
-        self._defaults = tuple(d if type(d) is Fraction else Fraction(d) for d in defaults)
-        tables = list(overrides)
-        if len(self._defaults) != len(tables):
+        defaults, tables = list(defaults), list(overrides)
+        if len(defaults) != len(tables):
             raise DomainError("defaults and overrides must align per vote")
         # Votes often share one default and one table object (a vote's copies,
-        # the unpriced votes of a file), so each distinct pair is checked once.
-        keys = list(zip(map(id, self._defaults), map(id, tables)))
-        if any(d < 0 for d in _distinct(self._defaults)):
-            raise DomainError("swap costs must be non-negative")
-        canonical = {}
-        for key, (default, table) in dict(zip(keys, zip(self._defaults, tables))).items():
-            kept = {}
+        # the unpriced votes of a file), so each distinct pair is read once.
+        keys = list(zip(map(id, defaults), map(id, tables)))
+        numbers: dict[tuple, int] = {}  # a price's ints to its number
+        key_ids = {}
+        prices = []
+        for key, (default, table) in dict(zip(keys, zip(defaults, tables))).items():
+            if type(default) is not Fraction:
+                default = Fraction(default)
+            if default < 0:
+                raise DomainError("swap costs must be non-negative")
+            # keyed and compared by its ints, in lowest terms: faster than Fractions
+            ints = (default.numerator, default.denominator)
+            kept, kept_ints = {}, []
             for (a, b), value in table.items():
                 if type(value) is not Fraction:
                     value = Fraction(value)
                 if a == b:
                     raise DomainError("cost override needs two distinct candidates")
-                if value < 0:
+                n, d = value.numerator, value.denominator
+                if n < 0:
                     raise DomainError("swap costs must be non-negative")
-                if value != default:
+                if (n, d) != ints:
                     kept[(a, b)] = value
-            canonical[key] = kept
-        self._overrides = tuple(map(canonical.__getitem__, keys))
+                    kept_ints.append((a, b, n, d))
+            key_ids[key] = numbers.setdefault((ints, frozenset(kept_ints)), len(prices))
+            if len(numbers) > len(prices):
+                prices.append((default, kept))
+        self.prices = tuple(prices)
+        self.price_ids = tuple(map(key_ids.__getitem__, keys))
 
     @classmethod
     def unit(cls, n_votes: int) -> "SwapCostFunction":
@@ -79,20 +90,20 @@ class SwapCostFunction:
 
     @property
     def n_votes(self) -> int:
-        return len(self._defaults)
+        return len(self.price_ids)
 
     def default(self, vote: int) -> Fraction:
-        return self._defaults[vote]
+        return self.prices[self.price_ids[vote]][0]
 
     def overrides(self, vote: int) -> PairCosts:
-        return self._overrides[vote]
+        return self.prices[self.price_ids[vote]][1]
 
     def cost(self, vote: int, a: int, b: int) -> Fraction:
-        return self._overrides[vote].get((a, b), self._defaults[vote])
+        return self.overrides(vote).get((a, b), self.default(vote))
 
     def distinct_values(self) -> list:
-        """Every price, each price object once: votes share their price objects."""
-        return [*_distinct(self._defaults), *(v for t in _distinct(self._overrides) for v in t.values())]
+        """Every value of every distinct price, each price once."""
+        return [*(d for d, _ in self.prices), *(v for _, t in self.prices for v in t.values())]
 
     def min_value(self) -> Fraction:
         return min(self.distinct_values())
@@ -107,10 +118,11 @@ class SwapCostFunction:
     def __eq__(self, other):
         if not isinstance(other, SwapCostFunction):
             return NotImplemented
-        return self._defaults == other._defaults and self._overrides == other._overrides
+        return self.prices == other.prices and self.price_ids == other.price_ids
 
     def __repr__(self):
-        return f"SwapCostFunction({self._defaults!r}, {self._overrides!r})"
+        per_vote = list(map(self.prices.__getitem__, self.price_ids))
+        return f"SwapCostFunction({tuple(d for d, _ in per_vote)!r}, {tuple(t for _, t in per_vote)!r})"
 
 
 @dataclass(frozen=True)
@@ -190,7 +202,7 @@ class BriberyInstance:
 
 
 class VoteClass(NamedTuple):
-    """The expanded votes that share a ranking, a default swap price and an override table."""
+    """The expanded votes that share a stored ranking and a price (``SwapCostFunction.price_ids``)."""
 
     ranking: Ranking
     price: int | Fraction  # the default price
@@ -199,28 +211,24 @@ class VoteClass(NamedTuple):
 
 
 def vote_classes(instance: BriberyInstance, scale: int | None = None) -> list[VoteClass]:
-    """The expanded votes grouped by ranking and prices, in order of first vote.
+    """The expanded votes grouped by stored ranking and price id, in order of first vote.
 
     Votes of one class are interchangeable, so every solver builds a class's
-    options once. A class holds its first vote's prices, as ints times
-    ``scale`` if given; ``scale`` must clear every denominator.
+    options once. A class holds its price, as ints times ``scale`` if given,
+    each distinct price scaled once; ``scale`` must clear every denominator.
     """
-    costs = instance.costs
-    groups: dict[tuple, tuple[PairCosts, list[int]]] = {}
-    for v, ranking in enumerate(instance.election.expanded()):
-        table = costs.overrides(v)
-        # a price enters the key as its two ints, which hash faster than a Fraction
-        prices = frozenset((pair, c.numerator, c.denominator) for pair, c in table.items())
-        key = (ranking, costs.default(v), prices)
-        groups.setdefault(key, (table, []))[1].append(v)
+    groups: dict[tuple[Ranking, int], list[int]] = {}
+    for v, key in enumerate(zip(instance.election.expanded(), instance.costs.price_ids)):
+        groups.setdefault(key, []).append(v)
+    prices = instance.costs.prices
+    if scale is not None:
+        prices = [
+            (d.numerator * (scale // d.denominator),
+             {p: c.numerator * (scale // c.denominator) for p, c in t.items()})
+            for d, t in prices
+        ]
     m = instance.election.m
-    classes = []
-    for (ranking, price, _), (overrides, votes) in groups.items():
-        if scale is not None:
-            price = price.numerator * (scale // price.denominator)
-            overrides = {pair: c.numerator * (scale // c.denominator) for pair, c in overrides.items()}
-        classes.append(VoteClass(head_then_rest(ranking, m), price, overrides, tuple(votes)))
-    return classes
+    return [VoteClass(head_then_rest(ranking, m), *prices[i], tuple(vs)) for (ranking, i), vs in groups.items()]
 
 
 def _count_inversions(seq: Iterable[int]) -> int:

@@ -15,7 +15,12 @@ and on a seven-candidate file and its Bucklin copy, which the ILP refuses,
 ``kernelize`` with and without ``--simple`` and ``--provenance``,
 ``export-network`` for every s* from 0 to n + 1, ``reduce`` both ways,
 and gadget ``generate`` and ``kernelize``; the instances include files with
-one swap price per vote, zero and rational ones among them. The two trees
+one swap price per vote, zero and rational ones among them. Equal prices
+held by distinct objects are reached through copies of small instances
+that write each vote as several vote lines with their own equal cost lines
+(``solve`` with ``auto``, ``brute`` and ``flow``, and ``reduce sb-to-pw``),
+and through ``kernelize --simple`` of votes of multiplicity 2 or 3 with
+pair overrides. The two trees
 run under different hash seeds, so ``python tests/cli_differential.py src
 src WORKDIR`` checks that no output depends on the process. Prints each
 call that differs, the counts, and the differing calls per command and
@@ -181,8 +186,62 @@ def build_calls(work: Path, old_src: str) -> list:
         solution, listing = out / f"{path.stem}.ilp.sbs", out / f"{path.stem}.lp"
         call("solve", path, "--algorithm", "ilp", "--solution", solution, outputs=[solution])
         call("solve", path, "--algorithm", "ilp", "--dump-ilp", listing, outputs=[listing])
+    # Equal prices held by distinct objects, drawn after every call above so
+    # that none of them moves. Copies of small instances write each vote as
+    # one to three vote lines, each with its own equal cost lines, and the
+    # zero-budget {0, 1} ones go through ``reduce sb-to-pw`` as well.
+    spreadable = [(path, False) for path, _ in instances if _candidates(path) <= 4][:15]
+    for path, reducible_copy in spreadable + [(path, True) for path in reducible[:10]]:
+        spread = corpus / f"{path.stem}.spread.sbe"
+        spread.write_text(_spread_copies(path.read_text(), rng))
+        for algorithm in ("auto", "brute", "flow"):
+            solution = out / f"{spread.stem}.{algorithm}.sbs"
+            call("solve", spread, "--algorithm", algorithm, "--solution", solution, outputs=[solution])
+        if reducible_copy:
+            partial = out / f"{spread.stem}.pwe"
+            call("reduce", "sb-to-pw", spread, "--out", partial, outputs=[partial])
+    # Votes of multiplicity 2 or 3 with pair overrides, whose kernel drops
+    # candidates: the kernel gives each copy its own equal table, so the
+    # writer's check of the copies' prices decides whether a vote line stays whole.
+    for i in range(10):
+        path = corpus / f"w{i}.sbe"
+        generate(["random", "--m", rng.randint(5, 7), "--n", rng.randint(1, 3), "--k", 1, "--budget", 1,
+                  "--cost-model", rng.choice(["two:1:2:0.5", "range:1:3"]), "--seed", 4000 + i], path)
+        path.write_text("".join(
+            line.replace("multiplicity 1 ", f"multiplicity {rng.randint(2, 3)} ")
+            for line in path.read_text().splitlines(keepends=True)
+        ))
+        kernel, provenance = out / f"{path.stem}.k.sbe", out / f"{path.stem}.k.json"
+        call("kernelize", "--simple", path, "--out", kernel, "--provenance", provenance,
+             outputs=[kernel, provenance])
     run_tree(work, old_src, old_solves, "old-solutions", "1")
     return calls
+
+
+def _candidates(path: Path) -> int:
+    return next(int(line.split()[1]) for line in path.read_text().splitlines() if line.startswith("candidates "))
+
+
+def _spread_copies(text: str, rng: random.Random) -> str:
+    """``text`` with each vote written as one to three vote lines of multiplicity 1,
+    each with its own copy of the vote's cost lines and an explicit default."""
+    lines = text.splitlines()
+    costs = {}
+    for line in lines:
+        if line.startswith("costs "):
+            _, i, rest = line.split(" ", 2)
+            costs.setdefault(i, []).append(rest)
+    kept, votes, priced = [line for line in lines if not line.startswith(("vote ", "costs "))], [], []
+    for line in lines:
+        if line.startswith("vote "):
+            _, i, _, multiplicity, order = line.split(" ", 4)
+            own = costs.get(i, [])
+            if not any(rest.startswith("default ") for rest in own):
+                own = ["default 1", *own]
+            for _ in range(int(multiplicity) * rng.randint(1, 3)):
+                priced += [f"costs {len(votes)} {rest}" for rest in own]
+                votes.append(f"vote {len(votes)} multiplicity 1 {order}")
+    return "\n".join(kept + votes + priced) + "\n"
 
 
 def main():

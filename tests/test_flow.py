@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from swapbribery.core import CO_WINNER, UNIQUE_WINNER, Election, Vote, VotingRule, scores
-from swapbribery.errors import DomainError, PreconditionError
+from swapbribery.errors import DomainError, PreconditionError, ResourceCapError
 from swapbribery.flow import (
     FlowArc,
     FlowNetwork,
@@ -16,6 +16,7 @@ from swapbribery.flow import (
     build_transfer_network,
     covers,
     min_cost_max_flow,
+    require_covers,
     solve_unit,
 )
 from swapbribery.oracle import brute_topk
@@ -765,3 +766,20 @@ class TestApproxWithinRange:
             assert report.total_cost == cost
             optimum = brute_topk(inst).optimal_cost
             assert cost <= 2 * optimum
+
+
+def test_require_covers_counts_the_classes_vote_classes_builds(monkeypatch):
+    # three rankings and two prices over twelve votes, each default its own
+    # Fraction object: six classes of equal prices, not twelve of objects
+    m = 4
+    rankings = [(0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2)]
+    election = Election(tuple("abcd"), tuple(Vote(rankings[v % 3]) for v in range(12)))
+    costs = SwapCostFunction([Fraction(1 + v % 2) for v in range(12)], [{} for _ in range(12)])
+    inst = BriberyInstance(election, VotingRule.k_approval(2), 0, costs, Fraction(1))
+    assert len(vote_classes(inst)) == 6
+    arcs = 6 * (m + 1) + m + 1
+    monkeypatch.setattr("swapbribery.flow.MAX_ARCS", arcs)
+    require_covers(inst)
+    monkeypatch.setattr("swapbribery.flow.MAX_ARCS", arcs - 1)
+    with pytest.raises(ResourceCapError, match="^6 vote classes x 4 candidates"):
+        require_covers(inst)

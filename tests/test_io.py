@@ -225,6 +225,18 @@ def test_diverging_copy_costs_serialize_by_splitting():
     assert brute_topk(again).optimal_cost == brute_topk(inst).optimal_cost
 
 
+def test_copies_with_equal_prices_in_distinct_objects_keep_one_vote_line():
+    # as a kernel's copies do: each holds its own equal default and table
+    election = Election(("a", "b", "p"), (Vote((0, 1, 2), 3),))
+    costs = SwapCostFunction([Fraction(1, 2) for _ in range(3)], [{(0, 1): Fraction(2)} for _ in range(3)])
+    inst = BriberyInstance(election, VotingRule.k_approval(1), 2, costs, Fraction(1))
+    text = serialize_election(inst)
+    assert text.splitlines()[-4:] == [
+        "vote 0 multiplicity 3 order a b p", "costs 0 default 1/2", "costs 0 pair a b 2", "costs 0 pair b a 1/2",
+    ]
+    assert parse_election(text) == inst
+
+
 def test_solution_round_trip(sample_instance):
     res = brute_topk(sample_instance)
     text = serialize_solution(sample_instance, res.decision, res.optimal_cost, res.witness, "brute")

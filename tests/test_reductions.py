@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from swapbribery.core import UNIQUE_WINNER, Election, Vote, VotingRule
+from swapbribery.core import UNIQUE_WINNER, Election, Vote, VotingRule, head_then_rest
 from swapbribery.errors import DomainError, PreconditionError, ResourceCapError
 from swapbribery.oracle import brute_topk
 from swapbribery.reductions import (
@@ -116,6 +116,26 @@ class TestSbToPw:
         inst = zero_budget_instance(rng, density=0.0)
         pw = sb_to_pw(inst)
         assert all(partial.pairs == frozenset() for partial in pw.votes)
+
+    def test_runs_of_equal_votes_give_the_per_vote_partial_orders(self):
+        # a vote's copies hold equal tables in distinct objects, or an empty one
+        rng = random.Random(6)
+        for _ in range(40):
+            m = rng.randint(2, 5)
+            votes = [Vote(tuple(rng.sample(range(m), m)), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+            tables = []
+            for vote in votes:
+                drawn = {(a, b): Fraction(1) for a in range(m) for b in range(m) if a != b and rng.random() < 0.4}
+                tables += [dict(drawn) if rng.random() < 0.7 else {} for _ in range(vote.multiplicity)]
+            costs = SwapCostFunction([Fraction(0) for _ in tables], tables)
+            election = Election(tuple(f"c{i}" for i in range(m)), tuple(votes))
+            inst = BriberyInstance(election, VotingRule.k_approval(1), 0, costs, Fraction(0))
+            want = []
+            for v, ranking in enumerate(election.expanded()):
+                ranking = head_then_rest(ranking, m)
+                pairs = {(a, b) for i, a in enumerate(ranking) for b in ranking[i + 1 :] if costs.cost(v, a, b)}
+                want.append(PartialVote(m, frozenset(pairs)))
+            assert sb_to_pw(inst).votes == tuple(want)
 
     def test_requires_zero_budget(self):
         rng = random.Random(3)

@@ -104,6 +104,35 @@ def test_pw_to_sb_writes_a_run_of_equal_partial_votes_as_one_vote(tmp_path):
     assert out.read_text().splitlines()[-2:] == ["vote 0 multiplicity 1000000 order a b", "costs 0 default 0"]
 
 
+def test_sb_to_pw_translates_a_million_copies_back_as_one_partial_order(tmp_path):
+    # the translation of the file above: partial orders built vote by vote
+    # took 9-11 s of CPU and 365 MB, about the timeout, so the CPU
+    # time is held to the 5 s a large file may take
+    path, out = tmp_path / "million.sbe", tmp_path / "million.pwe"
+    path.write_text("\n".join([
+        "sbe 1", "candidates 2", "candidate 0 a", "candidate 1 b", "rule k-approval 1", "budget 0", "preferred a",
+        "mode co-winner", "vote 0 multiplicity 1000000 order a b", "costs 0 default 0", "",
+    ]))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = _run("reduce", "sb-to-pw", path, "--out", out)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert cpu < 5, cpu
+    assert out.read_text() == (
+        "pwe 1\ncandidates 2\ncandidate 0 a\ncandidate 1 b\nrule k-approval 1\npreferred a\npartials 1000000\n"
+    )
+
+
+def test_a_random_graph_past_the_vertex_bound_is_refused_before_drawing(tmp_path):
+    # --n 2000 took 26 s of CPU and 756 MB, most of it building and writing the instance
+    out = tmp_path / "sv.sbe"
+    assert _refused("generate", "clique-single-vote", "--n", 3000, "--out", out) == (
+        "error: --n 3000 has more than 1000 vertices\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("classes", ["3000,3000", "1" + "0" * 5000 + ",2"], ids=["6000-vertices", "5001-digits"])
 def test_planted_classes_past_the_vertex_bound_are_refused_before_drawing(tmp_path, classes):
     # drawing the 6,000-vertex graph took 23 s before its size check; int() refuses 5,001 digits

@@ -465,6 +465,22 @@ def test_cost_function_checks_every_vote_that_shares_prices(bad_default, bad_tab
         SwapCostFunction([shared] * 40, [bad_table or {(0, 1): Fraction(-1)}] * 40)
 
 
+def test_equal_prices_share_one_number_whatever_objects_hold_them():
+    # votes 0 and 2 hold equal prices in distinct Fraction and dict objects;
+    # vote 3's one override equals its default, so its price is vote 1's
+    defaults = [Fraction(1, 2), Fraction(3), Fraction(1, 2), Fraction(3), Fraction(1, 2)]
+    tables = [{(0, 1): Fraction(2)}, {}, {(0, 1): Fraction(2)}, {(1, 0): Fraction(3)}, {}]
+    costs = SwapCostFunction(defaults, tables)
+    assert costs.price_ids == (0, 1, 0, 1, 2)  # numbered in order of first vote
+    assert costs.prices == ((Fraction(1, 2), {(0, 1): 2}), (Fraction(3), {}), (Fraction(1, 2), {}))
+    assert costs.distinct_values() == [Fraction(1, 2), 3, Fraction(1, 2), 2]
+    again = SwapCostFunction(
+        [Fraction(1, 2), 3, "1/2", Fraction(6, 2), Fraction(1, 2)], [{(0, 1): 2}, {}, {(0, 1): "2"}, {}, {}]
+    )
+    assert again == costs and repr(again) == repr(costs)
+    assert again != SwapCostFunction(defaults, [*tables[:4], {(0, 1): Fraction(1)}])
+
+
 @pytest.mark.parametrize("model", ["unit", ("two-valued", 1, 3, 0.3), ("uniform-range", Fraction(1, 2), 3)])
 def test_cost_function_extremes_match_a_scan_of_every_price(model):
     rng = random.Random(f"extremes:{model}")
