@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 from .core import K_APPROVAL, Ranking, scores
@@ -243,7 +244,7 @@ def require_covers(instance: BriberyInstance) -> None:
     """
     if not covers(instance):
         raise PreconditionError("flow solver needs k-approval with one swap price per vote, without pair overrides")
-    classes = set(zip(instance.election.expanded(), instance.costs.price_ids))
+    classes = {key for key, _ in _swaps.class_runs(instance)}
     _require_arcs(len(classes), instance.election.m)
 
 
@@ -316,15 +317,28 @@ def _split(classes: list[VoteClass], result: FlowResult) -> tuple[Ranking, ...]:
     A class's units, listed candidate by candidate in ranking order, go the
     t-th to its (t mod w)-th vote: no candidate carries more than w units,
     so each vote gets k distinct ones, and their cost is what the flow paid.
+    A candidate's f units are one block of that list, so they go to a cyclic
+    run of f votes from the block's offset mod w; a vote's approved set
+    changes only where a block starts or ends, and each stretch of votes
+    between two such places gets one target.
     """
-    targets: dict[int, Ranking] = {}
-    flows = iter(result.arc_flows)
+    targets: list = [None] * sum(len(c.votes) for c in classes)
+    flows, at = result.arc_flows, 0
     for ranking, _, _, votes in classes:
-        next(flows)  # s -> g
-        units = [c for c in ranking for _ in range(next(flows))]
-        for i, v in enumerate(votes):
-            targets[v] = move_to_top_target(ranking, frozenset(units[i :: len(votes)]))
-    return tuple(targets[v] for v in range(len(targets)))
+        units = flows[at + 1 : at + 1 + len(ranking)]  # after s -> g, the g -> b arcs in ranking order
+        at += 1 + len(ranking)
+        w = len(votes)
+        if w == 1:  # most classes: the vote takes every candidate the flow sends it
+            targets[votes[0]] = move_to_top_target(ranking, frozenset(compress(ranking, units)))
+            continue
+        starts = list(accumulate(units, initial=0))
+        cuts = sorted({start % w for start in starts})
+        for lo, hi in zip(cuts, [*cuts[1:], w]):
+            chosen = frozenset(c for c, start, f in zip(ranking, starts, units) if (lo - start) % w < f)
+            target = move_to_top_target(ranking, chosen)
+            for v in votes[lo:hi]:
+                targets[v] = target
+    return tuple(targets)
 
 
 def solve_unit(instance: BriberyInstance) -> SolveResult:

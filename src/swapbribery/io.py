@@ -5,11 +5,13 @@ and parsing is strict: unknown keys, repeated keys, duplicate candidates,
 non-permutation votes and negative costs are rejected with the offending
 line number. Election cost lines address vote objects (an object's costs
 apply to each of its multiplicity copies); one-sided pair overrides are
-completed symmetrically on input. Solution files list only the votes a
-bribery changes: a ``changed c`` line, then c ``target i`` lines; every
-other vote keeps its ranking. Files without a ``changed`` line list every
-vote, and still read. A line of candidate names maps to ids, and ids to
-names, in one ``operator.itemgetter`` call.
+completed symmetrically on input. Each distinct cost token is parsed once
+per file, on its first line, and the lines that repeat it share its value.
+Solution files list only the votes a bribery changes: a ``changed c``
+line, then c ``target i`` lines; every other vote keeps its ranking. Files
+without a ``changed`` line list every vote, and still read. A line of
+candidate names maps to ids, and ids to names, in one
+``operator.itemgetter`` call.
 
 A ``vote i multiplicity w head <names>`` or ``target-head i <names>`` line
 names a ranking's head; every other candidate follows in increasing id
@@ -93,13 +95,22 @@ def parse_int(token: str, line: int, low: int | None = None) -> int:
 def _lines(text: str, magic: str | None = None) -> list[tuple[int, str]]:
     """The numbered lines that are neither blank nor comments; with ``magic``,
     those after the header line ``magic``."""
-    stripped = ((no, raw.strip()) for no, raw in enumerate(text.splitlines(), start=1))
-    rows = [(no, line) for no, line in stripped if line and line[0] != "#"]
+    numbered = enumerate(map(str.strip, text.splitlines()), start=1)
+    rows = [(no, line) for no, line in numbered if line and line[0] != "#"]
     if magic is None:
         return rows
     if not rows or rows[0][1] != magic:
         raise ParseError(1, f"expected header {magic!r}")
     return rows[1:]
+
+
+def _index(token: str, line: int, low: int = 0) -> int:
+    """``parse_int(token, line, low)``, with plain ASCII digits read directly."""
+    if token.isdigit() and token.isascii():
+        value = int(token)
+        if value >= low:
+            return value
+    return parse_int(token, line, low)
 
 
 def _check_vote_count(count: int, line: int) -> None:
@@ -226,6 +237,7 @@ def parse_election(text: str) -> BriberyInstance:
     n_expanded = 0
     cost_defaults: dict[int, Fraction] = {}
     cost_pairs: dict[int, dict[tuple[int, int], Fraction]] = {}
+    values: dict[str, Fraction] = {}  # each distinct cost token, read on its first line
 
     for no, raw in _lines(text, ELECTION_MAGIC):
         parts = raw.split()
@@ -236,10 +248,10 @@ def parse_election(text: str) -> BriberyInstance:
                 parts[4] == "order" and len(parts) == 5
             ):
                 raise ParseError(no, "usage: vote <i> multiplicity <w> order|head <names...>")
-            idx = parse_int(parts[1], no, low=0)
+            idx = _index(parts[1], no)
             if idx in vote_rows:
                 raise ParseError(no, f"duplicate vote index {idx}")
-            mult = parse_int(parts[3], no, low=1)
+            mult = _index(parts[3], no, low=1)
             n_expanded += mult
             _check_vote_count(n_expanded, no)
             names = _candidate_ids(index, parts[5:], no)
@@ -253,19 +265,28 @@ def parse_election(text: str) -> BriberyInstance:
         elif key == "costs":
             if len(parts) < 3:
                 raise ParseError(no, "usage: costs <i> default|pair ...")
-            idx = parse_int(parts[1], no, low=0)
+            idx = _index(parts[1], no)
+            token = parts[-1]
             if parts[2] == "default" and len(parts) == 4:
                 if idx in cost_defaults:
                     raise ParseError(no, f"duplicate costs {idx} default")
-                cost_defaults[idx] = parse_fraction(parts[3], no, low=0)
+                store, slot = cost_defaults, idx
             elif parts[2] == "pair" and len(parts) == 6:
-                pair = _candidate_ids(index, parts[3:5], no)
-                table = cost_pairs.setdefault(idx, {})
-                if pair in table:
+                try:
+                    slot = (index[parts[3]], index[parts[4]])
+                except KeyError as exc:
+                    raise ParseError(no, f"unknown candidate {exc.args[0]!r}") from None
+                store = cost_pairs.get(idx)
+                if store is None:
+                    store = cost_pairs[idx] = {}
+                elif slot in store:
                     raise ParseError(no, f"duplicate costs {idx} pair {parts[3]} {parts[4]}")
-                table[pair] = parse_fraction(parts[5], no, low=0)
             else:
                 raise ParseError(no, "usage: costs <i> default <v> | costs <i> pair <a> <b> <v>")
+            value = values.get(token)
+            if value is None:
+                value = values[token] = parse_fraction(token, no, low=0)
+            store[slot] = value
         elif key == "budget":
             if len(parts) != 2:
                 raise ParseError(no, "usage: budget <p[/q]>")

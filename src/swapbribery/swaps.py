@@ -33,6 +33,16 @@ from .errors import DomainError
 PairCosts = Mapping[tuple[int, int], Fraction]  # int values in a scaled vote class
 
 
+def _read(value) -> tuple[Fraction, tuple[int, int]]:
+    """A price value as a Fraction and its ints in lowest terms, which key and
+    compare prices faster than Fractions do; DomainError if negative."""
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    if value.numerator < 0:
+        raise DomainError("swap costs must be non-negative")
+    return value, (value.numerator, value.denominator)
+
+
 class SwapCostFunction:
     """Per-expanded-vote swap prices, as Fractions: a default plus sparse pair overrides.
 
@@ -49,30 +59,24 @@ class SwapCostFunction:
         if len(defaults) != len(tables):
             raise DomainError("defaults and overrides must align per vote")
         # Votes often share one default and one table object (a vote's copies,
-        # the unpriced votes of a file), so each distinct pair is read once.
+        # the unpriced votes of a file), so each distinct pair is read once;
+        # and tables share value objects (the parser's one per cost token), so
+        # each distinct value object is checked once.
         keys = list(zip(map(id, defaults), map(id, tables)))
         numbers: dict[tuple, int] = {}  # a price's ints to its number
         key_ids = {}
+        read: dict[int, tuple[Fraction, tuple[int, int]]] = {}  # a value object's id to ``_read`` of it
         prices = []
         for key, (default, table) in dict(zip(keys, zip(defaults, tables))).items():
-            if type(default) is not Fraction:
-                default = Fraction(default)
-            if default < 0:
-                raise DomainError("swap costs must be non-negative")
-            # keyed and compared by its ints, in lowest terms: faster than Fractions
-            ints = (default.numerator, default.denominator)
+            default, ints = read.get(id(default)) or read.setdefault(id(default), _read(default))
             kept, kept_ints = {}, []
-            for (a, b), value in table.items():
-                if type(value) is not Fraction:
-                    value = Fraction(value)
-                if a == b:
+            for pair, value in table.items():
+                if pair[0] == pair[1]:
                     raise DomainError("cost override needs two distinct candidates")
-                n, d = value.numerator, value.denominator
-                if n < 0:
-                    raise DomainError("swap costs must be non-negative")
-                if (n, d) != ints:
-                    kept[(a, b)] = value
-                    kept_ints.append((a, b, n, d))
+                value, value_ints = read.get(id(value)) or read.setdefault(id(value), _read(value))
+                if value_ints != ints:
+                    kept[pair] = value
+                    kept_ints.append((pair, value_ints))
             key_ids[key] = numbers.setdefault((ints, frozenset(kept_ints)), len(prices))
             if len(numbers) > len(prices):
                 prices.append((default, kept))
@@ -210,6 +214,24 @@ class VoteClass(NamedTuple):
     votes: tuple[int, ...]
 
 
+def class_runs(instance: BriberyInstance) -> list[tuple[tuple[Ranking, int], range]]:
+    """The expanded votes, in order, as runs that share a class key, (stored
+    ranking, price id): a vote's copies make one run when they share a price
+    id, and one run each otherwise."""
+    ids = instance.costs.price_ids
+    runs = []
+    start = 0
+    for vote in instance.election.votes:
+        end = start + vote.multiplicity
+        price = ids[start]
+        if vote.multiplicity == 1 or ids[start:end].count(price) == vote.multiplicity:
+            runs.append(((vote.ranking, price), range(start, end)))
+        else:
+            runs += (((vote.ranking, ids[v]), range(v, v + 1)) for v in range(start, end))
+        start = end
+    return runs
+
+
 def vote_classes(instance: BriberyInstance, scale: int | None = None) -> list[VoteClass]:
     """The expanded votes grouped by stored ranking and price id, in order of first vote.
 
@@ -218,8 +240,8 @@ def vote_classes(instance: BriberyInstance, scale: int | None = None) -> list[Vo
     each distinct price scaled once; ``scale`` must clear every denominator.
     """
     groups: dict[tuple[Ranking, int], list[int]] = {}
-    for v, key in enumerate(zip(instance.election.expanded(), instance.costs.price_ids)):
-        groups.setdefault(key, []).append(v)
+    for key, run in class_runs(instance):
+        groups.setdefault(key, []).extend(run)
     prices = instance.costs.prices
     if scale is not None:
         prices = [

@@ -20,7 +20,12 @@ held by distinct objects are reached through copies of small instances
 that write each vote as several vote lines with their own equal cost lines
 (``solve`` with ``auto``, ``brute`` and ``flow``, and ``reduce sb-to-pw``),
 and through ``kernelize --simple`` of votes of multiplicity 2 or 3 with
-pair overrides. The two trees
+pair overrides. The reader's own paths are reached through copies of priced
+files: with each cost token respelled as an equal value (``solve``,
+``verify`` and ``kernelize``), and, through ``solve``, with a bad cost
+token on every line of a repeating token or on one later line, with index
+fields written as ``007`` or ``-0``, and with one written as ``+1`` or
+``٣``. The two trees
 run under different hash seeds, so ``python tests/cli_differential.py src
 src WORKDIR`` checks that no output depends on the process. Prints each
 call that differs, the counts, and the differing calls per command and
@@ -33,6 +38,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 RUNNER = r"""
@@ -214,6 +220,22 @@ def build_calls(work: Path, old_src: str) -> list:
         kernel, provenance = out / f"{path.stem}.k.sbe", out / f"{path.stem}.k.json"
         call("kernelize", "--simple", path, "--out", kernel, "--provenance", provenance,
              outputs=[kernel, provenance])
+    # The reader's paths, drawn after every call above so that none of them
+    # moves: priced files with each cost token respelled as an equal value,
+    # with a bad cost token that repeats from its first line or that first
+    # appears on a later line, and with index fields written as 007 or -0,
+    # or with one written as +1 or ٣.
+    for path in [path for path, _ in instances if " pair " in path.read_text()][:20]:
+        respelled = corpus / f"{path.stem}.respelled.sbe"
+        respelled.write_text(_respelled(path.read_text(), rng))
+        solution = out / f"{respelled.stem}.sbs"
+        call("solve", respelled, "--solution", solution, outputs=[solution])
+        call("verify", respelled, solution)
+        call("kernelize", respelled)
+        for tag, text in _misspelled(path.read_text(), rng).items():
+            copy = corpus / f"{path.stem}.{tag}.sbe"
+            copy.write_text(text)
+            call("solve", copy)
     run_tree(work, old_src, old_solves, "old-solutions", "1")
     return calls
 
@@ -242,6 +264,49 @@ def _spread_copies(text: str, rng: random.Random) -> str:
                 priced += [f"costs {len(votes)} {rest}" for rest in own]
                 votes.append(f"vote {len(votes)} multiplicity 1 {order}")
     return "\n".join(kept + votes + priced) + "\n"
+
+
+def _respelled(text: str, rng: random.Random) -> str:
+    """``text`` with each cost token written as a randomly chosen equal value."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("costs "):
+            head, token = line.rsplit(" ", 1)
+            p, q = Fraction(token).as_integer_ratio()
+            spelling = rng.choice([token, f"{2 * p}/{2 * q}", f"0{token}", f"{3 * p}/{3 * q}", f"{p}/{q}"])
+            lines[i] = f"{head} {spelling}"
+    return "\n".join(lines) + "\n"
+
+
+def _misspelled(text: str, rng: random.Random) -> dict[str, str]:
+    """Copies of ``text`` that the reader takes or refuses through its fast paths:
+    a bad cost token at every line of a repeating token, one at a later line
+    only, every index field respelled as an equal decimal, and one index
+    field misspelled."""
+    lines = text.splitlines()
+    costs = [i for i, line in enumerate(lines) if line.startswith("costs ")]
+    tokens = [lines[i].rsplit(" ", 1)[1] for i in costs]
+    repeated = [t for t in tokens if tokens.count(t) > 1] or tokens
+    bad, token = rng.choice(["-1", "-1/2", "1/0", "x", "1.5.0"]), rng.choice(repeated)
+    every = [f"{line.rsplit(' ', 1)[0]} {bad}" if line.startswith("costs ") and line.endswith(f" {token}") else line
+             for line in lines]
+    later = list(lines)
+    at = rng.choice(costs[1:] or costs)
+    later[at] = f"{later[at].rsplit(' ', 1)[0]} {bad}"
+    fields = [(i, f) for i, line in enumerate(lines) if line.startswith(("vote ", "costs "))
+              for f in ((1, 3) if line.startswith("vote ") else (1,))]
+    equal, wrong = list(lines), list(lines)
+    for i, f in fields:
+        if rng.random() < 0.5:
+            parts = equal[i].split(" ")
+            parts[f] = "-0" if parts[f] == "0" and rng.random() < 0.5 else "00" + parts[f]
+            equal[i] = " ".join(parts)
+    i, f = rng.choice(fields)
+    parts = wrong[i].split(" ")
+    parts[f] = rng.choice(["+" + parts[f], parts[f].translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))])
+    wrong[i] = " ".join(parts)
+    return {name: "\n".join(copy) + "\n" for name, copy in
+            (("bad-every", every), ("bad-later", later), ("index-equal", equal), ("index-wrong", wrong))}
 
 
 def main():

@@ -146,11 +146,15 @@ def test_election_validation():
 
 @pytest.mark.parametrize(
     "ranking",
-    [(0, "1"), ("a", "b"), (0, None), (0, 1.5), (0, 0), (0, 1.0), (3, 3), (-1,), (64,), (None,)],
+    [
+        (0, "1"), ("a", "b"), (0, None), (0, 1.5), (0, 0), (0, 1.0), (3, 3), (-1,), (64,), (None,),
+        (-3,), (-65,), (-128,),
+    ],
 )
 def test_a_ranking_of_other_than_ids_raises_ranking_error(ranking):
     # A full ranking of two candidates, or a head of one, and a head of a
     # ranking of 64: an entry that is no int of the roster, or a repeat, is refused.
+    # Negative ids down to -2m would index a mask of 2m bytes without an error.
     for m in (2, 64):
         names = tuple(f"c{i}" for i in range(m))
         with pytest.raises(RankingError) as info:

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from swapbribery.core import CO_WINNER, UNIQUE_WINNER, Election, Vote, VotingRule, scores
+from swapbribery.core import CO_WINNER, UNIQUE_WINNER, Election, Vote, VotingRule, head_then_rest, scores
 from swapbribery.errors import DomainError, PreconditionError, ResourceCapError
 from swapbribery.flow import (
     FlowArc,
     FlowNetwork,
+    FlowResult,
     _split,
     approx_within_range,
     build_transfer_network,
@@ -27,6 +28,7 @@ from swapbribery.swaps import (
     SolveResult,
     SwapCostFunction,
     VoteClass,
+    move_to_top_target,
     verify_bribery,
     vote_classes,
 )
@@ -579,7 +581,39 @@ def _per_vote_instance(rng):
     )
 
 
+def _split_vote_by_vote(classes, result):
+    """The round-robin split by its definition: a class's t-th unit goes to its (t mod w)-th vote."""
+    targets = {}
+    flows = iter(result.arc_flows)
+    for ranking, _, _, votes in classes:
+        next(flows)  # s -> g
+        units = [c for c in ranking for _ in range(next(flows))]
+        for i, v in enumerate(votes):
+            targets[v] = move_to_top_target(ranking, frozenset(units[i :: len(votes)]))
+    return tuple(targets[v] for v in range(len(targets)))
+
+
 class TestSplit:
+    def test_split_by_runs_matches_the_split_vote_by_vote(self):
+        # up to three classes of 1 to 40 votes, their votes interleaved, each
+        # sending k units per vote and at most one per vote to each candidate
+        rng = random.Random(39)
+        for _ in range(3000):
+            m = rng.randint(1, 7)
+            sizes = [rng.choice((1, 2, 3, rng.randint(1, 40))) for _ in range(rng.randint(1, 3))]
+            order = rng.sample(range(sum(sizes)), sum(sizes))
+            classes, flows = [], []
+            for w in sizes:
+                votes, order = tuple(sorted(order[:w])), order[w:]
+                k = rng.randint(1, m)
+                units = [0] * m
+                for _ in range(k * w):
+                    units[rng.choice([c for c in range(m) if units[c] < w])] += 1
+                flows += [k * w, *units]
+                classes.append(VoteClass(tuple(rng.sample(range(m), m)), 1, {}, votes))
+            result = FlowResult(0, 0, tuple(flows) + (0,) * (m + 1))  # the collectors carry nothing here
+            assert _split(classes, result) == _split_vote_by_vote(classes, result)
+
     def test_round_robin_split_meets_the_flow(self):
         # Each vote gets k distinct candidates at the top, in vote order; each
         # class's candidates are approved as often as its arcs carry flow; and
@@ -783,3 +817,36 @@ def test_require_covers_counts_the_classes_vote_classes_builds(monkeypatch):
     monkeypatch.setattr("swapbribery.flow.MAX_ARCS", arcs - 1)
     with pytest.raises(ResourceCapError, match="^6 vote classes x 4 candidates"):
         require_covers(inst)
+
+
+def test_classes_of_votes_with_copies_group_every_expanded_vote(monkeypatch):
+    # Votes of multiplicity 1 to 5 whose copies share one price or not: the
+    # classes are the expanded votes grouped by (stored ranking, price id) in
+    # order of first vote, and require_covers counts as many.
+    rng = random.Random(3)
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        rankings = [tuple(rng.sample(range(m), m)) for _ in range(2)]
+        votes = tuple(Vote(rng.choice(rankings), rng.randint(1, 5)) for _ in range(rng.randint(1, 6)))
+        defaults = []
+        for vote in votes:
+            if rng.random() < 0.5:
+                defaults += [Fraction(rng.randint(1, 2))] * vote.multiplicity
+            else:
+                defaults += [Fraction(rng.randint(1, 2)) for _ in range(vote.multiplicity)]
+        inst = BriberyInstance(
+            Election(tuple("abcd"[:m]), votes), VotingRule.k_approval(1), 0,
+            SwapCostFunction(defaults, [{}] * len(defaults)), Fraction(1),
+        )
+        groups = {}
+        for v, key in enumerate(zip(inst.election.expanded(), inst.costs.price_ids)):
+            groups.setdefault(key, []).append(v)
+        expected = [(head_then_rest(r, m), inst.costs.prices[i][0], tuple(vs)) for (r, i), vs in groups.items()]
+        classes = vote_classes(inst)
+        assert [(c.ranking, c.price, c.votes) for c in classes] == expected
+        arcs = len(classes) * (m + 1) + m + 1
+        monkeypatch.setattr("swapbribery.flow.MAX_ARCS", arcs)
+        require_covers(inst)
+        monkeypatch.setattr("swapbribery.flow.MAX_ARCS", arcs - 1)
+        with pytest.raises(ResourceCapError):
+            require_covers(inst)

@@ -533,16 +533,82 @@ def test_graph_vertex_count_is_bounded(monkeypatch, header):
     assert str(info.value) == "line 2: more than 3 vertices"
 
 
-@pytest.mark.parametrize("token, value", [("007", 7), ("-0", 0), ("0", 0), ("-12", -12), ("1000", 1000)])
+INT_TOKENS = [("007", 7), ("-0", 0), ("0", 0), ("-12", -12), ("1000", 1000)]
+NOT_INT_TOKENS = ["+1", "１", "²", "-", "", "1_000", "0x1", "--1", "-+1", "1-", "٣", " 1", "1.0"]
+
+
+@pytest.mark.parametrize("token, value", INT_TOKENS)
 def test_parse_int_takes_an_optional_minus_then_ascii_digits(token, value):
     assert sbio.parse_int(token, 1) == value
 
 
-@pytest.mark.parametrize("token", ["+1", "１", "²", "-", "", "1_000", "0x1", "--1", "-+1", "1-", "٣", " 1", "1.0"])
+@pytest.mark.parametrize("token", NOT_INT_TOKENS)
 def test_parse_int_rejects_every_other_token(token):
     with pytest.raises(ParseError) as info:
         sbio.parse_int(token, 4)
     assert str(info.value) == f"line 4: bad integer {token!r}"
+
+
+NO_VOTES = MINIMAL.replace("vote 0 multiplicity 1 order a p\n", "")
+
+
+def _plain_votes(n: int) -> str:
+    return "".join(f"vote {i} multiplicity 1 order a p\n" for i in range(n))
+
+
+# Each field's file, with the token on its last line, and what the parsed
+# instance shows of the token's value v. Lower indices are written plainly
+# before it, so that the indices stay dense 0..v.
+INT_FIELDS = {
+    "vote index": (0, lambda t, v: _plain_votes(v) + f"vote {t} multiplicity 2 order p a\n",
+                   lambda inst, v: inst.election.votes[v:] == (Vote((1, 0), 2),)),
+    "multiplicity": (1, lambda t, v: f"vote 0 multiplicity {t} order a p\n",
+                     lambda inst, v: inst.election.n_expanded == v),
+    "costs index": (0, lambda t, v: _plain_votes(v + 1) + f"costs {t} default 3\n",
+                    lambda inst, v: [inst.costs.default(i) for i in range(v + 1)] == [1] * v + [3]),
+}
+
+
+@pytest.mark.parametrize("field", INT_FIELDS)
+@pytest.mark.parametrize("token", [t for t, _ in INT_TOKENS] + [t for t in NOT_INT_TOKENS if t.split() == [t]])
+def test_index_fields_read_integers_as_parse_int_does(field, token):
+    # the same value, or the same error on the same line, as parse_int at the field's lower bound
+    low, body, shows = INT_FIELDS[field]
+    probe = NO_VOTES + body(token, 0)
+    try:
+        value = sbio.parse_int(token, probe.count("\n"), low)
+    except ParseError as expected:
+        with pytest.raises(ParseError) as info:
+            parse_election(probe)
+        assert str(info.value) == str(expected)
+    else:
+        assert shows(parse_election(NO_VOTES + body(token, value)), value)
+
+
+@pytest.mark.parametrize(
+    "token, message", [("-2", "rational -2 is below 0"), ("2/0", "bad rational '2/0'"), ("x", "bad rational 'x'")]
+)
+def test_a_repeated_bad_cost_token_fails_on_its_first_line(token, message):
+    # the token's first line is a pair line after a default line of a good token
+    text = MINIMAL + "vote 1 multiplicity 1 order p a\ncosts 0 default 2\n" + "".join(
+        f"costs {i} pair a p {token}\ncosts {i} default {token}\n" for i in (1, 0)
+    )
+    with pytest.raises(ParseError) as info:
+        parse_election(text)
+    assert str(info.value) == f"line 11: {message}"
+    # and a bad token after a good one is read on its own line
+    with pytest.raises(ParseError) as info:
+        parse_election(text.replace(f"costs 1 pair a p {token}", "costs 1 pair a p 2"))
+    assert str(info.value) == f"line 12: {message}"
+
+
+def test_equal_prices_spelled_differently_share_one_price_id():
+    text = NO_VOTES + _plain_votes(6) + "".join(
+        f"costs {i} default {token}\n" for i, token in enumerate(["2", "4/2", "2/1"])
+    ) + "".join(f"costs {i} pair p a {token}\n" for i, token in enumerate(["1/3", "2/6", "01/3"], start=3))
+    costs = parse_election(text).costs
+    assert costs.price_ids == (0, 0, 0, 1, 1, 1)
+    assert costs.prices == ((Fraction(2), {}), (Fraction(1), {(1, 0): Fraction(1, 3), (0, 1): Fraction(1, 3)}))
 
 
 def test_dot_counts_for_sample_network():
