@@ -328,7 +328,7 @@ def _split(classes: list[VoteClass], result: FlowResult) -> tuple[Ranking, ...]:
         units = flows[at + 1 : at + 1 + len(ranking)]  # after s -> g, the g -> b arcs in ranking order
         at += 1 + len(ranking)
         w = len(votes)
-        if w == 1:  # most classes: the vote takes every candidate the flow sends it
+        if w == 1:  # the common case, as votes drawn at random seldom repeat: the flow's set in one pass
             targets[votes[0]] = move_to_top_target(ranking, frozenset(compress(ranking, units)))
             continue
         starts = list(accumulate(units, initial=0))

@@ -83,9 +83,10 @@ def parse_fraction(token: str, line: int, low: int | None = None) -> Fraction:
 
 def parse_int(token: str, line: int, low: int | None = None) -> int:
     """A decimal integer: an optional ``-``, then ASCII digits. At least ``low`` when given."""
-    digits = token[1:] if token[:1] == "-" else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise ParseError(line, f"bad integer {token!r}")
+    if not (token.isdigit() and token.isascii()):  # plain ASCII digits, the common case, need no more
+        digits = token[1:] if token[:1] == "-" else token
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(line, f"bad integer {token!r}")
     value = int(token)
     if low is not None and value < low:
         raise ParseError(line, f"integer {value} is below {low}")
@@ -102,15 +103,6 @@ def _lines(text: str, magic: str | None = None) -> list[tuple[int, str]]:
     if not rows or rows[0][1] != magic:
         raise ParseError(1, f"expected header {magic!r}")
     return rows[1:]
-
-
-def _index(token: str, line: int, low: int = 0) -> int:
-    """``parse_int(token, line, low)``, with plain ASCII digits read directly."""
-    if token.isdigit() and token.isascii():
-        value = int(token)
-        if value >= low:
-            return value
-    return parse_int(token, line, low)
 
 
 def _check_vote_count(count: int, line: int) -> None:
@@ -248,10 +240,10 @@ def parse_election(text: str) -> BriberyInstance:
                 parts[4] == "order" and len(parts) == 5
             ):
                 raise ParseError(no, "usage: vote <i> multiplicity <w> order|head <names...>")
-            idx = _index(parts[1], no)
+            idx = parse_int(parts[1], no, low=0)
             if idx in vote_rows:
                 raise ParseError(no, f"duplicate vote index {idx}")
-            mult = _index(parts[3], no, low=1)
+            mult = parse_int(parts[3], no, low=1)
             n_expanded += mult
             _check_vote_count(n_expanded, no)
             names = _candidate_ids(index, parts[5:], no)
@@ -265,17 +257,14 @@ def parse_election(text: str) -> BriberyInstance:
         elif key == "costs":
             if len(parts) < 3:
                 raise ParseError(no, "usage: costs <i> default|pair ...")
-            idx = _index(parts[1], no)
+            idx = parse_int(parts[1], no, low=0)
             token = parts[-1]
             if parts[2] == "default" and len(parts) == 4:
                 if idx in cost_defaults:
                     raise ParseError(no, f"duplicate costs {idx} default")
                 store, slot = cost_defaults, idx
             elif parts[2] == "pair" and len(parts) == 6:
-                try:
-                    slot = (index[parts[3]], index[parts[4]])
-                except KeyError as exc:
-                    raise ParseError(no, f"unknown candidate {exc.args[0]!r}") from None
+                slot = _candidate_ids(index, parts[3:5], no)
                 store = cost_pairs.get(idx)
                 if store is None:
                     store = cost_pairs[idx] = {}
