@@ -2,8 +2,8 @@
 
 This is the hot inner loop of the brute-force oracles. Each vote offers a
 list of options; an option adds ``(tally index, amount)`` increments to
-``rows x m`` tallies, stored row by row, where column 0 of every row is the
-preferred candidate. One row holds scores (k-approval and scoring vectors):
+``rows x m`` tallies, stored row by row, where column c of every row is
+candidate c. One row holds scores (k-approval and scoring vectors):
 the candidates with the top score win. Several rows hold Bucklin's rounds:
 row ``d`` counts the votes ranking each candidate in their first ``d + 1``
 places, the winning round is the first row in which some candidate has a
@@ -57,12 +57,14 @@ def best_assignment(
     m: int,
     unique: bool,
     budget: int,
+    preferred: int,
 ):
     """Minimum-cost choice of one option per vote under the winner condition.
 
     ``offsets[v]:offsets[v+1]`` delimits vote ``v``'s options; option ``i``
-    adds ``amount`` to tally ``index`` for each pair of ``increments[i]``.
-    With more than one row the winner is decided as under Bucklin, by a
+    adds ``amount`` to tally ``index`` for each pair of ``increments[i]``,
+    tally ``r * m + c`` counting candidate c in row r. ``preferred`` must
+    win; with more than one row the winner is decided as under Bucklin, by a
     majority of the votes. ``budget`` of -1 means unbounded; otherwise only
     assignments of total cost <= budget qualify. Returns ``(cost, choices)``
     with global option indices, or ``None``.
@@ -75,8 +77,8 @@ def best_assignment(
         return (0, []) if rows == 1 and (m == 1 or tie) else None
     # leads[row_of[i]] is the leading rival of tally i's row; the preferred
     # candidate's tallies go to a spare slot past the last row
-    row_of = [rows if i % m == 0 else i // m for i in range(rows * m)]
-    bases = range(0, rows * m, m)
+    row_of = [rows if i % m == preferred else i // m for i in range(rows * m)]
+    bases = range(preferred, rows * m, m)
     # shift[v]: offset from the previous vote's options to this vote's when
     # both offer the same slice, else None.
     shift = [None] * n_votes
@@ -103,7 +105,7 @@ def best_assignment(
             for step in increments[lo:hi]:
                 got = [0] * rows
                 for i, a in step:
-                    if not i % m:
+                    if i % m == preferred:
                         r = i // m
                         got[r] += a
                         if got[r] > most[r]:

@@ -149,7 +149,7 @@ def solve_color_coding(instance: BriberyInstance) -> SolveResult:
                 best = {}
                 for option in vote_options:
                     mask = 0
-                    for c in option[0]:
+                    for c, _ in option[0]:
                         mask |= bit[c]
                     if mask.bit_count() == k and mask not in best:
                         best[mask] = option
@@ -158,9 +158,9 @@ def solve_color_coding(instance: BriberyInstance) -> SolveResult:
                 picks = [best.get(part) for best, part in zip(cheapest, pattern)]
                 if None in picks or sum(cost for _, cost in picks) > budget:
                     continue
-                witness = Bribery(
-                    tuple(move_to_top_target(r, frozenset(c)) for r, (c, _) in zip(rankings, picks))
-                )
+                witness = Bribery(tuple(
+                    move_to_top_target(r, frozenset(c for c, _ in steps)) for r, (steps, _) in zip(rankings, picks)
+                ))
                 if verify_bribery(instance, witness).is_solution:
                     return SolveResult(True, None, witness)
     return SolveResult(False, None, None)

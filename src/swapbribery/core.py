@@ -18,7 +18,7 @@ full ranking, for the solvers that walk every position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, filterfalse, islice
+from itertools import compress, filterfalse, groupby, islice
 from operator import index
 from typing import Iterator, Sequence
 
@@ -250,5 +250,6 @@ def winners(election: Election, rule: VotingRule) -> frozenset[int]:
 
 
 def winners_of_rankings(rankings, m: int, rule: VotingRule) -> frozenset[int]:
-    """Winner set for a plain list of expanded stored rankings (multiplicity 1 each)."""
-    return _argmax(_tally([(r, 1) for r in rankings], m, rule))
+    """Winner set for a plain list of expanded stored rankings (multiplicity 1 each); a run
+    of equal consecutive rankings, as a class's shared targets form, is tallied once by its length."""
+    return _argmax(_tally([(r, len(list(run))) for r, run in groupby(rankings)], m, rule))

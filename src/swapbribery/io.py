@@ -42,7 +42,7 @@ from .core import (
 from .errors import DomainError, ParseError, RankingError
 from .flow import FlowNetwork
 from .reductions import PartialVote, PossibleWinnerInstance
-from .swaps import Bribery, BriberyInstance, SwapCostFunction, changed_votes
+from .swaps import Bribery, BriberyInstance, SwapCostFunction, changed_votes, class_runs
 from .hardness import ColoredGraph, Graph
 
 ELECTION_MAGIC = "sbe 1"
@@ -329,8 +329,8 @@ def parse_election(text: str) -> BriberyInstance:
 
 
 def serialize_election(instance: BriberyInstance) -> str:
-    """Inverse of parse_election on its image; splits vote objects whose
-    expanded copies ended up with different prices (``price_ids``)."""
+    """Inverse of parse_election on its image; one vote line per run of
+    ``swaps.class_runs``, so a vote whose copies differ in price is split."""
     election = instance.election
     out = [ELECTION_MAGIC, *_roster_lines(election.candidates)]
     out.append("rule " + _rule_text(instance.rule))
@@ -338,16 +338,7 @@ def serialize_election(instance: BriberyInstance) -> str:
     out.append(f"preferred {election.candidates[instance.preferred]}")
     out.append(f"mode {instance.mode}")
 
-    ids = instance.costs.price_ids
-    rows: list[tuple[int, tuple[int, ...], int]] = []  # (multiplicity, order, price id)
-    expanded = 0
-    for vote in election.votes:
-        end = expanded + vote.multiplicity
-        if vote.multiplicity == 1 or len(set(ids[expanded:end])) == 1:
-            rows.append((vote.multiplicity, vote.ranking, ids[expanded]))
-        else:
-            rows.extend((1, vote.ranking, price) for price in ids[expanded:end])
-        expanded = end
+    rows = [(len(run), ranking, price) for (ranking, price), run in class_runs(instance)]
 
     names = election.candidates
     for i, (mult, order, _) in enumerate(rows):

@@ -103,10 +103,12 @@ def topk_options(
     price: int,
     overrides: PairCosts,
     budget_cap: int | None,
-) -> list[tuple[tuple[int, ...], int]]:
+) -> list[tuple[tuple[tuple[int, int], ...], int]]:
     """Every k-subset of one vote class with its move-to-top cost, on its int prices.
 
-    ``price`` and ``overrides`` are a class's of ``BriberyInstance.integer_prices``.
+    Each option is ``(increments, cost)``, in the form ``_search`` reads: a
+    shared ``(c, 1)`` per approved candidate c, in ranking order. ``price``
+    and ``overrides`` are a class's of ``BriberyInstance.integer_prices``.
     Lifting the candidate at position p past the unchosen ones above it costs
     the default ``price`` per pass, corrected by each override it meets.
     With ``budget_cap`` set, subsets dearer than the cap are dropped: every
@@ -118,13 +120,14 @@ def topk_options(
     incoming: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     prefix_delta = [0] * m
     pos = {c: i for i, c in enumerate(ranking)}
+    pairs = [(c, 1) for c in ranking]
     for (a, b), value in overrides.items():
         ia, ib = pos.get(a), pos.get(b)
         if ia is not None and ib is not None and ia < ib:
             incoming[ib].append((ia, value - price))
             prefix_delta[ib] += value - price
 
-    out: list[tuple[tuple[int, ...], int]] = []
+    out: list[tuple[tuple[tuple[int, int], ...], int]] = []
     # Depth first, one level per approved position: chosen holds the positions
     # approved so far, at costs[len(chosen)], and p is the next one tried.
     chosen: list[int] = []
@@ -134,7 +137,7 @@ def topk_options(
     while True:
         count = len(chosen)
         if count == k:
-            out.append((tuple(ranking[i] for i in chosen), costs[k]))
+            out.append((tuple(map(pairs.__getitem__, chosen)), costs[k]))
         elif p <= m - (k - count):
             passes = p - count
             cost = costs[count]
@@ -163,36 +166,37 @@ def _run_search(
     m: int,
     unique: bool,
     budget: int | None,
+    preferred: int,
 ) -> tuple[int, list] | None:
-    """Search one ``(options, votes)`` pair per vote class, options being ``(increments, cost, payload)``.
+    """Search one ``(options, votes)`` pair per vote class, options being ``(increments, cost, ...)``.
 
     Each class's options are sorted by cost and its votes laid out as one
     adjacent run, so the search's symmetry cut sees every copy of a vote.
-    Returns the optimum and each vote's chosen payload, in vote order, or None.
+    Returns the optimum and each vote's chosen option, in vote order, or None.
     """
     costs: list[int] = []
     increments: list[list[tuple[int, int]]] = []
     offsets = [0]
-    payloads: list = []
+    laid_out: list = []
     order: list[int] = []
     for options, votes in classes:
         options.sort(key=lambda option: option[1])
-        steps, option_costs, option_payloads = zip(*options) if options else ((), (), ())
+        steps, option_costs, *_ = zip(*options) if options else ((), ())
         order += votes
         for _ in votes:
             offsets.append(offsets[-1] + len(options))
             increments += steps
             costs += option_costs
-            payloads += option_payloads
+            laid_out += options
 
     # looked up on the module per call, so a wrapper installed there sees it
     hit = _search.best_assignment(
-        offsets, increments, costs, rows, m, unique, -1 if budget is None else budget
+        offsets, increments, costs, rows, m, unique, -1 if budget is None else budget, preferred
     )
     if hit is None:
         return None
     cost, choices = hit
-    return cost, [payloads[i] for _, i in sorted(zip(order, choices))]
+    return cost, [laid_out[i] for _, i in sorted(zip(order, choices))]
 
 
 def _points(rule, m: int) -> tuple[int, ...]:
@@ -216,13 +220,6 @@ def _hopeless(instance: BriberyInstance) -> bool:
     n = instance.election.n_expanded
     top = n * points[0]
     return -(-(n * sum(points) - top) // (m - 1)) >= top
-
-
-def _columns(m: int, preferred: int) -> list[int]:
-    """Each candidate's tally column: the search keeps the preferred candidate in column 0."""
-    column = list(range(m))
-    column[0], column[preferred] = preferred, 0
-    return column
 
 
 def brute_topk(
@@ -250,17 +247,17 @@ def brute_topk(
 
     scale, classes, budget = instance.integer_prices()
     budget_cap = budget if prune_to_budget else None
-    pairs = [(c, 1) for c in _columns(m, instance.preferred)]
-    searched = []
-    for ranking, price, overrides, votes in classes:
-        options = topk_options(ranking, k, price, overrides, budget_cap)
-        searched.append(([(tuple(map(pairs.__getitem__, c)), cost, c) for c, cost in options], votes))
-    hit = _run_search(searched, 1, m, instance.unique_mode, budget_cap)
+    searched = [
+        (topk_options(ranking, k, price, overrides, budget_cap), votes)
+        for ranking, price, overrides, votes in classes
+    ]
+    hit = _run_search(searched, 1, m, instance.unique_mode, budget_cap, instance.preferred)
     if hit is None:
         return SolveResult(False, None, None)
     optimum, chosen = hit
     targets = tuple(
-        move_to_top_target(head_then_rest(r, m), frozenset(cands)) for r, cands in zip(election.expanded(), chosen)
+        move_to_top_target(head_then_rest(r, m), frozenset(c for c, _ in steps))
+        for r, (steps, _) in zip(election.expanded(), chosen)
     )
     return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(targets))
 
@@ -285,17 +282,16 @@ def brute_rankings(
     targets = list(permutations(range(m)))
 
     rule = instance.rule
-    column = _columns(m, instance.preferred)
     # placed[pos][c]: the increments of candidate c at position pos
     if rule.kind == BUCKLIN:
         rows = m
         placed = [
-            [[(d * m + column[c], 1) for d in range(pos, m)] for c in range(m)]
+            [[(d * m + c, 1) for d in range(pos, m)] for c in range(m)]
             for pos in range(m)
         ]
     else:
         rows = 1
-        placed = [[[(column[c], s)] if s else [] for c in range(m)] for s in _points(rule, m)]
+        placed = [[[(c, s)] if s else [] for c in range(m)] for s in _points(rule, m)]
     # each target's increments; targets share equal pairs, which keeps the m!
     # lists small
     increments = [[pair for pos, c in enumerate(t) for pair in placed[pos][c]] for t in targets]
@@ -303,8 +299,8 @@ def brute_rankings(
         (list(zip(increments, target_costs(ranking, price, overrides, range(m)), targets)), votes)
         for ranking, price, overrides, votes in classes
     ]
-    hit = _run_search(searched, rows, m, instance.unique_mode, None)
+    hit = _run_search(searched, rows, m, instance.unique_mode, None, instance.preferred)
     if hit is None:
         return SolveResult(False, None, None)
     optimum, chosen = hit
-    return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(tuple(chosen)))
+    return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(tuple(t for _, _, t in chosen)))

@@ -25,7 +25,10 @@ files: with each cost token respelled as an equal value (``solve``,
 ``verify`` and ``kernelize``), and, through ``solve``, with a bad cost
 token on every line of a repeating token or on one later line, with index
 fields written as ``007`` or ``-0``, and with one written as ``+1`` or
-``٣``. The two trees
+``٣``. Copies of small priced k-approval, scoring and Bucklin files
+with their candidates renumbered, the preferred one taking id 0, the last
+id or a drawn one, go through ``solve --algorithm brute``, and the
+k-approval ones through ``--algorithm color`` too. The two trees
 run under different hash seeds, so ``python tests/cli_differential.py src
 src WORKDIR`` checks that no output depends on the process. Prints each
 call that differs, the counts, and the differing calls per command and
@@ -236,12 +239,43 @@ def build_calls(work: Path, old_src: str) -> list:
             copy = corpus / f"{path.stem}.{tag}.sbe"
             copy.write_text(text)
             call("solve", copy)
+    # Small priced k-approval, scoring and Bucklin files with their candidates
+    # renumbered, drawn after every call above so that none of them moves: the
+    # preferred candidate takes id 0, the last id or a drawn one, and the
+    # others are shuffled. The brute-force search counts each candidate in
+    # its own tally column, so its answers must not depend on the numbering.
+    priced = [path for path, _ in instances if " pair " in path.read_text() and _candidates(path) >= 2]
+    for rule in ("k-approval", "scoring", "bucklin"):
+        for path in [path for path in priced if f"\nrule {rule}" in path.read_text()][:4]:
+            m = _candidates(path)
+            for tag, preferred_id in (("first", 0), ("last", m - 1), ("drawn", rng.randrange(m))):
+                copy = corpus / f"{path.stem}.renumbered-{tag}.sbe"
+                copy.write_text(_renumbered(path.read_text(), preferred_id, rng))
+                for algorithm in ("brute", "color") if rule == "k-approval" else ("brute",):
+                    solution = out / f"{copy.stem}.{algorithm}.sbs"
+                    call("solve", copy, "--algorithm", algorithm, "--solution", solution, outputs=[solution])
     run_tree(work, old_src, old_solves, "old-solutions", "1")
     return calls
 
 
 def _candidates(path: Path) -> int:
     return next(int(line.split()[1]) for line in path.read_text().splitlines() if line.startswith("candidates "))
+
+
+def _renumbered(text: str, preferred_id: int, rng: random.Random) -> str:
+    """``text`` with its ``candidate i name`` lines renumbered at random, the
+    preferred candidate taking id ``preferred_id``; the other lines name
+    candidates, so they stay as they are."""
+    lines = text.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("candidate "))
+    roster = [line.split(" ", 2)[2] for line in lines[first:] if line.startswith("candidate ")]
+    preferred = next(line.split(" ", 1)[1] for line in lines if line.startswith("preferred "))
+    others = [i for i in range(len(roster)) if i != preferred_id]
+    rng.shuffle(others)
+    ids = {name: preferred_id if name == preferred else others.pop() for name in roster}
+    by_id = sorted(roster, key=ids.__getitem__)
+    lines[first : first + len(roster)] = [f"candidate {i} {name}" for i, name in enumerate(by_id)]
+    return "\n".join(lines) + "\n"
 
 
 def _spread_copies(text: str, rng: random.Random) -> str:

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swapbribery.core import (
+    BUCKLIN,
+    SCORING,
     Election,
     Vote,
     VotingRule,
     head_then_rest,
     scores,
     winners,
+    winners_of_rankings,
 )
 from swapbribery.errors import DomainError, RankingError, UnsupportedRuleError
 
@@ -167,3 +170,39 @@ def test_head_then_rest_appends_the_other_ids_in_order():
     assert head_then_rest([4, 1], 6) == (4, 1, 0, 2, 3, 5)
     assert head_then_rest((), 6) == ids
     assert head_then_rest(ids[::-1], 6) == ids[::-1]
+
+
+def _winners_one_by_one(rankings, m, rule):
+    """The winners, each ranking tallied on its own in full."""
+    full = [head_then_rest(r, m) for r in rankings]
+    if rule.kind == BUCKLIN:
+        for depth in range(1, m + 1):
+            totals = [sum(c in r[:depth] for r in full) for c in range(m)]
+            if max(totals) > len(full) // 2:
+                break
+    else:
+        points = rule.vector if rule.kind == SCORING else (1,) * rule.k + (0,) * (m - rule.k)
+        totals = [0] * m
+        for r in full:
+            for s, c in zip(points, r):
+                totals[c] += s
+    return frozenset(c for c in range(m) if totals[c] == max(totals))
+
+
+def test_winners_of_rankings_tally_runs_as_their_rankings_one_by_one():
+    # runs of equal rankings, each a head or in full, some held by distinct objects
+    rng = random.Random(40)
+    for trial in range(400):
+        m = rng.randint(1, 6)
+        pool = [tuple(rng.sample(range(m), m))[: rng.randint(0, m)] for _ in range(rng.randint(1, 3))]
+        rankings = []
+        for _ in range(rng.randint(1, 8)):
+            ranking = rng.choice(pool)
+            rankings += [rng.choice((ranking, tuple(list(ranking)))) for _ in range(rng.randint(1, 4))]
+        rule = rng.choice((
+            VotingRule.k_approval(rng.randint(1, m)),
+            VotingRule.scoring(sorted((rng.randint(0, 3) for _ in range(m)), reverse=True)),
+            VotingRule.bucklin(),
+        ))
+        want = _winners_one_by_one(rankings, m, rule)
+        assert winners_of_rankings(rankings, m, rule) == want, (trial, rankings, rule)

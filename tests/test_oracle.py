@@ -116,6 +116,19 @@ def _refuses_topk(n, m, k, cap):
     return False
 
 
+def _approved(options):
+    """``topk_options``' options as (approved candidates, cost), read from their increments.
+
+    Each increment must be one point for its candidate, and every option of
+    one call must share one increment object per candidate.
+    """
+    shared = {}
+    for steps, _ in options:
+        for step in steps:
+            assert step[1] == 1 and shared.setdefault(step[0], step) is step
+    return [(tuple(c for c, _ in steps), cost) for steps, cost in options]
+
+
 def test_topk_options_price_every_set_by_move_to_top_cost():
     rng = random.Random(31)
     above_cheapest = 0
@@ -130,7 +143,7 @@ def test_topk_options_price_every_set_by_move_to_top_cost():
             for s in combinations(range(m), k)
         }
         for cap in (None, rng.randint(0, 12), 0):
-            got = topk_options(ranking, k, prices.default(0), prices.overrides(0), cap)
+            got = _approved(topk_options(ranking, k, prices.default(0), prices.overrides(0), cap))
             assert len(got) == len({frozenset(c) for c, _ in got})
             assert {frozenset(c): cost for c, cost in got} == {
                 s: cost for s, cost in want.items() if cap is None or cost <= cap
@@ -140,7 +153,7 @@ def test_topk_options_price_every_set_by_move_to_top_cost():
 
 def test_topk_options_on_a_long_vote_with_a_default_above_its_cheapest_price():
     # candidate 3 passes 0 at the override 1 and 1, 2 at the default 2
-    got = topk_options(tuple(range(200)), 1, 2, {(0, 3): 1}, 5)
+    got = _approved(topk_options(tuple(range(200)), 1, 2, {(0, 3): 1}, 5))
     assert got == [((0,), 0), ((1,), 2), ((2,), 4), ((3,), 5)]
 
 
@@ -341,5 +354,5 @@ def test_subsets_go_1500_positions_deep():
     # of 0 at unit prices leaves one path, the top 1,499 as cast; with no cap
     # the walk builds all 1,500 subsets, in time quadratic in k.
     m = 1500
-    got = topk_options(tuple(range(m)), m - 1, 1, {}, 0)
+    got = _approved(topk_options(tuple(range(m)), m - 1, 1, {}, 0))
     assert got == [(tuple(range(m - 1)), 0)]

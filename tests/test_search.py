@@ -6,7 +6,7 @@ from itertools import product
 
 from swapbribery import _search
 from swapbribery.colorcoding import successful_patterns
-from swapbribery.core import Election, Vote, VotingRule
+from swapbribery.core import CO_WINNER, K_APPROVAL, UNIQUE_WINNER, Election, Vote, VotingRule, head_then_rest
 from swapbribery.ilp import solve_ilp
 from swapbribery.oracle import available_backends, brute_rankings, brute_topk, get_backend
 from swapbribery.reductions import gen_random
@@ -18,8 +18,8 @@ def test_pure_backend_always_available():
     assert "pure" in available_backends()
 
 
-def preferred_wins(tallies, rows, m, n_votes, unique):
-    """The winner test the search's tallies stand for, column 0 being the preferred candidate.
+def preferred_wins(tallies, rows, m, n_votes, unique, preferred):
+    """The winner test the search's tallies stand for, column c being candidate c.
 
     One row holds scores. Several rows are Bucklin's rounds: the first row in
     which some candidate reaches a strict majority of the votes decides, and
@@ -29,12 +29,12 @@ def preferred_wins(tallies, rows, m, n_votes, unique):
     for r in range(rows):
         row = tallies[r * m : (r + 1) * m]
         if max(row) >= majority:
-            rival = max(row[1:], default=-1)
-            return row[0] > rival or (not unique and row[0] == rival)
+            rival = max(row[:preferred] + row[preferred + 1 :], default=-1)
+            return row[preferred] > rival or (not unique and row[preferred] == rival)
     return False
 
 
-def reference(offsets, increments, costs, rows, m, unique, budget):
+def reference(offsets, increments, costs, rows, m, unique, budget, preferred):
     """Lexicographically first minimum-cost winning choice vector, by enumeration."""
     n_votes = len(offsets) - 1
     best = None
@@ -46,7 +46,7 @@ def reference(offsets, increments, costs, rows, m, unique, budget):
         for i in choices:
             for index, amount in increments[i]:
                 tallies[index] += amount
-        if not preferred_wins(tallies, rows, m, n_votes, unique):
+        if not preferred_wins(tallies, rows, m, n_votes, unique, preferred):
             continue
         if best is None or cost < best[0]:
             best = (cost, list(choices))
@@ -101,17 +101,21 @@ def random_search(rng):
 
 
 def test_search_matches_enumeration():
+    # each case as drawn with candidate 0 preferred, then with a candidate
+    # drawn by its own generator, so that no draw of ``rng`` moves
     rng = random.Random(5)
     for trial in range(2000):
         args = random_search(rng)
-        assert _search.best_assignment(*args) == reference(*args), (trial, args)
+        for preferred in (0, random.Random(trial).randrange(args[4])):
+            want = reference(*args, preferred)
+            assert _search.best_assignment(*args, preferred) == want, (trial, preferred, args)
 
 
 def test_search_goes_1500_votes_deep():
     # One level per vote: 1,500 votes, each giving the preferred candidate a point.
     n_votes = 1500
     offsets = list(range(n_votes + 1))
-    got = _search.best_assignment(offsets, [[(0, 1)]] * n_votes, [0] * n_votes, 1, 2, False, -1)
+    got = _search.best_assignment(offsets, [[(0, 1)]] * n_votes, [0] * n_votes, 1, 2, False, -1, 0)
     assert got == (0, list(range(n_votes)))
 
 
@@ -150,3 +154,73 @@ def test_walks_visit_a_fixed_number_of_nodes(monkeypatch):
         got = run()
         assert (got if isinstance(got, int) else (got.decision, got.optimal_cost)) == answer
         assert spy.most == nodes
+
+
+def _relabeled(instance, label):
+    """The instance with candidate c renamed ``label[c]``: roster, full rankings, preferred and overrides."""
+    m, costs = instance.election.m, instance.costs
+    names = [""] * m
+    for c, name in enumerate(instance.election.candidates):
+        names[label[c]] = name
+    rankings = [head_then_rest(r, m) for r in instance.election.expanded_list()]
+    return BriberyInstance(
+        Election(tuple(names), tuple(Vote(tuple(label[c] for c in r)) for r in rankings)),
+        instance.rule,
+        label[instance.preferred],
+        SwapCostFunction(
+            [costs.default(v) for v in range(len(rankings))],
+            [{(label[a], label[b]): p for (a, b), p in costs.overrides(v).items()} for v in range(len(rankings))],
+        ),
+        instance.budget,
+        instance.mode,
+    )
+
+
+def _run(monkeypatch, oracle, instance):
+    """The oracle's decision and optimum on the instance, and the nodes its search visits."""
+    spy = NodeSpy()
+    monkeypatch.setattr(_search, "MAX_NODES", spy)
+    got = oracle(instance)
+    return (got.decision, got.optimal_cost), spy.most
+
+
+def pruned_topk(instance):
+    return brute_topk(instance, prune_to_budget=True)
+
+
+def test_renaming_the_candidates_keeps_each_oracle_answer(monkeypatch):
+    """The search reads the preferred candidate's own column, wherever it is.
+
+    Each instance is renamed at random so that the preferred candidate takes
+    id 0, the last id and a drawn id. ``brute_topk``, also pruned to the
+    budget, builds its options by ranking position, so it also visits the
+    same nodes; ``brute_rankings``
+    lists its m! targets in id order, so its cost ties, and with them its
+    node count, may fall another way.
+    """
+    rng = random.Random(40)
+    renamed = 0
+    for trial in range(48):
+        m = rng.randint(2, 5)
+        n = rng.randint(1, 3 if m == 5 else 4)
+        k = rng.randint(1, m)
+        rule = (
+            VotingRule.k_approval(k),
+            VotingRule.bucklin(),
+            VotingRule.scoring(sorted((rng.randint(0, 3) for _ in range(m)), reverse=True)),
+        )[trial % 3]
+        prices = rng.choice((TWO, ("uniform-range", Fraction(1), Fraction(3))))
+        mode = (CO_WINNER, UNIQUE_WINNER)[trial // 3 % 2]
+        instance = gen_random(m, n, k, cost_model=prices, seed=trial, rule=rule, mode=mode)
+        oracles = [brute_rankings] + [brute_topk, pruned_topk] * (rule.kind == K_APPROVAL)
+        want = [_run(monkeypatch, oracle, instance) for oracle in oracles]
+        for target in (0, m - 1, rng.randrange(m)):
+            others = [c for c in range(m) if c != target]
+            rng.shuffle(others)
+            label = [target if c == instance.preferred else others.pop() for c in range(m)]
+            renamed += label[instance.preferred] != instance.preferred
+            for oracle, (answer, nodes) in zip(oracles, want):
+                got_answer, got_nodes = _run(monkeypatch, oracle, _relabeled(instance, label))
+                assert got_answer == answer, (trial, oracle, label)
+                assert oracle is brute_rankings or got_nodes == nodes, (trial, label)
+    assert renamed >= 48

@@ -7,6 +7,7 @@ from typing import Iterable, Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swapbribery import core
 from swapbribery.core import Election, Ranking, Vote, VotingRule
 from swapbribery.errors import DomainError
 from swapbribery.io import serialize_solution
@@ -525,3 +526,16 @@ def test_vote_classes_split_by_ranking_default_and_override_table():
         VoteClass((0, 1, 2), 1, {(0, 1): 2}, (1,)),
         VoteClass((1, 0, 2), 1, {}, (3,)),
     ]
+
+
+def test_verify_tallies_a_run_of_equal_targets_once(monkeypatch):
+    # an unbribed vote of 1,000 copies: one ranking_prefix call for the run, not one per copy
+    ranking = (0, 1, 2)
+    instance = BriberyInstance(
+        Election(("a", "b", "c"), (Vote(ranking, 1000),)), VotingRule.k_approval(1), 0, unit(1000), Fraction(0)
+    )
+    calls = []
+    prefix = core.ranking_prefix
+    monkeypatch.setattr(core, "ranking_prefix", lambda *args: calls.append(args) or prefix(*args))
+    report = verify_bribery(instance, Bribery(tuple(instance.election.expanded())))
+    assert report.is_solution and calls == [(ranking, 1, 3)]
