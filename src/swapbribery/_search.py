@@ -12,7 +12,7 @@ strict majority of the votes, and that row's leaders win.
 The search picks one option per vote minimizing total cost subject to the
 preferred candidate winning. Depth-first order visits choice vectors
 lexicographically and the best total only moves on a strict improvement,
-so the result is the lexicographically first optimal vector. Three cuts
+so the result is the lexicographically first optimal vector. Four cuts
 keep that result:
 
 - **Cost cut.** A branch whose cost plus the cheapest completion reaches
@@ -24,6 +24,12 @@ keep that result:
   that sum reaches the majority and no rival is past it (or at it, for a
   unique winner). After the last vote nothing is left to collect, so the
   cut is exact there and every leaf it admits wins.
+- **Swing cut** (one row). Against rival c an option's swing is what it
+  adds to the preferred candidate less what it adds to c. The votes left
+  must swing c's lead (plus 1 for a unique winner); their cheapest options
+  swing ``base``, and each unit more costs at least their least extra cost
+  per unit. A branch whose cost, cheapest completion and that price of the
+  shortfall reach the best total holds no strictly better leaf.
 - **Symmetry cut.** A vote whose option slice equals the previous vote's
   starts at the option that vote chose, so choices are non-decreasing
   within a run of identical votes. Sorting such a run keeps the cost and
@@ -112,6 +118,10 @@ def best_assignment(
                             most[r] = got[r]
         reach[v] = [a + b for a, b in zip(reach[v + 1], most)]
 
+    # the swing cut's table, built once as many options are scanned as laid out
+    laid_out = offsets[-1] if rows == 1 and m > 1 else 0
+    swing = None
+    rivals = [c for c in range(m) if c != preferred]
     best = budget + 1 if budget >= 0 else None
     best_choice = None
     need = majority + tie
@@ -129,7 +139,7 @@ def best_assignment(
     v = 0
     while True:
         idx = choice[v]
-        if idx == offsets[v + 1] or best is not None and accs[v] + costs[idx] + suffix_min[v + 1] >= best:
+        if idx == offsets[v + 1] or best is not None and (floor := accs[v] + costs[idx] + suffix_min[v + 1]) >= best:
             # vote v is done: back to the vote above
             if not v:
                 break
@@ -138,6 +148,8 @@ def best_assignment(
             nodes += 1
             if nodes > max_nodes:
                 raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
+            if nodes == laid_out:
+                swing = _swing_table(offsets, increments, costs, m, preferred, rivals, shift, reach, unique)
             lead = leads[v].copy()
             for i, a in increments[idx]:
                 s = tallies[i] + a
@@ -159,6 +171,16 @@ def best_assignment(
                 if top >= majority:
                     break
                 r += 1
+            if down and swing is not None and best is not None:
+                # cut once a rival's shortfall times its rate passes gap; first bound all rivals at once
+                least, top_rate, top_per, base, rate, per = swing[v + 1]
+                gap = best - 1 - floor
+                mine = tallies[preferred]
+                if (lead[0] - mine - least) * top_rate > gap * top_per:
+                    for c in rivals:
+                        if (tallies[c] - mine - base[c]) * rate[c] > gap * per[c]:
+                            down = False
+                            break
             if down:
                 if v + 1 < n_votes:
                     v += 1
@@ -177,3 +199,55 @@ def best_assignment(
     if best_choice is None:
         return None
     return int(best), best_choice
+
+
+def _swings(step, m, preferred):
+    """Each column's swing under one option: what it adds to ``preferred`` less what it adds there."""
+    got = [0] * m
+    for i, a in step:
+        got[i] += a
+    mine = got[preferred]
+    return [mine - a for a in got]
+
+
+def _swing_table(offsets, increments, costs, m, preferred, rivals, shift, reach, unique):
+    """Entry v, for votes v..: ``(least, top_rate, top_per, base, rate, per)``.
+
+    ``base[c]`` sums the swing against rival c of each vote's cheapest option,
+    less 1 for a unique winner; ``rate[c] / per[c]`` is the least extra cost
+    per unit of swing past it (1 / 0 if none adds any). ``least`` and
+    ``top_rate / top_per`` are the least base and the dearest rate of a rival.
+    """
+    n_votes = len(offsets) - 1
+    table = [None] * n_votes + [(-unique, 1, 0, [-unique] * m, [1] * m, [0] * m)]
+    for v in range(n_votes - 1, -1, -1):
+        _, top_rate, top_per, base, rate, per = table[v + 1]
+        # a run of equal slices shares one vote's swings and rates, built at its last vote
+        if v + 1 == n_votes or shift[v + 1] is None:
+            lo, hi = offsets[v], offsets[v + 1]
+            first = _swings(increments[lo], m, preferred)
+            # no option swings more than ``most``, so an extra cost of rate *
+            # (most - first) closes a rival: no dearer option lowers its rate
+            most = reach[v][0] - reach[v + 1][0]
+            own, own_per = [1] * m, [0] * m
+            left = rivals
+            for idx in range(lo + 1, hi):
+                extra = costs[idx] - costs[lo]
+                left = [c for c in left if extra * own_per[c] < own[c] * (most - first[c])]
+                if not left:
+                    break
+                swings = _swings(increments[idx], m, preferred)
+                for c in left:
+                    gain = swings[c] - first[c]
+                    if gain > 0 and extra * own_per[c] < own[c] * gain:
+                        own[c], own_per[c] = extra, gain
+            rate, per = rate.copy(), per.copy()
+            top_rate, top_per = 0, 1
+            for c in rivals:
+                if own[c] * per[c] < rate[c] * own_per[c]:
+                    rate[c], per[c] = own[c], own_per[c]
+                if rate[c] * top_per > top_rate * per[c]:
+                    top_rate, top_per = rate[c], per[c]
+        base = [a + b for a, b in zip(base, first)]
+        table[v] = (min(map(base.__getitem__, rivals)), top_rate, top_per, base, rate, per)
+    return table

@@ -7,10 +7,10 @@ sets or target rankings) with their costs once per vote class,
 side. The search's only cleverness is cutting branches that cannot hold a
 better winning leaf: by cost (the budget or the best total so far), by
 score (the leading rival already beats what the preferred candidate can
-still collect, round by round under Bucklin) and by symmetry (the votes of
-a class choose non-decreasing options). It returns the first optimal
-choice vector in its order with or without the cuts, so the optimum and
-the witness do not depend on them.
+still collect, round by round under Bucklin), by swing (taking a rival's
+lead costs too much) and by symmetry (a class's votes choose non-decreasing
+options). It returns the first optimal choice vector in its order with or
+without the cuts, so the optimum and the witness do not depend on them.
 
 A unique-winner instance of a score-based rule in which some rival is sure
 to reach the most the preferred candidate can collect is answered no before

@@ -6,58 +6,21 @@ n = 1,000-1,200, so the brute-force search goes over a thousand levels deep.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from swapbribery.core import CO_WINNER, UNIQUE_WINNER, Election, Vote
-from swapbribery.errors import ResourceCapError
 from swapbribery.flow import solve_unit
 from swapbribery.oracle import brute_topk
 from swapbribery.reductions import gen_random
 from swapbribery.swaps import BriberyInstance, SwapCostFunction
 
-TWO_HALF = ("two-valued", Fraction(1), Fraction(2), 0.5)
-TWO_THIRD = ("two-valued", Fraction(1), Fraction(2), 0.3)
-
-# (m, n, k, prices, seed, mode): instances the search answers, in their
-# order and in the shuffled one, within its node budget
-CASES = [
-    (2, 1000, 1, TWO_HALF, 0, CO_WINNER),
-    (2, 1200, 1, TWO_THIRD, 2, UNIQUE_WINNER),
-    (3, 1000, 1, "unit", 1, UNIQUE_WINNER),
-    (3, 1200, 1, "unit", 1, CO_WINNER),
-]
-
-
-def _case_id(case):
-    m, n, k, prices, seed, mode = case
-    return f"m{m}n{n}k{k}-{'unit' if prices == 'unit' else 'priced'}-{seed}-{mode}"
-
-
-def _instance(m, n, k, prices, seed, mode):
-    return gen_random(m, n, k, cost_model=prices, seed=seed, mode=mode)
+from search_orders import CASES, EXAMPLE, ORDERED, case_id, make_instance, orders, permute_votes
 
 
 def _answer(instance):
     result = brute_topk(instance)
     return result.decision, result.optimal_cost
-
-
-def _permute_votes(instance, rng):
-    """The same votes, each with its prices, in a shuffled order."""
-    votes = instance.election.expanded_list()
-    order = list(range(len(votes)))
-    rng.shuffle(order)
-    costs = instance.costs
-    return BriberyInstance(
-        Election(instance.election.candidates, tuple(Vote(votes[i]) for i in order)),
-        instance.rule,
-        instance.preferred,
-        SwapCostFunction([costs.default(i) for i in order], [costs.overrides(i) for i in order]),
-        instance.budget,
-        instance.mode,
-    )
 
 
 def _relabel(instance):
@@ -85,25 +48,33 @@ def _relabel(instance):
     )
 
 
-@pytest.mark.parametrize("case", CASES, ids=_case_id)
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_permuting_the_votes_keeps_the_answer(case):
-    instance = _instance(*case)
-    assert _answer(_permute_votes(instance, random.Random(1))) == _answer(instance)
+    instance = make_instance(*case)
+    assert _answer(permute_votes(instance, random.Random(1))) == _answer(instance)
 
 
-@pytest.mark.xfail(raises=ResourceCapError, strict=True, reason=(
-    "the search's node count depends on the vote order: 30,054 nodes as generated, "
-    "1,023,628 shuffled, past the budget of 10**6"
-))
 def test_permuting_the_votes_keeps_the_answer_of_the_command_line_example():
     # ``generate random --m 2 --n 1000 --k 1 --cost-model two:1:2:0.5 --seed 3``: cost 11
-    instance = _instance(2, 1000, 1, TWO_HALF, 3, CO_WINNER)
-    assert _answer(_permute_votes(instance, random.Random(1))) == _answer(instance) == (True, 11)
+    instance = make_instance(*EXAMPLE)
+    assert _answer(permute_votes(instance, random.Random(1))) == _answer(instance) == (True, 11)
 
 
-@pytest.mark.parametrize("case", CASES, ids=_case_id)
+@pytest.mark.parametrize("name", ORDERED)
+def test_every_vote_order_takes_few_nodes(name):
+    """The swing cut bounds the search in any vote order, not just where a cheap leaf comes first.
+
+    As generated and in five shuffles, each instance keeps its answer, and
+    its worst order stays under a tenth of the node budget.
+    """
+    runs = orders(ORDERED[name], 5)
+    assert len({answer for answer, _ in runs}) == 1, runs
+    assert max(nodes for _, nodes in runs) < 10**5, runs
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_relabeling_the_candidates_keeps_the_answer(case):
-    instance = _instance(*case)
+    instance = make_instance(*case)
     assert _answer(_relabel(instance)) == _answer(instance)
 
 

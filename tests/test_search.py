@@ -12,6 +12,8 @@ from swapbribery.oracle import available_backends, brute_rankings, brute_topk, g
 from swapbribery.reductions import gen_random
 from swapbribery.swaps import BriberyInstance, SwapCostFunction
 
+from search_orders import NodeSpy
+
 
 def test_pure_backend_always_available():
     assert get_backend("pure") is _search
@@ -111,24 +113,43 @@ def test_search_matches_enumeration():
             assert _search.best_assignment(*args, preferred) == want, (trial, preferred, args)
 
 
+def test_swing_cut_keeps_the_first_optimum(monkeypatch):
+    """One row and more nodes than options, so that the swing cut is built and cuts.
+
+    Votes with one to three options, amounts 1-2, often repeating the
+    previous vote's options; both winner modes, with and without a budget.
+    """
+    rng = random.Random(41)
+    built = 0
+    for trial in range(2000):
+        m = rng.randint(2, 3)
+        offsets, increments, costs = [0], [], []
+        options = []
+        for _ in range(rng.randint(3, 7)):
+            if not options or rng.random() < 0.4:
+                options = sorted(
+                    ((rng.randint(0, 6), [(rng.randrange(m), rng.randint(1, 2)) for _ in range(rng.randint(1, 2))])
+                     for _ in range(rng.randint(1, 3))),
+                    key=lambda option: option[0],
+                )
+            for cost, step in options:
+                costs.append(cost)
+                increments.append(step)
+            offsets.append(offsets[-1] + len(options))
+        args = (offsets, increments, costs, 1, m, trial % 2 == 0, rng.choice((-1, rng.randint(0, 12))), rng.randrange(m))
+        spy = NodeSpy()
+        monkeypatch.setattr(_search, "MAX_NODES", spy)
+        assert _search.best_assignment(*args) == reference(*args), (trial, args)
+        built += spy.most >= offsets[-1]
+    assert built >= 250
+
+
 def test_search_goes_1500_votes_deep():
     # One level per vote: 1,500 votes, each giving the preferred candidate a point.
     n_votes = 1500
     offsets = list(range(n_votes + 1))
     got = _search.best_assignment(offsets, [[(0, 1)]] * n_votes, [0] * n_votes, 1, 2, False, -1, 0)
     assert got == (0, list(range(n_votes)))
-
-
-class NodeSpy:
-    """Stands in for ``_search.MAX_NODES``: records the most nodes a walk compares with it."""
-
-    def __init__(self):
-        self.most = 0
-
-    def __lt__(self, nodes):
-        # reflected: a walk's ``nodes > max_nodes`` lands here
-        self.most = max(self.most, nodes)
-        return nodes > 10**6
 
 
 TWO = ("two-valued", Fraction(1), Fraction(2), 0.3)
@@ -141,7 +162,7 @@ TIE = BriberyInstance(
 def test_walks_visit_a_fixed_number_of_nodes(monkeypatch):
     """Each exact walk's node count on one input, so reordering a walk shows."""
     runs = [
-        (lambda: brute_topk(TIE), 416, (False, 12)),
+        (lambda: brute_topk(TIE), 191, (False, 12)),
         (lambda: brute_rankings(gen_random(4, 4, 1, cost_model=TWO, seed=4, rule=VotingRule.bucklin())), 323, (False, 4)),
         (lambda: solve_ilp(gen_random(4, 4, 2, cost_model=TWO, seed=1)), 108, (True, None)),
         # preferred candidate 1, so the rivals are listed 0, 2, 3
