@@ -118,7 +118,8 @@ def best_assignment(
                             most[r] = got[r]
         reach[v] = [a + b for a, b in zip(reach[v + 1], most)]
 
-    # the swing cut's table, built once as many options are scanned as laid out
+    # the swing cut's table, built once as many options are scanned as laid
+    # out, so that a search ending sooner never pays for it
     laid_out = offsets[-1] if rows == 1 and m > 1 else 0
     swing = None
     rivals = [c for c in range(m) if c != preferred]
@@ -172,15 +173,14 @@ def best_assignment(
                     break
                 r += 1
             if down and swing is not None and best is not None:
-                # cut once a rival's shortfall times its rate passes gap; first bound all rivals at once
-                least, top_rate, top_per, base, rate, per = swing[v + 1]
+                # cut once a rival's shortfall times its rate passes gap
+                base, rate, per = swing[v + 1]
                 gap = best - 1 - floor
                 mine = tallies[preferred]
-                if (lead[0] - mine - least) * top_rate > gap * top_per:
-                    for c in rivals:
-                        if (tallies[c] - mine - base[c]) * rate[c] > gap * per[c]:
-                            down = False
-                            break
+                for c in rivals:
+                    if (tallies[c] - mine - base[c]) * rate[c] > gap * per[c]:
+                        down = False
+                        break
             if down:
                 if v + 1 < n_votes:
                     v += 1
@@ -211,17 +211,16 @@ def _swings(step, m, preferred):
 
 
 def _swing_table(offsets, increments, costs, m, preferred, rivals, shift, reach, unique):
-    """Entry v, for votes v..: ``(least, top_rate, top_per, base, rate, per)``.
+    """Entry v, for votes v..: ``(base, rate, per)``.
 
     ``base[c]`` sums the swing against rival c of each vote's cheapest option,
     less 1 for a unique winner; ``rate[c] / per[c]`` is the least extra cost
-    per unit of swing past it (1 / 0 if none adds any). ``least`` and
-    ``top_rate / top_per`` are the least base and the dearest rate of a rival.
+    per unit of swing past it (1 / 0 if none adds any).
     """
     n_votes = len(offsets) - 1
-    table = [None] * n_votes + [(-unique, 1, 0, [-unique] * m, [1] * m, [0] * m)]
+    table = [None] * n_votes + [([-unique] * m, [1] * m, [0] * m)]
     for v in range(n_votes - 1, -1, -1):
-        _, top_rate, top_per, base, rate, per = table[v + 1]
+        base, rate, per = table[v + 1]
         # a run of equal slices shares one vote's swings and rates, built at its last vote
         if v + 1 == n_votes or shift[v + 1] is None:
             lo, hi = offsets[v], offsets[v + 1]
@@ -242,12 +241,8 @@ def _swing_table(offsets, increments, costs, m, preferred, rivals, shift, reach,
                     if gain > 0 and extra * own_per[c] < own[c] * gain:
                         own[c], own_per[c] = extra, gain
             rate, per = rate.copy(), per.copy()
-            top_rate, top_per = 0, 1
             for c in rivals:
                 if own[c] * per[c] < rate[c] * own_per[c]:
                     rate[c], per[c] = own[c], own_per[c]
-                if rate[c] * top_per > top_rate * per[c]:
-                    top_rate, top_per = rate[c], per[c]
-        base = [a + b for a, b in zip(base, first)]
-        table[v] = (min(map(base.__getitem__, rivals)), top_rate, top_per, base, rate, per)
+        table[v] = ([a + b for a, b in zip(base, first)], rate, per)
     return table

@@ -120,7 +120,7 @@ def test_swing_cut_keeps_the_first_optimum(monkeypatch):
     previous vote's options; both winner modes, with and without a budget.
     """
     rng = random.Random(41)
-    built = 0
+    cut = 0
     for trial in range(2000):
         m = rng.randint(2, 3)
         offsets, increments, costs = [0], [], []
@@ -140,8 +140,13 @@ def test_swing_cut_keeps_the_first_optimum(monkeypatch):
         spy = NodeSpy()
         monkeypatch.setattr(_search, "MAX_NODES", spy)
         assert _search.best_assignment(*args) == reference(*args), (trial, args)
-        built += spy.most >= offsets[-1]
-    assert built >= 250
+        with monkeypatch.context() as uncut:
+            plain = NodeSpy()
+            uncut.setattr(_search, "MAX_NODES", plain)
+            uncut.setattr(_search, "_swing_table", lambda *table_args: None)
+            _search.best_assignment(*args)
+        cut += spy.most < plain.most
+    assert cut >= 60
 
 
 def test_search_goes_1500_votes_deep():
