@@ -1,13 +1,13 @@
 """Search kernel: cheapest winning assignment of vote options, for every rule.
 
-This is the hot inner loop of the brute-force oracles. Each vote offers a
-list of options; an option adds ``(tally index, amount)`` increments to
-``rows x m`` tallies, stored row by row, where column c of every row is
-candidate c. One row holds scores (k-approval and scoring vectors):
-the candidates with the top score win. Several rows hold Bucklin's rounds:
-row ``d`` counts the votes ranking each candidate in their first ``d + 1``
-places, the winning round is the first row in which some candidate has a
-strict majority of the votes, and that row's leaders win.
+This is the hot inner loop of the brute-force oracles. Each class of alike
+votes offers one list of options to each of its votes; an option adds
+``(tally index, amount)`` increments to ``rows x m`` tallies, stored row by
+row, where column c of every row is candidate c. One row holds scores
+(k-approval and scoring vectors): the candidates with the top score win.
+Several rows hold Bucklin's rounds: row ``d`` counts the votes ranking each
+candidate in their first ``d + 1`` places, the winning round is the first row
+in which some candidate has a strict majority of the votes, and its leaders win.
 
 The search picks one option per vote minimizing total cost subject to the
 preferred candidate winning. Depth-first order visits choice vectors
@@ -30,14 +30,14 @@ keep that result:
   swing ``base``, and each unit more costs at least their least extra cost
   per unit. A branch whose cost, cheapest completion and that price of the
   shortfall reach the best total holds no strictly better leaf.
-- **Symmetry cut.** A vote whose option slice equals the previous vote's
-  starts at the option that vote chose, so choices are non-decreasing
-  within a run of identical votes. Sorting such a run keeps the cost and
-  the tallies and never makes a vector lexicographically later, so the
-  first optimal vector is among the sorted ones.
+- **Symmetry cut** (per class). A vote of the same class as the previous
+  vote starts at the option that vote chose, so choices are non-decreasing
+  within a class. Sorting a class's choices keeps the cost and the tallies
+  and never makes a vector lexicographically later, so the first optimal
+  vector is among the sorted ones.
 
 All costs are non-negative scaled integers. Options must be sorted by
-ascending cost per vote.
+ascending cost within each class.
 
 The search gives up with ``ResourceCapError`` once it has scanned more than
 ``MAX_NODES`` options that pass the cost cut: a count, not a clock, so it
@@ -57,6 +57,7 @@ MAX_NODES = 10**6
 
 def best_assignment(
     offsets,
+    sizes,
     increments,
     costs,
     rows: int,
@@ -67,15 +68,15 @@ def best_assignment(
 ):
     """Minimum-cost choice of one option per vote under the winner condition.
 
-    ``offsets[v]:offsets[v+1]`` delimits vote ``v``'s options; option ``i``
-    adds ``amount`` to tally ``index`` for each pair of ``increments[i]``,
-    tally ``r * m + c`` counting candidate c in row r. ``preferred`` must
-    win; with more than one row the winner is decided as under Bucklin, by a
-    majority of the votes. ``budget`` of -1 means unbounded; otherwise only
-    assignments of total cost <= budget qualify. Returns ``(cost, choices)``
-    with global option indices, or ``None``.
+    ``offsets[g]:offsets[g+1]`` delimits class ``g``'s options, one for each
+    of its ``sizes[g]`` adjacent votes; option ``i`` adds ``amount`` to
+    tally ``index`` for each pair of ``increments[i]``, tally ``r * m + c``
+    counting candidate c in row r. ``preferred`` must win; with more than one
+    row the winner is decided as under Bucklin, by a majority of the votes.
+    ``budget`` of -1 means unbounded; otherwise only assignments of total cost
+    <= budget qualify. Returns ``(cost, choices)``, global option indices, or None.
     """
-    n_votes = len(offsets) - 1
+    n_votes = sum(sizes)
     majority = n_votes // 2 + 1 if rows > 1 else 0
     tie = 0 if unique else 1
     if not n_votes:
@@ -85,27 +86,22 @@ def best_assignment(
     # candidate's tallies go to a spare slot past the last row
     row_of = [rows if i % m == preferred else i // m for i in range(rows * m)]
     bases = range(preferred, rows * m, m)
-    # shift[v]: offset from the previous vote's options to this vote's when
-    # both offer the same slice, else None.
-    shift = [None] * n_votes
-    for v in range(1, n_votes):
-        plo, lo, hi = offsets[v - 1], offsets[v], offsets[v + 1]
-        if costs[plo:lo] == costs[lo:hi] and increments[plo:lo] == increments[lo:hi]:
-            shift[v] = lo - plo
+    # vote v takes one of its class's options starts[v]..ends[v] - 1
+    starts = [offsets[g] for g, size in enumerate(sizes) for _ in range(size)]
+    ends = [offsets[g + 1] for g, size in enumerate(sizes) for _ in range(size)]
     suffix_min = [0] * (n_votes + 1)
     # reach[v][r]: the most the preferred candidate still collects in row r
     # from votes v.., plus 1 when co-winners may tie.
     reach = [None] * n_votes + [[tie] * rows]
     seen = None
     for v in range(n_votes - 1, -1, -1):
-        lo, hi = offsets[v], offsets[v + 1]
+        lo, hi = starts[v], ends[v]
         if lo == hi:
             return None
         suffix_min[v] = suffix_min[v + 1] + costs[lo]
-        # the rankings oracle hands every vote the same m! lists in its own
-        # order, so a vote offering the next vote's lists shares its maxima
-        ids = set(map(id, increments[lo:hi]))
-        if ids != seen:
+        # once a class, at its last vote; the rankings oracle hands every class
+        # the same m! lists in its own order, so a class offering the next one's shares them
+        if (v + 1 == n_votes or ends[v + 1] != hi) and (ids := set(map(id, increments[lo:hi]))) != seen:
             seen = ids
             most = [0] * rows
             for step in increments[lo:hi]:
@@ -118,16 +114,16 @@ def best_assignment(
                             most[r] = got[r]
         reach[v] = [a + b for a, b in zip(reach[v + 1], most)]
 
-    # the swing cut's table, built once as many options are scanned as laid
-    # out, so that a search ending sooner never pays for it
-    laid_out = offsets[-1] if rows == 1 and m > 1 else 0
+    # the swing cut's table, built once as many options are scanned as all
+    # votes offer, so that a search ending sooner never pays for it
+    offered = sum(ends) - sum(starts) if rows == 1 and m > 1 else 0
     swing = None
     rivals = [c for c in range(m) if c != preferred]
     best = budget + 1 if budget >= 0 else None
     best_choice = None
     need = majority + tie
     tallies = [0] * (rows * m)
-    choice = [0] * n_votes
+    choice = starts.copy()
     max_nodes = MAX_NODES
     nodes = 0
     # One level per vote: accs[v] and leads[v] are the cost and the leading
@@ -136,11 +132,10 @@ def best_assignment(
     accs = [0] * n_votes
     leads = [None] * n_votes
     leads[0] = [0 if m > 1 else -1] * rows + [0]
-    choice[0] = offsets[0]
     v = 0
     while True:
         idx = choice[v]
-        if idx == offsets[v + 1] or best is not None and (floor := accs[v] + costs[idx] + suffix_min[v + 1]) >= best:
+        if idx == ends[v] or best is not None and (floor := accs[v] + costs[idx] + suffix_min[v + 1]) >= best:
             # vote v is done: back to the vote above
             if not v:
                 break
@@ -149,8 +144,8 @@ def best_assignment(
             nodes += 1
             if nodes > max_nodes:
                 raise ResourceCapError(f"search exceeded its node budget of {max_nodes}")
-            if nodes == laid_out:
-                swing = _swing_table(offsets, increments, costs, m, preferred, rivals, shift, reach, unique)
+            if nodes == offered:
+                swing = _swing_table(starts, ends, increments, costs, m, preferred, rivals, reach, unique)
             lead = leads[v].copy()
             for i, a in increments[idx]:
                 s = tallies[i] + a
@@ -186,7 +181,9 @@ def best_assignment(
                     v += 1
                     accs[v] = accs[v - 1] + costs[idx]
                     leads[v] = lead
-                    choice[v] = offsets[v] if shift[v] is None else idx + shift[v]
+                    # a class's first vote starts at its first option, past
+                    # idx; a later one at idx, the previous vote's choice
+                    choice[v] = idx if idx > starts[v] else starts[v]
                     continue
                 # the cost and score cuts admit only winning leaves strictly
                 # cheaper than the best so far
@@ -210,20 +207,20 @@ def _swings(step, m, preferred):
     return [mine - a for a in got]
 
 
-def _swing_table(offsets, increments, costs, m, preferred, rivals, shift, reach, unique):
+def _swing_table(starts, ends, increments, costs, m, preferred, rivals, reach, unique):
     """Entry v, for votes v..: ``(base, rate, per)``.
 
     ``base[c]`` sums the swing against rival c of each vote's cheapest option,
     less 1 for a unique winner; ``rate[c] / per[c]`` is the least extra cost
     per unit of swing past it (1 / 0 if none adds any).
     """
-    n_votes = len(offsets) - 1
+    n_votes = len(starts)
     table = [None] * n_votes + [([-unique] * m, [1] * m, [0] * m)]
     for v in range(n_votes - 1, -1, -1):
         base, rate, per = table[v + 1]
-        # a run of equal slices shares one vote's swings and rates, built at its last vote
-        if v + 1 == n_votes or shift[v + 1] is None:
-            lo, hi = offsets[v], offsets[v + 1]
+        # a class's votes share one vote's swings and rates, built at its last vote
+        if v + 1 == n_votes or ends[v + 1] != ends[v]:
+            lo, hi = starts[v], ends[v]
             first = _swings(increments[lo], m, preferred)
             # no option swings more than ``most``, so an extra cost of rate *
             # (most - first) closes a rival: no dearer option lowers its rate

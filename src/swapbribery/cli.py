@@ -124,7 +124,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = formats.parse_election(_read(args.instance))
-    decision, cost, bribery, solver, _ = formats.parse_solution(
+    decision, cost, bribery, solver = formats.parse_solution(
         _read(args.solution), instance
     )
     if not decision or bribery is None:

@@ -422,24 +422,16 @@ def single_vote_clique_instance(graph: Graph, k: int) -> BriberyInstance:
     )
 
 
-def planted_multicolored_clique(
-    class_sizes: list[int], seed: int, extra_edge_prob: float = 0.3
-) -> tuple[ColoredGraph, dict[int, int]]:
-    """Seeded colored graph with a planted one-per-class clique."""
+def planted_multicolored_clique(class_sizes: list[int], seed: int) -> tuple[ColoredGraph, dict[int, int]]:
+    """Seeded colored graph with a planted one-per-class clique, other cross-class edges at rate 0.3."""
     rng = random.Random(seed)
-    colors: list[int] = []
-    for j, size in enumerate(class_sizes, start=1):
-        colors.extend([j] * size)
+    colors = [j for j, size in enumerate(class_sizes, start=1) for _ in range(size)]
     n = len(colors)
-    planted = {}
-    for j in range(1, len(class_sizes) + 1):
-        planted[j] = rng.choice([v for v in range(n) if colors[v] == j])
-    edges = set()
-    for u, v in combinations(sorted(planted.values()), 2):
-        edges.add((u, v))
+    planted = {j: rng.choice([v for v in range(n) if colors[v] == j]) for j in range(1, len(class_sizes) + 1)}
+    edges = set(combinations(sorted(planted.values()), 2))
     for u in range(n):
         for v in range(u + 1, n):
-            if colors[u] != colors[v] and rng.random() < extra_edge_prob:
+            if colors[u] != colors[v] and rng.random() < 0.3:
                 edges.add((u, v))
     return ColoredGraph(n, frozenset(edges), tuple(colors)), planted
 

@@ -175,6 +175,7 @@ class _Header:
         self.names: dict[int, str] = {}
         self.index: dict[str, int] = {}
         self.rule: VotingRule | None = None
+        self.rule_line = 0
         self.preferred: int | None = None
 
     def read(self, parts: list[str], no: int) -> bool:
@@ -196,7 +197,7 @@ class _Header:
             self.index[name] = idx
         elif key == "rule":
             _once(self.rule, key, no)
-            self.rule = _parse_rule(parts[1:], no)
+            self.rule, self.rule_line = _parse_rule(parts[1:], no), no
         elif key == "preferred":
             if len(parts) != 2:
                 raise ParseError(no, "usage: preferred <name>")
@@ -207,8 +208,14 @@ class _Header:
         return True
 
     def roster(self) -> tuple[str, ...]:
+        """The names by id, once the candidate lines and any rule agree with m."""
         if self.m is None or len(self.names) != self.m:
             raise ParseError(1, "candidate count and candidate lines disagree")
+        if self.rule is not None:
+            try:
+                self.rule.validate_for(self.m)
+            except DomainError as exc:
+                raise ParseError(self.rule_line, str(exc)) from None
         return tuple(self.names[i] for i in range(self.m))
 
 
@@ -265,6 +272,8 @@ def parse_election(text: str) -> BriberyInstance:
                 store, slot = cost_defaults, idx
             elif parts[2] == "pair" and len(parts) == 6:
                 slot = _candidate_ids(index, parts[3:5], no)
+                if slot[0] == slot[1]:
+                    raise ParseError(no, "cost override needs two distinct candidates")
                 store = cost_pairs.get(idx)
                 if store is None:
                     store = cost_pairs[idx] = {}
@@ -281,6 +290,8 @@ def parse_election(text: str) -> BriberyInstance:
                 raise ParseError(no, "usage: budget <p[/q]>")
             _once(budget, key, no)
             budget = parse_fraction(parts[1], no)
+            if budget < 0:
+                raise ParseError(no, "budget must be non-negative")
         elif key == "mode":
             if len(parts) != 2 or parts[1] not in (CO_WINNER, UNIQUE_WINNER):
                 raise ParseError(no, "usage: mode co-winner|unique-winner")
@@ -397,16 +408,16 @@ def _stored_target(ids: tuple[int, ...], full: bool, m: int) -> tuple[int, ...] 
 
 def parse_solution(
     text: str, instance: BriberyInstance
-) -> tuple[bool, Fraction | None, Bribery | None, str, dict[str, str]]:
-    """Read a solution file against its instance.
+) -> tuple[bool, Fraction | None, Bribery | None, str]:
+    """Read a solution file against its instance: decision, cost, bribery, solver.
 
     With a ``changed c`` line the file holds c target lines, and every vote
     without one keeps its ranking; without it, the targets (if any) must
-    cover every expanded vote.
+    cover every expanded vote. ``config`` lines are read and ignored.
     """
     decision = cost = solver = changed = None
     changed_line = outside_line = bad_line = None
-    config: dict[str, str] = {}
+    config_keys: set[str] = set()
     targets: dict[int, tuple[int, ...]] = {}
     names = {name: i for i, name in enumerate(instance.election.candidates)}
     m = instance.election.m
@@ -436,9 +447,9 @@ def parse_solution(
             _once(changed, key, no)
             changed, changed_line = parse_int(parts[1], no, low=0), no
         elif key == "config" and len(parts) >= 3:
-            if parts[1] in config:
+            if parts[1] in config_keys:
                 raise ParseError(no, f"duplicate config {parts[1]}")
-            config[parts[1]] = " ".join(parts[2:])
+            config_keys.add(parts[1])
         else:
             raise ParseError(no, f"unknown key {key!r}")
     if decision is None:
@@ -459,7 +470,7 @@ def parse_solution(
         if sorted(targets) != list(range(n)):
             raise ParseError(1, "targets must cover expanded votes 0..n-1")
         bribery = Bribery(tuple(targets[i] for i in range(len(targets))))
-    return decision, cost, bribery, solver or "unknown", config
+    return decision, cost, bribery, solver or "unknown"
 
 
 def serialize_partial(pw: PossibleWinnerInstance) -> str:
@@ -532,6 +543,8 @@ def parse_graph(text: str) -> Graph | ColoredGraph:
             colors[v] = parse_int(parts[2], no)
         elif len(parts) == 2:
             u, v = parse_int(parts[0], no), parse_int(parts[1], no)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise ParseError(no, f"bad edge ({u}, {v})")
             edges.add((min(u, v), max(u, v)))
         else:
             raise ParseError(no, f"bad graph line {raw!r}")

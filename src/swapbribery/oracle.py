@@ -3,8 +3,8 @@
 Both oracles exist to be obviously correct. They build the options (top-k
 sets or target rankings) with their costs once per vote class,
 ``swaps.vote_classes``, and hand them to one depth-first search,
-``swapbribery._search.best_assignment``, with each class's votes side by
-side. The search's only cleverness is cutting branches that cannot hold a
+``swapbribery._search.best_assignment``, a class's options once for its
+votes. The search's only cleverness is cutting branches that cannot hold a
 better winning leaf: by cost (the budget or the best total so far), by
 score (the leading rival already beats what the preferred candidate can
 still collect, round by round under Bucklin), by swing (taking a rival's
@@ -170,28 +170,25 @@ def _run_search(
 ) -> tuple[int, list] | None:
     """Search one ``(options, votes)`` pair per vote class, options being ``(increments, cost, ...)``.
 
-    Each class's options are sorted by cost and its votes laid out as one
-    adjacent run, so the search's symmetry cut sees every copy of a vote.
+    Each class's options are sorted by cost and laid out once, for its votes
+    side by side, so the search's symmetry cut sees every copy of a vote.
     Returns the optimum and each vote's chosen option, in vote order, or None.
     """
-    costs: list[int] = []
-    increments: list[list[tuple[int, int]]] = []
-    offsets = [0]
     laid_out: list = []
+    offsets = [0]
     order: list[int] = []
     for options, votes in classes:
         options.sort(key=lambda option: option[1])
-        steps, option_costs, *_ = zip(*options) if options else ((), ())
+        laid_out += options
+        offsets.append(len(laid_out))
         order += votes
-        for _ in votes:
-            offsets.append(offsets[-1] + len(options))
-            increments += steps
-            costs += option_costs
-            laid_out += options
+    sizes = [len(votes) for _, votes in classes]
+    increments = [option[0] for option in laid_out]
+    costs = [option[1] for option in laid_out]
 
     # looked up on the module per call, so a wrapper installed there sees it
     hit = _search.best_assignment(
-        offsets, increments, costs, rows, m, unique, -1 if budget is None else budget, preferred
+        offsets, sizes, increments, costs, rows, m, unique, -1 if budget is None else budget, preferred
     )
     if hit is None:
         return None

@@ -69,7 +69,7 @@ def solve_auto(instance):
         path.write_text(serialize_election(instance), encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = cli.main(["solve", str(path), "--solution", str(solution)])
-        decision, cost, witness, _, _ = parse_solution(solution.read_text(encoding="utf-8"), instance)
+        decision, cost, witness, _ = parse_solution(solution.read_text(encoding="utf-8"), instance)
     assert out.getvalue().splitlines() == [
         f"algorithm: {'flow' if covers(instance) else 'brute'}",
         f"decision: {'yes' if decision else 'no'}",

@@ -73,7 +73,7 @@ def check(classes: str, seed: int, epsilon: Fraction) -> int:
     solution = serialize_solution(instance, True, layout.budget, witness, "planted")
     if "\ntarget-head " not in solution:
         raise GridError(f"{where}: no target is written as its head")
-    _, _, bribery, _, _ = parse_solution(solution, again)
+    _, _, bribery, _ = parse_solution(solution, again)
     if bribery != witness:
         raise GridError(f"{where}: the witness reads back as another bribery")
     report = verify_bribery(again, bribery)

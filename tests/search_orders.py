@@ -4,14 +4,14 @@
 
 Runs ``brute_topk`` on each instance below as generated and with its votes
 shuffled by ``random.Random(1)`` to ``random.Random(SHUFFLES)`` (5 by
-default). Prints, per instance, the worst node count over those orders and
-the answers, as (decision, optimum). Exits 1 when an instance's answers
-differ between orders or a run passes ``_search.MAX_NODES``. The instances
-have many votes and few candidates, so the search goes a thousand levels
-deep and only its cuts keep it within the budget; how early it meets a cheap
-winning leaf depends on the order of the votes. ``tests/test_metamorphic.py``
-runs the first five shuffles in tier-1, at a tenth of the budget; CI runs
-this script over 100.
+default). Prints, per instance, the node count as generated, the worst
+count over all those orders and the answers, as (decision, optimum). Exits
+1 when an instance's answers differ between orders or a run passes
+``_search.MAX_NODES``. The instances have many votes and few candidates,
+so the search goes a thousand levels deep and only its cuts keep it within
+the budget; how early it meets a cheap winning leaf depends on the order of
+the votes. ``tests/test_metamorphic.py`` runs the first five shuffles in
+tier-1, at a tenth of the budget; CI runs this script over 100.
 """
 
 import random
@@ -119,7 +119,10 @@ def main(argv):
         bad = len(answers) > 1 or worst > _search.MAX_NODES
         failed |= bad
         shown = "; ".join(sorted(answer if isinstance(answer, str) else _shown(*answer) for answer in answers))
-        print(f"{name}: worst {worst:,} nodes over {len(runs)} orders; {shown}{'  FAIL' if bad else ''}")
+        print(
+            f"{name}: {runs[0][1]:,} nodes as generated, worst {worst:,} over {len(runs)} orders;"
+            f" {shown}{'  FAIL' if bad else ''}"
+        )
     return 1 if failed else 0
 
 

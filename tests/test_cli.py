@@ -195,6 +195,7 @@ def test_color_decides_priced_k_approval_like_brute(tmp_path, capsys, m, n, k, s
         pytest.param("k-approval 2", "auto", id="k-approval 2"),
         pytest.param("bucklin", "auto", id="bucklin"),
         pytest.param("k-approval 2", "color", id="color"),
+        pytest.param("k-approval 1", "ilp", id="ilp"),
     ],
 )
 def test_search_past_its_node_budget_is_an_error(sample_path, monkeypatch, capsys, rule, algorithm):
@@ -1031,6 +1032,37 @@ def test_malformed_input_sweep_answers_or_names_one_error(tmp_path, capsys):
             codes.append(code)
     # the mutants reach every outcome, not only the parsers' rejections
     assert {0, 1, 2} <= set(codes)
+
+
+@pytest.mark.parametrize(
+    "command, text, err",
+    [
+        pytest.param(
+            ["solve"], SAMPLE.replace("k-approval 2", "k-approval 6"),
+            "line 8: k=6 exceeds number of candidates m=5", id="k-approval",
+        ),
+        pytest.param(
+            ["solve"], SAMPLE.replace("k-approval 2", "scoring 3,2,1"),
+            "line 8: scoring vector length must equal m", id="scoring",
+        ),
+        pytest.param(["solve"], SAMPLE.replace("budget 3", "budget -1"), "line 9: budget must be non-negative", id="budget"),
+        pytest.param(
+            ["solve"], SAMPLE + "costs 1 pair c4 c4 2\n",
+            "line 14: cost override needs two distinct candidates", id="pair",
+        ),
+        pytest.param(
+            ["reduce", "pw-to-sb"], FUZZ_PWE.replace("k-approval 1", "k-approval 4"),
+            "line 6: k=4 exceeds number of candidates m=3", id="partial-k-approval",
+        ),
+        pytest.param(["generate", "clique-single-vote", "--graph"], "graph 4 1\n0 5\n", "line 2: bad edge (0, 5)", id="edge"),
+        pytest.param(["generate", "clique-single-vote", "--graph"], "graph 4 1\n2 2\n", "line 2: bad edge (2, 2)", id="loop"),
+    ],
+)
+def test_a_refusal_names_the_line_that_causes_it(tmp_path, capsys, command, text, err):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_identical_votes_anywhere_in_the_election_share_one_symmetry_run(tmp_path, capsys):

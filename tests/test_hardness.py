@@ -50,7 +50,7 @@ class TestCliqueGadget:
 
     def test_base_score_is_min_even_dominating(self):
         # class sizes and per-class degrees all <= 4 at k=2: K = 4 = k^2.
-        graph, _ = planted_multicolored_clique([4, 4], seed=2, extra_edge_prob=0.2)
+        graph, _ = planted_multicolored_clique([4, 4], seed=2)
         _, layout = multicolored_clique_instance(graph)
         assert layout.base_score == 4
 
@@ -107,13 +107,10 @@ class TestCliqueGadget:
                 assert totals[names.index(f"a_{i}_{j}")] == layout.base_score
 
     def test_witness_rejects_non_cliques(self):
-        graph, clique = planted_multicolored_clique([2, 2], seed=9, extra_edge_prob=0.0)
+        # the one edge joins 1 and 3, so 1 and 2 are no clique
+        graph = ColoredGraph(4, frozenset({(1, 3)}), (1, 1, 2, 2))
         inst, layout = multicolored_clique_instance(graph)
-        other = {1: clique[1], 2: next(
-            v for v in graph.color_class(2) if v != clique[2]
-        )}
-        if graph.has_edge(other[1], other[2]):
-            pytest.skip("random graph accidentally completes the pair")
+        other = {1: 1, 2: 2}
         with pytest.raises(DomainError):
             multicolored_clique_witness(inst, layout, other)
 

@@ -179,6 +179,22 @@ def test_repeated_key_names_the_repeating_line(extra, message):
     assert str(info.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize(
+    "edit, line, message",
+    [
+        (("rule k-approval 1", "rule"), 5, "rule needs a variant"),
+        (("rule k-approval 1", "rule bucklin 2"), 5, "usage: rule bucklin"),
+        (("rule k-approval 1", "rule scoring 1 0"), 5, "usage: rule scoring s1,...,sm"),
+        (("budget 1", "budget 1 2"), 6, "usage: budget <p[/q]>"),
+        (("order a p\n", "order a p\ncosts 0\n"), 9, "usage: costs <i> default|pair ..."),
+    ],
+)
+def test_a_line_of_the_wrong_shape_is_refused_with_its_usage(edit, line, message):
+    with pytest.raises(ParseError) as info:
+        parse_election(MINIMAL.replace(*edit))
+    assert str(info.value) == f"line {line}: {message}"
+
+
 def test_round_trip_on_generated_corpus():
     for seed in range(25):
         for model in ("unit", ("two-valued", 1, 2, 0.4), ("uniform-range", 1, 3)):
@@ -241,13 +257,12 @@ def test_solution_round_trip(sample_instance):
     res = brute_topk(sample_instance)
     text = serialize_solution(sample_instance, res.decision, res.optimal_cost, res.witness, "brute")
     assert "config" not in text
-    decision, cost, bribery, solver, config = parse_solution(text, sample_instance)
+    decision, cost, bribery, solver = parse_solution(text, sample_instance)
     assert decision and cost == 3 and solver == "brute"
     assert bribery == res.witness
-    assert config == {}
     # config lines, which earlier versions wrote, still read
     text = text.replace("cost 3\n", "cost 3\nconfig seed 0\nconfig mode auto\n")
-    assert parse_solution(text, sample_instance) == (True, 3, res.witness, "brute", {"seed": "0", "mode": "auto"})
+    assert parse_solution(text, sample_instance) == (True, 3, res.witness, "brute")
 
 
 @pytest.mark.parametrize("target", ["x", "³", "-1"])
@@ -288,7 +303,7 @@ target 1 c1 p c2 c3 c4
 def test_full_form_solution_reads_to_the_same_bribery(sample_instance):
     res = brute_topk(sample_instance)
     assert parse_solution(FULL_FORM_SOLUTION, sample_instance) == (
-        True, 3, res.witness, "brute", {"seed": "0"}
+        True, 3, res.witness, "brute"
     )
     short = serialize_solution(sample_instance, True, 3, res.witness, "brute")
     assert short == FULL_FORM_SOLUTION.replace("config seed 0\n", "").replace("target 0", "changed 2\ntarget 0")
@@ -308,7 +323,7 @@ def test_solution_lists_only_the_votes_it_changes():
         "target 1 " + " ".join(names[c] for c in targets[1]),
         "target 3 " + " ".join(names[c] for c in targets[3]),
     ]
-    assert parse_solution(text, inst) == (True, None, bribery, "hand", {})
+    assert parse_solution(text, inst) == (True, None, bribery, "hand")
 
 
 def test_identity_bribery_writes_changed_0_and_verifies():
@@ -316,7 +331,7 @@ def test_identity_bribery_writes_changed_0_and_verifies():
     identity = Bribery(tuple(inst.election.expanded()))
     text = serialize_solution(inst, True, 0, identity, "brute")
     assert text == "sbs 1\ndecision yes\nsolver brute\ncost 0\nchanged 0\n"
-    _, _, bribery, _, _ = parse_solution(text, inst)
+    _, _, bribery, _ = parse_solution(text, inst)
     assert bribery == identity
     report = verify_bribery(inst, bribery)
     assert report.is_solution and report.total_cost == 0
@@ -337,7 +352,7 @@ def test_a_roster_name_with_a_space_is_not_serialized():
 
 def test_solution_without_targets_has_no_bribery(sample_instance):
     text = "sbs 1\ndecision yes\nsolver brute\ncost 3\n"
-    assert parse_solution(text, sample_instance) == (True, 3, None, "brute", {})
+    assert parse_solution(text, sample_instance) == (True, 3, None, "brute")
 
 
 @pytest.mark.parametrize(

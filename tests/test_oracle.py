@@ -215,6 +215,22 @@ def test_bucklin_identical_votes_take_the_symmetry_cut(monkeypatch, m, n, nodes)
     assert report.preferred_wins and report.total_cost == 12
 
 
+def test_a_class_of_copies_reaches_the_search_once(monkeypatch):
+    # 1,000 copies of one vote: the search gets the class's three top-1 sets
+    # once, with the number of copies, not once per copy.
+    calls = []
+    search = _search.best_assignment
+
+    def spy(offsets, sizes, *args):
+        calls.append((list(offsets), list(sizes)))
+        return search(offsets, sizes, *args)
+
+    monkeypatch.setattr(_search, "best_assignment", spy)
+    result = brute_topk(_preferred_last(3, 1000, VotingRule.k_approval(1), 2000))
+    assert (result.decision, result.optimal_cost) == (True, 1001)
+    assert calls == [([0, 3], [1000])]
+
+
 def _interleaved(rule):
     """Six votes alternating between two rankings, a b p and b a p, in three price classes.
 

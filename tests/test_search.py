@@ -36,11 +36,11 @@ def preferred_wins(tallies, rows, m, n_votes, unique, preferred):
     return False
 
 
-def reference(offsets, increments, costs, rows, m, unique, budget, preferred):
+def reference(offsets, sizes, increments, costs, rows, m, unique, budget, preferred):
     """Lexicographically first minimum-cost winning choice vector, by enumeration."""
-    n_votes = len(offsets) - 1
+    votes = [range(offsets[g], offsets[g + 1]) for g, size in enumerate(sizes) for _ in range(size)]
     best = None
-    for choices in product(*(range(offsets[v], offsets[v + 1]) for v in range(n_votes))):
+    for choices in product(*votes):
         cost = sum(costs[i] for i in choices)
         if budget >= 0 and cost > budget:
             continue
@@ -48,7 +48,7 @@ def reference(offsets, increments, costs, rows, m, unique, budget, preferred):
         for i in choices:
             for index, amount in increments[i]:
                 tallies[index] += amount
-        if not preferred_wins(tallies, rows, m, n_votes, unique, preferred):
+        if not preferred_wins(tallies, rows, m, len(votes), unique, preferred):
             continue
         if best is None or cost < best[0]:
             best = (cost, list(choices))
@@ -71,22 +71,27 @@ def random_option(rng, rows, m):
 
 
 def random_search(rng):
-    """Random search input; votes often repeat the previous vote's options."""
+    """Random search input; votes often join the previous vote's class.
+
+    A new class may also offer the previous class's increments at other
+    prices, or its prices for other increments.
+    """
     m = rng.randint(1, 5)
     rows = rng.choice((1, 1, m, rng.randint(2, 3)))
-    offsets, increments, costs = [0], [], []
+    offsets, sizes, increments, costs = [0], [], [], []
     previous = None
     for _ in range(rng.randint(0, 4)):
         if previous is not None and rng.random() < 0.5:
             options = previous
             change = rng.random()
-            # the same increments at other prices, or the same prices for
-            # other increments: not a run of identical votes
             if change < 0.2:
                 repriced = sorted(rng.randint(0, 9) for _ in options)
                 options = [(cost, step) for cost, (_, step) in zip(repriced, options)]
             elif change < 0.4:
                 options = [(cost, random_option(rng, rows, m)) for cost, _ in options]
+            else:
+                sizes[-1] += 1
+                continue
         else:
             options = [
                 (cost, random_option(rng, rows, m))
@@ -96,10 +101,11 @@ def random_search(rng):
             costs.append(cost)
             increments.append(step)
         offsets.append(offsets[-1] + len(options))
+        sizes.append(1)
         previous = options
     unique = rng.random() < 0.5
     budget = rng.choice((-1, rng.randint(0, 20)))
-    return offsets, increments, costs, rows, m, unique, budget
+    return offsets, sizes, increments, costs, rows, m, unique, budget
 
 
 def test_search_matches_enumeration():
@@ -108,7 +114,7 @@ def test_search_matches_enumeration():
     rng = random.Random(5)
     for trial in range(2000):
         args = random_search(rng)
-        for preferred in (0, random.Random(trial).randrange(args[4])):
+        for preferred in (0, random.Random(trial).randrange(args[5])):
             want = reference(*args, preferred)
             assert _search.best_assignment(*args, preferred) == want, (trial, preferred, args)
 
@@ -116,27 +122,29 @@ def test_search_matches_enumeration():
 def test_swing_cut_keeps_the_first_optimum(monkeypatch):
     """One row and more nodes than options, so that the swing cut is built and cuts.
 
-    Votes with one to three options, amounts 1-2, often repeating the
-    previous vote's options; both winner modes, with and without a budget.
+    Votes with one to three options, amounts 1-2, often of the previous
+    vote's class; both winner modes, with and without a budget.
     """
     rng = random.Random(41)
     cut = 0
     for trial in range(2000):
         m = rng.randint(2, 3)
-        offsets, increments, costs = [0], [], []
-        options = []
+        offsets, sizes, increments, costs = [0], [], [], []
         for _ in range(rng.randint(3, 7)):
-            if not options or rng.random() < 0.4:
-                options = sorted(
-                    ((rng.randint(0, 6), [(rng.randrange(m), rng.randint(1, 2)) for _ in range(rng.randint(1, 2))])
-                     for _ in range(rng.randint(1, 3))),
-                    key=lambda option: option[0],
-                )
+            if sizes and rng.random() >= 0.4:
+                sizes[-1] += 1
+                continue
+            options = sorted(
+                ((rng.randint(0, 6), [(rng.randrange(m), rng.randint(1, 2)) for _ in range(rng.randint(1, 2))])
+                 for _ in range(rng.randint(1, 3))),
+                key=lambda option: option[0],
+            )
             for cost, step in options:
                 costs.append(cost)
                 increments.append(step)
             offsets.append(offsets[-1] + len(options))
-        args = (offsets, increments, costs, 1, m, trial % 2 == 0, rng.choice((-1, rng.randint(0, 12))), rng.randrange(m))
+            sizes.append(1)
+        args = (offsets, sizes, increments, costs, 1, m, trial % 2 == 0, rng.choice((-1, rng.randint(0, 12))), rng.randrange(m))
         spy = NodeSpy()
         monkeypatch.setattr(_search, "MAX_NODES", spy)
         assert _search.best_assignment(*args) == reference(*args), (trial, args)
@@ -153,7 +161,7 @@ def test_search_goes_1500_votes_deep():
     # One level per vote: 1,500 votes, each giving the preferred candidate a point.
     n_votes = 1500
     offsets = list(range(n_votes + 1))
-    got = _search.best_assignment(offsets, [[(0, 1)]] * n_votes, [0] * n_votes, 1, 2, False, -1, 0)
+    got = _search.best_assignment(offsets, [1] * n_votes, [[(0, 1)]] * n_votes, [0] * n_votes, 1, 2, False, -1, 0)
     assert got == (0, list(range(n_votes)))
 
 
