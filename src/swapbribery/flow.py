@@ -244,7 +244,7 @@ def require_covers(instance: BriberyInstance) -> None:
     """
     if not covers(instance):
         raise PreconditionError("flow solver needs k-approval with one swap price per vote, without pair overrides")
-    classes = {key for key, _ in _swaps.class_runs(instance)}
+    classes = set(zip((vote.ranking for vote in instance.election.votes), instance.costs.price_ids))
     _require_arcs(len(classes), instance.election.m)
 
 
@@ -439,7 +439,7 @@ def approx_within_range(
     if instance.costs.min_value() < 1 or instance.costs.max_value() > delta:
         raise PreconditionError(f"every swap cost must lie within [1, {delta}]")
 
-    unit_twin = replace(instance, costs=SwapCostFunction.unit(instance.election.n_expanded))
+    unit_twin = replace(instance, costs=SwapCostFunction.unit(len(instance.election.votes)))
     solved = solve_unit(unit_twin)
     if solved.witness is None:
         return None

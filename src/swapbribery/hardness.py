@@ -308,7 +308,7 @@ def multicolored_clique_instance(
     votes += [Vote(tuple(head)) for head, _ in body]
     if len(votes) != n_votes:
         raise AssertionError(f"built {len(votes)} gadget votes, counted {n_votes}")
-    overrides = [unit_priced] * first + [table for _, table in body]
+    overrides = [unit_priced] * (n_guards + len(init)) + [table for _, table in body]
 
     instance = BriberyInstance(
         election=Election(tuple(names), tuple(votes)),

@@ -42,7 +42,7 @@ from .core import (
 from .errors import DomainError, ParseError, RankingError
 from .flow import FlowNetwork
 from .reductions import PartialVote, PossibleWinnerInstance
-from .swaps import Bribery, BriberyInstance, SwapCostFunction, changed_votes, class_runs
+from .swaps import Bribery, BriberyInstance, SwapCostFunction, changed_votes
 from .hardness import ColoredGraph, Graph
 
 ELECTION_MAGIC = "sbe 1"
@@ -320,8 +320,8 @@ def parse_election(text: str) -> BriberyInstance:
         table = cost_pairs.get(i, no_pairs)
         for (a, b), value in list(table.items()):
             table.setdefault((b, a), value)
-        defaults.extend([cost_defaults.get(i, one)] * mult)
-        overrides.extend([table] * mult)
+        defaults.append(cost_defaults.get(i, one))
+        overrides.append(table)
 
     try:
         election = Election(candidates, tuple(votes))
@@ -340,8 +340,7 @@ def parse_election(text: str) -> BriberyInstance:
 
 
 def serialize_election(instance: BriberyInstance) -> str:
-    """Inverse of parse_election on its image; one vote line per run of
-    ``swaps.class_runs``, so a vote whose copies differ in price is split."""
+    """Inverse of parse_election: one vote line per ``Vote``, priced as the line."""
     election = instance.election
     out = [ELECTION_MAGIC, *_roster_lines(election.candidates)]
     out.append("rule " + _rule_text(instance.rule))
@@ -349,14 +348,12 @@ def serialize_election(instance: BriberyInstance) -> str:
     out.append(f"preferred {election.candidates[instance.preferred]}")
     out.append(f"mode {instance.mode}")
 
-    rows = [(len(run), ranking, price) for (ranking, price), run in class_runs(instance)]
-
     names = election.candidates
-    for i, (mult, order, _) in enumerate(rows):
-        as_head, text = _written_names(names, order)
+    for i, vote in enumerate(election.votes):
+        as_head, text = _written_names(names, vote.ranking)
         # rstrip: an empty head leaves no space at the end of its line
-        out.append(f"vote {i} multiplicity {mult} {'head' if as_head else 'order'} {text}".rstrip())
-    for i, (_, _, price) in enumerate(rows):
+        out.append(f"vote {i} multiplicity {vote.multiplicity} {'head' if as_head else 'order'} {text}".rstrip())
+    for i, price in enumerate(instance.costs.price_ids):
         default, table = instance.costs.prices[price]
         if default.numerator != default.denominator:  # the price is not 1
             out.append(f"costs {i} default {format_fraction(default)}")
@@ -498,7 +495,10 @@ def parse_partial(text: str) -> PossibleWinnerInstance:
             idx = parse_int(parts[1], no, low=0)
             if n_votes is None or idx >= n_votes:
                 raise ParseError(no, f"partial vote {idx} outside partials {n_votes}")
-            pairs.setdefault(idx, set()).add(_candidate_ids(header.index, parts[3:], no))
+            pair = _candidate_ids(header.index, parts[3:], no)
+            if pair[0] == pair[1]:
+                raise ParseError(no, "partial order must be irreflexive")
+            pairs.setdefault(idx, set()).add(pair)
         elif not header.read(parts, no):
             raise ParseError(no, f"unknown key {parts[0]!r}")
     candidates = header.roster()

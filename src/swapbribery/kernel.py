@@ -70,13 +70,13 @@ def relevant_candidates(instance: BriberyInstance) -> frozenset[int]:
 def _restricted_prices(
     costs: SwapCostFunction, mapping: dict[int, int]
 ) -> tuple[list[Fraction], list[dict[tuple[int, int], Fraction]]]:
-    """Each vote's default price and its overrides among ``mapping``'s keys, renumbered,
-    each distinct price once and each vote's in a table of its own, which ``kernelize`` fills."""
+    """Each vote line's default price and its overrides among ``mapping``'s keys,
+    renumbered, each distinct price once; lines of one price share its table."""
     restricted = [
         {(mapping[a], mapping[b]): value for (a, b), value in table.items() if a in mapping and b in mapping}
         for _, table in costs.prices
     ]
-    return list(map(costs.default, range(costs.n_votes))), [dict(restricted[p]) for p in costs.price_ids]
+    return list(map(costs.default, range(costs.n_votes))), [restricted[p] for p in costs.price_ids]
 
 
 def truncation_kernel(instance: BriberyInstance) -> BriberyInstance:
@@ -164,11 +164,14 @@ def kernelize(instance: BriberyInstance) -> KernelOutput:
 
     new_k = beta + 1
     lo = k - beta  # 0-based window start; positive since k > beta
-    heads = [
-        [new_dummy()] + [mapping[c] for c in ranking_prefix(ranking, k + beta, election.m)[lo:]]
-        for ranking in election.expanded_list()
-    ]
-    defaults, head_costs = _restricted_prices(instance.costs, mapping)
+    # one head per copy, with its line's price in a table of its own, which the tail guard below fills
+    heads, defaults, head_costs = [], [], []
+    for vote, default, table in zip(election.votes, *_restricted_prices(instance.costs, mapping)):
+        window = [mapping[c] for c in ranking_prefix(vote.ranking, k + beta, election.m)[lo:]]
+        for _ in range(vote.multiplicity):
+            heads.append([new_dummy(), *window])
+            defaults.append(default)
+            head_costs.append(dict(table))
 
     # Points held inside the windows survive truncation; everything else a
     # kept candidate scored is restored through single-purpose votes.

@@ -98,7 +98,7 @@ def sb_to_pw(instance: BriberyInstance) -> PossibleWinnerInstance:
         raise PreconditionError(f"costs must lie in {{0, d}}; found {found}")
 
     m = instance.election.m
-    partials = [None] * instance.costs.n_votes
+    partials = [None] * instance.election.n_expanded
     for ranking, price, overrides, votes in vote_classes(instance):
         pairs = frozenset(
             (a, b) for i, a in enumerate(ranking) for b in ranking[i + 1 :] if overrides.get((a, b), price) != 0
@@ -119,15 +119,14 @@ def pw_to_sb(pw: PossibleWinnerInstance) -> BriberyInstance:
 
     Casts each run of equal consecutive partial votes as one vote, its
     minimal linear extension with the run's length as multiplicity, and
-    prices exactly the ordered pairs the partial order requires, in one
-    table that the run's copies share.
+    prices exactly the ordered pairs the partial order requires.
     """
     cast = []
     overrides = []
     for vote, run in groupby(pw.votes):
         copies = sum(1 for _ in run)
         cast.append(Vote(vote.minimal_extension(), copies))
-        overrides += [{(a, b): Fraction(1) for (a, b) in vote.pairs}] * copies
+        overrides.append({(a, b): Fraction(1) for (a, b) in vote.pairs})
     n = len(overrides)
     return BriberyInstance(
         election=Election(pw.candidates, tuple(cast)),

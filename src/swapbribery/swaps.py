@@ -1,7 +1,7 @@
 """Swaps between adjacent candidates, swap pricing, and bribery verification.
 
 Cost conventions: ``cost(v, a, b)`` is the price of swapping ``a`` with ``b``
-in vote ``v`` while ``a`` directly precedes ``b``; the reverse swap is priced
+in vote line ``v`` while ``a`` directly precedes ``b``; the reverse swap is priced
 by ``cost(v, b, a)``. Prices are exact non-negative rationals. Transforming a
 full ranking into another costs the sum, over pairs whose relative order
 flips, of the price oriented by the original vote; this is the cheapest
@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
@@ -44,12 +45,13 @@ def _read(value) -> tuple[Fraction, tuple[int, int]]:
 
 
 class SwapCostFunction:
-    """Per-expanded-vote swap prices, as Fractions: a default plus sparse pair overrides.
+    """Swap prices per vote line (one ``Vote`` of ``Election.votes``, whose
+    copies share its price), as Fractions: a default plus sparse pair overrides.
 
     ``prices`` holds each distinct price once, as ``(default, overrides)``
-    without the overrides equal to their default, in order of first vote;
-    ``price_ids`` numbers each expanded vote's price. Two votes share a
-    number exactly when their prices are equal, so groupings read the numbers.
+    without the overrides equal to their default, in order of first line;
+    ``price_ids`` numbers each line's price. Two lines share a number
+    exactly when their prices are equal, so groupings read the numbers.
     """
 
     __slots__ = ("prices", "price_ids")
@@ -57,9 +59,9 @@ class SwapCostFunction:
     def __init__(self, defaults: Iterable[Fraction], overrides: Iterable[PairCosts]):
         defaults, tables = list(defaults), list(overrides)
         if len(defaults) != len(tables):
-            raise DomainError("defaults and overrides must align per vote")
-        # Votes often share one default and one table object (a vote's copies,
-        # the unpriced votes of a file), so each distinct pair is read once;
+            raise DomainError("defaults and overrides must align per vote line")
+        # Lines often share one default and one table object (the unpriced
+        # lines of a file), so each distinct pair is read once;
         # and tables share value objects (the parser's one per cost token), so
         # each distinct value object is checked once.
         keys = list(zip(map(id, defaults), map(id, tables)))
@@ -177,8 +179,8 @@ class BriberyInstance:
             raise DomainError("budget must be non-negative")
         if self.mode not in (CO_WINNER, UNIQUE_WINNER):
             raise DomainError(f"unknown winner mode {self.mode!r}")
-        if self.costs.n_votes != self.election.n_expanded:
-            raise DomainError("cost function must cover every expanded vote")
+        if self.costs.n_votes != len(self.election.votes):
+            raise DomainError("cost function must hold one price per vote line")
 
     def integer_prices(self) -> tuple[int, list["VoteClass"], int]:
         """``(scale, vote classes, budget * scale)``, each class's prices times ``scale`` as ints.
@@ -206,7 +208,7 @@ class BriberyInstance:
 
 
 class VoteClass(NamedTuple):
-    """The expanded votes that share a stored ranking and a price (``SwapCostFunction.price_ids``)."""
+    """The expanded votes whose lines share a stored ranking and a price (``SwapCostFunction.price_ids``)."""
 
     ranking: Ranking
     price: int | Fraction  # the default price
@@ -214,34 +216,19 @@ class VoteClass(NamedTuple):
     votes: tuple[int, ...]
 
 
-def class_runs(instance: BriberyInstance) -> list[tuple[tuple[Ranking, int], range]]:
-    """The expanded votes, in order, as runs that share a class key, (stored
-    ranking, price id): a vote's copies make one run when they share a price
-    id, and one run each otherwise."""
-    ids = instance.costs.price_ids
-    runs = []
-    start = 0
-    for vote in instance.election.votes:
-        end = start + vote.multiplicity
-        price = ids[start]
-        if vote.multiplicity == 1 or ids[start:end].count(price) == vote.multiplicity:
-            runs.append(((vote.ranking, price), range(start, end)))
-        else:
-            runs += (((vote.ranking, ids[v]), range(v, v + 1)) for v in range(start, end))
-        start = end
-    return runs
-
-
 def vote_classes(instance: BriberyInstance, scale: int | None = None) -> list[VoteClass]:
-    """The expanded votes grouped by stored ranking and price id, in order of first vote.
+    """The expanded votes grouped by their line's stored ranking and price id, in order of first vote.
 
     Votes of one class are interchangeable, so every solver builds a class's
     options once. A class holds its price, as ints times ``scale`` if given,
     each distinct price scaled once; ``scale`` must clear every denominator.
     """
     groups: dict[tuple[Ranking, int], list[int]] = {}
-    for key, run in class_runs(instance):
-        groups.setdefault(key, []).extend(run)
+    start = 0
+    for vote, price in zip(instance.election.votes, instance.costs.price_ids):
+        end = start + vote.multiplicity
+        groups.setdefault((vote.ranking, price), []).extend(range(start, end))
+        start = end
     prices = instance.costs.prices
     if scale is not None:
         prices = [
@@ -270,7 +257,8 @@ def transform_cost(
     costs: SwapCostFunction,
     vote: int,
 ) -> Fraction:
-    """Minimum total swap cost converting ``ranking`` into ``target``.
+    """Minimum total swap cost converting ``ranking`` into ``target``, at the
+    prices of vote line ``vote``.
 
     Only pairs inside the stretch where the two differ are priced: a
     candidate of their common prefix or suffix keeps its position, so it
@@ -362,8 +350,8 @@ def move_to_top_cost(
     costs: SwapCostFunction,
     vote: int,
 ) -> Fraction:
-    """Minimum cost of any bribery putting exactly ``chosen`` in the top k:
-    the price of ``move_to_top_target``."""
+    """Minimum cost of any bribery putting exactly ``chosen`` in the top k,
+    at the prices of vote line ``vote``: the price of ``move_to_top_target``."""
     chosen = frozenset(chosen)
     if len(chosen) != k:
         raise DomainError(f"chosen set must have exactly k={k} candidates")
@@ -420,10 +408,12 @@ def changed_votes(instance: BriberyInstance, bribery: Bribery) -> list[tuple[int
 
 
 def verify_bribery(instance: BriberyInstance, bribery: Bribery) -> VerifyReport:
-    """Price the votes a bribery changes (``changed_votes``) and evaluate the winner condition."""
+    """Price the votes a bribery changes (``changed_votes``), each at its
+    line's price, and evaluate the winner condition."""
+    ends = list(accumulate(vote.multiplicity for vote in instance.election.votes))
     total = Fraction(0)
     for idx, src, dst in changed_votes(instance, bribery):
-        total += _stored_cost(src, dst, instance.election.m, instance.costs, idx)
+        total += _stored_cost(src, dst, instance.election.m, instance.costs, bisect_right(ends, idx))
     return VerifyReport(
         total_cost=total,
         preferred_wins=instance.preferred_wins(bribery.targets),

@@ -19,8 +19,9 @@ one swap price per vote, zero and rational ones among them. Equal prices
 held by distinct objects are reached through copies of small instances
 that write each vote as several vote lines with their own equal cost lines
 (``solve`` with ``auto``, ``brute`` and ``flow``, and ``reduce sb-to-pw``),
-and through ``kernelize --simple`` of votes of multiplicity 2 or 3 with
-pair overrides. The reader's own paths are reached through copies of priced
+and through vote lines of multiplicity 2 or 3 with pair overrides
+(``kernelize`` with and without ``--simple``, ``solve`` with ``auto``,
+``brute`` and ``ilp``, and ``verify`` of each solution). The reader's own paths are reached through copies of priced
 files: with each cost token respelled as an equal value (``solve``,
 ``verify`` and ``kernelize``), and, through ``solve``, with a bad cost
 token on every line of a repeating token or on one later line, with index
@@ -209,9 +210,12 @@ def build_calls(work: Path, old_src: str) -> list:
         if reducible_copy:
             partial = out / f"{spread.stem}.pwe"
             call("reduce", "sb-to-pw", spread, "--out", partial, outputs=[partial])
-    # Votes of multiplicity 2 or 3 with pair overrides, whose kernel drops
-    # candidates: the kernel gives each copy its own equal table, so the
-    # writer's check of the copies' prices decides whether a vote line stays whole.
+    # Vote lines of multiplicity 2 or 3 with pair overrides, whose kernel drops
+    # candidates: the copies share their line's price, the truncation kernel
+    # keeps the lines whole and the full kernel gives each copy's head its
+    # line's table. They also go through ``solve`` (``auto``, ``brute`` and
+    # ``ilp``), ``verify`` of each solution, which prices every changed copy at
+    # its line's price, and plain ``kernelize``; these calls draw nothing.
     for i in range(10):
         path = corpus / f"w{i}.sbe"
         generate(["random", "--m", rng.randint(5, 7), "--n", rng.randint(1, 3), "--k", 1, "--budget", 1,
@@ -223,6 +227,11 @@ def build_calls(work: Path, old_src: str) -> list:
         kernel, provenance = out / f"{path.stem}.k.sbe", out / f"{path.stem}.k.json"
         call("kernelize", "--simple", path, "--out", kernel, "--provenance", provenance,
              outputs=[kernel, provenance])
+        for algorithm in ("auto", "brute", "ilp"):
+            solution = out / f"{path.stem}.{algorithm}.sbs"
+            call("solve", path, "--algorithm", algorithm, "--solution", solution, outputs=[solution])
+            call("verify", path, solution)
+        call("kernelize", path)
     # The reader's paths, drawn after every call above so that none of them
     # moves: priced files with each cost token respelled as an equal value,
     # with a bad cost token that repeats from its first line or that first

@@ -12,6 +12,8 @@ pytest.register_assert_rewrite("conformance_table")
 from swapbribery.core import Election, Vote, VotingRule
 from swapbribery.swaps import BriberyInstance, SwapCostFunction
 
+from oracle_utils import lines_priced_per_copy
+
 # A five-candidate, two-vote 2-approval instance used throughout:
 #   vote v: c1 > c2 > p > c4 > c3
 #   vote u: c1 > c2 > c3 > p > c4
@@ -72,7 +74,9 @@ def random_instance(
     """Seeded instance mixing vote multiplicities and cost models.
 
     ``n_max`` bounds the number of expanded votes; multiplicity-w votes
-    count w times against it.
+    count w times against it. Prices are drawn per expanded vote, so a
+    line whose copies draw different prices is split
+    (``oracle_utils.lines_priced_per_copy``).
     """
     m = rng.randint(2, m_max)
     n = rng.randint(1, n_max)
@@ -83,9 +87,7 @@ def random_instance(
         w = min(left, rng.choice(multiplicities))
         votes.append(Vote(tuple(rng.sample(range(m), m)), w))
         left -= w
-    votes = tuple(votes)
-    election = Election(tuple(f"c{i}" for i in range(m)), votes)
-    n_exp = election.n_expanded
+    n_exp = sum(vote.multiplicity for vote in votes)
     if cost_kind == "unit":
         costs = SwapCostFunction.unit(n_exp)
     elif cost_kind == "one-two":
@@ -105,6 +107,8 @@ def random_instance(
         costs = random_costs(rng, m, n_exp, minimum=1, maximum=3)
     else:
         costs = random_costs(rng, m, n_exp)
+    votes, costs = lines_priced_per_copy(votes, map(costs.prices.__getitem__, costs.price_ids))
+    election = Election(tuple(f"c{i}" for i in range(m)), votes)
     if budget_max is None:
         budget_max = n_exp * k
     budget = Fraction(rng.randint(0, budget_max) * rng.choice((2, 2, 1)), 2)

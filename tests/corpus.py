@@ -7,7 +7,8 @@ An id reads ``rule/mode/prices/votes/i@budget``:
   4 points a position), ``scoring>64`` (top entries (65,) or (100, 40),
   zeros below) or ``bucklin``; mode: ``co-winner`` or ``unique-winner``;
 - prices: a key of ``PRICES``; votes: ``single`` (every vote line of
-  multiplicity 1) or ``runs`` (multiplicities 1 to 3, one above 1 at least);
+  multiplicity 1) or ``runs`` (multiplicities 1 to 3, one above 1 at least,
+  drawn before ``APART`` splits lines);
 - budget: ``drawn`` (seeded), ``opt`` (the optimum, where one exists) or
   ``below`` (one step of the instance's integer price scale below a
   positive optimum).
@@ -28,9 +29,9 @@ from fractions import Fraction
 from itertools import product
 
 from swapbribery.core import CO_WINNER, UNIQUE_WINNER, Election, Vote, VotingRule, winners
-from swapbribery.swaps import BriberyInstance, SwapCostFunction
+from swapbribery.swaps import BriberyInstance
 
-from oracle_utils import brute
+from oracle_utils import brute, lines_priced_per_copy
 
 PER_VOTE = tuple(map(Fraction, ("0", "1/2", "3/4", "1", "2", "3", "5")))
 
@@ -60,8 +61,9 @@ PRICES = {
     "coprime": lambda rng, m: (Fraction(1, 3), _pairs(rng, m, 0.5, lambda: Fraction(5, 7))),
 }
 
-# The chance that a later copy of a vote line draws its own prices; the
-# copies of every other line form a run of identical votes.
+# The chance that a later copy of a vote line draws its own prices, which
+# splits the line where they differ (``lines_priced_per_copy``); the copies
+# of every other line form a run of identical votes.
 APART = {"per-vote": 0.3, "rational": 1.0}
 
 # rule -> ((fewest, most) candidates, most expanded votes without runs, with runs)
@@ -109,7 +111,8 @@ def _instance(rng, rule, mode, prices, runs):
         line = draw(rng, m)
         table += [line] + [draw(rng, m) if rng.random() < apart else line for _ in range(w - 1)]
     n = len(table)
-    election = Election(tuple(f"c{i}" for i in range(m)), tuple(votes))
+    votes, costs = lines_priced_per_copy(votes, table)
+    election = Election(tuple(f"c{i}" for i in range(m)), votes)
     voting = _rule(rng, rule, m)
     # mostly a candidate that does not win yet, so that bribery has work to do
     won = winners(election, voting)
@@ -118,7 +121,7 @@ def _instance(rng, rule, mode, prices, runs):
         election,
         voting,
         rng.choice(losing) if losing and rng.random() < 0.8 else rng.randrange(m),
-        SwapCostFunction([d for d, _ in table], [o for _, o in table]),
+        costs,
         Fraction(rng.randint(0, 3 * n), rng.choice((1, 2, 3))),
         mode,
     )

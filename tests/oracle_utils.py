@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, islice, permutations, product
 from math import lcm
 
 from swapbribery.core import K_APPROVAL, UNIQUE_WINNER, Election, Ranking, Vote, winners_of_rankings
@@ -34,6 +34,21 @@ def brute(instance: BriberyInstance):
     return brute_rankings(instance, caps=UNCAPPED)
 
 
+def lines_priced_per_copy(votes, prices) -> tuple[tuple[Vote, ...], SwapCostFunction]:
+    """Vote lines and their cost function for ``(default, overrides)`` prices drawn
+    per expanded copy of ``votes``. A cost function prices whole lines, so each
+    line splits into runs of adjacent copies with equal prices, one line each:
+    the expanded votes and their prices stay as drawn."""
+    lines, defaults, tables = [], [], []
+    copies = iter(prices)
+    for vote in votes:
+        for (default, table), run in groupby(islice(copies, vote.multiplicity)):
+            lines.append(Vote(vote.ranking, sum(1 for _ in run)))
+            defaults.append(default)
+            tables.append(table)
+    return tuple(lines), SwapCostFunction(defaults, tables)
+
+
 def enumerate_rankings(instance: BriberyInstance):
     """(decision, optimum, witness) by plain enumeration of every target ranking.
 
@@ -43,10 +58,11 @@ def enumerate_rankings(instance: BriberyInstance):
     m = instance.election.m
     per_vote = [
         sorted(
-            ((transform_cost(r, t, instance.costs, v), t) for t in permutations(range(m))),
+            ((transform_cost(vote.ranking, t, instance.costs, line), t) for t in permutations(range(m))),
             key=lambda option: option[0],
         )
-        for v, r in enumerate(instance.election.expanded())
+        for line, vote in enumerate(instance.election.votes)
+        for _ in range(vote.multiplicity)
     ]
     # int sums keep the walk fast; the order of the costs is unchanged
     scale = lcm(*(cost.denominator for options in per_vote for cost, _ in options))

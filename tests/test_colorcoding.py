@@ -126,7 +126,7 @@ class TestSolve:
     def test_multiplicity_votes_are_expanded_for_patterns(self):
         election = Election(("a", "p"), (Vote((0, 1), 2),))
         inst = BriberyInstance(
-            election, VotingRule.k_approval(1), 1, SwapCostFunction.unit(2), Fraction(2)
+            election, VotingRule.k_approval(1), 1, SwapCostFunction.unit(1), Fraction(2)
         )
         res = solve_color_coding(inst)
         assert res.decision

@@ -34,7 +34,7 @@ from swapbribery.swaps import (
 )
 
 from conftest import SAMPLE_U, SAMPLE_V, random_instance, sample_election
-from oracle_utils import bribed_election
+from oracle_utils import bribed_election, lines_priced_per_copy
 from test_conformance import check, labels
 
 
@@ -306,8 +306,9 @@ class TestNetworkShape:
         assert res.cost == 3 + 2  # the bribery, plus 1 * 1 * 2(2-1)/2 per vote
 
     def test_classes_share_a_ranking_and_a_price(self):
-        election = Election(("a", "b", "p"), (Vote((0, 1, 2), 3), Vote((1, 0, 2)), Vote((0, 1, 2), 2)))
-        costs = SwapCostFunction([1, 2, 1, 2, 1, 1], [{}] * 6)
+        lines = (Vote((0, 1, 2)), Vote((0, 1, 2)), Vote((0, 1, 2)), Vote((1, 0, 2)), Vote((0, 1, 2), 2))
+        election = Election(("a", "b", "p"), lines)
+        costs = SwapCostFunction([1, 2, 1, 2, 1], [{}] * 5)
         inst = BriberyInstance(election, VotingRule.k_approval(1), 2, costs, Fraction(1))
         classes = vote_classes(inst)
         assert classes == [
@@ -463,7 +464,7 @@ class TestSolveUnit:
         # m = 1 runs through the bisection like any other instance.
         election = Election(("p",), (Vote((0,), 3), Vote((0,))))
         inst = BriberyInstance(
-            election, VotingRule.k_approval(1), 0, SwapCostFunction.unit(4), Fraction(0)
+            election, VotingRule.k_approval(1), 0, SwapCostFunction.unit(2), Fraction(0)
         )
         for mode in (CO_WINNER, UNIQUE_WINNER):
             res = solve_unit(dataclasses.replace(inst, mode=mode))
@@ -561,7 +562,8 @@ def _per_vote_instance(rng):
     """k-approval, one swap price per vote from {0, 1/2, 3/4, 1, 2, 3, 5}; both modes.
 
     m 2-5, one to three vote lines of multiplicity 1-3, so up to nine votes;
-    the copies of a vote share a price more often than not.
+    the copies of a vote share a price more often than not, and a line whose
+    copies do not is split (``lines_priced_per_copy``).
     """
     prices = [Fraction(p) for p in ("0", "1/2", "3/4", "1", "2", "3", "5")]
     m = rng.randint(2, 5)
@@ -571,11 +573,12 @@ def _per_vote_instance(rng):
         shared = rng.choice(prices)
         together = rng.random() < 0.7
         defaults += [shared if together else rng.choice(prices) for _ in range(vote.multiplicity)]
+    votes, costs = lines_priced_per_copy(votes, [(d, {}) for d in defaults])
     return BriberyInstance(
         Election(tuple(f"c{i}" for i in range(m)), votes),
         VotingRule.k_approval(rng.randint(1, m)),
         rng.randrange(m),
-        SwapCostFunction(defaults, [{}] * len(defaults)),
+        costs,
         Fraction(rng.randint(0, 24), 2),
         rng.choice((CO_WINNER, UNIQUE_WINNER)),
     )
@@ -820,9 +823,10 @@ def test_require_covers_counts_the_classes_vote_classes_builds(monkeypatch):
 
 
 def test_classes_of_votes_with_copies_group_every_expanded_vote(monkeypatch):
-    # Votes of multiplicity 1 to 5 whose copies share one price or not: the
-    # classes are the expanded votes grouped by (stored ranking, price id) in
-    # order of first vote, and require_covers counts as many.
+    # Votes of multiplicity 1 to 5 whose copies draw one price or not, a line
+    # split where its copies' prices differ: the classes are the expanded
+    # votes grouped by (stored ranking, price) in order of first vote, and
+    # require_covers counts as many.
     rng = random.Random(3)
     for _ in range(300):
         m = rng.randint(1, 4)
@@ -834,14 +838,12 @@ def test_classes_of_votes_with_copies_group_every_expanded_vote(monkeypatch):
                 defaults += [Fraction(rng.randint(1, 2))] * vote.multiplicity
             else:
                 defaults += [Fraction(rng.randint(1, 2)) for _ in range(vote.multiplicity)]
-        inst = BriberyInstance(
-            Election(tuple("abcd"[:m]), votes), VotingRule.k_approval(1), 0,
-            SwapCostFunction(defaults, [{}] * len(defaults)), Fraction(1),
-        )
+        lines, costs = lines_priced_per_copy(votes, [(d, {}) for d in defaults])
+        inst = BriberyInstance(Election(tuple("abcd"[:m]), lines), VotingRule.k_approval(1), 0, costs, Fraction(1))
         groups = {}
-        for v, key in enumerate(zip(inst.election.expanded(), inst.costs.price_ids)):
+        for v, key in enumerate(zip(inst.election.expanded(), defaults)):
             groups.setdefault(key, []).append(v)
-        expected = [(head_then_rest(r, m), inst.costs.prices[i][0], tuple(vs)) for (r, i), vs in groups.items()]
+        expected = [(head_then_rest(r, m), d, tuple(vs)) for (r, d), vs in groups.items()]
         classes = vote_classes(inst)
         assert [(c.ranking, c.price, c.votes) for c in classes] == expected
         arcs = len(classes) * (m + 1) + m + 1

@@ -207,6 +207,9 @@ def test_layout_names_its_votes(class_sizes):
     k, names = graph.k, inst.election.candidates
     ids = {name: c for c, name in enumerate(names)}
     rankings = [tuple(names[c] for c in ranking[:4]) for ranking in inst.election.expanded_list()]
+    # the layout names expanded votes, and prices are per line: the guard
+    # lines' extra copies all come before the gadget's one-copy lines
+    shift = inst.election.n_expanded - len(inst.election.votes)
     assert {key[0] for key in layout.votes} == {*CHAINS, *BLOCKED, "m-r"}
     for key, votes in layout.votes.items():
         family, *ix = key
@@ -216,11 +219,11 @@ def test_layout_names_its_votes(class_sizes):
             w, x, y, z = BLOCKED[family](*ix)
             assert heads[0] == (w, x, y, z)
             tax = 1 + epsilon
-            assert inst.costs.overrides(vote) == {
+            assert inst.costs.overrides(vote - shift) == {
                 (ids[s], ids[t]): tax for s, t in ((w, x), (x, w), (y, z), (z, y))
             }
             continue
-        assert all(inst.costs.overrides(v) == {} for v in votes)
+        assert all(inst.costs.overrides(v - shift) == {} for v in votes)
         assert all(head[0].startswith("dummy") for head in heads)
         if family == "m-r":
             i, j = ix

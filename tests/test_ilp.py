@@ -107,7 +107,7 @@ class TestBuildIlp:
     def test_identical_votes_form_one_group(self):
         election = Election(("a", "b", "p"), (Vote((0, 1, 2), 3),))
         inst = BriberyInstance(
-            election, VotingRule.k_approval(1), 2, SwapCostFunction.unit(3), Fraction(2)
+            election, VotingRule.k_approval(1), 2, SwapCostFunction.unit(1), Fraction(2)
         )
         ilp = build_ilp(inst)
         assert len(ilp.groups) == 1
@@ -119,7 +119,7 @@ class TestBuildIlp:
         # first two copies take the earlier target in variable order.
         election = Election(("a", "b", "p"), (Vote((1, 0, 2)), Vote((0, 1, 2), 3)))
         inst = BriberyInstance(
-            election, VotingRule.k_approval(1), 2, SwapCostFunction.unit(4), Fraction(10)
+            election, VotingRule.k_approval(1), 2, SwapCostFunction.unit(2), Fraction(10)
         )
         ilp = build_ilp(inst)
         g = next(g for g, group in enumerate(ilp.groups) if group.ranking == (0, 1, 2))

@@ -32,6 +32,7 @@ from swapbribery.reductions import PossibleWinnerInstance, gen_random
 from swapbribery.core import Election, Vote, VotingRule, head_then_rest, stored_ranking
 
 from conftest import SAMPLE_U, SAMPLE_V
+from corpus import CORPUS
 from gadget_grid import check as check_gadget, full_form
 from oracle_utils import random_partial_votes
 
@@ -217,40 +218,23 @@ def test_round_trip_multiplicities():
     assert again == inst
 
 
-def test_diverging_copy_costs_serialize_by_splitting():
-    # A multiplicity-2 vote whose two copies price swaps differently has
-    # no single cost line; the serializer splits the vote row instead.
-    from swapbribery.core import Election, Vote
-    from swapbribery.swaps import BriberyInstance, SwapCostFunction
-
-    election = Election(("a", "p"), (Vote((0, 1), 2),))
-    costs = SwapCostFunction(
-        [Fraction(1), Fraction(1)],
-        [{(0, 1): Fraction(2)}, {}],
-    )
-    inst = BriberyInstance(
-        election, VotingRule.k_approval(1), 1, costs, Fraction(2)
-    )
-    text = serialize_election(inst)
-    assert text.count("vote ") == 2
-    again = parse_election(text)
-    assert again.election.expanded_list() == inst.election.expanded_list()
-    for idx in range(2):
-        assert again.costs.default(idx) == inst.costs.default(idx)
-        assert again.costs.cost(idx, 0, 1) == inst.costs.cost(idx, 0, 1)
-    assert brute_topk(again).optimal_cost == brute_topk(inst).optimal_cost
-
-
-def test_copies_with_equal_prices_in_distinct_objects_keep_one_vote_line():
-    # as a kernel's copies do: each holds its own equal default and table
-    election = Election(("a", "b", "p"), (Vote((0, 1, 2), 3),))
-    costs = SwapCostFunction([Fraction(1, 2) for _ in range(3)], [{(0, 1): Fraction(2)} for _ in range(3)])
+def test_lines_with_equal_prices_in_distinct_objects_share_one_price():
+    # as a kernel's per-copy heads do: each line holds its own equal default and table
+    election = Election(("a", "b", "p"), (Vote((0, 1, 2), 3), Vote((0, 1, 2))))
+    costs = SwapCostFunction([Fraction(1, 2) for _ in range(2)], [{(0, 1): Fraction(2)} for _ in range(2)])
+    assert costs.price_ids == (0, 0)
     inst = BriberyInstance(election, VotingRule.k_approval(1), 2, costs, Fraction(1))
     text = serialize_election(inst)
-    assert text.splitlines()[-4:] == [
-        "vote 0 multiplicity 3 order a b p", "costs 0 default 1/2", "costs 0 pair a b 2", "costs 0 pair b a 1/2",
+    assert text.splitlines()[-8:] == [
+        "vote 0 multiplicity 3 order a b p", "vote 1 multiplicity 1 order a b p",
+        "costs 0 default 1/2", "costs 0 pair a b 2", "costs 0 pair b a 1/2",
+        "costs 1 default 1/2", "costs 1 pair a b 2", "costs 1 pair b a 1/2",
     ]
     assert parse_election(text) == inst
+
+
+def test_the_writer_and_the_reader_are_inverse_on_the_corpus():
+    assert [i for i, instance in CORPUS if parse_election(serialize_election(instance)) != instance] == []
 
 
 def test_solution_round_trip(sample_instance):
@@ -448,9 +432,10 @@ def test_bad_partial_files_rejected(mangle):
         (lambda t: t + "rule k-approval 1\n", 10, "duplicate rule line"),
         (lambda t: t + "preferred a\n", 10, "duplicate preferred line"),
         (lambda t: t + "partials 2\n", 10, "duplicate partials line"),
-        # a partial vote the roster cannot hold
+        # a partial vote the roster cannot hold: a cycle shows once the order
+        # is closed, a pair of one candidate on its own line
         (lambda t: t + "partial 0 pair b a\n", 1, "cycle through candidates 0 and 1"),
-        (lambda t: t + "partial 0 pair p p\n", 1, "partial order must be irreflexive"),
+        (lambda t: t + "partial 0 pair p p\n", 10, "partial order must be irreflexive"),
     ],
 )
 def test_partial_files_get_the_election_checks(mangle, line, message):

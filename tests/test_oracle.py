@@ -188,7 +188,7 @@ def test_search_stops_at_its_node_budget(sample_instance, monkeypatch):
 def _preferred_last(m, n, rule, budget):
     """One vote of multiplicity n ranking the preferred candidate last, unit prices, unique winner."""
     election = Election(tuple(f"c{i}" for i in range(m)), (Vote(tuple(range(m)), n),))
-    prices = SwapCostFunction.unit(n)
+    prices = SwapCostFunction.unit(1)
     return BriberyInstance(election, rule, m - 1, prices, Fraction(budget), UNIQUE_WINNER)
 
 

@@ -16,7 +16,7 @@ from swapbribery.reductions import (
 )
 from swapbribery.swaps import BriberyInstance, SwapCostFunction
 
-from oracle_utils import linear_extensions, possible_winner_brute, random_partial_votes
+from oracle_utils import lines_priced_per_copy, linear_extensions, possible_winner_brute, random_partial_votes
 
 
 def zero_budget_instance(rng, m=4, n=2, density=0.5, delta=Fraction(1)):
@@ -118,7 +118,8 @@ class TestSbToPw:
         assert all(partial.pairs == frozenset() for partial in pw.votes)
 
     def test_runs_of_equal_votes_give_the_per_vote_partial_orders(self):
-        # a vote's copies hold equal tables in distinct objects, or an empty one
+        # a vote's copies draw equal tables in distinct objects, or an empty one,
+        # and a line splits where its copies' tables differ
         rng = random.Random(6)
         for _ in range(40):
             m = rng.randint(2, 5)
@@ -127,13 +128,13 @@ class TestSbToPw:
             for vote in votes:
                 drawn = {(a, b): Fraction(1) for a in range(m) for b in range(m) if a != b and rng.random() < 0.4}
                 tables += [dict(drawn) if rng.random() < 0.7 else {} for _ in range(vote.multiplicity)]
-            costs = SwapCostFunction([Fraction(0) for _ in tables], tables)
-            election = Election(tuple(f"c{i}" for i in range(m)), tuple(votes))
+            lines, costs = lines_priced_per_copy(votes, [(Fraction(0), table) for table in tables])
+            election = Election(tuple(f"c{i}" for i in range(m)), lines)
             inst = BriberyInstance(election, VotingRule.k_approval(1), 0, costs, Fraction(0))
             want = []
-            for v, ranking in enumerate(election.expanded()):
+            for ranking, table in zip(election.expanded(), tables):
                 ranking = head_then_rest(ranking, m)
-                pairs = {(a, b) for i, a in enumerate(ranking) for b in ranking[i + 1 :] if costs.cost(v, a, b)}
+                pairs = {(a, b) for i, a in enumerate(ranking) for b in ranking[i + 1 :] if (a, b) in table}
                 want.append(PartialVote(m, frozenset(pairs)))
             assert sb_to_pw(inst).votes == tuple(want)
 
@@ -185,7 +186,7 @@ class TestPwToSb:
         inst = pw_to_sb(pw)
         first, second = x.minimal_extension(), y.minimal_extension()
         assert inst.election.votes == (Vote(first, 2), Vote(second), Vote(first))
-        assert list(map(inst.costs.overrides, range(4))) == [{(0, 1): 1}, {(0, 1): 1}, {(2, 0): 1}, {(0, 1): 1}]
+        assert list(map(inst.costs.overrides, range(3))) == [{(0, 1): 1}, {(2, 0): 1}, {(0, 1): 1}]
         assert sb_to_pw(inst).votes == pw.votes
 
     def test_round_trip_restores_partial_orders(self):

@@ -168,7 +168,7 @@ def test_search_goes_1500_votes_deep():
 TWO = ("two-valued", Fraction(1), Fraction(2), 0.3)
 TIE = BriberyInstance(
     Election(tuple("abcde"), (Vote((0, 1, 2, 3, 4), 5),)),
-    VotingRule.k_approval(2), 4, SwapCostFunction.unit(5), Fraction(8),
+    VotingRule.k_approval(2), 4, SwapCostFunction.unit(1), Fraction(8),
 )
 
 
@@ -196,14 +196,17 @@ def _relabeled(instance, label):
     names = [""] * m
     for c, name in enumerate(instance.election.candidates):
         names[label[c]] = name
-    rankings = [head_then_rest(r, m) for r in instance.election.expanded_list()]
+    votes = instance.election.votes
     return BriberyInstance(
-        Election(tuple(names), tuple(Vote(tuple(label[c] for c in r)) for r in rankings)),
+        Election(
+            tuple(names),
+            tuple(Vote(tuple(label[c] for c in head_then_rest(v.ranking, m)), v.multiplicity) for v in votes),
+        ),
         instance.rule,
         label[instance.preferred],
         SwapCostFunction(
-            [costs.default(v) for v in range(len(rankings))],
-            [{(label[a], label[b]): p for (a, b), p in costs.overrides(v).items()} for v in range(len(rankings))],
+            [costs.default(v) for v in range(len(votes))],
+            [{(label[a], label[b]): p for (a, b), p in costs.overrides(v).items()} for v in range(len(votes))],
         ),
         instance.budget,
         instance.mode,

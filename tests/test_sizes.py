@@ -143,6 +143,18 @@ def test_solve_of_a_million_copies_splits_its_one_class_by_runs(tmp_path):
     assert cpu < 5, cpu
 
 
+def test_verify_of_a_million_copies_prices_each_changed_copy_at_its_line(tmp_path):
+    # the solution changes no vote; its check is held to the same 5 s of CPU
+    path, solution = tmp_path / "million.sbe", tmp_path / "million.sbs"
+    path.write_text(MILLION_COPIES)
+    done = _run("solve", path, "--solution", solution)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    done, cpu = _timed("verify", path, solution)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert "solution valid: yes" in done.stdout.splitlines()
+    assert cpu < 5, cpu
+
+
 def test_a_random_graph_past_the_vertex_bound_is_refused_before_drawing(tmp_path):
     # --n 2000 took 26 s of CPU and 756 MB, most of it building and writing the instance
     out = tmp_path / "sv.sbe"

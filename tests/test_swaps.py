@@ -501,7 +501,7 @@ def test_integer_prices_scale_zero_integral_and_coprime_prices():
     tables = [{(0, 1): Fraction(2, 3)}, {}, {(1, 0): Fraction(0)}, {(0, 2): Fraction(9, 14)}]
     costs = SwapCostFunction(defaults, tables)
     inst = BriberyInstance(
-        Election(("a", "b", "c"), (Vote((0, 1, 2), 4),)),
+        Election(("a", "b", "c"), tuple(Vote((0, 1, 2)) for _ in range(4))),
         VotingRule.k_approval(1),
         0,
         costs,
@@ -518,7 +518,7 @@ def test_integer_prices_scale_zero_integral_and_coprime_prices():
 
 def test_vote_classes_split_by_ranking_default_and_override_table():
     # votes 0-2 share a ranking and a default; vote 1's override table sets it apart
-    election = Election(("a", "b", "p"), (Vote((0, 1, 2), 3), Vote((1, 0, 2))))
+    election = Election(("a", "b", "p"), (Vote((0, 1, 2)), Vote((0, 1, 2)), Vote((0, 1, 2)), Vote((1, 0, 2))))
     costs = SwapCostFunction([1, 1, 1, 1], [{}, {(0, 1): 2}, {}, {}])
     instance = BriberyInstance(election, VotingRule.k_approval(1), 2, costs, Fraction(1))
     assert vote_classes(instance) == [
@@ -528,11 +528,26 @@ def test_vote_classes_split_by_ranking_default_and_override_table():
     ]
 
 
+def test_an_instance_holds_one_price_per_vote_line():
+    # a cost function prices vote lines, so prices per copy, or any other
+    # count of prices, are refused
+    election = Election(("a", "p"), (Vote((0, 1), 2), Vote((1, 0))))
+    for costs in (unit(1), unit(3), SwapCostFunction([1, 1, 1], [{(0, 1): 2}, {}, {}])):
+        with pytest.raises(DomainError, match="one price per vote line"):
+            BriberyInstance(election, VotingRule.k_approval(1), 1, costs, Fraction(3))
+    # each changed copy pays its line's price: copy 1 of line 0 and copy 2, line 1
+    instance = BriberyInstance(
+        election, VotingRule.k_approval(1), 1, SwapCostFunction([1, 1], [{(0, 1): 2}, {}]), Fraction(3)
+    )
+    assert verify_bribery(instance, Bribery(((0, 1), (1, 0), (0, 1)))).total_cost == 3
+    assert verify_bribery(instance, Bribery(((1, 0), (1, 0), (1, 0)))).total_cost == 4
+
+
 def test_verify_tallies_a_run_of_equal_targets_once(monkeypatch):
     # an unbribed vote of 1,000 copies: one ranking_prefix call for the run, not one per copy
     ranking = (0, 1, 2)
     instance = BriberyInstance(
-        Election(("a", "b", "c"), (Vote(ranking, 1000),)), VotingRule.k_approval(1), 0, unit(1000), Fraction(0)
+        Election(("a", "b", "c"), (Vote(ranking, 1000),)), VotingRule.k_approval(1), 0, unit(1), Fraction(0)
     )
     calls = []
     prefix = core.ranking_prefix
