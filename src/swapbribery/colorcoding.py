@@ -20,10 +20,10 @@ from itertools import combinations, product
 from typing import Iterator
 
 from . import _search
-from .core import K_APPROVAL, head_then_rest
+from .core import K_APPROVAL
 from .errors import DomainError, ResourceCapError
 from .oracle import check_topk_cap, topk_options
-from .swaps import Bribery, BriberyInstance, SolveResult, move_to_top_target, verify_bribery
+from .swaps import Bribery, BriberyInstance, SolveResult, move_to_top_target, per_vote, verify_bribery
 
 VotePattern = tuple[int, ...]
 ElectionPattern = tuple[VotePattern, ...]
@@ -113,15 +113,14 @@ def solve_color_coding(instance: BriberyInstance) -> SolveResult:
 
     preferred = instance.preferred
     others = [c for c in range(m) if c != preferred]
-    rankings = [head_then_rest(r, m) for r in instance.election.expanded()]
     _, classes, budget = instance.integer_prices()
     # Cheapest first, ties in ascending candidate order, so the first subset
     # of a color set is the one to take; the votes of a class share one list.
-    options: list = [None] * n
-    for ranking, price, overrides, votes in classes:
+    runs = []
+    for ranking, price, overrides, _, size in classes:
         shared = sorted(topk_options(ranking, k, price, overrides, budget), key=lambda o: (o[1], sorted(o[0])))
-        for v in votes:
-            options[v] = shared
+        runs.append([((ranking, shared), size)])
+    rankings, options = zip(*per_vote(instance.election, classes, runs))
     # Patterns as color bitmasks, grouped by their highest color; a pattern
     # of color 1 alone joins the group of palette {2}, where it loses nothing.
     masks: dict[VotePattern, int] = {}

@@ -28,7 +28,7 @@ import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, compress
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import K_APPROVAL, Ranking, scores
 from .errors import DomainError, PreconditionError, ResourceCapError
@@ -282,7 +282,7 @@ def build_transfer_network(
     if not classes:
         raise DomainError("need at least one vote")
     m = len(classes[0].ranking)
-    n_votes = sum(len(c.votes) for c in classes)
+    n_votes = sum(c.size for c in classes)
     if not 1 <= k <= m:
         raise DomainError(f"k = {k} outside 1..{m}")
     if not 1 <= target_score <= n_votes:
@@ -295,9 +295,9 @@ def build_transfer_network(
     names = ["s", "t", "x", *(f"g[{i}]" for i in range(len(classes))), *(f"b[{c}]" for c in range(m))]
 
     arcs: list[FlowArc] = []
-    for g, (ranking, price, _, votes) in enumerate(classes, start=_X + 1):
-        arcs.append(FlowArc(_S, g, k * len(votes), 0))
-        arcs += [FlowArc(g, b0 + c, len(votes), price * pos) for pos, c in enumerate(ranking)]
+    for g, (ranking, price, _, _, size) in enumerate(classes, start=_X + 1):
+        arcs.append(FlowArc(_S, g, k * size, 0))
+        arcs += [FlowArc(g, b0 + c, size, price * pos) for pos, c in enumerate(ranking)]
     arcs += _collectors(b0, m, preferred, target_score, unique, n_votes * k)
 
     return FlowNetwork(tuple(names), tuple(arcs), source=_S, sink=_T)
@@ -311,8 +311,8 @@ def _collectors(b0, m, preferred, target_score, unique, total) -> tuple[FlowArc,
     return (*arcs, FlowArc(_X, _T, total - target_score, 0))
 
 
-def _split(classes: list[VoteClass], result: FlowResult) -> tuple[Ranking, ...]:
-    """Per-vote target rankings from a full-value flow, round-robin within each class.
+def _split(classes: list[VoteClass], result: FlowResult) -> Iterator[list[tuple[Ranking, int]]]:
+    """Each class's target runs (``swaps.per_vote``) from a full-value flow, round-robin within the class.
 
     A class's units, listed candidate by candidate in ranking order, go the
     t-th to its (t mod w)-th vote: no candidate carries more than w units,
@@ -320,25 +320,22 @@ def _split(classes: list[VoteClass], result: FlowResult) -> tuple[Ranking, ...]:
     A candidate's f units are one block of that list, so they go to a cyclic
     run of f votes from the block's offset mod w; a vote's approved set
     changes only where a block starts or ends, and each stretch of votes
-    between two such places gets one target.
+    between two such places is one run of one target.
     """
-    targets: list = [None] * sum(len(c.votes) for c in classes)
     flows, at = result.arc_flows, 0
-    for ranking, _, _, votes in classes:
+    for ranking, _, _, _, w in classes:
         units = flows[at + 1 : at + 1 + len(ranking)]  # after s -> g, the g -> b arcs in ranking order
         at += 1 + len(ranking)
-        w = len(votes)
         if w == 1:  # the common case, as votes drawn at random seldom repeat: the flow's set in one pass
-            targets[votes[0]] = move_to_top_target(ranking, frozenset(compress(ranking, units)))
+            yield [(move_to_top_target(ranking, frozenset(compress(ranking, units))), 1)]
             continue
         starts = list(accumulate(units, initial=0))
         cuts = sorted({start % w for start in starts})
+        runs = []
         for lo, hi in zip(cuts, [*cuts[1:], w]):
             chosen = frozenset(c for c, start, f in zip(ranking, starts, units) if (lo - start) % w < f)
-            target = move_to_top_target(ranking, chosen)
-            for v in votes[lo:hi]:
-                targets[v] = target
-    return tuple(targets)
+            runs.append((move_to_top_target(ranking, chosen), hi - lo))
+        yield runs
 
 
 def solve_unit(instance: BriberyInstance) -> SolveResult:
@@ -388,7 +385,7 @@ def solve_unit(instance: BriberyInstance) -> SolveResult:
     network = build_transfer_network(classes, k, preferred, hi, unique)
     shared, b0 = network.arcs[: -m - 1], _X + 1 + len(classes)
     # f0 on the arcs every target score shares, and its potentials
-    unbribed = [f for c in classes for f in (k * len(c.votes), *[len(c.votes)] * k, *[0] * (m - k))]
+    unbribed = [f for c in classes for f in (k * c.size, *[c.size] * k, *[0] * (m - k))]
     g_potentials = [-c.price * (k - 1) for c in classes]
     potentials = (min(g_potentials), 0, 0, *g_potentials, *[0] * m)
     flows: dict[int, FlowResult | None] = {}
@@ -419,9 +416,10 @@ def solve_unit(instance: BriberyInstance) -> SolveResult:
             lo = mid + 1
 
     result = cheapest(lo)
-    kept = k * (k - 1) // 2 * sum(c.price * len(c.votes) for c in classes)
+    kept = k * (k - 1) // 2 * sum(c.price * c.size for c in classes)
     cost = Fraction(result.cost - kept, scale)
-    return SolveResult(cost <= instance.budget, cost, Bribery(_split(classes, result)))
+    targets = _swaps.per_vote(instance.election, classes, _split(classes, result))
+    return SolveResult(cost <= instance.budget, cost, Bribery(targets))
 
 
 def approx_within_range(

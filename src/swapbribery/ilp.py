@@ -17,14 +17,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import permutations
 
 from . import _search
 from .core import BUCKLIN, K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .lp import lp_feasible
 from .oracle import factorial_exceeds
-from .swaps import Bribery, BriberyInstance, SolveResult, VoteClass, target_costs
+from .swaps import Bribery, BriberyInstance, SolveResult, VoteClass, per_vote, target_costs
 
 @dataclass(frozen=True)
 class Inequality:
@@ -147,11 +147,11 @@ def build_ilp(instance: BriberyInstance) -> TransformationIlp:
 
     bases, costs = [], []  # per class: its ranking's permutation index, its target costs
     counts = [0] * len(system.perms)
-    for ranking, price, overrides, votes in classes:
+    for ranking, price, overrides, _, size in classes:
         bases.append(perm_index[ranking])
         # targets in system.perms order, since system.perms is permutations(system.perms[0])
         costs.append(target_costs(ranking, price, overrides, system.perms[0]))
-        counts[bases[-1]] += len(votes)
+        counts[bases[-1]] += size
 
     variables = tuple(
         (g, j)
@@ -185,7 +185,7 @@ def _relaxation_rows(ilp: TransformationIlp, rows: tuple[Inequality, ...]) -> li
     relaxed = [([-c for c in row.coeffs], -row.rhs) for row in rows]
     relaxed.append((list(ilp.var_costs), ilp.budget))
     for g, group in enumerate(ilp.groups):
-        relaxed.append(([int(var[0] == g) for var in ilp.variables], len(group.votes)))
+        relaxed.append(([int(var[0] == g) for var in ilp.variables], group.size))
     return relaxed
 
 
@@ -204,7 +204,7 @@ def ilp_feasible(ilp: TransformationIlp, rows: tuple[Inequality, ...]) -> dict[t
 
     var_costs, budget = ilp.var_costs, ilp.budget
     group_of = [g for g, _ in ilp.variables]  # ascending: a group's variables are adjacent
-    sizes = [len(group.votes) for group in ilp.groups]
+    sizes = [group.size for group in ilp.groups]
     n_groups = len(ilp.groups)
     starts = [bisect_left(group_of, g) for g in range(n_groups + 1)]  # group g's run: starts[g]:starts[g + 1]
 
@@ -265,13 +265,14 @@ def assignment_to_bribery(
     ilp: TransformationIlp,
     assignment: dict[tuple[int, int], int],
 ) -> Bribery:
-    """Transform t copies of each group into its targets: votes in expanded order, targets in variable order."""
-    targets = list(instance.election.expanded())
-    unassigned = [iter(group.votes) for group in ilp.groups]
-    for (g, j) in ilp.variables:
-        for vote in islice(unassigned[g], assignment.get((g, j), 0)):
-            targets[vote] = ilp.perms[j]
-    return Bribery(tuple(targets))
+    """Transform t copies of each group into its targets, in variable order; the rest keep their stored ranking."""
+    votes = instance.election.votes
+    runs: list = [[] for _ in ilp.groups]
+    for g, j in ilp.variables:
+        runs[g].append((ilp.perms[j], assignment.get((g, j), 0)))
+    for group, group_runs in zip(ilp.groups, runs):
+        group_runs.append((votes[group.lines[0]].ranking, group.size - sum(t for _, t in group_runs)))
+    return Bribery(per_vote(instance.election, ilp.groups, runs))
 
 
 def format_lp(ilp: TransformationIlp, rows: tuple[Inequality, ...]) -> str:
@@ -299,7 +300,7 @@ def format_lp(ilp: TransformationIlp, rows: tuple[Inequality, ...]) -> str:
     out.append("subject to")
     for g, group in enumerate(ilp.groups):
         coeffs = [int(var[0] == g) for var in ilp.variables]
-        out.append(f"  group{g}: {terms(coeffs)} <= {len(group.votes)}")
+        out.append(f"  group{g}: {terms(coeffs)} <= {group.size}")
     out.append(
         f"  budget: {terms(Fraction(c, ilp.scale) for c in ilp.var_costs)}"
         f" <= {Fraction(ilp.budget, ilp.scale)}"
@@ -308,7 +309,7 @@ def format_lp(ilp: TransformationIlp, rows: tuple[Inequality, ...]) -> str:
         out.append(f"  win{i}: {terms(row.coeffs)} >= {row.rhs}")
     out.append("bounds")
     for var in ilp.variables:
-        out.append(f"  0 <= {var_name(var)} <= {len(ilp.groups[var[0]].votes)}")
+        out.append(f"  0 <= {var_name(var)} <= {ilp.groups[var[0]].size}")
     out.append("integer")
     out.append("  " + " ".join(var_name(v) for v in ilp.variables))
     return "\n".join(out) + "\n"

@@ -386,7 +386,7 @@ def serialize_solution(
         changed = changed_votes(instance, bribery)
         out.append(f"changed {len(changed)}")
         names = instance.election.candidates
-        for i, _, target in changed:
+        for i, _, _, target in changed:
             as_head, text = _written_names(names, target)
             out.append(f"{'target-head' if as_head else 'target'} {i} {text}".rstrip())
     return "\n".join(out) + "\n"

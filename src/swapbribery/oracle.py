@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import groupby, islice, permutations
 
 from . import _search
-from .core import BUCKLIN, K_APPROVAL, Ranking, head_then_rest
+from .core import BUCKLIN, K_APPROVAL, Ranking
 from .errors import DomainError, ResourceCapError
 from .swaps import (
     Bribery,
@@ -35,6 +35,7 @@ from .swaps import (
     PairCosts,
     SolveResult,
     move_to_top_target,
+    per_vote,
     target_costs,
 )
 
@@ -161,28 +162,27 @@ def topk_options(
 
 
 def _run_search(
-    classes: list[tuple[list[tuple], tuple[int, ...]]],
+    classes: list[tuple[list[tuple], int]],
     rows: int,
     m: int,
     unique: bool,
     budget: int | None,
     preferred: int,
 ) -> tuple[int, list] | None:
-    """Search one ``(options, votes)`` pair per vote class, options being ``(increments, cost, ...)``.
+    """Search one ``(options, size)`` pair per vote class, options being ``(increments, cost, ...)``.
 
     Each class's options are sorted by cost and laid out once, for its votes
     side by side, so the search's symmetry cut sees every copy of a vote.
-    Returns the optimum and each vote's chosen option, in vote order, or None.
+    Returns the optimum and each class's runs of ``(option, count)``, as
+    ``swaps.per_vote`` reads them, or None.
     """
     laid_out: list = []
     offsets = [0]
-    order: list[int] = []
-    for options, votes in classes:
+    for options, _ in classes:
         options.sort(key=lambda option: option[1])
         laid_out += options
         offsets.append(len(laid_out))
-        order += votes
-    sizes = [len(votes) for _, votes in classes]
+    sizes = [size for _, size in classes]
     increments = [option[0] for option in laid_out]
     costs = [option[1] for option in laid_out]
 
@@ -193,7 +193,10 @@ def _run_search(
     if hit is None:
         return None
     cost, choices = hit
-    return cost, [laid_out[i] for _, i in sorted(zip(order, choices))]
+    runs, chosen = [], iter(choices)  # laid out class by class
+    for size in sizes:
+        runs.append([(laid_out[i], len(list(same))) for i, same in groupby(islice(chosen, size))])
+    return cost, runs
 
 
 def _points(rule, m: int) -> tuple[int, ...]:
@@ -245,18 +248,18 @@ def brute_topk(
     scale, classes, budget = instance.integer_prices()
     budget_cap = budget if prune_to_budget else None
     searched = [
-        (topk_options(ranking, k, price, overrides, budget_cap), votes)
-        for ranking, price, overrides, votes in classes
+        (topk_options(ranking, k, price, overrides, budget_cap), size)
+        for ranking, price, overrides, _, size in classes
     ]
     hit = _run_search(searched, 1, m, instance.unique_mode, budget_cap, instance.preferred)
     if hit is None:
         return SolveResult(False, None, None)
-    optimum, chosen = hit
-    targets = tuple(
-        move_to_top_target(head_then_rest(r, m), frozenset(c for c, _ in steps))
-        for r, (steps, _) in zip(election.expanded(), chosen)
-    )
-    return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(targets))
+    optimum, runs = hit
+    runs = [
+        [(move_to_top_target(ranking, frozenset(c for c, _ in steps)), count) for (steps, _), count in class_runs]
+        for (ranking, *_), class_runs in zip(classes, runs)
+    ]
+    return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(per_vote(election, classes, runs)))
 
 
 def brute_rankings(
@@ -293,11 +296,12 @@ def brute_rankings(
     # lists small
     increments = [[pair for pos, c in enumerate(t) for pair in placed[pos][c]] for t in targets]
     searched = [
-        (list(zip(increments, target_costs(ranking, price, overrides, range(m)), targets)), votes)
-        for ranking, price, overrides, votes in classes
+        (list(zip(increments, target_costs(ranking, price, overrides, range(m)), targets)), size)
+        for ranking, price, overrides, _, size in classes
     ]
     hit = _run_search(searched, rows, m, instance.unique_mode, None, instance.preferred)
     if hit is None:
         return SolveResult(False, None, None)
-    optimum, chosen = hit
-    return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(tuple(t for _, _, t in chosen)))
+    optimum, runs = hit
+    targets = per_vote(instance.election, classes, [[(t, count) for (_, _, t), count in r] for r in runs])
+    return SolveResult(optimum <= budget, Fraction(optimum, scale), Bribery(targets))

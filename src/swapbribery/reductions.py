@@ -16,7 +16,7 @@ from itertools import groupby
 
 from .core import CO_WINNER, Election, Ranking, Vote, VotingRule
 from .errors import DomainError, PreconditionError
-from .swaps import BriberyInstance, SwapCostFunction, vote_classes
+from .swaps import BriberyInstance, SwapCostFunction, per_vote, vote_classes
 
 
 @dataclass(frozen=True)
@@ -97,18 +97,16 @@ def sb_to_pw(instance: BriberyInstance) -> PossibleWinnerInstance:
         found = ", ".join(map(str, sorted(positive)))
         raise PreconditionError(f"costs must lie in {{0, d}}; found {found}")
 
-    m = instance.election.m
-    partials = [None] * instance.election.n_expanded
-    for ranking, price, overrides, votes in vote_classes(instance):
+    classes = vote_classes(instance)
+    partials = []
+    for ranking, price, overrides, _, size in classes:
         pairs = frozenset(
             (a, b) for i, a in enumerate(ranking) for b in ranking[i + 1 :] if overrides.get((a, b), price) != 0
         )
-        partial = PartialVote(m, pairs)
-        for v in votes:
-            partials[v] = partial
+        partials.append([(PartialVote(instance.election.m, pairs), size)])
     return PossibleWinnerInstance(
         candidates=instance.election.candidates,
-        votes=tuple(partials),
+        votes=per_vote(instance.election, classes, partials),
         rule=instance.rule,
         preferred=instance.preferred,
     )

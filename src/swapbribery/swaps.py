@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
@@ -208,27 +208,26 @@ class BriberyInstance:
 
 
 class VoteClass(NamedTuple):
-    """The expanded votes whose lines share a stored ranking and a price (``SwapCostFunction.price_ids``)."""
+    """The vote lines that share a stored ranking and a price (``SwapCostFunction.price_ids``)."""
 
     ranking: Ranking
     price: int | Fraction  # the default price
     overrides: PairCosts
-    votes: tuple[int, ...]
+    lines: tuple[int, ...]  # indices into ``Election.votes``, ascending
+    size: int  # the copies over those lines
 
 
 def vote_classes(instance: BriberyInstance, scale: int | None = None) -> list[VoteClass]:
-    """The expanded votes grouped by their line's stored ranking and price id, in order of first vote.
+    """The vote lines grouped by stored ranking and price id, in order of first line.
 
     Votes of one class are interchangeable, so every solver builds a class's
     options once. A class holds its price, as ints times ``scale`` if given,
     each distinct price scaled once; ``scale`` must clear every denominator.
     """
+    votes = instance.election.votes
     groups: dict[tuple[Ranking, int], list[int]] = {}
-    start = 0
-    for vote, price in zip(instance.election.votes, instance.costs.price_ids):
-        end = start + vote.multiplicity
-        groups.setdefault((vote.ranking, price), []).extend(range(start, end))
-        start = end
+    for line, (vote, price) in enumerate(zip(votes, instance.costs.price_ids)):
+        groups.setdefault((vote.ranking, price), []).append(line)
     prices = instance.costs.prices
     if scale is not None:
         prices = [
@@ -237,7 +236,21 @@ def vote_classes(instance: BriberyInstance, scale: int | None = None) -> list[Vo
             for d, t in prices
         ]
     m = instance.election.m
-    return [VoteClass(head_then_rest(ranking, m), *prices[i], tuple(vs)) for (ranking, i), vs in groups.items()]
+    return [
+        VoteClass(head_then_rest(ranking, m), *prices[i], tuple(lines), sum(votes[v].multiplicity for v in lines))
+        for (ranking, i), lines in groups.items()
+    ]
+
+
+def per_vote(election: Election, classes: list[VoteClass], runs: Iterable[Iterable[tuple[object, int]]]) -> tuple:
+    """One value per expanded vote: ``runs[g]`` holds class g's ``(value, count)``
+    runs, counts 0 allowed, over its copies in vote order, its lines ascending
+    and each line's copies in turn."""
+    owner = {line: g for g, vote_class in enumerate(classes) for line in vote_class.lines}
+    values = [chain.from_iterable(repeat(value, count) for value, count in class_runs) for class_runs in runs]
+    # read line by line, each class's values fall on its copies in vote order
+    copies = (islice(values[owner[line]], vote.multiplicity) for line, vote in enumerate(election.votes))
+    return tuple(chain.from_iterable(copies))
 
 
 def _count_inversions(seq: Iterable[int]) -> int:
@@ -385,35 +398,39 @@ def _stored_cost(src: Ranking, dst: Ranking, m: int, costs: SwapCostFunction, vo
     return transform_cost(head_then_rest(src, m), head_then_rest(dst, m), costs, vote)
 
 
-def changed_votes(instance: BriberyInstance, bribery: Bribery) -> list[tuple[int, Ranking, Ranking]]:
-    """Each vote the bribery changes, as ``(vote, ranking, target)`` in stored form.
+def changed_votes(instance: BriberyInstance, bribery: Bribery) -> list[tuple[int, int, Ranking, Ranking]]:
+    """Each vote the bribery changes, as ``(vote, line, ranking, target)`` in stored form.
 
-    A vote is compared with its target before the target is stored, so a
+    A line whose copies all keep its ranking is passed over in one check; any
+    other copy is compared with its target before the target is stored, so a
     vote the bribery keeps is not read past its head.
     """
-    originals = instance.election.expanded_list()
-    if len(bribery.targets) != len(originals):
-        raise DomainError(f"bribery covers {len(bribery.targets)} votes, expected {len(originals)}")
-    m = instance.election.m
+    election, targets = instance.election, bribery.targets
+    if len(targets) != election.n_expanded:
+        raise DomainError(f"bribery covers {len(targets)} votes, expected {election.n_expanded}")
     changed = []
-    for idx, (src, dst) in enumerate(zip(originals, bribery.targets)):
-        if src != dst:
-            try:
-                dst = stored_ranking(dst, m)
-            except DomainError:
-                raise DomainError(f"target for vote {idx} is not a permutation of the roster") from None
+    starts = accumulate((vote.multiplicity for vote in election.votes), initial=0)
+    for line, (vote, lo) in enumerate(zip(election.votes, starts)):
+        src, copies = vote.ranking, targets[lo : lo + vote.multiplicity]
+        if copies.count(src) == vote.multiplicity:
+            continue
+        for idx, dst in enumerate(copies, lo):
             if src != dst:
-                changed.append((idx, src, dst))
+                try:
+                    dst = stored_ranking(dst, election.m)
+                except DomainError:
+                    raise DomainError(f"target for vote {idx} is not a permutation of the roster") from None
+                if src != dst:
+                    changed.append((idx, line, src, dst))
     return changed
 
 
 def verify_bribery(instance: BriberyInstance, bribery: Bribery) -> VerifyReport:
     """Price the votes a bribery changes (``changed_votes``), each at its
     line's price, and evaluate the winner condition."""
-    ends = list(accumulate(vote.multiplicity for vote in instance.election.votes))
     total = Fraction(0)
-    for idx, src, dst in changed_votes(instance, bribery):
-        total += _stored_cost(src, dst, instance.election.m, instance.costs, bisect_right(ends, idx))
+    for _, line, src, dst in changed_votes(instance, bribery):
+        total += _stored_cost(src, dst, instance.election.m, instance.costs, line)
     return VerifyReport(
         total_cost=total,
         preferred_wins=instance.preferred_wins(bribery.targets),

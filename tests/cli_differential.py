@@ -18,10 +18,14 @@ and gadget ``generate`` and ``kernelize``; the instances include files with
 one swap price per vote, zero and rational ones among them. Equal prices
 held by distinct objects are reached through copies of small instances
 that write each vote as several vote lines with their own equal cost lines
-(``solve`` with ``auto``, ``brute`` and ``flow``, and ``reduce sb-to-pw``),
-and through vote lines of multiplicity 2 or 3 with pair overrides
-(``kernelize`` with and without ``--simple``, ``solve`` with ``auto``,
-``brute`` and ``ilp``, and ``verify`` of each solution). The reader's own paths are reached through copies of priced
+(``solve`` with ``auto``, ``brute``, ``flow`` and ``ilp``, and ``color``
+for k-approval, and ``reduce sb-to-pw``), through the same copies with
+their vote lines interleaved, so that the lines of one vote class stand
+apart (``solve`` with ``auto``, ``brute`` and ``ilp``, ``verify`` of each
+solution, and ``reduce sb-to-pw``), and through vote lines of multiplicity
+2 or 3 with pair overrides (``kernelize`` with and without ``--simple``,
+``solve`` with ``auto``, ``brute`` and ``ilp``, and ``verify`` of each
+solution). The reader's own paths are reached through copies of priced
 files: with each cost token respelled as an equal value (``solve``,
 ``verify`` and ``kernelize``), and, through ``solve``, with a bad cost
 token on every line of a repeating token or on one later line, with index
@@ -43,6 +47,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 RUNNER = r"""
@@ -200,11 +205,16 @@ def build_calls(work: Path, old_src: str) -> list:
     # that none of them moves. Copies of small instances write each vote as
     # one to three vote lines, each with its own equal cost lines, and the
     # zero-budget {0, 1} ones go through ``reduce sb-to-pw`` as well.
+    # They also go through ``ilp``, and the k-approval ones through ``color``.
     spreadable = [(path, False) for path, _ in instances if _candidates(path) <= 4][:15]
+    interleaved = []
     for path, reducible_copy in spreadable + [(path, True) for path in reducible[:10]]:
         spread = corpus / f"{path.stem}.spread.sbe"
-        spread.write_text(_spread_copies(path.read_text(), rng))
-        for algorithm in ("auto", "brute", "flow"):
+        text, apart = _spread_copies(path.read_text(), rng)
+        spread.write_text(text)
+        interleaved.append((corpus / f"{path.stem}.interleaved.sbe", apart, reducible_copy))
+        algorithms = ("auto", "brute", "flow", "ilp", "color")
+        for algorithm in algorithms if "\nrule k-approval " in text else algorithms[:-1]:
             solution = out / f"{spread.stem}.{algorithm}.sbs"
             call("solve", spread, "--algorithm", algorithm, "--solution", solution, outputs=[solution])
         if reducible_copy:
@@ -263,6 +273,18 @@ def build_calls(work: Path, old_src: str) -> list:
                 for algorithm in ("brute", "color") if rule == "k-approval" else ("brute",):
                     solution = out / f"{copy.stem}.{algorithm}.sbs"
                     call("solve", copy, "--algorithm", algorithm, "--solution", solution, outputs=[solution])
+    # The spread copies with their vote lines interleaved, after every call
+    # above, drawing nothing: every vote's first line, then every vote's
+    # second line, and so on, so that the lines of one vote class stand apart.
+    for path, text, reducible_copy in interleaved:
+        path.write_text(text)
+        for algorithm in ("auto", "brute", "ilp"):
+            solution = out / f"{path.stem}.{algorithm}.sbs"
+            call("solve", path, "--algorithm", algorithm, "--solution", solution, outputs=[solution])
+            call("verify", path, solution)
+        if reducible_copy:
+            partial = out / f"{path.stem}.pwe"
+            call("reduce", "sb-to-pw", path, "--out", partial, outputs=[partial])
     run_tree(work, old_src, old_solves, "old-solutions", "1")
     return calls
 
@@ -287,26 +309,35 @@ def _renumbered(text: str, preferred_id: int, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spread_copies(text: str, rng: random.Random) -> str:
+def _spread_copies(text: str, rng: random.Random) -> tuple[str, str]:
     """``text`` with each vote written as one to three vote lines of multiplicity 1,
-    each with its own copy of the vote's cost lines and an explicit default."""
+    each with its own copy of the vote's cost lines and an explicit default;
+    and the same lines interleaved, every vote's first line, then every
+    vote's second line, and so on."""
     lines = text.splitlines()
     costs = {}
     for line in lines:
         if line.startswith("costs "):
             _, i, rest = line.split(" ", 2)
             costs.setdefault(i, []).append(rest)
-    kept, votes, priced = [line for line in lines if not line.startswith(("vote ", "costs "))], [], []
+    kept, spread = [line for line in lines if not line.startswith(("vote ", "costs "))], []
     for line in lines:
         if line.startswith("vote "):
             _, i, _, multiplicity, order = line.split(" ", 4)
             own = costs.get(i, [])
             if not any(rest.startswith("default ") for rest in own):
                 own = ["default 1", *own]
-            for _ in range(int(multiplicity) * rng.randint(1, 3)):
-                priced += [f"costs {len(votes)} {rest}" for rest in own]
-                votes.append(f"vote {len(votes)} multiplicity 1 {order}")
-    return "\n".join(kept + votes + priced) + "\n"
+            spread.append([(order, own)] * (int(multiplicity) * rng.randint(1, 3)))
+
+    def written(copies):
+        votes, priced = [], []
+        for order, own in copies:
+            priced += [f"costs {len(votes)} {rest}" for rest in own]
+            votes.append(f"vote {len(votes)} multiplicity 1 {order}")
+        return "\n".join(kept + votes + priced) + "\n"
+
+    apart = [copy for row in zip_longest(*spread) for copy in row if copy is not None]
+    return written(copy for copies in spread for copy in copies), written(apart)
 
 
 def _respelled(text: str, rng: random.Random) -> str:

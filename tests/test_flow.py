@@ -3,6 +3,7 @@ import heapq
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -29,6 +30,7 @@ from swapbribery.swaps import (
     SwapCostFunction,
     VoteClass,
     move_to_top_target,
+    per_vote,
     verify_bribery,
     vote_classes,
 )
@@ -250,14 +252,20 @@ class TestEngine:
 
 
 # The sample's two votes, one unit-price class each.
-SAMPLE_CLASSES = [VoteClass(SAMPLE_V, 1, {}, (0,)), VoteClass(SAMPLE_U, 1, {}, (1,))]
+SAMPLE_CLASSES = [VoteClass(SAMPLE_V, 1, {}, (0,), 1), VoteClass(SAMPLE_U, 1, {}, (1,), 1)]
+
+
+def _copies(election, vote_class):
+    """The expanded votes of a class's lines, in vote order."""
+    starts = list(accumulate((vote.multiplicity for vote in election.votes), initial=0))
+    return tuple(v for line in vote_class.lines for v in range(starts[line], starts[line + 1]))
 
 
 def _classes(inst):
     """The vote classes ``solve_unit`` builds, and the constant its flows pay on top."""
     scale, classes, _ = inst.integer_prices()
     k = inst.rule.k
-    kept = k * (k - 1) // 2 * sum(c.price * len(c.votes) for c in classes)
+    kept = k * (k - 1) // 2 * sum(c.price * c.size for c in classes)
     return scale, classes, kept
 
 
@@ -284,14 +292,14 @@ class TestNetworkShape:
     def test_keep_arcs_cost_zero(self):
         # Keeping a class's top k costs only the constant its flows pay on
         # top, price * w * k(k-1)/2; no arc but a class's costs anything.
-        classes = [VoteClass(SAMPLE_V, 3, {}, (0, 2)), VoteClass(SAMPLE_U, 2, {}, (1,))]
+        classes = [VoteClass(SAMPLE_V, 3, {}, (0, 2), 2), VoteClass(SAMPLE_U, 2, {}, (1,), 1)]
         for k in range(1, 6):
             net = build_transfer_network(classes, k, 2, 2)
-            for g, (ranking, price, _, votes) in enumerate(classes):
+            for g, (ranking, price, _, _, size) in enumerate(classes):
                 top = [net.node_names.index(f"b[{c}]") for c in ranking[:k]]
                 node = net.node_names.index(f"g[{g}]")
-                keep = sum(a.cost * len(votes) for a in net.arcs if a.tail == node and a.head in top)
-                assert keep == price * len(votes) * k * (k - 1) // 2
+                keep = sum(a.cost * size for a in net.arcs if a.tail == node and a.head in top)
+                assert keep == price * size * k * (k - 1) // 2
             assert all(a.cost == 0 for a in net.arcs if not net.node_names[a.tail].startswith("g["))
 
     def test_rejects_k_outside_one_to_m(self):
@@ -312,9 +320,9 @@ class TestNetworkShape:
         inst = BriberyInstance(election, VotingRule.k_approval(1), 2, costs, Fraction(1))
         classes = vote_classes(inst)
         assert classes == [
-            VoteClass((0, 1, 2), 1, {}, (0, 2, 4, 5)),
-            VoteClass((0, 1, 2), 2, {}, (1,)),
-            VoteClass((1, 0, 2), 2, {}, (3,)),
+            VoteClass((0, 1, 2), 1, {}, (0, 2, 4), 4),
+            VoteClass((0, 1, 2), 2, {}, (1,), 1),
+            VoteClass((1, 0, 2), 2, {}, (3,), 1),
         ]
         # one class arc per (class, candidate): d * m, whatever the multiplicities
         net = build_transfer_network(classes, 1, 2, 3)
@@ -347,7 +355,7 @@ def _random_classes(rng, prices):
     for _ in range(rng.randint(1, 3)):
         w = rng.randint(1, 3)
         price = {"zero": 0, "unit": 1, "per-vote": rng.randint(0, 4)}[prices]
-        classes.append(VoteClass(tuple(rng.sample(range(m), m)), price, {}, tuple(range(first, first + w))))
+        classes.append(VoteClass(tuple(rng.sample(range(m), m)), price, {}, (len(classes),), w))
         first += w
     return classes, m, first
 
@@ -364,7 +372,7 @@ class TestWarmStart:
         for trial in range(300):
             classes, m, n = _random_classes(rng, ("zero", "unit", "per-vote")[trial % 3])
             k, preferred, unique = rng.randint(1, m), rng.randrange(m), rng.random() < 0.5
-            shared += any(len(c.votes) > 1 for c in classes)
+            shared += any(c.size > 1 for c in classes)
             for target in range(1, n + 1):
                 network = build_transfer_network(classes, k, preferred, target, unique)
                 value, cost, _ = _one_path_per_dijkstra(network)
@@ -387,7 +395,7 @@ class TestWarmStart:
         assert full > 300 and short > 300 and shared > 200
 
     def test_rejects_a_start_it_cannot_trust(self):
-        classes = [VoteClass(SAMPLE_V, 2, {}, (0, 1)), VoteClass(SAMPLE_U, 1, {}, (2,))]
+        classes = [VoteClass(SAMPLE_V, 2, {}, (0, 1), 2), VoteClass(SAMPLE_U, 1, {}, (2,), 1)]
         network = build_transfer_network(classes, 2, 2, 2)
         flows, potentials = _unbribed_start(network, classes, 2)
         assert min_cost_max_flow(network, (flows, potentials)).value == 6
@@ -498,7 +506,7 @@ class TestSolveUnit:
                 res = min_cost_max_flow(network)
                 if res.value != len(rankings) * k:
                     continue
-                bribery = Bribery(_split(classes, res))
+                bribery = Bribery(per_vote(inst.election, classes, _split(classes, res)))
                 totals = scores(bribed_election(inst, bribery), inst.rule)
                 assert totals[inst.preferred] == target
                 limit = target - (1 if inst.unique_mode else 0)
@@ -584,11 +592,12 @@ def _per_vote_instance(rng):
     )
 
 
-def _split_vote_by_vote(classes, result):
+def _split_vote_by_vote(election, classes, result):
     """The round-robin split by its definition: a class's t-th unit goes to its (t mod w)-th vote."""
     targets = {}
     flows = iter(result.arc_flows)
-    for ranking, _, _, votes in classes:
+    for vote_class in classes:
+        ranking, votes = vote_class.ranking, _copies(election, vote_class)
         next(flows)  # s -> g
         units = [c for c in ranking for _ in range(next(flows))]
         for i, v in enumerate(votes):
@@ -598,24 +607,31 @@ def _split_vote_by_vote(classes, result):
 
 class TestSplit:
     def test_split_by_runs_matches_the_split_vote_by_vote(self):
-        # up to three classes of 1 to 40 votes, their votes interleaved, each
-        # sending k units per vote and at most one per vote to each candidate
+        # up to three classes of 1 to 40 votes, each over one to three lines,
+        # the lines of all classes interleaved; each class sends k units per
+        # vote and at most one per vote to each candidate
         rng = random.Random(39)
         for _ in range(3000):
             m = rng.randint(1, 7)
             sizes = [rng.choice((1, 2, 3, rng.randint(1, 40))) for _ in range(rng.randint(1, 3))]
-            order = rng.sample(range(sum(sizes)), sum(sizes))
+            owners = []  # per line: its class and its copies
+            for g, w in enumerate(sizes):
+                cuts = sorted(rng.sample(range(1, w), min(w - 1, rng.randint(0, 2))))
+                owners += [(g, hi - lo) for lo, hi in zip([0, *cuts], [*cuts, w])]
+            rng.shuffle(owners)
+            election = Election(tuple(map(str, range(m))), tuple(Vote(tuple(range(m)), w) for _, w in owners))
             classes, flows = [], []
-            for w in sizes:
-                votes, order = tuple(sorted(order[:w])), order[w:]
+            for g, w in enumerate(sizes):
                 k = rng.randint(1, m)
                 units = [0] * m
                 for _ in range(k * w):
                     units[rng.choice([c for c in range(m) if units[c] < w])] += 1
                 flows += [k * w, *units]
-                classes.append(VoteClass(tuple(rng.sample(range(m), m)), 1, {}, votes))
+                lines = tuple(line for line, (owner, _) in enumerate(owners) if owner == g)
+                classes.append(VoteClass(tuple(rng.sample(range(m), m)), 1, {}, lines, w))
             result = FlowResult(0, 0, tuple(flows) + (0,) * (m + 1))  # the collectors carry nothing here
-            assert _split(classes, result) == _split_vote_by_vote(classes, result)
+            placed = per_vote(election, classes, _split(classes, result))
+            assert placed == _split_vote_by_vote(election, classes, result)
 
     def test_round_robin_split_meets_the_flow(self):
         # Each vote gets k distinct candidates at the top, in vote order; each
@@ -632,8 +648,9 @@ class TestSplit:
                 res = min_cost_max_flow(network)
                 if res.value != n * k:
                     continue
-                targets = _split(classes, res)
-                for g, (ranking, _, _, votes) in enumerate(classes):
+                targets = per_vote(inst.election, classes, _split(classes, res))
+                for g, vote_class in enumerate(classes):
+                    ranking, votes = vote_class.ranking, _copies(inst.election, vote_class)
                     node = network.node_names.index(f"g[{g}]")
                     shared += len(votes) > 1
                     carried = {
@@ -845,7 +862,8 @@ def test_classes_of_votes_with_copies_group_every_expanded_vote(monkeypatch):
             groups.setdefault(key, []).append(v)
         expected = [(head_then_rest(r, m), d, tuple(vs)) for (r, d), vs in groups.items()]
         classes = vote_classes(inst)
-        assert [(c.ranking, c.price, c.votes) for c in classes] == expected
+        assert [(c.ranking, c.price, _copies(inst.election, c)) for c in classes] == expected
+        assert all(list(c.lines) == sorted(set(c.lines)) and c.size == len(_copies(inst.election, c)) for c in classes)
         arcs = len(classes) * (m + 1) + m + 1
         monkeypatch.setattr("swapbribery.flow.MAX_ARCS", arcs)
         require_covers(inst)

@@ -123,7 +123,7 @@ class TestBuildIlp:
         )
         ilp = build_ilp(inst)
         g = next(g for g, group in enumerate(ilp.groups) if group.ranking == (0, 1, 2))
-        assert ilp.groups[g].votes == (1, 2, 3)
+        assert (ilp.groups[g].lines, ilp.groups[g].size) == ((1,), 3)
         first, second = [var for var in ilp.variables if var[0] == g][:2]
         bribery = assignment_to_bribery(inst, ilp, {second: 1, first: 2})
         early, late = ilp.perms[first[1]], ilp.perms[second[1]]
@@ -152,14 +152,14 @@ class TestBuildIlp:
             ilp = build_ilp(inst)
             counts = [0] * len(ilp.perms)
             for group in ilp.groups:
-                counts[ilp.perms.index(group.ranking)] += len(group.votes)
+                counts[ilp.perms.index(group.ranking)] += group.size
             assignment = {
                 var: rng.randint(0, 1) for var in ilp.variables
             }
             # clamp to group capacity
             for g, group in enumerate(ilp.groups):
                 spent = sum(t for (gg, _), t in assignment.items() if gg == g)
-                if spent > len(group.votes):
+                if spent > group.size:
                     for var in list(assignment):
                         if var[0] == g:
                             assignment[var] = 0
@@ -185,7 +185,7 @@ class TestFeasibility:
         # -t >= 0 (that is, t <= 0) and t >= 1 over a single transformation count
         from swapbribery.ilp import TransformationIlp
 
-        group = VoteClass(ranking=(0, 1), price=0, overrides={}, votes=(0,))
+        group = VoteClass(ranking=(0, 1), price=0, overrides={}, lines=(0,), size=1)
         ilp = TransformationIlp(
             groups=(group,),
             variables=((0, 1),),
@@ -205,14 +205,14 @@ class TestFeasibility:
             inst = random_instance(rng, m_max=3, n_max=2)
             ilp = build_ilp(inst)
             got = ilp_feasible(ilp, ilp.sets[0])
-            sizes = [len(ilp.groups[g].votes) for g, _ in ilp.variables]
+            sizes = [ilp.groups[g].size for g, _ in ilp.variables]
             found = None
             for values in iproduct(*[range(s + 1) for s in sizes]):
                 by_group: dict[int, int] = {}
                 for (g, _), t in zip(ilp.variables, values):
                     by_group[g] = by_group.get(g, 0) + t
                 if any(
-                    spent > len(ilp.groups[g].votes) for g, spent in by_group.items()
+                    spent > ilp.groups[g].size for g, spent in by_group.items()
                 ):
                     continue
                 if sum(c * t for c, t in zip(ilp.var_costs, values)) > ilp.budget:

@@ -612,7 +612,7 @@ def test_equal_prices_spelled_differently_share_one_price_id():
 
 
 def test_dot_counts_for_sample_network():
-    classes = [VoteClass(SAMPLE_V, 1, {}, (0,)), VoteClass(SAMPLE_U, Fraction(3, 2), {}, (1,))]
+    classes = [VoteClass(SAMPLE_V, 1, {}, (0,), 1), VoteClass(SAMPLE_U, Fraction(3, 2), {}, (1,), 1)]
     net = build_transfer_network(classes, 2, 2, 2)
     dot = network_to_dot(net)
     node_lines = [l for l in dot.splitlines() if l.endswith('";')]

@@ -143,6 +143,28 @@ def test_solve_of_a_million_copies_splits_its_one_class_by_runs(tmp_path):
     assert cpu < 5, cpu
 
 
+def test_solve_of_a_million_copies_peaks_near_a_file_of_one_copy(tmp_path):
+    # A class that listed each of its copies' indices peaked at 71 MB against
+    # 18 MB for one copy. Each child prints the peak of its own address space
+    # (VmHWM): its ru_maxrss would count the test process it was forked from.
+    peak = (
+        "import sys; from swapbribery.cli import main; code = main(sys.argv[1:]); "
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')), "
+        "file=sys.stderr); sys.exit(code)"
+    )
+    peaks = []
+    for copies in (1_000_000, 1):
+        path = tmp_path / f"copies{copies}.sbe"
+        path.write_text(MILLION_COPIES.replace("multiplicity 1000000", f"multiplicity {copies}"))
+        done = subprocess.run(
+            [sys.executable, "-c", peak, "solve", str(path)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=10, preexec_fn=_one_gigabyte,
+        )
+        assert (done.returncode, "cost: 0" in done.stdout.splitlines()) == (0, True), done.stderr
+        peaks.append(int(done.stderr) / 1024)  # kB to MB
+    assert peaks[0] - peaks[1] < 20, peaks
+
+
 def test_verify_of_a_million_copies_prices_each_changed_copy_at_its_line(tmp_path):
     # the solution changes no vote; its check is held to the same 5 s of CPU
     path, solution = tmp_path / "million.sbe", tmp_path / "million.sbs"

@@ -20,6 +20,7 @@ from swapbribery.swaps import (
     _count_inversions,
     move_to_top_cost,
     move_to_top_target,
+    per_vote,
     target_costs,
     transform_cost,
     verify_bribery,
@@ -509,8 +510,8 @@ def test_integer_prices_scale_zero_integral_and_coprime_prices():
     )
     scale, classes, budget = inst.integer_prices()
     assert (scale, budget) == (42, 21)
-    assert [c.votes for c in classes] == [(0,), (1,), (2,), (3,)]
-    for v, (_, price, overrides, _) in enumerate(classes):
+    assert [(c.lines, c.size) for c in classes] == [((0,), 1), ((1,), 1), ((2,), 1), ((3,), 1)]
+    for v, (_, price, overrides, _, _) in enumerate(classes):
         assert price == costs.default(v) * 42
         assert overrides == {pair: c * 42 for pair, c in costs.overrides(v).items()}
         assert all(type(c) is int for c in (price, *overrides.values()))
@@ -522,10 +523,51 @@ def test_vote_classes_split_by_ranking_default_and_override_table():
     costs = SwapCostFunction([1, 1, 1, 1], [{}, {(0, 1): 2}, {}, {}])
     instance = BriberyInstance(election, VotingRule.k_approval(1), 2, costs, Fraction(1))
     assert vote_classes(instance) == [
-        VoteClass((0, 1, 2), 1, {}, (0, 2)),
-        VoteClass((0, 1, 2), 1, {(0, 1): 2}, (1,)),
-        VoteClass((1, 0, 2), 1, {}, (3,)),
+        VoteClass((0, 1, 2), 1, {}, (0, 2), 2),
+        VoteClass((0, 1, 2), 1, {(0, 1): 2}, (1,), 1),
+        VoteClass((1, 0, 2), 1, {}, (3,), 1),
     ]
+
+
+def _per_vote_by_copies(election, classes, runs):
+    """``per_vote`` by its definition: class g's values, run by run, on its copies in vote order."""
+    line_of = [line for line, vote in enumerate(election.votes) for _ in range(vote.multiplicity)]
+    out = [None] * len(line_of)
+    for vote_class, class_runs in zip(classes, runs):
+        values = [value for value, count in class_runs for _ in range(count)]
+        copies = [v for v, line in enumerate(line_of) if line in vote_class.lines]
+        for v, value in zip(copies, values, strict=True):
+            out[v] = value
+    return tuple(out)
+
+
+def test_per_vote_places_each_class_s_runs_on_its_copies_in_vote_order():
+    # class 0 holds lines 0 and 2 (copies 0, 1 and 3-5), class 1 line 1 (copy 2)
+    election = Election(("a", "b"), (Vote((0, 1), 2), Vote((1, 0)), Vote((0, 1), 3)))
+    classes = [VoteClass((0, 1), 1, {}, (0, 2), 5), VoteClass((1, 0), 1, {}, (1,), 1)]
+    runs = [[("x", 3), ("y", 0), ("z", 2)], [("w", 1)]]
+    assert per_vote(election, classes, runs) == ("x", "x", "w", "x", "z", "z")
+    # Random lines of 1 to 4 copies dealt to up to four classes, so that a
+    # class's lines stand apart, each class's copies cut into runs, some of count 0.
+    rng = random.Random(46)
+    apart = spread = zeros = 0
+    for _ in range(500):
+        n_classes = rng.randint(1, 4)
+        owners = [*range(n_classes), *(rng.randrange(n_classes) for _ in range(rng.randint(0, 6)))]
+        rng.shuffle(owners)
+        election = Election(("a", "b"), tuple(Vote((0, 1), rng.randint(1, 4)) for _ in owners))
+        classes, runs = [], []
+        for g in range(n_classes):
+            lines = tuple(line for line, owner in enumerate(owners) if owner == g)
+            size = sum(election.votes[line].multiplicity for line in lines)
+            classes.append(VoteClass((0, 1), 1, {}, lines, size))
+            cuts = sorted(rng.choices(range(size + 1), k=rng.randint(0, 3)))
+            runs.append([((g, r), hi - lo) for r, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, size]))])
+            apart += lines[-1] - lines[0] >= len(lines)
+            spread += len(lines) > 1 and len(runs[-1]) > 1
+            zeros += any(count == 0 for _, count in runs[-1])
+        assert per_vote(election, classes, runs) == _per_vote_by_copies(election, classes, runs)
+    assert apart > 200 and spread > 200 and zeros > 200
 
 
 def test_an_instance_holds_one_price_per_vote_line():
